@@ -201,6 +201,8 @@ class DecisionService:
         if config.dispatch == "pooled":
             self.engine.enable_pooled_dispatch()
         self._handles: list[InstanceHandle] = []
+        #: running aggregate over the instances release_completed() let go
+        self._released = MetricsSummary.empty()
 
     # -- submission -----------------------------------------------------------
 
@@ -319,25 +321,56 @@ class DecisionService:
 
     @property
     def handles(self) -> tuple[InstanceHandle, ...]:
-        """Every handle this service has issued, in submission order."""
+        """Every handle the service still tracks, in submission order.
+
+        That is every handle it has issued, minus those
+        :meth:`release_completed` let go.
+        """
         return tuple(self._handles)
 
     @property
     def completed(self) -> tuple[InstanceHandle, ...]:
+        """The finished handles among :attr:`handles` (released ones are gone)."""
         return tuple(h for h in self._handles if h.done)
 
+    def release_completed(self) -> tuple[InstanceHandle, ...]:
+        """Let go of every finished instance; returns the handles released.
+
+        A long-lived caller (the server daemon, after persisting an
+        epoch) calls this so the service's memory follows the instances
+        in flight, not every instance it has ever served.  Released
+        instances leave :attr:`handles` and the engine's instance list;
+        their metrics are folded into a running aggregate first, so
+        :meth:`summary` keeps covering them.  A handle the caller still
+        holds stays fully readable.  An instance that is done but still
+        has a query in flight is kept until that query has booked its
+        units.
+        """
+        settled = {id(instance) for instance in self.engine.release_settled()}
+        released = tuple(h for h in self._handles if id(h.instance) in settled)
+        if released:
+            self._handles = [h for h in self._handles if id(h.instance) not in settled]
+            self._released = MetricsSummary.merge(
+                self._released, summarize(h.metrics for h in released)
+            )
+        return released
+
     def summary(self) -> MetricsSummary:
-        """Aggregate metrics over all finished instances.
+        """Aggregate metrics over all finished instances, released or not.
 
         A service with no finished instances (nothing submitted yet, or
         everything still in flight) summarizes to a zeroed
         :class:`MetricsSummary` with ``count == 0`` rather than raising.
         With the query share cache armed, the summary carries its
         service-level hit/miss/coalesce counters; with cohort execution
-        armed, its cohort hit/split totals.
+        armed, its cohort hit/split totals.  After
+        :meth:`release_completed` the released instances enter through
+        :meth:`MetricsSummary.merge`: counts and totals stay exact, means
+        and deviations agree with a never-released service to rounding.
         """
-        summary = summarize(
-            (h.metrics for h in self._handles if h.done), empty_ok=True
+        summary = MetricsSummary.merge(
+            self._released,
+            summarize((h.metrics for h in self._handles if h.done), empty_ok=True),
         )
         cache = self.engine.query_cache
         if cache is not None:
@@ -386,8 +419,11 @@ class DecisionService:
         registry.gauge("db_mean_gmpl").set(database.mean_gmpl())
         registry.gauge("pooled_batches").set(self.engine.pooled_batches)
         registry.gauge("pooled_events").set(self.engine.pooled_events)
-        registry.gauge("instances_submitted").set(len(self._handles))
-        registry.gauge("instances_done").set(sum(1 for h in self._handles if h.done))
+        released = self._released.count
+        registry.gauge("instances_submitted").set(released + len(self._handles))
+        registry.gauge("instances_done").set(
+            released + sum(1 for h in self._handles if h.done)
+        )
         cache = self.engine.query_cache
         if cache is not None:
             registry.gauge("query_cache_hits").set(cache.hits)
@@ -436,8 +472,10 @@ class DecisionService:
         return log
 
     def __repr__(self) -> str:
-        done = sum(1 for h in self._handles if h.done)
+        released = self._released.count
+        done = released + sum(1 for h in self._handles if h.done)
         return (
             f"<DecisionService {self.schema.name!r} {self.config.code} "
-            f"backend={self.backend.name!r} instances={done}/{len(self._handles)} done>"
+            f"backend={self.backend.name!r} "
+            f"instances={done}/{released + len(self._handles)} done>"
         )

@@ -787,9 +787,13 @@ class BatchedEngine(Engine):
             and self.share is None
             and (self.strategy.permitted >= 100 or self.query_cache is None)
         )
-        #: start_key → the currently open cohort for that valuation (a
-        #: closed cohort is simply overwritten by the next representative)
+        #: start_key → the cohort formed for that valuation at
+        #: ``_cohort_instant``, the instant of the latest start.  A cohort
+        #: can only be joined at its own start instant, so the table is
+        #: emptied whenever a start finds the clock has moved on — it never
+        #: holds more than one instant's valuations.
         self._open_cohorts: dict[object, _Cohort] = {}
+        self._cohort_instant: float | None = None
         #: stage record being captured while the representative advances
         self._recording: _StageRecord | None = None
 
@@ -911,9 +915,13 @@ class BatchedEngine(Engine):
     def _start(self, instance: BatchedInstance) -> None:
         if not self._cohorts_on:
             return super()._start(instance)
+        now = self.sim.now
+        if now != self._cohort_instant:
+            self._open_cohorts.clear()
+            self._cohort_instant = now
         key = instance._start_key
         cohort = self._open_cohorts.get(key)
-        if cohort is not None and cohort.open and cohort.start_time == self.sim.now:
+        if cohort is not None and cohort.open:
             if cohort.mode is None:
                 cohort.mode = self._decide_cohort_mode(cohort)
                 if self._obs_on:
@@ -926,7 +934,7 @@ class BatchedEngine(Engine):
             else:
                 self._join_cohort(cohort, instance)
             return
-        cohort = _Cohort(instance, self.sim.now)
+        cohort = _Cohort(instance, now)
         instance._cohort = cohort
         rec = _StageRecord(None)
         self._recording = rec

@@ -223,6 +223,23 @@ class Engine:
         """Advance the shared simulation clock."""
         self.sim.run(until)
 
+    def release_settled(self) -> list[InstanceRuntime]:
+        """Stop listing the instances nothing can change any more.
+
+        An instance is settled once it is done *and* has no query in
+        flight (a straggler still books its units on the finished
+        instance).  Settled instances leave :attr:`instances` and are
+        returned; whoever still references one keeps a fully readable
+        object.  Their ids stay claimed, so a later submission cannot
+        reuse one.
+        """
+        settled: list[InstanceRuntime] = []
+        kept: list[InstanceRuntime] = []
+        for instance in self.instances:
+            (settled if instance.done and not instance.inflight else kept).append(instance)
+        self.instances = kept
+        return settled
+
     def run_single(self, source_values: Mapping[str, object] | None = None) -> InstanceMetrics:
         """Convenience: execute one instance to completion and return metrics."""
         instance = self.submit_instance(source_values)

@@ -17,16 +17,25 @@ In front of the engine sits an **admission controller**: a bounded
 arrival queue with a configurable high-water mark.  Past it, submissions
 are rejected (HTTP maps this to ``429``) with a retry hint derived from
 the observed drain rate — an EWMA of instances completed per wall second
-over recent epochs.  The queue can never exceed ``high_water``, which is
-what bounds daemon memory and keeps the engine from falling unboundedly
+over recent epochs.  The queue can never exceed ``high_water``, which
+bounds the work in flight and keeps the engine from falling unboundedly
 behind the arrival rate.
 
 Completed records (source valuation, decision values, metrics snapshot,
 config hash) are written to a :class:`~repro.server.store.RunStore` after
 every epoch, so ``get()`` on a restarted daemon still resolves instances
-finished before the restart.  :meth:`shutdown` is graceful: admission
-closes, the drain loop finishes every already-accepted instance, the
-store is flushed and closed — zero accepted instances are lost.
+finished before the restart.  Once an epoch is committed the daemon
+**forgets** it: the finished instances are released from the service
+(its summary keeps counting them) and their records leave the live map,
+so memory follows the admission bound rather than the number of
+instances ever served, and ``get()`` answers them from the store
+(``"origin": "store"``).  ``"origin": "live"`` therefore means queued,
+running, or not persisted — a daemon without a store keeps every record,
+memory being its only home, and a sharded service keeps its instances
+(the sharded facade has no release yet).  :meth:`shutdown` is graceful:
+admission closes, the drain loop finishes every already-accepted
+instance, the store is flushed and closed — zero accepted instances are
+lost.
 """
 
 from __future__ import annotations
@@ -109,7 +118,7 @@ class _Pending:
 
 @dataclass
 class _Record:
-    """Live (this-daemon-lifetime) state of one accepted instance."""
+    """In-memory state of one accepted instance, until it is persisted."""
 
     instance_id: str
     status: str
@@ -467,10 +476,19 @@ class ServerDaemon:
                     if self._drain_rate is None
                     else 0.3 * rate + 0.7 * self._drain_rate
                 )
+        # The records now hold the values and metrics, so the service can
+        # let the instances go (a sharded service has no release and keeps
+        # them); the records themselves leave once the store has them.
+        release = getattr(self.service, "release_completed", None)
+        if release is not None:
+            with self._service_lock:
+                release()
         if self._store is not None and to_persist:
             written = self._store.record_many(to_persist)
             with self._state_lock:
                 self._persisted += written
+                for row in to_persist:
+                    del self._records[row["instance_id"]]
 
     @staticmethod
     def _handle_values(handle: object) -> dict:
@@ -497,9 +515,12 @@ class ServerDaemon:
     def get(self, instance_id: str) -> dict | None:
         """The status payload for one instance id, or None if unknown.
 
-        Live records (this daemon lifetime) take precedence; otherwise
-        the persistent store answers for work finished before a restart
-        (``origin: "store"``).
+        The live map answers for instances that are queued, running, or
+        have no store to go to (``origin: "live"``); the store answers
+        for everything persisted, by this daemon or one before a restart
+        (``origin: "store"``).  :meth:`shutdown` closes the store, after
+        which a persisted id raises the store's ``RuntimeError``: read it
+        from the file with a new :class:`RunStore`, or a restarted daemon.
         """
         with self._state_lock:
             record = self._records.get(instance_id)

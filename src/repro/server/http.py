@@ -6,6 +6,16 @@ the engine — they enqueue submissions through the daemon's admission
 controller and read from its record map / SQLite store, so the drain
 loop stays the only engine owner.
 
+Keep-alive clients are first-class.  Every fixed-length response leaves
+as one ``send`` (status line, headers and body together) on a socket with
+``TCP_NODELAY`` set, so a reused connection answers as fast as a fresh
+one; written as two sends, Nagle held the body until the client's
+delayed ACK of the headers, 40 ms on every request after a connection's
+first.  ``GET /events`` is the one streamed response: its headers go out
+before the first event and every NDJSON line is its own send.  A request
+whose body is refused unread closes its connection, because the unread
+bytes would otherwise be parsed as the next request.
+
 Endpoints::
 
     POST /instances        {"values": {...}} or {"batch": [{...}, ...]}
@@ -32,6 +42,7 @@ background thread and returns ``(server, thread)``.
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -50,6 +61,9 @@ class DecisionServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    #: socketserver's default of 5 overflows under a burst of fresh
+    #: connections, and each dropped SYN costs its client a 1 s retransmit.
+    request_queue_size = 128
 
     def __init__(self, address, daemon: ServerDaemon, *, quiet: bool = True):
         self.decision_daemon = daemon
@@ -64,6 +78,7 @@ class DecisionServer(ThreadingHTTPServer):
 class DecisionRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-server/1.0"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     @property
     def daemon(self) -> ServerDaemon:
@@ -75,33 +90,65 @@ class DecisionRequestHandler(BaseHTTPRequestHandler):
         if not getattr(self.server, "quiet", True):
             super().log_message(format, *args)
 
+    def _send_body(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: dict | None = None,
+    ) -> None:
+        """One fixed-length response, written to the socket in one send."""
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # end_headers() writes the head straight to the unbuffered socket
+        # file, which would leave the body to a second send; catch the
+        # head in memory so both leave together.
+        socket_file, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = socket_file
+        self.wfile.write(head + body)
+
     def _send_json(
         self, status: int, payload: dict, *, headers: dict | None = None
     ) -> None:
         body = (json.dumps(payload) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(status, body, "application/json", headers)
 
     def _send_error_json(self, status: int, message: str, **extra) -> None:
         self._send_json(status, {"error": {"message": message, **extra}})
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(status, text.encode("utf-8"), content_type)
+
+    def _leave_body_unread(self) -> None:
+        """Close after this response when the request carries a body.
+
+        Bytes left on a keep-alive stream would be parsed as the next
+        request line.
+        """
+        if self.headers.get("Content-Length") or self.headers.get("Transfer-Encoding"):
+            self.close_connection = True
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY:
-            raise ValueError(f"request body too large ({length} bytes)")
+        try:
+            if self.headers.get("Transfer-Encoding"):
+                raise ValueError("Transfer-Encoding is not supported; send Content-Length")
+            length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                raise ValueError(f"negative Content-Length ({length})")
+            if length > _MAX_BODY:
+                raise ValueError(f"request body too large ({length} bytes)")
+        except ValueError:
+            self.close_connection = True  # the body stays unread
+            raise
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -113,6 +160,7 @@ class DecisionRequestHandler(BaseHTTPRequestHandler):
     # -- routes ---------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._leave_body_unread()
         url = urlsplit(self.path)
         if url.path == "/healthz":
             ok, payload = self.daemon.health()
@@ -150,6 +198,7 @@ class DecisionRequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         url = urlsplit(self.path)
         if url.path != "/instances":
+            self._leave_body_unread()
             self._send_error_json(404, f"no such endpoint: {url.path}")
             return
         try:

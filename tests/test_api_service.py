@@ -384,3 +384,105 @@ class TestDrainWithSharing:
         assert issuer.metrics.work_units == 12
         assert waiter.metrics.work_units == 2
         assert waiter.done
+
+
+class TestReleaseCompleted:
+    """release_completed(): memory follows live instances, summary() does not."""
+
+    FAST = dict(engine="batched", dispatch="pooled", query_cache=True, cohorts=True)
+    EXACT = (
+        "count",
+        "total_work",
+        "query_cache_hits",
+        "query_cache_misses",
+        "query_cache_coalesced",
+        "query_cache_l2_hits",
+        "query_cache_l2_misses",
+        "query_cache_l2_promotions",
+        "cohort_hits",
+        "cohort_splits",
+    )
+
+    @staticmethod
+    def submit_round(service, round_index):
+        """Same-instant bursts over a few hot valuations plus fresh ones."""
+        base = 100.0 * round_index
+        handles = []
+        for burst in range(4):
+            for member in range(6):
+                value = (burst % 3) if member < 4 else 1000 * round_index + 10 * burst + member
+                handles.append(service.submit({"src": value}, at=base + 5.0 * burst))
+        return handles
+
+    @pytest.mark.parametrize("engine_axes", [{}, FAST], ids=["reference", "fast"])
+    def test_summary_agrees_with_a_service_that_never_releases(self, engine_axes):
+        config = ExecutionConfig.from_code("PSE100", **engine_axes)
+        keeper = DecisionService(PATTERN.schema, config)
+        releaser = DecisionService(PATTERN.schema, config)
+        held = []
+        for round_index in range(3):
+            self.submit_round(keeper, round_index)
+            issued = self.submit_round(releaser, round_index)
+            keeper.run()
+            releaser.run()
+            released = releaser.release_completed()
+            assert list(released) == issued
+            assert releaser.handles == () and releaser.completed == ()
+            assert releaser.engine.instances == []
+            held.extend(issued)
+
+            kept, folded = keeper.summary(), releaser.summary()
+            for name in self.EXACT:
+                assert getattr(folded, name) == getattr(kept, name), name
+            for name, value in kept.to_dict().items():
+                assert getattr(folded, name) == pytest.approx(value, rel=1e-9), name
+        assert keeper.summary().count == 72
+        if engine_axes:
+            assert keeper.summary().cohort_hits > 0
+        # Released handles stay fully readable.
+        for mine, theirs in zip(held, keeper.handles):
+            assert mine.done and mine.metrics == theirs.metrics
+            assert mine.result() == theirs.result()
+            assert mine.value("src") == theirs.value("src")
+
+    def test_only_finished_instances_are_released(self):
+        schema, source_values = chain_schema(length=2, cost=3)
+        service = DecisionService(schema)
+        early = service.submit(source_values, at=0.0)
+        late = service.submit(source_values, at=100.0)
+        service.run(until=50.0)
+        assert service.release_completed() == (early,)
+        assert service.handles == (late,)
+        assert service.engine.instances == [late.instance]
+        assert service.summary().count == 1
+        service.run()
+        assert service.summary().count == 2
+        assert service.release_completed() == (late,)
+        assert service.release_completed() == ()
+        assert service.summary().count == 2
+
+    def test_released_ids_stay_claimed(self):
+        schema, source_values = diamond_schema()
+        service = DecisionService(schema)
+        service.submit(source_values, instance_id="once").wait()
+        service.release_completed()
+        with pytest.raises(ExecutionError, match="once"):
+            service.submit(source_values, instance_id="once")
+
+    def test_a_done_instance_with_a_query_in_flight_is_kept(self):
+        """Under drain, a straggler still books its units on the finished
+        instance; releasing it earlier would freeze a partial Work."""
+        config = ExecutionConfig.from_code("PSE100", halt_policy="drain")
+        keeper = DecisionService(drain_share_schema(), config)
+        releaser = DecisionService(drain_share_schema(), config)
+        for service in (keeper, releaser):
+            service.submit({"s": "k", "flag": 0})
+            service.run(until=5.0)  # done at t=2, `big` in flight until t=10
+        (handle,) = releaser.handles
+        assert handle.done
+        assert releaser.release_completed() == ()
+        keeper.run()
+        releaser.run()
+        assert releaser.release_completed() == (handle,)
+        assert releaser.summary() == keeper.summary()
+        assert releaser.summary().total_work == 12

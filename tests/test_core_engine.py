@@ -1,5 +1,7 @@
 """End-to-end engine behaviour on crafted schemas."""
 
+import random
+
 import pytest
 
 from repro import (
@@ -8,14 +10,18 @@ from repro import (
     AttributeState,
     Comparison,
     DecisionFlowSchema,
+    DecisionService,
     Engine,
+    ExecutionConfig,
     IdealDatabase,
     NULL,
     Op,
+    PatternParams,
     Simulation,
     Strategy,
     check_against_snapshot,
     evaluate_schema,
+    generate_pattern,
 )
 from repro.errors import ExecutionError
 from tests._support import chain_schema, diamond_schema, q, run_engine
@@ -329,3 +335,61 @@ class TestMetricsCounts:
         assert metrics.unneeded_detected == 1
         assert metrics.unneeded_cost_avoided == 4
         assert metrics.work_units == 1
+
+
+class TestCohortTable:
+    """A cohort is joinable only at its own start instant, so the batched
+    engine's table of open cohorts never outlives that instant."""
+
+    PATTERN = generate_pattern(PatternParams(nb_rows=4, pct_enabled=50, seed=7))
+
+    @staticmethod
+    def submit_overlap(service, bursts=40):
+        """Same-instant bursts, 90% of arrivals from 8 hot valuations."""
+        rng = random.Random(5)
+        now, fresh = 0.0, 1000
+        for _ in range(bursts):
+            now += rng.expovariate(0.2)
+            for _ in range(rng.randint(4, 12)):
+                if rng.random() < 0.9:
+                    value = rng.randrange(8)
+                else:
+                    fresh += 1
+                    value = fresh
+                service.submit({"src": value}, at=now)
+
+    # (cohort_hits, cohort_splits) as measured before the table was pruned:
+    # pruning must change no decision.
+    @pytest.mark.parametrize(
+        "axes, hits, splits",
+        [
+            (dict(dispatch="pooled", query_cache=True), 99, 0),  # lockstep
+            ({}, 99, 0),  # live mirroring
+            (dict(backend="bounded"), 99, 99),  # out-of-order completions split
+        ],
+        ids=["lockstep", "live", "bounded"],
+    )
+    def test_only_the_current_instant_is_joinable(self, axes, hits, splits):
+        config = ExecutionConfig.from_code(
+            "PSE100", engine="batched", cohorts=True, **axes
+        )
+        service = DecisionService(self.PATTERN.schema, config)
+        engine = service.engine
+        starts = []
+        start = engine._start
+
+        def checked_start(instance):
+            start(instance)
+            starts.append(len(engine._open_cohorts))
+            assert all(
+                cohort.start_time == engine.sim.now
+                for cohort in engine._open_cohorts.values()
+            )
+
+        engine._start = checked_start
+        self.submit_overlap(service)
+        service.run()
+        summary = service.summary()
+        assert summary.count == len(starts) == 320
+        assert max(starts) <= 12  # one burst's valuations, not the run's
+        assert (summary.cohort_hits, summary.cohort_splits) == (hits, splits)

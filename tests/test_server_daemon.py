@@ -8,14 +8,18 @@ fill, the drain loop is stalled deterministically by shadowing
 iteration), never by sleeping and hoping.
 """
 
+import gc
 import threading
 import time
 
 import pytest
 
 from repro import ExecutionConfig, PatternParams, generate_pattern
+from repro.api.service import InstanceHandle
+from repro.core.batch_engine import BatchedInstance, _Cohort
 from repro.core.metrics import MetricsSummary
-from repro.server import STATUSES, RunStore, ServerDaemon
+from repro.core.snapshot import evaluate_schema
+from repro.server import STATUSES, RunStore, ServerDaemon, decode_values
 
 WAIT = 30.0  # generous wall-clock bound; every wait in here is event-driven
 
@@ -230,6 +234,83 @@ class TestPersistence:
         daemon.submit_many([None] * 3)
         assert daemon.wait_idle(WAIT)
         assert daemon.server_stats()["persisted"] == 0
+
+
+class TestRetention:
+    """The daemon forgets what it has persisted; the store remembers."""
+
+    EPOCHS = 300
+
+    def serve_distinct_epochs(self, daemon):
+        """EPOCHS single-instance epochs, every valuation new."""
+        accepted = {}
+        for index in range(self.EPOCHS):
+            value = index + 0.5
+            (instance_id,) = daemon.submit({"src": value}).accepted
+            assert daemon.wait_idle(WAIT)
+            accepted[instance_id] = value
+        return accepted
+
+    def assert_oracle_equal(self, pattern, payload, value):
+        expected = evaluate_schema(pattern.schema, {"src": value}).values
+        values = decode_values(payload["values"])
+        assert set(pattern.schema.target_names) <= set(values)
+        assert all(expected[name] == got for name, got in values.items())
+
+    def test_finished_instances_leave_memory_and_answer_from_the_store(
+        self, make_daemon, pattern, tmp_path
+    ):
+        fast = ExecutionConfig.from_code(
+            "PSE100", engine="batched", dispatch="pooled", query_cache=True, cohorts=True
+        )
+        kinds = (BatchedInstance, _Cohort, InstanceHandle)
+
+        def alive():
+            gc.collect()
+            objects = gc.get_objects()
+            return [sum(1 for obj in objects if type(obj) is kind) for kind in kinds]
+
+        before = alive()  # whatever earlier tests left behind
+        daemon = make_daemon(fast, db=str(tmp_path / "runs.sqlite"))
+        accepted = self.serve_distinct_epochs(daemon)
+        for kind, was, now in zip(kinds, before, alive()):
+            assert now - was <= 4, (kind.__name__, now - was)
+        assert daemon._records == {}
+        assert daemon.service.handles == ()
+        for instance_id, value in accepted.items():
+            payload = daemon.get(instance_id)
+            assert payload["status"] == "done"
+            assert payload["origin"] == "store"
+            self.assert_oracle_equal(pattern, payload, value)
+        stats = daemon.server_stats()
+        assert stats["accepted"] == stats["completed"] == self.EPOCHS
+        assert stats["persisted"] == self.EPOCHS
+        assert daemon.summary().count == self.EPOCHS
+        assert daemon.metrics_payload()["summary"]["count"] == self.EPOCHS
+
+    def test_without_a_store_records_stay_live(self, make_daemon, pattern):
+        daemon = make_daemon("PSE100")
+        accepted = self.serve_distinct_epochs(daemon)
+        assert len(daemon._records) == self.EPOCHS
+        # The records carry the values, so the service lets go regardless.
+        assert daemon.service.handles == ()
+        for instance_id, value in accepted.items():
+            payload = daemon.get(instance_id)
+            assert payload["status"] == "done"
+            assert payload["origin"] == "live"
+            self.assert_oracle_equal(pattern, payload, value)
+        assert daemon.summary().count == self.EPOCHS
+
+    def test_unpersisted_terminal_records_stay_live(self, make_daemon, tmp_path):
+        """A failed submission has no store row; memory is its only home."""
+        daemon = make_daemon(db=str(tmp_path / "runs.sqlite"))
+        (bad,) = daemon.submit({"no_such_attribute": 1}).accepted
+        (good,) = daemon.submit().accepted
+        assert daemon.wait_idle(WAIT)
+        assert daemon.get(bad)["status"] == "failed"
+        assert daemon.get(bad)["origin"] == "live"
+        assert daemon.get(good)["origin"] == "store"
+        assert set(daemon._records) == {bad}
 
 
 class TestShardedService:

@@ -7,6 +7,8 @@ an ephemeral port) and is talked to over the loopback with stdlib
 
 import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 
@@ -144,6 +146,115 @@ class TestBadRequests:
         assert status == 400
 
 
+class TestKeepAlive:
+    def test_reused_connection_round_trips_without_the_delayed_ack_stall(
+        self, stack
+    ):
+        """Head and body in two sends cost a reused connection the kernel's
+        fixed 40 ms delayed ACK per request, whatever the host's speed."""
+        daemon, server = stack
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=WAIT)
+        try:
+            def round_trip(method, path, body=None):
+                started = time.perf_counter()
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                return response.status, payload, time.perf_counter() - started
+
+            posts = [round_trip("POST", "/instances", body="{}") for _ in range(50)]
+            assert all(status == 202 for status, _, _ in posts)
+            assert daemon.wait_idle(WAIT)
+            ids = [payload["accepted"][0] for _, payload, _ in posts]
+            gets = [round_trip("GET", f"/instances/{i}") for i in ids]
+            assert all(
+                status == 200 and payload["status"] == "done"
+                for status, payload, _ in gets
+            )
+        finally:
+            conn.close()
+        assert statistics.median(rtt for _, _, rtt in posts) < 0.020
+        assert statistics.median(rtt for _, _, rtt in gets) < 0.020
+
+    def test_serving_socket_has_nodelay_set(self, stack):
+        _, server = stack
+        accepted = []
+        process_request = server.process_request
+        server.process_request = lambda request, address: (
+            accepted.append(request),
+            process_request(request, address),
+        )
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=WAIT)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+            # Keep-alive: the handler still serves on the accepted socket.
+            (serving,) = accepted
+            assert serving.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            conn.close()
+
+
+    def test_headerless_http09_request_still_gets_its_body(self, stack):
+        """HTTP/0.9 has no response head; the one-send path must cope."""
+        _, server = stack
+        with socket.create_connection(("127.0.0.1", server.port), timeout=WAIT) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        assert json.loads(raw)["status"] == "ok"
+
+
+class TestRefusedBodies:
+    """A body refused unread must not be parsed as the next request."""
+
+    @pytest.mark.parametrize(
+        "framing, sent_body",
+        [
+            (b"Content-Length: -1", b""),
+            (b"Content-Length: 67108864", b'{"values": {}}'),
+            (b"Content-Length: soon", b"{}"),
+            (b"Transfer-Encoding: chunked", b"2\r\n{}\r\n0\r\n\r\n"),
+        ],
+        ids=["negative", "over-limit", "malformed", "chunked"],
+    )
+    def test_unreadable_body_is_a_json_400_and_closes(
+        self, stack, framing, sent_body
+    ):
+        _, server = stack
+        with socket.create_connection(("127.0.0.1", server.port), timeout=WAIT) as sock:
+            sock.sendall(
+                b"POST /instances HTTP/1.1\r\nHost: test\r\n"
+                + framing + b"\r\n\r\n" + sent_body
+                + b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+            )
+            raw = b""
+            while chunk := sock.recv(65536):  # until the server hangs up
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        # Exactly one response: the bytes after the refused head were
+        # neither read as a body nor answered as a request.
+        assert raw.count(b"HTTP/1.1 ") == 1
+        assert "bad request" in json.loads(body)["error"]["message"]
+        status, _, payload = request(server, "GET", "/healthz")
+        assert status == 200 and payload["status"] == "ok"
+
+    def test_unread_body_on_an_unknown_endpoint_closes_too(self, stack):
+        _, server = stack
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=WAIT)
+        try:
+            conn.request("POST", "/nope", body="{}")
+            response = conn.getresponse()
+            assert response.status == 404
+            assert response.getheader("Connection") == "close"
+            assert "no such endpoint" in json.loads(response.read())["error"]["message"]
+        finally:
+            conn.close()
+
+
 class TestBackpressure:
     def test_429_with_retry_after_when_queue_full(self, pattern):
         daemon = ServerDaemon(
@@ -263,6 +374,19 @@ class TestEventsEndpoint:
         _, server = stack
         status, _, _ = request(server, "GET", "/events?limit=soon")
         assert status == 400
+
+    def test_headers_arrive_before_any_event(self, stack):
+        """The stream's head is sent on its own, not held for a body."""
+        daemon, server = stack
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5.0)
+        try:
+            conn.request("GET", "/events")
+            response = conn.getresponse()  # times out if the head is held
+            assert response.status == 200
+            assert response.getheader("Content-Type") == "application/x-ndjson"
+            assert not daemon._history  # nothing was published
+        finally:
+            conn.close()
 
 
 class TestRestart:
