@@ -12,8 +12,8 @@ so callers pick substrates by name instead of wiring ``Simulation`` /
   queues; the clock is in milliseconds (TimeInSeconds after /1000).
 * ``"profiled"`` — a :class:`ProfiledDatabase` calibrated by an empirical
   Db function (profiled on demand via :func:`profile_database` when none
-  is supplied); milliseconds, but far cheaper to simulate than
-  ``"bounded"``.
+  is supplied, once per process for each distinct calibration);
+  milliseconds, but far cheaper to simulate than ``"bounded"``.
 
 Third parties extend the set with :func:`register_backend`.
 """
@@ -21,6 +21,7 @@ Third parties extend the set with :func:`register_backend`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from repro.simdb.database import (
@@ -133,6 +134,17 @@ def _bounded_backend(params: DbParams | None = None, seed: int = 0, **db_kwargs)
     return Backend("bounded", simulation, database, time_unit="ms")
 
 
+@lru_cache(maxsize=32)
+def _calibrate(params: DbParams, gmpl_levels: tuple[int, ...], *measurement) -> DbFunction:
+    """The Db function of one calibration, profiled once per process.
+
+    Profiling is deterministic in its (hashable) arguments and the result
+    is immutable, so every service, warm-up twin and shard worker asking
+    for the same calibration shares one measurement.
+    """
+    return profile_database(params, gmpl_levels, *measurement)
+
+
 def _profiled_backend(
     db_function: DbFunction | None = None,
     params: DbParams | None = None,
@@ -144,13 +156,8 @@ def _profiled_backend(
     seed: int = 0,
 ) -> Backend:
     if db_function is None:
-        db_function = profile_database(
-            params or DbParams(),
-            gmpl_levels=gmpl_levels,
-            completions_per_level=completions_per_level,
-            warmup=warmup,
-            seed=seed,
-            mode=mode,
+        db_function = _calibrate(
+            params or DbParams(), tuple(gmpl_levels), completions_per_level, warmup, seed, mode
         )
     simulation = Simulation()
     database = ProfiledDatabase(

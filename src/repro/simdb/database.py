@@ -41,6 +41,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Sequence
 
 from repro.simdb.des import Simulation
@@ -130,6 +131,8 @@ class DatabaseServer:
         # distinct change instant, so any window's integral is exact.
         self._gmpl_times = array("d", [sim.now])
         self._gmpl_integrals = array("d", [0.0])
+        #: earliest instant the trace still covers once it has been trimmed
+        self._gmpl_trimmed_to = float("-inf")
 
     # -- Gmpl accounting ----------------------------------------------------
 
@@ -152,9 +155,12 @@ class DatabaseServer:
 
         The mean divides the integral accumulated *inside the window* by
         the window length, so warmup-trimmed measurements (``since > 0``)
-        are exact rather than inflated by pre-window history.
+        are exact rather than inflated by pre-window history.  A window
+        reaching back past a :meth:`trim_gmpl_history` cut starts at the
+        cut: the mean is over what the trace still covers.
         """
         now = self.sim.now
+        since = max(since, self._gmpl_trimmed_to)
         elapsed = now - since
         if elapsed <= 0:
             return 0.0
@@ -175,6 +181,7 @@ class DatabaseServer:
             return 0
         self._gmpl_times = self._gmpl_times[index:]
         self._gmpl_integrals = self._gmpl_integrals[index:]
+        self._gmpl_trimmed_to = self._gmpl_times[0]
         return index
 
     def _gmpl_integral_at(self, t: float) -> float:
@@ -424,12 +431,25 @@ class ProfiledDatabase(_CoalescedServer):
     query is submitted or finishes, so between changes every in-flight
     query advances at a known constant rate.
 
-    The coalesced kernel therefore keeps each query's trajectory as three
-    plain fields, re-priced in one arithmetic pass per Gmpl change, and
-    arms a *single* heap event — the earliest due completion — chaining to
-    the next on every dispatch.  Heap traffic is O(Gmpl changes), not
-    O(changes × in-flight), which is what makes this the cheap substrate
-    for large capacity sweeps even under heavy overlap.
+    The coalesced kernel keeps that rate as *one* server-wide value for
+    every unit that has not started, and indexes the in-flight queries so
+    a Gmpl change touches only what it must.  *Open* queries (finish still
+    moves with Gmpl) are filed by remaining whole units ``r`` in min-heaps
+    of ``(unit_end, query_id)``: a change advances only the bucket tops
+    whose unit boundary it passed — at the outgoing rate, exactly as the
+    per-unit kernel priced those units — and the earliest open completion
+    is ``min over r of (top unit_end + r * rate)``.  Queries whose finish
+    no change can move (last unit in service, cancel-planned, too late to
+    cancel) sit in one heap of fixed finishes.  A *single* heap event —
+    the earliest due completion — is armed, chaining to the next on every
+    dispatch, so heap traffic is O(Gmpl changes).
+
+    A Gmpl change costs O(boundaries passed · log n + distinct r): flat in
+    the in-flight population n when the server saturates (n ≈ 1 000 on
+    ``sweep_profiled``, where walking every handle per change made this
+    kernel 2.9× slower than the per-unit one), at worst O(n log n) when
+    every query passed a boundary (cost >= 20 at Gmpl <= 16: ≈6 % over
+    the walk per query).  README "Backend cost models" has the numbers.
     """
 
     def __init__(
@@ -446,13 +466,29 @@ class ProfiledDatabase(_CoalescedServer):
         self.db_function = db_function
         self._next_event = None
         self._next_key: tuple[float, int] | None = None
+        #: Db(Gmpl) as of the last Gmpl change: what every unit that has
+        #: not started yet will take (coalesced kernel)
+        self._rate = 0.0
+        #: open queries by remaining whole units (>= 1): min-heaps of
+        #: ``(unit_end, query_id, handle)``.  Entries are dropped lazily:
+        #: one is stale once its query is cancel-requested or has moved on
+        #: to fewer remaining units.
+        self._open: dict[int, list[tuple[float, int, QueryHandle]]] = {}
+        #: ``(finish, query_id, handle)`` of queries no Gmpl change can
+        #: move; stale once the query finished.
+        self._fixed: list[tuple[float, int, QueryHandle]] = []
 
-    def _unit_rate(self) -> float:
+    def _db_unit_time(self) -> float:
         # The submitting query is already counted in Gmpl (>= 1 here).
-        unit_ms = float(self.db_function(self.gmpl))
+        unit_ms = float(self.db_function(self._active))
         if unit_ms <= 0:
             raise ValueError(f"Db function returned non-positive UnitTime {unit_ms}")
         return unit_ms
+
+    def _unit_rate(self) -> float:
+        # A submission's own Gmpl change has just settled the coalesced
+        # rate; the per-unit oracle prices every unit where it starts.
+        return self._rate if self.kernel == "coalesced" else self._db_unit_time()
 
     def _start_unit(self, handle: QueryHandle, on_complete: CompletionCallback) -> None:
         self.sim.schedule(
@@ -463,21 +499,30 @@ class ProfiledDatabase(_CoalescedServer):
 
     # -- coalesced planning ----------------------------------------------------
 
-    def _arm_completion(self, handle: QueryHandle, on_complete: CompletionCallback) -> None:
-        # The submission's Gmpl change already re-priced the others; the
-        # new query only needs to contend for the single armed slot.
-        key = (self._completion_time(handle), handle.query_id)
+    def _file(self, handle: QueryHandle) -> tuple[float, int]:
+        """Index an open query where its plan stands; returns its due key."""
+        left = handle.cost - handle.units_done - 1
+        entry = (handle.unit_end, handle.query_id, handle)
+        heap = self._open.get(left) if left else self._fixed
+        if heap is None:
+            self._open[left] = [entry]
+        else:
+            heappush(heap, entry)
+        return handle.unit_end + left * self._rate, handle.query_id
+
+    def _contend(self, handle: QueryHandle, key: tuple[float, int]) -> None:
+        """Take the single armed slot if *handle* is due before its holder."""
         if self._next_key is None or key < self._next_key:
             self._arm(handle, key)
 
-    def _completion_due(self, handle: QueryHandle) -> float:
-        if handle.cancel_time is not None:
-            return handle.cancel_time
-        return self._completion_time(handle)
+    def _arm_completion(self, handle: QueryHandle, on_complete: CompletionCallback) -> None:
+        # The submission's Gmpl change already re-priced the others; the
+        # new query only needs to contend for the single armed slot.
+        self._contend(handle, self._file(handle))
 
     def _change_active(self, delta: int) -> None:
         super()._change_active(delta)
-        if self._inflight:
+        if self._active and self.kernel == "coalesced":
             self._resync_and_arm()
 
     def _resync_and_arm(self) -> None:
@@ -486,32 +531,52 @@ class ProfiledDatabase(_CoalescedServer):
         The unit in service keeps its duration (resources already
         committed); units after it take the new ``Db(Gmpl)`` rate, exactly
         as the per-unit kernel would price them at their own start times.
-        A cancel-planned query's remaining units have all started, so its
-        finish is fixed and it only contends for the armed event.
+        Only a query whose boundary this change passed needs touching: the
+        units it silently began ran at the outgoing rate (a boundary
+        exactly *now* counts iff its per-unit event would already have
+        fired — same-instant entries are in id order, so the first unfired
+        one ends a bucket's scan).  Everyone else's plan is its bucket plus
+        the one server-wide rate.
         """
         now = self.sim.now
-        rate = self._unit_rate()
-        best = None
-        best_key = None
-        for handle, _cb in self._inflight.values():
-            if not handle.cancel_requested:
-                old = handle.unit_time
-                while handle.unit_end < now and handle.units_done + 1 < handle.cost:
-                    handle.units_done += 1
-                    handle.unit_end += old
-                if (
-                    handle.unit_end == now
-                    and handle.units_done + 1 < handle.cost
-                    and self._tie_boundary_fired(handle)
+        old = self._rate
+        rate = self._rate = self._db_unit_time()
+        best = best_key = None
+        moved = []
+        for left, heap in list(self._open.items()):
+            while heap:
+                unit_end, query_id, handle = heap[0]
+                done, last = handle.units_done, handle.cost - 1
+                if handle.cancel_requested or last - done != left:
+                    heappop(heap)  # stale: re-filed, fixed or finished since
+                    continue
+                while done < last and (
+                    unit_end < now
+                    or (unit_end == now and self._tie_boundary_fired(handle))
                 ):
-                    # That boundary's unit began before this Gmpl change,
-                    # so it was priced at the outgoing rate.
-                    handle.units_done += 1
-                    handle.unit_end += old
-                handle.unit_time = rate
-            key = (self._completion_due(handle), handle.query_id)
+                    done += 1
+                    unit_end += old
+                if done == handle.units_done:  # the earliest boundary is still ahead
+                    key = (unit_end + left * rate, query_id)
+                    if best_key is None or key < best_key:
+                        best_key, best = key, handle
+                    break
+                heappop(heap)
+                handle.units_done, handle.unit_end = done, unit_end
+                moved.append(handle)
+            else:
+                del self._open[left]  # drained
+        for handle in moved:
+            key = self._file(handle)
             if best_key is None or key < best_key:
                 best_key, best = key, handle
+        fixed = self._fixed
+        while fixed and fixed[0][2].finished:
+            heappop(fixed)
+        if fixed:
+            when, query_id, handle = fixed[0]
+            if best_key is None or (when, query_id) < best_key:
+                best_key, best = (when, query_id), handle
         self._arm(best, best_key)
 
     def _arm(self, handle: QueryHandle | None, key: tuple[float, int] | None) -> None:
@@ -532,27 +597,28 @@ class ProfiledDatabase(_CoalescedServer):
         self._next_event = None
         self._next_key = None
         _handle, on_complete = self._inflight.pop(handle.query_id)
-        if handle.cancel_units is not None:
-            final = handle.cancel_units
-            handle.units_done = final
-            handle.processed = final
-            self.total_units += final
-            self._finish(handle, on_complete, completed=False)
-        else:
-            handle.units_done = handle.cost
-            handle.processed = handle.cost
-            self.total_units += handle.cost
-            self._finish(handle, on_complete, completed=True)
+        completed = handle.cancel_units is None
+        final = handle.cost if completed else handle.cancel_units
+        handle.units_done = final
+        handle.processed = final
+        self.total_units += final
+        self._finish(handle, on_complete, completed=completed)
 
     def _on_cancel_request(self, handle: QueryHandle, on_complete: CompletionCallback) -> None:
+        last_unit = handle.units_done + 1 == handle.cost
+        # Every unit a cancelled query still runs has started by now, so
+        # the request pins its rate and with it its finish.
+        handle.unit_time = self._rate
         final, when = self._cancel_plan(handle)
-        if final >= handle.cost:
-            return  # the remaining units complete anyway: too late to cancel
-        handle.cancel_units = final
-        handle.cancel_time = when
+        if final < handle.cost:
+            handle.cancel_units = final
+        elif last_unit:
+            return  # too late to cancel, and already filed under its finish
+        else:
+            when = self._completion_time(handle)  # too late: runs to completion
         key = (when, handle.query_id)
-        if self._next_key is None or key < self._next_key:
-            self._arm(handle, key)
+        heappush(self._fixed, (*key, handle))
+        self._contend(handle, key)
 
 
 class _CacheFollower:

@@ -15,7 +15,8 @@ last segment's slope beyond the profiled range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from statistics import mean
 from typing import Sequence
 
@@ -30,6 +31,8 @@ class DbFunction:
     """Piecewise-linear Gmpl → UnitTime(ms) mapping (the Db of Eq. 4/6)."""
 
     points: tuple[tuple[float, float], ...]
+    #: the points' Gmpl column, for segment lookup by bisection
+    _gmpls: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) < 1:
@@ -37,17 +40,19 @@ class DbFunction:
         gmpls = [g for g, _ in self.points]
         if sorted(gmpls) != gmpls or len(set(gmpls)) != len(gmpls):
             raise ValueError("DbFunction points must have strictly increasing Gmpl")
+        object.__setattr__(self, "_gmpls", tuple(gmpls))
 
     def __call__(self, gmpl: float) -> float:
         """Interpolated UnitTime at the given multiprogramming level."""
         points = self.points
         if gmpl <= points[0][0]:
             return points[0][1]
-        for (g0, t0), (g1, t1) in zip(points, points[1:]):
-            if gmpl <= g1:
-                frac = (gmpl - g0) / (g1 - g0)
-                return t0 + frac * (t1 - t0)
-        return self._extrapolate(gmpl)
+        upper = bisect_left(self._gmpls, gmpl)  # first point with gmpl <= g1
+        if upper == len(points):
+            return self._extrapolate(gmpl)
+        (g0, t0), (g1, t1) = points[upper - 1], points[upper]
+        frac = (gmpl - g0) / (g1 - g0)
+        return t0 + frac * (t1 - t0)
 
     def _extrapolate(self, gmpl: float) -> float:
         (g0, t0), (g1, t1) = self.points[-2:] if len(self.points) >= 2 else ((0.0, self.points[0][1]), self.points[0])

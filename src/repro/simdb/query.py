@@ -24,7 +24,10 @@ class QueryHandle:
     handle — :attr:`units_done` boundaries already passed, the absolute
     end time :attr:`unit_end` of the unit now in service, and the
     :attr:`unit_time` every later unit will take — and only materialize
-    :attr:`processed` when the single completion event fires.
+    :attr:`processed` when the single completion event fires.  (The
+    profiled server holds that rate once, server-wide, for every query
+    still open to re-pricing; a handle's own copy counts from the moment
+    a cancel request pins it.)
     """
 
     #: shared-wait placeholders set this False so the scheduler's
@@ -43,7 +46,6 @@ class QueryHandle:
         "unit_end",
         "unit_time",
         "cancel_units",
-        "cancel_time",
         "_event",
         "_cancel_hook",
     )
@@ -62,9 +64,8 @@ class QueryHandle:
         self.units_done = 0
         self.unit_end: float | None = None
         self.unit_time: float | None = None
-        #: fixed outcome of a planned cancellation (units, finish time)
+        #: units a planned cancellation will have consumed when it lands
         self.cancel_units: int | None = None
-        self.cancel_time: float | None = None
         self._event = None
         self._cancel_hook: Callable[[], None] | None = None
 

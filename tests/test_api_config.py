@@ -152,6 +152,29 @@ class TestBackendRegistry:
         assert isinstance(backend.database, ProfiledDatabase)
         assert backend.database.db_function is db
 
+    def test_profiled_backend_calibrates_once_per_distinct_arguments(self, monkeypatch):
+        from repro.api import backends
+        from repro.simdb.database import DbParams
+
+        calls = []
+        real = backends.profile_database
+
+        def counting(params, gmpl_levels, completions_per_level, warmup, seed, mode):
+            calls.append(seed)
+            return real(params, gmpl_levels, completions_per_level, warmup, seed, mode)
+
+        monkeypatch.setattr(backends, "profile_database", counting)
+        backends._calibrate.cache_clear()
+        small = dict(gmpl_levels=[1, 4], completions_per_level=40, warmup=10)
+        first = create_backend("profiled", **small)
+        again = create_backend("profiled", params=DbParams(), **small)
+        other = create_backend("profiled", seed=1, **small)
+        assert calls == [0, 1]
+        assert first.database.db_function is again.database.db_function
+        assert first.database is not again.database  # only the calibration is shared
+        assert other.database.db_function != first.database.db_function
+        backends._calibrate.cache_clear()  # drop entries made through the patch
+
     def test_fresh_instances_per_create(self):
         first = create_backend("ideal")
         second = create_backend("ideal")

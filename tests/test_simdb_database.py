@@ -252,6 +252,34 @@ class TestMeanGmplWindow:
         # ... and trimming again from the same point is a no-op.
         assert db.trim_gmpl_history(keep_since=3.0) == 0
 
+    def test_window_reaching_past_a_trim_is_clamped_with_its_divisor(self):
+        # Trim mid-run, run on, then ask for the whole run: the mean is
+        # over [cut, now] — integral *and* window length — exactly what an
+        # untrimmed twin reports for a window starting at the cut.
+        def drive(trim: bool):
+            sim = Simulation()
+            db = IdealDatabase(sim)
+            db.submit(4, lambda p, c: None)
+            sim.run(until=1.0)
+            db.submit(2, lambda p, c: None)
+            sim.run(until=3.5)
+            if trim:
+                assert db.trim_gmpl_history(keep_since=3.2) == 2
+            db.submit(3, lambda p, c: None)
+            sim.run(until=8.0)
+            return db
+
+        trimmed, twin = drive(trim=True), drive(trim=False)
+        # The cut lands on the last change point at or before 3.2, t=3:
+        # [3,3.5): 1   [3.5,4): 2   [4,6.5): 1   [6.5,8]: 0  -> 4 over 5.
+        assert trimmed.mean_gmpl() == pytest.approx(4.0 / 5.0)
+        for since in (0.0, 1.0, 2.9, 3.0):
+            assert trimmed.mean_gmpl(since=since) == twin.mean_gmpl(since=3.0)
+        for since in (3.0, 3.7, 5.0, 7.0):
+            assert trimmed.mean_gmpl(since=since) == twin.mean_gmpl(since=since)
+        # (Before the fix this read 4/8: a clamped integral over the full span.)
+        assert twin.mean_gmpl() == pytest.approx(9.0 / 8.0)
+
 
 class TestCoalescedKernel:
     RISING = DbFunction(((1.0, 10.0), (2.0, 20.0), (4.0, 40.0)))

@@ -37,6 +37,26 @@ class TestDbFunction:
         with pytest.raises(ValueError):
             DbFunction(((1.0, 1.0), (1.0, 2.0)))  # duplicate gmpl
 
+    def test_segment_lookup_matches_a_linear_scan_bit_for_bit(self):
+        # The segment is found by bisection; the value must be exactly
+        # what scanning the segments in order computes, knots included.
+        points = ((1.0, 10.3), (2.0, 14.1), (4.0, 21.7), (8.0, 33.9), (16.0, 61.3))
+        db = DbFunction(points)
+
+        def scan(gmpl):
+            if gmpl <= points[0][0]:
+                return points[0][1]
+            for (g0, t0), (g1, t1) in zip(points, points[1:]):
+                if gmpl <= g1:
+                    return t0 + (gmpl - g0) / (g1 - g0) * (t1 - t0)
+            (g0, t0), (g1, t1) = points[-2:]
+            return t1 + (t1 - t0) / (g1 - g0) * (gmpl - g1)
+
+        for step in range(0, 400):
+            gmpl = step / 16.0
+            assert db(gmpl) == scan(gmpl), gmpl
+        assert db == DbFunction(points) and hash(db) == hash(DbFunction(points))
+
     def test_max_gmpl(self):
         db = DbFunction(((1.0, 10.0), (8.0, 30.0)))
         assert db.max_gmpl == 8.0
