@@ -419,6 +419,11 @@ class DecisionService:
         registry.gauge("db_mean_gmpl").set(database.mean_gmpl())
         registry.gauge("pooled_batches").set(self.engine.pooled_batches)
         registry.gauge("pooled_events").set(self.engine.pooled_events)
+        plan = getattr(self.engine, "plan", None)  # the batched engine's
+        if plan is not None:
+            registry.gauge("engine_memo_states").set(len(plan.states))
+            registry.gauge("engine_memo_hits").set(plan.memo_hits)
+            registry.gauge("engine_memo_misses").set(plan.memo_misses)
         released = self._released.count
         registry.gauge("instances_submitted").set(released + len(self._handles))
         registry.gauge("instances_done").set(

@@ -18,11 +18,17 @@ state in flat per-flow arrays indexed by a
   enters candidacy when it becomes READY or its condition enables) and
   the scheduling phase sorts precomputed scalar ranks, instead of
   re-scanning and re-keying the whole schema between DES events;
-* instances created from identical source values replay a cached start
-  state (one array copy) rather than re-deriving the initial
-  propagation fixpoint per instance — enabled only for schemas whose
-  start phase runs no user code (no synthesis tasks, no user-coded
-  conditions), since those must execute per instance.
+* on an eligible plan (no user code, no attribute-to-attribute
+  comparison, no engine-level share table) an instance *aliases* the
+  arrays of an interned :class:`~repro.core.plan.ControlState` and owns
+  only its value lists, and a scheduling round is a lookup of
+  ``(state, event)``: a hit applies the recorded stable-value writes,
+  wasted-work deltas and launch list and swaps the alias — no
+  propagation runs; a miss copies the arrays, runs the kernel below
+  unchanged and files the transition.  An instance that missed keeps
+  its own arrays for the rest of its life (a population where every
+  instance takes its own path would otherwise pay an interning per
+  round), so each records at most one step.
 
 The engine-level event handling (query completion, sharing, halting) is
 *inherited* from the reference engine, so the two can only diverge in
@@ -45,13 +51,15 @@ from repro.core.plan import (
     E_DISABLED,
     E_ENABLED,
     E_UNKNOWN,
+    EV_CANCELLED,
+    EV_START,
     R_COMPUTED,
     R_PENDING,
     R_READY,
     T_TRUE,
     T_UNKNOWN,
 )
-from repro.core.scheduler import permitted_slots
+from repro.core.scheduler import counted_inflight, permitted_slots
 from repro.core.state import AttributeState, Enablement, Readiness, derive_state
 from repro.errors import ExecutionError, IllegalTransitionError
 from repro.nulls import NULL, ExceptionValue
@@ -184,7 +192,6 @@ class _Cohort:
         "template",
         "virtual",
         "cancelled",
-        "final",
         "epoch",
     )
 
@@ -206,11 +213,6 @@ class _Cohort:
         #: members still wait on the result / have cancelled the wait
         self.virtual: dict[str, _LaunchRecord] = {}
         self.cancelled: dict[str, _LaunchRecord] = {}
-        #: lazily built shared end-state for finishing lockstep members:
-        #: every member of a cohort ends bit-identical, so the final
-        #: arrays and derived attribute counters are computed once and
-        #: shared (nothing mutates a done instance's arrays)
-        self.final: tuple | None = None
         #: cache follower_epoch at the last verification that no real
         #: follower sits behind a representative primary — joins skip
         #: the per-key re-check while the epoch is unchanged
@@ -325,10 +327,10 @@ class BatchedInstance:
         "_external",
         "_cand",
         "_queue",
-        "_started",
         "_start_key",
         "_sources",
-        "_any_launched",
+        "_state",
+        "_event",
         "_cohort",
         "_cohort_stage",
     )
@@ -354,34 +356,33 @@ class BatchedInstance:
         sources = {name: source_values[name] for name in plan.schema.source_names}
         self._sources = sources
         self._start_key = plan.start_key(sources) if plan.start_cache_ok else None
-        # State arrays are built lazily: a cached start replay and the
-        # shared lockstep finish both install complete array sets, so
-        # eagerly building them here would be pure waste on the hot
-        # cohort paths.  Only a cold (uncached) start needs the plan's
-        # initial state — `start()` builds it on demand.
-        self._readiness: bytearray | None = None
-        self._enablement: bytearray | None = None
+        # Arrays are installed lazily: `start()` aliases or copies a
+        # state's, and a lockstep member only ever takes its cohort's
+        # final ones.
+        self._readiness: bytearray | bytes | None = None
+        self._enablement: bytearray | bytes | None = None
         self._raw: list[object] | None = None
         self._sv: list[object] | None = None
-        self._pending: list[int] | None = None
-        self._launched = bytearray(plan.n)
-        self._alive: bytearray | None = None
-        self._live_out: list[int] | None = None
-        self._unneeded: bytearray | None = None
-        self._external: bytearray | None = None
-
+        self._pending: list[int] | tuple | None = None
+        self._launched: bytearray | bytes | None = None
+        self._alive: bytearray | bytes | None = None
+        self._live_out: list[int] | tuple | None = None
+        self._unneeded: bytearray | bytes | None = None
+        self._external: bytearray | bytes | None = None
+        #: The interned state whose arrays this instance aliases (the
+        #: plan's root until started); None once it owns mutable copies —
+        #: memo not armed, after its one miss, or a live cohort member.
+        self._state = plan.root if plan.memo else None
+        #: Between the two halves of a round (a value arriving, then
+        #: `_advance`): the transition taken, or on a miss what to file.
+        self._event: tuple | None = None
         #: in-flight query handles keyed by attribute name (engine-facing)
         self.inflight: dict[str, object] = {}
         #: attribute names launched while their condition was UNKNOWN
         self.speculative_launch: set[str] = set()
         #: incrementally maintained candidate-pool members (indices)
-        self._cand: set[int] = set()
+        self._cand: set[int] | frozenset = set()
         self._queue: deque[int] = deque()
-        self._started = False
-        #: False until the first launch: while False (and nothing is in
-        #: flight), the instance state is a pure function of its start
-        #: key, so the first scheduling round can replay a plan-level memo.
-        self._any_launched = False
         #: Cohort membership: the _Cohort this instance represents or
         #: mirrors, None for ordinary instances (and for members after a
         #: split detaches them).  ``_cohort_stage`` is a member's cursor
@@ -391,94 +392,96 @@ class BatchedInstance:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _build_arrays(self) -> None:
-        """Install the plan's initial state (cold-start path only)."""
+    def _alias(self, state) -> None:
+        """Share *state*'s (immutable) arrays."""
+        self._state = state
+        self._readiness = state.readiness
+        self._enablement = state.enablement
+        self._pending = state.pending
+        self._launched = state.launched
+        self._cand = state.cand
+        self._alive = state.alive
+        self._live_out = state.live_out
+        self._unneeded = state.unneeded
+        self._external = state.external
+
+    def _own(self, state) -> None:
+        """Leave the memo with mutable copies of *state*'s arrays."""
+        self._state = self._event = None
+        self._readiness = bytearray(state.readiness)
+        self._enablement = bytearray(state.enablement)
+        self._pending = list(state.pending)
+        self._launched = bytearray(state.launched)
+        self._cand = set(state.cand)
+        if state.alive is not None:
+            self._alive = bytearray(state.alive)
+            self._live_out = list(state.live_out)
+            self._unneeded = bytearray(state.unneeded)
+            self._external = bytearray(state.external)
+
+    def _enter(self, slot: int, sig: object = 0) -> bool:
+        """First half of a memoized round: look ``(state, event)`` up.
+
+        The event is a result's ``(slot, signature)``, `EV_START` with
+        the sources' signatures, or `EV_CANCELLED`.  A hit writes the
+        values the step stabilizes, books its wasted work and aliases the
+        next state; :meth:`BatchedEngine._advance` then finishes or
+        launches.  A miss takes the arrays (the kernel's precondition)
+        and leaves behind what `_advance` must file.
+        """
+        state = self._state
         plan = self.plan
-        n = plan.n
-        self._readiness = bytearray(plan.readiness0)
-        self._enablement = bytearray(plan.enablement0)
-        self._raw = [None] * n
-        self._sv = [UNRESOLVED] * n
-        index = plan.index
-        for name, value in self._sources.items():
-            i = index[name]
-            self._raw[i] = value
-            self._sv[i] = value
-        self._pending = list(plan.pending0)
-        if plan.strategy.propagation:
-            self._alive = bytearray(plan.alive0)
-            self._live_out = list(plan.live_out0)
-            self._unneeded = bytearray(plan.unneeded0)
-            self._external = bytearray(plan.external0)
+        event = (slot, sig, counted_inflight(self)) if plan.throttled else (slot, sig)
+        step = state.steps.get(event)
+        if step is None:
+            plan.memo_misses += 1
+            self._own(state)
+            self._event = (state, event)
+            return False
+        plan.memo_hits += 1
+        self._event = step
+        state, nulls, copies, wasted_queries, wasted_units, _ = step
+        sv = self._sv
+        for i in nulls:
+            sv[i] = NULL
+        if copies:
+            raw = self._raw
+            for i in copies:
+                sv[i] = raw[i]
+        if wasted_queries:
+            self.metrics.speculative_wasted_queries += wasted_queries
+            self.metrics.speculative_wasted_units += wasted_units
+        self._alias(state)
+        return True
 
     def start(self) -> None:
-        """Initial evaluation phase, replayed from the plan cache when hot."""
-        if self._started:
+        """Initial evaluation phase: one memo lookup, or the kernel."""
+        if self._sv is not None:
             raise ExecutionError(f"instance {self.instance_id} already started")
-        self._started = True
         plan = self.plan
-        cached = (
-            plan.lookup_start(self._start_key) if self._start_key is not None else None
-        )
-        if cached is not None:
-            (
-                readiness,
-                enablement,
-                raw,
-                sv,
-                pending,
-                alive,
-                live_out,
-                unneeded,
-                external,
-                cand,
-                synth_count,
-            ) = cached
-            self._readiness = bytearray(readiness)
-            self._enablement = bytearray(enablement)
-            self._raw = list(raw)
-            self._sv = list(sv)
-            # The snapshot's source slots hold the first submitter's
-            # objects; re-install this instance's own (typed-==-equal)
-            # values so caller objects are never aliased across
-            # instances.  Cacheable schemas run no tasks during start,
-            # so source slots are the only value-bearing entries.
-            index = plan.index
-            for name, value in self._sources.items():
-                i = index[name]
-                self._raw[i] = value
-                self._sv[i] = value
-            self._pending = list(pending)
-            if alive is not None:
-                self._alive = bytearray(alive)
-                self._live_out = list(live_out)
-                self._unneeded = bytearray(unneeded)
-                self._external = bytearray(external)
-            self._cand = set(cand)
-            self.metrics.synthesis_executed = synth_count
+        self._raw = raw = [None] * plan.n
+        self._sv = sv = [UNRESOLVED] * plan.n
+        index = plan.index
+        for name, value in self._sources.items():
+            raw[index[name]] = sv[index[name]] = value
+        if self._state is None:
+            self._own(plan.root)
+        elif self._enter(EV_START, tuple(plan.signature(i, raw[i]) for i in plan.source_idx)):
             return
-        self._build_arrays()
         for i in plan.non_source_idx:
             if self._pending[i] == 0:
                 self._mark_ready(i)
         for i in plan.non_source_idx:
             self._try_resolve_condition(i)
         self.drain()
-        if self._start_key is None:
-            return
-        plan.remember_start(self._start_key, (
-            bytes(self._readiness),
-            bytes(self._enablement),
-            tuple(self._raw),
-            tuple(self._sv),
-            tuple(self._pending),
-            bytes(self._alive) if self._alive is not None else None,
-            tuple(self._live_out) if self._live_out is not None else None,
-            bytes(self._unneeded) if self._unneeded is not None else None,
-            bytes(self._external) if self._external is not None else None,
-            frozenset(self._cand),
-            self.metrics.synthesis_executed,
-        ))
+
+    def start_mirroring(self) -> None:
+        """Start as a live cohort member: mirroring and any later split
+        write the arrays directly, so the member owns them from here."""
+        self.start()
+        if self._state is not None:
+            self._own(self._state)
+        self._event = None
 
     def targets_stable(self) -> bool:
         sv = self._sv
@@ -657,6 +660,13 @@ class BatchedInstance:
         """Install a completed query's value.  Returns False if discarded
         (the attribute was disabled while the query was in flight)."""
         i = self.plan.index[name]
+        if self._state is not None:
+            # Memoized: the value is all that is written here; the state
+            # moves in `_enter` (a disabled slot's signature is dead).
+            self._raw[i] = value
+            accepted = self._enablement[i] != E_DISABLED
+            if self._enter(i, self.plan.signature(i, value) if accepted else 0):
+                return accepted
         if self._enablement[i] == E_DISABLED:
             if self._readiness[i] == R_READY:
                 # retained as diagnostic only
@@ -669,34 +679,45 @@ class BatchedInstance:
     # -- finalization -----------------------------------------------------------
 
     def finalize_metrics(self) -> None:
-        """Fill end-of-instance attribute counters into the metrics record."""
-        plan = self.plan
-        value_count = disabled_count = unstable = 0
-        readiness = self._readiness
-        enablement = self._enablement
-        for i in plan.non_source_idx:
-            e = enablement[i]
-            if e == E_DISABLED:
-                disabled_count += 1
-            elif e == E_ENABLED and readiness[i] == R_COMPUTED:
-                value_count += 1
-            else:
-                unstable += 1
-        self.metrics.attrs_value = value_count
-        self.metrics.attrs_disabled = disabled_count
-        self.metrics.attrs_unstable = unstable
-        if self._unneeded is not None:
-            sv = self._sv
-            launched = self._launched
-            detected = 0
-            avoided = 0
-            for i in range(plan.n):
-                if self._unneeded[i] and sv[i] is UNRESOLVED:
-                    detected += 1
-                    if not launched[i]:
-                        avoided += plan.cost[i]
-            self.metrics.unneeded_detected = detected
-            self.metrics.unneeded_cost_avoided = avoided
+        """Fill end-of-instance attribute counters into the metrics record.
+
+        They are a function of the discrete arrays alone, so an interned
+        state computes them once for every instance that ends there.
+        """
+        state = self._state
+        derived = state.final if state is not None else None
+        if derived is None:
+            plan = self.plan
+            value_count = disabled_count = unstable = detected = avoided = 0
+            readiness = self._readiness
+            enablement = self._enablement
+            for i in plan.non_source_idx:
+                e = enablement[i]
+                if e == E_DISABLED:
+                    disabled_count += 1
+                elif e == E_ENABLED and readiness[i] == R_COMPUTED:
+                    value_count += 1
+                else:
+                    unstable += 1
+            if self._unneeded is not None:
+                sv = self._sv
+                launched = self._launched
+                for i in range(plan.n):
+                    if self._unneeded[i] and sv[i] is UNRESOLVED:
+                        detected += 1
+                        if not launched[i]:
+                            avoided += plan.cost[i]
+            derived = (value_count, disabled_count, unstable, detected, avoided)
+            if state is not None:
+                state.final = derived
+        metrics = self.metrics
+        (
+            metrics.attrs_value,
+            metrics.attrs_disabled,
+            metrics.attrs_unstable,
+            metrics.unneeded_detected,
+            metrics.unneeded_cost_avoided,
+        ) = derived
 
     # -- inspection -------------------------------------------------------------
 
@@ -745,11 +766,8 @@ class BatchedEngine(Engine):
     completion, sharing, halting, and pooled-dispatch (``drain_pooled``)
     logic are inherited; only instance construction, the evaluation
     phase, and launch selection are replaced by their array-based
-    equivalents.  Under instant pooling the cross-instance sweep lands
-    one layer down: every fresh instance drawn from the same start
-    valuation replays the plan-memoized first launch selection
-    (:meth:`_select_for_launch`) instead of re-pruning and re-sorting
-    its own candidate pool.
+    equivalents — and those run only where the plan's transition memo
+    has no recorded step to replay (:meth:`_advance`).
     """
 
     def __init__(self, *args, **kwargs):
@@ -769,9 +787,13 @@ class BatchedEngine(Engine):
             self._obs_cohort_splits = registry.counter("cohort_splits")
         else:
             self.plan = CompiledPlan(self.schema, self.strategy)
-        #: Cohort execution needs a deterministic start state (the typed
-        #: start-state cache guarantees no synthesis and no user-coded
-        #: conditions ran) and is mutually exclusive with the engine-level
+        if self.share is not None:
+            # `_shared_done` edits `speculative_launch` between rounds,
+            # behind the memo's back.
+            self.plan.memo = False
+        #: Cohort execution needs a deterministic trace per typed start
+        #: key (`start_cache_ok`: no synthesis and no user-coded
+        #: conditions run) and is mutually exclusive with the engine-level
         #: share table, whose hit/join rewiring happens inside _launch —
         #: below the seam members mirror.  The query cache composes with
         #: cohorts only at %Permitted == 100: member launches become
@@ -811,32 +833,45 @@ class BatchedEngine(Engine):
     def _is_unneeded(self, instance: BatchedInstance, name: str) -> bool:
         return bool(instance._unneeded[self.plan.index[name]])
 
+    def _advance(self, instance: BatchedInstance) -> None:
+        """Second half of a memoized round, or the kernel's whole round."""
+        if instance._state is not None and (
+            instance._event is not None or instance._enter(EV_CANCELLED)
+        ):
+            launches = instance._event[5]
+            instance._event = None
+            state = instance._state
+            if state.done:
+                self._finish(instance)
+                return
+            if state.scan:
+                self._cancel_unneeded(instance)
+            for name in launches:
+                self._launch(instance, name)
+            return
+        missed, instance._event = instance._event, None
+        if missed is None:
+            return super()._advance(instance)
+        metrics = instance.metrics
+        queries = metrics.speculative_wasted_queries
+        units = metrics.speculative_wasted_units
+        super()._advance(instance)
+        self.plan.record(
+            *missed,
+            instance,
+            metrics.speculative_wasted_queries - queries,
+            metrics.speculative_wasted_units - units,
+        )
+
     def _select(self, instance: BatchedInstance) -> Sequence[str]:
         names = self.plan.names
         return [names[i] for i in self._select_for_launch(instance)]
 
     def _select_for_launch(self, instance: BatchedInstance) -> Sequence[int]:
-        """The scheduling phase over the incrementally maintained pool.
-
-        A *fresh* instance (started, nothing launched, nothing in
-        flight) is in a state fully determined by its start key, so its
-        first scheduling round is memoized per plan: fleets of instances
-        sharing a source valuation prune and sort the candidate pool
-        once, then replay ``(selected, pruned)`` as plain tuples.
-        """
+        """The scheduling phase over the incrementally maintained pool."""
         cand = instance._cand
         if not cand:
             return ()
-        fresh_key = None
-        if not instance._any_launched and not instance.inflight:
-            fresh_key = instance._start_key
-            if fresh_key is not None:
-                cached = self.plan.lookup_select(fresh_key)
-                if cached is not None:
-                    selected, pruned = cached
-                    for i in pruned:
-                        cand.discard(i)
-                    return selected
         readiness = instance._readiness
         enablement = instance._enablement
         launched = instance._launched
@@ -858,23 +893,13 @@ class BatchedEngine(Engine):
             pool.append(i)
         for i in dead:
             cand.discard(i)
-        if pool:
-            inflight = sum(
-                1
-                for handle in instance.inflight.values()
-                if getattr(handle, "counts_for_parallelism", True)
-            )
-            slots = permitted_slots(len(pool), inflight, self.strategy.permitted)
-            if slots > 0:
-                pool.sort(key=self.plan.rank.__getitem__)
-                selected: Sequence[int] = pool[:slots]
-            else:
-                selected = ()
-        else:
-            selected = ()
-        if fresh_key is not None:
-            self.plan.remember_select(fresh_key, (tuple(selected), tuple(dead)))
-        return selected
+        if not pool:
+            return ()
+        slots = permitted_slots(len(pool), counted_inflight(instance), self.strategy.permitted)
+        if slots <= 0:
+            return ()
+        pool.sort(key=self.plan.rank.__getitem__)
+        return pool[:slots]
 
     def _stage_launch(self, instance: BatchedInstance, name: str):
         """Array-backed half of a launch; the inherited sharing/dispatch
@@ -883,9 +908,9 @@ class BatchedEngine(Engine):
         i = plan.index[name]
         values = instance._input_values(i)
         speculative = instance._enablement[i] == E_UNKNOWN
-        instance._launched[i] = 1
-        instance._any_launched = True
-        instance._cand.discard(i)
+        if instance._state is None:  # else the state it entered has this launch
+            instance._launched[i] = 1
+            instance._cand.discard(i)
         rec = self._recording
         if rec is not None:
             rec.launches.append(
@@ -895,7 +920,7 @@ class BatchedEngine(Engine):
 
     # -- cohort execution ---------------------------------------------------
     #
-    # Whole-instance dedup over the typed start-state cache: the first
+    # Whole-instance dedup over the typed start key: the first
     # instance of a (start valuation, start instant) point becomes the
     # cohort *representative* and records every resolution stage it runs
     # (outcome, cancel decisions, launches, state-derived metric deltas);
@@ -1284,18 +1309,14 @@ class BatchedEngine(Engine):
         self, cohort: _Cohort, member: BatchedInstance, recs
     ) -> None:
         """Replay the state a live-mirrored member would hold here."""
-        member.start()
+        member.start_mirroring()
         self._copy_counters(cohort.template, member.metrics)
-        any_launched = False
         for rec in recs:
             for launch in rec.launches:
                 member._launched[launch.index] = 1
                 member._cand.discard(launch.index)
                 if launch.speculative:
                     member.speculative_launch.add(launch.name)
-                any_launched = True
-        if any_launched:
-            member._any_launched = True
 
     def _demote_cohort(
         self, cohort: _Cohort, rep, rec: _StageRecord, name: str, member_completed: bool
@@ -1329,6 +1350,16 @@ class BatchedEngine(Engine):
         cohort.members = []
         rep._cohort = None
 
+    def _end_state(self, rep: BatchedInstance):
+        """The state a done representative's members alias.
+
+        The interned one when the memo served it to the end; otherwise
+        its own arrays, frozen once (uninterned — it has no way on).
+        """
+        if rep._state is None:
+            rep._alias(self.plan.freeze(rep))
+        return rep._state
+
     @staticmethod
     def _copy_counters(src: InstanceMetrics, dst: InstanceMetrics) -> None:
         dst.work_units = src.work_units
@@ -1347,81 +1378,19 @@ class BatchedEngine(Engine):
         """Materialize a lockstep member from the shared cohort state.
 
         All members of a cohort end bit-identical (same start valuation,
-        same mirrored outcomes), so the copied arrays and the attribute
-        counters :meth:`finalize_metrics` derives from them are computed
-        for the first finishing member and shared by the rest — done
-        instances never mutate their arrays again.
+        same mirrored outcomes), so they alias the representative's end
+        state — which carries the attribute counters
+        :meth:`finalize_metrics` derives — and its value lists: done
+        instances never write their arrays again.
         """
         rep = cohort.rep
         member.done = True
-        metrics = member.metrics
-        self._copy_counters(cohort.template, metrics)
-        metrics.finish_time = self.sim.now
-        member._started = True
-        final = cohort.final
-        if final is None:
-            member._readiness = bytearray(rep._readiness)
-            member._enablement = bytearray(rep._enablement)
-            member._raw = list(rep._raw)
-            member._sv = list(rep._sv)
-            member._pending = list(rep._pending)
-            member._launched = bytearray(rep._launched)
-            if rep._alive is not None:
-                member._alive = bytearray(rep._alive)
-                member._live_out = list(rep._live_out)
-                member._unneeded = bytearray(rep._unneeded)
-                member._external = bytearray(rep._external)
-            index = self.plan.index
-            for source_name, source_value in member._sources.items():
-                i = index[source_name]
-                member._raw[i] = source_value
-                member._sv[i] = source_value
-            member.finalize_metrics()
-            cohort.final = (
-                member._readiness,
-                member._enablement,
-                member._raw,
-                member._sv,
-                member._pending,
-                member._launched,
-                member._alive,
-                member._live_out,
-                member._unneeded,
-                member._external,
-                (
-                    metrics.attrs_value,
-                    metrics.attrs_disabled,
-                    metrics.attrs_unstable,
-                    metrics.unneeded_detected,
-                    metrics.unneeded_cost_avoided,
-                ),
-            )
-        else:
-            (
-                member._readiness,
-                member._enablement,
-                member._raw,
-                member._sv,
-                member._pending,
-                member._launched,
-                alive,
-                live_out,
-                unneeded,
-                external,
-                derived,
-            ) = final
-            if alive is not None:
-                member._alive = alive
-                member._live_out = live_out
-                member._unneeded = unneeded
-                member._external = external
-            (
-                metrics.attrs_value,
-                metrics.attrs_disabled,
-                metrics.attrs_unstable,
-                metrics.unneeded_detected,
-                metrics.unneeded_cost_avoided,
-            ) = derived
+        self._copy_counters(cohort.template, member.metrics)
+        member.metrics.finish_time = self.sim.now
+        member._alias(self._end_state(rep))
+        member._raw = rep._raw
+        member._sv = rep._sv
+        member.finalize_metrics()
         cohort.live_members -= 1
         if self.observer is not None:
             self.observer.on_instance_complete(member)
@@ -1442,9 +1411,9 @@ class BatchedEngine(Engine):
                 "cohort.join",
                 args={"member": member.instance_id, "mode": "live"},
             )
-        # The cached start replay is cheap and leaves the member's arrays
-        # in exactly the state a split must replay from.
-        member.start()
+        # The start is one memo lookup and leaves the member's arrays in
+        # the state a split must replay from.
+        member.start_mirroring()
         if self.observer is not None:
             self.observer.on_instance_start(member)
         self._mirror_stage(cohort, member, cohort.log[0])
@@ -1470,7 +1439,6 @@ class BatchedEngine(Engine):
                 member, launch.name, speculative=launch.speculative, shared=None
             )
         member._launched[launch.index] = 1
-        member._any_launched = True
         member._cand.discard(launch.index)
         handle = self._submit_query(
             launch.task,
@@ -1614,29 +1582,21 @@ class BatchedEngine(Engine):
         """Mirror of :meth:`Engine._finish` fed from the representative.
 
         The representative is done by the time any member consumes a
-        ``done_after`` record, so its arrays are final; copying them
-        (with the member's own source objects overlaid) materializes the
-        member's state for value/state maps, handles, and post-halt
-        straggler checks.
+        ``done_after`` record, so its arrays are final; aliasing its end
+        state and copying its values (the member's own source objects
+        overlaid) materializes the member's state for value/state maps,
+        handles, and post-halt straggler checks.
         """
         rep = cohort.rep
         member.done = True
         member.metrics.finish_time = self.sim.now
-        member._readiness = bytearray(rep._readiness)
-        member._enablement = bytearray(rep._enablement)
+        member._alias(self._end_state(rep))
         member._raw = list(rep._raw)
         member._sv = list(rep._sv)
-        member._pending = list(rep._pending)
-        if rep._alive is not None:
-            member._alive = bytearray(rep._alive)
-            member._live_out = list(rep._live_out)
-            member._unneeded = bytearray(rep._unneeded)
-            member._external = bytearray(rep._external)
         index = self.plan.index
         for source_name, source_value in member._sources.items():
             i = index[source_name]
-            member._raw[i] = source_value
-            member._sv[i] = source_value
+            member._raw[i] = member._sv[i] = source_value
         member.finalize_metrics()
         if self.halt_policy == "cancel":
             for handle in member.inflight.values():

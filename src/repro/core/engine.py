@@ -308,12 +308,15 @@ class Engine:
         if instance.targets_stable():
             self._finish(instance)
             return
+        self._cancel_unneeded(instance)
+        for name in self._select(instance):
+            self._launch(instance, name)
+
+    def _cancel_unneeded(self, instance: InstanceRuntime) -> None:
         if self.strategy.cancel_unneeded and self._tracks_unneeded(instance):
             for name, handle in list(instance.inflight.items()):
                 if self._is_unneeded(instance, name) and not self._has_waiters(handle):
                     handle.cancel()
-        for name in self._select(instance):
-            self._launch(instance, name)
 
     # Instance-representation seams (overridden by the batched engine,
     # like _make_instance/_stage_launch): the drain/finish/cancel/launch

@@ -20,11 +20,13 @@ executes against:
 * the backward-propagation dead-edge analysis is pre-cascaded: the plan
   stores the post-construction alive/live-out/unneeded template every
   instance starts from;
-* the *start state* — everything :meth:`InstanceRuntime.start` derives
-  purely from the source values (readiness, eagerly resolved conditions,
-  inline synthesis results, needed-tracker kills) — is cached per
-  distinct source valuation and replayed into new instances as flat
-  array copies.
+* every slot gets a *value signature* — the outcomes of the condition
+  leaves that read it — and the plan interns *control states*: immutable
+  copies of every discrete per-instance array plus the signatures of the
+  values known so far.  A scheduling round is then a transition
+  ``(state, event) -> state`` that the first instance to take it records
+  (by running the propagation kernel) and every later one replays,
+  whatever its values (see :class:`ControlState`).
 
 The plan never changes observable semantics: each compiled piece mirrors
 one reference code path exactly, and the engine differential harness
@@ -49,13 +51,18 @@ from repro.core.state import Enablement, Readiness
 from repro.core.strategy import Strategy
 from repro.nulls import NULL, ExceptionValue
 
-__all__ = ["CompiledPlan", "compile_condition", "START_CACHE_LIMIT"]
+__all__ = ["CompiledPlan", "ControlState", "compile_condition", "MEMO_LIMIT"]
 
-#: Bound on cached start states per plan.  Service workloads with unique
-#: per-request source values get no reuse, so without a cap the cache
-#: would hold one full state snapshot (and references to caller-supplied
-#: source objects) per request for the life of the engine.
-START_CACHE_LIMIT = 256
+#: Event slots of the two transitions no query result causes: the start
+#: (its "signature" is the tuple of the sources' signatures) and a
+#: cancelled query (no value arrived; only the in-flight set changed).
+EV_START, EV_CANCELLED = -1, -2
+
+#: Bound on recorded transitions per plan (each interns at most one
+#: state).  Once reached nothing more is recorded — instances off the
+#: recorded paths run the kernel on their own arrays — and hits keep
+#: serving.
+MEMO_LIMIT = 4096
 
 #: Readiness / enablement dimension codes used in the flat state arrays.
 #: They equal the corresponding enum ``.value``s so conversions are direct.
@@ -102,22 +109,56 @@ def _typed_freeze(value: object) -> object:
     return (value.__class__, value)
 
 
-def _contains_user_code(condition: Condition) -> bool:
-    """Whether evaluating *condition* may run arbitrary user callables.
-
-    Pure predicate ASTs (literals, comparisons, null/exception tests,
-    and their connectives) are side-effect free, so their start-phase
-    evaluation can be replayed from a cached snapshot.  UserPredicate —
-    and any third-party Condition subclass, conservatively — may observe
-    each evaluation, so instances must evaluate them individually.
-    """
-    if isinstance(condition, (Literal, Comparison, IsNull, IsException)):
-        return False
+def _leaves(condition: Condition):
+    """The value-reading leaves of *condition*: all but literals and connectives."""
     if isinstance(condition, (And, Or)):
-        return any(_contains_user_code(child) for child in condition.children)
-    if isinstance(condition, Not):
-        return _contains_user_code(condition.child)
-    return True
+        for child in condition.children:
+            yield from _leaves(child)
+    elif isinstance(condition, Not):
+        yield from _leaves(condition.child)
+    elif not isinstance(condition, Literal):
+        yield condition
+
+
+def _stable(state: "ControlState", i: int) -> bool:
+    e = state.enablement[i]
+    return e == E_DISABLED or (e == E_ENABLED and state.readiness[i] == R_COMPUTED)
+
+
+class ControlState:
+    """One interned snapshot of everything discrete about an instance.
+
+    The fields are immutable (``bytes`` / ``tuple`` / ``frozenset``), so
+    any number of instances alias them and a write that did not first
+    take its own copy raises.  ``sigs`` holds the value signature of
+    every computed slot: with the arrays it determines what the kernel
+    does on any event, so ``steps`` maps an event — ``(slot, signature)``
+    of an applied result, `EV_START` with the sources' signatures, or
+    `EV_CANCELLED`; plus the counted in-flight number when %Permitted
+    < 100 — to ``(next state, slots stable at ⊥, slots stable at their
+    raw value, wasted queries, wasted units, names to launch)``.  No
+    instance value is held anywhere.
+    """
+
+    __slots__ = (
+        "readiness", "enablement", "pending", "launched", "speculative", "cand",
+        "alive", "live_out", "unneeded", "external", "sigs",
+        "done", "scan", "final", "steps",
+    )  # fmt: skip
+
+    def __init__(self, key: tuple, done: bool = False, scan: bool = False):
+        (
+            self.readiness, self.enablement, self.pending, self.launched,
+            self.speculative, self.cand, self.alive, self.live_out,
+            self.unneeded, self.external, self.sigs,
+        ) = key  # fmt: skip
+        #: every target stable: the instance finishes on entering
+        self.done = done
+        #: some launched, unanswered query is unneeded (and the strategy cancels)
+        self.scan = scan
+        #: the attribute counters `finalize_metrics` derives, filled on first use
+        self.final: tuple | None = None
+        self.steps: dict[object, tuple] = {}
 
 
 # -- condition compilation -----------------------------------------------------
@@ -279,8 +320,14 @@ class CompiledPlan:
         "unneeded0",
         "external0",
         "start_cache_ok",
-        "_start_cache",
-        "_select_cache",
+        "memo",
+        "leaves",
+        "root",
+        "states",
+        "throttled",
+        "memo_steps",
+        "memo_hits",
+        "memo_misses",
     )
 
     def __init__(self, schema: DecisionFlowSchema, strategy: Strategy):
@@ -377,71 +424,135 @@ class CompiledPlan:
         for target in tracker._external:
             self.external0[target] = 1
 
-        #: Start states are replayable only when the start phase runs no
-        #: user code: synthesis tasks and user-coded conditions must
-        #: execute per instance (they may be impure or return mutable
-        #: objects each instance must own).
-        self.start_cache_ok = not synth and not any(
-            _contains_user_code(schema[name].condition) for name in names
+        #: Identical source valuations have identical traces (what cohorts
+        #: rest on) only when no user code runs: synthesis tasks and
+        #: user-coded conditions must execute per instance (they may be
+        #: impure or return mutable objects each instance must own).
+        leaves = [leaf for name in names for leaf in _leaves(schema[name].condition)]
+        self.start_cache_ok = not synth and all(
+            isinstance(leaf, (Comparison, IsNull, IsException)) for leaf in leaves
         )
-        #: typed-frozen source values -> post-start state snapshot (see
-        #: BatchedInstance.start); LRU-bounded to START_CACHE_LIMIT.
-        self._start_cache: dict[object, tuple] = {}
-        #: typed-frozen source values -> first-round launch selection
-        #: (selected indices, pruned-dead candidate indices).  The
-        #: scheduling phase of a *fresh* instance is a pure function of
-        #: its post-start state — which the start key determines — so
-        #: instance fleets sharing a source valuation compute it once per
-        #: plan instead of once per instance (the batched drain's
-        #: per-group sweep; see BatchedEngine._select_for_launch).
-        self._select_cache: dict[object, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        #: Whether instances run on the transition memo.  A leaf comparing
+        #: two attributes has no per-slot outcome, so such plans (like
+        #: those running user code) execute on the kernel alone.
+        self.memo = self.start_cache_ok and not any(
+            isinstance(getattr(leaf, "right", None), AttrRef) for leaf in leaves
+        )
+        #: per slot, the distinct leaves reading it, each compiled over a
+        #: one-slot stable-value list (see :meth:`signature`)
+        self.leaves: list[tuple[CondFn, ...]] = [() for _ in names]
+        if self.memo:
+            for leaf in dict.fromkeys(leaves):
+                slot = leaf.left if isinstance(leaf, Comparison) else leaf.name
+                self.leaves[index[slot]] += (compile_condition(leaf, {slot: 0}),)
+        tracked = strategy.propagation
+        #: the pre-start template every instance begins in, as a state
+        self.root = ControlState((
+            bytes(self.readiness0), bytes(self.enablement0), tuple(self.pending0),
+            bytes(self.n), frozenset(), frozenset(),
+            bytes(self.alive0) if tracked else None,
+            tuple(self.live_out0) if tracked else None,
+            bytes(self.unneeded0) if tracked else None,
+            bytes(self.external0) if tracked else None,
+            (0,) * self.n,
+        ))  # fmt: skip
+        #: interned states by content (the root, a template, is not one)
+        self.states: dict[tuple, ControlState] = {}
+        #: selection reads the in-flight count only below %Permitted 100
+        self.throttled = strategy.permitted < 100
+        self.memo_steps = self.memo_hits = self.memo_misses = 0
 
     def start_key(self, source_values: dict[str, object]) -> object:
-        """Cache key for the start-state snapshot of one source valuation.
+        """The cohort key of one source valuation.
 
-        Unlike the result-sharing key (``==``-based by design), the start
-        cache must never replay one valuation's state into a
-        *distinguishable* one, so leaves are keyed by (type, value) —
-        ``1``, ``True`` and ``1.0`` are three entries — and unhashable
-        leaves key by object identity (no reuse rather than wrong reuse).
+        Unlike the result-sharing key (``==``-based by design), a cohort
+        must never mirror one valuation's trace into a *distinguishable*
+        one, so leaves are keyed by (type, value) — ``1``, ``True`` and
+        ``1.0`` are three entries — and unhashable leaves key by object
+        identity (no reuse rather than wrong reuse).
         """
         return _typed_freeze(source_values)
 
-    def lookup_start(self, key: object) -> tuple | None:
-        """The cached snapshot for *key*, refreshing its LRU recency."""
-        cache = self._start_cache
-        snapshot = cache.get(key)
-        if snapshot is not None and next(reversed(cache)) != key:
-            # Re-insert so hot valuations are the last evicted.
-            del cache[key]
-            cache[key] = snapshot
-        return snapshot
+    def signature(self, i: int, value: object) -> int:
+        """Outcomes of every condition leaf reading slot *i*, on *value*.
 
-    def remember_start(self, key: object, snapshot: tuple) -> None:
-        """Cache a post-start state snapshot, evicting LRU at the cap.
-
-        With :meth:`lookup_start` refreshing recency on every hit, hot
-        valuations survive arbitrarily long all-unique churn; without the
-        cap, a unique-per-request stream would hold one full snapshot
-        (plus caller-supplied source objects) per request forever.
+        Base-4 digits: the leaf's Kleene truth, or 3 when evaluating it
+        raises.  Signatures are taken eagerly while conditions short-
+        circuit, so a raising leaf is an outcome like any other: if the
+        kernel ever evaluates it, it raises for real on the miss path and
+        nothing is recorded past it.
         """
-        cache = self._start_cache
-        if len(cache) >= START_CACHE_LIMIT:
-            cache.pop(next(iter(cache)))
-        cache[key] = snapshot
+        leaves = self.leaves[i]
+        if not leaves:
+            return 0
+        sig = 0
+        box = [value]
+        for leaf in leaves:
+            try:
+                sig = sig * 4 + leaf(box)
+            except Exception:  # whatever it raises, the kernel re-raises it
+                sig = sig * 4 + 3
+        return sig
 
-    def lookup_select(self, key: object) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """The memoized fresh-instance launch selection for *key*."""
-        return self._select_cache.get(key)
+    def freeze(self, instance, sigs: list | None = None) -> ControlState:
+        """*instance*'s arrays as a state; interned when *sigs* are given."""
+        enablement = instance._enablement
+        readiness = instance._readiness
+        launched = instance._launched
+        unneeded = instance._unneeded
+        tracked = unneeded is not None
+        if sigs is not None:
+            # a disabled slot is ⊥ whatever arrived: its signature is dead
+            sigs = tuple(0 if e == E_DISABLED else sig for e, sig in zip(enablement, sigs))
+        key = (
+            bytes(readiness), bytes(enablement), tuple(instance._pending),
+            bytes(launched), frozenset(instance.speculative_launch),
+            frozenset(instance._cand),
+            bytes(instance._alive) if tracked else None,
+            tuple(instance._live_out) if tracked else None,
+            bytes(unneeded) if tracked else None,
+            bytes(instance._external) if tracked else None,
+            sigs,
+        )  # fmt: skip
+        state = None if sigs is None else self.states.get(key)
+        if state is None:
+            state = ControlState(
+                key,
+                done=instance.targets_stable(),
+                scan=tracked and self.strategy.cancel_unneeded and any(
+                    unneeded[i] and launched[i] and readiness[i] == R_READY
+                    for i in range(self.n)
+                ),
+            )  # fmt: skip
+            if sigs is not None:
+                self.states[key] = state
+        return state
 
-    def remember_select(
-        self, key: object, selection: tuple[tuple[int, ...], tuple[int, ...]]
+    def record(
+        self, prev: ControlState, event: tuple, instance, wasted_queries: int, wasted_units: int
     ) -> None:
-        """Memoize a fresh instance's first launch selection (FIFO-bounded)."""
-        cache = self._select_cache
-        if len(cache) >= START_CACHE_LIMIT:
-            cache.pop(next(iter(cache)))
-        cache[key] = selection
+        """File the step *instance* just ran on the kernel, while there is room."""
+        if self.memo_steps >= MEMO_LIMIT:
+            return
+        self.memo_steps += 1
+        slot, sig = event[:2]
+        sigs = list(prev.sigs)
+        if slot >= 0:
+            sigs[slot] = sig
+        elif slot == EV_START:
+            for i, source_sig in zip(self.source_idx, sig):
+                sigs[i] = source_sig
+        state = self.freeze(instance, sigs)
+        nulls, copies = [], []
+        for i in range(self.n):
+            if _stable(state, i) and not _stable(prev, i):
+                (nulls if state.enablement[i] == E_DISABLED else copies).append(i)
+        launches = [i for i in range(self.n) if state.launched[i] and not prev.launched[i]]
+        launches.sort(key=self.rank.__getitem__)
+        prev.steps[event] = (
+            state, tuple(nulls), tuple(copies), wasted_queries, wasted_units,
+            tuple(self.names[i] for i in launches),
+        )  # fmt: skip
 
     def __repr__(self) -> str:
         return (

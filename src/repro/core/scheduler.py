@@ -25,7 +25,7 @@ import math
 from repro.core.instance import InstanceRuntime
 from repro.core.prequalifier import candidate_pool
 
-__all__ = ["rank_key", "permitted_slots", "select_for_launch"]
+__all__ = ["rank_key", "permitted_slots", "counted_inflight", "select_for_launch"]
 
 
 def permitted_slots(pool_size: int, inflight: int, permitted: int) -> int:
@@ -42,6 +42,20 @@ def permitted_slots(pool_size: int, inflight: int, permitted: int) -> int:
     return target - inflight
 
 
+def counted_inflight(instance: InstanceRuntime) -> int:
+    """In-flight queries that hold a %Permitted slot.
+
+    Only real database dispatches count: joined (shared) queries and
+    cache followers are zero-cost waits on another query, so they are
+    excluded from the cut instead of throttling launches.
+    """
+    return sum(
+        1
+        for handle in instance.inflight.values()
+        if getattr(handle, "counts_for_parallelism", True)
+    )
+
+
 def rank_key(instance: InstanceRuntime, name: str):
     """Sort key implementing the strategy's scheduling heuristic.
 
@@ -56,21 +70,11 @@ def rank_key(instance: InstanceRuntime, name: str):
 
 
 def select_for_launch(instance: InstanceRuntime) -> list[str]:
-    """The scheduling phase: choose pool members to dispatch right now.
-
-    Only real database dispatches count as in flight: joined (shared)
-    queries are zero-cost waits on another instance's query, so they are
-    excluded from the %Permitted cut instead of throttling launches.
-    """
+    """The scheduling phase: choose pool members to dispatch right now."""
     pool = candidate_pool(instance)
     if not pool:
         return []
-    inflight = sum(
-        1
-        for handle in instance.inflight.values()
-        if getattr(handle, "counts_for_parallelism", True)
-    )
-    slots = permitted_slots(len(pool), inflight, instance.strategy.permitted)
+    slots = permitted_slots(len(pool), counted_inflight(instance), instance.strategy.permitted)
     if slots <= 0:
         return []
     pool.sort(key=lambda name: rank_key(instance, name))

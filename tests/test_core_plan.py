@@ -137,16 +137,25 @@ def test_plan_templates_and_edges():
 
 
 def test_start_cache_reused_across_identical_sources():
+    """Reuse is by signature, not by value: a valuation never seen before
+    replays the start recorded for another with the same leaf outcomes."""
     pattern = generate_pattern(PatternParams(nb_nodes=16, nb_rows=4, seed=2))
     sim = Simulation()
     engine = BatchedEngine(pattern.schema, Strategy.parse("PSE100"), IdealDatabase(sim))
-    assert engine.plan.start_cache_ok  # generated patterns are query-only
-    for _ in range(4):
-        engine.submit_instance(pattern.source_values)
+    plan = engine.plan
+    assert plan.start_cache_ok and plan.memo  # generated patterns are query-only
     source_name = pattern.schema.source_names[0]
-    engine.submit_instance({source_name: -1})  # different valuation -> second entry
+    source = plan.index[source_name]
+    by_signature: dict[int, list[int]] = {}
+    for value in range(-1, 101):
+        by_signature.setdefault(plan.signature(source, value), []).append(value)
+    (first, second, *_), (other, *_) = sorted(by_signature.values(), key=len, reverse=True)[:2]
+    for value in (first, first, second, other, second):
+        engine.submit_instance({source_name: value})
     sim.run()
-    assert len(engine.plan._start_cache) == 2
+    assert len(plan.root.steps) == 2  # one start per signature, not per valuation
+    assert plan.memo_hits >= 3  # at least the three replayed starts
+    assert plan.memo_misses <= 5  # an instance leaves the memo at its first miss
     assert all(instance.done for instance in engine.instances)
 
 
@@ -160,7 +169,7 @@ def test_start_cache_disabled_for_user_code_schemas():
     for _ in range(3):
         engine.submit_instance(source_values)
     sim.run()
-    assert engine.plan._start_cache == {}
+    assert not engine.plan.memo and engine.plan.states == {}  # no state interned
     assert all(instance.done for instance in engine.instances)
 
 
@@ -234,22 +243,38 @@ def test_typed_freeze_handles_unorderable_dict_keys():
         assert all(instance.done for instance in engine.instances)
 
 
-def test_start_cache_is_bounded_and_keeps_hot_entries():
-    """Unique valuations churn within the cap; hot entries survive (LRU)."""
-    from repro.core.plan import START_CACHE_LIMIT
+def test_start_cache_is_bounded_and_keeps_hot_entries(monkeypatch):
+    """Distinct signatures churn within the cap; once it is reached nothing
+    more is recorded and what was keeps serving."""
+    import repro.core.plan as plan_module
 
-    schema, _ = chain_schema(length=2)
+    monkeypatch.setattr(plan_module, "MEMO_LIMIT", 12)
+    attributes = [Attribute("s")] + [
+        Attribute(f"c{k}", task=q(f"c{k}", ("s",), value=k), condition=Comparison("s", Op.GT, k))
+        for k in range(40)
+    ]
+    attributes.append(
+        Attribute("t", task=q("t", tuple(f"c{k}" for k in range(40)), value=0), is_target=True)
+    )
+    schema = DecisionFlowSchema(attributes, name="thresholds")
     sim = Simulation()
     engine = BatchedEngine(schema, Strategy.parse("PCE0"), IdealDatabase(sim))
-    hot_key = engine.plan.start_key({"s": -7})
-    engine.submit_instance({"s": -7})
-    for value in range(START_CACHE_LIMIT + 40):
-        engine.submit_instance({"s": value})
-        engine.submit_instance({"s": -7})  # re-hit the hot valuation
+    plan = engine.plan
+    for _ in range(4):  # the hot valuation's first steps, recorded before the churn
+        engine.submit_instance({"s": -7})
+    sim.run()
+    for value in range(40):  # 40 more signatures: 40 more starts to record
+        engine.submit_instance({"s": value + 0.5}, at=sim.now)
+    sim.run()
+    assert plan.memo_steps == 12 and len(plan.states) <= 12
+    assert sum(len(state.steps) for state in [plan.root, *plan.states.values()]) == 12
+    hits, misses = plan.memo_hits, plan.memo_misses
+    for _ in range(3):
+        engine.submit_instance({"s": -7.5}, at=sim.now)  # hot signature, new value
     sim.run()
     assert all(instance.done for instance in engine.instances)
-    assert len(engine.plan._start_cache) == START_CACHE_LIMIT
-    assert hot_key in engine.plan._start_cache, "LRU evicted the hot entry"
+    assert plan.memo_hits >= hits + 3, "a full table stopped serving"
+    assert plan.memo_misses <= misses + 3 and plan.memo_steps == 12
 
 
 def test_batched_engine_validation_parity():
