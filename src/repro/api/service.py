@@ -424,6 +424,9 @@ class DecisionService:
             registry.gauge("engine_memo_states").set(len(plan.states))
             registry.gauge("engine_memo_hits").set(plan.memo_hits)
             registry.gauge("engine_memo_misses").set(plan.memo_misses)
+            registry.gauge("engine_flow_traces").set(self.engine.flow_traces)
+            registry.gauge("engine_flow_replays").set(self.engine.flow_replays)
+            registry.gauge("engine_flow_fallbacks").set(self.engine.flow_fallbacks)
         released = self._released.count
         registry.gauge("instances_submitted").set(released + len(self._handles))
         registry.gauge("instances_done").set(

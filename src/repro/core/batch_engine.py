@@ -39,6 +39,7 @@ the instance layer — which the differential harness in
 from __future__ import annotations
 
 from collections import deque
+from copy import deepcopy
 from time import perf_counter
 from typing import Iterator, Mapping, Sequence
 
@@ -224,6 +225,73 @@ class _Cohort:
             self.launch_by_name[launch.name] = launch
 
 
+#: Bound on filed flow traces per engine, with the transition memo's
+#: policy: once full nothing more is recorded, and hits keep serving.
+FLOW_LIMIT = 1024
+
+#: The counters an instance served from the query memo alone can move.
+_FLOW_COUNTERS = (
+    "queries_launched", "speculative_launched", "queries_completed",
+    "queries_cancelled", "speculative_wasted_queries", "speculative_wasted_units",
+)  # fmt: skip
+
+
+class _FlowWave:
+    """One event of a replay: rounds ``[lo, hi)`` of the trace, run whole.
+
+    ``keys`` are the cache keys of their launches (all still memoized, or
+    the replay ends here), ``counters`` the instance's `_FLOW_COUNTERS`
+    after them, ``rounds`` how many of them scheduled (stragglers do
+    not), ``next`` the events of the wave those launches feed.
+    """
+
+    __slots__ = ("lo", "stages", "keys", "counters", "rounds", "finishes", "next")
+
+    def __init__(self, stages: tuple, rec: list, lo: int, hi: int, finish: int):
+        self.lo = lo
+        self.stages = stages[lo:hi]
+        self.keys = tuple(key for _, _, fed in self.stages for _, _, key in fed)
+        self.counters = rec[hi - 1][3]
+        self.rounds = max(0, min(hi, finish + 1) - lo)
+        self.finishes = hi == finish + 1
+        self.next: tuple[_FlowWave, ...] = ()
+
+
+class _FlowTrace:
+    """What an instance did whose every launch the query memo answered.
+
+    Such an instance touches no data: each delivery is a zero-delay
+    band-2 event at its start instant, in launch order, so the trace is
+    a function of the typed start valuation.  ``stages`` has one
+    ``(name, completed, launches)`` per round — the query delivered
+    (None: the start) and the ``(name, speculative, cache key)``
+    launches made.  The deliveries of one wave's launches are the next
+    wave and sit contiguously in the calendar (they are scheduled inside
+    the instance's own callbacks), so a repeat runs one :class:`_FlowWave`
+    per wave, scheduled where the wave's first delivery sat; a wave the
+    instance finishes in is cut there in two, so that a start its
+    completion callback schedules preempts the stragglers as it would.
+    Holds no instance: its end state and two value lists, which replayed
+    instances alias.
+    """
+
+    __slots__ = ("stages", "head", "state", "raw", "sv")
+
+    def __init__(self, rec: list, instance: "BatchedInstance", state):
+        self.state, self.raw, self.sv = state, instance._raw, instance._sv
+        self.stages = stages = tuple(stage[:3] for stage in rec)
+        finish = next(j for j, stage in enumerate(rec) if stage[4])
+        self.head = feeder = _FlowWave(stages, rec, 0, 1, finish)  # the start: a wave of one
+        lo, hi = 1, 1 + len(feeder.keys)
+        while lo < hi:
+            cut = finish + 1 if lo <= finish < hi else hi
+            feeder.next = waves = tuple(
+                _FlowWave(stages, rec, a, b, finish) for a, b in ((lo, cut), (cut, hi)) if a < b
+            )
+            feeder = waves[0]  # stragglers launch nothing
+            lo, hi = hi, hi + sum(len(wave.keys) for wave in waves)
+
+
 class _BatchCell:
     """Read-only cell adapter over one attribute of a batched instance.
 
@@ -308,7 +376,6 @@ class BatchedInstance:
 
     __slots__ = (
         "plan",
-        "schema",
         "strategy",
         "instance_id",
         "done",
@@ -333,6 +400,7 @@ class BatchedInstance:
         "_event",
         "_cohort",
         "_cohort_stage",
+        "_flow",
     )
 
     def __init__(
@@ -343,7 +411,6 @@ class BatchedInstance:
         start_time: float,
     ):
         self.plan = plan
-        self.schema = plan.schema
         self.strategy = plan.strategy
         self.instance_id = instance_id
         self.done = False
@@ -389,6 +456,10 @@ class BatchedInstance:
         #: into the cohort log — the next stage record it must mirror.
         self._cohort: _Cohort | None = None
         self._cohort_stage = 0
+        #: Flow memo: the rounds recorded so far (a list) while every
+        #: launch was a query-memo hit, the :class:`_FlowTrace` of an
+        #: instance replayed from one, None otherwise.
+        self._flow: list | _FlowTrace | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -722,6 +793,12 @@ class BatchedInstance:
     # -- inspection -------------------------------------------------------------
 
     @property
+    def schema(self):
+        # Not a slot: nothing hot reads it, and a 27th slot would round
+        # every instance up 16 bytes.
+        return self.plan.schema
+
+    @property
     def cells(self) -> _CellMap:
         """Name-keyed cell view (adapter parity with InstanceRuntime)."""
         return _CellMap(self)
@@ -799,7 +876,7 @@ class BatchedEngine(Engine):
         #: cohorts only at %Permitted == 100: member launches become
         #: followers of the representative's primaries, and follower
         #: handles do not count toward the parallelism budget
-        #: (Engine._FollowerHandle.counts_for_parallelism is False), so a
+        #: (simdb.database._CacheFollower.counts_for_parallelism is False), so a
         #: throttled strategy would legitimately schedule members
         #: differently from their representative — permitted_slots grants
         #: the whole pool unconditionally only at 100%.
@@ -818,6 +895,15 @@ class BatchedEngine(Engine):
         self._cohort_instant: float | None = None
         #: stage record being captured while the representative advances
         self._recording: _StageRecord | None = None
+        #: The flow memo, start_key → :class:`_FlowTrace` (see "flow memo"
+        #: below).  Armed where the transition memo is — no user code, so
+        #: a valuation has one trace — and there is a query memo to be
+        #: served from.
+        self._flow_traces: dict[object, _FlowTrace] | None = (
+            {} if self.plan.memo and self.query_cache is not None else None
+        )
+        self.flow_replays = 0
+        self.flow_fallbacks = 0
 
     def _make_instance(
         self,
@@ -938,16 +1024,34 @@ class BatchedEngine(Engine):
     # ordinary instance.
 
     def _start(self, instance: BatchedInstance) -> None:
+        if self._cohorts_on and self.sim.now != self._cohort_instant:
+            self._open_cohorts.clear()
+            self._cohort_instant = self.sim.now
+        traces = self._flow_traces
+        if traces is not None:
+            trace = traces.get(instance._start_key)
+            if trace is None:
+                if len(traces) < FLOW_LIMIT:
+                    instance._flow = []
+            elif self.query_cache.touch(trace.head.keys):
+                instance._flow = trace
+                self.flow_replays += 1
+                if self.observer is not None:
+                    self.observer.on_instance_start(instance)
+                return self._flow_wave(instance, trace, trace.head)
+        self._start_unreplayed(instance)
+        if instance._flow is not None:
+            self._flow_delivered(instance, None, True)
+
+    def _start_unreplayed(self, instance: BatchedInstance) -> None:
         if not self._cohorts_on:
             return super()._start(instance)
-        now = self.sim.now
-        if now != self._cohort_instant:
-            self._open_cohorts.clear()
-            self._cohort_instant = now
         key = instance._start_key
         cohort = self._open_cohorts.get(key)
         if cohort is not None and cohort.open:
+            instance._flow = None  # a member mirrors; its representative records
             if cohort.mode is None:
+                self._record_start(cohort)
                 cohort.mode = self._decide_cohort_mode(cohort)
                 if self._obs_on:
                     self.obs.tracer.instant(
@@ -959,16 +1063,9 @@ class BatchedEngine(Engine):
             else:
                 self._join_cohort(cohort, instance)
             return
-        cohort = _Cohort(instance, now)
+        cohort = _Cohort(instance, self.sim.now)
         instance._cohort = cohort
-        rec = _StageRecord(None)
-        self._recording = rec
-        try:
-            super()._start(instance)
-        finally:
-            self._recording = None
-        rec.done_after = instance.done
-        cohort.absorb(rec)
+        super()._start(instance)
         self._open_cohorts[key] = cohort
         if self._obs_on:
             self._obs_cohort_forms.inc()
@@ -976,10 +1073,29 @@ class BatchedEngine(Engine):
                 "cohort.form", args={"rep": instance.instance_id}
             )
 
+    def _record_start(self, cohort: _Cohort) -> None:
+        """The start stage's record, built when the first member joins:
+        an open cohort's representative has had nothing delivered, so
+        its in-flight queries are its start launches, in order."""
+        rep, plan = cohort.rep, self.plan
+        rec = _StageRecord(None)
+        rec.done_after = rep.done
+        for name in rep.inflight:
+            i, speculative = plan.index[name], name in rep.speculative_launch
+            values = rep._input_values(i)
+            rec.launches.append(_LaunchRecord(name, i, plan.tasks[i], values, speculative))
+        cohort.absorb(rec)
+
     def _query_done(self, instance, name, value, key, processed, completed) -> None:
         cohort = getattr(instance, "_cohort", None)
         if cohort is None or cohort.rep is not instance:
-            return super()._query_done(instance, name, value, key, processed, completed)
+            super()._query_done(instance, name, value, key, processed, completed)
+        else:
+            self._rep_query_done(cohort, instance, name, value, key, processed, completed)
+        if instance._flow is not None:
+            self._flow_delivered(instance, name, completed)
+
+    def _rep_query_done(self, cohort, instance, name, value, key, processed, completed) -> None:
         if cohort.mode == "lockstep":
             return self._lockstep_rep_done(
                 cohort, instance, name, value, key, processed, completed
@@ -1351,7 +1467,7 @@ class BatchedEngine(Engine):
         rep._cohort = None
 
     def _end_state(self, rep: BatchedInstance):
-        """The state a done representative's members alias.
+        """The state the members (or replays) of a done instance alias.
 
         The interned one when the memo served it to the end; otherwise
         its own arrays, frozen once (uninterned — it has no way on).
@@ -1542,21 +1658,30 @@ class BatchedEngine(Engine):
             )
         member._cohort = None
         cohort.live_members -= 1
+        launched = cohort.launch_by_name
+        self._replay_prefix(member, [
+            (rec.name, launched[rec.name].value_for(rec.failed))
+            for rec in cohort.log[1 : member._cohort_stage] if rec.completed
+        ])  # fmt: skip
+        self._tail_query_done(
+            member, launch.name, launch.value_for(failed), processed, completed
+        )
+
+    @staticmethod
+    def _replay_prefix(member: BatchedInstance, results) -> None:
+        """Apply the ``(name, value)`` *results* already delivered to
+        *member* to its start-state arrays, on a scratch metrics object
+        (whatever they book was booked, or recorded, when they arrived)."""
         real_metrics = member.metrics
         member.metrics = InstanceMetrics(
             instance_id=member.instance_id, start_time=real_metrics.start_time
         )
         try:
-            for rec in cohort.log[1 : member._cohort_stage]:
-                if rec.completed:
-                    past = cohort.launch_by_name[rec.name]
-                    member.apply_query_result(rec.name, past.value_for(rec.failed))
-                    member.drain()
+            for name, value in results:
+                member.apply_query_result(name, value)
+                member.drain()
         finally:
             member.metrics = real_metrics
-        self._tail_query_done(
-            member, launch.name, launch.value_for(failed), processed, completed
-        )
 
     def _tail_query_done(
         self, member: BatchedInstance, name: str, value, processed: int, completed: bool
@@ -1608,6 +1733,127 @@ class BatchedEngine(Engine):
         callback = self._on_complete.pop(member.instance_id, None)
         if callback is not None:
             callback(member.metrics)
+
+    # -- flow memo ------------------------------------------------------------
+    #
+    # The third memo tier: the query memo answers a query, the transition
+    # memo a scheduling round, this one an instance (:class:`_FlowTrace`).
+    # A replay shows the cache every key it would have been asked for —
+    # counted and refreshed in launch order, inside the event that made
+    # the launch — and observers every call; nothing else runs.
+
+    @property
+    def flow_traces(self) -> int:
+        """Traces on file (0 where the flow memo is not armed)."""
+        return len(self._flow_traces or ())
+
+    def _flow_delivered(self, instance: BatchedInstance, name, completed: bool) -> None:
+        """Record the round a delivery (the start: no *name*) just ran.
+
+        Its launches are the newest entries in flight.  One that waits on
+        data — a miss, a coalesce, an L2 promotion — ends the recording;
+        an instance done with nothing in flight is filed, unless its key
+        is by identity: a copy of the sources must key the same, or the
+        key says nothing once the caller changes the object.
+        """
+        rec = instance._flow
+        inflight = instance.inflight
+        metrics = instance.metrics
+        made = metrics.queries_launched - (rec[-1][3]["queries_launched"] if rec else 0)
+        launches = []
+        for launch in list(inflight)[-made:] if made else ():
+            handle = inflight[launch]
+            if not getattr(handle, "memo", False):
+                instance._flow = None
+                return
+            launches.append((launch, launch in instance.speculative_launch, handle.key))
+        counters = {field: getattr(metrics, field) for field in _FLOW_COUNTERS}
+        # a stage, plus the counters and the done flag after it
+        rec.append((name, completed, tuple(launches), counters, instance.done))
+        if instance.done and not inflight:
+            instance._flow = None
+            traces, key = self._flow_traces, instance._start_key
+            if key not in traces and len(traces) < FLOW_LIMIT:
+                try:
+                    copied = deepcopy(instance._sources)
+                except Exception:  # whatever user code raises: as good as by identity
+                    return
+                if self.plan.start_key(copied) == key:
+                    traces[key] = _FlowTrace(rec, instance, self._end_state(instance))
+
+    def _flow_event(self, instance: BatchedInstance, wave: _FlowWave) -> None:
+        """A scheduled wave fires: replay it, or discover an eviction."""
+        trace = instance._flow
+        if trace is None:
+            # Fell back in the first half of this wave; these are the
+            # stragglers of the finish that half ran for real.
+            for name, _, _ in wave.stages:
+                self.query_cache.deliver(instance.inflight[name])
+        elif self.query_cache.touch(wave.keys):
+            self._flow_wave(instance, trace, wave)
+        else:
+            self._flow_fall_back(instance, trace, wave)
+
+    def _flow_wave(self, instance: BatchedInstance, trace: _FlowTrace, wave: _FlowWave) -> None:
+        """Replay one wave whose launches the cache has just been shown."""
+        if self._obs_on:
+            t0 = perf_counter()
+        obs = self._listening()
+        if obs is not None:
+            for name, completed, launches in wave.stages:
+                if name is not None:
+                    obs.on_query_done(instance, name, units=0, completed=completed)
+                for launch, speculative, _ in launches:
+                    obs.on_launch(instance, launch, speculative=speculative, shared=None)
+        vars(instance.metrics).update(wave.counters)
+        now = self.sim.now
+        for fed in wave.next:
+            self.sim.schedule_at(now, lambda fed=fed: self._flow_event(instance, fed), (2, 0))
+        if self._obs_on:
+            self._obs_launches.inc(len(wave.keys))
+            self._obs_rounds.inc(wave.rounds)
+            args = {"instance": instance.instance_id, "rounds": wave.rounds}
+            self.obs.tracer.record("engine.replay", t0, perf_counter(), args=args)
+        if wave.finishes:
+            # One valuation, one end: alias the recorded instance's, as a
+            # lockstep member does its representative's.
+            instance._alias(trace.state)
+            instance._raw, instance._sv = trace.raw, trace.sv
+            self._finish(instance)
+
+    def _flow_fall_back(self, instance, trace: _FlowTrace, wave: _FlowWave) -> None:
+        """Leave the table at a wave boundary: a key *wave* launches was
+        evicted, so the instance is no longer all-hit.
+
+        Nothing of the wave has run.  The instance takes real arrays the
+        way a split cohort member does — start state, launch flags, the
+        delivered prefix re-applied — and real followers for the pending
+        deliveries, then runs this event's share of them for real.
+        """
+        self.flow_fallbacks += 1
+        instance._flow = None
+        plan, raw, stages, lo = self.plan, trace.raw, trace.stages, wave.lo
+        index = plan.index
+        made = [launch for stage in stages[:lo] for launch in stage[2]]
+        instance.start_mirroring()
+        for name, speculative, _ in made:
+            instance._launched[index[name]] = 1
+            instance._cand.discard(index[name])
+            if speculative:
+                instance.speculative_launch.add(name)
+        delivered = [(name, raw[index[name]]) for name, ok, _ in stages[1:lo] if ok]
+        self._replay_prefix(instance, delivered)
+        for (name, _, key), (_, completed, _) in zip(made[lo - 1 :], stages[lo:]):
+            i = index[name]
+            instance.inflight[name] = self.query_cache.follower(
+                key,
+                plan.cost[i],
+                lambda processed, done, name=name, value=raw[i]: self._query_done(
+                    instance, name, value, None, processed, done
+                ),
+                cancelled=not completed,
+            )
+        self._flow_event(instance, wave)
 
     def __repr__(self) -> str:
         done = sum(1 for i in self.instances if i.done)

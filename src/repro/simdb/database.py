@@ -636,15 +636,18 @@ class _CacheFollower:
     #: cut must ignore them (same contract as engine-level shared waits).
     counts_for_parallelism = False
 
-    __slots__ = ("key", "cost", "on_complete", "cancel_requested", "finished", "failed")
+    __slots__ = ("key", "cost", "on_complete", "cancel_requested", "finished", "failed", "memo")
 
-    def __init__(self, key: object, cost: int, on_complete: CompletionCallback):
+    def __init__(self, key: object, cost: int, on_complete: CompletionCallback, memo=False):
         self.key = key
         self.cost = cost
         self.on_complete = on_complete
         self.cancel_requested = False
         self.finished = False
         self.failed = False
+        #: answered from the L1 memo at submission — not coalesced behind
+        #: an in-flight primary, not promoted from the L2 tier
+        self.memo = memo
 
     def cancel(self) -> None:
         """Mark the pending delivery cancelled (resolved at fan-out)."""
@@ -765,12 +768,12 @@ class QueryShareCache:
                 # Refresh LRU recency so hot keys are the last evicted.
                 del memo[key]
                 memo[key] = True
-            follower = _CacheFollower(key, cost, on_complete)
+            follower = _CacheFollower(key, cost, on_complete, memo=True)
             # Deliver asynchronously (band 2, like engine-level shared
             # results) so state changes stay event-driven and pooled
             # dispatch sees the same event order as per-event stepping.
             self.database.sim.schedule(
-                0.0, lambda: self._deliver(follower), priority=(2, 0)
+                0.0, lambda: self.deliver(follower), priority=(2, 0)
             )
             return follower
         entry = self._inflight.get(key)
@@ -790,7 +793,7 @@ class QueryShareCache:
                 self._remember(key)
                 follower = _CacheFollower(key, cost, on_complete)
                 self.database.sim.schedule(
-                    0.0, lambda: self._deliver(follower), priority=(2, 0)
+                    0.0, lambda: self.deliver(follower), priority=(2, 0)
                 )
                 return follower
             self.l2_misses += 1
@@ -871,7 +874,28 @@ class QueryShareCache:
                 follower.failed = failed
                 follower.on_complete(0, True)
 
-    def _deliver(self, follower: _CacheFollower) -> None:
+    def touch(self, keys: Sequence[object]) -> bool:
+        """What :meth:`submit` does to the memo on a hit — ``hits``, LRU
+        recency — for every one of *keys* in order, on behalf of a caller
+        that replays the deliveries itself (the engine's flow memo); or,
+        if any of them has been evicted, nothing at all."""
+        memo = self._memo
+        for key in keys:
+            if key not in memo:
+                return False
+        for key in keys:
+            del memo[key]
+            memo[key] = True
+        self.hits += len(keys)
+        return True
+
+    def follower(self, key, cost: int, on_complete, cancelled: bool) -> _CacheFollower:
+        """The handle of a hit :meth:`touch` counted, for :meth:`deliver`."""
+        follower = _CacheFollower(key, cost, on_complete, memo=True)
+        follower.cancel_requested = cancelled
+        return follower
+
+    def deliver(self, follower: _CacheFollower) -> None:
         """Fire a memo hit's zero-delay delivery."""
         follower.finished = True
         if follower.cancel_requested:

@@ -363,7 +363,10 @@ class TestCohortTable:
     @pytest.mark.parametrize(
         "axes, hits, splits",
         [
-            (dict(dispatch="pooled", query_cache=True), 99, 0),  # lockstep
+            # With the cache on, a repeat of a filed valuation is replayed
+            # from the flow memo before it can join anything (99 before):
+            # what cohorts still capture is a valuation's first burst.
+            (dict(dispatch="pooled", query_cache=True), 12, 0),  # lockstep
             ({}, 99, 0),  # live mirroring
             (dict(backend="bounded"), 99, 99),  # out-of-order completions split
         ],

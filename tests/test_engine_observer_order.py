@@ -16,16 +16,28 @@ Per instance, the engine promises:
 
 The scenarios deliberately include result sharing (hit/join launches)
 and cancellation pressure (halt-cancel plus ``cancel_unneeded``), the
-paths most likely to scramble hook ordering.
+paths most likely to scramble hook ordering — and instances the batched
+engine replays from its flow memo, whose hooks fire from one event per
+wave instead of one per delivery.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import BatchedEngine, Engine, Simulation, Strategy
+from repro import (
+    Attribute,
+    BatchedEngine,
+    Comparison,
+    DecisionFlowSchema,
+    Engine,
+    Op,
+    Simulation,
+    Strategy,
+)
+from repro.simdb.database import QueryShareCache
 
-from tests._support import make_database, scenario_pattern
+from tests._support import make_database, q, scenario_pattern
 
 ENGINE_CLASSES = {"reference": Engine, "batched": BatchedEngine}
 
@@ -33,9 +45,11 @@ ENGINE_CLASSES = {"reference": Engine, "batched": BatchedEngine}
 class OrderRecorder:
     def __init__(self):
         self.by_instance: dict[str, list[tuple]] = {}
+        self.sequence: list[tuple] = []
 
     def _record(self, instance, event: tuple) -> None:
         self.by_instance.setdefault(instance.instance_id, []).append(event)
+        self.sequence.append((instance.instance_id, *event))
 
     def on_instance_start(self, instance):
         self._record(instance, ("start",))
@@ -153,3 +167,89 @@ def test_shared_hits_and_joins_keep_ordering(engine_kind):
     assert shared, "scenario failed to exercise sharing"
     for events in recorder.by_instance.values():
         assert_instance_ordering(events)
+
+
+# -- replayed instances in a closed loop ----------------------------------------
+
+
+def straggler_schema() -> DecisionFlowSchema:
+    """``x`` (cost 5) disables the target ``t``; ``y`` (cost 1) feeds it.
+
+    Alone on the clock ``y`` returns first, ``t`` is launched on its
+    value and both are long done when ``x`` decides — every query ends
+    up memoized.  An instance the memo serves gets its deliveries in
+    launch order at one instant: ``x`` first, which finishes it with
+    ``y`` still in flight.
+    """
+    return DecisionFlowSchema(
+        [
+            Attribute("s"),
+            Attribute("x", task=q("x", inputs=("s",), value=0, cost=5)),
+            Attribute("y", task=q("y", inputs=("s",), value=1, cost=1)),
+            Attribute(
+                "t",
+                task=q("t", inputs=("y",), value=2, cost=3),
+                condition=Comparison("x", Op.GT, 10),
+                is_target=True,
+            ),
+        ],
+        name="straggler",
+    )
+
+
+def run_closed_loop(engine_kind: str, halt_policy: str, pooled: bool):
+    """One instance alone, then a closed loop of 2 with think time 0: each
+    completion callback submits the replacement at the completion instant,
+    ahead of the finished instance's own stragglers."""
+    sim = Simulation()
+    database = make_database("ideal", "coalesced", sim, 0)
+    recorder = OrderRecorder()
+    engine = ENGINE_CLASSES[engine_kind](
+        straggler_schema(),
+        Strategy.parse("PSE100"),
+        database,
+        halt_policy=halt_policy,
+        observer=recorder,
+        query_cache=QueryShareCache(database),
+    )
+    if pooled:
+        engine.enable_pooled_dispatch()
+    engine.submit_instance({"s": 1})
+    left = [10]
+
+    def submit_next(_metrics=None):
+        if left[0]:
+            left[0] -= 1
+            engine.submit_instance({"s": 1}, at=max(sim.now, 100.0), on_complete=submit_next)
+
+    submit_next()
+    submit_next()
+    sim.run()
+    assert all(instance.done for instance in engine.instances)
+    return recorder, engine
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["per-event", "pooled"])
+@pytest.mark.parametrize("halt_policy", ["cancel", "drain"])
+def test_replayed_instances_in_a_closed_loop(halt_policy, pooled):
+    reference, _ = run_closed_loop("reference", halt_policy, pooled)
+    recorder, engine = run_closed_loop("batched", halt_policy, pooled)
+    # Two instances start before the first trace is filed and one more
+    # before its straggler is delivered; the other seven are replayed.
+    assert (engine.flow_traces, engine.flow_replays, engine.flow_fallbacks) == (1, 7, 0)
+    # The replacement's start cuts in between a replayed instance's
+    # completion and its straggler, exactly where the reference has it.
+    assert recorder.sequence == reference.sequence
+    alone = engine.instances[0].instance_id
+    sequence = [event for event in recorder.sequence if event[0] != alone]
+    cut_in = [
+        at
+        for at, event in enumerate(sequence[:-1])
+        if event[1] == "complete" and sequence[at + 1][1] == "start"
+    ]
+    assert len(cut_in) == 8  # every completion that had a replacement to submit
+    for at in cut_in:
+        assert sequence.index((sequence[at][0], "done", "y", halt_policy == "drain")) > at + 1
+    for instance_id, events in recorder.by_instance.items():
+        assert_instance_ordering(events)
+        assert instance_id == alone or events[-2:] == [("complete",), ("done", "y", halt_policy == "drain")]
