@@ -427,6 +427,10 @@ class DecisionService:
             registry.gauge("engine_flow_traces").set(self.engine.flow_traces)
             registry.gauge("engine_flow_replays").set(self.engine.flow_replays)
             registry.gauge("engine_flow_fallbacks").set(self.engine.flow_fallbacks)
+            registry.gauge("engine_launch_memo_entries").set(plan.launch_entries)
+            registry.gauge("engine_launch_memo_hits").set(plan.launch_hits)
+            registry.gauge("engine_hit_waves").set(self.engine.hit_waves)
+            registry.gauge("engine_hit_wave_deliveries").set(self.engine.hit_wave_deliveries)
         released = self._released.count
         registry.gauge("instances_submitted").set(released + len(self._handles))
         registry.gauge("instances_done").set(

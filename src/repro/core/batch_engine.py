@@ -292,6 +292,22 @@ class _FlowTrace:
             lo, hi = hi, hi + sum(len(wave.keys) for wave in waves)
 
 
+class _HitWave:
+    """A run of one instance's query-memo hits, delivered by one event.
+
+    ``hits`` are ``(name, follower, launch-memo entry)`` in launch order.
+    ``event`` sits where the first hit's own zero-delay delivery would,
+    and the wave takes further hits only while ``sim.scheduled`` stays at
+    ``marker``: exactly while the events it stands for would have had
+    consecutive seqs.
+    """
+
+    __slots__ = ("instance", "hits", "event", "marker")
+
+    def __init__(self, instance: "BatchedInstance", hit: tuple):
+        self.instance, self.hits = instance, [hit]
+
+
 class _BatchCell:
     """Read-only cell adapter over one attribute of a batched instance.
 
@@ -727,16 +743,19 @@ class BatchedInstance:
 
     # -- query results --------------------------------------------------------
 
-    def apply_query_result(self, name: str, value: object) -> bool:
-        """Install a completed query's value.  Returns False if discarded
-        (the attribute was disabled while the query was in flight)."""
+    def apply_query_result(self, name: str, value: object, sig: int | None = None) -> bool:
+        """Install a completed query's value (*sig*: ``plan.signature`` of it,
+        where the caller has it).  Returns False if discarded (the attribute
+        was disabled while the query was in flight)."""
         i = self.plan.index[name]
         if self._state is not None:
             # Memoized: the value is all that is written here; the state
             # moves in `_enter` (a disabled slot's signature is dead).
             self._raw[i] = value
             accepted = self._enablement[i] != E_DISABLED
-            if self._enter(i, self.plan.signature(i, value) if accepted else 0):
+            if accepted and sig is None:
+                sig = self.plan.signature(i, value)
+            if self._enter(i, sig if accepted else 0):
                 return accepted
         if self._enablement[i] == E_DISABLED:
             if self._readiness[i] == R_READY:
@@ -904,6 +923,14 @@ class BatchedEngine(Engine):
         )
         self.flow_replays = 0
         self.flow_fallbacks = 0
+        if self.query_cache is None or self.share is not None:
+            # The launch memo (:meth:`_launch`) files cache keys, and a share
+            # table rewires launches before any is asked for: no task is on it.
+            self.plan.launch_slots = [None] * self.plan.n
+        #: the hit wave still taking deliveries, if any
+        self._wave: _HitWave | None = None
+        #: waves fired, their deliveries, and the waves that gave way mid-run
+        self.hit_waves = self.hit_wave_deliveries = self.hit_wave_splits = 0
 
     def _make_instance(
         self,
@@ -989,7 +1016,8 @@ class BatchedEngine(Engine):
 
     def _stage_launch(self, instance: BatchedInstance, name: str):
         """Array-backed half of a launch; the inherited sharing/dispatch
-        protocol in :meth:`Engine._launch` runs unchanged on top."""
+        protocol in :meth:`Engine._launch` runs unchanged on top.  Serves
+        only the launches :meth:`_launch` has no launch-memo entry for."""
         plan = self.plan
         i = plan.index[name]
         values = instance._input_values(i)
@@ -1003,6 +1031,96 @@ class BatchedEngine(Engine):
                 _LaunchRecord(name, i, plan.tasks[i], values, speculative)
             )
         return plan.tasks[i], values, speculative
+
+    # -- the launch path: the data plane under the three memo tiers ----------
+
+    def _launch(self, instance: BatchedInstance, name: str) -> None:
+        """:meth:`Engine._launch` with a launch-memo entry for what that
+        derives (inputs, value, cache key); a key the query memo holds is
+        delivered with the rest of its run, by one event."""
+        plan = self.plan
+        i = plan.index[name]
+        entry = plan.launch_entry(i, instance._sv) if self._recording is None else None
+        if entry is None:
+            return super()._launch(instance, name)
+        key, value, _ = entry
+        speculative = instance._enablement[i] == E_UNKNOWN
+        if instance._state is None:  # else the state it entered has this launch
+            instance._launched[i] = 1
+            instance._cand.discard(i)
+        metrics = instance.metrics
+        metrics.queries_launched += 1
+        if self._obs_on:
+            self._obs_launches.inc()
+            self._obs_query_start[(instance.instance_id, name)] = perf_counter()
+        if speculative:
+            instance.speculative_launch.add(name)
+            metrics.speculative_launched += 1
+        if self.observer is not None:
+            self.observer.on_launch(instance, name, speculative=speculative, shared=None)
+        cache, cost = self.query_cache, plan.cost[i]
+        follower = cache.hit(key, cost)
+        if follower is None:
+
+            def done(processed: int, completed: bool) -> None:
+                self._query_done(instance, name, value, None, processed, completed)
+
+            instance.inflight[name] = cache.submit(key, cost, done)
+            return
+        instance.inflight[name] = follower
+        sim, wave = self.sim, self._wave
+        if wave is not None and wave.instance is instance and wave.marker == sim.scheduled:
+            wave.hits.append((name, follower, entry))
+            return
+        self._wave = wave = _HitWave(instance, (name, follower, entry))
+        wave.event = sim.schedule_at(sim.now, lambda: self._fire_wave(wave, 0), (2, 0))
+        wave.marker = sim.scheduled
+
+    def _fire_wave(self, wave: _HitWave, k: int) -> None:
+        """Deliver ``wave.hits[k:]``, each as its own event would have.
+
+        A delivery is `_query_done` for a completed zero-unit hit written
+        out, with the entry's signature; anything else — a wait cancelled
+        meanwhile, an instance done, in a cohort or off the transition
+        memo, an armed run — is `_query_done` itself.  After one that
+        scheduled what the rest would have waited for (a closed loop's next
+        start, a cancellation landing now) the rest goes back at the wave's seq.
+        """
+        if self._wave is wave:
+            self._wave = None  # what its deliveries launch is a later run
+        instance, hits, sim = wave.instance, wave.hits, self.sim
+        n = len(hits)
+        if k == 0:
+            self.hit_waves += 1
+            self.hit_wave_deliveries += n
+        while k < n:
+            name, follower, (_, value, sig) = hits[k]
+            k += 1
+            marker = sim.scheduled
+            follower.finished = True
+            if (
+                follower.cancel_requested
+                or instance.done
+                or instance._state is None
+                or instance._cohort is not None
+                or self._obs_on
+            ):
+                self._query_done(instance, name, value, None, 0, not follower.cancel_requested)
+            else:
+                instance.inflight.pop(name, None)
+                if self.observer is not None:
+                    self.observer.on_query_done(instance, name, units=0, completed=True)
+                metrics = instance.metrics
+                metrics.queries_completed += 1
+                if not instance.apply_query_result(name, value, sig):
+                    metrics.speculative_wasted_queries += 1
+                self._advance(instance)
+                if instance._flow is not None:
+                    self._flow_delivered(instance, name, True)
+            if k < n and sim.scheduled != marker and sim.preempted(wave.event):
+                self.hit_wave_splits += 1
+                return sim.resume(wave.event, lambda: self._fire_wave(wave, k))
+        wave.event = None  # its callback holds the wave: leave no cycle behind
 
     # -- cohort execution ---------------------------------------------------
     #

@@ -47,11 +47,12 @@ from repro.core.predicates import (
 )
 from repro.core.propagation import NeededTracker, edge_table
 from repro.core.schema import DecisionFlowSchema
+from repro.core.sharing import share_key
 from repro.core.state import Enablement, Readiness
 from repro.core.strategy import Strategy
-from repro.nulls import NULL, ExceptionValue
+from repro.nulls import NULL, ExceptionValue, NullType
 
-__all__ = ["CompiledPlan", "ControlState", "compile_condition", "MEMO_LIMIT"]
+__all__ = ["CompiledPlan", "ControlState", "compile_condition", "MEMO_LIMIT", "LAUNCH_LIMIT"]
 
 #: Event slots of the two transitions no query result causes: the start
 #: (its "signature" is the tuple of the sources' signatures) and a
@@ -63,6 +64,13 @@ EV_START, EV_CANCELLED = -1, -2
 #: recorded paths run the kernel on their own arrays — and hits keep
 #: serving.
 MEMO_LIMIT = 4096
+
+#: Bound on launch-memo entries per plan, with the same policy.
+LAUNCH_LIMIT = 1024
+
+#: What a launch-memo entry may hold, as inputs and as the result: the
+#: immutable scalars by exact class — nothing an instance owns.
+_SCALARS = frozenset({type(None), bool, int, float, str, bytes, NullType})
 
 #: Readiness / enablement dimension codes used in the flat state arrays.
 #: They equal the corresponding enum ``.value``s so conversions are direct.
@@ -328,6 +336,10 @@ class CompiledPlan:
         "memo_steps",
         "memo_hits",
         "memo_misses",
+        "launch_slots",
+        "launches",
+        "launch_entries",
+        "launch_hits",
     )
 
     def __init__(self, schema: DecisionFlowSchema, strategy: Strategy):
@@ -461,6 +473,15 @@ class CompiledPlan:
         #: selection reads the in-flight count only below %Permitted 100
         self.throttled = strategy.permitted < 100
         self.memo_steps = self.memo_hits = self.memo_misses = 0
+        #: per query task its input slots, in input order; None once its `fn`
+        #: raised or returned no scalar, and where the engine files no keys
+        self.launch_slots: list[tuple[int, ...] | None] = [
+            tuple(j for _, j in inputs) if self.is_query[i] else None
+            for i, inputs in enumerate(self.task_inputs)
+        ]
+        #: the launch memo, per task: typed inputs -> entry (:meth:`launch_entry`)
+        self.launches: list[dict[tuple, tuple]] = [{} for _ in names]
+        self.launch_entries = self.launch_hits = 0
 
     def start_key(self, source_values: dict[str, object]) -> object:
         """The cohort key of one source valuation.
@@ -493,6 +514,48 @@ class CompiledPlan:
             except Exception:  # whatever it raises, the kernel re-raises it
                 sig = sig * 4 + 3
         return sig
+
+    def launch_entry(self, i: int, sv: list) -> tuple | None:
+        """What launching query *i* on the stable values *sv* comes to:
+        ``(cache key, value, signature)`` — the very tuple the engine asks
+        the query cache for (``share_key(...) + (cost,)``), the task's
+        result and :meth:`signature` of it.  Looked up by the inputs as
+        ``(class, value, ...)`` pairs (the :func:`_typed_freeze` rule: ``1``
+        / ``True`` / ``1.0`` are three entries) and filed on first sight
+        while there is room.  None where there is nothing to reuse: an
+        input (an unstable one included) or the result is no scalar, `fn`
+        raised, or the memo is full and has no entry for these inputs.
+        """
+        slots = self.launch_slots[i]
+        if slots is None:
+            return None
+        probe = ()
+        for j in slots:
+            value = sv[j]
+            probe += (value.__class__, value)
+        try:
+            entry = self.launches[i].get(probe)
+        except TypeError:  # an unhashable input
+            return None
+        if entry is not None:
+            self.launch_hits += 1
+            return entry
+        if self.launch_entries >= LAUNCH_LIMIT or not _SCALARS.issuperset(probe[::2]):
+            return None
+        task = self.tasks[i]
+        values = dict(zip(task.inputs, probe[1::2]))
+        try:
+            value = task.compute(values)
+            scalar = value.__class__ in _SCALARS
+        except Exception:  # whatever it raises, `Engine._launch` raises it again
+            scalar = False
+        if not scalar:
+            self.launch_slots[i] = None  # one extra call of `fn`, once
+            return None
+        entry = (share_key(task.name, values) + (task.cost,), value, self.signature(i, value))
+        self.launches[i][probe] = entry
+        self.launch_entries += 1
+        return entry
 
     def freeze(self, instance, sigs: list | None = None) -> ControlState:
         """*instance*'s arrays as a state; interned when *sigs* are given."""

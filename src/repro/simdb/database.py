@@ -638,7 +638,9 @@ class _CacheFollower:
 
     __slots__ = ("key", "cost", "on_complete", "cancel_requested", "finished", "failed", "memo")
 
-    def __init__(self, key: object, cost: int, on_complete: CompletionCallback, memo=False):
+    def __init__(
+        self, key: object, cost: int, on_complete: CompletionCallback | None, memo=False
+    ):
         self.key = key
         self.cost = cost
         self.on_complete = on_complete
@@ -888,6 +890,21 @@ class QueryShareCache:
             memo[key] = True
         self.hits += len(keys)
         return True
+
+    def hit(self, key: object, cost: int) -> _CacheFollower | None:
+        """:meth:`submit`'s memo branch without the delivery event: the hit
+        is checked, counted and refreshed exactly as there and the follower
+        returned to a caller that delivers it itself, in the event it
+        would have had (the engine's hit waves; it needs no callback).
+        None, and nothing touched, when the memo does not hold *key*."""
+        if cost < 1:
+            raise ValueError(f"query cost must be >= 1, got {cost}")
+        memo = self._memo
+        if memo.pop(key, None) is None:
+            return None
+        memo[key] = True  # the most recent again, as there
+        self.hits += 1
+        return _CacheFollower(key, cost, None, memo=True)
 
     def follower(self, key, cost: int, on_complete, cancelled: bool) -> _CacheFollower:
         """The handle of a hit :meth:`touch` counted, for :meth:`deliver`."""

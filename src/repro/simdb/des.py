@@ -161,9 +161,10 @@ class Simulation:
         self._live = 0
         self._dead_in_queue = 0
         self._cancelled_compactions = 0
-        #: bumped on every insert — lets fire_pooled skip its preemption
-        #: peek entirely while no callback has scheduled anything new.
-        self._sched_marker = 0
+        #: Events ever scheduled.  Read twice with the same result, nothing
+        #: was inserted in between: `fire_pooled` skips its preemption peek
+        #: on that, and the batched engine keeps a hit wave open.
+        self.scheduled = 0
         self._batch_consumer: Callable[[list[Event]], int | None] | None = None
         #: priority of the event whose callback is currently running
         #: (None outside a dispatch) — lets re-planning code decide whether
@@ -208,7 +209,7 @@ class Simulation:
                 bucket.dirty = True
             items.append(event)
         self._live += 1
-        self._sched_marker += 1
+        self.scheduled += 1
         return event
 
     def _on_cancel(self, event: Event) -> None:
@@ -295,10 +296,13 @@ class Simulation:
         events — but the per-event costs are hoisted out of the loop:
         one priority-context restore for the whole pool, and a preemption
         test that runs only when a callback actually scheduled something
-        (tracked by the insert marker; the pool was the maximal frontier,
+        (tracked by :attr:`scheduled`; the pool was the maximal frontier,
         so everything already queued sorts after it — only a *new* event
         can preempt, and ``schedule_at`` refuses the past, so only by
-        priority/seq at the pool time).  Events cancelled after being
+        priority/seq at the pool time) and from then on for as long as
+        the calendar's head could still go before a later member: an
+        event that lets the next one pass may sort before the one after.
+        Events cancelled after being
         popped (an earlier pool member may cancel a later one) are
         skipped; their accounting was already settled by
         :meth:`_on_cancel`.  Returns the number of pool slots consumed;
@@ -308,7 +312,7 @@ class Simulation:
         count = len(events)
         last = count - 1
         previous = self.executing_priority
-        marker = self._sched_marker
+        marker = self.scheduled
         try:
             for index, event in enumerate(events):
                 if not event.cancelled:
@@ -317,19 +321,13 @@ class Simulation:
                     self._events_executed += 1
                     self.executing_priority = event.priority
                     event.fn()
-                if index < last and self._sched_marker != marker:
-                    marker = self._sched_marker
-                    found = self._head()
-                    if found is not None:
-                        head = found[0]
-                        nxt = events[index + 1]
-                        if head.time == nxt.time:
-                            head_priority = head.priority
-                            nxt_priority = nxt.priority
-                            if head_priority < nxt_priority or (
-                                head_priority == nxt_priority and head.seq < nxt.seq
-                            ):
-                                return index + 1
+                if index < last and self.scheduled != marker:
+                    found, nxt = self._head(), events[index + 1]
+                    head = found[0] if found else None
+                    if head is None or head.time != nxt.time or head.priority[0] > nxt.priority[0]:
+                        marker = self.scheduled  # nothing new can pass a later member either
+                    elif (head.priority, head.seq) < (nxt.priority, nxt.seq):
+                        return index + 1
         finally:
             self.executing_priority = previous
         return count
@@ -453,6 +451,26 @@ class Simulation:
                 ):
                     bucket.dirty = True
                 items.append(event)
+
+    def preempted(self, event: Event) -> bool:
+        """Whether the calendar's head sorts before *event*: asked of the
+        event being fired, whether its callback has scheduled something
+        per-event stepping runs ahead of whatever else *event* stands for
+        (a lower band at this instant, a lower sub-priority in its own)."""
+        found = self._head()
+        if found is None or found[0].time != event.time:
+            return False
+        return (found[0].priority, found[0].seq) < (event.priority, event.seq)
+
+    def resume(self, event: Event, fn: Callable[[], None]) -> None:
+        """Put the event being fired back **at its own seq**, to run *fn*:
+        the rest of a callback that stands for a run of consecutive events
+        sorts where the unfired ones would — behind whatever preempted
+        them (:meth:`preempted`), ahead of everything scheduled since."""
+        event.fn = fn
+        event.fired = False
+        self._live += 1
+        self._requeue_unfired([event])
 
     def run(self, until: float | None = None) -> None:
         """Run events until the calendar drains or the clock passes *until*."""

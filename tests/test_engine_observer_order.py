@@ -32,8 +32,10 @@ from repro import (
     DecisionFlowSchema,
     Engine,
     Op,
+    PatternParams,
     Simulation,
     Strategy,
+    generate_pattern,
 )
 from repro.simdb.database import QueryShareCache
 
@@ -253,3 +255,135 @@ def test_replayed_instances_in_a_closed_loop(halt_policy, pooled):
     for instance_id, events in recorder.by_instance.items():
         assert_instance_ordering(events)
         assert instance_id == alone or events[-2:] == [("complete",), ("done", "y", halt_policy == "drain")]
+
+
+# -- a cancellation landing among the completions of its instant -----------------
+
+
+def run_cancel_race(engine_kind: str, pooled: bool) -> OrderRecorder:
+    """Two instances of the benchmark's pattern at one instant: the first
+    (source 93.5) cancels its unneeded ``n0_14`` at an instant the second
+    has two queries completing at, and the cancelled query's own event
+    sorts ahead of both — behind one more completion of the first's."""
+    pattern = generate_pattern(PatternParams(nb_rows=4, pct_enabled=50, seed=7))
+    source = pattern.schema.source_names[0]
+    sim = Simulation()
+    database = make_database("ideal", "coalesced", sim, 0)
+    recorder = OrderRecorder()
+    engine = ENGINE_CLASSES[engine_kind](
+        pattern.schema,
+        Strategy.parse("PSE100", cancel_unneeded=True),
+        database,
+        observer=recorder,
+        query_cache=QueryShareCache(database),
+    )
+    if pooled:
+        engine.enable_pooled_dispatch()
+    for value in (93.5, 40.0):
+        engine.submit_instance({source: value}, at=0.0)
+    sim.run()
+    assert all(instance.done for instance in engine.instances)
+    return recorder
+
+
+@pytest.mark.parametrize("engine_kind", ["reference", "batched"])
+def test_pooled_dispatch_orders_a_cancellation_as_per_event_stepping_does(engine_kind):
+    """`Simulation.fire_pooled` compared a mid-pool insert with the next
+    pool member only: the cancelled query's event let that one pass, was
+    never compared with the two behind it, and fired after them."""
+    per_event = run_cancel_race(engine_kind, pooled=False)
+    pooled = run_cancel_race(engine_kind, pooled=True)
+    first, second = per_event.by_instance
+    at = per_event.sequence.index((first, "done", "n0_14", False))
+    assert per_event.sequence[at - 1 : at + 3] == [
+        (first, "done", "n3_1", True),
+        (first, "done", "n0_14", False),
+        (second, "done", "n3_6", True),
+        (second, "done", "n0_15", True),
+    ]
+    assert pooled.sequence == per_event.sequence
+    assert pooled.sequence == run_cancel_race("reference", pooled=False).sequence
+
+
+# -- a hit wave split by a closed loop's next start ---------------------------------
+
+
+def split_wave_schema() -> DecisionFlowSchema:
+    """:func:`straggler_schema` behind a source-keyed query ``u``.
+
+    A fresh valuation misses on ``u`` (so it is never replayed whole) and
+    then finds ``x`` and ``y`` in the memo: one wave of two, whose first
+    delivery finishes the instance with ``y`` still in flight behind it.
+    """
+    return DecisionFlowSchema(
+        [
+            Attribute("s"),
+            Attribute("u", task=q("u", inputs=("s",), value=7, cost=1)),
+            Attribute("x", task=q("x", inputs=("u",), value=0, cost=5)),
+            Attribute("y", task=q("y", inputs=("u",), value=1, cost=1)),
+            Attribute(
+                "t",
+                task=q("t", inputs=("y",), value=2, cost=3),
+                condition=Comparison("x", Op.GT, 10),
+                is_target=True,
+            ),
+        ],
+        name="split-wave",
+    )
+
+
+def run_split_waves(engine_kind: str, halt_policy: str, pooled: bool):
+    """One instance alone, then a closed loop of 2 over fresh valuations
+    with think time 0."""
+    sim = Simulation()
+    database = make_database("ideal", "coalesced", sim, 0)
+    recorder = OrderRecorder()
+    engine = ENGINE_CLASSES[engine_kind](
+        split_wave_schema(),
+        Strategy.parse("PSE100"),
+        database,
+        halt_policy=halt_policy,
+        observer=recorder,
+        query_cache=QueryShareCache(database),
+    )
+    if pooled:
+        engine.enable_pooled_dispatch()
+    engine.submit_instance({"s": 0})
+    fresh = list(range(1, 11))
+
+    def submit_next(_metrics=None):
+        if fresh:
+            engine.submit_instance(
+                {"s": fresh.pop(0)}, at=max(sim.now, 100.0), on_complete=submit_next
+            )
+
+    submit_next()
+    submit_next()
+    sim.run()
+    assert all(instance.done and not instance.inflight for instance in engine.instances)
+    return recorder, engine
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["per-event", "pooled"])
+@pytest.mark.parametrize("halt_policy", ["cancel", "drain"])
+def test_a_wave_gives_way_to_the_start_its_own_delivery_scheduled(halt_policy, pooled):
+    reference, _ = run_split_waves("reference", halt_policy, pooled)
+    recorder, engine = run_split_waves("batched", halt_policy, pooled)
+    assert recorder.sequence == reference.sequence
+    assert engine.flow_replays == 0
+    # Every completion with a replacement to submit split its wave: the
+    # start cut in, and only then came the straggler.
+    assert engine.hit_waves == 10 and engine.hit_wave_deliveries == 20
+    assert engine.hit_wave_splits == 8
+    alone = engine.instances[0].instance_id
+    sequence = [event for event in recorder.sequence if event[0] != alone]
+    cut_in = [
+        at
+        for at, event in enumerate(sequence[:-1])
+        if event[1] == "complete" and sequence[at + 1][1] == "start"
+    ]
+    assert len(cut_in) == 8
+    for at in cut_in:
+        assert sequence.index((sequence[at][0], "done", "y", halt_policy == "drain")) > at + 1
+    for events in recorder.by_instance.values():
+        assert_instance_ordering(events)

@@ -478,3 +478,135 @@ class TestInstantPooling:
         sim.run()
         assert seen == [(1, 4), (1, 7)]
         assert sim.executing_priority is None
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["per-event", "pooled"])
+    def test_an_event_that_lets_the_next_member_pass_still_preempts_a_later_one(self, pooled):
+        """The preemption check used to run once per insert: an event
+        scheduled mid-pool that sorts *after* the next member was never
+        compared with the members behind it."""
+        sim = Simulation()
+        log = []
+
+        def first():
+            log.append(1)
+            sim.schedule_at(4.0, lambda: log.append(9), priority=(1, 9))
+            sim.schedule_at(4.0, lambda: log.append("delivery"), priority=(2, 0))
+
+        sim.schedule_at(4.0, first, priority=(1, 1))
+        for sub in (3, 13, 16):
+            sim.schedule_at(4.0, lambda sub=sub: log.append(sub), priority=(1, sub))
+        if pooled:
+            sim.set_batch_consumer(sim.fire_pooled)
+        sim.run()
+        assert log == [1, 3, 9, 13, 16, "delivery"]
+        assert sim.pending == 0
+
+    def test_a_higher_band_insert_ends_the_checking(self):
+        """Nothing in a higher band can pass a pool member: once the head
+        is there the pool runs on without peeking, and a later insert is
+        still seen."""
+        sim = Simulation()
+        log = []
+        peeks = []
+        head = sim._head
+
+        def counting_head():
+            peeks.append(len(log))
+            return head()
+
+        def first():
+            log.append("a")
+            sim.schedule_at(1.0, lambda: log.append("delivery"), priority=(2, 0))
+
+        def third():
+            log.append("c")
+            sim.schedule_at(1.0, lambda: log.append("start"), priority=(0, 0))
+
+        sim.schedule_at(1.0, first, priority=(1, 1))
+        sim.schedule_at(1.0, lambda: log.append("b"), priority=(1, 2))
+        sim.schedule_at(1.0, third, priority=(1, 3))
+        sim.schedule_at(1.0, lambda: log.append("d"), priority=(1, 4))
+        sim.set_batch_consumer(sim.fire_pooled)
+        sim._head = counting_head
+        sim.run()
+        assert log == ["a", "b", "c", "start", "d", "delivery"]
+        assert peeks.count(1) == 1 and peeks.count(2) == 0
+
+
+class TestResume:
+    """`Simulation.resume`: the rest of a fired event, back at its own seq."""
+
+    @staticmethod
+    def build(pooled: bool, yield_at: int):
+        """One band-2 event standing for a run of four, between two plain
+        band-2 events; its second member schedules a band-0 start and a
+        band-2 delivery at this instant.  After member *yield_at* it
+        yields if anything is ahead of it."""
+        sim = Simulation()
+        log = []
+        holder = {}
+
+        def run(k: int) -> None:
+            while k < 4:
+                log.append(f"run{k}")
+                k += 1
+                if k == 2:
+                    sim.schedule_at(1.0, lambda: log.append("start"), priority=(0, 0))
+                    sim.schedule_at(1.0, lambda: log.append("since"), priority=(2, 0))
+                if k == yield_at and sim.preempted(holder["event"]):
+                    return sim.resume(holder["event"], lambda k=k: run(k))
+
+        sim.schedule_at(1.0, lambda: log.append("before"), priority=(2, 0))
+        holder["event"] = sim.schedule_at(1.0, lambda: run(0), priority=(2, 0))
+        sim.schedule_at(1.0, lambda: log.append("after"), priority=(2, 0))
+        if pooled:
+            sim.set_batch_consumer(sim.fire_pooled)
+        return sim, log
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["step", "step_instant"])
+    def test_the_rest_fires_after_what_preempted_it_and_before_everything_since(self, pooled):
+        sim, log = self.build(pooled, yield_at=2)
+        sim.run()
+        assert log == ["before", "run0", "run1", "start", "run2", "run3", "after", "since"]
+        assert sim.pending == 0
+        assert sim.events_executed == 6  # the run's event fired twice
+        assert sim._dead_in_queue == 0 and sim.cancelled_compactions == 0
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["step", "step_instant"])
+    def test_nothing_ahead_is_nothing_to_yield_to(self, pooled):
+        sim, log = self.build(pooled, yield_at=1)  # asked before anything is scheduled
+        sim.run()
+        assert log == ["before", "run0", "run1", "run2", "run3", "start", "after", "since"]
+        assert sim.events_executed == 5
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["step", "step_instant"])
+    def test_pending_stays_exact_while_the_rest_waits(self, pooled):
+        sim, log = self.build(pooled, yield_at=2)
+        assert sim.pending == 3
+        step = sim.step_instant if pooled else sim.step
+        while "run1" not in log:
+            step()
+        # the start, the rest of the run, "after" and "since"
+        assert sim.pending == 4 and sim._queued_events() == 4
+        sim.run()
+        assert sim.pending == 0 and sim._queued_events() == 0
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["step", "step_instant"])
+    def test_a_waiting_rest_is_an_event_like_any_other(self, pooled):
+        """Cancelled while it waits, it never fires and is counted dead
+        exactly once."""
+        sim = Simulation()
+        log = []
+
+        def run():
+            log.append("run0")
+            sim.schedule_at(1.0, lambda: (log.append("start"), event.cancel()), priority=(0, 0))
+            assert sim.preempted(event)
+            sim.resume(event, lambda: log.append("run1"))
+
+        event = sim.schedule_at(1.0, run, priority=(2, 0))
+        if pooled:
+            sim.set_batch_consumer(sim.fire_pooled)
+        sim.run()
+        assert log == ["run0", "start"]
+        assert sim.pending == 0 and sim._dead_in_queue == 0
