@@ -236,9 +236,10 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         "--cohorts",
         action="store_true",
         help="dedupe whole instances on the batched engine: same-instant "
-        "submissions from one start valuation run once and fan out, "
-        "splitting off on any divergence (identical results; "
-        "hit/split counters in the summary)",
+        "submissions from one start valuation run once, the rest riding "
+        "the first one's cached queries (identical results; needs "
+        "--query-cache, inert without; the summary counts joins as hits "
+        "and members that had to leave a cohort early as splits)",
     )
     parser.add_argument(
         "--share", action="store_true", help="share query results across instances"

@@ -84,18 +84,24 @@ class ExecutionConfig:
     completed results memo-serve re-issues at zero cost (per shard;
     hit/miss/coalesce counters surface in ``summary()``).
 
-    ``cohorts`` arms cohort execution on the batched engine: instances
-    submitted at the same instant from the same typed start valuation
-    form a *cohort* whose representative runs
-    propagation/condition-resolution/scheduling once and fans its
-    decisions out to the members, which split off into ordinary
-    instances the moment any query outcome diverges.  Observable traces
-    are identical by construction; ``cohort_hits`` / ``cohort_splits``
-    counters surface in ``summary()``.  The reference engine accepts the
-    flag but runs every instance individually, and the batched engine
-    falls back to individual execution whenever cohorts would be unsound
-    (engine-level ``share_results``, schemas whose start phase runs user
-    code, or a throttled %Permitted combined with ``query_cache``).
+    ``cohorts`` arms cohort execution on the batched engine, given
+    ``query_cache``: instances submitted at the same instant from the
+    same typed start valuation form a *cohort* whose representative runs
+    propagation/condition-resolution/scheduling once while the members
+    *ride* its cache primaries in lockstep — every query of theirs would
+    coalesce behind the representative's and inherit its outcome.  An
+    arrival rides iff every query the representative waits on is a
+    primary with no real follower behind it, and runs as the ordinary
+    instance it is otherwise; members that can ride no further are
+    *dissolved* into ordinary instances.  Observable traces are
+    identical by construction.  ``summary()`` surfaces ``cohort_hits``
+    (joins) and ``cohort_splits`` (members dissolved: each member that
+    leaves a cohort before it finishes counts once, so ``cohort_hits -
+    cohort_splits`` instances finished as members).  The flag is
+    accepted and inert — every instance runs individually, both counters
+    stay zero — on the reference engine, without ``query_cache``, and
+    wherever riding would be unsound (engine-level ``share_results``,
+    schemas whose start phase runs user code, a throttled %Permitted).
 
     ``observe`` arms the :mod:`repro.obs` layer on every execution
     context built from this config: a per-service metrics registry and a

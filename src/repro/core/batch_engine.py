@@ -28,7 +28,12 @@ state in flat per-flow arrays indexed by a
   unchanged and files the transition.  An instance that missed keeps
   its own arrays for the rest of its life (a population where every
   instance takes its own path would otherwise pay an interning per
-  round), so each records at most one step.
+  round), so each records at most one step;
+* with a query cache, whole instances are shared on top of that: a
+  valuation seen before replays a recorded trace (the flow memo), and
+  same-instant copies of a new one ride the first in lockstep as a
+  *cohort* — no queries, events or arrays of their own — dissolving
+  into ordinary instances where they can ride no further.
 
 The engine-level event handling (query completion, sharing, halting) is
 *inherited* from the reference engine, so the two can only diverge in
@@ -46,7 +51,6 @@ from typing import Iterator, Mapping, Sequence
 from repro.core.engine import Engine
 from repro.core.metrics import InstanceMetrics
 from repro.core.conditions import UNRESOLVED
-from repro.core.sharing import share_key
 from repro.core.plan import (
     CompiledPlan,
     E_DISABLED,
@@ -71,16 +75,15 @@ _UNSET = object()
 
 
 class _LaunchRecord:
-    """One launch decision of a cohort representative, replayable per member.
+    """One launch decision of a cohort representative.
 
-    Carries everything a member needs to issue the *same* query without
-    re-running selection or input freezing: the task, the frozen input
-    mapping (shared read-only), the speculative flag, and — computed
-    lazily, once for the whole cohort — the task value and the query-
-    cache share key.
+    What stands in for the launch each member would have made: the
+    index and speculative flag that materialize a member's arrays, and —
+    computed lazily, once for the whole cohort — the task value a
+    delivery to a dissolved member carries.
     """
 
-    __slots__ = ("name", "index", "task", "values", "speculative", "_value", "_key")
+    __slots__ = ("name", "index", "task", "values", "speculative", "_value")
 
     def __init__(self, name, index, task, values, speculative):
         self.name = name
@@ -89,7 +92,6 @@ class _LaunchRecord:
         self.values = values
         self.speculative = speculative
         self._value = _UNSET
-        self._key = _UNSET
 
     def value(self):
         """The task's computed value (deterministic in its stable inputs)."""
@@ -104,28 +106,19 @@ class _LaunchRecord:
             return ExceptionValue(f"query for {self.name!r} failed")
         return self.value()
 
-    def key(self, query_cache) -> tuple | None:
-        """The share-key hint for ``_submit_query`` (None without a cache)."""
-        if query_cache is None:
-            return None
-        if self._key is _UNSET:
-            self._key = share_key(self.task.name, self.values)
-        return self._key
-
 
 class _StageRecord:
     """One resolution step of a cohort representative.
 
     ``name`` is the attribute whose query resolved (None for the start
     stage).  The outcome triple (``completed``/``failed``/``accepted``)
-    is what members match their own outcome against — any difference
-    splits the member off.  ``cancel_wasted`` mirrors the reference
-    engine's cancelled-speculative check, ``drain_wasted_*`` the
-    state-derived wasted-work deltas booked during the representative's
-    advance (identical for every member, unlike the query-unit-based
-    parts which members book with their own units).  ``cancels`` are the
-    unneeded-cancel decisions members re-apply to their own handles,
-    ``launches`` the follow-on launches they replay.
+    is the one every member inherits: each would have been a follower
+    of the representative's primary.  ``cancel_wasted`` mirrors the
+    reference engine's cancelled-speculative check, ``drain_wasted_*``
+    the state-derived wasted-work deltas booked during the
+    representative's advance.  ``cancels`` are the unneeded-cancel
+    decisions the members share, ``launches`` the follow-on launches
+    they ride.
     """
 
     __slots__ = (
@@ -155,40 +148,27 @@ class _StageRecord:
 
 
 class _Cohort:
-    """A representative instance plus the members mirroring its trace.
+    """A representative instance plus the members riding it in lockstep.
 
-    Formed at one ``(typed start valuation, start instant)`` point;
-    ``open`` while the representative is still at its start stage (the
-    only window in which a joining member has missed nothing).  The
-    ``log`` is append-only: members consume it by their own stage
-    cursor, so a member lagging the representative (bounded/profiled
-    backends) mirrors from history, and one running *ahead* of the log
-    — or differing in any outcome — is split off.
-
-    ``mode`` is decided at the first join:
-
-    * ``"live"`` — members submit their own queries and mirror the log
-      through their own completion callbacks (the only sound mode
-      without a query cache, and the fallback whenever a
-      representative's launch is answered by the cache rather than
-      dispatched as a primary);
-    * ``"lockstep"`` — with a query cache, members whose every launch
-      would coalesce behind the representative's own primaries are
-      tracked *virtually*: one weighted attachment per primary
-      (:meth:`QueryShareCache.attach_virtual`), one shared metrics
-      ``template`` (members are bit-identical until they finish), and
-      per-member work only for observer events, finishing, and the two
-      demotion paths back to ``"live"``/ordinary execution.
+    Formed at one ``(typed start valuation, start instant)`` point and
+    open — on the engine's table — while the representative is still at
+    its start stage, the only window in which a joining member has
+    missed nothing.  A member's every launch would coalesce behind the
+    representative's own primary for the same key, so members are
+    tracked *virtually*: one weighted attachment per primary
+    (:meth:`QueryShareCache.attach_virtual`), one shared metrics
+    ``template`` (members are bit-identical until they finish), and
+    per-member work only for observer events and finishing.  ``log`` is
+    what the representative has done, stage by stage: what
+    :meth:`BatchedEngine._dissolve` rebuilds the members from when they
+    can ride no further.
     """
 
     __slots__ = (
         "rep",
         "start_time",
         "log",
-        "open",
-        "live_members",
         "launch_by_name",
-        "mode",
         "members",
         "template",
         "virtual",
@@ -200,15 +180,11 @@ class _Cohort:
         self.rep = rep
         self.start_time = start_time
         self.log: list[_StageRecord] = []
-        self.open = True
-        self.live_members = 0
         self.launch_by_name: dict[str, _LaunchRecord] = {}
-        #: None until the first member joins, then "live" or "lockstep"
-        self.mode: str | None = None
-        #: lockstep members in join order (retained after finishing for
-        #: post-halt straggler bookkeeping)
+        #: members in join order (retained after finishing for post-halt
+        #: straggler bookkeeping)
         self.members: list = []
-        #: the shared per-member metrics record of a lockstep cohort
+        #: the members' shared metrics record, built at the first join
         self.template: InstanceMetrics | None = None
         #: attribute name -> launch record, for virtual attachments whose
         #: members still wait on the result / have cancelled the wait
@@ -415,7 +391,6 @@ class BatchedInstance:
         "_state",
         "_event",
         "_cohort",
-        "_cohort_stage",
         "_flow",
     )
 
@@ -454,7 +429,7 @@ class BatchedInstance:
         self._external: bytearray | bytes | None = None
         #: The interned state whose arrays this instance aliases (the
         #: plan's root until started); None once it owns mutable copies —
-        #: memo not armed, after its one miss, or a live cohort member.
+        #: memo not armed, after its one miss, or rebuilt by `_materialize`.
         self._state = plan.root if plan.memo else None
         #: Between the two halves of a round (a value arriving, then
         #: `_advance`): the transition taken, or on a miss what to file.
@@ -467,11 +442,9 @@ class BatchedInstance:
         self._cand: set[int] | frozenset = set()
         self._queue: deque[int] = deque()
         #: Cohort membership: the _Cohort this instance represents or
-        #: mirrors, None for ordinary instances (and for members after a
-        #: split detaches them).  ``_cohort_stage`` is a member's cursor
-        #: into the cohort log — the next stage record it must mirror.
+        #: rides, None for ordinary instances (and for everyone a
+        #: dissolved cohort leaves behind).
         self._cohort: _Cohort | None = None
-        self._cohort_stage = 0
         #: Flow memo: the rounds recorded so far (a list) while every
         #: launch was a query-memo hit, the :class:`_FlowTrace` of an
         #: instance replayed from one, None otherwise.
@@ -561,14 +534,6 @@ class BatchedInstance:
         for i in plan.non_source_idx:
             self._try_resolve_condition(i)
         self.drain()
-
-    def start_mirroring(self) -> None:
-        """Start as a live cohort member: mirroring and any later split
-        write the arrays directly, so the member owns them from here."""
-        self.start()
-        if self._state is not None:
-            self._own(self._state)
-        self._event = None
 
     def targets_stable(self) -> bool:
         sv = self._sv
@@ -813,8 +778,7 @@ class BatchedInstance:
 
     @property
     def schema(self):
-        # Not a slot: nothing hot reads it, and a 27th slot would round
-        # every instance up 16 bytes.
+        # Not a slot: nothing hot reads it.
         return self.plan.schema
 
     @property
@@ -889,29 +853,34 @@ class BatchedEngine(Engine):
             self.plan.memo = False
         #: Cohort execution needs a deterministic trace per typed start
         #: key (`start_cache_ok`: no synthesis and no user-coded
-        #: conditions run) and is mutually exclusive with the engine-level
-        #: share table, whose hit/join rewiring happens inside _launch —
-        #: below the seam members mirror.  The query cache composes with
-        #: cohorts only at %Permitted == 100: member launches become
+        #: conditions run) and the query cache, whose primaries members
+        #: ride; it is mutually exclusive with the engine-level share
+        #: table, whose hit/join rewiring happens inside _launch.  And
+        #: %Permitted must be 100: a member's launches stand for
         #: followers of the representative's primaries, and follower
         #: handles do not count toward the parallelism budget
         #: (simdb.database._CacheFollower.counts_for_parallelism is False), so a
         #: throttled strategy would legitimately schedule members
         #: differently from their representative — permitted_slots grants
-        #: the whole pool unconditionally only at 100%.
+        #: the whole pool unconditionally only at 100%.  Anywhere else
+        #: the flag is accepted and inert.
         self._cohorts_on = (
             self.cohorts
             and self.plan.start_cache_ok
             and self.share is None
-            and (self.strategy.permitted >= 100 or self.query_cache is None)
+            and self.query_cache is not None
+            and self.strategy.permitted >= 100
         )
-        #: start_key → the cohort formed for that valuation at
-        #: ``_cohort_instant``, the instant of the latest start.  A cohort
-        #: can only be joined at its own start instant, so the table is
-        #: emptied whenever a start finds the clock has moved on — it never
-        #: holds more than one instant's valuations.
+        #: start_key → the open cohort formed for that valuation at
+        #: ``_cohort_instant``, the instant of the latest start: one is
+        #: taken off when its representative moves on (`_close`), and
+        #: since a cohort can only be joined at its own start instant the
+        #: table is emptied whenever a start finds the clock has moved on
+        #: — it never holds more than one instant's valuations.
         self._open_cohorts: dict[object, _Cohort] = {}
         self._cohort_instant: float | None = None
+        #: cohorts dissolved, by what made them (kept for tests)
+        self.cohort_exits = {"join": 0, "answered": 0, "cancelled": 0}
         #: stage record being captured while the representative advances
         self._recording: _StageRecord | None = None
         #: The flow memo, start_key → :class:`_FlowTrace` (see "flow memo"
@@ -1124,22 +1093,35 @@ class BatchedEngine(Engine):
 
     # -- cohort execution ---------------------------------------------------
     #
-    # Whole-instance dedup over the typed start key: the first
-    # instance of a (start valuation, start instant) point becomes the
-    # cohort *representative* and records every resolution stage it runs
-    # (outcome, cancel decisions, launches, state-derived metric deltas);
-    # instances arriving at the same point while the representative is
-    # still at its start stage *join* and mirror the log instead of
-    # running propagation/selection themselves.  Members still submit
-    # their own queries — with a cache they coalesce into the
-    # representative's primaries as followers, without one they pay the
-    # database exactly as independent instances would — so database
-    # totals, cache counters, event sequences, and cancel-pinning are
-    # unchanged by construction.  Any outcome divergence (a bounded
-    # backend completing out of order, an independent failure draw, a
-    # cancel racing a completion) splits the member off: its start-state
-    # arrays replay the matched prefix of the log and it continues as an
-    # ordinary instance.
+    # Whole-instance dedup over the typed start key.  The first instance
+    # of a (start valuation, start instant) point becomes the cohort
+    # *representative*; one arriving at the same point while the
+    # representative is still at its start stage *rides* it iff every
+    # query the representative waits on is a cache primary of its own
+    # with no real follower behind it (:meth:`_rides`).  Each launch of
+    # the arrival would then coalesce behind that primary, deliver zero
+    # units and inherit its outcome, so the members of a cohort are
+    # *bit-identical* until they finish and ride in lockstep: they never
+    # submit a query (one weighted virtual attachment per primary keeps
+    # cache counters and cancel-pinning exact), hold no arrays until they
+    # finish, and share one metrics template that each copies on
+    # finishing.  Per-member work remains only where identity genuinely
+    # diverges: observer events (skipped when nobody listens) and
+    # finishing.  An arrival that cannot ride starts as the ordinary
+    # instance it is — its launches coalesce or hit like anyone's — and
+    # the cohort leaves the table.
+    #
+    # There is one way out of lockstep, :meth:`_dissolve`: every member
+    # becomes the ordinary instance it would be at that point, with a
+    # real follower of its own behind each primary, so database totals,
+    # cache counters, event sequences and cancel-pinning are unchanged by
+    # construction.  It is taken when an arrival cannot ride a cohort
+    # that has members (a real follower has coalesced since the last
+    # join, and would sit between them and the arrival), when the cache
+    # answers one of the representative's later launches (a memo hit, or
+    # a coalesce into some other issuer's primary: members need
+    # deliveries of their own from there), and when members cancelled a
+    # wait whose query went on to complete for the representative.
 
     def _start(self, instance: BatchedInstance) -> None:
         if self._cohorts_on and self.sim.now != self._cohort_instant:
@@ -1166,67 +1148,78 @@ class BatchedEngine(Engine):
             return super()._start(instance)
         key = instance._start_key
         cohort = self._open_cohorts.get(key)
-        if cohort is not None and cohort.open:
-            instance._flow = None  # a member mirrors; its representative records
-            if cohort.mode is None:
-                self._record_start(cohort)
-                cohort.mode = self._decide_cohort_mode(cohort)
-                if self._obs_on:
-                    self.obs.tracer.instant(
-                        "cohort.mode",
-                        args={"rep": cohort.rep.instance_id, "mode": cohort.mode},
-                    )
-            if cohort.mode == "lockstep":
-                self._join_lockstep(cohort, instance)
-            else:
-                self._join_cohort(cohort, instance)
-            return
-        cohort = _Cohort(instance, self.sim.now)
-        instance._cohort = cohort
-        super()._start(instance)
-        self._open_cohorts[key] = cohort
-        if self._obs_on:
-            self._obs_cohort_forms.inc()
-            self.obs.tracer.instant(
-                "cohort.form", args={"rep": instance.instance_id}
-            )
+        if cohort is None:
+            instance._cohort = cohort = _Cohort(instance, self.sim.now)
+            super()._start(instance)
+            self._open_cohorts[key] = cohort
+            if self._obs_on:
+                self._obs_cohort_forms.inc()
+                self.obs.tracer.instant("cohort.form", args={"rep": instance.instance_id})
+        elif self._rides(cohort):
+            instance._flow = None  # a member rides; its representative records
+            self._join_lockstep(cohort, instance)
+        else:
+            del self._open_cohorts[key]
+            self._dissolve(cohort, cohort.log, "join")
+            super()._start(instance)
+
+    def _rides(self, cohort: _Cohort) -> bool:
+        """Whether an arrival at open *cohort* can ride in lockstep now:
+        virtual attachments fan ahead of a primary's real followers, so
+        every wait of the representative must be a primary nobody has
+        really coalesced behind."""
+        cache = self.query_cache
+        if cache.follower_epoch != cohort.epoch:
+            for handle in cohort.rep.inflight.values():
+                if not cache.is_primary(handle) or cache.follower_count(handle):
+                    return False
+            cohort.epoch = cache.follower_epoch
+        return True
+
+    def _close(self, cohort: _Cohort) -> None:
+        """Take *cohort* off the table: its representative has moved on."""
+        key = cohort.rep._start_key
+        if self._open_cohorts.get(key) is cohort:
+            del self._open_cohorts[key]
 
     def _record_start(self, cohort: _Cohort) -> None:
-        """The start stage's record, built when the first member joins:
-        an open cohort's representative has had nothing delivered, so
-        its in-flight queries are its start launches, in order."""
+        """The start stage's record and the members' shared metrics,
+        built when the first member joins: an open cohort's
+        representative has had nothing delivered, so its in-flight
+        queries are its start launches, in order."""
         rep, plan = cohort.rep, self.plan
         rec = _StageRecord(None)
         rec.done_after = rep.done
+        # Cohort-eligible schemas run no synthesis (start_cache_ok), so
+        # the shared record starts from zero counters plus the start
+        # stage's launch bookkeeping.
+        cohort.template = template = InstanceMetrics(
+            instance_id=f"cohort:{rep.instance_id}", start_time=cohort.start_time
+        )
         for name in rep.inflight:
             i, speculative = plan.index[name], name in rep.speculative_launch
             values = rep._input_values(i)
-            rec.launches.append(_LaunchRecord(name, i, plan.tasks[i], values, speculative))
+            launch = _LaunchRecord(name, i, plan.tasks[i], values, speculative)
+            rec.launches.append(launch)
+            cohort.virtual[name] = launch
+            template.queries_launched += 1
+            if speculative:
+                template.speculative_launched += 1
         cohort.absorb(rec)
 
     def _query_done(self, instance, name, value, key, processed, completed) -> None:
         cohort = getattr(instance, "_cohort", None)
-        if cohort is None or cohort.rep is not instance:
+        if cohort is None:
             super()._query_done(instance, name, value, key, processed, completed)
+        elif cohort.members:
+            self._lockstep_rep_done(cohort, instance, name, value, key, processed, completed)
         else:
-            self._rep_query_done(cohort, instance, name, value, key, processed, completed)
+            # Nobody rode, and from its first delivery on nobody can.
+            self._close(cohort)
+            instance._cohort = None
+            super()._query_done(instance, name, value, key, processed, completed)
         if instance._flow is not None:
             self._flow_delivered(instance, name, completed)
-
-    def _rep_query_done(self, cohort, instance, name, value, key, processed, completed) -> None:
-        if cohort.mode == "lockstep":
-            return self._lockstep_rep_done(
-                cohort, instance, name, value, key, processed, completed
-            )
-        if instance.done:
-            return super()._query_done(instance, name, value, key, processed, completed)
-        cohort.open = False
-        if cohort.live_members == 0:
-            # No members joined (or every one finished or split); drop
-            # back to the plain path.
-            instance._cohort = None
-            return super()._query_done(instance, name, value, key, processed, completed)
-        self._record_stage(cohort, instance, name, value, key, processed, completed)
 
     def _record_stage(
         self, cohort: _Cohort, instance, name, value, key, processed, completed
@@ -1257,10 +1250,9 @@ class BatchedEngine(Engine):
             super()._query_done(instance, name, value, key, processed, completed)
         finally:
             self._recording = None
-        # Split the representative's wasted-work delta into the
-        # query-unit-based part (members re-book it with their own units)
-        # and the drain-derived remainder (plan-cost-based, identical for
-        # every member).
+        # The representative's wasted-work delta has a query-unit-based
+        # part (members hold zero-unit followers) and a drain-derived
+        # remainder (plan-cost-based, identical for every member).
         query_queries = query_units = 0
         if (completed and not rec.accepted) or rec.cancel_wasted:
             query_queries, query_units = 1, processed
@@ -1278,24 +1270,6 @@ class BatchedEngine(Engine):
         cohort.absorb(rec)
         return rec
 
-    # -- lockstep cohorts (cohort-weighted cache attachment) -----------------
-    #
-    # With a query cache, every member launch would coalesce behind the
-    # representative's own primary for the same key, deliver zero units,
-    # and inherit the primary's outcome — so members of a same-instant
-    # cohort are *bit-identical* until they finish.  Lockstep mode
-    # exploits that: members never submit queries (one weighted virtual
-    # attachment per primary keeps cache counters and cancel-pinning
-    # exact), never replay their arrays until they must, and share one
-    # metrics template that each member copies on finishing.  Per-member
-    # work remains only where identity genuinely diverges: observer
-    # events (skipped when nobody listens), finishing, and the two exits
-    # — demotion to live mirroring when a representative launch is
-    # answered by the cache instead of dispatched (members must then
-    # submit real queries to preserve per-member delivery events), and
-    # the all-member split when members cancelled a wait the
-    # representative's query went on to complete.
-
     def _listening(self):
         """The observer, or None when event emission would be unobservable."""
         obs = self.observer
@@ -1303,70 +1277,18 @@ class BatchedEngine(Engine):
             return None
         return obs
 
-    def _decide_cohort_mode(self, cohort: _Cohort) -> str:
-        cache = self.query_cache
-        if cache is None:
-            return "live"
-        rep = cohort.rep
-        for launch in cohort.log[0].launches:
-            handle = rep.inflight.get(launch.name)
-            if handle is None or not cache.is_primary(handle):
-                return "live"
-            if cache.follower_count(handle):
-                # Another instance already coalesced a real follower, so
-                # virtual attachments could no longer fan ahead of it in
-                # join order.
-                return "live"
-        cohort.epoch = cache.follower_epoch
-        return "lockstep"
-
     def _join_lockstep(self, cohort: _Cohort, member: BatchedInstance) -> None:
-        if cohort.virtual:
-            cache = self.query_cache
-            if cache.follower_epoch != cohort.epoch:
-                rep = cohort.rep
-                if any(
-                    cache.follower_count(rep.inflight[vname])
-                    for vname in cohort.virtual
-                ):
-                    # A real follower coalesced behind a representative
-                    # primary since the last join; attaching this member
-                    # virtually would fan it ahead of that earlier
-                    # waiter.  Materialize the members attached so far
-                    # (they *do* precede it) and continue the cohort in
-                    # live mode.
-                    self._demote_lockstep_at_join(cohort)
-                    self._join_cohort(cohort, member)
-                    return
-                cohort.epoch = cache.follower_epoch
         member._cohort = cohort
         cohort.members.append(member)
-        cohort.live_members += 1
         self.cohort_hits += 1
         if self._obs_on:
             self._obs_cohort_joins.inc()
-            self.obs.tracer.instant(
-                "cohort.join",
-                args={"member": member.instance_id, "mode": "lockstep"},
-            )
+            self.obs.tracer.instant("cohort.join", args={"member": member.instance_id})
         if self.observer is not None:
             self.observer.on_instance_start(member)
+        if not cohort.log:
+            self._record_start(cohort)
         rec = cohort.log[0]
-        if cohort.template is None:
-            # Cohort-eligible schemas run no synthesis (start_cache_ok),
-            # so the shared record starts from zero counters plus the
-            # start stage's launch bookkeeping.
-            template = InstanceMetrics(
-                instance_id=f"cohort:{cohort.rep.instance_id}",
-                start_time=cohort.start_time,
-            )
-            template.queries_launched = len(rec.launches)
-            template.speculative_launched = sum(
-                1 for launch in rec.launches if launch.speculative
-            )
-            cohort.template = template
-            for launch in rec.launches:
-                cohort.virtual[launch.name] = launch
         if rec.done_after:
             self._finish_lockstep_member(cohort, member)
             return
@@ -1396,18 +1318,26 @@ class BatchedEngine(Engine):
             super()._query_done(rep, name, value, key, processed, completed)
             self._lockstep_straggle(cohort, launch, name, completed, live_virtual, failed)
             return
-        cohort.open = False
+        self._close(cohort)
         rec = self._record_stage(cohort, rep, name, value, key, processed, completed)
-        if not live_virtual and rec.completed:
-            # Members cancelled this wait but the representative's query
-            # completed and was applied: their traces genuinely diverge
-            # here (exactly where live mirroring would split each one).
-            self._lockstep_split_all(cohort, rep, launch, name)
-            return
-        self._lockstep_fan(cohort, rep, rec, launch, live_virtual)
+        cache = self.query_cache
+        if completed and not live_virtual:
+            trigger = "cancelled"  # a wait the members had cancelled: they part here
+        elif not all(cache.is_primary(rep.inflight.get(made.name)) for made in rec.launches):
+            trigger = "answered"  # a launch the cache answered: no primary to ride
+        else:
+            return self._lockstep_fan(cohort, rep, rec, live_virtual)
+        # Dissolved as of the stage before, each member takes this
+        # delivery as its own follower's.
+        cost, cancelled = launch.task.cost, not live_virtual
+        for member in self._dissolve(cohort, cohort.log[:-1], trigger):
+            wait = self._own_wait(member, name, value)
+            member.inflight[name] = follower = cache.follower(None, cost, wait, cancelled)
+            follower.failed = failed
+            cache.deliver(follower)
 
     def _lockstep_fan(
-        self, cohort: _Cohort, rep, rec: _StageRecord, launch: _LaunchRecord, live_virtual: bool
+        self, cohort: _Cohort, rep, rec: _StageRecord, live_virtual: bool
     ) -> None:
         template = cohort.template
         if live_virtual:
@@ -1424,7 +1354,7 @@ class BatchedEngine(Engine):
         template.speculative_wasted_queries += rec.drain_wasted_queries
         template.speculative_wasted_units += rec.drain_wasted_units
         cache = self.query_cache
-        count = cohort.live_members
+        count = len(cohort.members)
         for cancel_name in rec.cancels:
             moved = cohort.virtual.pop(cancel_name, None)
             if moved is None:
@@ -1445,21 +1375,12 @@ class BatchedEngine(Engine):
                     cache.release_virtual(rep.inflight[vname], count)
             return
         launches = rec.launches
-        if launches:
-            for new_launch in launches:
-                new_handle = rep.inflight.get(new_launch.name)
-                if new_handle is None or not cache.is_primary(new_handle):
-                    # The cache answered this launch (memo hit, or a
-                    # coalesce into some other issuer's primary): members
-                    # need their own per-delivery events from here on.
-                    self._demote_cohort(cohort, rep, rec, name, member_completed)
-                    return
-            template.queries_launched += len(launches)
-            for new_launch in launches:
-                if new_launch.speculative:
-                    template.speculative_launched += 1
-                cache.attach_virtual(rep.inflight[new_launch.name], count)
-                cohort.virtual[new_launch.name] = new_launch
+        template.queries_launched += len(launches)
+        for new_launch in launches:
+            if new_launch.speculative:
+                template.speculative_launched += 1
+            cache.attach_virtual(rep.inflight[new_launch.name], count)
+            cohort.virtual[new_launch.name] = new_launch
         obs = self._listening()
         if obs is not None:
             for member in cohort.members:
@@ -1499,90 +1420,84 @@ class BatchedEngine(Engine):
                 ):
                     metrics.speculative_wasted_queries += 1
 
-    def _materialize_lockstep(self, cohort: _Cohort, rep) -> None:
-        """Turn every virtual attachment into real per-member followers."""
-        cache = self.query_cache
-        members = cohort.members
+    def _own_wait(self, instance: BatchedInstance, name: str, value):
+        """The completion callback of a follower handed to an instance
+        that ran on someone's record (a dissolved member, a flow replay
+        falling back): from here on its deliveries are its own."""
+        return lambda processed, completed: self._query_done(
+            instance, name, value, None, processed, completed
+        )
 
-        def callback(member, vlaunch):
-            return lambda processed, completed, c=cohort, m=member, l=vlaunch: (
-                self._member_query_done(c, m, l, processed, completed)
-            )
+    def _dissolve(self, cohort: _Cohort, recs: Sequence[_StageRecord], trigger: str) -> list:
+        """The one way out of lockstep: every member of *cohort* becomes
+        the ordinary instance it would be after the stages *recs*.
 
-        for registry, cancelled in ((cohort.virtual, False), (cohort.cancelled, True)):
-            for vname, vlaunch in registry.items():
-                followers = cache.materialize_virtual(
-                    rep.inflight[vname],
-                    [
-                        (vlaunch.task.cost, callback(member, vlaunch), cancelled)
-                        for member in members
-                    ],
-                )
-                for member, follower in zip(members, followers):
-                    member.inflight[vname] = follower
-        cohort.virtual.clear()
-        cohort.cancelled.clear()
-
-    def _demote_lockstep_at_join(self, cohort: _Cohort) -> None:
-        """Exit lockstep between stages (triggered by a late coalescer).
-
-        Unlike the stage demotion there is no record to fan: members
-        have consumed every record in the log, so they hydrate against
-        the full log and resume as live mirrors with their materialized
-        followers in flight.
+        Its arrays are the ones :meth:`_materialize` rebuilds, its
+        counters the template's, and behind each primary the cohort was
+        virtually attached to it gets a real follower — already cancelled
+        where the members had cancelled the wait — ahead of any that
+        coalesced later.  Returns the members, in join order.
         """
-        self._materialize_lockstep(cohort, cohort.rep)
-        for member in cohort.members:
-            self._hydrate_lockstep_member(cohort, member, cohort.log)
-            member._cohort_stage = len(cohort.log)
-        cohort.mode = "live"
-        cohort.template = None
-        cohort.members = []
+        members, cohort.members = cohort.members, []
+        cohort.rep._cohort = None
+        if not members:
+            return members
+        self.cohort_splits += len(members)
+        self.cohort_exits[trigger] += 1
+        if self._obs_on:
+            self._obs_cohort_splits.inc(len(members))
+            args = {"rep": cohort.rep.instance_id, "members": len(members), "trigger": trigger}
+            self.obs.tracer.instant("cohort.split", args=args)
+        made = [(launch.name, launch.speculative) for rec in recs for launch in rec.launches]
+        launched = cohort.launch_by_name
+        delivered = [
+            (rec.name, launched[rec.name].value_for(rec.failed))
+            for rec in recs[1:] if rec.completed
+        ]  # fmt: skip
+        for member in members:
+            member._cohort = None
+            self._materialize(member, made, delivered)
+            self._copy_counters(cohort.template, member.metrics)
+        cache, inflight = self.query_cache, cohort.rep.inflight
+        for waits, cancelled in ((cohort.virtual, False), (cohort.cancelled, True)):
+            for name, launch in waits.items():
+                cost, value = launch.task.cost, launch.value()
+                specs = [
+                    (cost, self._own_wait(member, name, value), cancelled) for member in members
+                ]
+                followers = cache.materialize_virtual(inflight[name], specs)
+                for member, follower in zip(members, followers):
+                    member.inflight[name] = follower
+        return members
 
-    def _hydrate_lockstep_member(
-        self, cohort: _Cohort, member: BatchedInstance, recs
-    ) -> None:
-        """Replay the state a live-mirrored member would hold here."""
-        member.start_mirroring()
-        self._copy_counters(cohort.template, member.metrics)
-        for rec in recs:
-            for launch in rec.launches:
-                member._launched[launch.index] = 1
-                member._cand.discard(launch.index)
-                if launch.speculative:
-                    member.speculative_launch.add(launch.name)
-
-    def _demote_cohort(
-        self, cohort: _Cohort, rep, rec: _StageRecord, name: str, member_completed: bool
-    ) -> None:
-        """Exit lockstep into live mirroring (members submit real queries)."""
-        self._materialize_lockstep(cohort, rep)
-        obs = self._listening()
-        for member in cohort.members:
-            if obs is not None:
-                obs.on_query_done(member, name, units=0, completed=member_completed)
-            self._hydrate_lockstep_member(cohort, member, cohort.log[:-1])
-            member._cohort_stage = len(cohort.log)
-            self._mirror_stage(cohort, member, rec)
-        cohort.mode = "live"
-        cohort.template = None
-        cohort.members = []
-
-    def _lockstep_split_all(
-        self, cohort: _Cohort, rep, launch: _LaunchRecord, name: str
-    ) -> None:
-        self._materialize_lockstep(cohort, rep)
-        obs = self._listening()
-        for member in list(cohort.members):
-            if obs is not None:
-                obs.on_query_done(member, name, units=0, completed=False)
-            self._hydrate_lockstep_member(cohort, member, cohort.log[:-1])
-            member._cohort_stage = len(cohort.log) - 1
-            member.metrics.queries_cancelled += 1
-            self._split_member(cohort, member, launch, 0, False, False)
-        cohort.template = None
-        cohort.members = []
-        rep._cohort = None
+    def _materialize(self, instance: BatchedInstance, made, delivered) -> None:
+        """Give an instance that has run on a record of its trace — a
+        cohort member, a flow replay — the arrays it would hold had it
+        run for real: the start state, the ``(name, speculative)``
+        launches *made*, the ``(name, value)`` results *delivered*."""
+        instance.start()
+        if instance._state is not None:
+            instance._own(instance._state)  # the replay writes them directly
+        instance._event = None
+        index = self.plan.index
+        for name, speculative in made:
+            i = index[name]
+            instance._launched[i] = 1
+            instance._cand.discard(i)
+            if speculative:
+                instance.speculative_launch.add(name)
+        # The results are applied on a scratch metrics object: whatever
+        # they book was booked, or recorded, when they arrived.
+        real_metrics = instance.metrics
+        instance.metrics = InstanceMetrics(
+            instance_id=instance.instance_id, start_time=real_metrics.start_time
+        )
+        try:
+            for name, value in delivered:
+                instance.apply_query_result(name, value)
+                instance.drain()
+        finally:
+            instance.metrics = real_metrics
 
     def _end_state(self, rep: BatchedInstance):
         """The state the members (or replays) of a done instance alias.
@@ -1612,7 +1527,7 @@ class BatchedEngine(Engine):
         """Materialize a lockstep member from the shared cohort state.
 
         All members of a cohort end bit-identical (same start valuation,
-        same mirrored outcomes), so they alias the representative's end
+        same inherited outcomes), so they alias the representative's end
         state — which carries the attribute counters
         :meth:`finalize_metrics` derives — and its value lists: done
         instances never write their arrays again.
@@ -1625,227 +1540,6 @@ class BatchedEngine(Engine):
         member._raw = rep._raw
         member._sv = rep._sv
         member.finalize_metrics()
-        cohort.live_members -= 1
-        if self.observer is not None:
-            self.observer.on_instance_complete(member)
-        callback = self._on_complete.pop(member.instance_id, None)
-        if callback is not None:
-            callback(member.metrics)
-
-    # -- live mirroring ------------------------------------------------------
-
-    def _join_cohort(self, cohort: _Cohort, member: BatchedInstance) -> None:
-        member._cohort = cohort
-        member._cohort_stage = 1
-        cohort.live_members += 1
-        self.cohort_hits += 1
-        if self._obs_on:
-            self._obs_cohort_joins.inc()
-            self.obs.tracer.instant(
-                "cohort.join",
-                args={"member": member.instance_id, "mode": "live"},
-            )
-        # The start is one memo lookup and leaves the member's arrays in
-        # the state a split must replay from.
-        member.start_mirroring()
-        if self.observer is not None:
-            self.observer.on_instance_start(member)
-        self._mirror_stage(cohort, member, cohort.log[0])
-
-    def _mirror_stage(self, cohort: _Cohort, member: BatchedInstance, rec: _StageRecord) -> None:
-        if rec.done_after:
-            self._finish_member(cohort, member)
-            return
-        for cancel_name in rec.cancels:
-            handle = member.inflight.get(cancel_name)
-            if handle is not None and not self._has_waiters(handle):
-                handle.cancel()
-        for launch in rec.launches:
-            self._fan_launch(cohort, member, launch)
-
-    def _fan_launch(self, cohort: _Cohort, member: BatchedInstance, launch: _LaunchRecord) -> None:
-        member.metrics.queries_launched += 1
-        if launch.speculative:
-            member.speculative_launch.add(launch.name)
-            member.metrics.speculative_launched += 1
-        if self.observer is not None:
-            self.observer.on_launch(
-                member, launch.name, speculative=launch.speculative, shared=None
-            )
-        member._launched[launch.index] = 1
-        member._cand.discard(launch.index)
-        handle = self._submit_query(
-            launch.task,
-            launch.values,
-            lambda processed, completed, c=cohort, m=member, l=launch: (
-                self._member_query_done(c, m, l, processed, completed)
-            ),
-            share_key_hint=launch.key(self.query_cache),
-        )
-        member.inflight[launch.name] = handle
-
-    def _member_query_done(
-        self,
-        cohort: _Cohort,
-        member: BatchedInstance,
-        launch: _LaunchRecord,
-        processed: int,
-        completed: bool,
-    ) -> None:
-        name = launch.name
-        handle = member.inflight.pop(name, None)
-        member.metrics.work_units += processed
-        if self.observer is not None:
-            self.observer.on_query_done(
-                member, name, units=processed, completed=completed
-            )
-        failed = (
-            completed and handle is not None and getattr(handle, "failed", False)
-        )
-        if completed:
-            member.metrics.queries_completed += 1
-            if failed:
-                member.metrics.queries_failed += 1
-        else:
-            member.metrics.queries_cancelled += 1
-        if member._cohort is None:
-            # Split off earlier: an ordinary instance from here on (its
-            # arrays are real), finish this event on the reference tail.
-            self._tail_query_done(member, name, launch.value_for(failed), processed, completed)
-            return
-        if member.done:
-            # Post-halt straggler: bookkeeping only, plus the cancelled-
-            # speculative check against the materialized final arrays.
-            if (
-                not completed
-                and name in member.speculative_launch
-                and member._enablement[launch.index] == E_DISABLED
-            ):
-                member.metrics.speculative_wasted_queries += 1
-                member.metrics.speculative_wasted_units += processed
-            return
-        stage = member._cohort_stage
-        log = cohort.log
-        rec = log[stage] if stage < len(log) else None
-        if (
-            rec is None
-            or rec.name != name
-            or rec.completed != completed
-            or rec.failed != failed
-        ):
-            self._split_member(cohort, member, launch, processed, completed, failed)
-            return
-        member._cohort_stage = stage + 1
-        if completed:
-            if not rec.accepted:
-                member.metrics.speculative_wasted_queries += 1
-                member.metrics.speculative_wasted_units += processed
-        elif rec.cancel_wasted:
-            member.metrics.speculative_wasted_queries += 1
-            member.metrics.speculative_wasted_units += processed
-        if rec.drain_wasted_queries:
-            member.metrics.speculative_wasted_queries += rec.drain_wasted_queries
-        if rec.drain_wasted_units:
-            member.metrics.speculative_wasted_units += rec.drain_wasted_units
-        self._mirror_stage(cohort, member, rec)
-
-    def _split_member(
-        self,
-        cohort: _Cohort,
-        member: BatchedInstance,
-        launch: _LaunchRecord,
-        processed: int,
-        completed: bool,
-        failed: bool,
-    ) -> None:
-        """Copy-on-diverge: replay the matched log prefix, then detach.
-
-        The member's arrays still hold its start state (mirroring never
-        touched them); applying each matched stage's outcome re-derives
-        the exact state an ordinary instance would hold here.  Launch
-        flags were already set at fan time, and every mirrored metric
-        was booked for real — the replay runs on a scratch metrics
-        object so nothing double-counts.
-        """
-        self.cohort_splits += 1
-        if self._obs_on:
-            self._obs_cohort_splits.inc()
-            self.obs.tracer.instant(
-                "cohort.split",
-                args={"member": member.instance_id, "attribute": launch.name},
-            )
-        member._cohort = None
-        cohort.live_members -= 1
-        launched = cohort.launch_by_name
-        self._replay_prefix(member, [
-            (rec.name, launched[rec.name].value_for(rec.failed))
-            for rec in cohort.log[1 : member._cohort_stage] if rec.completed
-        ])  # fmt: skip
-        self._tail_query_done(
-            member, launch.name, launch.value_for(failed), processed, completed
-        )
-
-    @staticmethod
-    def _replay_prefix(member: BatchedInstance, results) -> None:
-        """Apply the ``(name, value)`` *results* already delivered to
-        *member* to its start-state arrays, on a scratch metrics object
-        (whatever they book was booked, or recorded, when they arrived)."""
-        real_metrics = member.metrics
-        member.metrics = InstanceMetrics(
-            instance_id=member.instance_id, start_time=real_metrics.start_time
-        )
-        try:
-            for name, value in results:
-                member.apply_query_result(name, value)
-                member.drain()
-        finally:
-            member.metrics = real_metrics
-
-    def _tail_query_done(
-        self, member: BatchedInstance, name: str, value, processed: int, completed: bool
-    ) -> None:
-        """The reference `_query_done` tail (post-bookkeeping half)."""
-        if not completed:
-            i = self.plan.index[name]
-            if (
-                name in member.speculative_launch
-                and member._enablement[i] == E_DISABLED
-            ):
-                member.metrics.speculative_wasted_queries += 1
-                member.metrics.speculative_wasted_units += processed
-        if completed and not member.done:
-            accepted = member.apply_query_result(name, value)
-            if not accepted:
-                member.metrics.speculative_wasted_queries += 1
-                member.metrics.speculative_wasted_units += processed
-        if not member.done:
-            self._after_event(member)
-
-    def _finish_member(self, cohort: _Cohort, member: BatchedInstance) -> None:
-        """Mirror of :meth:`Engine._finish` fed from the representative.
-
-        The representative is done by the time any member consumes a
-        ``done_after`` record, so its arrays are final; aliasing its end
-        state and copying its values (the member's own source objects
-        overlaid) materializes the member's state for value/state maps,
-        handles, and post-halt straggler checks.
-        """
-        rep = cohort.rep
-        member.done = True
-        member.metrics.finish_time = self.sim.now
-        member._alias(self._end_state(rep))
-        member._raw = list(rep._raw)
-        member._sv = list(rep._sv)
-        index = self.plan.index
-        for source_name, source_value in member._sources.items():
-            i = index[source_name]
-            member._raw[i] = member._sv[i] = source_value
-        member.finalize_metrics()
-        if self.halt_policy == "cancel":
-            for handle in member.inflight.values():
-                if not self._has_waiters(handle):
-                    handle.cancel()
-        cohort.live_members -= 1
         if self.observer is not None:
             self.observer.on_instance_complete(member)
         callback = self._on_complete.pop(member.instance_id, None)
@@ -1944,32 +1638,21 @@ class BatchedEngine(Engine):
         evicted, so the instance is no longer all-hit.
 
         Nothing of the wave has run.  The instance takes real arrays the
-        way a split cohort member does — start state, launch flags, the
-        delivered prefix re-applied — and real followers for the pending
-        deliveries, then runs this event's share of them for real.
+        way a dissolved cohort member does (:meth:`_materialize`) and
+        real followers for the pending deliveries, then runs this
+        event's share of them for real.
         """
         self.flow_fallbacks += 1
         instance._flow = None
         plan, raw, stages, lo = self.plan, trace.raw, trace.stages, wave.lo
         index = plan.index
         made = [launch for stage in stages[:lo] for launch in stage[2]]
-        instance.start_mirroring()
-        for name, speculative, _ in made:
-            instance._launched[index[name]] = 1
-            instance._cand.discard(index[name])
-            if speculative:
-                instance.speculative_launch.add(name)
         delivered = [(name, raw[index[name]]) for name, ok, _ in stages[1:lo] if ok]
-        self._replay_prefix(instance, delivered)
+        self._materialize(instance, [launch[:2] for launch in made], delivered)
         for (name, _, key), (_, completed, _) in zip(made[lo - 1 :], stages[lo:]):
             i = index[name]
             instance.inflight[name] = self.query_cache.follower(
-                key,
-                plan.cost[i],
-                lambda processed, done, name=name, value=raw[i]: self._query_done(
-                    instance, name, value, None, processed, done
-                ),
-                cancelled=not completed,
+                key, plan.cost[i], self._own_wait(instance, name, raw[i]), cancelled=not completed
             )
         self._flow_event(instance, wave)
 

@@ -35,8 +35,6 @@ from repro.runtime.sharding import (
 from repro.runtime.worker import (
     InstanceRecord,
     ShardOutcome,
-    ShardTask,
-    execute_shard,
     worker_main,
 )
 
@@ -48,10 +46,8 @@ __all__ = [
     "create_service",
     "merge_shard_events",
     "shard_of",
-    "ShardTask",
     "ShardOutcome",
     "InstanceRecord",
-    "execute_shard",
     "worker_main",
     "SharedQueryTier",
     "ShardL2View",

@@ -1,39 +1,38 @@
 """Worker-side execution of one shard's workload.
 
-A shard workload crosses the process boundary as a :class:`ShardTask`:
+A shard workload crosses the process boundary in plain picklable form:
 the schema and :class:`~repro.api.config.ExecutionConfig` travel as the
 plain dicts of :mod:`repro.core.serialize`, and the submissions travel as
-an ordered op list (individual submits and closed-loop specs).  The
-worker rebuilds a single-shard :class:`~repro.api.service.DecisionService`
-from them, replays the ops, drains the shard's private simulation, and
+an ordered op list — each op either
+``("submit", instance_id, source_values, at)`` or
+``("closed", instance_ids, values_list, concurrency)``.  The worker
+rebuilds a single-shard :class:`~repro.api.service.DecisionService` from
+them, replays the ops, drives the shard's private simulation, and
 returns a :class:`ShardOutcome` — per-instance value maps and metrics,
 the shard's :class:`~repro.core.metrics.MetricsSummary`, database totals,
 and (when requested) the shard's typed event sequence.
 
-Two execution shapes share those frames:
+:func:`worker_main` is the **persistent worker loop** behind the process
+executor: spawned once per shard, it keeps a live service across rounds
+(:class:`_PersistentShard`, process-agnostic, so the serial test suite
+drives it in-process to pin down exactly what crosses the pipe) and
+serves framed commands over a ``multiprocessing`` pipe until told to
+shut down:
 
-* :func:`execute_shard` — the original one-shot form: one task in, one
-  outcome out.  Pure and process-agnostic, so the serial test suite
-  calls it in-process to pin down exactly what crosses the pipe.
-* :func:`worker_main` — the **persistent worker loop** behind the
-  process executor: spawned once per shard, it keeps a live service
-  across rounds and serves framed commands over a
-  ``multiprocessing`` pipe until told to shut down:
+- ``("run", ops, until, collect_events, l2_added, l2_removed)`` —
+  apply the shared-cache delta, replay the new ops, drive the shard
+  (to *until*, or dry), reply ``("ok", (outcome, l2_new_keys))``.
+  The outcome's ``records`` are *incremental*: instances already
+  reported done are skipped, live ones are re-reported each round
+  until they finish; ``events`` carry only this round's new events.
+- ``("snapshot",)`` — reply a small liveness/population payload
+  without driving anything.
+- ``("shutdown",)`` — acknowledge and exit.
 
-  - ``("run", ops, until, collect_events, l2_added, l2_removed)`` —
-    apply the shared-cache delta, replay the new ops, drive the shard
-    (to *until*, or dry), reply ``("ok", (outcome, l2_new_keys))``.
-    The outcome's ``records`` are *incremental*: instances already
-    reported done are skipped, live ones are re-reported each round
-    until they finish; ``events`` carry only this round's new events.
-  - ``("snapshot",)`` — reply a small liveness/population payload
-    without driving anything.
-  - ``("shutdown",)`` — acknowledge and exit.
-
-  Any exception is shipped back as
-  ``("error", type_name, message, traceback)`` instead of killing the
-  worker, so the parent can raise a useful
-  :class:`~repro.errors.ExecutionError`.
+Any exception is shipped back as
+``("error", type_name, message, traceback)`` instead of killing the
+worker, so the parent can raise a useful
+:class:`~repro.errors.ExecutionError`.
 """
 
 from __future__ import annotations
@@ -48,28 +47,10 @@ from repro.errors import ExecutionError
 from repro.runtime.l2cache import ShardL2View
 
 __all__ = [
-    "ShardTask",
     "ShardOutcome",
     "InstanceRecord",
-    "execute_shard",
     "worker_main",
 ]
-
-
-@dataclass
-class ShardTask:
-    """One shard's complete workload, in plain picklable form.
-
-    ``ops`` replays in order; each op is either
-    ``("submit", instance_id, source_values, at)`` or
-    ``("closed", instance_ids, values_list, concurrency)``.
-    """
-
-    shard: int
-    schema_data: dict
-    config_data: dict
-    ops: list[tuple]
-    collect_events: bool = False
 
 
 @dataclass
@@ -155,7 +136,7 @@ def _shard_outcome(
     records: list[InstanceRecord],
     events: list[object] | None,
 ) -> ShardOutcome:
-    """Assemble an outcome from a live shard service (shared by both shapes)."""
+    """Assemble an outcome from a live shard service."""
     database = service.database
     return ShardOutcome(
         shard=shard,
@@ -177,27 +158,6 @@ def _shard_outcome(
         instances=len(service.handles),
         completed=sum(1 for handle in service.handles if handle.done),
     )
-
-
-def execute_shard(task: ShardTask) -> ShardOutcome:
-    """Rebuild, replay, and drain one shard in one shot; return its outcome."""
-    schema = schema_from_dict(task.schema_data)
-    config = config_from_dict(task.config_data).replace(shards=1, executor="serial")
-    service = DecisionService(schema, config)
-    log = service.attach_log() if task.collect_events else None
-    _replay_ops(service, task.ops)
-    service.run()
-    records = [
-        InstanceRecord(
-            instance_id=handle.instance_id,
-            done=handle.done,
-            values=dict(handle.instance.value_map()),
-            metrics=handle.metrics,
-        )
-        for handle in service.handles
-    ]
-    events = list(log.events) if log is not None else None
-    return _shard_outcome(service, task.shard, records, events)
 
 
 class _PersistentShard:

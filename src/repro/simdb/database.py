@@ -976,7 +976,7 @@ class QueryShareCache:
     def materialize_virtual(
         self, handle: object, specs: Sequence[tuple[int, CompletionCallback, bool]]
     ) -> list[_CacheFollower]:
-        """Convert virtual followers into real ones (cohort demotion).
+        """Convert virtual followers into real ones (a cohort dissolving).
 
         *specs* is one ``(cost, on_complete, cancel_requested)`` triple
         per follower, in join order; the new followers are prepended

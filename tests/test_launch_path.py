@@ -286,9 +286,8 @@ def test_the_table_holds_no_instance_and_no_source_object():
 
         __hash__ = None
 
-    # (no cohorts: the last instant's open cohort holds its representative)
     config = ExecutionConfig.from_code(
-        "PSE100", engine="batched", dispatch="pooled", query_cache=True
+        "PSE100", engine="batched", dispatch="pooled", query_cache=True, cohorts=True
     )
     service = DecisionService(PERF.schema, config)
     source = PERF.schema.source_names[0]

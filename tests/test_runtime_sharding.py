@@ -13,13 +13,12 @@ from repro.nulls import NULL
 from repro.runtime import (
     MergedEventLog,
     ShardedDecisionService,
-    ShardTask,
     create_service,
-    execute_shard,
     merge_shard_events,
     shard_of,
 )
 from repro.runtime.sharding import _split_concurrency
+from repro.runtime.worker import _PersistentShard
 
 from tests._support import diamond_schema, scenario_pattern
 
@@ -210,26 +209,25 @@ class TestMergedEvents:
 
 
 class TestWorkerProtocol:
-    def _task(self, pattern, ops, collect_events=True, shard=0):
+    def _round(self, pattern, ops, collect_events=True, shard=0):
+        """One ``("run", ...)`` frame served by a worker's live state."""
         config = ExecutionConfig.from_code("PSE50", engine="batched")
-        return ShardTask(
-            shard=shard,
-            schema_data=schema_to_dict(pattern.schema),
-            config_data=config_to_dict(config),
-            ops=ops,
-            collect_events=collect_events,
+        state = _PersistentShard(
+            shard, schema_to_dict(pattern.schema), config_to_dict(config), l2_armed=False
         )
+        outcome, l2_new_keys = state.round(ops, None, collect_events, [], [])
+        assert l2_new_keys == []
+        return outcome
 
-    def test_execute_shard_replays_submits(self, pattern):
+    def test_a_round_replays_submits(self, pattern):
         sources = dict(pattern.source_values)
-        task = self._task(
+        outcome = self._round(
             pattern,
             ops=[
                 ("submit", "w#1", sources, None),
                 ("submit", "w#2", sources, 5.0),
             ],
         )
-        outcome = execute_shard(task)
         assert outcome.shard == 0
         assert [r.instance_id for r in outcome.records] == ["w#1", "w#2"]
         assert all(r.done for r in outcome.records)
@@ -248,22 +246,20 @@ class TestWorkerProtocol:
         assert outcome.records[0].metrics == mirror.handles[0].metrics
         assert outcome.records[1].values == dict(mirror.handles[1].instance.value_map())
 
-    def test_execute_shard_replays_closed_loops(self, pattern):
+    def test_a_round_replays_closed_loops(self, pattern):
         sources = dict(pattern.source_values)
-        task = self._task(
+        outcome = self._round(
             pattern,
             ops=[("closed", ["c#1", "c#2", "c#3"], [sources] * 3, 2)],
             collect_events=False,
         )
-        outcome = execute_shard(task)
         assert [r.instance_id for r in outcome.records] == ["c#1", "c#2", "c#3"]
         assert outcome.summary.count == 3
         assert outcome.events is None
 
     def test_unknown_op_rejected(self, pattern):
-        task = self._task(pattern, ops=[("warp", "w#1")])
         with pytest.raises(ExecutionError, match="unknown shard op"):
-            execute_shard(task)
+            self._round(pattern, ops=[("warp", "w#1")])
 
 
 # -- the process executor ------------------------------------------------------
