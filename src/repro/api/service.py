@@ -419,6 +419,8 @@ class DecisionService:
         registry.gauge("db_mean_gmpl").set(database.mean_gmpl())
         registry.gauge("pooled_batches").set(self.engine.pooled_batches)
         registry.gauge("pooled_events").set(self.engine.pooled_events)
+        registry.gauge("engine_arrival_runs").set(self.engine.arrival_runs)
+        registry.gauge("engine_arrival_run_arrivals").set(self.engine.arrival_run_arrivals)
         plan = getattr(self.engine, "plan", None)  # the batched engine's
         if plan is not None:
             registry.gauge("engine_memo_states").set(len(plan.states))
@@ -431,6 +433,8 @@ class DecisionService:
             registry.gauge("engine_launch_memo_hits").set(plan.launch_hits)
             registry.gauge("engine_hit_waves").set(self.engine.hit_waves)
             registry.gauge("engine_hit_wave_deliveries").set(self.engine.hit_wave_deliveries)
+            registry.gauge("engine_bulk_joins").set(self.engine.bulk_joins)
+            registry.gauge("engine_bulk_join_members").set(self.engine.bulk_join_members)
         released = self._released.count
         registry.gauge("instances_submitted").set(released + len(self._handles))
         registry.gauge("instances_done").set(

@@ -46,6 +46,7 @@ from __future__ import annotations
 from collections import deque
 from copy import deepcopy
 from time import perf_counter
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from repro.core.engine import Engine
@@ -72,6 +73,13 @@ from repro.nulls import NULL, ExceptionValue
 __all__ = ["BatchedEngine", "BatchedInstance"]
 
 _UNSET = object()
+
+#: What an instance that has not started for itself reads in place of the
+#: containers :meth:`BatchedInstance.start` installs: empty, shared, and
+#: refusing every write.
+_NO_INFLIGHT: Mapping[str, object] = MappingProxyType({})
+_NO_NAMES: frozenset = frozenset()
+_NO_QUEUE = ()
 
 
 class _LaunchRecord:
@@ -364,6 +372,14 @@ class BatchedInstance:
     attribute; every mutator replicates the corresponding reference code
     path (same traversal order, same metric increments, same error
     types), so the engines' observable traces cannot diverge.
+
+    An instance owns nothing but its sources, its start key and its
+    metrics until it starts for itself: :meth:`start` installs the
+    arrays and the mutable containers (``inflight``,
+    ``speculative_launch``, the candidate pool, the drain queue).  Until
+    then — for a lockstep member or a flow replay, for good: they end
+    aliasing their representative's or trace's arrays — the containers
+    read as shared immutable empties, and writing one raises.
     """
 
     __slots__ = (
@@ -407,12 +423,12 @@ class BatchedInstance:
         self.done = False
         self.metrics = InstanceMetrics(instance_id=instance_id, start_time=start_time)
 
-        missing = set(plan.schema.source_names) - set(source_values)
-        if missing:
-            raise ExecutionError(f"missing source values: {sorted(missing)}")
-
-        sources = {name: source_values[name] for name in plan.schema.source_names}
-        self._sources = sources
+        names = plan.schema.source_names
+        for name in names:
+            if name not in source_values:
+                missing = set(names) - set(source_values)
+                raise ExecutionError(f"missing source values: {sorted(missing)}")
+        self._sources = sources = {name: source_values[name] for name in names}
         self._start_key = plan.start_key(sources) if plan.start_cache_ok else None
         # Arrays are installed lazily: `start()` aliases or copies a
         # state's, and a lockstep member only ever takes its cohort's
@@ -435,12 +451,12 @@ class BatchedInstance:
         #: `_advance`): the transition taken, or on a miss what to file.
         self._event: tuple | None = None
         #: in-flight query handles keyed by attribute name (engine-facing)
-        self.inflight: dict[str, object] = {}
+        self.inflight: Mapping[str, object] = _NO_INFLIGHT
         #: attribute names launched while their condition was UNKNOWN
-        self.speculative_launch: set[str] = set()
+        self.speculative_launch: set[str] | frozenset = _NO_NAMES
         #: incrementally maintained candidate-pool members (indices)
-        self._cand: set[int] | frozenset = set()
-        self._queue: deque[int] = deque()
+        self._cand: set[int] | frozenset = _NO_NAMES
+        self._queue: deque[int] | tuple = _NO_QUEUE
         #: Cohort membership: the _Cohort this instance represents or
         #: rides, None for ordinary instances (and for everyone a
         #: dissolved cohort leaves behind).
@@ -515,10 +531,14 @@ class BatchedInstance:
         return True
 
     def start(self) -> None:
-        """Initial evaluation phase: one memo lookup, or the kernel."""
+        """Initial evaluation phase: one memo lookup, or the kernel.  From
+        here the instance runs for itself, in containers of its own."""
         if self._sv is not None:
             raise ExecutionError(f"instance {self.instance_id} already started")
         plan = self.plan
+        self.inflight = {}
+        self.speculative_launch = set()
+        self._queue = deque()
         self._raw = raw = [None] * plan.n
         self._sv = sv = [UNRESOLVED] * plan.n
         index = plan.index
@@ -881,6 +901,8 @@ class BatchedEngine(Engine):
         self._cohort_instant: float | None = None
         #: cohorts dissolved, by what made them (kept for tests)
         self.cohort_exits = {"join": 0, "answered": 0, "cancelled": 0}
+        #: joins that took more than one arrival of a run, and their members
+        self.bulk_joins = self.bulk_join_members = 0
         #: stage record being captured while the representative advances
         self._recording: _StageRecord | None = None
         #: The flow memo, start_key → :class:`_FlowTrace` (see "flow memo"
@@ -1157,7 +1179,7 @@ class BatchedEngine(Engine):
                 self.obs.tracer.instant("cohort.form", args={"rep": instance.instance_id})
         elif self._rides(cohort):
             instance._flow = None  # a member rides; its representative records
-            self._join_lockstep(cohort, instance)
+            self._join_lockstep(cohort, self._riders(instance))
         else:
             del self._open_cohorts[key]
             self._dissolve(cohort, cohort.log, "join")
@@ -1277,31 +1299,83 @@ class BatchedEngine(Engine):
             return None
         return obs
 
-    def _join_lockstep(self, cohort: _Cohort, member: BatchedInstance) -> None:
-        member._cohort = cohort
-        cohort.members.append(member)
-        self.cohort_hits += 1
-        if self._obs_on:
-            self._obs_cohort_joins.inc()
-            self.obs.tracer.instant("cohort.join", args={"member": member.instance_id})
-        if self.observer is not None:
-            self.observer.on_instance_start(member)
+    def _riders(self, instance: BatchedInstance) -> list[BatchedInstance]:
+        """*instance*, about to ride an open cohort, and the arrivals right
+        behind it in the run being fired whose start would make the very
+        same decision: the same typed start key — so the same cohort,
+        still open and still ridable, since joining changes neither — with
+        no flow trace on file for it, and no ``on_complete`` callback
+        pending among them (one may schedule what the next start would
+        have waited for).  The run moves past those taken.
+        """
+        riders, run = [instance], self._firing
+        key, pending, traces = instance._start_key, self._on_complete, self._flow_traces
+        if (
+            run is None
+            or instance.instance_id in pending
+            or (traces is not None and key in traces)
+        ):
+            return riders
+        arrivals, k = run.arrivals, run.next
+        n = len(arrivals)
+        while k < n and arrivals[k]._start_key == key and arrivals[k].instance_id not in pending:
+            k += 1
+        riders += arrivals[run.next : k]
+        run.next = k
+        return riders
+
+    def _join_lockstep(self, cohort: _Cohort, members: list[BatchedInstance]) -> None:
+        """*members* (consecutive arrivals: :meth:`_riders`) ride *cohort*
+        from its start stage, in one step: one extension of its member
+        list, one weighted virtual attachment per primary the
+        representative waits on.  Per-member work is left only where
+        identity diverges — observer calls, member-major as one start
+        event each would have made them and skipped when nobody listens,
+        and finishing when the representative finished at its start.  A
+        member whose observer schedules anything (or raises) is the last
+        to join: the rest are handed back to the run, which decides as it
+        does after any start whether they still go next.
+        """
         if not cohort.log:
             self._record_start(cohort)
-        rec = cohort.log[0]
-        if rec.done_after:
-            self._finish_lockstep_member(cohort, member)
-            return
-        cache = self.query_cache
-        rep = cohort.rep
-        for launch in rec.launches:
-            cache.attach_virtual(rep.inflight[launch.name], 1)
+        rec, sim = cohort.log[0], self.sim
         obs = self._listening()
-        if obs is not None:
-            for launch in rec.launches:
-                obs.on_launch(
-                    member, launch.name, speculative=launch.speculative, shared=None
-                )
+        joined = len(members)
+        try:
+            if obs is not None or rec.done_after:
+                joined, marker = 0, sim.scheduled
+                for member in members:
+                    joined += 1
+                    if obs is not None:
+                        obs.on_instance_start(member)
+                    if rec.done_after:
+                        self._finish_lockstep_member(cohort, member)
+                    elif obs is not None:
+                        for launch in rec.launches:
+                            obs.on_launch(
+                                member, launch.name, speculative=launch.speculative, shared=None
+                            )
+                    if sim.scheduled != marker:
+                        break
+        finally:
+            if joined < len(members):
+                self._firing.next -= len(members) - joined
+                del members[joined:]
+            for member in members:
+                member._cohort = cohort
+            cohort.members.extend(members)
+            self.cohort_hits += joined
+            if joined > 1:
+                self.bulk_joins += 1
+                self.bulk_join_members += joined
+            if self._obs_on:
+                self._obs_cohort_joins.inc(joined)
+                args = {"member": members[0].instance_id, "members": joined}
+                self.obs.tracer.instant("cohort.join", args=args)
+            if not rec.done_after:
+                cache, inflight = self.query_cache, cohort.rep.inflight
+                for launch in rec.launches:
+                    cache.attach_virtual(inflight[launch.name], joined)
 
     def _lockstep_rep_done(
         self, cohort: _Cohort, rep, name, value, key, processed, completed

@@ -57,13 +57,14 @@ __all__ = ["Engine", "EngineObserver", "claim_instance_id"]
 def claim_instance_id(
     instance_id: str | None,
     schema_name: str,
-    seq: "itertools.count",
+    seq: "itertools.count | None",
     claimed: set[str],
     scope: str = "engine",
 ) -> str:
     """Allocate or validate an instance id against the *claimed* set.
 
-    Generated ids are ``{schema_name}#{n}`` and skip any name a caller
+    Generated ids are ``{schema_name}#{n}`` (*n* drawn from *seq*, which an
+    explicit id never reads) and skip any name a caller
     already claimed; an explicit id that is already claimed raises.  The
     caller adds the returned id to *claimed* once the submission is
     accepted (a rejected submission must not burn the name).  Shared by
@@ -133,6 +134,28 @@ class _SharedWait:
         return None
 
 
+class _ArrivalRun:
+    """Arrivals for one instant that one calendar event starts, in order.
+
+    The event is the *first* arrival's start event and the run itself its
+    callback; ``arrivals`` (None while ``first`` is alone: a lone arrival
+    pays for no list) are the starts it stands in for, ``next`` indexes the
+    one to start next, and the run takes another arrival only while
+    ``sim.scheduled`` still reads ``marker`` — while that arrival's own
+    start event would have had the next consecutive seq.
+    """
+
+    __slots__ = ("engine", "first", "arrivals", "next", "event", "marker")
+
+    def __init__(self, engine: "Engine", first: InstanceRuntime):
+        self.engine, self.first = engine, first
+        self.arrivals: list[InstanceRuntime] | None = None
+        self.next = 0
+
+    def __call__(self) -> None:
+        self.engine._fire_run(self)
+
+
 class Engine:
     """Executes decision-flow instances against a database server."""
 
@@ -162,9 +185,14 @@ class Engine:
         self.query_cache: QueryShareCache | None = query_cache or None
         self.instances: list[InstanceRuntime] = []
         self._instance_ids: set[str] = set()
-        self._id_seq = itertools.count(1)
+        self._id_next = 1  # the number the next generated id tries first
         self._on_complete: dict[str, Callable[[InstanceMetrics], None]] = {}
         self._handle_key: dict[object, tuple] = {}
+        #: the arrival run still taking arrivals, if any, and the one of
+        #: several being fired; runs opened and the arrivals they took
+        self._run: _ArrivalRun | None = None
+        self._firing: _ArrivalRun | None = None
+        self.arrival_runs = self.arrival_run_arrivals = 0
         #: instant-pool dispatch stats (0 until enable_pooled_dispatch)
         self.pooled_batches = 0
         self.pooled_events = 0
@@ -201,22 +229,53 @@ class Engine:
         instance_id: str | None = None,
         on_complete: Callable[[InstanceMetrics], None] | None = None,
     ) -> InstanceRuntime:
-        """Create an instance and schedule its start (default: immediately)."""
-        start_time = self.sim.now if at is None else at
+        """Create an instance and schedule its start (default: immediately).
+
+        Nothing is claimed until the submission is accepted: a refused one
+        (a past start, sources the schema misses) leaves its id — explicit
+        or the generated one it would have got — free, and is in no run.
+
+        Consecutive arrivals for one instant share one calendar event, an
+        *arrival run*: an arrival joins the open run when it starts at the
+        run's instant and nothing has been scheduled since the run's last
+        arrival — exactly when its own start event would have sorted
+        directly behind that arrival's — and opens a new run otherwise.
+        The event starts them in order (:meth:`_fire_run`), so traces are
+        those of one start event each, while :attr:`Simulation.pending`
+        and ``events_executed`` count a run once (on both engines alike).
+        """
+        sim = self.sim
+        start_time = sim.now if at is None else at
+        # A generated id is drawn from a copy of the counter, which moves
+        # once nothing can refuse the submission any more.
+        drawn = itertools.count(self._id_next) if instance_id is None else None
         instance_id = claim_instance_id(
-            instance_id, self.schema.name, self._id_seq, self._instance_ids
+            instance_id, self.schema.name, drawn, self._instance_ids
         )
-        if start_time < self.sim.now:
+        if start_time < sim.now:
             raise ExecutionError(
                 f"instance {instance_id!r}: cannot start at past time {start_time} "
-                f"(simulation clock is at {self.sim.now})"
+                f"(simulation clock is at {sim.now})"
             )
-        self._instance_ids.add(instance_id)
         instance = self._make_instance(source_values or {}, instance_id, start_time)
+        if drawn is not None:
+            self._id_next = next(drawn)
+        self._instance_ids.add(instance_id)
         self.instances.append(instance)
         if on_complete is not None:
             self._on_complete[instance_id] = on_complete
-        self.sim.schedule_at(start_time, lambda: self._start(instance))
+        run = self._run
+        if run is not None and run.marker == sim.scheduled and run.event.time == start_time:
+            if run.arrivals is None:
+                run.arrivals = [run.first]
+            run.arrivals.append(instance)
+            sim.stand_in(run.event)
+        else:
+            self._run = run = _ArrivalRun(self, instance)
+            run.event = sim.schedule_at(start_time, run)
+            self.arrival_runs += 1
+        self.arrival_run_arrivals += 1
+        run.marker = sim.scheduled
         return instance
 
     def run(self, until: float | None = None) -> None:
@@ -271,6 +330,44 @@ class Engine:
         return InstanceRuntime(
             self.schema, self.strategy, instance_id, source_values, start_time
         )
+
+    def _fire_run(self, run: _ArrivalRun) -> None:
+        """Start *run*'s arrivals from ``run.next`` on, each as its own
+        start event would have.
+
+        After a start that scheduled something the rest would have waited
+        for (a lower sub-priority at this instant: nothing of the
+        engine's own) the rest goes back at the run's seq, as a hit
+        wave's does; so it does — as an instant pool's unfired members
+        do — when a start raises.  ``next`` moves as a start *begins*:
+        the one that raised is not started again.
+        """
+        if self._run is run:
+            self._run = None  # an arrival from here on is a later event
+        arrivals = run.arrivals
+        if arrivals is None:  # a lone arrival: nothing to order it against
+            run.event = self._firing = None
+            return self._start(run.first)
+        sim, event, n = self.sim, run.event, len(arrivals)
+        self._firing = run
+        t0 = perf_counter() if self._obs_on else 0.0
+        try:
+            while run.next < n:
+                instance = arrivals[run.next]
+                run.next += 1
+                marker = sim.scheduled
+                self._start(instance)
+                if run.next < n and sim.scheduled != marker and sim.preempted(event):
+                    return sim.resume(event, run)
+        except BaseException:
+            if run.next < n:
+                sim.resume(event, run)
+            raise
+        finally:
+            if self._obs_on:
+                args = {"time": event.time, "arrivals": n, "started": run.next}
+                self.obs.tracer.record("engine.arrival_run", t0, perf_counter(), args=args)
+        self._firing = run.event = None  # its callback is the run: leave no cycle behind
 
     def _start(self, instance: InstanceRuntime) -> None:
         if self._obs_on:

@@ -35,6 +35,7 @@ asserts the equivalence end to end.
 
 from __future__ import annotations
 
+from math import copysign
 from typing import Callable, List
 
 from repro.core.conditions import And, Condition, Literal, Not, Or, UNRESOLVED
@@ -92,14 +93,29 @@ T_FALSE, T_UNKNOWN, T_TRUE = 0, 1, 2
 CondFn = Callable[[List[object]], int]
 
 
+def _typed_leaf(value: object) -> tuple:
+    """The key of one hashable leaf: ``(class, value)`` — ``1``, ``True``
+    and ``1.0`` are three keys — and a float zero keys with its sign
+    beside it, since ``0.0 == -0.0`` and they hash alike while ``str``,
+    ``copysign`` or a division tell them apart.  A ``nan`` equals nothing,
+    itself included, so it keys by identity (containers compare ``is``
+    before ``==``): the same object is reused, an equal-looking one never
+    is — no reuse rather than a wrong one.
+    """
+    if isinstance(value, float) and value == 0.0:
+        return (value.__class__, value, copysign(1.0, value))
+    return (value.__class__, value)
+
+
 def _typed_freeze(value: object) -> object:
     """A structural cache key that never conflates distinguishable values.
 
     Like :func:`repro.core.sharing.freeze`, but each hashable leaf keys
-    as ``(type, value)`` so ``==``-equal values of different types (the
-    ``1`` / ``True`` / ``1.0`` family) get distinct entries, and each
-    unhashable leaf keys by object identity, forfeiting reuse instead of
-    risking a collision through equal ``repr``\\ s.
+    by :func:`_typed_leaf` so ``==``-equal values of different types (the
+    ``1`` / ``True`` / ``1.0`` family) and the two float zeros get
+    distinct entries, and each unhashable leaf keys by object identity,
+    forfeiting reuse instead of risking a collision through equal
+    ``repr``\\ s.
     """
     if isinstance(value, dict):
         try:
@@ -114,7 +130,7 @@ def _typed_freeze(value: object) -> object:
         hash(value)
     except TypeError:
         return ("id", id(value))
-    return (value.__class__, value)
+    return _typed_leaf(value)
 
 
 def _leaves(condition: Condition):
@@ -519,9 +535,9 @@ class CompiledPlan:
         """What launching query *i* on the stable values *sv* comes to:
         ``(cache key, value, signature)`` — the very tuple the engine asks
         the query cache for (``share_key(...) + (cost,)``), the task's
-        result and :meth:`signature` of it.  Looked up by the inputs as
-        ``(class, value, ...)`` pairs (the :func:`_typed_freeze` rule: ``1``
-        / ``True`` / ``1.0`` are three entries) and filed on first sight
+        result and :meth:`signature` of it.  Looked up by the inputs'
+        :func:`_typed_leaf` keys (``1`` / ``True`` / ``1.0`` are three
+        entries, ``0.0`` / ``-0.0`` two) and filed on first sight
         while there is room.  None where there is nothing to reuse: an
         input (an unstable one included) or the result is no scalar, `fn`
         raised, or the memo is full and has no entry for these inputs.
@@ -532,7 +548,10 @@ class CompiledPlan:
         probe = ()
         for j in slots:
             value = sv[j]
-            probe += (value.__class__, value)
+            cls = value.__class__
+            # `_typed_leaf`, asked only where it says more than (class, value):
+            # an exact float zero (a subclass is never filed, so never found)
+            probe += _typed_leaf(value) if cls is float and value == 0.0 else (cls, value)
         try:
             entry = self.launches[i].get(probe)
         except TypeError:  # an unhashable input
@@ -540,10 +559,13 @@ class CompiledPlan:
         if entry is not None:
             self.launch_hits += 1
             return entry
-        if self.launch_entries >= LAUNCH_LIMIT or not _SCALARS.issuperset(probe[::2]):
+        inputs = [sv[j] for j in slots]
+        if self.launch_entries >= LAUNCH_LIMIT or not _SCALARS.issuperset(
+            value.__class__ for value in inputs
+        ):
             return None
         task = self.tasks[i]
-        values = dict(zip(task.inputs, probe[1::2]))
+        values = dict(zip(task.inputs, inputs))
         try:
             value = task.compute(values)
             scalar = value.__class__ in _SCALARS

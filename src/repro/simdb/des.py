@@ -56,6 +56,22 @@ return how many events it consumed) whenever a freshly scheduled event
 sorts before the rest of the pool, because under per-event stepping that
 event would have preempted them; the kernel then re-queues the remainder.
 With no consumer registered, ``step_instant`` falls back to ``step``.
+
+Stand-in events
+---------------
+
+One event may *stand in* for a run of events that would have had
+consecutive seqs — an arrival run's starts, a hit wave's deliveries —
+since nothing can sort between them.  The run's owner keeps that exact:
+it takes more members only while :attr:`Simulation.scheduled` still reads
+what it read after the last one (nothing else was inserted), reports each
+through :meth:`Simulation.stand_in` (so every other owner's reading
+moves, as the member's own event would have moved it), and while firing
+asks :meth:`Simulation.preempted` after any member that scheduled
+something and, if so, hands the rest to :meth:`Simulation.resume` — at
+the event's own seq, where the unfired members would have sorted.
+:attr:`Simulation.pending` and :attr:`Simulation.events_executed` count
+such a run once.
 """
 
 from __future__ import annotations
@@ -161,9 +177,10 @@ class Simulation:
         self._live = 0
         self._dead_in_queue = 0
         self._cancelled_compactions = 0
-        #: Events ever scheduled.  Read twice with the same result, nothing
-        #: was inserted in between: `fire_pooled` skips its preemption peek
-        #: on that, and the batched engine keeps a hit wave open.
+        #: Events ever scheduled, stood-in ones included.  Read twice with
+        #: the same result, nothing was inserted in between: `fire_pooled`
+        #: skips its preemption peek on that, and the engines keep an
+        #: arrival run or a hit wave open.
         self.scheduled = 0
         self._batch_consumer: Callable[[list[Event]], int | None] | None = None
         #: priority of the event whose callback is currently running
@@ -211,6 +228,14 @@ class Simulation:
         self._live += 1
         self.scheduled += 1
         return event
+
+    def stand_in(self, event: Event) -> None:
+        """Count one more scheduling that live *event* stands in for: the
+        event its caller did not schedule because it would have sorted
+        directly behind *event*'s last (see "Stand-in events")."""
+        if event.fired or event.cancelled:
+            raise SimulationError(f"{event!r} cannot stand in for anything any more")
+        self.scheduled += 1
 
     def _on_cancel(self, event: Event) -> None:
         self._live -= 1
@@ -422,35 +447,35 @@ class Simulation:
         return True
 
     def _requeue_unfired(self, events: list[Event]) -> None:
-        """Return popped-but-unfired pool members to the calendar."""
-        buckets = self._buckets
+        """Return popped-but-unfired pool members to the calendar (one a
+        callback already put back itself — :meth:`resume` — stays put)."""
         for event in events:
-            if event.fired:
-                continue
-            event.popped = False
-            if event.cancelled:
-                self._dead_in_queue += 1
-            key = (event.time, event.priority[0])
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = _Bucket()
-                buckets[key] = bucket
-                heapq.heappush(self._heap, key)
-                bucket.items.append(event)
-            else:
-                items = bucket.items
-                # The bucket may hold events scheduled mid-pool, whose
-                # seqs are newer than the requeued remainder's; a full
-                # (priority, seq) comparison decides whether the tail
-                # needs a re-sort.
-                if (
-                    items
-                    and not bucket.dirty
-                    and (event.priority, event.seq)
-                    < (items[-1].priority, items[-1].seq)
-                ):
-                    bucket.dirty = True
-                items.append(event)
+            if event.popped and not event.fired:
+                self._requeue(event)
+
+    def _requeue(self, event: Event) -> None:
+        event.popped = False
+        if event.cancelled:
+            self._dead_in_queue += 1
+        key = (event.time, event.priority[0])
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = _Bucket()
+            self._buckets[key] = bucket
+            heapq.heappush(self._heap, key)
+            bucket.items.append(event)
+        else:
+            items = bucket.items
+            # The bucket may hold events scheduled mid-pool, whose seqs
+            # are newer than the requeued one's; a full (priority, seq)
+            # comparison decides whether the tail needs a re-sort.
+            if (
+                items
+                and not bucket.dirty
+                and (event.priority, event.seq) < (items[-1].priority, items[-1].seq)
+            ):
+                bucket.dirty = True
+            items.append(event)
 
     def preempted(self, event: Event) -> bool:
         """Whether the calendar's head sorts before *event*: asked of the
@@ -470,7 +495,7 @@ class Simulation:
         event.fn = fn
         event.fired = False
         self._live += 1
-        self._requeue_unfired([event])
+        self._requeue(event)
 
     def run(self, until: float | None = None) -> None:
         """Run events until the calendar drains or the clock passes *until*."""

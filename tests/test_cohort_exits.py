@@ -146,20 +146,42 @@ def stress_scenario(seed: int) -> tuple:
     return pattern.schema, rng.choice(STRESS_CODES), kwargs
 
 
+def cut_bursts(arrivals) -> int:
+    """Instants at which a valuation comes back after another one (A A B
+    A): inside one arrival run, its burst is cut in two — the cohort is
+    joined in two steps, or left through the ``join`` exit."""
+    cut, by_instant = 0, {}
+    for at, values in arrivals:
+        by_instant.setdefault(at, []).append(repr(values))
+    for burst in by_instant.values():
+        seen = [value for k, value in enumerate(burst) if k == 0 or burst[k - 1] != value]
+        cut += len(seen) != len(set(seen))
+    return cut
+
+
 def test_seeded_stress_takes_every_exit():
-    """A window of a 1 200-seed scratch run (0 mismatches) that takes each
-    exit, under a cache and without one (where the flag is inert)."""
+    """A window of a 1 300-seed scratch run (0 mismatches) that takes each
+    exit, under a cache and without one (where the flag is inert) — and
+    joins cohorts every way an arrival run can: several members in one
+    step, one alone, and a burst cut in two mid-run."""
     exits = {"join": 0, "answered": 0, "cancelled": 0}
-    rode = inert = 0
-    for seed in range(19, 35):
+    rode = inert = bulk = alone = cut = 0
+    for seed in range(19, 39):
         schema, code, kwargs = stress_scenario(seed)
         for pooled in (False, True):
             engine = assert_matches_reference(schema, code, cohorts=True, pooled=pooled, **kwargs)
             for trigger, count in engine.cohort_exits.items():
                 exits[trigger] += count
             rode += engine.cohort_hits - engine.cohort_splits
+            bulk += engine.bulk_joins
+            alone += engine.cohort_hits - engine.bulk_join_members
+            assert engine.arrival_run_arrivals == len(kwargs["arrivals"])
+            assert engine.arrival_runs == len({at for at, _ in kwargs["arrivals"]})
             if not kwargs["cache"]:
                 inert += 1
                 assert engine.cohort_hits == 0 and not engine._open_cohorts
+            elif engine.cohort_hits:
+                cut += cut_bursts(kwargs["arrivals"])
     assert all(count > 0 for count in exits.values()), exits
     assert rode > 0 and inert > 0
+    assert bulk > 0 and alone > 0 and cut > 0, (bulk, alone, cut)

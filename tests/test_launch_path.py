@@ -61,6 +61,7 @@ def run_flow(
     *,
     arrivals=None,
     closed=None,
+    drive=None,
     backend="ideal",
     halt_policy="cancel",
     cancel_unneeded=False,
@@ -72,8 +73,9 @@ def run_flow(
     pooled=False,
     seed=5,
 ):
-    """Run an open schedule ``[(at, sources), ...]`` or a closed loop
-    ``(concurrency, [sources, ...], think time)``; returns (trace, engine)."""
+    """Run an open schedule ``[(at, sources), ...]``, a closed loop
+    ``(concurrency, [sources, ...], think time)`` or whatever
+    ``drive(engine, sim)`` submits and runs; returns (trace, engine)."""
     sim = Simulation()
     database = make_database(backend, "coalesced", sim, seed, failure_prob)
     observer = RecordingObserver()
@@ -90,7 +92,9 @@ def run_flow(
     )
     if pooled:
         engine.enable_pooled_dispatch()
-    if closed is None:
+    if drive is not None:
+        drive(engine, sim)
+    elif closed is None:
         for at, values in arrivals:
             engine.submit_instance(values, at=at)
     else:

@@ -610,3 +610,53 @@ class TestResume:
         sim.run()
         assert log == ["run0", "start"]
         assert sim.pending == 0 and sim._dead_in_queue == 0
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["step", "step_instant"])
+    def test_a_rest_put_back_before_its_callback_raises_is_queued_once(self, pooled):
+        """What a run does when a member raises: the rest goes back at
+        the run's seq and the error propagates.  The pool's own recovery
+        (every unfired member back in the calendar) must not queue it a
+        second time."""
+        sim = Simulation()
+        log = []
+
+        def run():
+            log.append("run0")
+            sim.resume(event, lambda: log.append("run1"))
+            raise ValueError("run0 failed")
+
+        sim.schedule_at(1.0, lambda: log.append("before"))
+        event = sim.schedule_at(1.0, run)
+        sim.schedule_at(1.0, lambda: log.append("after"))
+        if pooled:
+            sim.set_batch_consumer(sim.fire_pooled)
+        with pytest.raises(ValueError, match="run0 failed"):
+            sim.run()
+        assert sim.pending == 2 and sim._queued_events() == 2
+        sim.run()
+        assert log == ["before", "run0", "run1", "after"]
+        assert sim.pending == 0 and sim._queued_events() == 0
+
+
+class TestStandIn:
+    """`Simulation.stand_in`: a scheduling counted without an event."""
+
+    def test_it_moves_scheduled_and_nothing_else(self):
+        sim = Simulation()
+        event = sim.schedule_at(1.0, lambda: None)
+        before = sim.scheduled
+        sim.stand_in(event)
+        assert sim.scheduled == before + 1
+        assert sim.pending == 1 and sim._queued_events() == 1
+        sim.run()
+        assert sim.events_executed == 1
+
+    def test_an_event_that_fired_or_was_cancelled_stands_in_for_nothing(self):
+        sim = Simulation()
+        fired = sim.schedule_at(1.0, lambda: None)
+        cancelled = sim.schedule_at(2.0, lambda: None)
+        cancelled.cancel()
+        sim.run()
+        for event in (fired, cancelled):
+            with pytest.raises(SimulationError, match="cannot stand in"):
+                sim.stand_in(event)
