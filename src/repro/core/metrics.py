@@ -64,6 +64,21 @@ class InstanceMetrics:
         """TimeInSeconds: response time when the clock is in milliseconds."""
         return self.elapsed * ms_per_time_unit / 1000.0
 
+    def to_dict(self) -> dict:
+        """A plain-dict snapshot of every field, in declaration order.
+
+        Equal to ``dataclasses.asdict(self)`` at about a tenth of the
+        cost: every field is a ``str``, ``int``, ``float`` or ``None``,
+        so ``asdict``'s recursive deep copy has nothing to copy.  The
+        daemon snapshots every finished instance this way, for the
+        ``/events`` payload at completion and for the stored row at the
+        epoch's end, which is why it is a field read and not ``asdict``.
+        """
+        return {name: getattr(self, name) for name in _INSTANCE_FIELDS}
+
+
+_INSTANCE_FIELDS = tuple(f.name for f in fields(InstanceMetrics))
+
 
 @dataclass
 class MetricsSummary:

@@ -44,7 +44,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from queue import Full, Queue
 from typing import Any, Mapping, Sequence
 
@@ -156,7 +156,9 @@ def _event_payload(event: object) -> dict | None:
             "type": "instance_complete",
             "time": event.time,
             "instance_id": event.instance_id,
-            "metrics": asdict(event.metrics),
+            # A snapshot: late cancellations and speculative waste are
+            # still charged to the metrics after the instance finishes.
+            "metrics": event.metrics.to_dict(),
         }
     return None
 
@@ -506,7 +508,7 @@ class ServerDaemon:
             "completed_wall": record.completed_wall,
             "source": encode_values(record.source) or {},
             "values": encode_values(record.values),
-            "metrics": asdict(record.metrics) if record.metrics is not None else None,
+            "metrics": None if record.metrics is None else record.metrics.to_dict(),
             "config_hash": self.config_digest,
         }
 
@@ -542,7 +544,7 @@ class ServerDaemon:
             "completed_at": record.completed_wall,
             "source": encode_values(record.source) or {},
             "values": encode_values(record.values),
-            "metrics": asdict(record.metrics) if record.metrics is not None else None,
+            "metrics": None if record.metrics is None else record.metrics.to_dict(),
             "config_hash": self.config_digest,
             "origin": "live",
         }

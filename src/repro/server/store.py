@@ -21,6 +21,12 @@ which is plain JSON; :func:`encode_values` / :func:`decode_values` reuse
 the declarative value encoding of :mod:`repro.core.serialize`
 (``{"$null": true}`` / ``{"$seq": [...]}``) so records round-trip the
 exact values the engine produced.
+
+The row format has not changed since the ``started_wall`` migration:
+``source_json``, ``values_json`` and ``metrics_json`` hold exactly the
+bytes ``json.dumps(..., sort_keys=True)`` gives, all produced by one
+shared encoder, so every store written in that format reads back
+identically through :meth:`RunStore.get`.
 """
 
 from __future__ import annotations
@@ -79,11 +85,23 @@ def config_hash(config) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+#: Value types :func:`_value_to_dict` returns unchanged, matched exactly:
+#: a subclass (an ``IntEnum`` member, say) takes the general rule.
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+#: The one row encoder: the very encoder ``json.dumps(obj, sort_keys=True)``
+#: builds per call, built once.
+_encode_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def encode_values(values: Mapping[str, object] | None) -> dict | None:
     """Encode an attribute-value mapping into JSON-able form (⊥-safe)."""
     if values is None:
         return None
-    return {name: _value_to_dict(value) for name, value in values.items()}
+    return {
+        name: value if type(value) in _PLAIN else _value_to_dict(value)
+        for name, value in values.items()
+    }
 
 
 def decode_values(data: Mapping[str, object] | None) -> dict | None:
@@ -160,13 +178,13 @@ class RunStore:
                 record["submitted_wall"],
                 record.get("started_wall"),
                 record.get("completed_wall"),
-                json.dumps(record.get("source") or {}, sort_keys=True),
+                _encode_json(record.get("source") or {}),
                 None
                 if record.get("values") is None
-                else json.dumps(record["values"], sort_keys=True),
+                else _encode_json(record["values"]),
                 None
                 if record.get("metrics") is None
-                else json.dumps(record["metrics"], sort_keys=True),
+                else _encode_json(record["metrics"]),
                 record["config_hash"],
             )
             for record in records
@@ -259,16 +277,17 @@ class RunStore:
         """One past the largest numeric suffix among ``<prefix><n>`` ids.
 
         A restarted daemon resumes its id sequence from here so fresh
-        submissions can never collide with persisted records.
+        submissions can never collide with persisted records.  The
+        prefix is matched exactly — case and all, ``_`` and ``%`` being
+        ordinary characters — so no other prefix's ids are counted and
+        none of this one's are missed.
         """
-        like = prefix.replace("%", "").replace("_", "") + "%"
-        start = len(prefix) + 1  # substr() is 1-indexed
         with self._lock:
             self._ensure_open()
             (largest,) = self._conn.execute(
                 "SELECT MAX(CAST(substr(instance_id, ?) AS INTEGER)) "
-                "FROM runs WHERE instance_id LIKE ?",
-                (start, like),
+                "FROM runs WHERE substr(instance_id, 1, ?) = ?",
+                (len(prefix) + 1, len(prefix), prefix),  # substr() is 1-indexed
             ).fetchone()
         return int(largest or 0) + 1
 

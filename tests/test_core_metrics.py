@@ -307,3 +307,43 @@ class TestSummaryDict:
         assert data["query_cache_misses"] == 8
         assert data["query_cache_coalesced"] == 4
         assert MetricsSummary.from_dict(data) == merged
+
+
+class TestInstanceDict:
+    """to_dict: the per-instance snapshot the daemon serves and stores."""
+
+    #: Annotations whose values asdict() would return as they are.  A field
+    #: outside this set (a list, a nested dataclass) would make to_dict()
+    #: share what asdict() deep-copies: widen to_dict() before this set.
+    SCALARS = {"str", "int", "float", "float | None", "int | None", "str | None"}
+
+    def test_every_field_is_a_scalar(self):
+        from dataclasses import fields
+
+        assert {f.type for f in fields(InstanceMetrics)} <= self.SCALARS
+
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    def test_equals_asdict_on_both_engines(self, engine):
+        from dataclasses import asdict
+
+        from repro import (
+            DecisionService,
+            ExecutionConfig,
+            PatternParams,
+            generate_pattern,
+        )
+
+        pattern = generate_pattern(
+            PatternParams(nb_nodes=16, nb_rows=3, pct_enabled=50, seed=3)
+        )
+        service = DecisionService(
+            pattern.schema, ExecutionConfig.from_code("PSE80", engine=engine)
+        )
+        handles = [service.submit(pattern.source_values) for _ in range(3)]
+        service.run()
+        for handle in handles:
+            metrics = handle.metrics
+            assert metrics.done and metrics.work_units > 0
+            snapshot = metrics.to_dict()
+            assert snapshot == asdict(metrics)
+            assert list(snapshot) == list(asdict(metrics))

@@ -207,6 +207,30 @@ class TestPersistence:
         largest = max(int(i.split("-")[1]) for i in ids)
         assert int(fresh.split("-")[1]) == largest + 1
 
+    def test_restart_with_like_wildcard_prefix_keeps_old_records(
+        self, make_daemon, pattern, tmp_path
+    ):
+        """``_`` in the id prefix is a literal: the restarted daemon's ids
+        miss every persisted one, so no old row is replaced."""
+        db = str(tmp_path / "runs.sqlite")
+        daemon = make_daemon(db=db, id_prefix="job_a-")
+        ids = daemon.submit_many([None] * 3).accepted
+        assert daemon.wait_idle(WAIT)
+        assert daemon.shutdown()
+
+        restarted = make_daemon(db=db, id_prefix="job_a-")
+        (src,) = pattern.source_values
+        other = {src: pattern.source_values[src] + 1}
+        fresh = restarted.submit_many([other] * 3).accepted
+        assert restarted.wait_idle(WAIT)
+        assert not set(fresh) & set(ids)
+        for instance_id in ids:
+            payload = restarted.get(instance_id)
+            assert payload["status"] == "done"
+            assert decode_values(payload["source"]) == pattern.source_values
+        for instance_id in fresh:
+            assert decode_values(restarted.get(instance_id)["source"]) == other
+
     def test_graceful_shutdown_drains_inflight_and_flushes(
         self, make_daemon, tmp_path
     ):
@@ -424,6 +448,43 @@ class TestEvents:
             types.add(subscriber.get_nowait()["type"])
         assert {"launch", "query_done", "instance_complete"} <= types
         daemon.unsubscribe_events(subscriber)
+
+    def test_completion_payload_is_a_snapshot_at_the_callback(self, make_daemon):
+        """The payload's metrics are what the instance had when it
+        completed — not the live object, which later charges (late
+        cancellations, speculative waste) still move — and replayed and
+        live subscribers see equal payloads."""
+        daemon = make_daemon()
+        at_callback: dict[str, dict] = {}
+        live_metrics = []
+
+        def observe(event):
+            at_callback[event.instance_id] = event.metrics.to_dict()
+            live_metrics.append(event.metrics)
+
+        daemon.service.on_instance_complete(observe)
+        live = daemon.subscribe_events()
+        ids = daemon.submit_many([None] * 3).accepted
+        assert daemon.wait_idle(WAIT)
+        for metrics in live_metrics:  # a charge after completion
+            metrics.queries_cancelled += 1
+        replayed = daemon.subscribe_events(replay=True)
+
+        def completions(subscriber):
+            seen = {}
+            while not subscriber.empty():
+                event = subscriber.get_nowait()
+                if event["type"] == "instance_complete":
+                    seen[event["instance_id"]] = event
+            return seen
+
+        from_live, from_replay = completions(live), completions(replayed)
+        assert set(from_live) == set(ids) == set(at_callback)
+        assert from_live == from_replay
+        for instance_id in ids:
+            assert from_live[instance_id]["metrics"] == at_callback[instance_id]
+        daemon.unsubscribe_events(live)
+        daemon.unsubscribe_events(replayed)
 
     def test_shutdown_sends_none_sentinel(self, make_daemon):
         daemon = make_daemon()

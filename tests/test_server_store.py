@@ -93,6 +93,28 @@ class TestNextSequence:
             assert store.next_sequence("srv-") == 6
             assert store.next_sequence("job-") == 100
 
+    def test_underscore_in_prefix_is_literal(self, tmp_path):
+        with RunStore(tmp_path / "runs.sqlite") as store:
+            store.record_many(
+                [make_record(i) for i in ("job_a-1", "job_a-2", "job_a-7")]
+                + [make_record("jobxa-40")]  # what a LIKE `_` would match
+            )
+            assert store.next_sequence("job_a-") == 8
+            assert store.next_sequence("jobxa-") == 41
+
+    def test_percent_in_prefix_is_literal(self, tmp_path):
+        with RunStore(tmp_path / "runs.sqlite") as store:
+            store.record_many([make_record("q%-4"), make_record("qq-90")])
+            assert store.next_sequence("q%-") == 5
+            assert store.next_sequence("q-") == 1
+
+    def test_prefix_case_is_exact(self, tmp_path):
+        with RunStore(tmp_path / "runs.sqlite") as store:
+            store.record_many([make_record("Job-3"), make_record("job-12")])
+            assert store.next_sequence("Job-") == 4
+            assert store.next_sequence("job-") == 13
+            assert store.next_sequence("JOB-") == 1
+
 
 class TestLifecycle:
     def test_survives_reopen(self, tmp_path):
@@ -300,3 +322,99 @@ class TestTimestampsAndLatencies:
             )
             newest_two = store.latencies(limit=2)
         assert newest_two == [pytest.approx(5.0), pytest.approx(4.0)]
+
+
+class TestEncodingIsUnchanged:
+    """The row and value encodings are pinned as equalities with the
+    general rules they short-cut, so a faster encoder cannot move a byte."""
+
+    def test_encode_values_equals_the_per_value_rule(self):
+        import enum
+        import math
+
+        from repro.core.serialize import _value_to_dict
+
+        class Level(enum.IntEnum):
+            HIGH = 2
+
+        table = {
+            "null": NULL,
+            "true": True,
+            "false": False,
+            "int": 1,
+            "float": 1.0,
+            "negative_zero": -0.0,
+            "nan": math.nan,
+            "inf": math.inf,
+            "empty": "",
+            "none": None,
+            "nested": (1, (NULL, "x"), ()),
+            "enum": Level.HIGH,
+        }
+        encoded = encode_values(table)
+        expected = {name: _value_to_dict(value) for name, value in table.items()}
+        assert list(encoded) == list(expected)
+        for name, value in expected.items():
+            assert repr(encoded[name]) == repr(value), name
+            assert type(encoded[name]) is type(value), name
+
+    def test_unserializable_value_still_raises(self):
+        from repro.core.serialize import SerializationError
+
+        with pytest.raises(SerializationError, match="not serializable"):
+            encode_values({"a": 1, "bad": object()})
+
+    def test_stored_columns_equal_json_dumps_sort_keys(self, tmp_path):
+        import json
+        import math
+        import sqlite3
+
+        record = make_record(
+            values=encode_values({"z": NULL, "a": (1.5, NULL), "m": -0.0, "n": math.inf}),
+            metrics={"work_units": 12, "finish_time": None, "instance_id": "srv-1"},
+        )
+        path = tmp_path / "runs.sqlite"
+        with RunStore(path) as store:
+            store.record(record)
+        conn = sqlite3.connect(path)
+        row = conn.execute(
+            "SELECT source_json, values_json, metrics_json FROM runs"
+        ).fetchone()
+        conn.close()
+        assert row == tuple(
+            json.dumps(record[key], sort_keys=True)
+            for key in ("source", "values", "metrics")
+        )
+
+    def test_rows_written_the_old_way_read_back_identically(self, tmp_path):
+        """A row inserted with ``json.dumps(..., sort_keys=True)`` per
+        column — the encoding before the shared encoder — and the same
+        record written by ``record_many`` read back equal through get()."""
+        import json
+        import sqlite3
+
+        path = tmp_path / "runs.sqlite"
+        RunStore(path).close()  # create the current schema
+        old = make_record("srv-old", started_wall=100.1)
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "INSERT INTO runs (instance_id, schema_name, status, submitted_wall, "
+            "started_wall, completed_wall, source_json, values_json, "
+            "metrics_json, config_hash) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                old["instance_id"], old["schema_name"], old["status"],
+                old["submitted_wall"], old["started_wall"], old["completed_wall"],
+                json.dumps(old["source"], sort_keys=True),
+                json.dumps(old["values"], sort_keys=True),
+                json.dumps(old["metrics"], sort_keys=True),
+                old["config_hash"],
+            ),
+        )
+        conn.commit()
+        conn.close()
+        with RunStore(path) as store:
+            store.record(dict(old, instance_id="srv-new"))
+            from_old = store.get("srv-old")
+            from_new = store.get("srv-new")
+        assert dict(from_old, instance_id="srv-new") == from_new
+        assert decode_values(from_old["values"]) == {"d": 1, "gap": NULL, "pair": (1, 2)}
