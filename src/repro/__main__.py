@@ -24,8 +24,8 @@ switches to machine-readable output (and ``.json`` files with ``--out``).
 closed loop (``--concurrency``) or an open Poisson stream (``--rate``);
 ``--shards N`` partitions the population across the sharded runtime
 (``--executor process`` keeps one long-lived worker process per shard;
-``--placement least-loaded`` rebalances skewed populations; with
-``--query-cache`` the shards share a cross-shard L2 result tier).
+instances route to their stable hash home shard, and each shard's
+``--query-cache`` is its own).
 
 ``serve`` exposes the same workload as a long-running HTTP/JSON daemon
 (:mod:`repro.server`): streaming submissions with admission control and
@@ -207,14 +207,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         "to the persistent fleet)",
     )
     parser.add_argument(
-        "--placement",
-        choices=("hash", "least-loaded"),
-        default="hash",
-        help="shard routing policy: stable CRC-32 homes ('hash', default) or "
-        "skew rebalancing toward the shard with the fewest instances in "
-        "flight ('least-loaded'; deterministic given submission order)",
-    )
-    parser.add_argument(
         "--halt", choices=("cancel", "drain"), default="cancel", help="halt policy"
     )
     parser.add_argument(
@@ -293,7 +285,6 @@ def _build_workload(args: argparse.Namespace):
         engine=args.engine,
         shards=args.shards,
         executor=args.executor,
-        placement=args.placement,
         dispatch=args.dispatch,
         query_cache=args.query_cache,
         cohorts=args.cohorts,
@@ -337,8 +328,6 @@ def run_simulate(args: argparse.Namespace) -> int:
         time_unit = service.time_unit()
         mean_gmpl = service.mean_gmpl()
         mode = f"{mode} [{config.shards} shards, {config.executor}]"
-        if config.placement != "hash":
-            mode = f"{mode[:-1]}, {config.placement}]"
     else:
         time_unit = service.backend.time_unit
         mean_gmpl = service.database.mean_gmpl()
@@ -351,7 +340,6 @@ def run_simulate(args: argparse.Namespace) -> int:
         "mode": mode,
         "shards": config.shards,
         "executor": config.executor,
-        "placement": config.placement,
         "instances": summary.count,
         "mean_work": summary.mean_work,
         "mean_elapsed": summary.mean_elapsed,
@@ -364,9 +352,6 @@ def run_simulate(args: argparse.Namespace) -> int:
         "query_cache_hits": summary.query_cache_hits,
         "query_cache_misses": summary.query_cache_misses,
         "query_cache_coalesced": summary.query_cache_coalesced,
-        "query_cache_l2_hits": summary.query_cache_l2_hits,
-        "query_cache_l2_misses": summary.query_cache_l2_misses,
-        "query_cache_l2_promotions": summary.query_cache_l2_promotions,
         "cohorts": config.cohorts,
         "cohort_hits": summary.cohort_hits,
         "cohort_splits": summary.cohort_splits,
@@ -404,12 +389,6 @@ def run_simulate(args: argparse.Namespace) -> int:
                 f"{payload['query_cache_misses']} misses   "
                 f"{payload['query_cache_coalesced']} coalesced"
             )
-            if config.shards > 1:
-                print(
-                    f"  L2 tier: {payload['query_cache_l2_hits']} hits   "
-                    f"{payload['query_cache_l2_misses']} misses   "
-                    f"{payload['query_cache_l2_promotions']} promotions"
-                )
         if config.cohorts:
             print(
                 f"  cohorts: {payload['cohort_hits']} hits   "
@@ -453,7 +432,6 @@ def run_serve(args: argparse.Namespace) -> int:
         "backend": config.backend,
         "shards": config.shards,
         "executor": config.executor,
-        "placement": config.placement,
         "high_water": args.high_water,
         "db": None if args.db is None else str(args.db),
         "config_hash": daemon.config_digest,

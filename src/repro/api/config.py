@@ -24,7 +24,6 @@ __all__ = [
     "ENGINES",
     "EXECUTORS",
     "DISPATCH_MODES",
-    "PLACEMENTS",
 ]
 
 HALT_POLICIES = ("cancel", "drain")
@@ -47,15 +46,6 @@ ENGINES = ("reference", "batched")
 #: ``multiprocessing`` pool.  Kept in lockstep with the registry in
 #: :mod:`repro.runtime.executors`.
 EXECUTORS = ("serial", "process")
-
-#: Shard-placement policies for the sharded runtime: ``"hash"`` routes
-#: each instance to its CRC-32 home shard (stable, stateless, the
-#: reference); ``"least-loaded"`` routes each new submission to the shard
-#: with the fewest instances still in flight (assigned minus completed as
-#: of the last drain, ties to the lowest shard index) — deterministic
-#: given submission order, and identical across executors because routing
-#: happens in the parent.
-PLACEMENTS = ("hash", "least-loaded")
 
 #: Fields that live on the nested Strategy but are accepted by
 #: ``ExecutionConfig.replace`` / ``from_code`` for convenience.
@@ -116,14 +106,9 @@ class ExecutionConfig:
     partitioned across ``shards`` independent engine + DES + database
     replicas, driven either in-process (``executor="serial"``) or by a
     fleet of long-lived worker processes (``executor="process"``, one
-    persistent worker per shard streaming ops over pipes).  ``placement``
-    picks the routing policy — ``"hash"`` (stable CRC-32 homes) or
-    ``"least-loaded"`` (skew-rebalancing: new work goes to the shard with
-    the fewest instances in flight).  With ``query_cache`` armed and
-    ``shards > 1``, the runtime adds a shared **L2 tier** above the
-    per-shard caches: keys completed by any shard are committed at round
-    boundaries and probed by every shard's L1 on a miss
-    (``query_cache_l2_*`` counters in ``summary()``).  A plain
+    persistent worker per shard streaming ops over pipes).  Every
+    instance routes to its stable CRC-32 home shard, and each shard's
+    query cache and memo tiers are its only result reuse.  A plain
     :class:`~repro.api.service.DecisionService` is single-shard by
     definition and ignores these fields; :func:`repro.runtime.create_service`
     picks the right facade from them.
@@ -137,7 +122,6 @@ class ExecutionConfig:
     engine: str = "reference"
     shards: int = 1
     executor: str = "serial"
-    placement: str = "hash"
     dispatch: str = "per-event"
     query_cache: bool = False
     cohorts: bool = False
@@ -167,10 +151,6 @@ class ExecutionConfig:
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
-        if self.placement not in PLACEMENTS:
-            raise ValueError(
-                f"placement must be one of {PLACEMENTS}, got {self.placement!r}"
             )
         if self.dispatch not in DISPATCH_MODES:
             raise ValueError(
@@ -259,8 +239,6 @@ class ExecutionConfig:
             extras.append(f"engine={self.engine}")
         if self.shards != 1 or self.executor != "serial":
             extras.append(f"shards={self.shards}x{self.executor}")
-        if self.placement != "hash":
-            extras.append(f"placement={self.placement}")
         if self.halt_policy != "cancel":
             extras.append(f"halt={self.halt_policy}")
         if self.dispatch != "per-event":

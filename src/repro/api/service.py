@@ -143,13 +143,6 @@ class DecisionService:
     config's backend selection and may be a registered name or a
     pre-built :class:`Backend`; extra keyword arguments are forwarded to
     the backend factory.
-
-    ``query_cache_l2`` is the sharded runtime's seam: a per-shard
-    :class:`~repro.runtime.l2cache.ShardL2View` stacked under the
-    service's :class:`~repro.simdb.database.QueryShareCache` so an
-    L1 miss probes the fleet-wide tier before dispatching.  It is only
-    consulted when ``config.query_cache`` is armed; plain single-service
-    use leaves it ``None``.
     """
 
     def __init__(
@@ -158,7 +151,6 @@ class DecisionService:
         config: ExecutionConfig | Strategy | str | None = None,
         *,
         backend: Backend | str | None = None,
-        query_cache_l2=None,
         **backend_options: Any,
     ):
         config = coerce_config(config)
@@ -180,13 +172,6 @@ class DecisionService:
         self.obs = Observability.create() if config.observe else NULL_OBS
         self._dispatcher = _Dispatcher(lambda: self.backend.simulation.now)
         engine_cls = _ENGINE_CLASSES[config.engine]
-        query_cache: Any = config.query_cache
-        if query_cache and query_cache_l2 is not None:
-            # Build the cache here so the sharded runtime's L2 view can
-            # be threaded underneath it; the engine uses it as-is.
-            from repro.simdb.database import QueryShareCache
-
-            query_cache = QueryShareCache(self.backend.database, l2=query_cache_l2)
         self.engine = engine_cls(
             schema,
             config.strategy,
@@ -194,7 +179,7 @@ class DecisionService:
             halt_policy=config.halt_policy,
             share_results=config.share_results,
             observer=self._dispatcher,
-            query_cache=query_cache,
+            query_cache=config.query_cache,
             cohorts=config.cohorts,
             obs=self.obs,
         )
@@ -267,9 +252,9 @@ class DecisionService:
         *instance_ids* (when given) supplies the id of each submission in
         order — the sharded runtime uses this to keep ids globally unique
         across shards.  ``run=False`` arms the loop without driving the
-        clock (the replacement chain still fires once someone runs it);
-        the returned list is the live handle list and keeps growing as
-        replacements are submitted.
+        clock (the loop still refills once someone runs it); the returned
+        list is the live handle list and keeps growing as each finished
+        instance is replaced.
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
@@ -379,9 +364,6 @@ class DecisionService:
                 query_cache_hits=cache.hits,
                 query_cache_misses=cache.misses,
                 query_cache_coalesced=cache.coalesced,
-                query_cache_l2_hits=cache.l2_hits,
-                query_cache_l2_misses=cache.l2_misses,
-                query_cache_l2_promotions=cache.l2_promotions,
             )
         if self.engine.cohorts:
             summary = replace(
@@ -445,10 +427,6 @@ class DecisionService:
             registry.gauge("query_cache_hits").set(cache.hits)
             registry.gauge("query_cache_misses").set(cache.misses)
             registry.gauge("query_cache_coalesced").set(cache.coalesced)
-            if cache.l2 is not None:
-                registry.gauge("query_cache_l2_hits").set(cache.l2_hits)
-                registry.gauge("query_cache_l2_misses").set(cache.l2_misses)
-                registry.gauge("query_cache_l2_promotions").set(cache.l2_promotions)
         if self.engine.cohorts:
             registry.gauge("cohort_hits").set(self.engine.cohort_hits)
             registry.gauge("cohort_splits").set(self.engine.cohort_splits)

@@ -839,7 +839,7 @@ class BatchedInstance:
 class BatchedEngine(Engine):
     """Executes decision-flow instances via a compiled plan and flat state.
 
-    A drop-in replacement for the reference :class:`Engine` (same
+    A drop-in substitute for the reference :class:`Engine` (same
     constructor, same submit/run surface, same observer hooks, same
     error behavior) selected through
     ``ExecutionConfig(engine="batched")``.  The submit path, query
@@ -1637,7 +1637,7 @@ class BatchedEngine(Engine):
         """Record the round a delivery (the start: no *name*) just ran.
 
         Its launches are the newest entries in flight.  One that waits on
-        data — a miss, a coalesce, an L2 promotion — ends the recording;
+        data — a miss or a coalesce — ends the recording;
         an instance done with nothing in flight is filed, unless its key
         is by identity: a copy of the sources must key the same, or the
         key says nothing once the caller changes the object.

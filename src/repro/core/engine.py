@@ -692,7 +692,7 @@ class Engine:
         Delegates the fire loop to :meth:`Simulation.fire_pooled`: events
         run in exactly per-event order, and when a callback schedules an
         event that sorts *before* the rest of the pool (a closed-loop
-        replacement start, say, which per-event stepping would run next),
+        refill start, say, which per-event stepping would run next),
         consumption stops and the kernel re-queues the remainder.
         Subclasses layer batch-level fast paths on top.
         """

@@ -347,7 +347,6 @@ def config_to_dict(config) -> dict:
         "engine": config.engine,
         "shards": config.shards,
         "executor": config.executor,
-        "placement": config.placement,
         "dispatch": config.dispatch,
         "query_cache": config.query_cache,
         "cohorts": config.cohorts,
@@ -363,6 +362,14 @@ def config_from_dict(data: dict):
         strategy_data = data["strategy"]
     except (TypeError, KeyError):
         raise SerializationError(f"not a config encoding: {data!r}") from None
+    # Older encodings carry the removed placement option; its default
+    # ("hash") is how every fleet routes now, anything else would re-route.
+    placement = data.get("placement", "hash")
+    if placement != "hash":
+        raise SerializationError(
+            f"config encodes placement={placement!r}, a removed option: "
+            "sharded services route every instance to its hash home shard"
+        )
     return ExecutionConfig(
         strategy=strategy_from_dict(strategy_data),
         halt_policy=data.get("halt_policy", "cancel"),
@@ -375,7 +382,6 @@ def config_from_dict(data: dict):
         engine=data.get("engine", "reference"),
         shards=data.get("shards", 1),
         executor=data.get("executor", "serial"),
-        placement=data.get("placement", "hash"),
         dispatch=data.get("dispatch", "per-event"),
         query_cache=bool(data.get("query_cache", False)),
         cohorts=bool(data.get("cohorts", False)),

@@ -3,12 +3,11 @@
 Scale-out layer over :mod:`repro.api`: a
 :class:`ShardedDecisionService` presents the ``DecisionService`` facade
 while partitioning instances across independent engine + DES + database
-shards (stable-hash or least-loaded placement), driven in-process
-(``executor="serial"``) or by a fleet of long-lived worker processes
-(``executor="process"``, one persistent worker per shard streaming ops
-over pipes).  With the query cache armed on a multi-shard fleet, a
-shared L2 tier (:mod:`repro.runtime.l2cache`) lets any shard reuse
-query results the fleet already paid for.
+shards (each instance routed to its stable CRC-32 home), driven
+in-process (``executor="serial"``) or by a fleet of long-lived worker
+processes (``executor="process"``, one persistent worker per shard
+streaming ops over pipes).  Shards share no cache: each shard's query
+cache and memo tiers are its only result reuse.
 
 Quickstart::
 
@@ -23,7 +22,6 @@ Quickstart::
 """
 
 from repro.runtime.executors import ShardStats
-from repro.runtime.l2cache import L2_MEMO_LIMIT, SharedQueryTier, ShardL2View
 from repro.runtime.sharding import (
     MergedEventLog,
     ShardedDecisionService,
@@ -49,7 +47,4 @@ __all__ = [
     "ShardOutcome",
     "InstanceRecord",
     "worker_main",
-    "SharedQueryTier",
-    "ShardL2View",
-    "L2_MEMO_LIMIT",
 ]

@@ -17,13 +17,9 @@ Two implementations behind one duck-typed interface, selected by
   merging.  Fully incremental — submit → run → submit again matches the
   serial executor's contract — and ``run(until=...)`` is supported.
 
-Both executors arm the shared L2 query tier
-(:class:`~repro.runtime.l2cache.SharedQueryTier`) when the config asks
-for the query cache with more than one shard: the serial executor's
-shard services share the committed set in-process, the process executor
-replicates it to worker mirrors as pipe deltas, and both commit pending
-keys at the same round boundaries — so cache state, counters, and traces
-are bit-identical across executors.
+Shards share nothing: each shard's query cache and memo tiers are its
+own, so cache state, counters, and traces are bit-identical across
+executors.
 
 Both present the same per-shard operations to
 :class:`~repro.runtime.sharding.ShardedDecisionService`; the service owns
@@ -43,7 +39,6 @@ from repro.core.metrics import MetricsSummary
 from repro.core.schema import DecisionFlowSchema
 from repro.core.serialize import SerializationError, config_to_dict, schema_to_dict
 from repro.errors import ExecutionError
-from repro.runtime.l2cache import SharedQueryTier
 from repro.runtime.worker import InstanceRecord, ShardOutcome, worker_main
 
 __all__ = ["ShardStats", "SerialExecutor", "ProcessExecutor", "EXECUTOR_CLASSES"]
@@ -69,13 +64,6 @@ def _shard_config(config: ExecutionConfig) -> ExecutionConfig:
     return config.replace(shards=1, executor="serial")
 
 
-def _l2_tier(config: ExecutionConfig, shards: int) -> SharedQueryTier | None:
-    """The shared L2 tier, when the config arms it (cache + >1 shard)."""
-    if config.query_cache and shards > 1:
-        return SharedQueryTier()
-    return None
-
-
 class SerialExecutor:
     """All shards live in-process; ``run`` drives them one after another."""
 
@@ -84,16 +72,7 @@ class SerialExecutor:
 
     def __init__(self, schema: DecisionFlowSchema, config: ExecutionConfig, shards: int):
         shard_config = _shard_config(config)
-        self._tier = _l2_tier(config, shards)
-        self._views = (
-            [self._tier.view() for _ in range(shards)]
-            if self._tier is not None
-            else [None] * shards
-        )
-        self.services = [
-            DecisionService(schema, shard_config, query_cache_l2=view)
-            for view in self._views
-        ]
+        self.services = [DecisionService(schema, shard_config) for _ in range(shards)]
 
     def submit(
         self,
@@ -124,10 +103,6 @@ class SerialExecutor:
     def run(self, until: float | None = None, collect_events: bool = False) -> None:
         for service in self.services:
             service.run(until)
-        if self._tier is not None:
-            # Round boundary: every shard has finished; commit the keys
-            # they published so the *next* round can hit them.
-            self._tier.commit([view.drain() for view in self._views])
 
     def record_for(self, instance_id: str) -> InstanceRecord | None:
         return None  # serial handles are live; nothing to materialize
@@ -224,8 +199,8 @@ class ProcessExecutor:
 
     Workers spawn lazily at the first submission (after the workload
     proves serializable) and persist across rounds: each ``run()`` sends
-    every worker its buffered ops plus the shared-cache delta, lets the
-    fleet execute concurrently, then drains one incremental
+    every worker its buffered ops, lets the fleet execute concurrently,
+    then drains one incremental
     :class:`~repro.runtime.worker.ShardOutcome` per shard.  Aggregate
     reads between rounds come from the cached outcomes — workers idle
     between rounds, so the cache is exact and costs no IPC.
@@ -250,7 +225,6 @@ class ProcessExecutor:
         self._round_events: list[list] = [[] for _ in range(shards)]
         self._workers: list[_WorkerLink] | None = None
         self._closed = False
-        self._tier = _l2_tier(config, shards)
         #: completed executor rounds (each run() that reached the fleet)
         self.rounds = 0
         #: last (mapping, frozen copy) pair: sweeps submit one shared
@@ -289,7 +263,7 @@ class ProcessExecutor:
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=worker_main,
-                args=(child_conn, shard, schema_data, config_data, self._tier is not None),
+                args=(child_conn, shard, schema_data, config_data),
                 name=f"repro-shard-{shard}",
                 daemon=True,
             )
@@ -456,24 +430,13 @@ class ProcessExecutor:
                 ]
             self._round_events = [[] for _ in range(self.shards)]
             return
-        added, removed = self._tier.take_delta() if self._tier is not None else ([], [])
         ops, self._ops = self._ops, [[] for _ in range(self.shards)]
         # Send every shard's round first, then drain in shard order: the
         # whole fleet executes concurrently and the parent blocks only on
         # the slowest shard.
         for link in self._workers:
-            self._send(
-                link,
-                ("run", ops[link.shard], until, collect_events, added, removed),
-            )
-        outcomes: list[ShardOutcome] = []
-        new_keys: list[list] = []
-        for link in self._workers:
-            outcome, keys = self._recv(link)
-            outcomes.append(outcome)
-            new_keys.append(keys)
-        if self._tier is not None:
-            self._tier.commit(new_keys)
+            self._send(link, ("run", ops[link.shard], until, collect_events))
+        outcomes: list[ShardOutcome] = [self._recv(link) for link in self._workers]
         self._outcomes = outcomes
         self._round_events = [outcome.events or [] for outcome in outcomes]
         for outcome in outcomes:

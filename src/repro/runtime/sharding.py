@@ -10,12 +10,10 @@ but hash-partitions instances across ``config.shards`` shards, each
 owning an independent engine (reference or batched), DES calendar, and
 database replica built from the backend registry.
 
-Routing is by a *stable* hash (CRC-32 of the instance id) under the
-default ``placement="hash"``, so the same workload lands on the same
-shards in every process on every run; ``placement="least-loaded"``
-instead routes each new submission to the shard with the fewest
-instances still in flight (skew rebalancing — deterministic given
-submission order, since routing always happens in the parent).  Two
+Routing is by a *stable* hash (CRC-32 of the instance id), so the same
+workload lands on the same shards in every process on every run, and a
+handle's shard is a pure function of its id.  Shards share no result
+reuse: each shard's query cache and memo tiers are its only cache.  Two
 executors drive the fleet (``config.executor``): ``"serial"`` runs every
 shard in-process — deterministic, incremental, and for ``shards=1``
 indistinguishable from a plain service — while ``"process"`` keeps one
@@ -29,8 +27,7 @@ Determinism and equivalence guarantees:
 * Any sharded run is exactly reproducible, and the process executor
   reproduces the serial executor's results shard for shard (each worker
   replays the same ops on the same substrate at the same round
-  boundaries — including the shared L2 query tier, which commits at
-  end-of-round on both executors).
+  boundaries).
 * With one shard, results are identical to a plain ``DecisionService`` —
   bit for bit, including event order.
 * With N shards, per-instance results are identical to a single service
@@ -288,12 +285,6 @@ class ShardedDecisionService:
         self._handles: list[ShardedInstanceHandle] = []
         self._instance_ids: set[str] = set()
         self._id_seq = itertools.count(1)
-        #: placement state: where each instance was routed, how many each
-        #: shard was assigned, and each shard's completion count as of
-        #: the last drain (the live-load signal for least-loaded).
-        self._routes: dict[str, int] = {}
-        self._assigned = [0] * self.shards
-        self._completed_seen = [0] * self.shards
         #: process-executor observation state (serial subscribes live).
         self._handlers: dict[str, list[Callable]] = {
             "launch": [],
@@ -311,28 +302,8 @@ class ShardedDecisionService:
         )
 
     def shard_of(self, instance_id: str) -> int:
-        """Which shard an instance id routes to.
-
-        For an already-routed instance this is its assigned shard under
-        any placement policy; otherwise the stable CRC-32 home.
-        """
-        assigned = self._routes.get(instance_id)
-        if assigned is not None:
-            return assigned
+        """Which shard an instance id routes to: its stable CRC-32 home."""
         return shard_of(instance_id, self.shards)
-
-    def _route(self, instance_id: str) -> int:
-        """Assign a new instance a shard under the configured placement."""
-        if self.config.placement == "hash":
-            shard = shard_of(instance_id, self.shards)
-        else:  # least-loaded: fewest in flight, ties to the lowest index
-            shard = min(
-                range(self.shards),
-                key=lambda s: (self._assigned[s] - self._completed_seen[s], s),
-            )
-        self._routes[instance_id] = shard
-        self._assigned[shard] += 1
-        return shard
 
     def _register(
         self, shard: int, instance_id: str, local: InstanceHandle | None
@@ -352,15 +323,10 @@ class ShardedDecisionService:
     ) -> ShardedInstanceHandle:
         """Submit one instance to its home shard."""
         instance_id = self._claim_id(instance_id)
-        shard = self._route(instance_id)
-        try:
-            local = self._executor.submit(shard, instance_id, source_values, at)
-        except Exception:
-            # A rejected submission (e.g. a past start time) must not
-            # burn the name or skew the placement load accounting.
-            del self._routes[instance_id]
-            self._assigned[shard] -= 1
-            raise
+        shard = shard_of(instance_id, self.shards)
+        # A rejected submission (e.g. a past start time) raises before
+        # the id is recorded, so it does not burn the name.
+        local = self._executor.submit(shard, instance_id, source_values, at)
         self._instance_ids.add(instance_id)
         return self._register(shard, instance_id, local)
 
@@ -394,7 +360,7 @@ class ShardedDecisionService:
         """Closed-system helper: per-shard closed loops, then drain.
 
         Ids are allocated globally and hash-routed; each shard with work
-        runs its own replacement loop over its share of the *n* instances.
+        runs its own closed loop over its share of the *n* instances.
         *concurrency* splits as evenly as possible across the busy shards
         with every busy shard keeping at least one instance in flight —
         so when ``concurrency < shards`` the global in-flight population
@@ -416,7 +382,7 @@ class ShardedDecisionService:
             [] for _ in range(self.shards)
         ]
         for instance_id, source_values in zip(ids, values_list):
-            shard = self._route(instance_id)
+            shard = shard_of(instance_id, self.shards)
             per_shard_ids[shard].append(instance_id)
             per_shard_values[shard].append(source_values)
         active = [s for s in range(self.shards) if per_shard_ids[s]]
@@ -432,7 +398,7 @@ class ShardedDecisionService:
         positions = [0] * self.shards
         handles = []
         for instance_id in ids:
-            shard = self.shard_of(instance_id)
+            shard = shard_of(instance_id, self.shards)
             locals_ = local_lists.get(shard)
             local = None
             if locals_ is not None:
@@ -448,9 +414,6 @@ class ShardedDecisionService:
         collect = bool(self._logs) or any(self._handlers.values())
         self._executor.run(until, collect_events=collect)
         self._replay_events()
-        if self.config.placement != "hash":
-            for index, stat in enumerate(self._executor.shard_stats()):
-                self._completed_seen[index] = stat.completed
 
     @property
     def now(self) -> float:

@@ -19,9 +19,8 @@ drives it in-process to pin down exactly what crosses the pipe) and
 serves framed commands over a ``multiprocessing`` pipe until told to
 shut down:
 
-- ``("run", ops, until, collect_events, l2_added, l2_removed)`` —
-  apply the shared-cache delta, replay the new ops, drive the shard
-  (to *until*, or dry), reply ``("ok", (outcome, l2_new_keys))``.
+- ``("run", ops, until, collect_events)`` — replay the new ops, drive
+  the shard (to *until*, or dry), reply ``("ok", outcome)``.
   The outcome's ``records`` are *incremental*: instances already
   reported done are skipped, live ones are re-reported each round
   until they finish; ``events`` carry only this round's new events.
@@ -44,7 +43,6 @@ from repro.api.service import DecisionService
 from repro.core.metrics import InstanceMetrics, MetricsSummary
 from repro.core.serialize import config_from_dict, schema_from_dict
 from repro.errors import ExecutionError
-from repro.runtime.l2cache import ShardL2View
 
 __all__ = [
     "ShardOutcome",
@@ -163,38 +161,25 @@ def _shard_outcome(
 class _PersistentShard:
     """The live state one persistent worker keeps between rounds."""
 
-    def __init__(self, shard: int, schema_data: dict, config_data: dict, l2_armed: bool):
+    def __init__(self, shard: int, schema_data: dict, config_data: dict):
         schema = schema_from_dict(schema_data)
         config = config_from_dict(config_data).replace(shards=1, executor="serial")
-        #: worker-local mirror of the parent's committed L2 key set,
-        #: kept exact by the (added, removed) delta on each run command.
-        self.view = ShardL2View(set()) if l2_armed else None
-        self.service = DecisionService(schema, config, query_cache_l2=self.view)
+        self.service = DecisionService(schema, config)
         self.shard = shard
         self.log = None
         self._events_sent = 0
         self._reported_done: set[str] = set()
 
     def round(
-        self,
-        ops: list[tuple],
-        until: float | None,
-        collect_events: bool,
-        l2_added: list,
-        l2_removed: list,
-    ) -> tuple[ShardOutcome, list]:
-        if self.view is not None:
-            self.view.apply_delta(l2_added, l2_removed)
+        self, ops: list[tuple], until: float | None, collect_events: bool
+    ) -> ShardOutcome:
         if collect_events and self.log is None:
             # Late observer attach: collection starts this round; earlier
             # rounds' events are gone, matching the documented contract.
             self.log = self.service.attach_log()
         _replay_ops(self.service, ops)
         self.service.run(until)
-        return self._outcome(), self._drain_l2()
-
-    def _drain_l2(self) -> list:
-        return self.view.drain() if self.view is not None else []
+        return self._outcome()
 
     def _outcome(self) -> ShardOutcome:
         service = self.service
@@ -231,9 +216,7 @@ class _PersistentShard:
         }
 
 
-def worker_main(
-    conn, shard: int, schema_data: dict, config_data: dict, l2_armed: bool
-) -> None:
+def worker_main(conn, shard: int, schema_data: dict, config_data: dict) -> None:
     """Entry point of one persistent shard worker process.
 
     Serves framed commands on *conn* until ``("shutdown",)`` arrives or
@@ -256,10 +239,10 @@ def worker_main(
             return
         try:
             if state is None:
-                state = _PersistentShard(shard, schema_data, config_data, l2_armed)
+                state = _PersistentShard(shard, schema_data, config_data)
             if kind == "run":
-                _, ops, until, collect_events, l2_added, l2_removed = message
-                payload = state.round(ops, until, collect_events, l2_added, l2_removed)
+                _, ops, until, collect_events = message
+                payload = state.round(ops, until, collect_events)
             elif kind == "snapshot":
                 payload = state.snapshot()
             else:

@@ -647,8 +647,8 @@ class _CacheFollower:
         self.cancel_requested = False
         self.finished = False
         self.failed = False
-        #: answered from the L1 memo at submission — not coalesced behind
-        #: an in-flight primary, not promoted from the L2 tier
+        #: answered from the memo at submission — not coalesced behind
+        #: an in-flight primary
         self.memo = memo
 
     def cancel(self) -> None:
@@ -691,17 +691,8 @@ class QueryShareCache:
     abandon/reissue protocol).  Counters — ``hits`` / ``misses`` /
     ``coalesced`` — surface through ``DecisionService.summary()``.
 
-    **L2 tier.**  In a sharded fleet this cache is the per-shard *L1*;
-    pass ``l2`` (a :class:`~repro.runtime.l2cache.ShardL2View`) to stack
-    the cross-shard tier underneath: an L1 miss probes the L2 before
-    dispatching (``l2_hits`` / ``l2_misses``), a hit promotes the key
-    into the L1 memo and serves the same zero-delay band-2 delivery as a
-    memo hit, and every successful primary completion publishes its key
-    up (``l2_promotions`` counts keys new to the shard's view).  The L2
-    inherits the L1's failure semantics for free — publication happens
-    only on the success path, so failed results never reach the tier and
-    cancelled primaries follow the reissue protocol before anything is
-    published.
+    In a sharded fleet each shard owns one of these caches, and it is
+    that shard's only result reuse: shards never share cache state.
 
     Semantics: like every sharing optimization, coalescing changes
     execution *dynamics* relative to an uncached run — shared
@@ -718,15 +709,11 @@ class QueryShareCache:
         self,
         database: DatabaseServer,
         memo_limit: int = QUERY_MEMO_LIMIT,
-        l2=None,
     ):
         if memo_limit < 1:
             raise ValueError(f"memo_limit must be >= 1, got {memo_limit}")
         self.database = database
         self.memo_limit = memo_limit
-        #: the shared cross-shard tier (ShardL2View), or None when this
-        #: cache runs standalone (single shard, or the tier is disarmed)
-        self.l2 = l2
         #: key -> (primary handle, follower list), one entry per live key
         self._inflight: dict[object, tuple[QueryHandle, list[_CacheFollower]]] = {}
         #: primary handle -> key (waiter lookups, entry cleanup)
@@ -744,9 +731,6 @@ class QueryShareCache:
         self.misses = 0
         self.coalesced = 0
         self.reissues = 0
-        self.l2_hits = 0
-        self.l2_misses = 0
-        self.l2_promotions = 0
         #: bumped whenever a *real* follower coalesces anywhere; lets
         #: engine aggregations skip per-key follower re-checks while no
         #: coalescing has happened at all (the overwhelmingly common
@@ -785,20 +769,6 @@ class QueryShareCache:
             follower = _CacheFollower(key, cost, on_complete)
             entry[1].append(follower)
             return follower
-        l2 = self.l2
-        if l2 is not None:
-            if l2.probe(key):
-                # Another shard completed this key in an earlier round:
-                # promote it into the L1 memo and serve the same
-                # zero-delay band-2 delivery as a memo hit.
-                self.l2_hits += 1
-                self._remember(key)
-                follower = _CacheFollower(key, cost, on_complete)
-                self.database.sim.schedule(
-                    0.0, lambda: self.deliver(follower), priority=(2, 0)
-                )
-                return follower
-            self.l2_misses += 1
         self.misses += 1
         return self._dispatch(key, cost, on_complete)
 
@@ -835,8 +805,6 @@ class QueryShareCache:
                 # Memoize before the issuer advances: a same-key launch
                 # made inside its advance must hit, not re-dispatch.
                 self._remember(key)
-                if self.l2 is not None and self.l2.publish(key):
-                    self.l2_promotions += 1
             if on_complete is not None:
                 on_complete(processed, completed)
             self._fan_out(followers, failed)

@@ -106,11 +106,14 @@ class TestExecutionConfig:
         with pytest.raises(ValueError, match="executor must be one of"):
             ExecutionConfig(executor=executor)
 
-    def test_placement_defaults_and_validation(self):
-        assert ExecutionConfig().placement == "hash"
-        assert ExecutionConfig(placement="least-loaded").placement == "least-loaded"
-        with pytest.raises(ValueError, match="placement must be one of"):
-            ExecutionConfig(placement="round-robin-ish")
+    def test_placement_is_not_a_config_field(self):
+        from repro.api import config as config_module
+
+        with pytest.raises(TypeError):
+            ExecutionConfig(placement="hash")
+        with pytest.raises(ValueError, match="unknown config field"):
+            ExecutionConfig(shards=2).replace(placement="hash")
+        assert not hasattr(config_module, "PLACEMENTS")
 
     def test_sharding_fields_via_from_code_and_replace(self):
         config = ExecutionConfig.from_code("PSE80", shards=4, executor="process")

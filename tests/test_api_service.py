@@ -396,9 +396,6 @@ class TestReleaseCompleted:
         "query_cache_hits",
         "query_cache_misses",
         "query_cache_coalesced",
-        "query_cache_l2_hits",
-        "query_cache_l2_misses",
-        "query_cache_l2_promotions",
         "cohort_hits",
         "cohort_splits",
     )

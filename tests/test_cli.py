@@ -207,18 +207,33 @@ class TestSimulateDispatchAndCache:
         # A closed loop over one source valuation shares aggressively.
         assert payload["query_cache_hits"] + payload["query_cache_coalesced"] > 0
 
-    def test_l2_counters_and_placement_in_sharded_json(self, capsys):
-        payload = self._run(
-            capsys,
-            ["--query-cache", "--shards", "2", "--placement", "least-loaded"],
-        )
-        assert payload["placement"] == "least-loaded"
-        assert "least-loaded" in payload["mode"]
-        # Single-round CLI runs never observe the tier (commit is at
-        # round boundaries), but the counters are always reported.
-        assert payload["query_cache_l2_hits"] == 0
-        assert payload["query_cache_l2_misses"] >= 0
-        assert payload["query_cache_l2_promotions"] >= 0
+    def test_sharded_query_cache_json(self, capsys):
+        payload = self._run(capsys, ["--query-cache", "--shards", "2"])
+        assert payload["shards"] == 2
+        assert payload["query_cache_misses"] > 0
+        # Each shard's cache is its own: no cross-shard tier, one routing.
+        assert not any(key.startswith("query_cache_l2") for key in payload)
+        assert "placement" not in payload
+
+    def test_placement_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--shards", "2", "--placement", "hash"])
+        assert exit_info.value.code == 2
+        assert "--placement" in capsys.readouterr().err
+
+    def test_sharded_text_report_has_one_cache_line(self, capsys):
+        assert main(
+            [
+                "simulate",
+                "--nb-nodes", "12",
+                "--instances", "4",
+                "--shards", "2",
+                "--query-cache",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.count("query cache:") == 1
+        assert "L2" not in out
 
     def test_query_cache_text_summary_line(self, capsys):
         assert main(
@@ -322,7 +337,6 @@ class TestServe:
         banner = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert banner["shards"] == 2
         assert banner["executor"] == "process"
-        assert banner["placement"] == "hash"
 
 
 class TestJsonErrorPaths:

@@ -248,6 +248,35 @@ class TestConfigRoundTrip:
         assert restored.dispatch == "per-event"
         assert restored.query_cache is False
 
+    def test_legacy_placement_key(self):
+        # Encodings written while placement was an option still load when
+        # they asked for hash routing; any other routing is refused, so a
+        # fleet is never silently re-routed.
+        config = ExecutionConfig.from_code("PSE50", shards=2)
+        data = {**config_to_dict(config), "placement": "hash"}
+        assert config_from_dict(data) == config
+        data["placement"] = "least-loaded"
+        with pytest.raises(SerializationError, match="placement='least-loaded'"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("placement", ["round-robin", "", None])
+    def test_legacy_placement_other_than_hash_refused(self, placement):
+        config = ExecutionConfig.from_code("PSE50", shards=2)
+        data = {**config_to_dict(config), "placement": placement}
+        with pytest.raises(SerializationError, match="a removed option"):
+            config_from_dict(data)
+
+    def test_encoding_carries_no_placement(self):
+        config = ExecutionConfig.from_code("PSE50", shards=3, executor="process")
+        assert "placement" not in config_to_dict(config)
+
+    def test_legacy_hash_key_digests_like_a_fresh_encoding(self):
+        from repro.server.store import config_hash
+
+        config = ExecutionConfig.from_code("PSE50", shards=2)
+        legacy = config_from_dict({**config_to_dict(config), "placement": "hash"})
+        assert config_hash(legacy) == config_hash(config)
+
     def test_dict_form_is_json_able(self):
         import json
 

@@ -62,7 +62,6 @@ def run_population(
     failure_prob=0.0,
     memo_limit=4096,
     cache=True,
-    l2=None,
     cohorts=False,
     pooled=False,
     share=False,
@@ -72,7 +71,7 @@ def run_population(
     sim = Simulation()
     database = make_database(backend, "coalesced", sim, seed, failure_prob)
     observer = RecordingObserver()
-    query_cache = QueryShareCache(database, memo_limit=memo_limit, l2=l2) if cache else None
+    query_cache = QueryShareCache(database, memo_limit=memo_limit) if cache else None
     engine = engine_cls(
         schema,
         Strategy.parse(code, cancel_unneeded=cancel_unneeded),
@@ -282,28 +281,6 @@ def test_a_failed_result_is_not_memoized_so_the_next_occurrence_files_nothing():
     )
     assert engine.query_cache.misses > 3  # the second occurrence retried
     assert engine.flow_traces == 0
-
-
-class EverythingL2:
-    """An L2 view that has every key (and takes no publication)."""
-
-    def probe(self, key):
-        return True
-
-    def publish(self, key):
-        return False
-
-
-def test_a_launch_the_l2_tier_serves_drops_the_recording():
-    """A promoted key is delivered like a hit, but the instance did not
-    find it in *this* memo: the occurrence after it is the first all-hit."""
-    for arrivals, traces in ((REPEATS[:1], 0), (REPEATS[:2], 1)):
-        trace, engine = run_population(
-            BatchedEngine, gated_schema(), "PSE100", arrivals, l2=EverythingL2()
-        )
-        assert engine.query_cache.l2_hits == 3 and engine.query_cache.misses == 0
-        assert engine.flow_traces == traces
-        assert all(done for _, done, _ in trace["values"])
 
 
 def test_sources_keyed_by_identity_are_not_filed():

@@ -210,106 +210,42 @@ class TestMemoBounds:
         assert "hits=0" in text and "memo=0" in text
 
 
-# -- the shared L2 tier, at the cache level ------------------------------------
+class TestOneTierPerCache:
+    """A cache's own memo is the only reuse: nothing is shared between caches."""
 
+    def test_no_shared_tier_can_be_stacked(self):
+        sim = Simulation()
+        database = IdealDatabase(sim, seed=0)
+        with pytest.raises(TypeError):
+            QueryShareCache(database, l2=object())
+        cache = QueryShareCache(database)
+        assert not any(name.startswith("l2") for name in dir(cache))
 
-def make_l2_cache(tier=None, failure_prob: float = 0.0):
-    from repro.runtime.l2cache import SharedQueryTier
-
-    tier = tier if tier is not None else SharedQueryTier()
-    sim = Simulation()
-    database = IdealDatabase(sim, failure_prob=failure_prob, seed=0)
-    view = tier.view()
-    return sim, database, QueryShareCache(database, l2=view), tier, view
-
-
-class TestL2Probe:
-    def test_l2_hit_serves_zero_cost_and_promotes_to_l1(self):
-        sim, database, cache, tier, _ = make_l2_cache()
-        tier.commit([[("q", 3)]])  # committed by "another shard", last round
-        done = Recorder()
-        cache.submit(("q", 3), 3, done)
-        assert done.calls == []  # delivery is event-driven, like a memo hit
+    def test_two_caches_on_one_database_do_not_share(self):
+        sim = Simulation()
+        database = IdealDatabase(sim, seed=0)
+        first, second = QueryShareCache(database), QueryShareCache(database)
+        first.submit(("q", 3), 3, Recorder())
         sim.run()
-        assert done.calls == [(0, True)]
-        assert database.total_units == 0  # no dispatch: the fleet already paid
-        assert (cache.l2_hits, cache.l2_misses, cache.misses) == (1, 0, 0)
-        # The hit was promoted into the local L1 memo: a re-issue is an
-        # ordinary L1 hit and never consults the tier again.
-        again = Recorder()
-        cache.submit(("q", 3), 3, again)
+        late = Recorder()
+        second.submit(("q", 3), 3, late)
         sim.run()
-        assert again.calls == [(0, True)]
-        assert (cache.hits, cache.l2_hits) == (1, 1)
+        # The second cache never saw the key: it pays the full cost again.
+        assert late.calls == [(3, True)]
+        assert database.total_units == 3 + 3
+        assert (first.misses, second.misses, second.hits) == (1, 1, 0)
+        assert (first.memo_size, second.memo_size) == (1, 1)
 
-    def test_l2_miss_dispatches_then_publishes_on_success(self):
-        sim, database, cache, _, view = make_l2_cache()
-        cache.submit(("q", 2), 2, Recorder())
-        sim.run()
-        assert database.total_units == 2
-        assert (cache.l2_misses, cache.l2_promotions) == (1, 1)
-        # Published keys buffer in the view until the round owner commits.
-        assert view.probe(("q", 2)) is False
-        assert view.drain() == [("q", 2)]
-
-    def test_publish_invisible_until_commit(self):
-        from repro.runtime.l2cache import SharedQueryTier
-
-        tier = SharedQueryTier()
-        sim, _, cache, _, view = make_l2_cache(tier)
-        cache.submit(("q", 1), 1, Recorder())
-        sim.run()
-        # Mid-round: a sibling shard's view must not see the key yet.
-        sibling = tier.view()
-        assert sibling.probe(("q", 1)) is False
-        tier.commit([view.drain()])
-        assert sibling.probe(("q", 1)) is True
-        assert tier.committed_size == 1
-
-    def test_failures_never_reach_the_tier(self):
-        sim, _, cache, _, view = make_l2_cache(failure_prob=1.0)
-        cache.submit(("q", 2), 2, Recorder())
-        sim.run()
-        assert cache.memo_size == 0  # L1 did not memoize the failure
-        assert view.drain() == []  # and nothing was published to L2
-        assert cache.l2_promotions == 0
-
-    def test_cancelled_primary_reissue_publishes_only_the_success(self):
-        sim, database, cache, _, view = make_l2_cache()
+    def test_a_reissued_result_is_memoized_once_and_then_hit(self):
+        sim, database, cache = make_cache()
         primary = cache.submit(("q", 4), 4, Recorder())
-        cache.submit(("q", 4), 4, Recorder())  # live follower forces a reissue
+        cache.submit(("q", 4), 4, Recorder())
         primary.cancel()
         sim.run()
-        assert cache.reissues == 1
-        assert database.total_units == 1 + 4
-        assert view.drain() == [("q", 4)]  # one publish, from the reissue
-        assert cache.l2_promotions == 1
-
-    def test_duplicate_publishes_dedupe_in_the_view(self):
-        from repro.runtime.l2cache import ShardL2View
-
-        view = ShardL2View(set())
-        assert view.publish("k") is True
-        assert view.publish("k") is False  # already pending
-        assert view.drain() == ["k"]
-        view.apply_delta(["k"], [])
-        assert view.publish("k") is False  # already committed
-
-    def test_tier_commit_is_fifo_bounded_with_delta(self):
-        from repro.runtime.l2cache import SharedQueryTier
-
-        tier = SharedQueryTier(limit=2)
-        tier.commit([["a", "b"]])
-        assert tier.take_delta() == (["a", "b"], [])
-        tier.commit([["c"], ["b", "d"]])  # "b" dedupes; "a" (oldest) evicts
-        added, removed = tier.take_delta()
-        assert added == ["c", "d"]
-        assert removed == ["a", "b"]  # FIFO: the two oldest make room
-        assert tier.committed_size == 2
-        assert tier.take_delta() == ([], [])  # deltas ship exactly once
-
-    def test_tier_limit_validated(self):
-        from repro.runtime.l2cache import SharedQueryTier
-
-        with pytest.raises(ValueError):
-            SharedQueryTier(limit=0)
+        assert cache.reissues == 1 and cache.memo_size == 1
+        again = Recorder()
+        cache.submit(("q", 4), 4, again)
+        sim.run()
+        assert again.calls == [(0, True)]
+        assert database.total_units == 1 + 4  # the hit added no work
+        assert cache.hits == 1

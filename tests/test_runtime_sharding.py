@@ -213,11 +213,9 @@ class TestWorkerProtocol:
         """One ``("run", ...)`` frame served by a worker's live state."""
         config = ExecutionConfig.from_code("PSE50", engine="batched")
         state = _PersistentShard(
-            shard, schema_to_dict(pattern.schema), config_to_dict(config), l2_armed=False
+            shard, schema_to_dict(pattern.schema), config_to_dict(config)
         )
-        outcome, l2_new_keys = state.round(ops, None, collect_events, [], [])
-        assert l2_new_keys == []
-        return outcome
+        return state.round(ops, None, collect_events)
 
     def test_a_round_replays_submits(self, pattern):
         sources = dict(pattern.source_values)
@@ -260,6 +258,53 @@ class TestWorkerProtocol:
     def test_unknown_op_rejected(self, pattern):
         with pytest.raises(ExecutionError, match="unknown shard op"):
             self._round(pattern, ops=[("warp", "w#1")])
+
+    def test_a_second_round_reports_only_what_is_new(self, pattern):
+        sources = dict(pattern.source_values)
+        config = ExecutionConfig.from_code("PSE50", engine="batched")
+        state = _PersistentShard(0, schema_to_dict(pattern.schema), config_to_dict(config))
+        first = state.round([("submit", "w#1", sources, None)], None, True)
+        second = state.round([("submit", "w#2", sources, None)], None, True)
+        assert [r.instance_id for r in first.records] == ["w#1"]
+        assert [r.instance_id for r in second.records] == ["w#2"]
+        assert (second.instances, second.completed) == (2, 2)
+        assert second.events and not set(map(id, second.events)) & set(map(id, first.events))
+
+    def test_worker_main_speaks_run_snapshot_and_shutdown_frames(self, pattern):
+        import threading
+        from multiprocessing import Pipe
+
+        from repro.runtime.worker import ShardOutcome, worker_main
+
+        parent, child = Pipe()
+        config = ExecutionConfig.from_code("PSE50", engine="batched")
+        worker = threading.Thread(
+            target=worker_main,
+            args=(child, 1, schema_to_dict(pattern.schema), config_to_dict(config)),
+        )
+        worker.start()
+        try:
+            sources = dict(pattern.source_values)
+            parent.send(("run", [("submit", "f#1", sources, None)], None, False))
+            kind, outcome = parent.recv()
+            assert kind == "ok" and isinstance(outcome, ShardOutcome)
+            assert [r.instance_id for r in outcome.records] == ["f#1"]
+            parent.send(("snapshot",))
+            assert parent.recv() == (
+                "ok",
+                {"shard": 1, "instances": 1, "completed": 1, "now": outcome.end_time},
+            )
+            parent.send(("warp",))
+            reply = parent.recv()
+            assert reply[:2] == ("error", "ExecutionError")
+            assert "unknown worker command" in reply[2]
+            parent.send(("shutdown",))
+            assert parent.recv() == ("ok", None)
+        finally:
+            worker.join(timeout=10)
+            parent.close()
+            child.close()
+        assert not worker.is_alive()
 
 
 # -- the process executor ------------------------------------------------------
@@ -597,136 +642,79 @@ def _id_on_shard(shard: int, shards: int, prefix: str) -> str:
     raise AssertionError("no id found")  # pragma: no cover
 
 
-# -- placement policies --------------------------------------------------------
+# -- routing -------------------------------------------------------------------
 
 
-class TestPlacement:
-    def test_least_loaded_spreads_round_robin_from_empty(self, pattern):
-        service = ShardedDecisionService(
-            pattern.schema,
-            ExecutionConfig(shards=3, placement="least-loaded"),
-        )
-        handles = [
-            service.submit(pattern.source_values, at=float(i), instance_id=f"skew#{i}")
-            for i in range(6)
-        ]
-        # All ids would hash wherever they like; least-loaded ignores the
-        # hash and balances: ties break to the lowest shard index.
-        assert [h.shard for h in handles] == [0, 1, 2, 0, 1, 2]
-        # Routed ids resolve to their assigned shard, not the CRC home.
-        assert service.shard_of("skew#0") == 0
-
-    def test_least_loaded_counters_rebalance_after_drain(self, pattern):
-        service = ShardedDecisionService(
-            pattern.schema,
-            ExecutionConfig.from_code("PSE50", shards=2, placement="least-loaded"),
-        )
-        service.submit(pattern.source_values)
-        service.submit(pattern.source_values)
-        service.run()  # both done; in-flight load back to zero everywhere
-        late = service.submit(pattern.source_values)
-        assert late.shard == 0  # fresh tie breaks to the lowest index again
-
-    def test_least_loaded_identical_across_executors(self, pattern):
-        def drive(executor):
-            service = ShardedDecisionService(
-                pattern.schema,
-                ExecutionConfig.from_code(
-                    "PSE50",
-                    engine="batched",
-                    shards=3,
-                    executor=executor,
-                    placement="least-loaded",
-                ),
-            )
-            service.submit_stream(
-                [0.0, 1.0, 2.0, 3.0, 4.0], values=pattern.source_values
-            )
-            service.submit_stream(
-                [service.now, service.now + 1.0], values=pattern.source_values
-            )
-            trace = {
-                "shards": [h.shard for h in service.handles],
-                "metrics": [h.metrics for h in service.handles],
-                "summary": service.summary(),
-                "stats": service.stats(),
-            }
-            service.close()
-            return trace
-
-        serial = drive("serial")
-        process = drive("process")
-        assert process == serial
-
-    def test_rejected_submission_rolls_back_load_accounting(self, pattern):
-        service = ShardedDecisionService(
-            pattern.schema,
-            ExecutionConfig.from_code("PSE50", shards=2, placement="least-loaded"),
-        )
-        with pytest.raises(ExecutionError, match="past time"):
-            service.submit(pattern.source_values, at=-1.0)
-        assert service._assigned == [0, 0]
-        assert service._routes == {}
-        # The next valid submission still starts the rotation at shard 0.
-        assert service.submit(pattern.source_values).shard == 0
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_routing_is_pure_and_a_refused_submit_is_free(pattern, executor):
+    service = ShardedDecisionService(
+        pattern.schema,
+        ExecutionConfig.from_code("PSE50", shards=3, executor=executor),
+    )
+    service.submit(pattern.source_values, instance_id="explicit-a")
+    service.submit_stream([0.0, 1.0, 2.0], values=pattern.source_values)
+    service.run_closed(4, concurrency=2, values=pattern.source_values)
+    refused = _id_on_shard(0, 3, "refused")
+    with pytest.raises(ExecutionError, match="past time"):
+        service.submit(pattern.source_values, at=-1.0, instance_id=refused)
+    # The refused id was never claimed: the next submit may take it.
+    service.submit(pattern.source_values, at=service.now, instance_id=refused)
+    service.run()
+    ids = {h.instance_id for h in service.handles}
+    assert refused in ids and len(ids) == len(service.handles) == 9
+    assert all(h.shard == shard_of(h.instance_id, 3) for h in service.handles)
+    # A handle's shard is a function of its id, so nothing maps ids to shards.
+    tables = [v for v in vars(service).values() if isinstance(v, dict)]
+    assert not any(ids & set(table) for table in tables)
+    service.close()
 
 
-# -- the shared L2 query tier, end to end --------------------------------------
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+def test_shard_of_is_the_crc32_home(pattern, shards):
+    from zlib import crc32
+
+    service = ShardedDecisionService(pattern.schema, ExecutionConfig(shards=shards))
+    for instance_id in ("a", "flow#0", "flow#17", "ünïcode", ""):
+        home = crc32(instance_id.encode("utf-8")) % shards
+        assert shard_of(instance_id, shards) == home
+        assert service.shard_of(instance_id) == home
+    service.close()
 
 
-class TestSharedL2Tier:
-    def _trace(self, pattern, executor, rounds):
-        """Drive *rounds* batches of the same population; return counters."""
-        service = ShardedDecisionService(
-            pattern.schema,
-            ExecutionConfig.from_code(
-                "PSE50", engine="batched", shards=2, executor=executor,
-                query_cache=True,
-            ),
-        )
-        for round_index in range(rounds):
-            for index in range(8):
-                # Same source rows every round, but each round lands on
-                # the *other* shard — its own L1 is cold there, so reuse
-                # can only come from the cross-shard L2 tier.
-                service.submit(
-                    pattern.source_values,
-                    instance_id=_id_on_shard(round_index % 2, 2, f"r{round_index}-{index}"),
-                )
-            service.run()
-        cache = service.summary()
-        trace = {
-            "l2_hits": cache.query_cache_l2_hits,
-            "l2_misses": cache.query_cache_l2_misses,
-            "l2_promotions": cache.query_cache_l2_promotions,
-            "l1_hits": cache.query_cache_hits,
-            "summary": cache,
-            "values": [h.value_map() for h in service.handles],
-            "now": service.now,
-        }
-        service.close()
-        return trace
+def test_sequential_ids_split_evenly(pattern):
+    service = ShardedDecisionService(
+        pattern.schema, ExecutionConfig.from_code("PSE50", shards=2)
+    )
+    handles = service.submit_stream([0.0] * 400, values=pattern.source_values, run=False)
+    per_shard = [sum(1 for h in handles if h.shard == index) for index in (0, 1)]
+    # CRC-32 over sequential ids needs no load balancer to stay even.
+    assert sum(per_shard) == 400 and min(per_shard) >= 180
+    service.close()
 
-    def test_cross_shard_hits_materialize_across_rounds(self, pattern):
-        trace = self._trace(pattern, "serial", rounds=2)
-        assert trace["l2_promotions"] > 0  # round 1 published its keys
-        assert trace["l2_hits"] > 0  # round 2 reused them across shards
 
-    def test_l2_counters_identical_across_executors(self, pattern):
-        serial = self._trace(pattern, "serial", rounds=3)
-        process = self._trace(pattern, "process", rounds=3)
-        assert process == serial
-        assert serial["l2_hits"] > 0
+def test_the_shared_tier_module_is_gone():
+    import importlib.util
 
-    def test_single_round_runs_never_observe_the_tier(self, pattern):
-        trace = self._trace(pattern, "process", rounds=1)
-        assert trace["l2_hits"] == 0  # nothing committed before the only round
-        assert trace["l2_promotions"] > 0  # but keys were published for later
+    import repro.runtime
 
-    def test_tier_only_armed_with_cache_and_multiple_shards(self, pattern):
-        from repro.runtime.executors import _l2_tier
+    assert importlib.util.find_spec("repro.runtime.l2cache") is None
+    assert not any("L2" in name for name in repro.runtime.__all__)
 
-        config = ExecutionConfig(query_cache=True, shards=2)
-        assert _l2_tier(config, 2) is not None
-        assert _l2_tier(config, 1) is None
-        assert _l2_tier(config.replace(query_cache=False), 2) is None
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_sharded_cache_reports_one_tier(pattern, executor):
+    service = ShardedDecisionService(
+        pattern.schema,
+        ExecutionConfig.from_code(
+            "PSE50", shards=2, executor=executor, query_cache=True, observe=True
+        ),
+    )
+    for _ in range(2):  # two rounds: a second tier would only show from round 2
+        service.submit_stream([service.now] * 4, values=pattern.source_values)
+    summary = service.summary()
+    assert summary.query_cache_misses > 0
+    assert not any("l2" in key for key in summary.to_dict())
+    gauges = {entry["name"] for entry in service.observability()["gauges"]}
+    assert "query_cache_hits" in gauges
+    assert not any("l2" in name for name in gauges)
+    service.close()

@@ -377,16 +377,6 @@ class TestShardedService:
         assert [w["pid"] for w in workers["workers"]] == pids_before
         summary = daemon.summary()
         assert summary.count == 8
-        # Epoch 2 reused epoch 1's committed keys through the L2 tier
-        # wherever the population crossed shards; at minimum the L2
-        # counters are live and consistent with the JSON payload.
-        metrics = daemon.metrics_payload()["summary"]
-        assert metrics["query_cache_l2_hits"] == summary.query_cache_l2_hits
-        assert (
-            metrics["query_cache_l2_promotions"]
-            == summary.query_cache_l2_promotions
-        )
-        assert summary.query_cache_l2_promotions > 0
         assert daemon.shutdown()
         assert daemon.service.worker_health()["alive"] is False
 
