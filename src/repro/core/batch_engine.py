@@ -1150,7 +1150,7 @@ class BatchedEngine(Engine):
             self._open_cohorts.clear()
             self._cohort_instant = self.sim.now
         traces = self._flow_traces
-        if traces is not None:
+        if traces is not None and instance._start_key is not None:
             trace = traces.get(instance._start_key)
             if trace is None:
                 if len(traces) < FLOW_LIMIT:
@@ -1166,9 +1166,9 @@ class BatchedEngine(Engine):
             self._flow_delivered(instance, None, True)
 
     def _start_unreplayed(self, instance: BatchedInstance) -> None:
-        if not self._cohorts_on:
-            return super()._start(instance)
         key = instance._start_key
+        if not self._cohorts_on or key is None:
+            return super()._start(instance)
         cohort = self._open_cohorts.get(key)
         if cohort is None:
             instance._cohort = cohort = _Cohort(instance, self.sim.now)

@@ -43,13 +43,14 @@ from repro.core.instance import InstanceRuntime
 from repro.core.metrics import InstanceMetrics
 from repro.core.scheduler import select_for_launch
 from repro.core.schema import DecisionFlowSchema
-from repro.core.sharing import ResultShare, UNSET, share_key
+from repro.core.sharing import ResultShare, UNSET
 from repro.core.state import Enablement
 from repro.core.strategy import Strategy
 from repro.errors import ExecutionError
 from repro.nulls import ExceptionValue
 from repro.obs import NULL_OBS, Observability
 from repro.simdb.database import DatabaseServer, QueryShareCache
+from repro.values import share_key
 
 __all__ = ["Engine", "EngineObserver", "claim_instance_id"]
 
@@ -450,12 +451,14 @@ class Engine:
 
         ``share_key_hint`` lets callers that already computed the share
         key (the launch path with ``share_results`` on, the share-layer
-        reissue) avoid freezing the input values a second time.
+        reissue) avoid keying the input values a second time.  A query
+        with a refused input (no key) goes to the database uncached.
         """
-        if self.query_cache is None:
-            return self.database.submit(task.cost, on_complete)
-        base = share_key_hint if share_key_hint is not None else share_key(task.name, values)
-        return self.query_cache.submit(base + (task.cost,), task.cost, on_complete)
+        if self.query_cache is not None:
+            base = share_key_hint or share_key(task.name, values)
+            if base is not None:
+                return self.query_cache.submit(base + (task.cost,), task.cost, on_complete)
+        return self.database.submit(task.cost, on_complete)
 
     def _stage_launch(self, instance: InstanceRuntime, name: str):
         """Gather the launch inputs and mark *name* launched.
@@ -477,9 +480,8 @@ class Engine:
     def _launch(self, instance: InstanceRuntime, name: str) -> None:
         task, values, speculative = self._stage_launch(instance, name)
 
-        key: tuple | None = None
-        if self.share is not None:
-            key = share_key(task.name, values)
+        key = share_key(task.name, values) if self.share is not None else None
+        if key is not None:
             cached = self.share.get(key)
             if cached is not UNSET:
                 instance.metrics.shared_hits += 1

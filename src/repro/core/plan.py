@@ -35,7 +35,6 @@ asserts the equivalence end to end.
 
 from __future__ import annotations
 
-from math import copysign
 from typing import Callable, List
 
 from repro.core.conditions import And, Condition, Literal, Not, Or, UNRESOLVED
@@ -48,10 +47,10 @@ from repro.core.predicates import (
 )
 from repro.core.propagation import NeededTracker, edge_table
 from repro.core.schema import DecisionFlowSchema
-from repro.core.sharing import share_key
 from repro.core.state import Enablement, Readiness
 from repro.core.strategy import Strategy
-from repro.nulls import NULL, ExceptionValue, NullType
+from repro.nulls import NULL, ExceptionValue
+from repro.values import SCALARS, key, keys, share_key
 
 __all__ = ["CompiledPlan", "ControlState", "compile_condition", "MEMO_LIMIT", "LAUNCH_LIMIT"]
 
@@ -68,10 +67,6 @@ MEMO_LIMIT = 4096
 
 #: Bound on launch-memo entries per plan, with the same policy.
 LAUNCH_LIMIT = 1024
-
-#: What a launch-memo entry may hold, as inputs and as the result: the
-#: immutable scalars by exact class — nothing an instance owns.
-_SCALARS = frozenset({type(None), bool, int, float, str, bytes, NullType})
 
 #: Readiness / enablement dimension codes used in the flat state arrays.
 #: They equal the corresponding enum ``.value``s so conversions are direct.
@@ -91,46 +86,6 @@ T_FALSE, T_UNKNOWN, T_TRUE = 0, 1, 2
 
 #: A compiled condition: stable-value list -> T_FALSE | T_UNKNOWN | T_TRUE.
 CondFn = Callable[[List[object]], int]
-
-
-def _typed_leaf(value: object) -> tuple:
-    """The key of one hashable leaf: ``(class, value)`` — ``1``, ``True``
-    and ``1.0`` are three keys — and a float zero keys with its sign
-    beside it, since ``0.0 == -0.0`` and they hash alike while ``str``,
-    ``copysign`` or a division tell them apart.  A ``nan`` equals nothing,
-    itself included, so it keys by identity (containers compare ``is``
-    before ``==``): the same object is reused, an equal-looking one never
-    is — no reuse rather than a wrong one.
-    """
-    if isinstance(value, float) and value == 0.0:
-        return (value.__class__, value, copysign(1.0, value))
-    return (value.__class__, value)
-
-
-def _typed_freeze(value: object) -> object:
-    """A structural cache key that never conflates distinguishable values.
-
-    Like :func:`repro.core.sharing.freeze`, but each hashable leaf keys
-    by :func:`_typed_leaf` so ``==``-equal values of different types (the
-    ``1`` / ``True`` / ``1.0`` family) and the two float zeros get
-    distinct entries, and each unhashable leaf keys by object identity,
-    forfeiting reuse instead of risking a collision through equal
-    ``repr``\\ s.
-    """
-    if isinstance(value, dict):
-        try:
-            return ("dict", tuple(sorted((k, _typed_freeze(v)) for k, v in value.items())))
-        except TypeError:  # unorderable mixed-type keys: forfeit reuse
-            return ("id", id(value))
-    if isinstance(value, (list, tuple)):
-        return ("seq", tuple(_typed_freeze(v) for v in value))
-    if isinstance(value, (set, frozenset)):
-        return ("set", frozenset(_typed_freeze(v) for v in value))
-    try:
-        hash(value)
-    except TypeError:
-        return ("id", id(value))
-    return _typed_leaf(value)
 
 
 def _leaves(condition: Condition):
@@ -499,16 +454,11 @@ class CompiledPlan:
         self.launches: list[dict[tuple, tuple]] = [{} for _ in names]
         self.launch_entries = self.launch_hits = 0
 
-    def start_key(self, source_values: dict[str, object]) -> object:
-        """The cohort key of one source valuation.
-
-        Unlike the result-sharing key (``==``-based by design), a cohort
-        must never mirror one valuation's trace into a *distinguishable*
-        one, so leaves are keyed by (type, value) — ``1``, ``True`` and
-        ``1.0`` are three entries — and unhashable leaves key by object
-        identity (no reuse rather than wrong reuse).
-        """
-        return _typed_freeze(source_values)
+    def start_key(self, source_values: dict[str, object]) -> tuple | None:
+        """The cohort and flow-memo key of a valuation of the plan's sources
+        in ``schema.source_names`` order (as :class:`BatchedInstance` builds
+        it), or None when a value is refused (:func:`repro.values.keys`)."""
+        return keys(source_values.values())
 
     def signature(self, i: int, value: object) -> int:
         """Outcomes of every condition leaf reading slot *i*, on *value*.
@@ -536,7 +486,7 @@ class CompiledPlan:
         ``(cache key, value, signature)`` — the very tuple the engine asks
         the query cache for (``share_key(...) + (cost,)``), the task's
         result and :meth:`signature` of it.  Looked up by the inputs'
-        :func:`_typed_leaf` keys (``1`` / ``True`` / ``1.0`` are three
+        :func:`repro.values.key` (``1`` / ``True`` / ``1.0`` are three
         entries, ``0.0`` / ``-0.0`` two) and filed on first sight
         while there is room.  None where there is nothing to reuse: an
         input (an unstable one included) or the result is no scalar, `fn`
@@ -549,9 +499,9 @@ class CompiledPlan:
         for j in slots:
             value = sv[j]
             cls = value.__class__
-            # `_typed_leaf`, asked only where it says more than (class, value):
-            # an exact float zero (a subclass is never filed, so never found)
-            probe += _typed_leaf(value) if cls is float and value == 0.0 else (cls, value)
+            # `key`, inlined: (class, value) for every class the memo files, but an
+            # exact float zero keys with its sign (a subclass is never filed or found)
+            probe += key(value) if cls is float and value == 0.0 else (cls, value)
         try:
             entry = self.launches[i].get(probe)
         except TypeError:  # an unhashable input
@@ -560,7 +510,7 @@ class CompiledPlan:
             self.launch_hits += 1
             return entry
         inputs = [sv[j] for j in slots]
-        if self.launch_entries >= LAUNCH_LIMIT or not _SCALARS.issuperset(
+        if self.launch_entries >= LAUNCH_LIMIT or not SCALARS.issuperset(
             value.__class__ for value in inputs
         ):
             return None
@@ -568,7 +518,7 @@ class CompiledPlan:
         values = dict(zip(task.inputs, inputs))
         try:
             value = task.compute(values)
-            scalar = value.__class__ in _SCALARS
+            scalar = value.__class__ in SCALARS
         except Exception:  # whatever it raises, `Engine._launch` raises it again
             scalar = False
         if not scalar:

@@ -33,8 +33,7 @@ from repro.core.rules import Rule, RuleSetTask
 from repro.core.schema import DecisionFlowSchema
 from repro.core.strategy import Strategy
 from repro.core.tasks import QueryTask, SynthesisTask, Task, constant
-from repro.errors import ReproError
-from repro.nulls import NULL
+from repro.values import SerializationError, decode, encode
 
 __all__ = [
     "SerializationError",
@@ -55,32 +54,6 @@ __all__ = [
 ]
 
 
-class SerializationError(ReproError):
-    """The object contains non-declarative parts (arbitrary Python code)."""
-
-
-# -- scalars -----------------------------------------------------------------
-
-def _value_to_dict(value: object) -> Any:
-    if value is NULL:
-        return {"$null": True}
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return {"$seq": [_value_to_dict(v) for v in value]}
-    raise SerializationError(f"value {value!r} is not serializable")
-
-
-def _value_from_dict(data: Any) -> object:
-    if isinstance(data, dict):
-        if data.get("$null"):
-            return NULL
-        if "$seq" in data:
-            return tuple(_value_from_dict(v) for v in data["$seq"])
-        raise SerializationError(f"unrecognized value encoding: {data!r}")
-    return data
-
-
 # -- conditions ---------------------------------------------------------------
 
 def condition_to_dict(condition: Condition) -> dict:
@@ -91,7 +64,7 @@ def condition_to_dict(condition: Condition) -> dict:
         if isinstance(condition.right, AttrRef):
             right = {"$attr": condition.right.name}
         else:
-            right = _value_to_dict(condition.right)
+            right = encode(condition.right)
         return {
             "kind": "comparison",
             "left": condition.left,
@@ -123,7 +96,7 @@ def condition_from_dict(data: dict) -> Condition:
         if isinstance(right, dict) and "$attr" in right:
             right_value: object = AttrRef(right["$attr"])
         else:
-            right_value = _value_from_dict(right)
+            right_value = decode(right)
         return Comparison(data["left"], Op[data["op"]], right_value)
     if kind == "is_null":
         return IsNull(data["name"])
@@ -154,7 +127,7 @@ def task_to_dict(task: Task) -> dict:
             "inputs": list(task.inputs),
             "cost": task.cost,
             "description": task.description,
-            "value": _value_to_dict(payload),
+            "value": encode(payload),
         }
     if isinstance(task, RuleSetTask):
         rules = []
@@ -168,7 +141,7 @@ def task_to_dict(task: Task) -> dict:
                 {
                     "name": rule.name,
                     "condition": condition_to_dict(rule.condition),
-                    "contribution": _value_to_dict(rule.contribution),
+                    "contribution": encode(rule.contribution),
                 }
             )
         return {
@@ -176,7 +149,7 @@ def task_to_dict(task: Task) -> dict:
             "name": task.name,
             "inputs": list(task.inputs),
             "policy": task.policy_name,
-            "default": _value_to_dict(task.default),
+            "default": encode(task.default),
             "rules": rules,
         }
     if isinstance(task, SynthesisTask):
@@ -200,7 +173,7 @@ def task_from_dict(data: dict) -> Task:
         return QueryTask(
             data["name"],
             tuple(data["inputs"]),
-            constant(_value_from_dict(data["value"])),
+            constant(decode(data["value"])),
             data["cost"],
             data.get("description", ""),
         )
@@ -209,7 +182,7 @@ def task_from_dict(data: dict) -> Task:
             Rule(
                 r["name"],
                 condition_from_dict(r["condition"]),
-                _value_from_dict(r["contribution"]),
+                decode(r["contribution"]),
             )
             for r in data["rules"]
         ]
@@ -218,7 +191,7 @@ def task_from_dict(data: dict) -> Task:
             tuple(data["inputs"]),
             rules,
             data.get("policy", "collect"),
-            _value_from_dict(data.get("default", {"$null": True})),
+            decode(data.get("default", {"$null": True})),
         )
     raise SerializationError(f"unknown task kind {kind!r}")
 
@@ -331,7 +304,7 @@ def config_to_dict(config) -> dict:
     options = {}
     for key, value in config.backend_options.items():
         try:
-            options[key] = _value_to_dict(value)
+            options[key] = encode(value)
         except SerializationError:
             raise SerializationError(
                 f"backend option {key!r} of backend {config.backend!r} holds "
@@ -376,7 +349,7 @@ def config_from_dict(data: dict):
         share_results=bool(data.get("share_results", False)),
         backend=data.get("backend", "ideal"),
         backend_options={
-            key: _value_from_dict(value)
+            key: decode(value)
             for key, value in data.get("backend_options", {}).items()
         },
         engine=data.get("engine", "reference"),

@@ -15,15 +15,16 @@ for the duration of an instance, so
   duplicate;
 * **failed** queries are not cached (the next instance retries).
 
-Keys freeze input values structurally (dicts, lists, sets become hashable
-forms), so tasks taking composite inputs share correctly.
+Keys are :func:`repro.values.share_key`: only inputs no task or condition
+can tell apart share a result, and a query with a refused input (no key)
+is never shared.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable
 
-__all__ = ["UNSET", "freeze", "share_key", "ResultShare"]
+__all__ = ["UNSET", "freeze", "ResultShare"]
 
 
 class _Unset:
@@ -43,12 +44,10 @@ UNSET = _Unset()
 
 
 def freeze(value: object) -> object:
-    """A hashable, structural key for *value* (best effort).
-
-    Dicts, lists, tuples and sets are converted recursively; unhashable
-    leaves fall back to their repr, which is deterministic for the value
-    types tasks sensibly exchange.
-    """
+    """A hashable grouping of *value* by ``==`` for the statistics of
+    :meth:`repro.analysis.mining.SnapshotTable.value_counts` — no memo key
+    (``1`` and ``True`` group together; see :func:`repro.values.key`).
+    Containers convert recursively, unhashable leaves to their repr."""
     if isinstance(value, dict):
         return ("dict", tuple(sorted((k, freeze(v)) for k, v in value.items())))
     if isinstance(value, (list, tuple)):
@@ -60,11 +59,6 @@ def freeze(value: object) -> object:
     except TypeError:
         return ("repr", repr(value))
     return value
-
-
-def share_key(task_name: str, values: Mapping[str, object]) -> tuple:
-    """Cache key of one query invocation."""
-    return (task_name, freeze(dict(values)))
 
 
 class ResultShare:

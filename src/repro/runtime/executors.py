@@ -227,11 +227,6 @@ class ProcessExecutor:
         self._closed = False
         #: completed executor rounds (each run() that reached the fleet)
         self.rounds = 0
-        #: last (mapping, frozen copy) pair: sweeps submit one shared
-        #: mapping thousands of times, and reusing its frozen copy keeps
-        #: the buffered ops — and the pickled op list, via the pickler's
-        #: memo — O(1) instead of O(n) in the mapping size.
-        self._freeze_cache: tuple[object, dict | None] = (None, None)
 
     # -- worker lifecycle ----------------------------------------------------
 
@@ -375,7 +370,9 @@ class ProcessExecutor:
                 f"(simulation clock is at {floor})"
             )
         self._ensure_workers()
-        self._ops[shard].append(("submit", instance_id, self._frozen(source_values), at))
+        # a snapshot, as buffered: mutations after submit must not leak into the run
+        snapshot = None if source_values is None else dict(source_values)
+        self._ops[shard].append(("submit", instance_id, snapshot, at))
         return None
 
     def _floor(self, shard: int) -> float:
@@ -389,19 +386,6 @@ class ProcessExecutor:
             return 0.0
         return self._outcomes[shard].end_time
 
-    def _frozen(self, source_values: Mapping[str, object] | None) -> dict | None:
-        """A snapshot of *source_values* as buffered (mutations after
-        submit must not leak into the run), shared across repeat submits
-        of the same mapping object."""
-        if source_values is None:
-            return None
-        cached_key, cached_copy = self._freeze_cache
-        if source_values is cached_key and cached_copy == source_values:
-            return cached_copy
-        frozen = dict(source_values)
-        self._freeze_cache = (source_values, frozen)
-        return frozen
-
     def start_closed(
         self,
         shard: int,
@@ -410,7 +394,7 @@ class ProcessExecutor:
         concurrency: int,
     ) -> None:
         self._ensure_workers()
-        frozen = [self._frozen(v) for v in values_list]
+        frozen = [None if v is None else dict(v) for v in values_list]
         self._ops[shard].append(("closed", list(instance_ids), frozen, concurrency))
         return None
 

@@ -18,7 +18,8 @@ from repro.server.http import (
     create_server,
     start_http_server,
 )
-from repro.server.store import RunStore, config_hash, decode_values, encode_values
+from repro.server.store import RunStore, config_hash
+from repro.values import decode_values, encode_values
 
 __all__ = [
     "ServerDaemon",

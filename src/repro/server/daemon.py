@@ -62,7 +62,8 @@ from repro.obs import (
     histogram_quantile,
 )
 from repro.runtime.sharding import create_service
-from repro.server.store import RunStore, config_hash, encode_values
+from repro.server.store import RunStore, config_hash
+from repro.values import encode_values
 
 __all__ = ["ServerDaemon", "SubmitResult", "STATUSES"]
 

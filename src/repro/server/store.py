@@ -16,11 +16,10 @@ On-disk stores open in WAL journal mode with a busy timeout, so an
 concurrent reader in tests — sees consistent snapshots instead of
 ``database is locked`` errors while an epoch commit is in flight.
 
-Attribute values may carry the ⊥ null sentinel and tuples, neither of
-which is plain JSON; :func:`encode_values` / :func:`decode_values` reuse
-the declarative value encoding of :mod:`repro.core.serialize`
-(``{"$null": true}`` / ``{"$seq": [...]}``) so records round-trip the
-exact values the engine produced.
+Attribute values (⊥, exception values and tuples are no plain JSON) are
+stored as :func:`repro.values.encode_values` writes them and read back
+with :func:`repro.values.decode_values`, so records round-trip the exact
+values the engine produced.
 
 The row format has not changed since the ``started_wall`` migration:
 ``source_json``, ``values_json`` and ``metrics_json`` hold exactly the
@@ -38,14 +37,9 @@ import threading
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.core.serialize import (
-    SerializationError,
-    _value_from_dict,
-    _value_to_dict,
-    config_to_dict,
-)
+from repro.core.serialize import SerializationError, config_to_dict
 
-__all__ = ["RunStore", "config_hash", "encode_values", "decode_values"]
+__all__ = ["RunStore", "config_hash"]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -85,30 +79,9 @@ def config_hash(config) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-#: Value types :func:`_value_to_dict` returns unchanged, matched exactly:
-#: a subclass (an ``IntEnum`` member, say) takes the general rule.
-_PLAIN = frozenset((str, int, float, bool, type(None)))
-
 #: The one row encoder: the very encoder ``json.dumps(obj, sort_keys=True)``
 #: builds per call, built once.
 _encode_json = json.JSONEncoder(sort_keys=True).encode
-
-
-def encode_values(values: Mapping[str, object] | None) -> dict | None:
-    """Encode an attribute-value mapping into JSON-able form (⊥-safe)."""
-    if values is None:
-        return None
-    return {
-        name: value if type(value) in _PLAIN else _value_to_dict(value)
-        for name, value in values.items()
-    }
-
-
-def decode_values(data: Mapping[str, object] | None) -> dict | None:
-    """Invert :func:`encode_values`."""
-    if data is None:
-        return None
-    return {name: _value_from_dict(value) for name, value in data.items()}
 
 
 class RunStore:

@@ -128,19 +128,19 @@ def test_both_tiers_tell_the_zeros_apart_on_their_own():
     positive = plan.launch_entry(t, [0.0, None])
     negative = plan.launch_entry(t, [-0.0, None])
     assert (positive[1], negative[1]) == ("0.0", "-0.0")
-    assert positive[0] == negative[0]  # one cache key, as the reference engine asks
+    assert positive[0] != negative[0]  # two cache keys, as the reference engine asks
     assert plan.launch_entries == 2
 
 
 def test_zeros_back_to_back_at_one_instant_do_not_ride_each_other():
     """Cohorts on, one run: neither zero rides the other, and the bulk
-    join stops where the sign changes.  (The two share a cache key, as on
-    the reference engine, so the second zero's query coalesces behind the
-    first's primary: nobody rides a cohort after that.)"""
+    join stops where the sign changes.  (The two have a cache key each, as
+    on the reference engine, so no query coalesces across the signs and
+    each zero rides the open cohort of its own sign.)"""
     for values, hits, bulk in (
         ([0.0, -0.0], 0, 0),
-        ([0.0, 0.0, -0.0, -0.0, -0.0], 1, 0),
-        ([0.0, 0.0, 0.0, -0.0, 0.0], 2, 1),
+        ([0.0, 0.0, -0.0, -0.0, -0.0], 3, 1),
+        ([0.0, 0.0, 0.0, -0.0, 0.0], 3, 1),
     ):
         arrivals = [(0.0, {"s": value}) for value in values]
         for pooled in (False, True):

@@ -231,8 +231,8 @@ def test_start_cache_never_aliases_source_objects():
     assert values[0] is first and values[1] is second
 
 
-def test_typed_freeze_handles_unorderable_dict_keys():
-    """Mixed-type dict keys must degrade to a cache miss, not a crash."""
+def test_unorderable_dict_keys_key_in_insertion_order():
+    """Mixed-type dict keys key as they come, unsorted: no crash."""
     schema, _ = chain_schema(length=2)
     for engine_cls in (Engine, BatchedEngine):
         sim = Simulation()

@@ -14,7 +14,8 @@ from repro import (
     Strategy,
     SynthesisTask,
 )
-from repro.core.sharing import ResultShare, UNSET, freeze, share_key
+from repro.core.sharing import ResultShare, UNSET, freeze
+from repro.values import share_key
 from tests._support import q
 
 
@@ -47,9 +48,6 @@ class TestFreeze:
                 return "Weird()"
 
         assert freeze(Weird()) == ("repr", "Weird()")
-
-    def test_share_key_includes_task_name(self):
-        assert share_key("q1", {"a": 1}) != share_key("q2", {"a": 1})
 
 
 class TestResultShare:

@@ -284,10 +284,11 @@ def test_a_failed_result_is_not_memoized_so_the_next_occurrence_files_nothing():
 
 
 def test_sources_keyed_by_identity_are_not_filed():
-    """An unhashable source is keyed by ``id`` and an identity-hashed one
-    by itself; the caller may change the object and submit it again, so
-    its trace must not outlive the instance.  A copy keys differently —
-    or cannot be made at all — and that is what the engine asks."""
+    """An unhashable source has no key, so nothing reading it is reused;
+    an identity-hashed one keys by itself, and the caller may change the
+    object and submit it again, so its trace must not outlive the
+    instance.  A copy keys differently — or cannot be made at all — and
+    that is what the engine asks."""
 
     class Box:
         __hash__ = None
@@ -305,10 +306,10 @@ def test_sources_keyed_by_identity_are_not_filed():
         def __repr__(self):
             return "Sealed()"
 
-    for source in (Box(1), Sealed()):
+    for source, hits in ((Box(1), 3), (Sealed(), 9)):
         arrivals = [(100.0 * k, {"s": source}) for k in range(4)]
         engine = assert_matches_reference(gated_schema(), "PSE100", arrivals)
-        assert engine.query_cache.hits == 9  # all-hit from the second on, yet
+        assert engine.query_cache.hits == hits  # `t` (and `a`, `b` on a key) hit, yet
         assert (engine.flow_traces, engine.flow_replays) == (0, 0)
 
 

@@ -165,8 +165,8 @@ def spaced(sources, gap=100.0):
 
 
 def test_equal_values_of_different_types_get_their_own_entries():
-    """``1 == True == 1.0`` share a *cache* key, as they always did; the
-    launch memo keys them by class, so each keeps the value `fn` gives it."""
+    """``1 == True == 1.0`` get a key each, in the launch memo and the
+    cache alike, so each keeps the value `fn` gives it."""
     schema = typed_schema(lambda values: type(values["s"]).__name__)
     arrivals = spaced([1, True, 1.0, 1, True, 1.0])
     engine = assert_matches_reference(schema, "PSE100", arrivals=arrivals)
@@ -177,7 +177,7 @@ def test_equal_values_of_different_types_get_their_own_entries():
         "float",
         "int",
     ]
-    assert len({entry[0] for entry in engine.plan.launches[index["a"]].values()}) == 1
+    assert len({entry[0] for entry in engine.plan.launches[index["a"]].values()}) == 3
     # ... and three more for `t`, one per value of `a`
     assert engine.plan.launch_entries == 6 and engine.plan.launch_hits == 6
 

@@ -718,3 +718,25 @@ def test_sharded_cache_reports_one_tier(pattern, executor):
     assert "query_cache_hits" in gauges
     assert not any("l2" in name for name in gauges)
     service.close()
+
+
+def test_a_resubmitted_mapping_is_snapshotted_on_every_submit():
+    """One mapping changed between submits: every instance runs on what it
+    held when submitted, on the process executor as on the serial one."""
+    from repro import Attribute, DecisionFlowSchema
+
+    from tests._support import q
+
+    target = Attribute("t", task=q("t", inputs=("s",), value=0), is_target=True)
+    schema = DecisionFlowSchema([Attribute("s"), target])
+    answers = {}
+    for executor in ("serial", "process"):
+        service = ShardedDecisionService(schema, ExecutionConfig(shards=2, executor=executor))
+        mapping, handles = {}, []
+        for at, value in enumerate([1, True, 1.0, 0.0, -0.0]):
+            mapping["s"] = value
+            handles.append(service.submit(mapping, at=float(at)))
+        service.run()
+        answers[executor] = [str(handle.value("s")) for handle in handles]
+        service.close()
+    assert answers["process"] == answers["serial"] == ["1", "True", "1.0", "0.0", "-0.0"]

@@ -19,6 +19,7 @@ from repro.api.service import InstanceHandle
 from repro.core.batch_engine import BatchedInstance, _Cohort
 from repro.core.metrics import MetricsSummary
 from repro.core.snapshot import evaluate_schema
+from repro.nulls import ExceptionValue
 from repro.server import STATUSES, RunStore, ServerDaemon, decode_values
 
 WAIT = 30.0  # generous wall-clock bound; every wait in here is event-driven
@@ -247,6 +248,36 @@ class TestPersistence:
             assert store.count() == 40
             assert sorted(store.instance_ids()) == sorted(ids)
             assert all(store.get(i)["status"] == "done" for i in ids)
+
+    def test_failed_queries_are_persisted_and_the_drain_loop_lives(
+        self, make_daemon, tmp_path
+    ):
+        """A failed query leaves an exception value among the decision
+        values; its row keeps it as ``{"$exc": reason}``, and the drain
+        loop goes on to finish every accepted instance."""
+        daemon = make_daemon(
+            "PSE100", db=str(tmp_path / "runs.sqlite"), failure_prob=0.9, seed=3
+        )
+        live, store_record = {}, daemon._store_record
+
+        def capture(record):
+            live[record.instance_id] = record.values
+            return store_record(record)
+
+        daemon._store_record = capture
+        ids = daemon.submit_many([None] * 6).accepted
+        assert daemon.wait_idle(WAIT)
+        ok, health = daemon.health()
+        assert ok and health["status"] == "ok", health
+        assert any(
+            isinstance(value, ExceptionValue)
+            for values in live.values()
+            for value in values.values()
+        )
+        for instance_id in ids:
+            payload = daemon.get(instance_id)
+            assert (payload["status"], payload["origin"]) == ("done", "store")
+            assert decode_values(payload["values"]) == live[instance_id]
 
     def test_shutdown_is_idempotent(self, make_daemon):
         daemon = make_daemon()

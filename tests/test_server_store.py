@@ -332,7 +332,7 @@ class TestEncodingIsUnchanged:
         import enum
         import math
 
-        from repro.core.serialize import _value_to_dict
+        from repro.values import encode
 
         class Level(enum.IntEnum):
             HIGH = 2
@@ -352,7 +352,7 @@ class TestEncodingIsUnchanged:
             "enum": Level.HIGH,
         }
         encoded = encode_values(table)
-        expected = {name: _value_to_dict(value) for name, value in table.items()}
+        expected = {name: encode(value) for name, value in table.items()}
         assert list(encoded) == list(expected)
         for name, value in expected.items():
             assert repr(encoded[name]) == repr(value), name
