@@ -1,37 +1,27 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the paper-reproduction suite.
 
-Every benchmark regenerates one table/figure of the paper and both prints
-it and writes it under ``results/``.  Scale knobs (seed count, instance
-counts) default to values that keep the full suite at laptop scale; set
-``REPRO_BENCH_SEEDS`` to trade time for tighter averages, or pass
-``--quick`` for the reduced-size smoke configuration CI runs on every
-push (fewer seeds, smaller sweeps, assertions relaxed to regression
-tripwires).
+Every module here regenerates one table, figure or ablation of the paper
+(Table 1, Figs 5-9, Ablations A1-A4), prints it, and asserts its shape:
+who wins, by roughly how much, and where the curves cross.  The figures
+run on the default execution stack (reference engine, per-event
+dispatch, no cache, cohorts or shards); throughput is measured by
+``perf/``, never here.
 
-The artifact format (schema, validator, writer) lives in
-:mod:`repro.bench.artifact`; the ``bench_artifact`` fixture and the
-module-level names below are thin wrappers kept for the benchmark
-modules and the CI smoke step that import them from here.
+Scale knobs default to values that keep the full suite at laptop scale;
+set ``REPRO_BENCH_SEEDS`` to trade time for tighter averages, or pass
+``--quick`` for the reduced-size configuration CI runs on every push
+(two seeds, printed only).  Full-size runs also write each rendered
+table to ``results/<figure_id>.txt``.
 """
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
-from repro.bench.artifact import (
-    BENCH_ARTIFACT_KEYS,
-    RESULTS_DIR,
-    usable_cores,
-    validate_bench_artifact,
-    write_bench_artifact,
-)
-
-__all__ = [
-    "BENCH_ARTIFACT_KEYS",
-    "RESULTS_DIR",
-    "usable_cores",
-    "validate_bench_artifact",
-]
+RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -39,7 +29,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         "--quick",
         action="store_true",
         default=False,
-        help="reduced-size benchmark smoke: fewer seeds and smaller sweeps",
+        help="reduced-size figure smoke: fewer seeds, nothing written",
     )
 
 
@@ -52,8 +42,6 @@ def quick(request) -> bool:
 @pytest.fixture(scope="session")
 def bench_seeds(quick) -> tuple[int, ...]:
     """Pattern seeds each figure averages over."""
-    import os
-
     count = int(os.environ.get("REPRO_BENCH_SEEDS", "2" if quick else "6"))
     return tuple(range(count))
 
@@ -83,19 +71,3 @@ def report_figure(capsys, quick):
         return result
 
     return _report
-
-
-@pytest.fixture
-def bench_artifact(quick):
-    """Write a machine-readable ``results/BENCH_<name>.json`` artifact.
-
-    Thin wrapper over :func:`repro.bench.artifact.write_bench_artifact`
-    that binds the suite's ``--quick`` mode, so quick (CI smoke) runs
-    write ``BENCH_<name>_quick.json`` and never clobber the recorded
-    full-size baselines.
-    """
-
-    def _write(name: str, metrics: dict, gate: dict):
-        return write_bench_artifact(name, metrics, gate, quick=quick)
-
-    return _write

@@ -207,6 +207,10 @@ class TestPersistence:
         assert fresh not in ids
         largest = max(int(i.split("-")[1]) for i in ids)
         assert int(fresh.split("-")[1]) == largest + 1
+        # ...and the restarted daemon finishes what it accepts.
+        assert restarted.wait_idle(WAIT)
+        assert restarted.get(fresh)["status"] == "done"
+        assert restarted.shutdown()
 
     def test_restart_with_like_wildcard_prefix_keeps_old_records(
         self, make_daemon, pattern, tmp_path

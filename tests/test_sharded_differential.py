@@ -494,20 +494,26 @@ def run_rounds(pattern, config: ExecutionConfig, executor: str, batches) -> dict
     return trace
 
 
-@pytest.mark.parametrize("cohorts", [False, True], ids=["individual", "cohorted"])
+@pytest.mark.parametrize(
+    "cohorts,query_cache",
+    [(False, True), (True, True), (False, False)],
+    ids=["individual", "cohorted", "uncached"],
+)
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("backend", ["ideal", "profiled", "bounded"])
-def test_persistent_multi_round_matches_serial(backend, engine, cohorts):
+def test_persistent_multi_round_matches_serial(backend, engine, cohorts, query_cache):
     """Three incremental rounds on one worker fleet reproduce the serial
     executor's trace bit for bit: values, every metrics counter (cache
     counters included via the summary),
-    database totals, and the merged event stream."""
+    database totals, and the merged event stream — on the fast stack
+    (pooled dispatch + cache) and on the plain per-event one."""
     seed = 13
     pattern = scenario_pattern(seed, nb_nodes=16 if backend == "bounded" else 24)
     code = "PSE100" if cohorts else "PSE50"
     config = build_config(
         code, backend, engine, seed, shards=2,
-        dispatch="pooled", query_cache=True, cohorts=cohorts,
+        dispatch="pooled" if query_cache else "per-event",
+        query_cache=query_cache, cohorts=cohorts,
     ).replace(backend_options=plain_backend_options(backend, seed))
     batches = [
         [0.0, 0.0, 0.0, 1.5],  # a same-instant burst (the cohort case)

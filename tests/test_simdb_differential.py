@@ -161,11 +161,12 @@ def test_kernels_produce_identical_traces(backend, code, halt_policy, share, fai
 
 def test_coalesced_executes_far_fewer_events():
     """The point of the rewrite: event count per query drops to O(1)."""
-    kwargs = dict(backend="ideal", code="PSE100", max_cost=30, instances=6, seed=1)
-    coalesced = run_scenario("coalesced", **kwargs)
-    per_unit = run_scenario("per-unit", **kwargs)
-    assert coalesced["total_units"] == per_unit["total_units"]
-    assert per_unit["events_executed"] >= 5 * coalesced["events_executed"]
+    for backend in ("ideal", "profiled"):
+        kwargs = dict(backend=backend, code="PSE100", max_cost=30, instances=6, seed=1)
+        coalesced = run_scenario("coalesced", **kwargs)
+        per_unit = run_scenario("per-unit", **kwargs)
+        assert coalesced["total_units"] == per_unit["total_units"], backend
+        assert per_unit["events_executed"] >= 5 * coalesced["events_executed"], backend
 
 
 def test_concurrent_identical_instances_stress_gmpl_replanning():
