@@ -447,17 +447,18 @@ class ServerDaemon:
         self, handles: list[tuple[_Pending, object]], epoch_seconds: float
     ) -> None:
         fallback_wall = time.time()
-        to_persist = []
+        decided = [self._handle_values(h) if h.done else None for _p, h in handles]
+        finished = []
         done_count = 0
         with self._state_lock:
-            for pending, handle in handles:
+            for (pending, handle), values in zip(handles, decided):
                 record = self._records[pending.instance_id]
                 if handle.done:
                     record.status = DONE
                     record.completed_wall = self._completion_walls.pop(
                         pending.instance_id, fallback_wall
                     )
-                    record.values = self._handle_values(handle)
+                    record.values = values
                     record.metrics = handle.metrics
                     self._h_decision.observe(
                         max(0.0, record.completed_wall - record.submitted_wall)
@@ -467,7 +468,7 @@ class ServerDaemon:
                     # run() drained the calendar with targets unstable:
                     # the flow can never finish.  Record it as stalled.
                     record.status = STALLED
-                to_persist.append(self._store_record(record))
+                finished.append(record)
             self._completed += done_count
             self._stalled += len(handles) - done_count
             self._epochs += 1
@@ -482,22 +483,24 @@ class ServerDaemon:
         # The records now hold the values and metrics, so the service can
         # let the instances go (a sharded service has no release and keeps
         # them); the records themselves leave once the store has them.
+        # Only this thread writes a finished record: its rows are built unlocked.
         release = getattr(self.service, "release_completed", None)
         if release is not None:
             with self._service_lock:
                 release()
-        if self._store is not None and to_persist:
-            written = self._store.record_many(to_persist)
+        if self._store is not None and finished:
+            written = self._store.record_many(map(self._store_record, finished))
             with self._state_lock:
                 self._persisted += written
-                for row in to_persist:
-                    del self._records[row["instance_id"]]
+                for record in finished:
+                    del self._records[record.instance_id]
 
     @staticmethod
     def _handle_values(handle: object) -> dict:
+        # Every value_map() returns a fresh dict: the record may keep it.
         if isinstance(handle, InstanceHandle):
-            return dict(handle.instance.value_map())
-        return dict(handle.value_map())
+            return handle.instance.value_map()
+        return handle.value_map()
 
     def _store_record(self, record: _Record) -> dict:
         return {
@@ -507,8 +510,8 @@ class ServerDaemon:
             "submitted_wall": record.submitted_wall,
             "started_wall": record.started_wall,
             "completed_wall": record.completed_wall,
-            "source": encode_values(record.source) or {},
-            "values": encode_values(record.values),
+            "source": record.source,
+            "values": record.values,
             "metrics": None if record.metrics is None else record.metrics.to_dict(),
             "config_hash": self.config_digest,
         }

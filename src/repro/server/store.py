@@ -16,16 +16,14 @@ On-disk stores open in WAL journal mode with a busy timeout, so an
 concurrent reader in tests — sees consistent snapshots instead of
 ``database is locked`` errors while an epoch commit is in flight.
 
-Attribute values (⊥, exception values and tuples are no plain JSON) are
-stored as :func:`repro.values.encode_values` writes them and read back
-with :func:`repro.values.decode_values`, so records round-trip the exact
-values the engine produced.
-
-The row format has not changed since the ``started_wall`` migration:
-``source_json``, ``values_json`` and ``metrics_json`` hold exactly the
-bytes ``json.dumps(..., sort_keys=True)`` gives, all produced by one
-shared encoder, so every store written in that format reads back
-identically through :meth:`RunStore.get`.
+:meth:`RunStore.record_many` takes raw values and is the one place a row
+is encoded: ``source_json``, ``values_json`` and ``metrics_json`` hold the
+bytes ``json.dumps(..., sort_keys=True)`` gives.  A ``row_version`` 2 value
+column holds :func:`repro.values.encode_row`'s form (the top-level ⊥ names
+as one sorted list); a NULL version marks a version-1 row, written as
+:func:`repro.values.encode_values` gives.  :meth:`RunStore.get` reads both
+as the ``encode_values`` dict with sorted keys, which
+:func:`repro.values.decode_values` turns back into the engine's values.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.core.serialize import SerializationError, config_to_dict
+from repro.values import decode_row, encode_row
 
 __all__ = ["RunStore", "config_hash"]
 
@@ -52,15 +51,19 @@ CREATE TABLE IF NOT EXISTS runs (
     source_json    TEXT NOT NULL,
     values_json    TEXT,
     metrics_json   TEXT,
-    config_hash    TEXT NOT NULL
+    config_hash    TEXT NOT NULL,
+    row_version    INTEGER
 );
 """
 
 #: Columns added after the first released schema, applied by ALTER TABLE
 #: when an existing store predates them.  Additions only — SQLite cannot
 #: drop or retype columns in place, and additive migration keeps old
-#: daemons able to read new stores (they select by name, not position).
-_MIGRATIONS = (("started_wall", "REAL"),)
+#: daemons able to open new stores (they select by name, not position),
+#: though they read a version-2 value column in its row form.
+_MIGRATIONS = (("started_wall", "REAL"), ("row_version", "INTEGER"))
+
+ROW_VERSION = 2
 
 
 def config_hash(config) -> str:
@@ -82,6 +85,15 @@ def config_hash(config) -> str:
 #: The one row encoder: the very encoder ``json.dumps(obj, sort_keys=True)``
 #: builds per call, built once.
 _encode_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _values_json(values: Mapping[str, object] | None) -> str | None:
+    return None if values is None else _encode_json(encode_row(values))
+
+
+def _values_from(text: str | None, version: int | None) -> dict | None:
+    data = None if text is None else json.loads(text)
+    return data if data is None or version is None else decode_row(data)
 
 
 class RunStore:
@@ -139,9 +151,9 @@ class RunStore:
         Each record is a plain dict with keys ``instance_id``,
         ``schema_name``, ``status``, ``submitted_wall``, ``started_wall``
         (optional — legacy writers omit it), ``completed_wall``,
-        ``source`` (encoded values), ``values`` (encoded values or None),
-        ``metrics`` (plain dict or None), and ``config_hash``.  Returns
-        the number of rows written.
+        ``source`` (raw values), ``values`` (raw values or None),
+        ``metrics`` (plain dict or None), and ``config_hash``; it encodes
+        the values itself.  Returns the number of rows written.
         """
         rows = [
             (
@@ -151,14 +163,13 @@ class RunStore:
                 record["submitted_wall"],
                 record.get("started_wall"),
                 record.get("completed_wall"),
-                _encode_json(record.get("source") or {}),
-                None
-                if record.get("values") is None
-                else _encode_json(record["values"]),
+                _values_json(record.get("source") or {}),
+                _values_json(record.get("values")),
                 None
                 if record.get("metrics") is None
                 else _encode_json(record["metrics"]),
                 record["config_hash"],
+                ROW_VERSION,
             )
             for record in records
         ]
@@ -172,8 +183,8 @@ class RunStore:
                 "INSERT OR REPLACE INTO runs ("
                 "instance_id, schema_name, status, submitted_wall, "
                 "started_wall, completed_wall, source_json, values_json, "
-                "metrics_json, config_hash) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "metrics_json, config_hash, row_version) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 rows,
             )
             self._conn.commit()
@@ -188,9 +199,9 @@ class RunStore:
     def get(self, instance_id: str) -> dict | None:
         """The stored record for *instance_id*, or None.
 
-        ``source``/``values`` come back in encoded (``$null``-capable)
-        form — exactly what :meth:`record_many` was handed — and
-        ``metrics`` as the stored plain dict.
+        ``source``/``values`` come back as
+        :func:`~repro.values.encode_values` writes them, keys sorted, from
+        a row of either version, and ``metrics`` as the stored plain dict.
         """
         with self._lock:
             self._ensure_open()
@@ -206,8 +217,8 @@ class RunStore:
             "submitted_wall": row["submitted_wall"],
             "started_wall": row["started_wall"],
             "completed_wall": row["completed_wall"],
-            "source": json.loads(row["source_json"]),
-            "values": None if row["values_json"] is None else json.loads(row["values_json"]),
+            "source": _values_from(row["source_json"], row["row_version"]),
+            "values": _values_from(row["values_json"], row["row_version"]),
             "metrics": None if row["metrics_json"] is None else json.loads(row["metrics_json"]),
             "config_hash": row["config_hash"],
         }

@@ -12,6 +12,8 @@ container — has no key (None), which every tier reads as "no reuse".
 :func:`encode` / :func:`decode` are the one value encoding of schemas,
 configs and run-store rows: ⊥ as ``{"$null": true}``, a sequence as
 ``{"$seq": [...]}``, an exception value as ``{"$exc": reason}``.
+:func:`encode_row` / :func:`decode_row` are the run-store row form of a
+value mapping: its top-level ⊥ attributes as one sorted name list.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.errors import ReproError
 from repro.nulls import NULL, ExceptionValue, NullType
 
 __all__ = ["SCALARS", "SerializationError", "key", "keys", "share_key", "encode", "decode",
-           "encode_values", "decode_values"]  # fmt: skip
+           "encode_values", "decode_values", "encode_row", "decode_row"]  # fmt: skip
 
 
 class SerializationError(ReproError):
@@ -116,3 +118,26 @@ def decode_values(data: Mapping[str, object] | None) -> dict | None:
     if data is None:
         return None
     return {name: decode(value) for name, value in data.items()}
+
+
+def encode_row(values: Mapping[str, object]) -> list:
+    """*values* as ``[sorted ⊥ names, {name: encode(v)} for the rest]``; a
+    list, so no attribute name can collide with the ⊥ list.  A ⊥ nested
+    in a sequence stays ``{"$null": true}``."""
+    nulls, rest = [], {}
+    for name, v in values.items():
+        if v is NULL:
+            nulls.append(name)
+        else:
+            rest[name] = v if v.__class__ in _JSON else encode(v)
+    nulls.sort()
+    return [nulls, rest]
+
+
+def decode_row(row: list) -> dict:
+    """Expand :func:`encode_row`'s form (read back from JSON) into
+    :func:`encode_values`'s, keys in sorted order."""
+    nulls, rest = row
+    merged = {name: {"$null": True} for name in nulls}
+    merged.update(rest)
+    return {name: merged[name] for name in sorted(merged)}

@@ -295,6 +295,61 @@ class TestPersistence:
         assert daemon.server_stats()["persisted"] == 0
 
 
+class TestRowsBuiltOffTheLock:
+    """An epoch's rows are built and encoded outside the state lock while
+    other threads read records."""
+
+    def test_readers_during_epochs_never_miss_an_id_or_see_a_torn_record(
+        self, make_daemon, pattern, tmp_path
+    ):
+        import sys
+
+        daemon = make_daemon(db=str(tmp_path / "runs.sqlite"))
+        (src,) = pattern.source_values
+        accepted: list[str] = []
+        seen: dict[str, list] = {}
+        errors: list[object] = []
+        stop = threading.Event()
+
+        def read_loop():
+            while not stop.is_set():
+                for instance_id in list(accepted):
+                    payload = daemon.get(instance_id)
+                    if payload is None:
+                        errors.append(("lost", instance_id))
+                    elif payload["status"] == "done":
+                        if payload["values"] is None or payload["metrics"] is None:
+                            errors.append(("torn", payload))
+                        else:
+                            seen.setdefault(instance_id, []).append(
+                                decode_values(payload["values"])
+                            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=read_loop) for _ in range(4)]
+        try:
+            for reader in readers:
+                reader.start()
+            for batch in range(12):
+                values = [{src: pattern.source_values[src] + batch * 8 + i} for i in range(8)]
+                result = daemon.submit_many(values)
+                assert result.ok
+                accepted.extend(result.accepted)
+            assert daemon.wait_idle(WAIT)
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(WAIT)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert not errors, errors[:3]
+        assert daemon.server_stats()["persisted"] == len(accepted) == 96
+        for instance_id, observed in seen.items():
+            final = decode_values(daemon.get(instance_id)["values"])
+            assert all(values == final for values in observed), instance_id
+
+
 class TestRetention:
     """The daemon forgets what it has persisted; the store remembers."""
 

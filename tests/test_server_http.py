@@ -423,6 +423,83 @@ class TestRestart:
             thread2.join(WAIT)
             restarted.shutdown()
 
+    #: The runs table as it was before the ``row_version`` column.
+    SCHEMA_BEFORE_ROW_VERSION = """
+        CREATE TABLE runs (
+            instance_id TEXT PRIMARY KEY, schema_name TEXT NOT NULL,
+            status TEXT NOT NULL, submitted_wall REAL NOT NULL,
+            started_wall REAL, completed_wall REAL, source_json TEXT NOT NULL,
+            values_json TEXT, metrics_json TEXT, config_hash TEXT NOT NULL
+        )
+    """
+
+    def test_store_from_before_row_version_serves_mixed(self, pattern, tmp_path):
+        """A store written before ``row_version`` — its schema, every value
+        column as ``json.dumps(encode_values(...), sort_keys=True)`` —
+        opens under the daemon: each old id answers GET with the payload
+        it gave before, new rows are version 2, and a restart over the
+        mixed file resolves both kinds."""
+        import sqlite3
+
+        # The old rows: a store-less daemon's records, written the old way.
+        live = ServerDaemon(pattern.schema, "PSE80", default_values=pattern.source_values)
+        (src,) = pattern.source_values
+        old_ids = live.submit_many([None, {src: pattern.source_values[src] + 1}]).accepted
+        assert live.wait_idle(WAIT)
+        payloads = [live.get(instance_id) for instance_id in old_ids]
+        live.shutdown()
+        db = tmp_path / "runs.sqlite"
+        conn = sqlite3.connect(db)
+        conn.execute(self.SCHEMA_BEFORE_ROW_VERSION)
+        expected = {}
+        for p in payloads:
+            columns = [json.dumps(p[k], sort_keys=True) for k in ("source", "values", "metrics")]
+            conn.execute(
+                "INSERT INTO runs VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (p["id"], p["schema"], p["status"], p["submitted_at"],
+                 p["started_at"], p["completed_at"], *columns, p["config_hash"]),
+            )
+            source, values, metrics = map(json.loads, columns)
+            expected[p["id"]] = dict(
+                p, source=source, values=values, metrics=metrics, origin="store"
+            )
+        conn.commit()
+        conn.close()
+
+        def served(batch, known=()):
+            daemon = ServerDaemon(
+                pattern.schema, "PSE80", db=str(db), default_values=pattern.source_values
+            )
+            server, thread = start_http_server(daemon)
+            try:
+                fresh = submit_and_wait(daemon, server, {"batch": [None] * batch})
+                return fresh, {
+                    instance_id: request(server, "GET", f"/instances/{instance_id}")[2]
+                    for instance_id in [*expected, *known, *fresh]
+                }
+            finally:
+                server.shutdown()
+                server.server_close()
+                thread.join(WAIT)
+                assert daemon.shutdown()
+
+        new_ids, first = served(2)
+        restarted_ids, second = served(1, new_ids)
+        for instance_id, want in expected.items():
+            for got in (first[instance_id], second[instance_id]):
+                assert got == want
+                assert list(got["values"]) == list(want["values"])
+        for instance_id in new_ids:
+            assert second[instance_id] == first[instance_id]
+            assert first[instance_id]["values"] == expected[old_ids[0]]["values"]
+            assert list(first[instance_id]["values"]) == list(expected[old_ids[0]]["values"])
+        conn = sqlite3.connect(db)
+        versions = dict(conn.execute("SELECT instance_id, row_version FROM runs"))
+        conn.close()
+        assert versions == {
+            **dict.fromkeys(old_ids), **dict.fromkeys([*new_ids, *restarted_ids], 2)
+        }
+
 
 class TestHealthzLiveness:
     def test_wedged_drain_loop_is_503(self, pattern):

@@ -1,9 +1,16 @@
 """SQLite run-record persistence (repro.server.store)."""
 
+import enum
+import json
+import math
+import sqlite3
+
 import pytest
 
 from repro import ExecutionConfig, NULL
+from repro.nulls import ExceptionValue
 from repro.server import RunStore, config_hash, decode_values, encode_values
+from repro.values import decode_row, encode_row
 
 
 def make_record(instance_id="srv-1", status="done", **overrides):
@@ -13,13 +20,57 @@ def make_record(instance_id="srv-1", status="done", **overrides):
         "status": status,
         "submitted_wall": 100.0,
         "completed_wall": 100.25,
-        "source": encode_values({"src": 3}),
-        "values": encode_values({"d": 1, "gap": NULL, "pair": (1, 2)}),
+        "source": {"src": 3},
+        "values": {"d": 1, "gap": NULL, "pair": (1, 2)},
         "metrics": {"work_units": 12, "queries_launched": 4},
         "config_hash": "deadbeefdeadbeef",
     }
     record.update(overrides)
     return record
+
+
+class Level(enum.IntEnum):
+    HIGH = 2
+
+
+def value_table() -> dict:
+    """One value of every kind the row encodings treat apart."""
+    return {
+        "null": NULL,
+        "true": True,
+        "false": False,
+        "int": 1,
+        "float": 1.0,
+        "negative_zero": -0.0,
+        "nan": math.nan,
+        "inf": math.inf,
+        "empty": "",
+        "none": None,
+        "nested": (1, (NULL, "x"), ()),
+        "enum": Level.HIGH,
+    }
+
+
+def insert_v1_row(path, record):
+    """Write *record* the way a store before ``row_version`` did: each value
+    column as ``json.dumps(encode_values(...), sort_keys=True)``, no version."""
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "INSERT INTO runs (instance_id, schema_name, status, submitted_wall, "
+        "started_wall, completed_wall, source_json, values_json, "
+        "metrics_json, config_hash) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        (
+            record["instance_id"], record["schema_name"], record["status"],
+            record["submitted_wall"], record.get("started_wall"),
+            record["completed_wall"],
+            json.dumps(encode_values(record["source"]), sort_keys=True),
+            json.dumps(encode_values(record["values"]), sort_keys=True),
+            json.dumps(record["metrics"], sort_keys=True),
+            record["config_hash"],
+        ),
+    )
+    conn.commit()
+    conn.close()
 
 
 class TestRoundTrip:
@@ -257,6 +308,12 @@ class TestSchemaMigration:
         conn.commit()
         conn.close()
 
+    def _row_versions(self, path):
+        conn = sqlite3.connect(path)
+        versions = dict(conn.execute("SELECT instance_id, row_version FROM runs"))
+        conn.close()
+        return versions
+
     def test_legacy_db_gains_started_wall(self, tmp_path):
         path = tmp_path / "runs.sqlite"
         self._make_legacy_db(path)
@@ -264,11 +321,14 @@ class TestSchemaMigration:
             stored = store.get("srv-legacy")
             assert stored["status"] == "done"
             assert stored["started_wall"] is None
+            assert stored["source"] == {"src": 3}
             # New writes carry the column; old rows stay NULL-tolerant.
             store.record(make_record("srv-new", started_wall=100.1))
             assert store.get("srv-new")["started_wall"] == 100.1
             assert store.get("srv-legacy")["started_wall"] is None
             assert store.count() == 2
+        # The legacy row stays version 1 (NULL); the new one is version 2.
+        assert self._row_versions(path) == {"srv-legacy": None, "srv-new": 2}
 
     def test_migration_preserves_wal_mode(self, tmp_path):
         path = tmp_path / "runs.sqlite"
@@ -280,9 +340,18 @@ class TestSchemaMigration:
     def test_migration_is_idempotent_across_reopens(self, tmp_path):
         path = tmp_path / "runs.sqlite"
         self._make_legacy_db(path)
-        for _ in range(2):
+        for reopen in range(3):
             with RunStore(path) as store:
                 assert store.get("srv-legacy")["started_wall"] is None
+                assert store.get("srv-legacy")["source"] == {"src": 3}
+                columns = [
+                    row["name"] for row in store._conn.execute("PRAGMA table_info(runs)")
+                ]
+                store.record(make_record(f"srv-{reopen}"))
+            assert columns.count("started_wall") == columns.count("row_version") == 1
+        assert self._row_versions(path) == {
+            "srv-legacy": None, "srv-0": 2, "srv-1": 2, "srv-2": 2,
+        }
 
 
 class TestTimestampsAndLatencies:
@@ -329,28 +398,9 @@ class TestEncodingIsUnchanged:
     general rules they short-cut, so a faster encoder cannot move a byte."""
 
     def test_encode_values_equals_the_per_value_rule(self):
-        import enum
-        import math
-
         from repro.values import encode
 
-        class Level(enum.IntEnum):
-            HIGH = 2
-
-        table = {
-            "null": NULL,
-            "true": True,
-            "false": False,
-            "int": 1,
-            "float": 1.0,
-            "negative_zero": -0.0,
-            "nan": math.nan,
-            "inf": math.inf,
-            "empty": "",
-            "none": None,
-            "nested": (1, (NULL, "x"), ()),
-            "enum": Level.HIGH,
-        }
+        table = value_table()
         encoded = encode_values(table)
         expected = {name: encode(value) for name, value in table.items()}
         assert list(encoded) == list(expected)
@@ -365,12 +415,8 @@ class TestEncodingIsUnchanged:
             encode_values({"a": 1, "bad": object()})
 
     def test_stored_columns_equal_json_dumps_sort_keys(self, tmp_path):
-        import json
-        import math
-        import sqlite3
-
         record = make_record(
-            values=encode_values({"z": NULL, "a": (1.5, NULL), "m": -0.0, "n": math.inf}),
+            values={"z": NULL, "a": (1.5, NULL), "m": -0.0, "n": math.inf},
             metrics={"work_units": 12, "finish_time": None, "instance_id": "srv-1"},
         )
         path = tmp_path / "runs.sqlite"
@@ -381,40 +427,101 @@ class TestEncodingIsUnchanged:
             "SELECT source_json, values_json, metrics_json FROM runs"
         ).fetchone()
         conn.close()
-        assert row == tuple(
-            json.dumps(record[key], sort_keys=True)
-            for key in ("source", "values", "metrics")
+        assert row == (
+            json.dumps(encode_row(record["source"]), sort_keys=True),
+            json.dumps(encode_row(record["values"]), sort_keys=True),
+            json.dumps(record["metrics"], sort_keys=True),
         )
 
     def test_rows_written_the_old_way_read_back_identically(self, tmp_path):
-        """A row inserted with ``json.dumps(..., sort_keys=True)`` per
-        column — the encoding before the shared encoder — and the same
-        record written by ``record_many`` read back equal through get()."""
-        import json
-        import sqlite3
-
+        """A row inserted with ``json.dumps(encode_values(...),
+        sort_keys=True)`` per column — the version-1 encoding, before the
+        shared encoder — and the same record written by ``record_many``
+        read back equal through get()."""
         path = tmp_path / "runs.sqlite"
         RunStore(path).close()  # create the current schema
         old = make_record("srv-old", started_wall=100.1)
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "INSERT INTO runs (instance_id, schema_name, status, submitted_wall, "
-            "started_wall, completed_wall, source_json, values_json, "
-            "metrics_json, config_hash) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                old["instance_id"], old["schema_name"], old["status"],
-                old["submitted_wall"], old["started_wall"], old["completed_wall"],
-                json.dumps(old["source"], sort_keys=True),
-                json.dumps(old["values"], sort_keys=True),
-                json.dumps(old["metrics"], sort_keys=True),
-                old["config_hash"],
-            ),
-        )
-        conn.commit()
-        conn.close()
+        insert_v1_row(path, old)
         with RunStore(path) as store:
             store.record(dict(old, instance_id="srv-new"))
             from_old = store.get("srv-old")
             from_new = store.get("srv-new")
         assert dict(from_old, instance_id="srv-new") == from_new
         assert decode_values(from_old["values"]) == {"d": 1, "gap": NULL, "pair": (1, 2)}
+
+
+class TestRowFormatV2:
+    """Version-2 rows keep top-level ⊥ as one sorted name list and read
+    back exactly as version-1 rows of the same record do."""
+
+    def table(self):
+        return dict(value_table(), failed=ExceptionValue("boom"), also_null=NULL)
+
+    def test_value_table_round_trips_like_v1(self, tmp_path):
+        table = self.table()
+        with RunStore(tmp_path / "runs.sqlite") as store:
+            store.record_many([make_record(values=table)])
+            stored = store.get("srv-1")
+        v1 = json.loads(json.dumps(encode_values(table), sort_keys=True))
+        assert json.dumps(stored["values"]) == json.dumps(v1)
+        decoded, expected = decode_values(stored["values"]), decode_values(v1)
+        assert list(decoded) == list(expected) == sorted(table)
+        for name, value in expected.items():
+            assert repr(decoded[name]) == repr(value), name
+            assert type(decoded[name]) is type(value), name
+        assert decoded["null"] is decoded["also_null"] is NULL
+        assert decoded["failed"] == ExceptionValue("boom")
+
+    def test_get_of_v1_and_v2_rows_are_equal_dicts(self, tmp_path):
+        path = tmp_path / "runs.sqlite"
+        table = {k: v for k, v in self.table().items() if k != "nan"}
+        record = make_record("srv-v1", values=table, source={"s": NULL, "a": 2})
+        with RunStore(path) as store:
+            insert_v1_row(path, record)
+            store.record(dict(record, instance_id="srv-v2"))
+            from_v1, from_v2 = store.get("srv-v1"), store.get("srv-v2")
+        assert dict(from_v1, instance_id="srv-v2") == from_v2
+        for column in ("source", "values"):
+            assert list(from_v1[column]) == list(from_v2[column]), column
+        assert decode_values(from_v2["values"]) == table
+        assert decode_values(from_v2["source"]) == {"s": NULL, "a": 2}
+
+    def test_nulls_leave_the_value_dict(self, tmp_path):
+        path = tmp_path / "runs.sqlite"
+        values = {"z": NULL, "b": 1, "a": NULL, "t": (NULL, 2)}
+        with RunStore(path) as store:
+            store.record(make_record(values=values))
+        conn = sqlite3.connect(path)
+        (text, version), = conn.execute("SELECT values_json, row_version FROM runs")
+        conn.close()
+        assert version == 2
+        assert json.loads(text) == [
+            ["a", "z"], {"b": 1, "t": {"$seq": [{"$null": True}, 2]}},
+        ]
+
+
+class TestRowCodec:
+    def test_decode_row_expands_to_the_sorted_v1_dict(self):
+        values = dict(value_table(), **{"$null": NULL, "": 0, "[]": NULL})
+        del values["nan"]
+        row = json.loads(json.dumps(encode_row(values), sort_keys=True))
+        v1 = json.loads(json.dumps(encode_values(values), sort_keys=True))
+        assert decode_row(row) == v1
+        assert list(decode_row(row)) == list(v1)
+        assert row[0] == ["$null", "[]", "null"]
+
+    def test_empty_and_null_free_mappings(self):
+        assert encode_row({}) == [[], {}]
+        assert decode_row([[], {}]) == {}
+        assert encode_row({"a": 1, "b": (NULL,)}) == [[], {"a": 1, "b": {"$seq": [{"$null": True}]}}]
+
+    def test_each_null_decodes_to_its_own_dict(self):
+        decoded = decode_row([["a", "b"], {}])
+        assert decoded == {"a": {"$null": True}, "b": {"$null": True}}
+        assert decoded["a"] is not decoded["b"]
+
+    def test_unserializable_value_still_raises(self):
+        from repro.core.serialize import SerializationError
+
+        with pytest.raises(SerializationError, match="not serializable"):
+            encode_row({"a": NULL, "bad": object()})
