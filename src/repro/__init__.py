@@ -108,7 +108,6 @@ from repro.api import (
     register_backend,
 )
 from repro.runtime import (
-    MergedEventLog,
     ShardStats,
     ShardedDecisionService,
     ShardedInstanceHandle,
@@ -195,7 +194,6 @@ __all__ = [
     "ShardedDecisionService",
     "ShardedInstanceHandle",
     "ShardStats",
-    "MergedEventLog",
     "create_service",
     # workload
     "PatternParams",

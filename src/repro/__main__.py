@@ -302,7 +302,7 @@ def _build_workload(args: argparse.Namespace):
 
 
 def run_simulate(args: argparse.Namespace) -> int:
-    from repro.runtime import ShardedDecisionService, create_service
+    from repro.runtime import create_service
     from repro.simdb.rng import derive_rng
 
     pattern, config = _build_workload(args)
@@ -323,14 +323,9 @@ def run_simulate(args: argparse.Namespace) -> int:
         mode = f"closed x{args.concurrency}"
 
     summary = service.summary()
-    sharded = isinstance(service, ShardedDecisionService)
-    if sharded:
-        time_unit = service.time_unit()
-        mean_gmpl = service.mean_gmpl()
+    time_unit = service.time_unit()
+    if (config.shards, config.executor) != (1, "serial"):
         mode = f"{mode} [{config.shards} shards, {config.executor}]"
-    else:
-        time_unit = service.backend.time_unit
-        mean_gmpl = service.database.mean_gmpl()
     payload = {
         "schema": pattern.schema.name,
         "strategy": config.code,
@@ -346,7 +341,7 @@ def run_simulate(args: argparse.Namespace) -> int:
         "mean_queries_launched": summary.mean_queries_launched,
         "total_work": summary.total_work,
         "sim_time": service.now,
-        "mean_gmpl": mean_gmpl,
+        "mean_gmpl": service.mean_gmpl(),
         "dispatch": config.dispatch,
         "query_cache": config.query_cache,
         "query_cache_hits": summary.query_cache_hits,
@@ -404,8 +399,7 @@ def run_simulate(args: argparse.Namespace) -> int:
                 f"  trace: {payload['trace']['events']} events -> "
                 f"{payload['trace']['path']}"
             )
-    if sharded:
-        service.close()  # shut persistent shard workers down, if any
+    service.close()  # shut persistent shard workers down, if any
     return 0
 
 

@@ -103,6 +103,10 @@ class InstanceHandle:
         """The current value of one attribute (⊥ until stable)."""
         return self._instance.cells[name].value
 
+    def value_map(self) -> dict[str, object]:
+        """Every stable attribute's value, as a fresh dict."""
+        return self._instance.value_map()
+
     def wait(self) -> InstanceMetrics:
         """Advance the shared clock until this instance finishes.
 
@@ -373,12 +377,29 @@ class DecisionService:
             )
         return summary
 
+    def time_unit(self) -> str | None:
+        """How to read the clock (``"units"``/``"ms"``)."""
+        return self.backend.time_unit
+
+    def mean_gmpl(self) -> float:
+        """The database's mean multiprogramming level over the clock."""
+        return self.database.mean_gmpl()
+
     def dispatch_stats(self) -> dict:
         """Pooled-dispatch counters (zero under per-event dispatch)."""
         return {
             "pooled_batches": self.engine.pooled_batches,
             "pooled_events": self.engine.pooled_events,
         }
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def worker_health(self) -> dict:
+        """Executor liveness in the fleet's shape: a service runs in-process."""
+        return {"executor": "serial", "spawned": False, "alive": True, "workers": []}
+
+    def close(self) -> None:
+        """Nothing to shut down: a service owns no worker process."""
 
     # -- observability (repro.obs) --------------------------------------------
 

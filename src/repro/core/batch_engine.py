@@ -423,11 +423,8 @@ class BatchedInstance:
         self.done = False
         self.metrics = InstanceMetrics(instance_id=instance_id, start_time=start_time)
 
+        plan.schema.check_sources(source_values)
         names = plan.schema.source_names
-        for name in names:
-            if name not in source_values:
-                missing = set(names) - set(source_values)
-                raise ExecutionError(f"missing source values: {sorted(missing)}")
         self._sources = sources = {name: source_values[name] for name in names}
         self._start_key = plan.start_key(sources) if plan.start_cache_ok else None
         # Arrays are installed lazily: `start()` aliases or copies a

@@ -71,9 +71,7 @@ class InstanceRuntime:
         self.done = False
         self.metrics = InstanceMetrics(instance_id=instance_id, start_time=start_time)
 
-        missing = set(schema.source_names) - set(source_values)
-        if missing:
-            raise ExecutionError(f"missing source values: {sorted(missing)}")
+        schema.check_sources(source_values)
 
         self.cells: dict[str, AttributeCell] = {}
         for name in schema.names:

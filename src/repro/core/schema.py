@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping
 from repro.core.attribute import Attribute
 from repro.core.conditions import Literal
 from repro.core.graph import DependencyGraph
-from repro.errors import SchemaError
+from repro.errors import ExecutionError, SchemaError
 
 __all__ = ["DecisionFlowSchema"]
 
@@ -96,6 +96,13 @@ class DecisionFlowSchema:
             for n, a in self._attributes.items()
             if not a.is_source and not a.is_target
         )
+
+    def check_sources(self, source_values: Mapping[str, object]) -> None:
+        """Refuse a valuation that lacks a source attribute's value."""
+        for name in self.source_names:
+            if name not in source_values:
+                missing = set(self.source_names) - set(source_values)
+                raise ExecutionError(f"missing source values: {sorted(missing)}")
 
     # -- aggregates -----------------------------------------------------------
 

@@ -3,11 +3,11 @@
 Scale-out layer over :mod:`repro.api`: a
 :class:`ShardedDecisionService` presents the ``DecisionService`` facade
 while partitioning instances across independent engine + DES + database
-shards (each instance routed to its stable CRC-32 home), driven
-in-process (``executor="serial"``) or by a fleet of long-lived worker
-processes (``executor="process"``, one persistent worker per shard
-streaming ops over pipes).  Shards share no cache: each shard's query
-cache and memo tiers are its only result reuse.
+shards (each instance routed to its stable CRC-32 home).  A shard is
+always the worker's shard state, driven round by round; it is called
+in-process (``executor="serial"``) or through a pipe to one long-lived
+worker process per shard (``executor="process"``).  Shards share no
+cache: each shard's query cache and memo tiers are its only result reuse.
 
 Quickstart::
 
@@ -21,11 +21,10 @@ Quickstart::
     service.close()  # shut the persistent worker fleet down
 """
 
-from repro.runtime.executors import ShardStats
 from repro.runtime.sharding import (
-    MergedEventLog,
     ShardedDecisionService,
     ShardedInstanceHandle,
+    ShardStats,
     create_service,
     merge_shard_events,
     shard_of,
@@ -40,7 +39,6 @@ __all__ = [
     "ShardedDecisionService",
     "ShardedInstanceHandle",
     "ShardStats",
-    "MergedEventLog",
     "create_service",
     "merge_shard_events",
     "shard_of",

@@ -13,14 +13,16 @@ database replica built from the backend registry.
 Routing is by a *stable* hash (CRC-32 of the instance id), so the same
 workload lands on the same shards in every process on every run, and a
 handle's shard is a pure function of its id.  Shards share no result
-reuse: each shard's query cache and memo tiers are its only cache.  Two
-executors drive the fleet (``config.executor``): ``"serial"`` runs every
-shard in-process — deterministic, incremental, and for ``shards=1``
-indistinguishable from a plain service — while ``"process"`` keeps one
-long-lived worker process per shard, streaming each round's ops over a
-pipe via :mod:`repro.core.serialize` and merging the incremental
-outcomes.  Both executors are fully incremental: submit → run → submit
-again works identically on either.
+reuse: each shard's query cache and memo tiers are its only cache.  A
+shard is always the worker's shard state, driven by ``run`` frames; two
+executors carry them (``config.executor``): ``"serial"`` calls every
+shard in-process, while ``"process"`` keeps one long-lived worker process
+per shard and streams the frames over a pipe via
+:mod:`repro.core.serialize`.  Either way a handle resolves through the
+record its shard reports, and everything above the transport — handles,
+events, aggregation, release — is the same code.  Both executors are
+fully incremental: submit → run → submit again works identically on
+either.
 
 Determinism and equivalence guarantees:
 
@@ -37,23 +39,26 @@ Determinism and equivalence guarantees:
   the point — N replicas replace one shared server, so response times
   (and contention-dependent scheduling) legitimately differ.
 
-Cross-shard aggregation: ``summary()`` merges per-shard summaries via
-:meth:`~repro.core.metrics.MetricsSummary.merge`, ``stats()`` reports
-per-shard database totals, and :meth:`attach_log` returns a
-:class:`MergedEventLog` whose ``events`` property is the stable globally
-ordered stream (time, then shard, then in-shard order).
+Cross-shard aggregation reads each shard's last
+:class:`~repro.runtime.worker.ShardOutcome`: ``summary()`` merges
+per-shard summaries via :meth:`~repro.core.metrics.MetricsSummary.merge`
+and ``stats()`` reports per-shard database totals.  After every round the
+round's events reach each handler in :func:`merge_shard_events` order
+(time, then shard, then in-shard order); :meth:`attach_log` subscribes a
+plain :class:`~repro.api.events.EventLog` like any other handler.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 from zlib import crc32
 
 from repro.api.backends import Backend
 from repro.api.config import ExecutionConfig
-from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
-from repro.api.service import DecisionService, InstanceHandle, coerce_config
+from repro.api.events import EventLog, InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
+from repro.api.service import DecisionService, coerce_config
 from repro.core.engine import claim_instance_id
 from repro.core.metrics import InstanceMetrics, MetricsSummary
 from repro.core.schema import DecisionFlowSchema
@@ -61,13 +66,13 @@ from repro.core.strategy import Strategy
 from repro.errors import ExecutionError
 from repro.nulls import NULL
 from repro.obs import MetricsRegistry, export_chrome_trace
-from repro.runtime.executors import EXECUTOR_CLASSES, ShardStats
+from repro.runtime.executors import EXECUTOR_CLASSES
 from repro.runtime.worker import InstanceRecord
 
 __all__ = [
     "ShardedDecisionService",
     "ShardedInstanceHandle",
-    "MergedEventLog",
+    "ShardStats",
     "shard_of",
     "merge_shard_events",
     "create_service",
@@ -102,56 +107,35 @@ def merge_shard_events(per_shard: Sequence[Sequence[object]]) -> list[object]:
     return [entry[3] for entry in entries]
 
 
-class MergedEventLog:
-    """Per-shard event recorder exposing one stable globally ordered stream.
+@dataclass(frozen=True)
+class ShardStats:
+    """One shard's aggregate state: population, work, and clock."""
 
-    The sharded counterpart of :class:`~repro.api.events.EventLog`:
-    ``events`` merges every shard's sequence per
-    :func:`merge_shard_events`; ``per_shard(i)`` reads one shard's raw
-    sequence.
-    """
-
-    def __init__(self, shards: int):
-        self._per_shard: list[list[object]] = [[] for _ in range(shards)]
-
-    def record(self, shard: int, event: object) -> None:
-        self._per_shard[shard].append(event)
-
-    def per_shard(self, shard: int) -> tuple[object, ...]:
-        return tuple(self._per_shard[shard])
-
-    @property
-    def events(self) -> list[object]:
-        return merge_shard_events(self._per_shard)
-
-    def of_type(self, event_type: type) -> list[object]:
-        return [e for e in self.events if isinstance(e, event_type)]
-
-    def __len__(self) -> int:
-        return sum(len(events) for events in self._per_shard)
+    shard: int
+    instances: int
+    completed: int
+    total_units: int
+    queries_completed: int
+    queries_cancelled: int
+    queries_failed: int
+    mean_gmpl: float
+    end_time: float
 
 
 class ShardedInstanceHandle:
     """A submitted instance in a sharded service: poll it, drive it, read it.
 
-    Mirrors :class:`~repro.api.service.InstanceHandle`.  Under the serial
-    executor it wraps the live shard handle; under the process executor
-    results materialize once the service has run.
+    Mirrors :class:`~repro.api.service.InstanceHandle`.  It resolves
+    through the record its shard reports, so results materialize once
+    the service has run — on either executor.
     """
 
-    __slots__ = ("_service", "_shard", "_instance_id", "_local", "_record")
+    __slots__ = ("_service", "_shard", "_instance_id", "_record")
 
-    def __init__(
-        self,
-        service: "ShardedDecisionService",
-        shard: int,
-        instance_id: str,
-        local: InstanceHandle | None,
-    ):
+    def __init__(self, service: "ShardedDecisionService", shard: int, instance_id: str):
         self._service = service
         self._shard = shard
         self._instance_id = instance_id
-        self._local = local
         self._record: InstanceRecord | None = None
 
     @property
@@ -164,9 +148,9 @@ class ShardedInstanceHandle:
         return self._shard
 
     def _resolve(self) -> InstanceRecord | None:
-        # Re-fetch until the record reports done: the persistent process
-        # executor re-materializes records of still-running instances
-        # every round, so a cached not-done record goes stale.
+        # Re-fetch until the record reports done: a shard re-reports the
+        # record of a still-running instance every round, so a cached
+        # not-done record goes stale.
         record = self._record
         if record is None or not record.done:
             fetched = self._service._executor.record_for(self._instance_id)
@@ -176,30 +160,24 @@ class ShardedInstanceHandle:
 
     @property
     def done(self) -> bool:
-        if self._local is not None:
-            return self._local.done
         record = self._resolve()
         return record is not None and record.done
 
     @property
     def metrics(self) -> InstanceMetrics:
-        if self._local is not None:
-            return self._local.metrics
         record = self._resolve()
         if record is None:
             raise ValueError(
-                f"instance {self._instance_id} has no metrics yet: the process "
-                "executor materializes results when the service runs"
+                f"instance {self._instance_id} has no metrics yet: a sharded "
+                "service materializes results when it runs"
             )
         return record.metrics
 
     def value(self, name: str) -> object:
         """The value of one attribute (⊥ until stable)."""
-        if self._local is not None:
-            return self._local.value(name)
         if name not in self._service.schema:
             # Mirror the live handle's cells[name] lookup: a typo raises
-            # on both executors instead of silently reading ⊥ on one.
+            # instead of silently reading ⊥.
             raise KeyError(name)
         record = self._resolve()
         if record is None:
@@ -207,16 +185,12 @@ class ShardedInstanceHandle:
         return record.values.get(name, NULL)
 
     def value_map(self) -> dict[str, object]:
-        """Every stable attribute's value."""
-        if self._local is not None:
-            return dict(self._local.instance.value_map())
+        """Every stable attribute's value, as a fresh dict."""
         record = self._resolve()
         return dict(record.values) if record is not None else {}
 
     def wait(self) -> InstanceMetrics:
         """Drive the owning shard until this instance finishes."""
-        if self._local is not None:
-            return self._local.wait()
         if not self.done:
             self._service.run()
         record = self._resolve()
@@ -228,8 +202,6 @@ class ShardedInstanceHandle:
 
     def result(self) -> dict[str, object]:
         """The target attribute values, driving the shard if needed."""
-        if self._local is not None:
-            return self._local.result()
         self.wait()
         record = self._resolve()
         return {
@@ -285,13 +257,11 @@ class ShardedDecisionService:
         self._handles: list[ShardedInstanceHandle] = []
         self._instance_ids: set[str] = set()
         self._id_seq = itertools.count(1)
-        #: process-executor observation state (serial subscribes live).
         self._handlers: dict[str, list[Callable]] = {
             "launch": [],
             "query_done": [],
             "complete": [],
         }
-        self._logs: list[MergedEventLog] = []
 
     # -- id allocation and routing --------------------------------------------
 
@@ -305,10 +275,8 @@ class ShardedDecisionService:
         """Which shard an instance id routes to: its stable CRC-32 home."""
         return shard_of(instance_id, self.shards)
 
-    def _register(
-        self, shard: int, instance_id: str, local: InstanceHandle | None
-    ) -> ShardedInstanceHandle:
-        handle = ShardedInstanceHandle(self, shard, instance_id, local)
+    def _register(self, shard: int, instance_id: str) -> ShardedInstanceHandle:
+        handle = ShardedInstanceHandle(self, shard, instance_id)
         self._handles.append(handle)
         return handle
 
@@ -324,11 +292,11 @@ class ShardedDecisionService:
         """Submit one instance to its home shard."""
         instance_id = self._claim_id(instance_id)
         shard = shard_of(instance_id, self.shards)
-        # A rejected submission (e.g. a past start time) raises before
-        # the id is recorded, so it does not burn the name.
-        local = self._executor.submit(shard, instance_id, source_values, at)
+        # A refused submission (a past start time, a missing source value)
+        # raises before the id is recorded, so it does not burn the name.
+        self._executor.submit(shard, instance_id, source_values, at)
         self._instance_ids.add(instance_id)
-        return self._register(shard, instance_id, local)
+        return self._register(shard, instance_id)
 
     def submit_stream(
         self,
@@ -377,70 +345,109 @@ class ShardedDecisionService:
             self._instance_ids.add(instance_id)
             ids.append(instance_id)
         values_list = [values(i) if callable(values) else values for i in range(n)]
+        homes = [shard_of(instance_id, self.shards) for instance_id in ids]
         per_shard_ids: list[list[str]] = [[] for _ in range(self.shards)]
         per_shard_values: list[list[Mapping[str, object] | None]] = [
             [] for _ in range(self.shards)
         ]
-        for instance_id, source_values in zip(ids, values_list):
-            shard = shard_of(instance_id, self.shards)
+        for instance_id, shard, source_values in zip(ids, homes, values_list):
             per_shard_ids[shard].append(instance_id)
             per_shard_values[shard].append(source_values)
         active = [s for s in range(self.shards) if per_shard_ids[s]]
         shares = _split_concurrency(concurrency, len(active))
-        local_lists: dict[int, list[InstanceHandle] | None] = {}
         for share, shard in zip(shares, active):
-            local_lists[shard] = self._executor.start_closed(
+            self._executor.start_closed(
                 shard, per_shard_ids[shard], per_shard_values[shard], share
             )
         self.run()
-        # Wrap in global id order; each shard's live list is in shard
-        # submission order, which is its id-list order by construction.
-        positions = [0] * self.shards
-        handles = []
-        for instance_id in ids:
-            shard = shard_of(instance_id, self.shards)
-            locals_ = local_lists.get(shard)
-            local = None
-            if locals_ is not None:
-                local = locals_[positions[shard]]
-                positions[shard] += 1
-            handles.append(self._register(shard, instance_id, local))
-        return handles
+        return [self._register(shard, instance_id) for instance_id, shard in zip(ids, homes)]
 
     # -- driving and reading --------------------------------------------------
 
     def run(self, until: float | None = None) -> None:
-        """Drive every shard one round: to *until*, or until its work drains."""
-        collect = bool(self._logs) or any(self._handlers.values())
+        """Drive every shard one round: to *until*, or until its work drains.
+
+        Then the round's events reach every handler, in
+        :func:`merge_shard_events` order.
+        """
+        handlers = self._handlers
+        collect = any(handlers.values())
         self._executor.run(until, collect_events=collect)
-        self._replay_events()
+        if not collect:
+            return
+        dispatch = {
+            LaunchEvent: handlers["launch"],
+            QueryDoneEvent: handlers["query_done"],
+            InstanceCompleteEvent: handlers["complete"],
+        }
+        per_shard = [outcome.events for outcome in self._executor.outcomes]
+        for event in merge_shard_events(per_shard):
+            for handler in dispatch.get(type(event), ()):
+                handler(event)
 
     @property
     def now(self) -> float:
         """The furthest shard clock."""
-        return self._executor.now
+        return max(outcome.end_time for outcome in self._executor.outcomes)
 
     @property
     def handles(self) -> tuple[ShardedInstanceHandle, ...]:
-        """Every handle this service has issued, in submission order."""
+        """Every handle the service still tracks, in submission order.
+
+        That is every handle it has issued, minus those
+        :meth:`release_completed` let go.
+        """
         return tuple(self._handles)
 
     @property
     def completed(self) -> tuple[ShardedInstanceHandle, ...]:
+        """The finished handles among :attr:`handles` (released ones are gone)."""
         return tuple(h for h in self._handles if h.done)
+
+    def release_completed(self) -> tuple[ShardedInstanceHandle, ...]:
+        """Let go of every finished instance; returns the handles released.
+
+        The fleet's counterpart of
+        :meth:`DecisionService.release_completed`: the parent drops the
+        finished handles and their records now, and each shard lets go of
+        its own instances at the start of the next round (a ``release``
+        flag on that round's frame, so no extra round-trip).
+        :meth:`summary` keeps covering them, and a handle the caller still
+        holds stays fully readable.
+        """
+        kept, released = [], []
+        for handle in self._handles:
+            (released if handle.done else kept).append(handle)
+        if released:
+            self._handles = kept
+            self._executor.release(handle.instance_id for handle in released)
+        return tuple(released)
 
     def summary(self) -> MetricsSummary:
         """Cross-shard aggregate metrics (`MetricsSummary.merge` of shards)."""
-        return MetricsSummary.merge(*self._executor.shard_summaries())
+        return MetricsSummary.merge(*(o.summary for o in self._executor.outcomes))
 
     def stats(self) -> tuple[ShardStats, ...]:
         """Per-shard population, database totals, and clock positions."""
-        return tuple(self._executor.shard_stats())
+        return tuple(
+            ShardStats(
+                shard=outcome.shard,
+                instances=outcome.instances,
+                completed=outcome.completed,
+                total_units=outcome.total_units,
+                queries_completed=outcome.queries_completed,
+                queries_cancelled=outcome.queries_cancelled,
+                queries_failed=outcome.queries_failed,
+                mean_gmpl=outcome.mean_gmpl,
+                end_time=outcome.end_time,
+            )
+            for outcome in self._executor.outcomes
+        )
 
     @property
     def total_units(self) -> int:
         """Units of processing performed across every shard's database."""
-        return sum(stat.total_units for stat in self.stats())
+        return sum(outcome.total_units for outcome in self._executor.outcomes)
 
     def mean_gmpl(self) -> float:
         """Mean multiprogramming level across shards, weighted by shard time.
@@ -448,41 +455,41 @@ class ShardedDecisionService:
         Each shard's Gmpl is averaged over its own clock; the fleet-level
         figure weights shards by how long they ran.
         """
-        stats = self.stats()
-        total_time = sum(stat.end_time for stat in stats)
+        outcomes = self._executor.outcomes
+        total_time = sum(o.end_time for o in outcomes)
         if total_time <= 0:
             return 0.0
-        return sum(stat.mean_gmpl * stat.end_time for stat in stats) / total_time
+        return sum(o.mean_gmpl * o.end_time for o in outcomes) / total_time
 
     def time_unit(self) -> str | None:
         """How to read shard clocks (``"units"``/``"ms"``; None before the
-        process executor has built its backends)."""
-        return self._executor.time_unit()
+        first round has built the shards' backends)."""
+        units = (o.time_unit for o in self._executor.outcomes if o.time_unit is not None)
+        return next(units, None)
 
     def dispatch_stats(self) -> dict:
         """Fleet-level pooled-dispatch counters (summed across shards)."""
-        totals = {"pooled_batches": 0, "pooled_events": 0}
-        for stats in self._executor.dispatch_stats():
-            totals["pooled_batches"] += stats["pooled_batches"]
-            totals["pooled_events"] += stats["pooled_events"]
-        return totals
+        outcomes = self._executor.outcomes
+        return {
+            "pooled_batches": sum(o.pooled_batches for o in outcomes),
+            "pooled_events": sum(o.pooled_events for o in outcomes),
+        }
 
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Release executor resources (shuts persistent shard workers down).
+        """Stop the fleet (shuts persistent shard workers down).
 
-        Idempotent; the serial executor has nothing to release.  A closed
-        process-executor service can still be read (summaries, handles,
-        stats come from cached outcomes) but not driven further.
+        Idempotent.  A closed service can still be read (summaries,
+        handles, stats come from the last outcomes) but not driven further.
         """
         self._executor.close()
 
     def worker_health(self) -> dict:
         """Executor liveness: per-worker alive flags for the process fleet.
 
-        The daemon folds this into ``/healthz``; the serial executor is
-        trivially alive.
+        The daemon folds this into ``/healthz``; an in-process fleet is
+        alive until closed.
         """
         return self._executor.worker_health()
 
@@ -493,23 +500,23 @@ class ShardedDecisionService:
 
         Counters and histograms add across shards; gauges stay per-shard
         (each entry keeps its shard label), since summing shard clocks or
-        Gmpl figures would be meaningless.  Process-executor shards ship
-        their snapshots back inside :class:`ShardOutcome`, exactly like
-        their metrics summaries.
+        Gmpl figures would be meaningless.  Shards ship their snapshots
+        inside :class:`ShardOutcome`, exactly like their metrics summaries.
         """
         if not self.config.observe:
             return {"enabled": False, "counters": [], "gauges": [], "histograms": []}
         merged = MetricsRegistry()
-        for shard, snapshot in enumerate(self._executor.obs_snapshots()):
+        for outcome in self._executor.outcomes:
+            snapshot = outcome.obs
             if snapshot and snapshot.get("enabled"):
-                merged.merge_snapshot(snapshot, extra_labels={"shard": shard})
+                merged.merge_snapshot(snapshot, extra_labels={"shard": outcome.shard})
         return merged.snapshot()
 
     def trace_groups(self) -> list[tuple[int, str, list]]:
         """Chrome-trace lanes: one process lane per shard."""
         return [
-            (shard, f"shard:{shard}", events)
-            for shard, events in enumerate(self._executor.trace_groups())
+            (outcome.shard, f"shard:{outcome.shard}", outcome.trace or [])
+            for outcome in self._executor.outcomes
         ]
 
     def chrome_trace(self) -> dict:
@@ -521,20 +528,16 @@ class ShardedDecisionService:
     # -- observation ----------------------------------------------------------
 
     def _subscribe(self, kind: str, handler: Callable) -> Callable:
-        if self._executor.live:
-            self._executor.subscribe(kind, handler)
-        else:
-            self._handlers[kind].append(handler)
+        self._handlers[kind].append(handler)
         return handler
 
     def on_launch(self, handler: Callable[[LaunchEvent], None]):
         """Subscribe to task-launch events; usable as a decorator.
 
-        Serial-executor delivery is live; the process executor replays
-        each round's events in the merged global order once its shards
-        return.  Handlers may attach at any point in the service's life —
-        a handler attached after some rounds have run receives events
-        from the next round on.
+        Each round's events are delivered once its shards return, in the
+        merged global order.  Handlers may attach at any point in the
+        service's life — a handler attached after some rounds have run
+        receives events from the next round on.
         """
         return self._subscribe("launch", handler)
 
@@ -546,38 +549,14 @@ class ShardedDecisionService:
         """Subscribe to instance-completion events; usable as a decorator."""
         return self._subscribe("complete", handler)
 
-    def attach_log(self) -> MergedEventLog:
-        """Subscribe a fresh :class:`MergedEventLog` to every shard.
-
-        Logs may attach at any point; under the process executor a log
-        attached after some rounds have run records from the next round.
-        """
-        log = MergedEventLog(self.shards)
-        if self._executor.live:
-            self._executor.attach_sink(log.record)
-        else:
-            self._logs.append(log)
+    def attach_log(self) -> EventLog:
+        """Subscribe a fresh :class:`~repro.api.events.EventLog` to every
+        event stream; like any handler it records from the next round on."""
+        log = EventLog()
+        self.on_launch(log)
+        self.on_query_done(log)
+        self.on_instance_complete(log)
         return log
-
-    def _replay_events(self) -> None:
-        """Process executor: fan one round's shard events out after it runs."""
-        if self._executor.live:
-            return
-        if not self._logs and not any(self._handlers.values()):
-            return
-        per_shard = self._executor.round_events()
-        for log in self._logs:
-            for shard, events in enumerate(per_shard):
-                for event in events:
-                    log.record(shard, event)
-        dispatch = {
-            LaunchEvent: self._handlers["launch"],
-            QueryDoneEvent: self._handlers["query_done"],
-            InstanceCompleteEvent: self._handlers["complete"],
-        }
-        for event in merge_shard_events(per_shard):
-            for handler in dispatch.get(type(event), ()):
-                handler(event)
 
     def __repr__(self) -> str:
         done = sum(1 for h in self._handles if h.done)

@@ -1,34 +1,31 @@
-"""Worker-side execution of one shard's workload.
+"""Worker-side execution of one shard: the state both executors drive.
 
-A shard workload crosses the process boundary in plain picklable form:
-the schema and :class:`~repro.api.config.ExecutionConfig` travel as the
-plain dicts of :mod:`repro.core.serialize`, and the submissions travel as
-an ordered op list — each op either
+:class:`_PersistentShard` is one shard's live state: a single-shard
+:class:`~repro.api.service.DecisionService` built from a live schema and
+config, plus watermarks of what it has reported.  Both executors drive a
+shard through it and nothing else — the serial executor calls it
+in-process, the process executor through a ``multiprocessing`` pipe served
+by :func:`worker_main`, which deserialises the schema and
+:class:`~repro.api.config.ExecutionConfig` (the plain dicts of
+:mod:`repro.core.serialize`) before building it.
+
+Submissions travel as an ordered op list — each op either
 ``("submit", instance_id, source_values, at)`` or
-``("closed", instance_ids, values_list, concurrency)``.  The worker
-rebuilds a single-shard :class:`~repro.api.service.DecisionService` from
-them, replays the ops, drives the shard's private simulation, and
-returns a :class:`ShardOutcome` — per-instance value maps and metrics,
-the shard's :class:`~repro.core.metrics.MetricsSummary`, database totals,
-and (when requested) the shard's typed event sequence.
+``("closed", instance_ids, values_list, concurrency)`` — and a shard
+answers framed commands:
 
-:func:`worker_main` is the **persistent worker loop** behind the process
-executor: spawned once per shard, it keeps a live service across rounds
-(:class:`_PersistentShard`, process-agnostic, so the serial test suite
-drives it in-process to pin down exactly what crosses the pipe) and
-serves framed commands over a ``multiprocessing`` pipe until told to
-shut down:
-
-- ``("run", ops, until, collect_events)`` — replay the new ops, drive
-  the shard (to *until*, or dry), reply ``("ok", outcome)``.
-  The outcome's ``records`` are *incremental*: instances already
-  reported done are skipped, live ones are re-reported each round
-  until they finish; ``events`` carry only this round's new events.
-- ``("snapshot",)`` — reply a small liveness/population payload
+- ``("run", ops, until, collect_events, release)`` — let go of the
+  finished instances already reported (when *release* is set), replay
+  the new ops, drive the shard (to *until*, or dry), reply
+  ``("ok", outcome)``.  The :class:`ShardOutcome`'s ``records`` are
+  *incremental*: instances already reported done are skipped, live ones
+  are re-reported each round until they finish; ``events`` carry only
+  this round's new events.
+- ``("snapshot",)`` — reply the shard's held population and clock
   without driving anything.
-- ``("shutdown",)`` — acknowledge and exit.
+- ``("shutdown",)`` — acknowledge and exit (the worker process only).
 
-Any exception is shipped back as
+Over the pipe any exception is shipped back as
 ``("error", type_name, message, traceback)`` instead of killing the
 worker, so the parent can raise a useful
 :class:`~repro.errors.ExecutionError`.
@@ -39,8 +36,10 @@ from __future__ import annotations
 import traceback
 from dataclasses import dataclass
 
+from repro.api.config import ExecutionConfig
 from repro.api.service import DecisionService
 from repro.core.metrics import InstanceMetrics, MetricsSummary
+from repro.core.schema import DecisionFlowSchema
 from repro.core.serialize import config_from_dict, schema_from_dict
 from repro.errors import ExecutionError
 
@@ -85,13 +84,13 @@ class ShardOutcome:
     #: by the sharded service exactly like the metrics summary.
     obs: dict | None = None
     trace: list[tuple] | None = None
-    #: shard population totals — records are incremental under the
-    #: persistent worker, so per-shard counts travel explicitly.
+    #: shard population totals, released instances included — records
+    #: are incremental, so per-shard counts travel explicitly.
     instances: int = 0
     completed: int = 0
 
     @classmethod
-    def idle(cls, shard: int, backend_name: str, collect_events: bool) -> "ShardOutcome":
+    def idle(cls, shard: int, backend_name: str) -> "ShardOutcome":
         """The outcome of a shard that received no work."""
         return cls(
             shard=shard,
@@ -105,7 +104,7 @@ class ShardOutcome:
             end_time=0.0,
             backend_name=backend_name,
             time_unit=None,
-            events=[] if collect_events else None,
+            events=None,
         )
 
 
@@ -128,62 +127,50 @@ def _replay_ops(service: DecisionService, ops: list[tuple]) -> None:
             raise ExecutionError(f"unknown shard op {kind!r}")
 
 
-def _shard_outcome(
-    service: DecisionService,
-    shard: int,
-    records: list[InstanceRecord],
-    events: list[object] | None,
-) -> ShardOutcome:
-    """Assemble an outcome from a live shard service."""
-    database = service.database
-    return ShardOutcome(
-        shard=shard,
-        records=records,
-        summary=service.summary(),
-        total_units=database.total_units,
-        queries_completed=database.queries_completed,
-        queries_cancelled=database.queries_cancelled,
-        queries_failed=database.queries_failed,
-        mean_gmpl=database.mean_gmpl(),
-        end_time=service.now,
-        backend_name=service.backend.name,
-        time_unit=service.backend.time_unit,
-        events=events,
-        pooled_batches=service.engine.pooled_batches,
-        pooled_events=service.engine.pooled_events,
-        obs=service.observability() if service.obs.enabled else None,
-        trace=service.obs.tracer.events() if service.obs.enabled else None,
-        instances=len(service.handles),
-        completed=sum(1 for handle in service.handles if handle.done),
-    )
-
-
 class _PersistentShard:
-    """The live state one persistent worker keeps between rounds."""
+    """The live state one shard keeps between rounds, on either executor."""
 
-    def __init__(self, shard: int, schema_data: dict, config_data: dict):
-        schema = schema_from_dict(schema_data)
-        config = config_from_dict(config_data).replace(shards=1, executor="serial")
-        self.service = DecisionService(schema, config)
+    def __init__(self, shard: int, schema: DecisionFlowSchema, config: ExecutionConfig):
+        self.service = DecisionService(schema, config.replace(shards=1, executor="serial"))
         self.shard = shard
         self.log = None
-        self._events_sent = 0
         self._reported_done: set[str] = set()
 
+    def serve(self, message: tuple):
+        """Answer one ``run`` or ``snapshot`` frame with its payload."""
+        kind = message[0]
+        if kind == "run":
+            return self.round(*message[1:])
+        if kind == "snapshot":
+            return self.snapshot()
+        raise ExecutionError(f"unknown worker command {kind!r}")
+
     def round(
-        self, ops: list[tuple], until: float | None, collect_events: bool
+        self,
+        ops: list[tuple],
+        until: float | None,
+        collect_events: bool,
+        release: bool = False,
     ) -> ShardOutcome:
+        service = self.service
+        if release:
+            # Only instances reported done can have settled, so the
+            # parent has their records already.
+            for handle in service.release_completed():
+                self._reported_done.discard(handle.instance_id)
         if collect_events and self.log is None:
             # Late observer attach: collection starts this round; earlier
             # rounds' events are gone, matching the documented contract.
-            self.log = self.service.attach_log()
-        _replay_ops(self.service, ops)
-        self.service.run(until)
+            self.log = service.attach_log()
+        _replay_ops(service, ops)
+        service.run(until)
         return self._outcome()
 
     def _outcome(self) -> ShardOutcome:
         service = self.service
+        database = service.database
         records = []
+        running = 0
         for handle in service.handles:
             instance_id = handle.instance_id
             if instance_id in self._reported_done:
@@ -193,18 +180,39 @@ class _PersistentShard:
                 InstanceRecord(
                     instance_id=instance_id,
                     done=done,
-                    values=dict(handle.instance.value_map()),
+                    values=handle.value_map(),
                     metrics=handle.metrics,
                 )
             )
             if done:
                 self._reported_done.add(instance_id)
+            else:
+                running += 1
         events = None
         if self.log is not None:
-            all_events = self.log.events
-            events = list(all_events[self._events_sent:])
-            self._events_sent = len(all_events)
-        return _shard_outcome(service, self.shard, records, events)
+            events, self.log.events = self.log.events, []
+        summary = service.summary()
+        observed = service.obs.enabled
+        return ShardOutcome(
+            shard=self.shard,
+            records=records,
+            summary=summary,
+            total_units=database.total_units,
+            queries_completed=database.queries_completed,
+            queries_cancelled=database.queries_cancelled,
+            queries_failed=database.queries_failed,
+            mean_gmpl=database.mean_gmpl(),
+            end_time=service.now,
+            backend_name=service.backend.name,
+            time_unit=service.backend.time_unit,
+            events=events,
+            pooled_batches=service.engine.pooled_batches,
+            pooled_events=service.engine.pooled_events,
+            obs=service.observability() if observed else None,
+            trace=service.obs.tracer.events() if observed else None,
+            instances=summary.count + running,
+            completed=summary.count,
+        )
 
     def snapshot(self) -> dict:
         service = self.service
@@ -221,7 +229,7 @@ def worker_main(conn, shard: int, schema_data: dict, config_data: dict) -> None:
 
     Serves framed commands on *conn* until ``("shutdown",)`` arrives or
     the pipe closes (parent death: exit quietly, never hang).  The shard
-    service is built lazily on the first command so construction errors
+    state is built lazily on the first command so construction errors
     travel back as error frames instead of a bare dead pipe.
     """
     state: _PersistentShard | None = None
@@ -230,8 +238,7 @@ def worker_main(conn, shard: int, schema_data: dict, config_data: dict) -> None:
             message = conn.recv()
         except (EOFError, OSError):
             return
-        kind = message[0]
-        if kind == "shutdown":
+        if message[0] == "shutdown":
             try:
                 conn.send(("ok", None))
             except (BrokenPipeError, OSError):
@@ -239,15 +246,9 @@ def worker_main(conn, shard: int, schema_data: dict, config_data: dict) -> None:
             return
         try:
             if state is None:
-                state = _PersistentShard(shard, schema_data, config_data)
-            if kind == "run":
-                _, ops, until, collect_events = message
-                payload = state.round(ops, until, collect_events)
-            elif kind == "snapshot":
-                payload = state.snapshot()
-            else:
-                raise ExecutionError(f"unknown worker command {kind!r}")
-            conn.send(("ok", payload))
+                schema = schema_from_dict(schema_data)
+                state = _PersistentShard(shard, schema, config_from_dict(config_data))
+            conn.send(("ok", state.serve(message)))
         except BaseException as error:  # noqa: BLE001 - shipped to the parent
             try:
                 conn.send(

@@ -31,8 +31,9 @@ so memory follows the admission bound rather than the number of
 instances ever served, and ``get()`` answers them from the store
 (``"origin": "store"``).  ``"origin": "live"`` therefore means queued,
 running, or not persisted — a daemon without a store keeps every record,
-memory being its only home, and a sharded service keeps its instances
-(the sharded facade has no release yet).  :meth:`shutdown` is graceful:
+memory being its only home.  A plain service and a sharded fleet answer
+the same calls (release, health, close), so this holds on every
+executor.  :meth:`shutdown` is graceful:
 admission closes, the drain loop finishes every already-accepted
 instance, the store is flushed and closed — zero accepted instances are
 lost.
@@ -50,7 +51,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.api.config import ExecutionConfig
 from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
-from repro.api.service import InstanceHandle, coerce_config
+from repro.api.service import coerce_config
 from repro.core.metrics import MetricsSummary
 from repro.core.schema import DecisionFlowSchema
 from repro.core.strategy import Strategy
@@ -447,7 +448,8 @@ class ServerDaemon:
         self, handles: list[tuple[_Pending, object]], epoch_seconds: float
     ) -> None:
         fallback_wall = time.time()
-        decided = [self._handle_values(h) if h.done else None for _p, h in handles]
+        # Every value_map() returns a fresh dict: the record may keep it.
+        decided = [h.value_map() if h.done else None for _p, h in handles]
         finished = []
         done_count = 0
         with self._state_lock:
@@ -481,26 +483,17 @@ class ServerDaemon:
                     else 0.3 * rate + 0.7 * self._drain_rate
                 )
         # The records now hold the values and metrics, so the service can
-        # let the instances go (a sharded service has no release and keeps
-        # them); the records themselves leave once the store has them.
-        # Only this thread writes a finished record: its rows are built unlocked.
-        release = getattr(self.service, "release_completed", None)
-        if release is not None:
-            with self._service_lock:
-                release()
+        # let the instances go; the records themselves leave once the store
+        # has them.  Only this thread writes a finished record: its rows
+        # are built unlocked.
+        with self._service_lock:
+            self.service.release_completed()
         if self._store is not None and finished:
             written = self._store.record_many(map(self._store_record, finished))
             with self._state_lock:
                 self._persisted += written
                 for record in finished:
                     del self._records[record.instance_id]
-
-    @staticmethod
-    def _handle_values(handle: object) -> dict:
-        # Every value_map() returns a fresh dict: the record may keep it.
-        if isinstance(handle, InstanceHandle):
-            return handle.instance.value_map()
-        return handle.value_map()
 
     def _store_record(self, record: _Record) -> dict:
         return {
@@ -622,12 +615,13 @@ class ServerDaemon:
         stopping = self._stopping.is_set()
         with self._state_lock:
             depth = len(self._queue)
-        workers = self._worker_health()
+        # Unlocked: a liveness probe must not wait out a running epoch.
+        workers = self.service.worker_health()
         if not alive and not self._stopped.is_set():
             status, ok = "dead", False
         elif alive and heartbeat_age > self._stall_after:
             status, ok = "wedged", False
-        elif workers is not None and not workers["alive"] and not stopping:
+        elif not workers["alive"] and not stopping:
             status, ok = "workers-dead", False
         elif stopping:
             status, ok = "stopping", True
@@ -642,18 +636,9 @@ class ServerDaemon:
             "stall_after": self._stall_after,
             "drain_alive": alive,
             "uptime": now - self._mono0,
+            "workers": workers,
         }
-        if workers is not None:
-            payload["workers"] = workers
         return ok, payload
-
-    def _worker_health(self) -> dict | None:
-        """The sharded executor's fleet liveness (None on a plain service)."""
-        probe = getattr(self.service, "worker_health", None)
-        if probe is None:
-            return None
-        with self._service_lock:
-            return probe()
 
     def dispatch_stats(self) -> dict:
         """Pooled-dispatch totals from the underlying service."""
@@ -761,8 +746,9 @@ class ServerDaemon:
         Completion events are always tapped (they drive per-instance
         latency); the chattier launch/query streams attach only once an
         ``/events`` subscriber exists, so unobserved daemons pay nothing
-        for them.  Serial services deliver live, so a mid-life attach is
-        safe — history simply starts at the first subscription.
+        for them.  A handler attached mid-life receives events from then
+        on (a fleet's from its next round), so history simply starts at
+        the first subscription.
         """
         if self._taps_armed:
             return
@@ -843,12 +829,10 @@ class ServerDaemon:
         if drained and self._store is not None:
             self._store.close()
         if drained:
-            # Shut persistent shard workers down with the daemon (no-op
-            # on plain and serial-executor services).
-            close = getattr(self.service, "close", None)
-            if close is not None:
-                with self._service_lock:
-                    close()
+            # Shut persistent shard workers down with the daemon (nothing
+            # to shut down on a plain service).
+            with self._service_lock:
+                self.service.close()
         with self._events_lock:
             for subscriber in self._subscribers:
                 try:

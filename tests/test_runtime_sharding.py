@@ -11,7 +11,6 @@ from repro.core.serialize import config_to_dict, schema_to_dict
 from repro.errors import ExecutionError
 from repro.nulls import NULL
 from repro.runtime import (
-    MergedEventLog,
     ShardedDecisionService,
     create_service,
     merge_shard_events,
@@ -180,15 +179,6 @@ class TestMergedEvents:
         merged = merge_shard_events([[a0, a1], [b0, b1]])
         assert [e.label for e in merged] == ["a0", "b0", "b1", "a1"]
 
-    def test_merged_log_records_per_shard(self):
-        log = MergedEventLog(2)
-        first, second = _StampedEvent(2.0, "x"), _StampedEvent(1.0, "y")
-        log.record(0, first)
-        log.record(1, second)
-        assert len(log) == 2
-        assert log.per_shard(0) == (first,)
-        assert [e.label for e in log.events] == ["y", "x"]
-
     def test_serial_log_matches_plain_service_log(self, pattern):
         plain = DecisionService(pattern.schema, ExecutionConfig.from_code("PSE50"))
         plain_log = plain.attach_log()
@@ -212,9 +202,7 @@ class TestWorkerProtocol:
     def _round(self, pattern, ops, collect_events=True, shard=0):
         """One ``("run", ...)`` frame served by a worker's live state."""
         config = ExecutionConfig.from_code("PSE50", engine="batched")
-        state = _PersistentShard(
-            shard, schema_to_dict(pattern.schema), config_to_dict(config)
-        )
+        state = _PersistentShard(shard, pattern.schema, config)
         return state.round(ops, None, collect_events)
 
     def test_a_round_replays_submits(self, pattern):
@@ -262,7 +250,7 @@ class TestWorkerProtocol:
     def test_a_second_round_reports_only_what_is_new(self, pattern):
         sources = dict(pattern.source_values)
         config = ExecutionConfig.from_code("PSE50", engine="batched")
-        state = _PersistentShard(0, schema_to_dict(pattern.schema), config_to_dict(config))
+        state = _PersistentShard(0, pattern.schema, config)
         first = state.round([("submit", "w#1", sources, None)], None, True)
         second = state.round([("submit", "w#2", sources, None)], None, True)
         assert [r.instance_id for r in first.records] == ["w#1"]
@@ -349,10 +337,7 @@ class TestProcessExecutor:
         assert process["stats"] == serial["stats"]
         assert process["summary"] == serial["summary"]
         assert process["log"] == serial["log"]
-        # Handler *population* is executor-independent; live (serial)
-        # delivery is shard-major while process replay follows the merged
-        # global order, so only the multiset is contractual.
-        assert sorted(process["completions"]) == sorted(serial["completions"])
+        assert process["completions"] == serial["completions"]
         assert process["now"] == serial["now"]
         assert process["time_unit"] == serial["time_unit"]
 
@@ -740,3 +725,101 @@ def test_a_resubmitted_mapping_is_snapshotted_on_every_submit():
         answers[executor] = [str(handle.value("s")) for handle in handles]
         service.close()
     assert answers["process"] == answers["serial"] == ["1", "True", "1.0", "0.0", "-0.0"]
+
+
+# -- one fleet path: errors, release, events -----------------------------------
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_a_missing_source_is_refused_at_submit(pattern, executor):
+    service = ShardedDecisionService(pattern.schema, ExecutionConfig(shards=2, executor=executor))
+    with pytest.raises(ExecutionError, match="missing source values"):
+        service.submit({"nope": 2}, instance_id="bad")
+    good = service.submit(pattern.source_values, instance_id="bad")  # the id is free
+    service.run()
+    assert good.done and service.summary().count == 1
+    service.close()
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_a_worker_error_leaves_the_fleet_in_step(pattern, executor):
+    service = ShardedDecisionService(pattern.schema, ExecutionConfig(shards=2, executor=executor))
+    first = service.submit(pattern.source_values, instance_id=_id_on_shard(1, 2, "one"))
+    service._executor._ops[0].append(("warp",))  # an op shard 0 refuses
+    with pytest.raises(ExecutionError, match="unknown shard op"):
+        service.run()
+    assert first.done  # shard 1 ran its round; its reply was read
+    for shard in (0, 1):
+        service.submit(pattern.source_values, instance_id=_id_on_shard(shard, 2, "two"))
+    service.run()
+    assert all(handle.done for handle in service.handles)
+    assert service.summary().count == 3
+    service.close()
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_release_completed_lets_go_on_every_shard(pattern, executor):
+    service = ShardedDecisionService(
+        pattern.schema, ExecutionConfig.from_code("PSE50", shards=2, executor=executor)
+    )
+    early = service.submit_stream([0.0, 1.0, 2.0, 3.0], values=pattern.source_values)
+    before = service.summary()
+    assert service.release_completed() == tuple(early)
+    assert service.handles == () and service.release_completed() == ()
+    assert service.summary() == before  # nothing ran, nothing moved
+    assert all(handle.done and handle.result() for handle in early)  # still readable
+    late = service.submit(pattern.source_values, at=service.now)
+    service.run()  # the shards let go at the start of this round
+    assert service.handles == (late,)
+    assert sum(s["instances"] for s in service._executor.snapshots()) == 1
+    assert sum(stat.instances for stat in service.stats()) == 5
+    assert service.summary().count == 5
+    service.close()
+
+
+def _two_round_log(pattern, executor):
+    """Two rounds; in the second, shard 1's arrivals fall before shard 0's
+    last event, so a time sort over both rounds would reorder them."""
+    service = ShardedDecisionService(
+        pattern.schema, ExecutionConfig.from_code("PSE50", shards=2, executor=executor)
+    )
+    log, seen = service.attach_log(), []
+    service.on_launch(seen.append)
+    service.on_query_done(seen.append)
+    service.on_instance_complete(seen.append)
+    for index, (shard, at) in enumerate([(0, 0.0), (0, 50.0), (1, 0.0)]):
+        instance_id = _id_on_shard(shard, 2, f"a{index}")
+        service.submit(pattern.source_values, at=at, instance_id=instance_id)
+    service.run()
+    clocks = [stat.end_time for stat in service.stats()]
+    assert clocks[1] < clocks[0]
+    service.submit(pattern.source_values, at=clocks[1], instance_id=_id_on_shard(1, 2, "b"))
+    service.run()
+    service.close()
+    return log, seen
+
+
+def test_a_log_is_what_handlers_see(pattern):
+    traces = []
+    for executor in ("serial", "process"):
+        log, seen = _two_round_log(pattern, executor)
+        assert log.events == seen
+        times = [event.time for event in log.events]
+        assert times != sorted(times)
+        traces.append([(type(e).__name__, e.time, e.instance_id) for e in log.events])
+    assert traces[0] == traces[1]
+
+
+def test_a_service_answers_the_fleet_protocol(pattern):
+    service = DecisionService(pattern.schema, "PSE50")
+    handle = service.submit(pattern.source_values)
+    service.run()
+    assert handle.value_map() == handle.instance.value_map()
+    assert handle.value_map() is not handle.value_map()
+    assert service.time_unit() == "units"
+    assert service.mean_gmpl() == service.database.mean_gmpl()
+    assert service.worker_health() == {
+        "executor": "serial", "spawned": False, "alive": True, "workers": [],
+    }
+    service.close()  # nothing to shut down; the service stays usable
+    assert service.submit(pattern.source_values).wait().done

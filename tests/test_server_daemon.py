@@ -470,6 +470,46 @@ class TestShardedService:
         assert daemon.shutdown()
         assert daemon.service.worker_health()["alive"] is False
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExecutionConfig.from_code("PSE80"),
+            ExecutionConfig.from_code("PSE80", shards=2),
+            ExecutionConfig.from_code("PSE80", shards=2, executor="process"),
+        ],
+        ids=["single", "serial", "process"],
+    )
+    def test_a_bad_valuation_fails_only_itself(self, make_daemon, config):
+        daemon = make_daemon(config)
+        batch = [{"src": 1}, {"nope": 2}, {"src": 3}, {"src": 4}]
+        ids = daemon.submit_many(batch).accepted
+        assert daemon.wait_idle(WAIT)
+        statuses = [daemon.get(instance_id)["status"] for instance_id in ids]
+        assert statuses == ["done", "failed", "done", "done"]
+        assert "missing source values" in daemon.get(ids[1])["error"]
+        assert daemon.server_stats()["failed"] == 1
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_fleet_memory_follows_its_in_flight_instances(
+        self, make_daemon, tmp_path, executor
+    ):
+        config = ExecutionConfig.from_code("PSE80", shards=2, executor=executor)
+        daemon = make_daemon(config, db=str(tmp_path / "runs.sqlite"))
+        for epoch in range(64):
+            values = [{"src": epoch * 32 + index + 0.5} for index in range(32)]
+            assert daemon.submit_many(values).ok
+            assert daemon.wait_idle(WAIT)
+        fleet = daemon.service
+        assert fleet.handles == ()
+        assert fleet._executor._records == {}
+        # The shards let go at the start of the next round: each holds at
+        # most the last epoch.
+        held = [snapshot["instances"] for snapshot in fleet._executor.snapshots()]
+        assert sum(held) <= 32
+        assert daemon.summary().count == 64 * 32
+        assert sum(stat.instances for stat in fleet.stats()) == 64 * 32
+        assert daemon.server_stats()["persisted"] == 64 * 32
+
     def test_dead_worker_flips_daemon_health(self, make_daemon):
         config = ExecutionConfig.from_code("PSE80", shards=2, executor="process")
         daemon = make_daemon(config)
