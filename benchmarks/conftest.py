@@ -3,9 +3,10 @@
 Every module here regenerates one table, figure or ablation of the paper
 (Table 1, Figs 5-9, Ablations A1-A4), prints it, and asserts its shape:
 who wins, by roughly how much, and where the curves cross.  The figures
-run on the default execution stack (reference engine, per-event
-dispatch, no cache, cohorts or shards); throughput is measured by
-``perf/``, never here.
+run on the default execution stack (the batched engine, no query cache,
+no shards); ``bench_engine_invariance.py`` checks that every one of them
+renders the same on the reference engine with per-event dispatch.
+Throughput is measured by ``perf/``, never here.
 
 Scale knobs default to values that keep the full suite at laptop scale;
 set ``REPRO_BENCH_SEEDS`` to trade time for tighter averages, or pass

@@ -13,7 +13,7 @@ Usage::
         --shards 4 --executor process    # persistent shard-worker fleet
 
     python -m repro serve --port 8080 --code PSE80 --query-cache \\
-        --dispatch pooled --db runs.sqlite   # streaming daemon (HTTP/JSON)
+        --db runs.sqlite                 # streaming daemon (HTTP/JSON)
 
 Each experiment prints its table (and an ASCII shape chart) and, with
 ``--out``, also writes it to ``<out>/<figure_id>.txt``.  ``--json``
@@ -185,10 +185,9 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         choices=("reference", "batched"),
-        default="reference",
-        help="execution engine: the name-keyed reference engine (default) or "
-        "the compiled-plan batched engine (identical results; faster on "
-        "multi-instance sweeps, required for --cohorts to take effect)",
+        default="batched",
+        help="execution engine: the compiled-plan batched engine (default) or "
+        "the name-keyed reference engine (identical results, slower)",
     )
     parser.add_argument(
         "--shards",
@@ -210,28 +209,12 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         "--halt", choices=("cancel", "drain"), default="cancel", help="halt policy"
     )
     parser.add_argument(
-        "--dispatch",
-        choices=("per-event", "pooled"),
-        default="per-event",
-        help="DES drain mode: step one event at a time ('per-event', the "
-        "reference) or consume same-instant event pools in one pass "
-        "('pooled'; identical results — pays off on pool-heavy sweeps, "
-        "best combined with --query-cache)",
-    )
-    parser.add_argument(
         "--query-cache",
         action="store_true",
         help="coalesce identical in-flight queries into one database dispatch "
-        "and memo-serve repeated ones (per shard; counters in the summary)",
-    )
-    parser.add_argument(
-        "--cohorts",
-        action="store_true",
-        help="dedupe whole instances on the batched engine: same-instant "
-        "submissions from one start valuation run once, the rest riding "
-        "the first one's cached queries (identical results; needs "
-        "--query-cache, inert without; the summary counts joins as hits "
-        "and members that had to leave a cohort early as splits)",
+        "and memo-serve repeated ones (per shard; counters in the summary); "
+        "on the batched engine, same-instant arrivals of one valuation also "
+        "ride one representative (cohort hits and splits in the summary)",
     )
     parser.add_argument(
         "--share", action="store_true", help="share query results across instances"
@@ -285,9 +268,7 @@ def _build_workload(args: argparse.Namespace):
         engine=args.engine,
         shards=args.shards,
         executor=args.executor,
-        dispatch=args.dispatch,
         query_cache=args.query_cache,
-        cohorts=args.cohorts,
         # --trace needs the recorder armed even without an explicit --observe.
         observe=args.observe or getattr(args, "trace", None) is not None,
         # Every built-in backend accepts a seed; third-party factories may
@@ -342,12 +323,10 @@ def run_simulate(args: argparse.Namespace) -> int:
         "total_work": summary.total_work,
         "sim_time": service.now,
         "mean_gmpl": service.mean_gmpl(),
-        "dispatch": config.dispatch,
         "query_cache": config.query_cache,
         "query_cache_hits": summary.query_cache_hits,
         "query_cache_misses": summary.query_cache_misses,
         "query_cache_coalesced": summary.query_cache_coalesced,
-        "cohorts": config.cohorts,
         "cohort_hits": summary.cohort_hits,
         "cohort_splits": summary.cohort_splits,
         **service.dispatch_stats(),
@@ -384,16 +363,15 @@ def run_simulate(args: argparse.Namespace) -> int:
                 f"{payload['query_cache_misses']} misses   "
                 f"{payload['query_cache_coalesced']} coalesced"
             )
-        if config.cohorts:
+        if config.query_cache and config.engine == "batched":
             print(
                 f"  cohorts: {payload['cohort_hits']} hits   "
                 f"{payload['cohort_splits']} splits"
             )
-        if config.dispatch == "pooled":
-            print(
-                f"  pooled dispatch: {payload['pooled_batches']} batches   "
-                f"{payload['pooled_events']} events"
-            )
+        print(
+            f"  pooled dispatch: {payload['pooled_batches']} batches   "
+            f"{payload['pooled_events']} events"
+        )
         if args.trace is not None:
             print(
                 f"  trace: {payload['trace']['events']} events -> "

@@ -23,17 +23,9 @@ __all__ = [
     "HALT_POLICIES",
     "ENGINES",
     "EXECUTORS",
-    "DISPATCH_MODES",
 ]
 
 HALT_POLICIES = ("cancel", "drain")
-
-#: DES drain modes selectable per config: ``"per-event"`` steps the
-#: calendar one event at a time (the reference); ``"pooled"`` drains
-#: whole same-instant event pools through the engine's batch consumer
-#: (identical observable trace; pays off on pool-heavy sweeps, best
-#: combined with ``query_cache`` — thin pools can cost a few percent).
-DISPATCH_MODES = ("per-event", "pooled")
 
 #: Execution-engine implementations selectable per config: the name-keyed
 #: reference engine, or the compiled-plan batched engine (identical
@@ -61,37 +53,18 @@ class ExecutionConfig:
     names a registered backend factory (``"ideal"``, ``"bounded"``,
     ``"profiled"``, or any third-party registration); ``backend_options``
     are forwarded to that factory.  ``engine`` selects the execution
-    engine: ``"reference"`` (the name-keyed paper engine) or
-    ``"batched"`` (compiled flow plans + flat array state; identical
-    observable behavior, built for large instance populations).
+    engine: ``"batched"`` (the default: compiled flow plans + flat array
+    state, built for large instance populations) or ``"reference"`` (the
+    name-keyed paper engine; identical observable behavior).
 
-    ``dispatch`` picks how each shard's DES calendar drains:
-    ``"per-event"`` (the reference stepper) or ``"pooled"`` (same-instant
-    event pools consumed in one pass by the engine — identical observable
-    trace, lower dispatch overhead on large sweeps).  ``query_cache``
-    arms the per-service :class:`~repro.simdb.database.QueryShareCache`:
-    identical in-flight queries coalesce into one database dispatch and
-    completed results memo-serve re-issues at zero cost (per shard;
-    hit/miss/coalesce counters surface in ``summary()``).
-
-    ``cohorts`` arms cohort execution on the batched engine, given
-    ``query_cache``: instances submitted at the same instant from the
-    same typed start valuation form a *cohort* whose representative runs
-    propagation/condition-resolution/scheduling once while the members
-    *ride* its cache primaries in lockstep — every query of theirs would
-    coalesce behind the representative's and inherit its outcome.  An
-    arrival rides iff every query the representative waits on is a
-    primary with no real follower behind it, and runs as the ordinary
-    instance it is otherwise; members that can ride no further are
-    *dissolved* into ordinary instances.  Observable traces are
-    identical by construction.  ``summary()`` surfaces ``cohort_hits``
-    (joins) and ``cohort_splits`` (members dissolved: each member that
-    leaves a cohort before it finishes counts once, so ``cohort_hits -
-    cohort_splits`` instances finished as members).  The flag is
-    accepted and inert — every instance runs individually, both counters
-    stay zero — on the reference engine, without ``query_cache``, and
-    wherever riding would be unsound (engine-level ``share_results``,
-    schemas whose start phase runs user code, a throttled %Permitted).
+    ``query_cache`` arms the per-service
+    :class:`~repro.simdb.database.QueryShareCache`: identical in-flight
+    queries coalesce into one database dispatch and completed results
+    memo-serve re-issues at zero cost (per shard; hit/miss/coalesce
+    counters surface in ``summary()``).  Every service drains its DES
+    calendar in same-instant pools, and on the batched engine the cache
+    also arms cohorts (identical same-instant arrivals riding one
+    representative); neither changes a trace.
 
     ``observe`` arms the :mod:`repro.obs` layer on every execution
     context built from this config: a per-service metrics registry and a
@@ -119,12 +92,10 @@ class ExecutionConfig:
     share_results: bool = False
     backend: str = "ideal"
     backend_options: Mapping[str, Any] = field(default_factory=dict)
-    engine: str = "reference"
+    engine: str = "batched"
     shards: int = 1
     executor: str = "serial"
-    dispatch: str = "per-event"
     query_cache: bool = False
-    cohorts: bool = False
     observe: bool = False
 
     def __post_init__(self):
@@ -152,17 +123,9 @@ class ExecutionConfig:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {self.executor!r}"
             )
-        if self.dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {self.dispatch!r}"
-            )
         if not isinstance(self.query_cache, bool):
             raise ValueError(
                 f"query_cache must be a bool, got {self.query_cache!r}"
-            )
-        if not isinstance(self.cohorts, bool):
-            raise ValueError(
-                f"cohorts must be a bool, got {self.cohorts!r}"
             )
         if not isinstance(self.observe, bool):
             raise ValueError(
@@ -235,18 +198,14 @@ class ExecutionConfig:
 
     def __repr__(self) -> str:
         extras = []
-        if self.engine != "reference":
+        if self.engine != "batched":
             extras.append(f"engine={self.engine}")
         if self.shards != 1 or self.executor != "serial":
             extras.append(f"shards={self.shards}x{self.executor}")
         if self.halt_policy != "cancel":
             extras.append(f"halt={self.halt_policy}")
-        if self.dispatch != "per-event":
-            extras.append(f"dispatch={self.dispatch}")
         if self.query_cache:
             extras.append("query-cache")
-        if self.cohorts:
-            extras.append("cohorts")
         if self.observe:
             extras.append("observe")
         if self.share_results:

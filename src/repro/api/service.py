@@ -184,11 +184,9 @@ class DecisionService:
             share_results=config.share_results,
             observer=self._dispatcher,
             query_cache=config.query_cache,
-            cohorts=config.cohorts,
             obs=self.obs,
         )
-        if config.dispatch == "pooled":
-            self.engine.enable_pooled_dispatch()
+        self.engine.enable_pooled_dispatch()
         self._handles: list[InstanceHandle] = []
         #: running aggregate over the instances release_completed() let go
         self._released = MetricsSummary.empty()
@@ -369,7 +367,7 @@ class DecisionService:
                 query_cache_misses=cache.misses,
                 query_cache_coalesced=cache.coalesced,
             )
-        if self.engine.cohorts:
+        if self.engine._cohorts_on:
             summary = replace(
                 summary,
                 cohort_hits=self.engine.cohort_hits,
@@ -386,7 +384,7 @@ class DecisionService:
         return self.database.mean_gmpl()
 
     def dispatch_stats(self) -> dict:
-        """Pooled-dispatch counters (zero under per-event dispatch)."""
+        """Pooled-dispatch counters: the instant pools drained, and their events."""
         return {
             "pooled_batches": self.engine.pooled_batches,
             "pooled_events": self.engine.pooled_events,
@@ -448,7 +446,7 @@ class DecisionService:
             registry.gauge("query_cache_hits").set(cache.hits)
             registry.gauge("query_cache_misses").set(cache.misses)
             registry.gauge("query_cache_coalesced").set(cache.coalesced)
-        if self.engine.cohorts:
+        if self.engine._cohorts_on:
             registry.gauge("cohort_hits").set(self.engine.cohort_hits)
             registry.gauge("cohort_splits").set(self.engine.cohort_splits)
         return registry.snapshot()

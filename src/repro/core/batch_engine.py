@@ -309,11 +309,11 @@ class _BatchCell:
 
     @property
     def readiness(self) -> Readiness:
-        return Readiness(self._instance._readiness[self._index])
+        return Readiness(self._instance._view()[0][self._index])
 
     @property
     def enablement(self) -> Enablement:
-        return Enablement(self._instance._enablement[self._index])
+        return Enablement(self._instance._view()[1][self._index])
 
     @property
     def state(self) -> AttributeState:
@@ -321,20 +321,21 @@ class _BatchCell:
 
     @property
     def stable(self) -> bool:
-        return self._instance._sv[self._index] is not UNRESOLVED
+        return self._instance._view()[3][self._index] is not UNRESOLVED
 
     @property
     def value(self) -> object:
-        value = self._instance._sv[self._index]
+        value = self._instance._view()[3][self._index]
         if value is UNRESOLVED:
             raise ValueError(f"attribute {self.name!r} is not stable (state {self.state})")
         return value
 
     @property
     def speculative_value(self) -> object:
-        if self._instance._readiness[self._index] != R_COMPUTED:
+        readiness, _, raw, _ = self._instance._view()
+        if readiness[self._index] != R_COMPUTED:
             raise ValueError(f"attribute {self.name!r} has no computed value")
-        return self._instance._raw[self._index]
+        return raw[self._index]
 
     def __repr__(self) -> str:
         return f"<_BatchCell {self.name} {self.state.value}>"
@@ -812,16 +813,33 @@ class BatchedInstance:
             values[name] = value
         return values
 
+    def _view(self) -> tuple:
+        """``(readiness, enablement, raw, stable values)`` as readers see them.
+
+        Until :meth:`start` an instance has no arrays: it reads the plan's
+        pre-start root with its sources stable, as a reference instance
+        does, and a lockstep member reads its representative's.
+        """
+        if self._sv is not None:
+            return self._readiness, self._enablement, self._raw, self._sv
+        cohort = self._cohort
+        if cohort is not None and cohort.rep is not self:
+            return cohort.rep._view()
+        plan = self.plan
+        sv = [UNRESOLVED] * plan.n
+        for name, value in self._sources.items():
+            sv[plan.index[name]] = value
+        return plan.root.readiness, plan.root.enablement, sv, sv
+
     def state_map(self) -> dict[str, AttributeState]:
+        readiness, enablement, _, _ = self._view()
         return {
-            name: derive_state(
-                Readiness(self._readiness[i]), Enablement(self._enablement[i])
-            )
+            name: derive_state(Readiness(readiness[i]), Enablement(enablement[i]))
             for i, name in enumerate(self.plan.names)
         }
 
     def value_map(self) -> dict[str, object]:
-        sv = self._sv
+        sv = self._view()[3]
         return {
             name: sv[i]
             for i, name in enumerate(self.plan.names)
@@ -847,8 +865,9 @@ class BatchedEngine(Engine):
     has no recorded step to replay (:meth:`_advance`).
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, cohorts: bool = True, **kwargs):
         super().__init__(*args, **kwargs)
+        self.cohorts = cohorts  # False: no cohorts, whatever else holds
         if self._obs_on:
             t0 = perf_counter()
             self.plan = CompiledPlan(self.schema, self.strategy)
@@ -879,8 +898,8 @@ class BatchedEngine(Engine):
         #: (simdb.database._CacheFollower.counts_for_parallelism is False), so a
         #: throttled strategy would legitimately schedule members
         #: differently from their representative — permitted_slots grants
-        #: the whole pool unconditionally only at 100%.  Anywhere else
-        #: the flag is accepted and inert.
+        #: the whole pool unconditionally only at 100%.  Anywhere else,
+        #: or built with ``cohorts=False``, every instance runs for itself.
         self._cohorts_on = (
             self.cohorts
             and self.plan.start_cache_ok

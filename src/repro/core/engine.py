@@ -169,7 +169,6 @@ class Engine:
         share_results: bool = False,
         observer: EngineObserver | None = None,
         query_cache: QueryShareCache | bool | None = None,
-        cohorts: bool = False,
         obs: Observability | None = None,
     ):
         if halt_policy not in ("cancel", "drain"):
@@ -198,10 +197,9 @@ class Engine:
         self.pooled_batches = 0
         self.pooled_events = 0
         #: Cohort execution is an instance-dedup layer only the batched
-        #: engine implements (see BatchedEngine); the reference engine
-        #: accepts the flag for config parity and runs every instance
-        #: individually, leaving the counters at zero.
-        self.cohorts = bool(cohorts)
+        #: engine implements (see BatchedEngine); here every instance runs
+        #: individually and the counters stay zero.
+        self._cohorts_on = False
         self.cohort_hits = 0
         self.cohort_splits = 0
         #: Observability (repro.obs): disarmed contexts share NULL_OBS and

@@ -320,9 +320,7 @@ def config_to_dict(config) -> dict:
         "engine": config.engine,
         "shards": config.shards,
         "executor": config.executor,
-        "dispatch": config.dispatch,
         "query_cache": config.query_cache,
-        "cohorts": config.cohorts,
         "observe": config.observe,
     }
 
@@ -343,6 +341,8 @@ def config_from_dict(data: dict):
             f"config encodes placement={placement!r}, a removed option: "
             "sharded services route every instance to its hash home shard"
         )
+    # Their removed dispatch and cohorts keys are ignored: every service
+    # pools and cohorts come with the query cache, and neither moved a trace.
     return ExecutionConfig(
         strategy=strategy_from_dict(strategy_data),
         halt_policy=data.get("halt_policy", "cancel"),
@@ -352,11 +352,9 @@ def config_from_dict(data: dict):
             key: decode(value)
             for key, value in data.get("backend_options", {}).items()
         },
-        engine=data.get("engine", "reference"),
+        engine=data.get("engine", "batched"),
         shards=data.get("shards", 1),
         executor=data.get("executor", "serial"),
-        dispatch=data.get("dispatch", "per-event"),
         query_cache=bool(data.get("query_cache", False)),
-        cohorts=bool(data.get("cohorts", False)),
         observe=bool(data.get("observe", False)),
     )

@@ -76,7 +76,7 @@ class ShardOutcome:
     backend_name: str
     time_unit: str | None
     events: list[object] | None
-    #: pooled-dispatch counters (always shipped; zero under per-event)
+    #: pooled-dispatch counters (always shipped)
     pooled_batches: int = 0
     pooled_events: int = 0
     #: repro.obs payloads (None unless config.observe armed the shard):

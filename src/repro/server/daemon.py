@@ -686,9 +686,7 @@ class ServerDaemon:
                 "engine": self.config.engine,
                 "shards": self.config.shards,
                 "executor": self.config.executor,
-                "dispatch": self.config.dispatch,
                 "query_cache": self.config.query_cache,
-                "cohorts": self.config.cohorts,
                 "share_results": self.config.share_results,
                 "halt_policy": self.config.halt_policy,
                 "hash": self.config_digest,

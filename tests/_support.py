@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from functools import partial
 from typing import Mapping, Sequence
 
 from repro import (
     Attribute,
+    BatchedEngine,
     Comparison,
     DbParams,
     DecisionFlowSchema,
@@ -92,6 +95,31 @@ def run_engine(
     instance = engine.submit_instance(source_values)
     simulation.run()
     return instance.metrics, instance
+
+
+@contextmanager
+def engine_arms(*, pooled: bool = True, cohorts: bool = True):
+    """Build the services made inside on the per-event oracle
+    (``pooled=False``) and/or with cohorts off (``cohorts=False``).
+
+    Neither axis is a config field: every ``DecisionService`` pools, and
+    the batched engine arms cohorts with the query cache.  Both are
+    engine-level seams (no ``enable_pooled_dispatch()``;
+    ``BatchedEngine(cohorts=False)``), pinned here for services built in
+    this process and for shard workers forked while it is active.
+    """
+    from repro.api import service
+
+    classes, enable = dict(service._ENGINE_CLASSES), Engine.enable_pooled_dispatch
+    if not cohorts:
+        service._ENGINE_CLASSES["batched"] = partial(BatchedEngine, cohorts=False)
+    if not pooled:
+        Engine.enable_pooled_dispatch = lambda self: None
+    try:
+        yield
+    finally:
+        service._ENGINE_CLASSES.update(classes)
+        Engine.enable_pooled_dispatch = enable
 
 
 # -- differential-scenario helpers ---------------------------------------------

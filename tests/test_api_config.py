@@ -229,30 +229,35 @@ class TestBackendRegistry:
 class TestDispatchAndQueryCache:
     def test_defaults(self):
         config = ExecutionConfig()
-        assert config.dispatch == "per-event"
+        assert config.engine == "batched"
         assert config.query_cache is False
 
     def test_pooled_dispatch_accepted(self):
-        config = ExecutionConfig.from_code("PSE80", dispatch="pooled", query_cache=True)
-        assert config.dispatch == "pooled"
+        config = ExecutionConfig.from_code("PSE80", query_cache=True)
         assert config.query_cache is True
 
     def test_bad_dispatch_rejected(self):
-        with pytest.raises(ValueError, match="dispatch"):
-            ExecutionConfig(dispatch="batched")
+        # Every service pools and cohorts come with the query cache: the
+        # config names neither axis.
+        for removed in ("dispatch", "cohorts"):
+            with pytest.raises(TypeError, match=removed):
+                ExecutionConfig(**{removed: "pooled"})
+            with pytest.raises(ValueError, match=removed):
+                ExecutionConfig().replace(**{removed: True})
 
     def test_non_bool_query_cache_rejected(self):
         with pytest.raises(ValueError, match="query_cache"):
             ExecutionConfig(query_cache=4096)
 
     def test_replace_routes_dispatch_fields(self):
-        config = ExecutionConfig().replace(dispatch="pooled", query_cache=True)
-        assert (config.dispatch, config.query_cache) == ("pooled", True)
+        config = ExecutionConfig().replace(query_cache=True)
+        assert config.query_cache is True
 
     def test_repr_names_non_defaults(self):
-        config = ExecutionConfig(dispatch="pooled", query_cache=True)
-        assert "dispatch=pooled" in repr(config)
+        config = ExecutionConfig(engine="reference", query_cache=True)
+        assert "engine=reference" in repr(config)
         assert "query-cache" in repr(config)
+        assert "engine" not in repr(ExecutionConfig())
 
 
 class TestObserve:

@@ -236,6 +236,45 @@ class TestArrivalHelpers:
         with pytest.raises(ValueError):
             service.run_closed(1, concurrency=0)
 
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    def test_an_instance_not_yet_started_reads_its_sources(self, engine):
+        """Before its start event an instance answers like a reference
+        one: its sources stable, everything else not yet begun."""
+        source = PATTERN.schema.source_names[0]
+        reads = {}
+        for kind in ("reference", engine):
+            service = DecisionService(
+                PATTERN.schema, ExecutionConfig.from_code("PSE50", engine=kind)
+            )
+            handle = service.submit(PATTERN.source_values, at=5.0)
+            cell = handle.instance.cells[PATTERN.schema.target_names[0]]
+            reads[kind] = (
+                handle.value_map(),
+                handle.instance.state_map(),
+                handle.value(source),
+                cell.stable,
+                cell.state,
+            )
+            assert handle.value_map() == {source: PATTERN.source_values[source]}
+            with pytest.raises(ValueError, match="not stable"):
+                cell.value
+        assert reads[engine] == reads["reference"]
+
+    def test_cohort_members_read_like_the_reference_mid_run(self):
+        """A member riding its representative reads the representative's
+        progress, as the same instance on the reference engine does."""
+        reads = {}
+        for engine in ("reference", "batched"):
+            config = ExecutionConfig.from_code("PSE100", engine=engine, query_cache=True)
+            service = DecisionService(PATTERN.schema, config)
+            handles = [service.submit(PATTERN.source_values) for _ in range(3)]
+            service.run(until=1.0)
+            reads[engine] = [(h.done, h.value_map(), h.instance.state_map()) for h in handles]
+            if engine == "batched":
+                assert service.engine.cohort_hits == 2
+        assert reads["batched"] == reads["reference"]
+        assert not any(done for done, _, _ in reads["batched"])
+
 
 class TestObserverHooks:
     def test_launch_then_complete_ordering(self):
@@ -389,7 +428,7 @@ class TestDrainWithSharing:
 class TestReleaseCompleted:
     """release_completed(): memory follows live instances, summary() does not."""
 
-    FAST = dict(engine="batched", dispatch="pooled", query_cache=True, cohorts=True)
+    FAST = dict(engine="batched", query_cache=True)
     EXACT = (
         "count",
         "total_work",

@@ -47,12 +47,12 @@ from repro.api import DecisionService, ExecutionConfig
 from repro.core.predicates import UserPredicate
 from repro.errors import ExecutionError
 from repro.server import ServerDaemon
-from tests._support import q
+from tests._support import engine_arms, q
 from tests.test_cohort_exits import HIGH, LOW, OTHER, two_source_schema
 from tests.test_launch_path import PERF, run_flow, typed_schema
 
 PERF_SOURCE = PERF.schema.source_names[0]
-FAST = dict(engine="batched", dispatch="pooled", query_cache=True, cohorts=True)
+FAST = dict(engine="batched", query_cache=True)
 
 
 def fast_service(schema=PERF.schema, **overrides) -> DecisionService:
@@ -73,11 +73,12 @@ def str_schema() -> DecisionFlowSchema:
 ZEROS = [0.0, -0.0, 0.0, -0.0]
 
 
-def read_zeros(monkeypatch=None, parked=None, **config) -> tuple[list, list]:
+def read_zeros(monkeypatch=None, parked=None, pooled=True, cohorts=True, **config):
     if parked is not None:
         module, name = parked
         monkeypatch.setattr(module, name, 0)
-    service = DecisionService(str_schema(), ExecutionConfig.from_code("PSE100", **config))
+    with engine_arms(pooled=pooled, cohorts=cohorts):
+        service = DecisionService(str_schema(), ExecutionConfig.from_code("PSE100", **config))
     handles = [service.submit({"s": value}, at=float(at)) for at, value in enumerate(ZEROS)]
     service.run()
     return [h.value("t") for h in handles], [repr(h.value("s")) for h in handles]
@@ -86,11 +87,11 @@ def read_zeros(monkeypatch=None, parked=None, **config) -> tuple[list, list]:
 @pytest.mark.parametrize(
     "config",
     [
-        dict(engine="reference"),
-        dict(engine="reference", query_cache=True),
-        dict(engine="batched"),
-        dict(engine="batched", query_cache=True),
-        dict(engine="batched", query_cache=True, cohorts=False, dispatch="pooled"),
+        dict(engine="reference", pooled=False),
+        dict(engine="reference", query_cache=True, pooled=False),
+        dict(engine="batched", pooled=False),
+        dict(engine="batched", query_cache=True, pooled=False, cohorts=False),
+        dict(engine="batched", query_cache=True, cohorts=False),
         FAST,
     ],
     ids=["reference", "reference-cache", "batched", "batched-cache", "no-cohorts", "fast"],
@@ -566,7 +567,8 @@ def test_counters_and_gauges(observe):
 
 
 def test_the_reference_engine_counts_runs_too():
-    service = DecisionService(PERF.schema, ExecutionConfig.from_code("PSE100", observe=True))
+    config = ExecutionConfig.from_code("PSE100", engine="reference", observe=True)
+    service = DecisionService(PERF.schema, config)
     for _ in range(4):
         service.submit(PERF.source_values)
     service.run()

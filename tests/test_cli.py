@@ -191,17 +191,23 @@ class TestSimulateDispatchAndCache:
         ) == 0
         return json.loads(capsys.readouterr().out)
 
-    def test_pooled_dispatch_is_invisible_in_results(self, capsys):
-        plain = self._run(capsys, [])
-        pooled = self._run(capsys, ["--dispatch", "pooled"])
-        assert pooled["dispatch"] == "pooled"
-        assert plain["dispatch"] == "per-event"
+    def test_engine_is_invisible_in_results(self, capsys):
+        batched = self._run(capsys, [])
+        reference = self._run(capsys, ["--engine", "reference"])
+        assert (batched["engine"], reference["engine"]) == ("batched", "reference")
         # Identical workload, identical outcome numbers.
         for key in ("instances", "mean_work", "mean_elapsed", "total_work", "sim_time"):
-            assert pooled[key] == plain[key], key
+            assert batched[key] == reference[key], key
+
+    @pytest.mark.parametrize("flag", [["--dispatch", "pooled"], ["--cohorts"]])
+    def test_dispatch_and_cohorts_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", *flag])
+        assert exit_info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     def test_query_cache_counters_in_json(self, capsys):
-        payload = self._run(capsys, ["--dispatch", "pooled", "--query-cache"])
+        payload = self._run(capsys, ["--query-cache"])
         assert payload["query_cache"] is True
         assert payload["query_cache_misses"] > 0
         # A closed loop over one source valuation shares aggressively.
@@ -258,7 +264,6 @@ class TestServeParser:
                 "--db", "runs.sqlite",
                 "--high-water", "32",
                 "--ticks-per-second", "500",
-                "--dispatch", "pooled",
                 "--query-cache",
             ]
         )
@@ -267,7 +272,6 @@ class TestServeParser:
         assert str(args.db) == "runs.sqlite"
         assert args.high_water == 32
         assert args.ticks_per_second == 500.0
-        assert args.dispatch == "pooled"
         assert args.query_cache is True
 
     def test_serve_rejects_unknown_executor(self):
@@ -367,16 +371,16 @@ class TestSimulateObservability:
     BASE = ["simulate", "--code", "PSE80", "--nb-nodes", "16", "--instances", "4"]
 
     def test_json_reports_pooled_dispatch_counters(self, capsys):
-        assert main([*self.BASE, "--dispatch", "pooled", "--json"]) == 0
+        assert main([*self.BASE, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["pooled_batches"] > 0
         assert payload["pooled_events"] >= payload["pooled_batches"]
 
-    def test_plain_dispatch_reports_zero_pooled_counters(self, capsys):
+    def test_default_run_reports_the_batched_engine_unobserved(self, capsys):
         assert main([*self.BASE, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["pooled_batches"] == 0
-        assert payload["pooled_events"] == 0
+        assert payload["engine"] == "batched"
+        assert "dispatch" not in payload and "cohorts" not in payload
         assert payload["observe"] is False
         assert "observability" not in payload
 

@@ -24,7 +24,7 @@ from repro import (
     generate_pattern,
 )
 from repro.errors import ExecutionError
-from tests._support import chain_schema, diamond_schema, q, run_engine
+from tests._support import chain_schema, diamond_schema, engine_arms, q, run_engine
 
 
 class TestBasicExecution:
@@ -358,9 +358,10 @@ class TestCohortTable:
                     value = fresh
                 service.submit({"src": value}, at=now)
 
-    def run_checked(self, **axes):
+    def run_checked(self, cohorts=True, **axes):
         config = ExecutionConfig.from_code("PSE100", engine="batched", **axes)
-        service = DecisionService(self.PATTERN.schema, config)
+        with engine_arms(cohorts=cohorts):
+            service = DecisionService(self.PATTERN.schema, config)
         log = service.attach_log()
         engine = service.engine
         starts = []
@@ -381,7 +382,7 @@ class TestCohortTable:
         return service, starts, log.events
 
     def test_only_the_current_instant_is_joinable(self):
-        service, starts, _ = self.run_checked(cohorts=True, dispatch="pooled", query_cache=True)
+        service, starts, _ = self.run_checked(query_cache=True)
         summary = service.summary()
         # Cohorts form and leave: one burst's valuations, not the run's.
         assert 0 < max(starts) <= 12
@@ -395,7 +396,7 @@ class TestCohortTable:
     def test_without_a_cache_the_flag_is_inert(self):
         """No cache, no primaries to ride: the table stays empty and the
         run is the one ``cohorts=False`` makes."""
-        armed, starts, events = self.run_checked(cohorts=True)
+        armed, starts, events = self.run_checked()
         plain, _, plain_events = self.run_checked(cohorts=False)
         assert max(starts) == 0
         assert (armed.summary().cohort_hits, armed.summary().cohort_splits) == (0, 0)

@@ -307,10 +307,10 @@ def test_batched_run_single_and_cell_views():
 
 
 def test_execution_config_engine_field():
-    config = ExecutionConfig(engine="batched")
-    assert config.engine == "batched"
-    assert "engine=batched" in repr(config)
-    assert config.replace(engine="reference").engine == "reference"
+    config = ExecutionConfig(engine="reference")
+    assert config.engine == "reference"
+    assert "engine=reference" in repr(config)
+    assert config.replace(engine="batched").engine == "batched"
     assert ExecutionConfig.from_code("PSE80", engine="batched").engine == "batched"
     with pytest.raises(ValueError, match="engine must be one of"):
         ExecutionConfig(engine="vectorized")

@@ -228,7 +228,6 @@ class TestConfigRoundTrip:
             engine="batched",
             shards=4,
             executor="process",
-            dispatch="pooled",
             query_cache=True,
         )
         restored = config_from_dict(config_to_dict(config))
@@ -236,16 +235,16 @@ class TestConfigRoundTrip:
         assert restored.strategy == config.strategy
         assert dict(restored.backend_options) == {"seed": 7}
         assert (restored.shards, restored.executor) == (4, "process")
-        assert (restored.dispatch, restored.query_cache) == ("pooled", True)
+        assert restored.query_cache is True
 
-    def test_pre_dispatch_encodings_default_per_event(self):
-        # Encodings written before the dispatch/query_cache fields existed
+    def test_pre_engine_encodings_take_todays_defaults(self):
+        # Encodings written before the engine/query_cache fields existed
         # (e.g. persisted shard tasks) load with today's defaults.
         data = config_to_dict(ExecutionConfig())
-        del data["dispatch"]
+        del data["engine"]
         del data["query_cache"]
         restored = config_from_dict(data)
-        assert restored.dispatch == "per-event"
+        assert restored.engine == "batched"
         assert restored.query_cache is False
 
     def test_legacy_placement_key(self):
@@ -265,6 +264,26 @@ class TestConfigRoundTrip:
         data = {**config_to_dict(config), "placement": placement}
         with pytest.raises(SerializationError, match="a removed option"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("legacy", [
+        {"dispatch": "per-event", "cohorts": False},
+        {"dispatch": "pooled", "cohorts": True},
+        {"dispatch": "bogus"},
+        {"cohorts": None},
+    ])  # fmt: skip
+    def test_legacy_dispatch_and_cohorts_keys_are_ignored(self, legacy):
+        # Encodings written while dispatch and cohorts were options load
+        # whatever they say: neither ever changed a trace.
+        from repro.server.store import config_hash
+
+        config = ExecutionConfig.from_code("PSE100", query_cache=True, shards=2)
+        restored = config_from_dict({**config_to_dict(config), **legacy})
+        assert restored == config
+        assert config_hash(restored) == config_hash(config)
+
+    def test_encoding_carries_no_dispatch_or_cohorts(self):
+        data = config_to_dict(ExecutionConfig.from_code("PSE100", query_cache=True))
+        assert "dispatch" not in data and "cohorts" not in data
 
     def test_encoding_carries_no_placement(self):
         config = ExecutionConfig.from_code("PSE50", shards=3, executor="process")

@@ -38,7 +38,13 @@ from repro.core.engine import EngineObserver
 from repro.core.metrics import InstanceMetrics
 from repro.obs import Observability
 
-from tests._support import chain_schema, diamond_schema, make_database, scenario_pattern
+from tests._support import (
+    chain_schema,
+    diamond_schema,
+    engine_arms,
+    make_database,
+    scenario_pattern,
+)
 
 ENGINE_CLASSES = {"reference": Engine, "batched": BatchedEngine}
 
@@ -205,8 +211,8 @@ def run_scenario(
         share_results=scenario.share,
         observer=observer,
         query_cache=query_cache,
-        cohorts=cohorts,
         obs=Observability.create() if observe else None,
+        **({"cohorts": cohorts} if engine_kind == "batched" else {}),
     )
     if dispatch == "pooled":
         engine.enable_pooled_dispatch()
@@ -550,17 +556,11 @@ def _run_closed_loop(
     bundle = Backend(
         backend, sim, database, time_unit="units" if backend == "ideal" else "ms"
     )
-    service = DecisionService(
-        pattern.schema,
-        ExecutionConfig.from_code(
-            code,
-            engine=engine_kind,
-            share_results=True,
-            dispatch=dispatch,
-            query_cache=query_cache,
-        ),
-        backend=bundle,
+    config = ExecutionConfig.from_code(
+        code, engine=engine_kind, share_results=True, query_cache=query_cache
     )
+    with engine_arms(pooled=dispatch == "pooled"):
+        service = DecisionService(pattern.schema, config, backend=bundle)
     log = service.attach_log()
     service.run_closed(12, concurrency=3, values=pattern.source_values)
     summary = service.summary()

@@ -39,7 +39,7 @@ from repro.api import DecisionService, ExecutionConfig
 from repro.core.plan import ControlState
 from repro.core.predicates import attr
 from repro.simdb.database import QueryShareCache
-from tests._support import add_inputs, make_database, q, scenario_pattern
+from tests._support import add_inputs, engine_arms, make_database, q, scenario_pattern
 from tests.test_engine_differential import METRIC_FIELDS, RecordingObserver
 
 #: The benchmark's flow pattern (perf/stack.py): its two source-keyed
@@ -79,8 +79,8 @@ def run_population(
         halt_policy=halt_policy,
         observer=observer,
         query_cache=query_cache,
-        cohorts=cohorts,
         share_results=share,
+        **({"cohorts": cohorts} if engine_cls is BatchedEngine else {}),
     )
     if pooled:
         engine.enable_pooled_dispatch()
@@ -330,8 +330,7 @@ def test_a_full_table_records_nothing_and_keeps_serving(limit, monkeypatch):
 
 
 def service_for(engine: str) -> DecisionService:
-    fast = dict(dispatch="pooled", cohorts=True) if engine == "batched" else {}
-    config = ExecutionConfig.from_code("PSE100", engine=engine, query_cache=True, **fast)
+    config = ExecutionConfig.from_code("PSE100", engine=engine, query_cache=True)
     return DecisionService(PERF.schema, config)
 
 
@@ -384,10 +383,10 @@ def test_armed_runs_replay_and_count_what_an_unreplayed_run_counts(monkeypatch):
 
     def armed(cohorts: bool):
         config = ExecutionConfig.from_code(
-            "PSE100", engine="batched", dispatch="pooled", query_cache=True,
-            cohorts=cohorts, observe=True,
-        )  # fmt: skip
-        service = DecisionService(PERF.schema, config)
+            "PSE100", engine="batched", query_cache=True, observe=True
+        )
+        with engine_arms(cohorts=cohorts):
+            service = DecisionService(PERF.schema, config)
         for at, values in arrivals:
             service.submit(values, at=at)
         service.run()

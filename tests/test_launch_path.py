@@ -42,7 +42,7 @@ from repro import (
 from repro.api import DecisionService, ExecutionConfig
 from repro.nulls import NullType
 from repro.simdb.database import QueryShareCache
-from tests._support import make_database, q, scenario_pattern
+from tests._support import engine_arms, make_database, q, scenario_pattern
 from tests.test_engine_differential import METRIC_FIELDS, RecordingObserver
 
 #: The benchmark's flow pattern (perf/stack.py): its two source-keyed
@@ -87,8 +87,8 @@ def run_flow(
         halt_policy=halt_policy,
         observer=observer,
         query_cache=query_cache,
-        cohorts=cohorts,
         share_results=share,
+        **({"cohorts": cohorts} if engine_cls is BatchedEngine else {}),
     )
     if pooled:
         engine.enable_pooled_dispatch()
@@ -290,9 +290,7 @@ def test_the_table_holds_no_instance_and_no_source_object():
 
         __hash__ = None
 
-    config = ExecutionConfig.from_code(
-        "PSE100", engine="batched", dispatch="pooled", query_cache=True, cohorts=True
-    )
+    config = ExecutionConfig.from_code("PSE100", engine="batched", query_cache=True)
     service = DecisionService(PERF.schema, config)
     source = PERF.schema.source_names[0]
     service.submit({source: 94.0})
@@ -510,9 +508,10 @@ def test_seeded_stress_against_the_reference_per_event_run():
 def observed(engine: str, observe: bool, arrivals):
     # (no cohorts: a lockstep member's launches are its representative's)
     config = ExecutionConfig.from_code(
-        "PSE100", engine=engine, dispatch="pooled", query_cache=True, observe=observe
+        "PSE100", engine=engine, query_cache=True, observe=observe
     )
-    service = DecisionService(PERF.schema, config)
+    with engine_arms(cohorts=False):
+        service = DecisionService(PERF.schema, config)
     for at, values in arrivals:
         service.submit(values, at=at)
     service.run()

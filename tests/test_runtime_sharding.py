@@ -413,14 +413,15 @@ class TestProcessExecutor:
         process = drive("process")
         assert process == serial
 
-    def test_run_until_supported(self, pattern):
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    def test_run_until_supported(self, pattern, engine):
         """run(until=...) pauses the fleet mid-simulation, then resumes."""
 
         def drive(executor):
             service = ShardedDecisionService(
                 pattern.schema,
                 ExecutionConfig.from_code(
-                    "PSE50", shards=2, executor=executor
+                    "PSE50", engine=engine, shards=2, executor=executor
                 ),
             )
             service.submit_stream(

@@ -374,9 +374,7 @@ class TestRetention:
     def test_finished_instances_leave_memory_and_answer_from_the_store(
         self, make_daemon, pattern, tmp_path
     ):
-        fast = ExecutionConfig.from_code(
-            "PSE100", engine="batched", dispatch="pooled", query_cache=True, cohorts=True
-        )
+        fast = ExecutionConfig.from_code("PSE100", engine="batched", query_cache=True)
         kinds = (BatchedInstance, _Cohort, InstanceHandle)
 
         def alive():
@@ -763,9 +761,7 @@ class TestObservabilityPayloads:
         assert decision_count and decision_count[0].endswith(" 2")
 
     def test_dispatch_stats_surface_pooled_counters(self, make_daemon):
-        config = ExecutionConfig.from_code(
-            "PSE80", engine="batched", dispatch="pooled", query_cache=True
-        )
+        config = ExecutionConfig.from_code("PSE80", engine="batched", query_cache=True)
         daemon = make_daemon(config)
         daemon.submit_many([None] * 4)
         assert daemon.wait_idle(WAIT)

@@ -33,7 +33,7 @@ from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
 from repro.core.metrics import InstanceMetrics
 from repro.runtime import ShardedDecisionService
 
-from tests._support import backend_options, scenario_pattern
+from tests._support import backend_options, engine_arms, scenario_pattern
 
 METRIC_FIELDS = tuple(f.name for f in fields(InstanceMetrics))
 
@@ -52,9 +52,7 @@ def build_config(
     shards: int = 1,
     share: bool = False,
     failure_prob: float = 0.0,
-    dispatch: str = "per-event",
     query_cache: bool = False,
-    cohorts: bool = False,
 ) -> ExecutionConfig:
     return ExecutionConfig.from_code(
         code,
@@ -63,9 +61,7 @@ def build_config(
         share_results=share,
         backend_options=backend_options(backend, seed, failure_prob),
         shards=shards,
-        dispatch=dispatch,
         query_cache=query_cache,
-        cohorts=cohorts,
     )
 
 
@@ -234,21 +230,12 @@ def test_pooled_dispatch_invisible_at_any_shard_count(
     seed = 7
     pattern = scenario_pattern(seed, nb_nodes=16 if backend == "bounded" else 24)
     arrivals = [index * 1.5 for index in range(6)]
-    per_event = run_sharded(
-        pattern,
-        build_config(
-            "PSE50", backend, engine, seed, shards=shards, query_cache=query_cache
-        ),
-        arrivals,
+    config = build_config(
+        "PSE50", backend, engine, seed, shards=shards, query_cache=query_cache
     )
-    pooled = run_sharded(
-        pattern,
-        build_config(
-            "PSE50", backend, engine, seed, shards=shards,
-            dispatch="pooled", query_cache=query_cache,
-        ),
-        arrivals,
-    )
+    with engine_arms(pooled=False):
+        per_event = run_sharded(pattern, config, arrivals)
+    pooled = run_sharded(pattern, config, arrivals)
     assert pooled["values"] == per_event["values"]
     assert pooled["metrics"] == per_event["metrics"]
     assert pooled["totals"] == per_event["totals"]
@@ -279,22 +266,12 @@ def test_cohorts_invisible_at_any_shard_count(backend, engine, shards, query_cac
     pattern = scenario_pattern(seed, nb_nodes=16 if backend == "bounded" else 24)
     # Same-instant bursts (the cohort case) mixed with spaced arrivals.
     arrivals = [0.0, 0.0, 0.0, 1.5, 1.5, 3.0]
-    individual = run_sharded(
-        pattern,
-        build_config(
-            "PSE100", backend, engine, seed, shards=shards,
-            dispatch="pooled", query_cache=query_cache,
-        ),
-        arrivals,
+    config = build_config(
+        "PSE100", backend, engine, seed, shards=shards, query_cache=query_cache
     )
-    cohorted = run_sharded(
-        pattern,
-        build_config(
-            "PSE100", backend, engine, seed, shards=shards,
-            dispatch="pooled", query_cache=query_cache, cohorts=True,
-        ),
-        arrivals,
-    )
+    with engine_arms(cohorts=False):
+        individual = run_sharded(pattern, config, arrivals)
+    cohorted = run_sharded(pattern, config, arrivals)
     assert cohorted["values"] == individual["values"]
     assert cohorted["metrics"] == individual["metrics"]
     assert cohorted["totals"] == individual["totals"]
@@ -313,12 +290,11 @@ def test_cohorts_invisible_at_any_shard_count(backend, engine, shards, query_cac
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
 def test_cohort_config_survives_executors(executor):
-    """cohorts travels to shard workers; hit/split counters merge back
-    summed (never averaged) across shards."""
+    """Shard workers arm cohorts with the query cache; hit/split counters
+    merge back summed (never averaged) across shards."""
     pattern = scenario_pattern(0)
     config = build_config(
-        "PSE100", "ideal", "batched", 0,
-        shards=2, dispatch="pooled", query_cache=True, cohorts=True,
+        "PSE100", "ideal", "batched", 0, shards=2, query_cache=True
     ).replace(executor=executor)
     service = ShardedDecisionService(pattern.schema, config)
     for _ in range(8):
@@ -340,11 +316,10 @@ def test_cohort_config_survives_executors(executor):
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
 def test_pooled_cache_config_survives_executors(executor):
-    """dispatch/query_cache travel to shard workers; counters merge back."""
+    """query_cache travels to shard workers; counters merge back."""
     pattern = scenario_pattern(0)
     config = build_config(
-        "PSE100", "ideal", "batched", 0,
-        shards=2, dispatch="pooled", query_cache=True,
+        "PSE100", "ideal", "batched", 0, shards=2, query_cache=True
     ).replace(executor=executor)
     service = ShardedDecisionService(pattern.schema, config)
     for _ in range(8):
@@ -376,8 +351,7 @@ def test_armed_observability_invisible_at_any_shard_count(backend, engine, shard
     pattern = scenario_pattern(seed, nb_nodes=16 if backend == "bounded" else 24)
     arrivals = [index * 1.5 for index in range(6)]
     config = build_config(
-        "PSE50", backend, engine, seed,
-        shards=shards, dispatch="pooled", query_cache=True,
+        "PSE50", backend, engine, seed, shards=shards, query_cache=True
     )
     disarmed = run_sharded(pattern, config, arrivals)
     armed = run_sharded(pattern, config.replace(observe=True), arrivals)
@@ -410,8 +384,7 @@ def test_observability_merges_across_executors(executor):
     on both executors."""
     pattern = scenario_pattern(0)
     config = build_config(
-        "PSE100", "ideal", "batched", 0,
-        shards=2, dispatch="pooled", query_cache=True,
+        "PSE100", "ideal", "batched", 0, shards=2, query_cache=True
     ).replace(executor=executor, observe=True)
     service = ShardedDecisionService(pattern.schema, config)
     for _ in range(8):
@@ -511,17 +484,17 @@ def test_persistent_multi_round_matches_serial(backend, engine, cohorts, query_c
     pattern = scenario_pattern(seed, nb_nodes=16 if backend == "bounded" else 24)
     code = "PSE100" if cohorts else "PSE50"
     config = build_config(
-        code, backend, engine, seed, shards=2,
-        dispatch="pooled" if query_cache else "per-event",
-        query_cache=query_cache, cohorts=cohorts,
+        code, backend, engine, seed, shards=2, query_cache=query_cache
     ).replace(backend_options=plain_backend_options(backend, seed))
     batches = [
         [0.0, 0.0, 0.0, 1.5],  # a same-instant burst (the cohort case)
         [NO_OVERLAP, NO_OVERLAP, NO_OVERLAP + 1.5],
         [2 * NO_OVERLAP, 2 * NO_OVERLAP],
     ]
-    serial = run_rounds(pattern, config, "serial", batches)
-    process = run_rounds(pattern, config, "process", batches)
+    # Process workers fork inside the arms, so they run the same stack.
+    with engine_arms(pooled=query_cache, cohorts=cohorts):
+        serial = run_rounds(pattern, config, "serial", batches)
+        process = run_rounds(pattern, config, "process", batches)
     assert process["values"] == serial["values"]
     assert process["metrics"] == serial["metrics"]
     assert process["totals"] == serial["totals"]

@@ -57,8 +57,8 @@ def run_scenario(
         database,
         halt_policy=halt_policy,
         share_results=share_results,
-        cohorts=cohorts,
         obs=Observability.create() if observe else None,
+        **({"cohorts": cohorts} if engine == "batched" else {}),
     )
     for index in range(instances):
         engine.submit_instance(pattern.source_values, at=index * spacing)

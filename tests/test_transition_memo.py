@@ -72,8 +72,8 @@ def run_population(
         database,
         observer=observer,
         query_cache=QueryShareCache(database) if query_cache else None,
-        cohorts=cohorts,
         share_results=share,
+        **({"cohorts": cohorts} if engine_cls is BatchedEngine else {}),
     )
     if pooled:
         engine.enable_pooled_dispatch()
@@ -127,9 +127,7 @@ def perf_arrivals(n, lo=89.0, hi=100.0, seed=3, spacing=5.0):
 def test_new_valuations_on_known_paths_run_no_propagation():
     """Distinct valuations, one signature: once the paths are recorded the
     miss counter stops while hits keep growing, in a few dozen states."""
-    config = ExecutionConfig.from_code(
-        "PSE100", engine="batched", dispatch="pooled", query_cache=True, cohorts=True
-    )
+    config = ExecutionConfig.from_code("PSE100", engine="batched", query_cache=True)
     service = DecisionService(PERF.schema, config)
     arrivals = perf_arrivals(400)
     for at, values in arrivals:
@@ -567,7 +565,7 @@ def test_released_instances_source_object_is_collectable():
 
 def test_memo_gauges_are_published_beside_pooled_batches():
     config = ExecutionConfig.from_code(
-        "PSE100", engine="batched", dispatch="pooled", query_cache=True, observe=True
+        "PSE100", engine="batched", query_cache=True, observe=True
     )
     service = DecisionService(PERF.schema, config)
     for at, values in perf_arrivals(30):

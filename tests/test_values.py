@@ -21,7 +21,7 @@ from repro import Attribute, BatchedEngine, DecisionFlowSchema, IdealDatabase, S
 from repro.api import DecisionService, ExecutionConfig
 from repro.nulls import NULL, ExceptionValue
 from repro.values import SCALARS, SerializationError, decode, encode, key, share_key
-from tests._support import q
+from tests._support import engine_arms, q
 
 P = namedtuple("P", "x y")
 
@@ -66,10 +66,10 @@ ROWS = {
 
 STACKS = {
     "reference-share": dict(engine="reference", share_results=True),
-    "batched-cache": dict(engine="batched", query_cache=True),
-    "batched-cache-cohorts": dict(engine="batched", query_cache=True, cohorts=True),
+    "batched-cache": dict(engine="batched", query_cache=True, pooled=False, cohorts=False),
+    "batched-cache-cohorts": dict(engine="batched", query_cache=True, pooled=False),
     # the benchmark's fast stack
-    "fast": dict(engine="batched", dispatch="pooled", query_cache=True, cohorts=True),
+    "fast": dict(engine="batched", query_cache=True),
 }
 
 VALUES = [value for row in ROWS.values() for value in row]
@@ -80,8 +80,9 @@ def str_schema() -> DecisionFlowSchema:
     return DecisionFlowSchema([Attribute("s"), Attribute("t", task=task, is_target=True)], name="str")
 
 
-def run(values, spaced, **config) -> list:
-    service = DecisionService(str_schema(), ExecutionConfig.from_code("PSE100", **config))
+def run(values, spaced, pooled=True, cohorts=True, **config) -> list:
+    with engine_arms(pooled=pooled, cohorts=cohorts):
+        service = DecisionService(str_schema(), ExecutionConfig.from_code("PSE100", **config))
     handles = [
         service.submit({"s": value}, at=float(at) if spaced else 0.0)
         for at, value in enumerate(values * 2)
@@ -95,7 +96,8 @@ def run(values, spaced, **config) -> list:
 @pytest.mark.parametrize("row", ROWS)
 def test_every_tier_answers_what_the_reference_answers(row, stack, spaced):
     values = ROWS[row]
-    assert run(values, spaced, **STACKS[stack]) == run(values, spaced, engine="reference")
+    oracle = run(values, spaced, engine="reference", pooled=False)
+    assert run(values, spaced, **STACKS[stack]) == oracle
 
 
 def same(a: object, b: object) -> bool:
