@@ -71,6 +71,20 @@ def coerce_config(config: "ExecutionConfig | Strategy | str | None") -> Executio
     return config
 
 
+def service_counters(engine: Engine) -> dict[str, int]:
+    """*engine*'s service-level summary fields (`SERVICE_COUNTERS`): its
+    query cache's, zero without one, and its cohort table's, zero unless
+    cohorts are armed (only they move them)."""
+    cache = engine.query_cache
+    return {
+        "query_cache_hits": cache.hits if cache is not None else 0,
+        "query_cache_misses": cache.misses if cache is not None else 0,
+        "query_cache_coalesced": cache.coalesced if cache is not None else 0,
+        "cohort_hits": engine.cohort_hits,
+        "cohort_splits": engine.cohort_splits,
+    }
+
+
 class InstanceHandle:
     """A submitted decision-flow instance: poll it, drive it, read it."""
 
@@ -359,21 +373,7 @@ class DecisionService:
             self._released,
             summarize((h.metrics for h in self._handles if h.done), empty_ok=True),
         )
-        cache = self.engine.query_cache
-        if cache is not None:
-            summary = replace(
-                summary,
-                query_cache_hits=cache.hits,
-                query_cache_misses=cache.misses,
-                query_cache_coalesced=cache.coalesced,
-            )
-        if self.engine._cohorts_on:
-            summary = replace(
-                summary,
-                cohort_hits=self.engine.cohort_hits,
-                cohort_splits=self.engine.cohort_splits,
-            )
-        return summary
+        return replace(summary, **service_counters(self.engine))
 
     def time_unit(self) -> str | None:
         """How to read the clock (``"units"``/``"ms"``)."""

@@ -29,6 +29,14 @@ state in flat per-flow arrays indexed by a
   its own arrays for the rest of its life (a population where every
   instance takes its own path would otherwise pay an interning per
   round), so each records at most one step;
+* a run of query-memo hits is delivered by one event (a *hit wave*), and
+  the longest run of its deliveries whose steps before the last launch,
+  finish and cancel nothing is one *wave step*: looked up once under the
+  run's ``(slot, signature)`` pairs, and filed there — in the same
+  transition memo, under the same bound — once every step of it is on
+  file.  A cancelled wait, a cohort member, an instance still recording a
+  flow trace, a throttled plan (%Permitted < 100) and an armed run keep
+  one round per delivery;
 * with a query cache, whole instances are shared on top of that: a
   valuation seen before replays a recorded trace (the flow memo), and
   same-instant copies of a new one ride the first in lockstep as a
@@ -938,6 +946,11 @@ class BatchedEngine(Engine):
         self._wave: _HitWave | None = None
         #: waves fired, their deliveries, and the waves that gave way mid-run
         self.hit_waves = self.hit_wave_deliveries = self.hit_wave_splits = 0
+        #: Wave steps (:meth:`_compose`) need the memo's unthrottled event
+        #: keys, and an armed run counts every delivery as a round of its own.
+        self._composing = self.plan.memo and not self.plan.throttled and not self._obs_on
+        #: wave steps taken off the memo, filed, and refused by reason (kept for tests)
+        self.wave_steps = {"taken": 0, "filed": 0, "unfiled": 0, "full": 0}
 
     def _make_instance(
         self,
@@ -1077,21 +1090,23 @@ class BatchedEngine(Engine):
         instance.inflight[name] = follower
         sim, wave = self.sim, self._wave
         if wave is not None and wave.instance is instance and wave.marker == sim.scheduled:
-            wave.hits.append((name, follower, entry))
+            wave.hits.append((name, follower, entry, i))
             return
-        self._wave = wave = _HitWave(instance, (name, follower, entry))
+        self._wave = wave = _HitWave(instance, (name, follower, entry, i))
         wave.event = sim.schedule_at(sim.now, lambda: self._fire_wave(wave, 0), (2, 0))
         wave.marker = sim.scheduled
 
     def _fire_wave(self, wave: _HitWave, k: int) -> None:
         """Deliver ``wave.hits[k:]``, each as its own event would have.
 
-        A delivery is `_query_done` for a completed zero-unit hit written
-        out, with the entry's signature; anything else — a wait cancelled
-        meanwhile, an instance done, in a cohort or off the transition
-        memo, an armed run — is `_query_done` itself.  After one that
-        scheduled what the rest would have waited for (a closed loop's next
-        start, a cancellation landing now) the rest goes back at the wave's seq.
+        Where it can, a run of deliveries is one wave step
+        (:meth:`_compose`).  Otherwise a delivery is `_query_done` for a
+        completed zero-unit hit written out, with the entry's signature;
+        anything else — a wait cancelled meanwhile, an instance done, in a
+        cohort or off the transition memo, an armed run — is `_query_done`
+        itself.  After one that scheduled what the rest would have waited
+        for (a closed loop's next start, a cancellation landing now) the
+        rest goes back at the wave's seq.
         """
         if self._wave is wave:
             self._wave = None  # what its deliveries launch is a later run
@@ -1101,33 +1116,132 @@ class BatchedEngine(Engine):
             self.hit_waves += 1
             self.hit_wave_deliveries += n
         while k < n:
-            name, follower, (_, value, sig) = hits[k]
-            k += 1
             marker = sim.scheduled
-            follower.finished = True
-            if (
-                follower.cancel_requested
-                or instance.done
-                or instance._state is None
-                or instance._cohort is not None
-                or self._obs_on
-            ):
-                self._query_done(instance, name, value, None, 0, not follower.cancel_requested)
+            composed = (
+                self._compose(instance, hits, k)
+                if self._composing
+                and k + 1 < n
+                and instance._state is not None
+                and instance._flow is None
+                and not instance.done
+                else 0
+            )
+            if composed:
+                k += composed
             else:
-                instance.inflight.pop(name, None)
-                if self.observer is not None:
-                    self.observer.on_query_done(instance, name, units=0, completed=True)
-                metrics = instance.metrics
-                metrics.queries_completed += 1
-                if not instance.apply_query_result(name, value, sig):
-                    metrics.speculative_wasted_queries += 1
-                self._advance(instance)
-                if instance._flow is not None:
-                    self._flow_delivered(instance, name, True)
+                name, follower, (_, value, sig), _ = hits[k]
+                k += 1
+                follower.finished = True
+                if (
+                    follower.cancel_requested
+                    or instance.done
+                    or instance._state is None
+                    or instance._cohort is not None
+                    or self._obs_on
+                ):
+                    self._query_done(
+                        instance, name, value, None, 0, not follower.cancel_requested
+                    )
+                else:
+                    instance.inflight.pop(name, None)
+                    if self.observer is not None:
+                        self.observer.on_query_done(instance, name, units=0, completed=True)
+                    metrics = instance.metrics
+                    metrics.queries_completed += 1
+                    if not instance.apply_query_result(name, value, sig):
+                        metrics.speculative_wasted_queries += 1
+                    self._advance(instance)
+                    if instance._flow is not None:
+                        self._flow_delivered(instance, name, True)
             if k < n and sim.scheduled != marker and sim.preempted(wave.event):
                 self.hit_wave_splits += 1
                 return sim.resume(wave.event, lambda: self._fire_wave(wave, k))
         wave.event = None  # its callback holds the wave: leave no cycle behind
+
+    def _compose(self, instance: BatchedInstance, hits: list, k: int) -> int:
+        """Deliver the longest run of ``hits[k:]`` that is one wave step.
+
+        The run's ``(slot, signature)`` pairs — up to the first cancelled
+        wait — are looked up once in the instance's state; on a miss the
+        plan walks the steps on file (:meth:`CompiledPlan.compose`) and
+        files the composite when it can.  The step is then taken as each
+        delivery's own would have been, in order: raw values written,
+        waits finished, ``on_query_done`` per delivery to a listener, and
+        the final state's finish, cancel scan and launches as
+        :meth:`_advance` takes a memoized round's.  A listener that
+        schedules something or cancels a wait of the run ends the run at
+        its delivery.  Returns how many deliveries were made (0: none; the
+        caller delivers the next one by itself).
+        """
+        cohort = instance._cohort
+        if cohort is not None:
+            if cohort.members:
+                return 0
+            # Nobody rode, and from its first delivery on nobody can.
+            self._close(cohort)
+            instance._cohort = None
+        key = []
+        for _, follower, entry, i in hits[k:] if k else hits:
+            if follower.cancel_requested:
+                break
+            key.append(i)
+            key.append(entry[2])
+        if len(key) < 4:
+            return 0
+        key = tuple(key)
+        plan, state = self.plan, instance._state
+        step = state.steps.get(key)
+        if step is not None:
+            self.wave_steps["taken"] += 1
+        else:
+            step, outcome = plan.compose(state, key)
+            self.wave_steps[outcome] += 1
+            if step is None:
+                return 0
+        m = step[6]
+        raw, inflight = instance._raw, instance.inflight
+        obs = self._listening()
+        if obs is None:
+            for name, follower, entry, i in hits[k : k + m]:
+                follower.finished = True
+                inflight.pop(name, None)
+                raw[i] = entry[1]
+        else:
+            sim = self.sim
+            marker = sim.scheduled
+            for j, (name, follower, entry, i) in enumerate(hits[k : k + m], 1):
+                follower.finished = True
+                inflight.pop(name, None)
+                raw[i] = entry[1]
+                obs.on_query_done(instance, name, units=0, completed=True)
+                if j < m and (
+                    sim.scheduled != marker
+                    or any(hit[1].cancel_requested for hit in hits[k + j : k + m])
+                ):
+                    step = plan.compose(state, key[: 2 * j], file=False)[0]
+                    m = j
+                    break
+        plan.memo_hits += m
+        metrics = instance.metrics
+        metrics.queries_completed += m
+        final, nulls, copies, wasted_queries, wasted_units, launches, _ = step
+        sv = instance._sv
+        for i in nulls:
+            sv[i] = NULL
+        for i in copies:
+            sv[i] = raw[i]
+        if wasted_queries:
+            metrics.speculative_wasted_queries += wasted_queries
+            metrics.speculative_wasted_units += wasted_units
+        instance._alias(final)
+        if final.done:
+            self._finish(instance)
+            return m
+        if final.scan:
+            self._cancel_unneeded(instance)
+        for name in launches:
+            self._launch(instance, name)
+        return m
 
     # -- cohort execution ---------------------------------------------------
     #

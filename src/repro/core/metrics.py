@@ -18,7 +18,7 @@ from math import sqrt
 from statistics import mean, pstdev
 from typing import Iterable, Mapping, Sequence
 
-__all__ = ["InstanceMetrics", "MetricsSummary", "summarize"]
+__all__ = ["InstanceMetrics", "MetricsSummary", "SERVICE_COUNTERS", "summarize"]
 
 
 @dataclass
@@ -78,6 +78,17 @@ class InstanceMetrics:
 
 
 _INSTANCE_FIELDS = tuple(f.name for f in fields(InstanceMetrics))
+
+
+#: The service-level fields of a :class:`MetricsSummary`: counters of one
+#: query cache and one cohort table, summed — never averaged — across shards.
+SERVICE_COUNTERS = (
+    "query_cache_hits",
+    "query_cache_misses",
+    "query_cache_coalesced",
+    "cohort_hits",
+    "cohort_splits",
+)
 
 
 @dataclass
@@ -172,14 +183,7 @@ class MetricsSummary:
         reproduce their shard's summary bit for bit.
         """
         cache_totals = {
-            name: sum(getattr(s, name) for s in summaries)
-            for name in (
-                "query_cache_hits",
-                "query_cache_misses",
-                "query_cache_coalesced",
-                "cohort_hits",
-                "cohort_splits",
-            )
+            name: sum(getattr(s, name) for s in summaries) for name in SERVICE_COUNTERS
         }
         live = [s for s in summaries if s.count > 0]
         if not live:

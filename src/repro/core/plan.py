@@ -59,10 +59,10 @@ __all__ = ["CompiledPlan", "ControlState", "compile_condition", "MEMO_LIMIT", "L
 #: cancelled query (no value arrived; only the in-flight set changed).
 EV_START, EV_CANCELLED = -1, -2
 
-#: Bound on recorded transitions per plan (each interns at most one
-#: state).  Once reached nothing more is recorded — instances off the
-#: recorded paths run the kernel on their own arrays — and hits keep
-#: serving.
+#: Bound on recorded transitions per plan (each step interns at most one
+#: state; wave steps count too).  Once reached nothing more is recorded —
+#: instances off the recorded paths run the kernel on their own arrays —
+#: and hits keep serving.
 MEMO_LIMIT = 4096
 
 #: Bound on launch-memo entries per plan, with the same policy.
@@ -115,8 +115,11 @@ class ControlState:
     of an applied result, `EV_START` with the sources' signatures, or
     `EV_CANCELLED`; plus the counted in-flight number when %Permitted
     < 100 — to ``(next state, slots stable at ⊥, slots stable at their
-    raw value, wasted queries, wasted units, names to launch)``.  No
-    instance value is held anywhere.
+    raw value, wasted queries, wasted units, names to launch)``.  It also
+    files *wave steps* (:meth:`CompiledPlan.compose`): a hit wave's flat
+    ``(slot, signature, ...)`` run maps to the same tuple for the whole
+    run, plus the number of deliveries it covers.  No instance value is
+    held anywhere.
     """
 
     __slots__ = (
@@ -305,6 +308,7 @@ class CompiledPlan:
         "states",
         "throttled",
         "memo_steps",
+        "memo_waves",
         "memo_hits",
         "memo_misses",
         "launch_slots",
@@ -444,6 +448,8 @@ class CompiledPlan:
         #: selection reads the in-flight count only below %Permitted 100
         self.throttled = strategy.permitted < 100
         self.memo_steps = self.memo_hits = self.memo_misses = 0
+        #: wave steps filed (:meth:`compose`); with `memo_steps`, held to `MEMO_LIMIT`
+        self.memo_waves = 0
         #: per query task its input slots, in input order; None once its `fn`
         #: raised or returned no scalar, and where the engine files no keys
         self.launch_slots: list[tuple[int, ...] | None] = [
@@ -567,7 +573,7 @@ class CompiledPlan:
         self, prev: ControlState, event: tuple, instance, wasted_queries: int, wasted_units: int
     ) -> None:
         """File the step *instance* just ran on the kernel, while there is room."""
-        if self.memo_steps >= MEMO_LIMIT:
+        if self.memo_steps + self.memo_waves >= MEMO_LIMIT:
             return
         self.memo_steps += 1
         slot, sig = event[:2]
@@ -588,6 +594,54 @@ class CompiledPlan:
             state, tuple(nulls), tuple(copies), wasted_queries, wasted_units,
             tuple(self.names[i] for i in launches),
         )  # fmt: skip
+
+    def compose(self, state: ControlState, key: tuple, file: bool = True) -> tuple:
+        """The wave step from *state* over a run of completed deliveries.
+
+        *key* is a hit wave's flat ``(slot, signature, slot, signature,
+        ...)`` run.  Its steps are walked in order while each is on file,
+        up to and including the first that launches, finishes or may
+        cancel (the rest of the run waits on what that does).  A delivery
+        to a slot already ⊥ takes the step of signature 0 and wastes one
+        query, as one delivered by itself does.
+        Returns ``(step, outcome)``: *step* is shaped like a single
+        transition — ``(final state, ⊥ slots, copied slots, wasted
+        queries, wasted units, launches)`` — plus the number of deliveries
+        it covers, or None when the first step is not on file.  *outcome*
+        says what became of it: ``"filed"`` under *key* in
+        ``state.steps``; or not filed: ``"unfiled"`` when the walk stopped
+        at a step not on file (the run is only part of what *key* may
+        come to), ``"full"`` at `MEMO_LIMIT`, ``"cut"`` when not *file*.
+        """
+        nulls: tuple = ()
+        copies: tuple = ()
+        wasted_queries = wasted_units = m = 0
+        at, launches, complete = state, (), True
+        for j in range(0, len(key), 2):
+            slot = key[j]
+            disabled = at.enablement[slot] == E_DISABLED
+            step = at.steps.get((slot, 0 if disabled else key[j + 1]))
+            if step is None:
+                complete = False
+                break
+            at, more_nulls, more_copies, queries, units, launches = step
+            nulls += more_nulls
+            copies += more_copies
+            wasted_queries += queries + disabled
+            wasted_units += units
+            m += 1
+            if launches or at.done or at.scan:
+                break
+        composite = (at, nulls, copies, wasted_queries, wasted_units, launches, m) if m else None
+        if not file:
+            return composite, "cut"
+        if not complete:
+            return composite, "unfiled"
+        if self.memo_steps + self.memo_waves >= MEMO_LIMIT:
+            return composite, "full"
+        self.memo_waves += 1
+        state.steps[key] = composite
+        return composite, "filed"
 
     def __repr__(self) -> str:
         return (

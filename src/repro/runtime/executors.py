@@ -28,6 +28,7 @@ import sys
 from typing import Iterable, Mapping, Sequence
 
 from repro.api.config import EXECUTORS, ExecutionConfig
+from repro.core.metrics import MetricsSummary, summarize
 from repro.core.schema import DecisionFlowSchema
 from repro.core.serialize import SerializationError, config_to_dict, schema_to_dict
 from repro.errors import ExecutionError
@@ -52,6 +53,9 @@ class ShardExecutor:
         self.shards = shards
         #: each shard's last reply; idle until the first round
         self.outcomes = [ShardOutcome.idle(shard, config.backend) for shard in range(shards)]
+        #: the fleet's finished instances, released ones included: each
+        #: round folds in the records that finished in it, and only those
+        self.finished = MetricsSummary.empty()
         self._ops: list[list[tuple]] = [[] for _ in range(shards)]
         self._records: dict[str, InstanceRecord] = {}
         self._release = False
@@ -121,11 +125,16 @@ class ShardExecutor:
         replies = self._exchange(
             [("run", shard_ops, until, collect_events, release) for shard_ops in ops]
         )
+        finished = []
         for shard, reply in enumerate(replies):
             if not isinstance(reply, BaseException):
                 self.outcomes[shard] = reply
                 for record in reply.records:
                     self._records[record.instance_id] = record
+                    if record.done:  # reported done once, in the round it finished
+                        finished.append(record.metrics)
+        if finished:
+            self.finished = MetricsSummary.merge(self.finished, summarize(finished))
         self._raise_first(replies)
 
     def record_for(self, instance_id: str) -> InstanceRecord | None:

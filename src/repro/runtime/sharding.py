@@ -40,9 +40,11 @@ Determinism and equivalence guarantees:
   (and contention-dependent scheduling) legitimately differ.
 
 Cross-shard aggregation reads each shard's last
-:class:`~repro.runtime.worker.ShardOutcome`: ``summary()`` merges
-per-shard summaries via :meth:`~repro.core.metrics.MetricsSummary.merge`
-and ``stats()`` reports per-shard database totals.  After every round the
+:class:`~repro.runtime.worker.ShardOutcome`: ``summary()`` is the
+executor's running aggregate of the records that finished, one
+:meth:`~repro.core.metrics.MetricsSummary.merge` per round, plus the
+shards' service counters summed; ``stats()`` reports per-shard database
+totals.  After every round the
 round's events reach each handler in :func:`merge_shard_events` order
 (time, then shard, then in-shard order); :meth:`attach_log` subscribes a
 plain :class:`~repro.api.events.EventLog` like any other handler.
@@ -51,7 +53,7 @@ plain :class:`~repro.api.events.EventLog` like any other handler.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 from zlib import crc32
 
@@ -60,7 +62,7 @@ from repro.api.config import ExecutionConfig
 from repro.api.events import EventLog, InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
 from repro.api.service import DecisionService, coerce_config
 from repro.core.engine import claim_instance_id
-from repro.core.metrics import InstanceMetrics, MetricsSummary
+from repro.core.metrics import SERVICE_COUNTERS, InstanceMetrics, MetricsSummary
 from repro.core.schema import DecisionFlowSchema
 from repro.core.strategy import Strategy
 from repro.errors import ExecutionError
@@ -424,8 +426,13 @@ class ShardedDecisionService:
         return tuple(released)
 
     def summary(self) -> MetricsSummary:
-        """Cross-shard aggregate metrics (`MetricsSummary.merge` of shards)."""
-        return MetricsSummary.merge(*(o.summary for o in self._executor.outcomes))
+        """Aggregate metrics over the fleet's finished instances, released
+        or not, plus every shard's service counters, summed."""
+        outcomes = self._executor.outcomes
+        return replace(
+            self._executor.finished,
+            **{name: sum(o.counters[name] for o in outcomes) for name in SERVICE_COUNTERS},
+        )
 
     def stats(self) -> tuple[ShardStats, ...]:
         """Per-shard population, database totals, and clock positions."""

@@ -37,8 +37,8 @@ import traceback
 from dataclasses import dataclass
 
 from repro.api.config import ExecutionConfig
-from repro.api.service import DecisionService
-from repro.core.metrics import InstanceMetrics, MetricsSummary
+from repro.api.service import DecisionService, service_counters
+from repro.core.metrics import SERVICE_COUNTERS, InstanceMetrics
 from repro.core.schema import DecisionFlowSchema
 from repro.core.serialize import config_from_dict, schema_from_dict
 from repro.errors import ExecutionError
@@ -62,11 +62,16 @@ class InstanceRecord:
 
 @dataclass
 class ShardOutcome:
-    """Everything a shard reports back for cross-shard aggregation."""
+    """Everything a shard reports back for cross-shard aggregation.
+
+    Nothing here is summarised: the parent folds the metrics of the
+    records it receives as they finish, and a shard adds only its
+    service-level integer counters (`SERVICE_COUNTERS`).
+    """
 
     shard: int
     records: list[InstanceRecord]
-    summary: MetricsSummary
+    counters: dict[str, int]
     total_units: int
     queries_completed: int
     queries_cancelled: int
@@ -95,7 +100,7 @@ class ShardOutcome:
         return cls(
             shard=shard,
             records=[],
-            summary=MetricsSummary.empty(),
+            counters=dict.fromkeys(SERVICE_COUNTERS, 0),
             total_units=0,
             queries_completed=0,
             queries_cancelled=0,
@@ -134,7 +139,10 @@ class _PersistentShard:
         self.service = DecisionService(schema, config.replace(shards=1, executor="serial"))
         self.shard = shard
         self.log = None
-        self._reported_done: set[str] = set()
+        #: handles not yet reported done, in submission order
+        self._unreported: list = []
+        #: instances reported done, released ones included
+        self._completed = 0
 
     def serve(self, message: tuple):
         """Answer one ``run`` or ``snapshot`` frame with its payload."""
@@ -156,47 +164,50 @@ class _PersistentShard:
         if release:
             # Only instances reported done can have settled, so the
             # parent has their records already.
-            for handle in service.release_completed():
-                self._reported_done.discard(handle.instance_id)
+            service.release_completed()
         if collect_events and self.log is None:
             # Late observer attach: collection starts this round; earlier
             # rounds' events are gone, matching the documented contract.
             self.log = service.attach_log()
-        _replay_ops(service, ops)
-        service.run(until)
+        held = len(service.handles)
+        try:
+            _replay_ops(service, ops)
+            service.run(until)
+        finally:
+            # this round's submissions, closed-loop refills included, in
+            # order — reported by this round or, if it raised, the next
+            self._unreported += service.handles[held:]
         return self._outcome()
 
     def _outcome(self) -> ShardOutcome:
+        """Report what is new: every handle not yet reported done, and
+        the shard's counters.  A round costs what it ran, not what the
+        shard has held."""
         service = self.service
         database = service.database
-        records = []
-        running = 0
-        for handle in service.handles:
-            instance_id = handle.instance_id
-            if instance_id in self._reported_done:
-                continue
+        records, running = [], []
+        for handle in self._unreported:
             done = handle.done
             records.append(
                 InstanceRecord(
-                    instance_id=instance_id,
+                    instance_id=handle.instance_id,
                     done=done,
                     values=handle.value_map(),
                     metrics=handle.metrics,
                 )
             )
-            if done:
-                self._reported_done.add(instance_id)
-            else:
-                running += 1
+            if not done:
+                running.append(handle)
+        self._completed += len(self._unreported) - len(running)
+        self._unreported = running
         events = None
         if self.log is not None:
             events, self.log.events = self.log.events, []
-        summary = service.summary()
         observed = service.obs.enabled
         return ShardOutcome(
             shard=self.shard,
             records=records,
-            summary=summary,
+            counters=service_counters(service.engine),
             total_units=database.total_units,
             queries_completed=database.queries_completed,
             queries_cancelled=database.queries_cancelled,
@@ -210,8 +221,8 @@ class _PersistentShard:
             pooled_events=service.engine.pooled_events,
             obs=service.observability() if observed else None,
             trace=service.obs.tracer.events() if observed else None,
-            instances=summary.count + running,
-            completed=summary.count,
+            instances=self._completed + len(running),
+            completed=self._completed,
         )
 
     def snapshot(self) -> dict:

@@ -362,6 +362,11 @@ class Simulation:
         found = self._head()
         if found is None:
             return False
+        self._step(found)
+        return True
+
+    def _step(self, found: tuple[Event, _Bucket, tuple[float, int]]) -> None:
+        """Fire the event :meth:`_head` just *found*."""
         event, bucket, _key = found
         bucket.pos += 1
         self.now = event.time
@@ -374,7 +379,6 @@ class Simulation:
             event.fn()
         finally:
             self.executing_priority = previous
-        return True
 
     # -- instant pooling -----------------------------------------------------
 
@@ -414,12 +418,16 @@ class Simulation:
         when no consumer is registered.  Returns False when the calendar
         is empty.
         """
-        consumer = self._batch_consumer
-        if consumer is None:
+        if self._batch_consumer is None:
             return self.step()
         found = self._head()
         if found is None:
             return False
+        self._step_instant(found)
+        return True
+
+    def _step_instant(self, found: tuple[Event, _Bucket, tuple[float, int]]) -> None:
+        """Hand the frontier :meth:`_head` just *found* to the batch consumer."""
         head, bucket, key = found
         tail = bucket.items[bucket.pos:]
         batch = []
@@ -433,7 +441,7 @@ class Simulation:
         heapq.heappop(self._heap)  # _head left this bucket's key on top
         self.now = head.time
         try:
-            consumed = consumer(batch)
+            consumed = self._batch_consumer(batch)
         except BaseException:
             # A callback raised mid-pool: per-event stepping would leave
             # the unfired siblings queued, so restore them before
@@ -444,7 +452,6 @@ class Simulation:
             # A callback scheduled work that preempts the rest of the
             # pool; hand the unfired remainder back to the calendar.
             self._requeue_unfired(batch[consumed:])
-        return True
 
     def _requeue_unfired(self, events: list[Event]) -> None:
         """Return popped-but-unfired pool members to the calendar (one a
@@ -499,7 +506,6 @@ class Simulation:
 
     def run(self, until: float | None = None) -> None:
         """Run events until the calendar drains or the clock passes *until*."""
-        pooled = self._batch_consumer is not None
         while True:
             found = self._head()
             if found is None:
@@ -507,10 +513,11 @@ class Simulation:
             if until is not None and found[0].time > until:
                 self.now = until
                 return
-            if pooled:
-                self.step_instant()
+            # fire the frontier just found: no second `_head()`
+            if self._batch_consumer is None:
+                self._step(found)
             else:
-                self.step()
+                self._step_instant(found)
         if until is not None and until > self.now:
             self.now = until
 

@@ -217,7 +217,7 @@ class TestWorkerProtocol:
         assert outcome.shard == 0
         assert [r.instance_id for r in outcome.records] == ["w#1", "w#2"]
         assert all(r.done for r in outcome.records)
-        assert outcome.summary.count == 2
+        assert outcome.completed == 2
         assert outcome.total_units > 0
         assert outcome.backend_name == "ideal"
         assert outcome.time_unit == "units"
@@ -240,7 +240,7 @@ class TestWorkerProtocol:
             collect_events=False,
         )
         assert [r.instance_id for r in outcome.records] == ["c#1", "c#2", "c#3"]
-        assert outcome.summary.count == 3
+        assert outcome.completed == 3
         assert outcome.events is None
 
     def test_unknown_op_rejected(self, pattern):
@@ -759,6 +759,19 @@ def test_a_worker_error_leaves_the_fleet_in_step(pattern, executor):
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
+def test_a_submission_of_a_round_that_raised_is_reported_later(pattern, executor):
+    service = ShardedDecisionService(pattern.schema, ExecutionConfig(shards=2, executor=executor))
+    early = service.submit(pattern.source_values, instance_id=_id_on_shard(0, 2, "early"))
+    service._executor._ops[0].append(("warp",))  # refused after `early` was replayed
+    with pytest.raises(ExecutionError, match="unknown shard op"):
+        service.run()
+    service.run()
+    assert early.done and service.summary().count == 1
+    assert sum(stat.completed for stat in service.stats()) == 1
+    service.close()
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_release_completed_lets_go_on_every_shard(pattern, executor):
     service = ShardedDecisionService(
         pattern.schema, ExecutionConfig.from_code("PSE50", shards=2, executor=executor)
@@ -775,6 +788,54 @@ def test_release_completed_lets_go_on_every_shard(pattern, executor):
     assert sum(s["instances"] for s in service._executor.snapshots()) == 1
     assert sum(stat.instances for stat in service.stats()) == 5
     assert service.summary().count == 5
+    service.close()
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_a_round_summarises_only_what_finished_in_it(pattern, executor, monkeypatch):
+    """Round k's summary work sees round k's newly finished instances and
+    nothing a shard reported before, released or not; the shards walk
+    only what they have not reported done and ship no summary."""
+    import repro.runtime.executors as executors
+    from repro.core.metrics import summarize
+
+    seen: list[list[str]] = []
+
+    def spy(metrics):
+        metrics = list(metrics)
+        seen.append(sorted(m.instance_id for m in metrics))
+        return summarize(metrics)
+
+    monkeypatch.setattr(executors, "summarize", spy)
+    service = ShardedDecisionService(
+        pattern.schema, ExecutionConfig.from_code("PSE50", shards=2, executor=executor)
+    )
+    rounds = []
+    for k in range(4):
+        at = service.now
+        handles = [
+            service.submit(pattern.source_values, at=at + gap, instance_id=f"r{k}-{gap:.0f}")
+            for gap in (0.0, 1.0, 90.0)
+        ]
+        # the third instance of each round finishes only in the next one
+        service.run(until=at + 100.0 if k < 3 else None)
+        if k == 1:
+            service.release_completed()
+        rounds.append(handles)
+    expected = [sorted(h.instance_id for h in rounds[0][:2])]
+    for k in range(1, 4):
+        expected.append(sorted([rounds[k - 1][2].instance_id] + [h.instance_id for h in rounds[k][:2]]))
+    expected[-1] = sorted(expected[-1] + [rounds[3][2].instance_id])
+    assert seen == expected
+    everything = [h.metrics for handles in rounds for h in handles]
+    summary, whole = service.summary(), summarize(everything)
+    assert summary.count == whole.count == 12 and summary.total_work == whole.total_work
+    assert summary.mean_work == pytest.approx(whole.mean_work)
+    assert summary.std_elapsed == pytest.approx(whole.std_elapsed)
+    assert sum(stat.completed for stat in service.stats()) == 12
+    assert not hasattr(service._executor.outcomes[0], "summary")
+    if executor == "serial":
+        assert all(not state._unreported for state in service._executor._workers)
     service.close()
 
 

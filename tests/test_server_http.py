@@ -334,13 +334,13 @@ class TestMetricsEndpoint:
             assert parsed.count == 8
             # The sharded facade sums (never averages) the cache counters;
             # the wire value must equal the sum over the shard services.
-            shard_summaries = [o.summary for o in daemon.service._executor.outcomes]
+            shard_counters = [o.counters for o in daemon.service._executor.outcomes]
             for field in (
                 "query_cache_hits",
                 "query_cache_misses",
                 "query_cache_coalesced",
             ):
-                total = sum(getattr(s, field) for s in shard_summaries)
+                total = sum(counters[field] for counters in shard_counters)
                 assert getattr(parsed, field) == total, field
             assert parsed.query_cache_misses > 0
         finally:
