@@ -114,7 +114,12 @@ class InstanceHandle:
         return self._instance
 
     def value(self, name: str) -> object:
-        """The current value of one attribute (⊥ until stable)."""
+        """The value of one attribute, once stable.
+
+        Raises :class:`KeyError` for a name the schema does not have and
+        :class:`ValueError` while the attribute is not stable: ⊥ is a
+        decided value (a disabled attribute's), never a placeholder.
+        """
         return self._instance.cells[name].value
 
     def value_map(self) -> dict[str, object]:

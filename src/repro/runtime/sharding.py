@@ -66,7 +66,6 @@ from repro.core.metrics import SERVICE_COUNTERS, InstanceMetrics, MetricsSummary
 from repro.core.schema import DecisionFlowSchema
 from repro.core.strategy import Strategy
 from repro.errors import ExecutionError
-from repro.nulls import NULL
 from repro.obs import MetricsRegistry, export_chrome_trace
 from repro.runtime.executors import EXECUTOR_CLASSES
 from repro.runtime.worker import InstanceRecord
@@ -176,15 +175,19 @@ class ShardedInstanceHandle:
         return record.metrics
 
     def value(self, name: str) -> object:
-        """The value of one attribute (⊥ until stable)."""
+        """The value of one attribute, once stable.
+
+        Raises :class:`KeyError` for a name the schema does not have and
+        :class:`ValueError` while the attribute has no stable value in the
+        shard's record, or there is no record yet: ⊥ is a decided value
+        (a disabled attribute's), never a placeholder.
+        """
         if name not in self._service.schema:
-            # Mirror the live handle's cells[name] lookup: a typo raises
-            # instead of silently reading ⊥.
             raise KeyError(name)
         record = self._resolve()
-        if record is None:
-            return NULL
-        return record.values.get(name, NULL)
+        if record is None or name not in record.values:
+            raise ValueError(f"attribute {name!r} is not stable")
+        return record.values[name]
 
     def value_map(self) -> dict[str, object]:
         """Every stable attribute's value, as a fresh dict."""

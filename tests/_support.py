@@ -1,10 +1,22 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and its one differential harness.
+
+The harness (``run``, ``trace_of``, ``assert_same``,
+``assert_matches_reference``) serves the eight trace-identity suites:
+``test_engine_differential``, ``test_simdb_differential``,
+``test_launch_path``, ``test_flow_memo``, ``test_cohort_exits``,
+``test_transition_memo``, ``test_arrival_path`` and ``test_wave_steps``.
+Helpers two test modules need live here: no test module imports another.
+"""
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
+from dataclasses import asdict, fields, replace
 from functools import partial
 from typing import Mapping, Sequence
+
+import pytest
 
 from repro import (
     Attribute,
@@ -14,17 +26,25 @@ from repro import (
     DecisionFlowSchema,
     Engine,
     IdealDatabase,
+    InstanceMetrics,
     NULL,
     Op,
     PatternParams,
+    QueryShareCache,
     QueryTask,
     Simulation,
     SimulatedDatabase,
     Strategy,
     SynthesisTask,
     generate_pattern,
+    summarize,
 )
+from repro.api import DecisionService
+from repro.api.backends import Backend
+from repro.api.service import service_counters
+from repro.core.engine import EngineObserver
 from repro.core.tasks import constant
+from repro.obs import Observability
 from repro.simdb.database import DatabaseServer, ProfiledDatabase
 from repro.simdb.profiler import DbFunction
 from repro.workload.generator import GeneratedPattern
@@ -122,12 +142,16 @@ def engine_arms(*, pooled: bool = True, cohorts: bool = True):
         Engine.enable_pooled_dispatch = enable
 
 
-# -- differential-scenario helpers ---------------------------------------------
+# -- the differential harness --------------------------------------------------
 #
-# Shared by the kernel differential suite (coalesced vs per-unit databases,
-# tests/test_simdb_differential.py) and the engine differential suite
-# (reference vs batched engines, tests/test_engine_differential.py), so
-# there is exactly one scenario generator to keep honest.
+# Every fast path is held to a reference by exact trace identity, through
+# one runner (`run`), one trace (`trace_of`) and one comparer
+# (`assert_same`).  Eight suites are scenario lists over them:
+# test_engine_differential (batched vs reference engine),
+# test_simdb_differential (coalesced vs per-unit kernels), test_launch_path,
+# test_flow_memo, test_cohort_exits, test_transition_memo,
+# test_arrival_path and test_wave_steps.  The sharded differential suite
+# builds the same databases through the registry (`backend_options`).
 
 #: A rising contention curve so Gmpl changes genuinely re-price units.
 RISING_DB = DbFunction(
@@ -194,3 +218,244 @@ def scenario_pattern(
             seed=seed,
         )
     )
+
+
+ENGINES = {"reference": Engine, "batched": BatchedEngine}
+
+#: Every InstanceMetrics counter participates in the trace comparison.
+METRIC_FIELDS = tuple(f.name for f in fields(InstanceMetrics))
+
+#: The benchmark's flow pattern (perf/stack.py): its two source-keyed
+#: queries are enabled above 88, everything downstream is shared.
+PERF = generate_pattern(PatternParams(nb_rows=4, pct_enabled=50, seed=7))
+
+
+class RecordingObserver(EngineObserver):
+    """Flattens every observer callback into a comparable event tuple."""
+
+    def __init__(self):
+        self.events: list[tuple] = []
+
+    def on_instance_start(self, instance):
+        self.events.append(("start", instance.instance_id))
+
+    def on_launch(self, instance, name, *, speculative, shared):
+        self.events.append(("launch", instance.instance_id, name, speculative, shared))
+
+    def on_query_done(self, instance, name, *, units, completed):
+        self.events.append(("done", instance.instance_id, name, units, completed))
+
+    def on_instance_complete(self, instance):
+        self.events.append(("complete", instance.instance_id))
+
+
+def typed_schema(fn, condition=None) -> DecisionFlowSchema:
+    """source ``s`` → ``a = fn(s)`` → target ``t``."""
+    gate = {} if condition is None else {"condition": condition}
+    return DecisionFlowSchema(
+        [
+            Attribute("s"),
+            Attribute("a", task=q("a", inputs=("s",), fn=fn, cost=2)),
+            Attribute("t", task=q("t", inputs=("a",), value=1), is_target=True, **gate),
+        ],
+        name="typed",
+    )
+
+
+def two_source_schema() -> DecisionFlowSchema:
+    """``a`` is keyed by ``s1`` and cheap, ``x`` by ``s2`` and slow; ``g``
+    reads ``x`` where ``a > 3`` — elsewhere ``x`` is unneeded once ``a``
+    is in — and is keyed by ``x``'s value, a constant."""
+    return DecisionFlowSchema(
+        [
+            Attribute("s1"),
+            Attribute("s2"),
+            Attribute("a", task=q("a", ("s1",), fn=lambda v: v["s1"], cost=1)),
+            Attribute("x", task=q("x", ("s2",), value=5, cost=6)),
+            Attribute(
+                "g", task=q("g", ("x",), value=2, cost=1), condition=Comparison("a", Op.GT, 3)
+            ),
+            Attribute("t", task=q("t", ("a", "g"), fn=add_inputs, cost=10), is_target=True),
+        ],
+        name="exits",
+    )
+
+
+LOW = {"s1": 1, "s2": 5}  # `g` disabled: `x` is unneeded from `a` on
+HIGH = {"s1": 10, "s2": 5}  # needs the same `x`
+OTHER = {"s1": 20, "s2": 7}  # an `x` of its own, the same `g`
+
+
+def run(
+    engine_cls,
+    schema,
+    code,
+    *,
+    arrivals=None,
+    closed=None,
+    drive=None,
+    backend="ideal",
+    kernel="coalesced",
+    halt_policy="cancel",
+    cancel_unneeded=False,
+    failure_prob=0.0,
+    seed=5,
+    cache=True,
+    memo_limit=4096,
+    share=False,
+    cohorts=False,
+    pooled=False,
+    observe=False,
+    listen=True,
+):
+    """Run an open schedule ``[(at, sources), ...]``, a closed loop
+    ``(concurrency, [sources, ...], think time)`` or whatever
+    ``drive(engine, sim)`` submits and runs; returns (trace, engine).
+
+    ``listen=False`` attaches no observer (the path that emits nothing);
+    a :class:`RecordingObserver` passed as ``listen`` records instead of
+    a fresh one.
+    """
+    sim = Simulation()
+    database = make_database(backend, kernel, sim, seed, failure_prob)
+    observer = RecordingObserver() if listen is True else listen or None
+    engine = engine_cls(
+        schema,
+        Strategy.parse(code, cancel_unneeded=cancel_unneeded),
+        database,
+        halt_policy=halt_policy,
+        share_results=share,
+        observer=observer,
+        query_cache=QueryShareCache(database, memo_limit=memo_limit) if cache else None,
+        obs=Observability.create() if observe else None,
+        **({"cohorts": cohorts} if engine_cls is BatchedEngine else {}),
+    )
+    if pooled:
+        engine.enable_pooled_dispatch()
+    if drive is not None:
+        drive(engine, sim)
+    elif closed is None:
+        for at, values in arrivals:
+            engine.submit_instance(values, at=at)
+    else:
+        concurrency, queue, think = closed
+        queue = list(queue)
+
+        def submit_next(_metrics=None):
+            if queue:
+                engine.submit_instance(queue.pop(0), at=sim.now + think, on_complete=submit_next)
+
+        for _ in range(concurrency):
+            submit_next()
+    sim.run()
+    return trace_of(engine, observer.events if observer else ()), engine
+
+
+def run_closed_loop(config, backend: str, seed: int, *, kernel: str = "coalesced") -> dict:
+    """Twelve instances, three at a time, through a service: replacements
+    start inside completion dispatches, same-instant start/completion
+    ties.  The trace, its events the service log's."""
+    pattern = scenario_pattern(seed, nb_nodes=20, pct_enabled=60.0, max_cost=5)
+    sim = Simulation()
+    database = make_database(backend, kernel, sim, seed)
+    bundle = Backend(backend, sim, database, time_unit="units" if backend == "ideal" else "ms")
+    service = DecisionService(pattern.schema, config, backend=bundle)
+    log = service.attach_log()
+    service.run_closed(12, concurrency=3, values=pattern.source_values)
+    return trace_of(service.engine, log.events)
+
+
+def _row(metrics: InstanceMetrics) -> tuple:
+    return tuple(getattr(metrics, name) for name in METRIC_FIELDS)
+
+
+def _flat(event) -> tuple:
+    """An observer tuple as it is; a service event as one, its metrics as
+    their fields."""
+    if isinstance(event, tuple):
+        return event
+    return (type(event).__name__,) + tuple(
+        _row(value) if isinstance(value, InstanceMetrics) else value
+        for value in vars(event).values()
+    )
+
+
+def trace_of(engine, events) -> dict:
+    """Everything observable of *engine*'s finished run, part by part."""
+    sim, database, cache, obs = engine.sim, engine.database, engine.query_cache, engine.obs
+    instances = engine.instances
+    # (cohorts are the batched engine's own: the reference has none to count)
+    counters = {**service_counters(engine), "cohort_hits": 0, "cohort_splits": 0}
+    summary = replace(summarize((i.metrics for i in instances if i.done), empty_ok=True), **counters)
+    return {
+        "events": [_flat(event) for event in events],
+        "values": [
+            (i.instance_id, i.done, sorted((n, repr(v)) for n, v in i.value_map().items()))
+            for i in instances
+        ],
+        "states": [sorted((n, s.name) for n, s in i.state_map().items()) for i in instances],
+        "metrics": [_row(i.metrics) for i in instances],
+        "database": (
+            database.total_units,
+            database.queries_completed,
+            database.queries_cancelled,
+            database.queries_failed,
+            database.mean_gmpl(),
+        ),
+        "gmpl_tail": database.mean_gmpl(since=sim.now / 3.0),
+        "cache": cache and (cache.hits, cache.misses, cache.coalesced, cache.reissues),
+        "lru": cache and list(cache._memo),
+        "summary": asdict(summary),
+        "end": (sim.now, sim.pending),
+        "obs": {"spans": len(obs.tracer), **obs.registry.snapshot()} if obs.enabled else None,
+    }
+
+
+def _approx(value):
+    """*value* with every float held to ``rel=1e-9``."""
+    if type(value) is float:
+        return pytest.approx(value, rel=1e-9)
+    if isinstance(value, tuple):
+        return tuple(map(_approx, value))
+    if isinstance(value, list):
+        return list(map(_approx, value))
+    if isinstance(value, dict):
+        return {key: _approx(item) for key, item in value.items()}
+    return value
+
+
+def _timeless(value):
+    """*value* with every float left out, at any depth."""
+    if isinstance(value, tuple):
+        return tuple(_timeless(part) for part in value if type(part) is not float)
+    return value
+
+
+def assert_same(reference: dict, other: dict, *, approx_times: bool = False) -> None:
+    """*other*'s trace is *reference*'s, part by part, each message naming
+    its part; *approx_times* holds floats (times, Gmpl) to ``rel=1e-9``."""
+    assert other.keys() == reference.keys(), "parts"
+    # The contract is the event multiset; the deterministic DES makes the
+    # sequence hold too, and the multiset fails first with the sharper message.
+    if approx_times:
+        got, want = (Counter(map(_timeless, trace["events"])) for trace in (other, reference))
+    else:
+        got, want = Counter(other["events"]), Counter(reference["events"])
+    assert got == want, "events"
+    want = _approx(reference) if approx_times else reference
+    for part in reference:
+        assert other[part] == want[part], part
+
+
+def assert_matches_reference(schema, code, **arm):
+    """The batched engine armed with *arm* ≡ the reference engine under
+    the same dispatch; returns the batched engine.
+
+    Where a query is cancelled at an instant others complete at, the
+    reference engine itself orders that instant's events differently
+    pooled and per-event (the same multiset), so both sides drain alike.
+    """
+    reference, _ = run(Engine, schema, code, **arm)
+    batched, engine = run(BatchedEngine, schema, code, **arm)
+    assert_same(reference, batched)
+    return engine

@@ -10,9 +10,8 @@ Three shortcuts that must not be observable, and one key they lean on:
   *arrival run*, on both engines — held here to **per-arrival
   semantics**: the same script with every run broken after each submit
   (a scheduled-and-cancelled no-op moves ``Simulation.scheduled``, so the
-  next arrival opens a run of its own) must give the same global
-  observer sequence, values, metrics, database and cache totals, end
-  time and ``pending``, per-event and pooled;
+  next arrival opens a run of its own) must give the same trace
+  (``tests/_support.trace_of``), per-event and pooled;
 * consecutive arrivals of a run that ride one open cohort join it in
   one step;
 * the typed start key tells ``0.0`` from ``-0.0`` (it did not).
@@ -47,9 +46,18 @@ from repro.api import DecisionService, ExecutionConfig
 from repro.core.predicates import UserPredicate
 from repro.errors import ExecutionError
 from repro.server import ServerDaemon
-from tests._support import engine_arms, q
-from tests.test_cohort_exits import HIGH, LOW, OTHER, two_source_schema
-from tests.test_launch_path import PERF, run_flow, typed_schema
+from tests._support import (
+    HIGH,
+    LOW,
+    OTHER,
+    PERF,
+    assert_same,
+    engine_arms,
+    q,
+    run,
+    two_source_schema,
+    typed_schema,
+)
 
 PERF_SOURCE = PERF.schema.source_names[0]
 FAST = dict(engine="batched", query_cache=True)
@@ -145,12 +153,11 @@ def test_zeros_back_to_back_at_one_instant_do_not_ride_each_other():
     ):
         arrivals = [(0.0, {"s": value}) for value in values]
         for pooled in (False, True):
-            reference, _ = run_flow(Engine, str_schema(), "PSE100", arrivals=arrivals, pooled=pooled)
-            trace, engine = run_flow(
+            reference, _ = run(Engine, str_schema(), "PSE100", arrivals=arrivals, pooled=pooled)
+            trace, engine = run(
                 BatchedEngine, str_schema(), "PSE100", arrivals=arrivals, cohorts=True, pooled=pooled
             )
-            for part in reference:
-                assert trace[part] == reference[part], part
+            assert_same(reference, trace)
             assert engine.arrival_runs == 1
             assert (engine.cohort_hits, engine.bulk_joins) == (hits, bulk)
             assert engine.bulk_join_members == 2 * bulk
@@ -210,7 +217,7 @@ def test_a_refused_submission_through_the_daemon():
 
 
 def driver(script, lone: bool):
-    """``drive=`` for :func:`run_flow`: *script* gets a ``submit`` that,
+    """``drive=`` for :func:`run`: *script* gets a ``submit`` that,
     when *lone*, breaks the run after every arrival."""
 
     def drive(engine, sim):
@@ -237,18 +244,17 @@ def assert_runs_are_invisible(schema, code, script, **kwargs) -> dict:
     run broken, against the reference engine's per-arrival, per-event
     trace; returns ``{(stack index, pooled): engine}`` of the runs with
     runs."""
-    oracle, plain = run_flow(Engine, schema, code, drive=driver(script, lone=True), **kwargs)
+    oracle, plain = run(Engine, schema, code, drive=driver(script, lone=True), **kwargs)
     assert plain.arrival_runs == plain.arrival_run_arrivals  # the oracle is per-arrival
     engines = {}
     for pooled in (False, True):
         for index, (engine_cls, stack) in enumerate(STACKS):
             for lone in (True, False):
-                trace, engine = run_flow(
+                trace, engine = run(
                     engine_cls, schema, code, drive=driver(script, lone), pooled=pooled,
                     **stack, **kwargs,
                 )  # fmt: skip
-                for part in oracle:
-                    assert trace[part] == oracle[part], (part, engine_cls.__name__, pooled, lone)
+                assert_same(oracle, trace)
             engines[index, pooled] = engine
     return engines
 
@@ -397,21 +403,22 @@ def test_a_start_that_raises_leaves_the_rest_of_the_run_queued():
     for pooled in (False, True):
         for engine_cls in (Engine, BatchedEngine):
             for lone in (True, False):
-                trace, engine = run_flow(
+                trace, engine = run(
                     engine_cls, raising_schema(), "PSE100", drive=driver(script, lone), pooled=pooled
                 )
                 done = [done for _, done, _ in trace["values"]]
                 assert done == [value != 13 for value in values]
                 assert trace["end"][1] == 0
                 # `pending` between the raises counts a run once: leave it out
-                events = [event[:1] if event[0] == "raised" else event for event in trace["events"]]
-                assert events.count(("raised",)) == 2
-                oracle = oracle or (events, trace["database"], trace["end"])
-                assert (events, trace["database"], trace["end"]) == oracle
+                events = engine.observer.events
+                trace["events"] = [event[:1] if event[0] == "raised" else event for event in events]
+                assert trace["events"].count(("raised",)) == 2
+                oracle = oracle or trace
+                assert_same(oracle, trace)
                 if not lone:
                     assert (engine.arrival_runs, engine.arrival_run_arrivals) == (1, 6)
                     # two queries in flight, and the rest of the run: one event
-                    assert ("raised", 3) in trace["events"]
+                    assert ("raised", 3) in events
 
 
 @pytest.mark.parametrize("band", [(0, -1), (-1, 0)], ids=["sub-priority", "band"])
@@ -448,7 +455,7 @@ def test_an_urgent_event_from_a_start_callback_preempts_the_rest_of_the_run(band
     # #2 joins alone (its callback scheduled), #3-#4 in one step, #6-#7 behind their own #5
     assert (cohorts.bulk_joins, cohorts.bulk_join_members) == (2, 4)
     # the run fired three times: two resumes, each counted as an event
-    plain = run_flow(Engine, two_source_schema(), "PSE100", arrivals=[(2.0, HIGH)] * 4 + [(2.0, OTHER)] * 3)
+    plain = run(Engine, two_source_schema(), "PSE100", arrivals=[(2.0, HIGH)] * 4 + [(2.0, OTHER)] * 3)
     assert engines[0, False].sim.events_executed == plain[1].sim.events_executed + 2 + 2
 
 

@@ -14,11 +14,9 @@ they finish, unless (``engine.cohort_exits``)
 
 Each has one hand-built scenario, and a seeded stress ring takes all
 three (and lockstep to the end) many times over; everything is held to
-the reference engine's trace under both dispatch modes — the global
-observer sequence, every ``InstanceMetrics`` field, values, states,
-database totals, the cache's counters, its LRU order, end time and
-``pending`` — and each asserts the exits it is there for were taken, so
-it cannot silently stop exercising one.
+the reference engine's whole trace (``tests/_support.trace_of``) under
+both dispatch modes, and each asserts the exits it is there for were
+taken, so it cannot silently stop exercising one.
 """
 
 from __future__ import annotations
@@ -27,33 +25,15 @@ import random
 
 import pytest
 
-from repro import Attribute, Comparison, DecisionFlowSchema, Op
-from tests._support import add_inputs, q, scenario_pattern
-from tests.test_launch_path import PERF, assert_matches_reference
-
-
-def two_source_schema() -> DecisionFlowSchema:
-    """``a`` is keyed by ``s1`` and cheap, ``x`` by ``s2`` and slow; ``g``
-    reads ``x`` where ``a > 3`` — elsewhere ``x`` is unneeded once ``a``
-    is in — and is keyed by ``x``'s value, a constant."""
-    return DecisionFlowSchema(
-        [
-            Attribute("s1"),
-            Attribute("s2"),
-            Attribute("a", task=q("a", ("s1",), fn=lambda v: v["s1"], cost=1)),
-            Attribute("x", task=q("x", ("s2",), value=5, cost=6)),
-            Attribute(
-                "g", task=q("g", ("x",), value=2, cost=1), condition=Comparison("a", Op.GT, 3)
-            ),
-            Attribute("t", task=q("t", ("a", "g"), fn=add_inputs, cost=10), is_target=True),
-        ],
-        name="exits",
-    )
-
-
-LOW = {"s1": 1, "s2": 5}  # `g` disabled: `x` is unneeded from `a` on
-HIGH = {"s1": 10, "s2": 5}  # needs the same `x`
-OTHER = {"s1": 20, "s2": 7}  # an `x` of its own, the same `g`
+from tests._support import (
+    HIGH,
+    LOW,
+    OTHER,
+    PERF,
+    assert_matches_reference,
+    scenario_pattern,
+    two_source_schema,
+)
 
 HAND_BUILT = {
     # The second LOW rides the first; HIGH's `x` then coalesces behind the

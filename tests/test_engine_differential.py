@@ -7,16 +7,12 @@ execution dimension — strategy (eager ``P*`` / lazy ``N*`` including the
 ``PSE*`` parallelism family), result sharing, halt policies, failure
 injection, unneeded-cancellation, and all three backends under both DES
 kernels — and each scenario runs through both engines, asserting the
-full observable trace is identical:
-
-* per-instance completed-value maps (targets *and* intermediates),
-* every :class:`InstanceMetrics` counter, including Work and
-  finish times (TimeInUnits on the ideal backend), cancellation /
-  failure / sharing / speculation / unneeded counts,
-* database-level work, completion/cancellation totals, and mean Gmpl,
-* the engine-observer event stream, compared both as the per-run
-  multiset the contract guarantees and as the exact sequence the
-  deterministic DES actually produces.
+full observable trace (``tests/_support.trace_of``) is identical: values
+(targets *and* intermediates), states, every :class:`InstanceMetrics`
+counter, database totals and Gmpl, the cache's counters and LRU order,
+the summary, end time and ``pending``, and the engine-observer event
+stream, both as the per-run multiset the contract guarantees and as the
+exact sequence the deterministic DES actually produces.
 
 Both engines drive the *same* database implementations, so times are
 required to match exactly (not approximately): a divergence anywhere in
@@ -26,49 +22,24 @@ launch ordering would shift submission ids and show up immediately.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import pytest
 
-from repro import BatchedEngine, Engine, Simulation, Strategy
-from repro.api import DecisionService, ExecutionConfig
-from repro.api.backends import Backend
-from repro.core.engine import EngineObserver
-from repro.core.metrics import InstanceMetrics
-from repro.obs import Observability
+from repro import BatchedEngine, IdealDatabase, Simulation, Strategy
+from repro.api import ExecutionConfig
 
 from tests._support import (
+    ENGINES,
+    assert_matches_reference,
+    assert_same,
     chain_schema,
     diamond_schema,
     engine_arms,
-    make_database,
+    run,
+    run_closed_loop,
     scenario_pattern,
 )
-
-ENGINE_CLASSES = {"reference": Engine, "batched": BatchedEngine}
-
-#: Every InstanceMetrics counter participates in the trace comparison.
-METRIC_FIELDS = tuple(f.name for f in fields(InstanceMetrics))
-
-
-class RecordingObserver(EngineObserver):
-    """Flattens every observer callback into a comparable event tuple."""
-
-    def __init__(self):
-        self.events: list[tuple] = []
-
-    def on_instance_start(self, instance):
-        self.events.append(("start", instance.instance_id))
-
-    def on_launch(self, instance, name, *, speculative, shared):
-        self.events.append(("launch", instance.instance_id, name, speculative, shared))
-
-    def on_query_done(self, instance, name, *, units, completed):
-        self.events.append(("done", instance.instance_id, name, units, completed))
-
-    def on_instance_complete(self, instance):
-        self.events.append(("complete", instance.instance_id))
 
 
 # -- scenario generation -------------------------------------------------------
@@ -102,6 +73,27 @@ class Scenario:
             bits.append("cu")
         bits.append(f"i{self.instances}x{self.spacing:g}")
         return "-".join(bits)
+
+    def run(self, engine_kind: str, seed: int, cache: bool = False, **arm):
+        """This scenario on one engine: (trace, engine)."""
+        pattern = scenario_pattern(
+            seed, nb_nodes=self.nb_nodes, pct_enabled=self.pct_enabled, max_cost=self.max_cost
+        )
+        return run(
+            ENGINES[engine_kind],
+            pattern.schema,
+            self.code,
+            arrivals=[(k * self.spacing, pattern.source_values) for k in range(self.instances)],
+            backend=self.backend,
+            kernel=self.kernel,
+            halt_policy=self.halt_policy,
+            cancel_unneeded=self.cancel_unneeded,
+            failure_prob=self.failure_prob,
+            seed=seed,
+            share=self.share,
+            cache=cache,
+            **arm,
+        )
 
 
 #: Corner cases that must always be present: the paper's eager (P*) and
@@ -178,97 +170,15 @@ def test_scenario_coverage():
     assert any(s.cancel_unneeded for s in SCENARIOS)
 
 
-# -- trace capture -------------------------------------------------------------
-
-
-def run_scenario(
-    engine_kind: str,
-    scenario: Scenario,
-    seed: int,
-    *,
-    dispatch: str = "per-event",
-    query_cache: bool = False,
-    cohorts: bool = False,
-    observe: bool = False,
-) -> dict:
-    """Execute one scenario on one engine; returns the observable trace."""
-    pattern = scenario_pattern(
-        seed,
-        nb_nodes=scenario.nb_nodes,
-        pct_enabled=scenario.pct_enabled,
-        max_cost=scenario.max_cost,
-    )
-    sim = Simulation()
-    database = make_database(
-        scenario.backend, scenario.kernel, sim, seed, scenario.failure_prob
-    )
-    observer = RecordingObserver()
-    engine = ENGINE_CLASSES[engine_kind](
-        pattern.schema,
-        Strategy.parse(scenario.code, cancel_unneeded=scenario.cancel_unneeded),
-        database,
-        halt_policy=scenario.halt_policy,
-        share_results=scenario.share,
-        observer=observer,
-        query_cache=query_cache,
-        obs=Observability.create() if observe else None,
-        **({"cohorts": cohorts} if engine_kind == "batched" else {}),
-    )
-    if dispatch == "pooled":
-        engine.enable_pooled_dispatch()
-    for index in range(scenario.instances):
-        engine.submit_instance(pattern.source_values, at=index * scenario.spacing)
-    sim.run()
-    return {
-        "cohort_stats": (engine.cohort_hits, engine.cohort_splits),
-        "values": [
-            (inst.instance_id, inst.done, tuple(sorted(
-                (name, repr(value)) for name, value in inst.value_map().items()
-            )))
-            for inst in engine.instances
-        ],
-        "metrics": [
-            tuple(getattr(inst.metrics, name) for name in METRIC_FIELDS)
-            for inst in engine.instances
-        ],
-        "database": (
-            database.total_units,
-            database.queries_completed,
-            database.queries_cancelled,
-            database.queries_failed,
-            database.mean_gmpl(),
-        ),
-        "end_time": sim.now,
-        "events": observer.events,
-        "obs": (
-            {"spans": len(engine.obs.tracer), **engine.obs.registry.snapshot()}
-            if observe
-            else None
-        ),
-    }
-
-
-def assert_traces_identical(reference: dict, batched: dict) -> None:
-    assert batched["values"] == reference["values"]
-    assert batched["metrics"] == reference["metrics"]
-    assert batched["database"] == reference["database"]
-    assert batched["end_time"] == reference["end_time"]
-    # The contract: observer event *multisets* match.  The deterministic
-    # DES makes the stronger sequence equality hold too; assert both so a
-    # future ordering regression is caught with the sharper message.
-    assert Counter(batched["events"]) == Counter(reference["events"])
-    assert batched["events"] == reference["events"]
-
-
 # -- the seeded sweep ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=[s.label for s in SCENARIOS])
 def test_engines_produce_identical_traces(scenario: Scenario, seed: int):
-    reference = run_scenario("reference", scenario, seed)
-    batched = run_scenario("batched", scenario, seed)
-    assert_traces_identical(reference, batched)
+    reference, _ = scenario.run("reference", seed)
+    batched, _ = scenario.run("batched", seed)
+    assert_same(reference, batched)
     # Sanity: the scenario actually exercised the engine.
     assert any(done for _, done, _ in reference["values"])
 
@@ -312,20 +222,14 @@ def test_dispatch_scenario_coverage():
 )
 def test_pooled_dispatch_matches_per_event(scenario, engine_kind, query_cache):
     """dispatch="pooled" × cache on/off is trace-identical to per-event."""
-    per_event = run_scenario(
-        engine_kind, scenario, seed=0, dispatch="per-event", query_cache=query_cache
-    )
-    pooled = run_scenario(
-        engine_kind, scenario, seed=0, dispatch="pooled", query_cache=query_cache
-    )
-    assert_traces_identical(per_event, pooled)
+    per_event, _ = scenario.run(engine_kind, 0, cache=query_cache)
+    pooled, _ = scenario.run(engine_kind, 0, cache=query_cache, pooled=True)
+    assert_same(per_event, pooled)
 
 
 def test_pooled_dispatch_counters_track_pools():
     """The engine's pool stats move under pooled dispatch and count every
     consumed slot (fired events plus cancelled-in-pool skips)."""
-    from repro import BatchedEngine, IdealDatabase
-
     pattern = scenario_pattern(0)
     sim = Simulation()
     engine = BatchedEngine(pattern.schema, Strategy.parse("PSE100"), IdealDatabase(sim))
@@ -351,15 +255,14 @@ def test_armed_observability_is_trace_identical(scenario, engine_kind, dispatch)
     """Arming the repro.obs tracer + registry must not perturb execution:
     the full observable trace (values, metrics, db work, event sequence,
     end time) is bit-identical to the disarmed run."""
-    disarmed = run_scenario(engine_kind, scenario, seed=0, dispatch=dispatch)
-    armed = run_scenario(
-        engine_kind, scenario, seed=0, dispatch=dispatch, observe=True
-    )
-    assert_traces_identical(disarmed, armed)
+    disarmed, _ = scenario.run(engine_kind, 0, pooled=dispatch == "pooled")
+    armed, _ = scenario.run(engine_kind, 0, pooled=dispatch == "pooled", observe=True)
+    obs, armed["obs"] = armed["obs"], None  # what arming records is all that may differ
+    assert_same(disarmed, armed)
     # ...and the armed run actually recorded something: spans in the
     # flight recorder, counters in the registry.
-    assert armed["obs"]["spans"] > 0
-    counters = {c["name"]: c["value"] for c in armed["obs"]["counters"]}
+    assert obs["spans"] > 0
+    counters = {c["name"]: c["value"] for c in obs["counters"]}
     assert counters["engine_scheduling_rounds"] > 0
     assert counters["engine_queries_launched"] > 0
 
@@ -367,14 +270,13 @@ def test_armed_observability_is_trace_identical(scenario, engine_kind, dispatch)
 def test_armed_cohort_run_counts_forms_and_joins():
     """Cohorted sweeps record cohort lifecycle counters when armed."""
     burst = Scenario(code="PSE100", spacing=0.0, instances=6)
-    disarmed = run_scenario("batched", burst, seed=0, query_cache=True, cohorts=True)
-    armed = run_scenario(
-        "batched", burst, seed=0, query_cache=True, cohorts=True, observe=True
-    )
-    assert_traces_identical(disarmed, armed)
-    counters = {c["name"]: c["value"] for c in armed["obs"]["counters"]}
+    disarmed, _ = burst.run("batched", 0, cache=True, cohorts=True)
+    armed, engine = burst.run("batched", 0, cache=True, cohorts=True, observe=True)
+    obs, armed["obs"] = armed["obs"], None  # what arming records is all that may differ
+    assert_same(disarmed, armed)
+    counters = {c["name"]: c["value"] for c in obs["counters"]}
     assert counters["cohort_forms"] >= 1
-    assert counters["cohort_joins"] == armed["cohort_stats"][0] > 0
+    assert counters["cohort_joins"] == engine.cohort_hits > 0
 
 
 @pytest.mark.parametrize("engine_kind", ["reference", "batched"])
@@ -389,8 +291,8 @@ def test_query_cache_cuts_db_work_and_preserves_full_launch_values(engine_kind):
     engine in the suites above), never bit-for-bit against uncached
     runs outside this scenario."""
     scenario = Scenario(code="PSE100", spacing=0.0, instances=6)
-    plain = run_scenario(engine_kind, scenario, seed=1)
-    cached = run_scenario(engine_kind, scenario, seed=1, query_cache=True)
+    plain, _ = scenario.run(engine_kind, 1)
+    cached, _ = scenario.run(engine_kind, 1, cache=True)
     assert cached["values"] == plain["values"]
     assert cached["database"][0] < plain["database"][0]  # fewer total units
 
@@ -441,16 +343,12 @@ def test_cohorts_match_individual_execution(scenario, engine_kind, query_cache):
     """cohorts=True is trace-identical to individual execution on both
     engines (a documented no-op on the reference engine)."""
     for seed in range(2):
-        individual = run_scenario(
-            engine_kind, scenario, seed=seed, query_cache=query_cache
-        )
-        cohorted = run_scenario(
-            engine_kind, scenario, seed=seed, query_cache=query_cache, cohorts=True
-        )
-        assert_traces_identical(individual, cohorted)
-        assert individual["cohort_stats"] == (0, 0)
+        individual, alone = scenario.run(engine_kind, seed, cache=query_cache)
+        cohorted, engine = scenario.run(engine_kind, seed, cache=query_cache, cohorts=True)
+        assert_same(individual, cohorted)
+        assert (alone.cohort_hits, alone.cohort_splits) == (0, 0)
         if engine_kind == "reference":
-            assert cohorted["cohort_stats"] == (0, 0)
+            assert (engine.cohort_hits, engine.cohort_splits) == (0, 0)
 
 
 @pytest.mark.parametrize("query_cache", [False, True], ids=["nocache", "cache"])
@@ -459,25 +357,21 @@ def test_cohorts_capture_same_instant_bursts(query_cache):
     trace equality above isn't vacuous — given a cache, whose primaries
     members ride: without one the flag is inert."""
     burst = Scenario(code="PSE100", spacing=0.0)
-    trace = run_scenario("batched", burst, seed=0, query_cache=query_cache, cohorts=True)
-    hits, splits = trace["cohort_stats"]
-    assert hits == (burst.instances - 1 if query_cache else 0)
-    assert splits == 0
+    _, engine = burst.run("batched", 0, cache=query_cache, cohorts=True)
+    assert engine.cohort_hits == (burst.instances - 1 if query_cache else 0)
+    assert engine.cohort_splits == 0
     bounded = Scenario(
         backend="bounded", code="PSE100", instances=4, nb_nodes=16, spacing=0.0
     )
-    trace = run_scenario(
-        "batched", bounded, seed=0, query_cache=query_cache, cohorts=True
-    )
-    hits, splits = trace["cohort_stats"]
+    _, engine = bounded.run("batched", 0, cache=query_cache, cohorts=True)
     # Every member stands for followers of the one primary and
     # legitimately inherits its outcome, whatever order the bounded
     # backend completes in.
-    assert (hits > 0) == query_cache
-    assert splits == 0
+    assert (engine.cohort_hits > 0) == query_cache
+    assert engine.cohort_splits == 0
     spaced = Scenario(code="PSE50", spacing=1.0)
-    trace = run_scenario("batched", spaced, seed=0, query_cache=query_cache, cohorts=True)
-    assert trace["cohort_stats"] == (0, 0)
+    _, engine = spaced.run("batched", 0, cache=query_cache, cohorts=True)
+    assert (engine.cohort_hits, engine.cohort_splits) == (0, 0)
 
 
 @pytest.mark.parametrize("query_cache", [False, True], ids=["nocache", "cache"])
@@ -489,51 +383,26 @@ def test_cohorts_capture_same_instant_bursts(query_cache):
 def test_cohorts_match_under_pooled_dispatch(scenario, query_cache):
     """cohorts × pooled dispatch (the benchmark configuration) stays
     trace-identical to the per-event individual baseline."""
-    individual = run_scenario("batched", scenario, seed=0, query_cache=query_cache)
-    cohorted = run_scenario(
-        "batched", scenario, seed=0,
-        dispatch="pooled", query_cache=query_cache, cohorts=True,
-    )
-    assert_traces_identical(individual, cohorted)
-
-
-def _run_handbuilt(engine_kind: str, schema, source_values, code: str,
-                   failure_prob: float) -> dict:
-    """Generated patterns are query-only; these schemas mix in synthesis
-    tasks and statically disabled branches."""
-    sim = Simulation()
-    database = make_database("ideal", "coalesced", sim, 0, failure_prob)
-    observer = RecordingObserver()
-    engine = ENGINE_CLASSES[engine_kind](
-        schema, Strategy.parse(code), database, observer=observer
-    )
-    for index in range(4):
-        engine.submit_instance(source_values, at=index * 1.0)
-    sim.run()
-    return {
-        "values": [
-            tuple(sorted((n, repr(v)) for n, v in inst.value_map().items()))
-            for inst in engine.instances
-        ],
-        "states": [
-            tuple(sorted((n, s.value) for n, s in inst.state_map().items()))
-            for inst in engine.instances
-        ],
-        "metrics": [
-            tuple(getattr(inst.metrics, name) for name in METRIC_FIELDS)
-            for inst in engine.instances
-        ],
-        "events": observer.events,
-    }
+    individual, _ = scenario.run("batched", 0, cache=query_cache)
+    cohorted, _ = scenario.run("batched", 0, cache=query_cache, cohorts=True, pooled=True)
+    assert_same(individual, cohorted)
 
 
 @pytest.mark.parametrize("code", ["PCE0", "PSE100", "NSC100", "NCE50"])
 @pytest.mark.parametrize("failure_prob", [0.0, 0.4])
 def test_handbuilt_schemas_with_synthesis_match(code, failure_prob):
+    """Generated patterns are query-only; these schemas mix in synthesis
+    tasks and statically disabled branches."""
     for schema, source_values in (diamond_schema(), chain_schema(length=5, cost=2)):
-        reference = _run_handbuilt("reference", schema, source_values, code, failure_prob)
-        batched = _run_handbuilt("batched", schema, source_values, code, failure_prob)
-        assert batched == reference
+        assert_matches_reference(
+            schema,
+            code,
+            arrivals=[(index * 1.0, source_values) for index in range(4)],
+            failure_prob=failure_prob,
+            seed=0,
+            cache=False,
+            cohorts=True,
+        )
 
 
 # -- service-level closed loop -------------------------------------------------
@@ -548,40 +417,12 @@ def _run_closed_loop(
     dispatch: str = "per-event",
     query_cache: bool = False,
 ) -> dict:
-    """Closed system through the facade: replacement instances start inside
-    completion dispatches, exercising same-instant start/completion ties."""
-    pattern = scenario_pattern(seed, nb_nodes=20, pct_enabled=60.0, max_cost=5)
-    sim = Simulation()
-    database = make_database(backend, "coalesced", sim, seed)
-    bundle = Backend(
-        backend, sim, database, time_unit="units" if backend == "ideal" else "ms"
-    )
+    """The closed loop through the facade, on one engine and dispatch."""
     config = ExecutionConfig.from_code(
         code, engine=engine_kind, share_results=True, query_cache=query_cache
     )
     with engine_arms(pooled=dispatch == "pooled"):
-        service = DecisionService(pattern.schema, config, backend=bundle)
-    log = service.attach_log()
-    service.run_closed(12, concurrency=3, values=pattern.source_values)
-    summary = service.summary()
-    return {
-        "per_instance": [
-            (handle.instance_id, handle.done, handle.metrics.work_units,
-             handle.metrics.finish_time, tuple(sorted(handle.result().items(), key=repr)))
-            for handle in service.handles
-        ],
-        "summary": (summary.count, summary.total_work, summary.mean_work,
-                    summary.mean_elapsed, summary.mean_queries_launched),
-        "events": Counter(
-            (type(event).__name__,) + tuple(
-                getattr(event, name)
-                for name in ("instance_id", "attribute", "units", "completed", "shared")
-                if hasattr(event, name)
-            )
-            for event in log.events
-        ),
-        "end_time": sim.now,
-    }
+        return run_closed_loop(config, backend, seed)
 
 
 @pytest.mark.parametrize("backend", ["ideal", "profiled"])
@@ -590,7 +431,7 @@ def test_closed_loop_service_traces_match(backend: str, code: str):
     for seed in range(3):
         reference = _run_closed_loop("reference", backend, code, seed)
         batched = _run_closed_loop("batched", backend, code, seed)
-        assert batched == reference
+        assert_same(reference, batched)
 
 
 @pytest.mark.parametrize("query_cache", [False, True], ids=["nocache", "cache"])
@@ -608,4 +449,4 @@ def test_closed_loop_pooled_matches_per_event(backend, engine_kind, query_cache)
             engine_kind, backend, "PSE50", seed,
             dispatch="pooled", query_cache=query_cache,
         )
-        assert pooled == per_event
+        assert_same(per_event, pooled)

@@ -5,15 +5,13 @@ The three differential suites submit a handful of instances per
 scenario, mostly before the first has finished, so few of theirs are
 ever all-hit.  Every population here repeats valuations at *later*
 instants — the case the table exists for — and holds the batched engine
-to the reference engine's trace: the observer event sequence, every
-``InstanceMetrics`` field, values, states, database totals and the
-cache's own counters.  Each ring asserts that replays happened, so it
-cannot silently stop exercising the path.
+to the reference engine's whole trace (``tests/_support.trace_of``).
+Each ring asserts that replays happened, so it cannot silently stop
+exercising the path.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import random
 
@@ -28,103 +26,26 @@ from repro import (
     DecisionFlowSchema,
     Engine,
     Op,
-    PatternParams,
-    Simulation,
-    Strategy,
     SynthesisTask,
     UserPredicate,
-    generate_pattern,
 )
 from repro.api import DecisionService, ExecutionConfig
 from repro.core.plan import ControlState
 from repro.core.predicates import attr
-from repro.simdb.database import QueryShareCache
-from tests._support import add_inputs, engine_arms, make_database, q, scenario_pattern
-from tests.test_engine_differential import METRIC_FIELDS, RecordingObserver
+from tests._support import (
+    METRIC_FIELDS,
+    PERF,
+    add_inputs,
+    assert_matches_reference,
+    engine_arms,
+    q,
+    run,
+    scenario_pattern,
+)
 
-#: The benchmark's flow pattern (perf/stack.py): its two source-keyed
-#: queries are enabled above 88, everything downstream is shared.
-PERF = generate_pattern(PatternParams(nb_rows=4, pct_enabled=50, seed=7))
 PERF_SOURCE = PERF.schema.source_names[0]
 
 FAST = dict(cohorts=True, pooled=True)
-
-
-def run_population(
-    engine_cls,
-    schema,
-    code,
-    arrivals,
-    *,
-    backend="ideal",
-    halt_policy="cancel",
-    cancel_unneeded=False,
-    failure_prob=0.0,
-    memo_limit=4096,
-    cache=True,
-    cohorts=False,
-    pooled=False,
-    share=False,
-    seed=5,
-):
-    """Run ``[(at, source values), ...]``; returns (trace, engine)."""
-    sim = Simulation()
-    database = make_database(backend, "coalesced", sim, seed, failure_prob)
-    observer = RecordingObserver()
-    query_cache = QueryShareCache(database, memo_limit=memo_limit) if cache else None
-    engine = engine_cls(
-        schema,
-        Strategy.parse(code, cancel_unneeded=cancel_unneeded),
-        database,
-        halt_policy=halt_policy,
-        observer=observer,
-        query_cache=query_cache,
-        share_results=share,
-        **({"cohorts": cohorts} if engine_cls is BatchedEngine else {}),
-    )
-    if pooled:
-        engine.enable_pooled_dispatch()
-    for at, values in arrivals:
-        engine.submit_instance(values, at=at)
-    sim.run()
-    instances = engine.instances
-    trace = {
-        "values": [
-            (i.instance_id, i.done, sorted((n, repr(v)) for n, v in i.value_map().items()))
-            for i in instances
-        ],
-        "states": [sorted((n, s.name) for n, s in i.state_map().items()) for i in instances],
-        "metrics": [tuple(getattr(i.metrics, n) for n in METRIC_FIELDS) for i in instances],
-        "database": (
-            database.total_units,
-            database.queries_completed,
-            database.queries_cancelled,
-            database.queries_failed,
-            database.mean_gmpl(),
-        ),
-        "cache": query_cache
-        and (query_cache.hits, query_cache.misses, query_cache.coalesced, query_cache.memo_size),
-        "end_time": sim.now,
-        "events": observer.events,
-    }
-    return trace, engine
-
-
-def assert_matches_reference(schema, code, arrivals, *, cohorts=False, pooled=False, **kwargs):
-    """Batched (on the given stack) ≡ reference; returns the batched engine.
-
-    Both sides drain the calendar the same way: where a database query
-    is cancelled at an instant other queries complete at, the reference
-    engine itself orders that instant's events differently under pooled
-    and per-event dispatch (same multiset) — not this suite's subject.
-    """
-    reference, _ = run_population(Engine, schema, code, arrivals, pooled=pooled, **kwargs)
-    batched, engine = run_population(
-        BatchedEngine, schema, code, arrivals, cohorts=cohorts, pooled=pooled, **kwargs
-    )
-    for part in reference:
-        assert batched[part] == reference[part], part
-    return engine
 
 
 def bursts(hot, *, instants, burst=(1, 4), gap=400.0, p_hot=0.7, seed=3, source=PERF_SOURCE):
@@ -152,7 +73,7 @@ def test_repeats_at_later_instants_match_the_reference(backend, code, halt_polic
         engine = assert_matches_reference(
             PERF.schema,
             code,
-            arrivals,
+            arrivals=arrivals,
             backend=backend,
             halt_policy=halt_policy,
             cancel_unneeded=True,
@@ -176,7 +97,7 @@ def test_throttled_and_lazy_strategies(code):
         base = pattern.source_values[source]
         arrivals = [(100.0 * k, {source: base + 1000 * (k % 2)}) for k in range(12)]
         engine = assert_matches_reference(
-            pattern.schema, code, arrivals, cancel_unneeded=cancel_unneeded
+            pattern.schema, code, arrivals=arrivals, cancel_unneeded=cancel_unneeded
         )
         assert engine.flow_traces >= 1 and engine.flow_replays >= 3
 
@@ -207,7 +128,7 @@ def test_eviction_is_found_at_a_wave_boundary(memo_limit, monkeypatch):
 
     monkeypatch.setattr(BatchedEngine, "_flow_fall_back", spy)
     engine = assert_matches_reference(
-        pattern.schema, "PSE100", arrivals, memo_limit=memo_limit, **FAST
+        pattern.schema, "PSE100", arrivals=arrivals, memo_limit=memo_limit, **FAST
     )
     assert engine.flow_fallbacks == len(left_mid_wave)
     if memo_limit == 4096:
@@ -246,7 +167,7 @@ REPEATS = [(100.0 * k, {"s": 1}) for k in range(6)]
 
 
 def test_an_eligible_plan_files_and_replays():
-    engine = assert_matches_reference(gated_schema(), "PSE100", REPEATS)
+    engine = assert_matches_reference(gated_schema(), "PSE100", arrivals=REPEATS)
     assert (engine.flow_traces, engine.flow_replays) == (1, 4)
 
 
@@ -262,7 +183,7 @@ def test_an_eligible_plan_files_and_replays():
     ids=["no-cache", "share-results", "user-predicate", "synthesis", "attr-to-attr"],
 )
 def test_ineligible_runs_file_nothing(schema, kwargs):
-    engine = assert_matches_reference(schema, "PSE100", REPEATS, **kwargs)
+    engine = assert_matches_reference(schema, "PSE100", arrivals=REPEATS, **kwargs)
     assert (engine.flow_traces, engine.flow_replays) == (0, 0)
     assert all(instance._flow is None for instance in engine.instances)
 
@@ -272,12 +193,12 @@ def test_a_failed_result_is_not_memoized_so_the_next_occurrence_files_nothing():
     seed = next(
         seed
         for seed in range(50)
-        if run_population(
-            Engine, gated_schema(), "PSE100", arrivals[:1], failure_prob=0.3, seed=seed
+        if run(
+            Engine, gated_schema(), "PSE100", arrivals=arrivals[:1], failure_prob=0.3, seed=seed
         )[0]["database"][3]
     )
     engine = assert_matches_reference(
-        gated_schema(), "PSE100", arrivals, failure_prob=0.3, seed=seed
+        gated_schema(), "PSE100", arrivals=arrivals, failure_prob=0.3, seed=seed
     )
     assert engine.query_cache.misses > 3  # the second occurrence retried
     assert engine.flow_traces == 0
@@ -308,7 +229,7 @@ def test_sources_keyed_by_identity_are_not_filed():
 
     for source, hits in ((Box(1), 3), (Sealed(), 9)):
         arrivals = [(100.0 * k, {"s": source}) for k in range(4)]
-        engine = assert_matches_reference(gated_schema(), "PSE100", arrivals)
+        engine = assert_matches_reference(gated_schema(), "PSE100", arrivals=arrivals)
         assert engine.query_cache.hits == hits  # `t` (and `a`, `b` on a key) hit, yet
         assert (engine.flow_traces, engine.flow_replays) == (0, 0)
 
@@ -320,7 +241,7 @@ def test_sources_keyed_by_identity_are_not_filed():
 def test_a_full_table_records_nothing_and_keeps_serving(limit, monkeypatch):
     monkeypatch.setattr(batch_engine, "FLOW_LIMIT", limit)
     arrivals = bursts([93.5, 95.25, 40.0], instants=24)
-    engine = assert_matches_reference(PERF.schema, "PSE100", arrivals, **FAST)
+    engine = assert_matches_reference(PERF.schema, "PSE100", arrivals=arrivals, **FAST)
     assert engine.flow_traces == limit
     assert (engine.flow_replays > 5) == bool(limit)
     assert not any(isinstance(instance._flow, list) for instance in engine.instances)
@@ -449,4 +370,6 @@ def test_any_arrival_schedule_matches_the_reference(schedule, memo_limit):
             else:
                 value = SMALL_BASE + 1000 * pick
             arrivals.append((at, {SMALL_SOURCE: value}))
-    assert_matches_reference(SMALL.schema, "PSE100", arrivals, memo_limit=memo_limit, **FAST)
+    assert_matches_reference(
+        SMALL.schema, "PSE100", arrivals=arrivals, memo_limit=memo_limit, **FAST
+    )

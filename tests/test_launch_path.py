@@ -9,10 +9,8 @@ differential suites pass through both unedited; the populations here
 are the ones they do not have — valuations repeating at one instant and
 at later ones, partly memo-served, in open schedules and closed loops —
 and every ring holds the batched engine to the reference engine's
-trace: the global observer sequence, every ``InstanceMetrics`` field,
-values, states, database totals, the cache's counters and its LRU
-order.  Each ring asserts that waves happened, so it cannot silently
-stop exercising the path.
+whole trace (``tests/_support.trace_of``).  Each ring asserts that
+waves happened, so it cannot silently stop exercising the path.
 """
 
 from __future__ import annotations
@@ -26,138 +24,26 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.batch_engine as batch_engine
 import repro.core.plan as plan_module
-from repro import (
-    Attribute,
-    BatchedEngine,
-    Comparison,
-    DecisionFlowSchema,
-    Engine,
-    ExceptionValue,
-    Op,
-    PatternParams,
-    Simulation,
-    Strategy,
-    generate_pattern,
-)
+from repro import BatchedEngine, Comparison, Engine, ExceptionValue, Op
 from repro.api import DecisionService, ExecutionConfig
 from repro.nulls import NullType
-from repro.simdb.database import QueryShareCache
-from tests._support import engine_arms, make_database, q, scenario_pattern
-from tests.test_engine_differential import METRIC_FIELDS, RecordingObserver
+from tests._support import (
+    PERF,
+    assert_matches_reference,
+    assert_same,
+    engine_arms,
+    run,
+    scenario_pattern,
+    typed_schema,
+)
 
-#: The benchmark's flow pattern (perf/stack.py): its two source-keyed
-#: queries are enabled above 88, everything downstream is shared.
-PERF = generate_pattern(PatternParams(nb_rows=4, pct_enabled=50, seed=7))
 SMALL = scenario_pattern(2, nb_nodes=16, pct_enabled=50.0, max_cost=4)
 
 SLOW = dict(cohorts=False, pooled=False)
 FAST = dict(cohorts=True, pooled=True)
 
 
-def run_flow(
-    engine_cls,
-    schema,
-    code,
-    *,
-    arrivals=None,
-    closed=None,
-    drive=None,
-    backend="ideal",
-    halt_policy="cancel",
-    cancel_unneeded=False,
-    failure_prob=0.0,
-    memo_limit=4096,
-    cache=True,
-    share=False,
-    cohorts=False,
-    pooled=False,
-    seed=5,
-):
-    """Run an open schedule ``[(at, sources), ...]``, a closed loop
-    ``(concurrency, [sources, ...], think time)`` or whatever
-    ``drive(engine, sim)`` submits and runs; returns (trace, engine)."""
-    sim = Simulation()
-    database = make_database(backend, "coalesced", sim, seed, failure_prob)
-    observer = RecordingObserver()
-    query_cache = QueryShareCache(database, memo_limit=memo_limit) if cache else None
-    engine = engine_cls(
-        schema,
-        Strategy.parse(code, cancel_unneeded=cancel_unneeded),
-        database,
-        halt_policy=halt_policy,
-        observer=observer,
-        query_cache=query_cache,
-        share_results=share,
-        **({"cohorts": cohorts} if engine_cls is BatchedEngine else {}),
-    )
-    if pooled:
-        engine.enable_pooled_dispatch()
-    if drive is not None:
-        drive(engine, sim)
-    elif closed is None:
-        for at, values in arrivals:
-            engine.submit_instance(values, at=at)
-    else:
-        concurrency, queue, think = closed
-        queue = list(queue)
-
-        def submit_next(_metrics=None):
-            if queue:
-                engine.submit_instance(queue.pop(0), at=sim.now + think, on_complete=submit_next)
-
-        for _ in range(concurrency):
-            submit_next()
-    sim.run()
-    instances = engine.instances
-    trace = {
-        "events": observer.events,
-        "values": [
-            (i.instance_id, i.done, sorted((n, repr(v)) for n, v in i.value_map().items()))
-            for i in instances
-        ],
-        "states": [sorted((n, s.name) for n, s in i.state_map().items()) for i in instances],
-        "metrics": [tuple(getattr(i.metrics, n) for n in METRIC_FIELDS) for i in instances],
-        "database": (
-            database.total_units,
-            database.queries_completed,
-            database.queries_cancelled,
-            database.queries_failed,
-            database.mean_gmpl(),
-        ),
-        "cache": query_cache
-        and (query_cache.hits, query_cache.misses, query_cache.coalesced, query_cache.reissues),
-        "lru": query_cache and list(query_cache._memo),
-        "end": (sim.now, sim.pending),
-    }
-    return trace, engine
-
-
-def assert_matches_reference(schema, code, *, cohorts=False, pooled=False, **kwargs):
-    """Batched (on the given stack) ≡ reference under the same dispatch;
-    returns the batched engine."""
-    reference, _ = run_flow(Engine, schema, code, pooled=pooled, **kwargs)
-    batched, engine = run_flow(
-        BatchedEngine, schema, code, cohorts=cohorts, pooled=pooled, **kwargs
-    )
-    for part in reference:
-        assert batched[part] == reference[part], part
-    return engine
-
-
 # -- launch-memo semantics -----------------------------------------------------------
-
-
-def typed_schema(fn, condition=None) -> DecisionFlowSchema:
-    """source ``s`` → ``a = fn(s)`` → target ``t``."""
-    gate = {} if condition is None else {"condition": condition}
-    return DecisionFlowSchema(
-        [
-            Attribute("s"),
-            Attribute("a", task=q("a", inputs=("s",), fn=fn, cost=2)),
-            Attribute("t", task=q("t", inputs=("a",), value=1), is_target=True, **gate),
-        ],
-        name="typed",
-    )
 
 
 def spaced(sources, gap=100.0):
@@ -227,7 +113,7 @@ def test_only_scalars_are_filed(source, fn):
 def test_a_raising_fn_raises_as_it_did():
     for engine_cls in (Engine, BatchedEngine):
         with pytest.raises(RuntimeError, match="query function failed"):
-            run_flow(engine_cls, typed_schema(explode), "PSE100", arrivals=spaced([1]))
+            run(engine_cls, typed_schema(explode), "PSE100", arrivals=spaced([1]))
 
 
 @pytest.mark.parametrize("kwargs", [dict(share=True), dict(cache=False)], ids=["share", "no-cache"])
@@ -246,12 +132,12 @@ def test_fn_runs_once_per_distinct_typed_input_under_the_bound(monkeypatch):
     calls = []
     schema = typed_schema(lambda values: calls.append(values["s"]) or 3)
     sources = [1, 2, 1, 1.0, 2, 1, 1.0]
-    run_flow(BatchedEngine, schema, "PSE100", arrivals=spaced(sources))
+    run(BatchedEngine, schema, "PSE100", arrivals=spaced(sources))
     assert [(type(call), call) for call in calls] == [(int, 1), (int, 2), (float, 1.0)]
     # A full memo files nothing: every launch asks `fn`, once.
     del calls[:]
     monkeypatch.setattr(plan_module, "LAUNCH_LIMIT", 0)
-    _, engine = run_flow(BatchedEngine, schema, "PSE100", arrivals=spaced(sources))
+    _, engine = run(BatchedEngine, schema, "PSE100", arrivals=spaced(sources))
     assert calls == sources
     assert engine.plan.launch_entries == engine.plan.launch_hits == 0
     # ... and one that fills up keeps serving what it holds.
@@ -270,7 +156,7 @@ def test_a_failed_primary_delivers_its_exception_and_the_next_launch_retries():
     seed = next(
         seed
         for seed in range(50)
-        if run_flow(Engine, schema, "PSE100", arrivals=arrivals[:1], failure_prob=0.3, seed=seed)[
+        if run(Engine, schema, "PSE100", arrivals=arrivals[:1], failure_prob=0.3, seed=seed)[
             0
         ]["database"][3]
     )
@@ -486,16 +372,15 @@ def test_seeded_stress_against_the_reference_per_event_run():
     waves = deliveries = 0
     for seed in range(40):
         schema, code, kwargs = stress_scenario(seed)
-        reference, _ = run_flow(Engine, schema, code, **kwargs)
+        reference, _ = run(Engine, schema, code, **kwargs)
         for engine_cls, stack in (
             (BatchedEngine, FAST),
             (BatchedEngine, SLOW),
             (BatchedEngine, dict(pooled=True)),
             (Engine, dict(pooled=True)),
         ):
-            trace, engine = run_flow(engine_cls, schema, code, **kwargs, **stack)
-            for part in reference:
-                assert trace[part] == reference[part], (seed, code, stack, part)
+            trace, engine = run(engine_cls, schema, code, **kwargs, **stack)
+            assert_same(reference, trace)
             if engine_cls is BatchedEngine:
                 waves += engine.hit_waves
                 deliveries += engine.hit_wave_deliveries

@@ -350,7 +350,8 @@ class TestProcessExecutor:
         with pytest.raises(ValueError, match="has no metrics yet"):
             handle.metrics
         some_attr = next(iter(pattern.schema)).name
-        assert handle.value(some_attr) is NULL  # nothing materialized yet
+        with pytest.raises(ValueError, match="is not stable"):  # nothing materialized yet
+            handle.value(some_attr)
         with pytest.raises(KeyError):  # typos raise like the live facade
             handle.value("no-such-attribute")
         service.run()
@@ -885,3 +886,36 @@ def test_a_service_answers_the_fleet_protocol(pattern):
     }
     service.close()  # nothing to shut down; the service stays usable
     assert service.submit(pattern.source_values).wait().done
+
+
+@pytest.mark.parametrize("engine", ["reference", "batched"])
+def test_a_value_reads_only_once_stable_on_every_facade(pattern, engine):
+    """⊥ is a decided value (a disabled attribute's), so no handle answers
+    it for an attribute it has no value for: not before the run, not
+    mid-flight, and not on a fleet whose shard has reported nothing."""
+    target = pattern.schema.target_names[0]
+    services = [
+        create_service(
+            pattern.schema,
+            ExecutionConfig.from_code("PSE100", engine=engine, shards=shards, executor=executor),
+        )
+        for shards, executor in ((1, "serial"), (1, "process"), (2, "serial"), (2, "process"))
+    ]
+    try:
+        handles = [service.submit(pattern.source_values, at=5.0) for service in services]
+        for service in (None, *services):
+            if service is not None:
+                service.run(until=5.0)
+            for handle in handles:
+                with pytest.raises(ValueError, match=f"{target!r} is not stable"):
+                    handle.value(target)
+        for service in services:
+            service.run()
+        answers = [(handle.value(target), handle.value_map()) for handle in handles]
+        assert answers == [answers[0]] * 4
+        assert NULL in answers[0][1].values()  # a disabled attribute reads ⊥
+        with pytest.raises(KeyError):
+            handles[-1].value("no-such-attribute")
+    finally:
+        for service in services:
+            service.close()

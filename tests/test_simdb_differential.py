@@ -4,9 +4,11 @@ The coalesced :class:`IdealDatabase` / :class:`ProfiledDatabase` kernels
 replace one heap event per unit of processing with one completion event
 per query.  These tests drive full engine runs — generated schema
 patterns, every strategy dimension, both halt policies, result sharing,
-and failure injection — through both kernels and assert the *traces*
-match: per-instance Work, finish times (the paper's TimeInUnits),
-cancellation/completion/failure counts, and the time-weighted mean Gmpl.
+and failure injection — through both kernels and assert the whole
+*traces* match (``tests/_support.trace_of``): events, values, states,
+per-instance Work and finish times (the paper's TimeInUnits), database
+totals and the time-weighted mean Gmpl, whole and over the run's last
+two-thirds.
 
 The ideal database runs on an integer clock, so its traces must be
 bit-identical.  The profiled database accumulates float unit times along
@@ -19,97 +21,30 @@ from __future__ import annotations
 
 import pytest
 
-from repro import BatchedEngine, Engine, Simulation, Strategy
-from repro.obs import Observability
+from repro.api import ExecutionConfig
 
-from tests._support import make_database, scenario_pattern
-
-ENGINE_CLASSES = {"reference": Engine, "batched": BatchedEngine}
+from tests._support import ENGINES, assert_same, run, run_closed_loop, scenario_pattern
 
 
-def run_scenario(
+def run_kernel(
     kernel: str,
     *,
-    backend: str = "ideal",
+    code: str,
     seed: int = 0,
-    code: str = "PSE50",
-    halt_policy: str = "cancel",
-    share_results: bool = False,
-    failure_prob: float = 0.0,
     instances: int = 4,
     spacing: float = 2.0,
     nb_nodes: int = 24,
-    pct_enabled: float = 50.0,
     max_cost: int = 6,
     engine: str = "reference",
-    cohorts: bool = False,
-    observe: bool = False,
+    **arm,
 ):
-    """One engine run; returns the full observable trace."""
-    pattern = scenario_pattern(
-        seed, nb_nodes=nb_nodes, pct_enabled=pct_enabled, max_cost=max_cost
-    )
-    sim = Simulation()
-    database = make_database(backend, kernel, sim, seed, failure_prob)
-    engine = ENGINE_CLASSES[engine](
-        pattern.schema,
-        Strategy.parse(code),
-        database,
-        halt_policy=halt_policy,
-        share_results=share_results,
-        obs=Observability.create() if observe else None,
-        **({"cohorts": cohorts} if engine == "batched" else {}),
-    )
-    for index in range(instances):
-        engine.submit_instance(pattern.source_values, at=index * spacing)
-    sim.run()
-    per_instance = [
-        (
-            inst.instance_id,
-            inst.done,
-            inst.metrics.work_units,
-            inst.metrics.finish_time,
-            inst.metrics.queries_launched,
-            inst.metrics.queries_completed,
-            inst.metrics.queries_cancelled,
-            inst.metrics.queries_failed,
-            inst.metrics.speculative_wasted_units,
-        )
-        for inst in engine.instances
-    ]
-    return {
-        "per_instance": per_instance,
-        "total_units": database.total_units,
-        "queries_completed": database.queries_completed,
-        "queries_cancelled": database.queries_cancelled,
-        "queries_failed": database.queries_failed,
-        "mean_gmpl": database.mean_gmpl(),
-        "mean_gmpl_windowed": database.mean_gmpl(since=sim.now / 3.0),
-        "end_time": sim.now,
-        "events_executed": sim.events_executed,
-    }
-
-
-def assert_traces_match(coalesced: dict, per_unit: dict, *, exact_times: bool) -> None:
-    assert len(coalesced["per_instance"]) == len(per_unit["per_instance"])
-    for got, want in zip(coalesced["per_instance"], per_unit["per_instance"]):
-        # Everything except finish_time is an exact integer/bool/string.
-        assert got[:3] == want[:3], f"{got} != {want}"
-        assert got[4:] == want[4:], f"{got} != {want}"
-        if exact_times:
-            assert got[3] == want[3], f"finish time {got[3]} != {want[3]} ({got[0]})"
-        else:
-            assert got[3] == pytest.approx(want[3], rel=1e-9), got[0]
-    for key in ("total_units", "queries_completed", "queries_cancelled", "queries_failed"):
-        assert coalesced[key] == per_unit[key], key
-    assert coalesced["mean_gmpl"] == pytest.approx(per_unit["mean_gmpl"], rel=1e-9)
-    assert coalesced["mean_gmpl_windowed"] == pytest.approx(
-        per_unit["mean_gmpl_windowed"], rel=1e-9
-    )
-    if exact_times:
-        assert coalesced["end_time"] == per_unit["end_time"]
-    else:
-        assert coalesced["end_time"] == pytest.approx(per_unit["end_time"], rel=1e-9)
+    """The generated pattern, uncached, on one kernel: (trace, engine)."""
+    pattern = scenario_pattern(seed, nb_nodes=nb_nodes, max_cost=max_cost)
+    arrivals = [(index * spacing, pattern.source_values) for index in range(instances)]
+    return run(
+        ENGINES[engine], pattern.schema, code, arrivals=arrivals, kernel=kernel, seed=seed,
+        cache=False, **arm,
+    )  # fmt: skip
 
 
 # -- the seeded sweep ----------------------------------------------------------
@@ -151,22 +86,22 @@ def test_kernels_produce_identical_traces(backend, code, halt_policy, share, fai
         seed=seed,
         code=code,
         halt_policy=halt_policy,
-        share_results=share,
+        share=share,
         failure_prob=failure_prob,
     )
-    coalesced = run_scenario("coalesced", **kwargs)
-    per_unit = run_scenario("per-unit", **kwargs)
-    assert_traces_match(coalesced, per_unit, exact_times=(backend == "ideal"))
+    coalesced, _ = run_kernel("coalesced", **kwargs)
+    per_unit, _ = run_kernel("per-unit", **kwargs)
+    assert_same(per_unit, coalesced, approx_times=backend != "ideal")
 
 
 def test_coalesced_executes_far_fewer_events():
     """The point of the rewrite: event count per query drops to O(1)."""
     for backend in ("ideal", "profiled"):
         kwargs = dict(backend=backend, code="PSE100", max_cost=30, instances=6, seed=1)
-        coalesced = run_scenario("coalesced", **kwargs)
-        per_unit = run_scenario("per-unit", **kwargs)
-        assert coalesced["total_units"] == per_unit["total_units"], backend
-        assert per_unit["events_executed"] >= 5 * coalesced["events_executed"], backend
+        coalesced, few = run_kernel("coalesced", **kwargs)
+        per_unit, many = run_kernel("per-unit", **kwargs)
+        assert coalesced["database"][0] == per_unit["database"][0], backend
+        assert many.sim.events_executed >= 5 * few.sim.events_executed, backend
 
 
 def test_concurrent_identical_instances_stress_gmpl_replanning():
@@ -180,64 +115,28 @@ def test_concurrent_identical_instances_stress_gmpl_replanning():
             seed=seed,
             nb_nodes=16,
         )
-        coalesced = run_scenario("coalesced", **kwargs)
-        per_unit = run_scenario("per-unit", **kwargs)
-        assert_traces_match(coalesced, per_unit, exact_times=False)
-
-
-def _run_closed_loop(kernel: str, backend: str, seed: int, code: str):
-    """Closed system: replacement instances start inside completion
-    dispatches, which exercises same-instant start/completion ties."""
-    from repro.api import DecisionService, ExecutionConfig
-    from repro.api.backends import Backend
-
-    pattern = scenario_pattern(seed, nb_nodes=20, pct_enabled=60.0, max_cost=5)
-    sim = Simulation()
-    database = make_database(backend, kernel, sim, seed, failure_prob=0.0)
-    bundle = Backend(backend, sim, database, time_unit="units" if backend == "ideal" else "ms")
-    service = DecisionService(pattern.schema, ExecutionConfig.from_code(code), backend=bundle)
-    service.run_closed(12, concurrency=3, values=pattern.source_values)
-    return {
-        "per_instance": [
-            (
-                handle.instance_id,
-                handle.done,
-                handle.metrics.work_units,
-                handle.metrics.finish_time,
-                handle.metrics.queries_launched,
-                handle.metrics.queries_completed,
-                handle.metrics.queries_cancelled,
-                handle.metrics.queries_failed,
-                handle.metrics.speculative_wasted_units,
-            )
-            for handle in service.handles
-        ],
-        "total_units": database.total_units,
-        "queries_completed": database.queries_completed,
-        "queries_cancelled": database.queries_cancelled,
-        "queries_failed": database.queries_failed,
-        "mean_gmpl": database.mean_gmpl(),
-        "mean_gmpl_windowed": database.mean_gmpl(since=sim.now / 3.0),
-        "end_time": sim.now,
-    }
+        coalesced, _ = run_kernel("coalesced", **kwargs)
+        per_unit, _ = run_kernel("per-unit", **kwargs)
+        assert_same(per_unit, coalesced, approx_times=True)
 
 
 @pytest.mark.parametrize("backend", ["ideal", "profiled"])
 @pytest.mark.parametrize("code", ["PSE50", "PSE100"])
 def test_closed_loop_traces_match(backend, code):
+    config = ExecutionConfig.from_code(code)
     for seed in range(3):
-        coalesced = _run_closed_loop("coalesced", backend, seed, code)
-        per_unit = _run_closed_loop("per-unit", backend, seed, code)
-        assert_traces_match(coalesced, per_unit, exact_times=(backend == "ideal"))
+        coalesced = run_closed_loop(config, backend, seed, kernel="coalesced")
+        per_unit = run_closed_loop(config, backend, seed, kernel="per-unit")
+        assert_same(per_unit, coalesced, approx_times=backend != "ideal")
 
 
 def test_sequential_strategy_cancels_match():
     """%Permitted = 0 produces long queues of cancellations on halt."""
     for seed in range(4):
         kwargs = dict(backend="ideal", code="PSE0", instances=6, spacing=1.0, seed=seed)
-        coalesced = run_scenario("coalesced", **kwargs)
-        per_unit = run_scenario("per-unit", **kwargs)
-        assert_traces_match(coalesced, per_unit, exact_times=True)
+        coalesced, _ = run_kernel("coalesced", **kwargs)
+        per_unit, _ = run_kernel("per-unit", **kwargs)
+        assert_same(per_unit, coalesced)
 
 
 # -- cohort execution through both kernels -------------------------------------
@@ -274,9 +173,9 @@ def test_cohort_traces_match_across_kernels(backend, code, halt_policy, failure_
             engine="batched",
             cohorts=True,
         )
-        coalesced = run_scenario("coalesced", **kwargs)
-        per_unit = run_scenario("per-unit", **kwargs)
-        assert_traces_match(coalesced, per_unit, exact_times=(backend == "ideal"))
+        coalesced, _ = run_kernel("coalesced", **kwargs)
+        per_unit, _ = run_kernel("per-unit", **kwargs)
+        assert_same(per_unit, coalesced, approx_times=backend != "ideal")
 
 
 @pytest.mark.parametrize("kernel", ["coalesced", "per-unit"])
@@ -298,11 +197,11 @@ def test_cohorts_invisible_within_each_kernel(kernel, backend, code, halt_policy
             instances=6,
             spacing=0.0,
         )
-        individual = run_scenario(kernel, engine="batched", cohorts=False, **kwargs)
-        cohorted = run_scenario(kernel, engine="batched", cohorts=True, **kwargs)
-        assert_traces_match(cohorted, individual, exact_times=True)
-        reference = run_scenario(kernel, engine="reference", cohorts=True, **kwargs)
-        assert_traces_match(reference, individual, exact_times=True)
+        individual, _ = run_kernel(kernel, engine="batched", cohorts=False, **kwargs)
+        cohorted, _ = run_kernel(kernel, engine="batched", cohorts=True, **kwargs)
+        assert_same(individual, cohorted)
+        reference, _ = run_kernel(kernel, engine="reference", cohorts=True, **kwargs)
+        assert_same(individual, reference)
 
 
 @pytest.mark.parametrize("kernel", ["coalesced", "per-unit"])
@@ -330,8 +229,8 @@ def test_armed_observability_invisible_on_both_kernels(
         failure_prob=failure_prob,
         engine=engine,
     )
-    disarmed = run_scenario(kernel, **kwargs)
-    armed = run_scenario(kernel, observe=True, **kwargs)
-    assert_traces_match(armed, disarmed, exact_times=True)
-    assert armed["events_executed"] == disarmed["events_executed"]
-    assert armed["end_time"] == disarmed["end_time"]
+    disarmed, plain = run_kernel(kernel, **kwargs)
+    armed, engine = run_kernel(kernel, observe=True, **kwargs)
+    armed["obs"] = None  # what arming records is all that may differ
+    assert_same(disarmed, armed)
+    assert engine.sim.events_executed == plain.sim.events_executed

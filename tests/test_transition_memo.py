@@ -3,8 +3,7 @@
 Every test here runs a population whose valuations *differ* — the three
 differential suites submit one valuation per scenario, so they exercise
 the memo's hit path but not what keys it — and holds the batched engine
-to the reference engine's trace: values, every ``InstanceMetrics`` field
-and the observer event sequence.
+to the reference engine's whole trace (``tests/_support.trace_of``).
 """
 
 from __future__ import annotations
@@ -27,85 +26,19 @@ from repro import (
     IsNull,
     NULL,
     Op,
-    PatternParams,
     Simulation,
     Strategy,
     SynthesisTask,
     UserPredicate,
-    generate_pattern,
 )
 from repro.api import DecisionService, ExecutionConfig
 from repro.core.conditions import TRUE, And, Not, Or
 from repro.core.predicates import attr
-from repro.simdb.database import QueryShareCache
-from tests._support import add_inputs, make_database, q
-from tests.test_engine_differential import METRIC_FIELDS, RecordingObserver
+from tests._support import PERF, add_inputs, assert_matches_reference, q, run
 
-#: The benchmark's flow pattern (perf/stack.py); no condition reads the
-#: source above 88, so every valuation in (89, 100) has one signature.
-PERF = generate_pattern(PatternParams(nb_rows=4, pct_enabled=50, seed=7))
+#: No condition of the benchmark's pattern reads the source above 88, so
+#: every valuation in (89, 100) has one signature.
 PERF_SOURCE = PERF.schema.source_names[0]
-
-
-def run_population(
-    engine_cls,
-    schema,
-    code,
-    arrivals,
-    *,
-    backend="ideal",
-    failure_prob=0.0,
-    seed=5,
-    query_cache=False,
-    cohorts=False,
-    share=False,
-    cancel_unneeded=False,
-    pooled=False,
-):
-    """Run ``[(at, source values), ...]``; returns (trace, engine)."""
-    sim = Simulation()
-    database = make_database(backend, "coalesced", sim, seed, failure_prob)
-    observer = RecordingObserver()
-    engine = engine_cls(
-        schema,
-        Strategy.parse(code, cancel_unneeded=cancel_unneeded),
-        database,
-        observer=observer,
-        query_cache=QueryShareCache(database) if query_cache else None,
-        share_results=share,
-        **({"cohorts": cohorts} if engine_cls is BatchedEngine else {}),
-    )
-    if pooled:
-        engine.enable_pooled_dispatch()
-    for at, values in arrivals:
-        engine.submit_instance(values, at=at)
-    sim.run()
-    trace = {
-        "values": [
-            (inst.instance_id, inst.done, sorted((n, repr(v)) for n, v in inst.value_map().items()))
-            for inst in engine.instances
-        ],
-        "states": [
-            sorted((n, s.name) for n, s in inst.state_map().items()) for inst in engine.instances
-        ],
-        "metrics": [
-            tuple(getattr(inst.metrics, name) for name in METRIC_FIELDS)
-            for inst in engine.instances
-        ],
-        "database": (database.total_units, database.queries_completed, database.queries_cancelled),
-        "end_time": sim.now,
-        "events": observer.events,
-    }
-    return trace, engine
-
-
-def assert_matches_reference(schema, code, arrivals, **kwargs):
-    """Batched ≡ reference on *arrivals*; returns the batched engine."""
-    reference, _ = run_population(Engine, schema, code, arrivals, **kwargs)
-    batched, engine = run_population(BatchedEngine, schema, code, arrivals, **kwargs)
-    for part in reference:
-        assert batched[part] == reference[part], part
-    return engine
 
 
 def perf_arrivals(n, lo=89.0, hi=100.0, seed=3, spacing=5.0):
@@ -194,7 +127,7 @@ def lazy_leaf_schema():
 @pytest.mark.parametrize("code", ["PSE100", "NCE0"])
 def test_leaf_the_reference_never_evaluates_does_not_raise(code):
     arrivals = [(0.0, {"s": 1}), (1.0, {"s": 2}), (20.0, {"s": 3})]
-    engine = assert_matches_reference(lazy_leaf_schema(), code, arrivals)
+    engine = assert_matches_reference(lazy_leaf_schema(), code, arrivals=arrivals, cache=False)
     assert engine.plan.memo_hits > 0
     # "x" < 5 raises: its own outcome (3) in a's signature, not an error.
     assert engine.plan.signature(engine.plan.index["a"], "x") == 3
@@ -205,8 +138,12 @@ def test_leaf_that_raises_when_evaluated_still_raises(engine_cls):
     """With s <= 0 the reference does evaluate ``"x" < 5``; so must the
     kernel, on the miss path — after a neighbour warmed the memo too."""
     with pytest.raises(TypeError):
-        run_population(
-            engine_cls, lazy_leaf_schema(), "PSE100", [(0.0, {"s": 1}), (50.0, {"s": 0})]
+        run(
+            engine_cls,
+            lazy_leaf_schema(),
+            "PSE100",
+            arrivals=[(0.0, {"s": 1}), (50.0, {"s": 0})],
+            cache=False,
         )
 
 
@@ -258,7 +195,7 @@ def zoo_schema():
 def test_every_leaf_kind_keys_the_memo(code, failure_prob):
     arrivals = [(index * 3.0, {"s": value}) for index, value in enumerate(range(40))]
     engine = assert_matches_reference(
-        zoo_schema(), code, arrivals, failure_prob=failure_prob, seed=9
+        zoo_schema(), code, arrivals=arrivals, failure_prob=failure_prob, seed=9, cache=False
     )
     plan = engine.plan
     assert plan.memo and plan.memo_hits > plan.memo_misses > 0
@@ -283,7 +220,7 @@ def test_identical_at_any_table_bound(monkeypatch, limit, query_cache):
         monkeypatch.setattr(plan_module, "MEMO_LIMIT", limit)
     arrivals = perf_arrivals(40, lo=80.0)
     engine = assert_matches_reference(
-        PERF.schema, "PSE100", arrivals, query_cache=query_cache, cohorts=True, pooled=True
+        PERF.schema, "PSE100", arrivals=arrivals, cache=query_cache, cohorts=True, pooled=True
     )
     plan = engine.plan
     if limit is not None:
@@ -297,9 +234,9 @@ def test_divergent_population_stays_bounded_and_keeps_serving(monkeypatch):
     query cache): recording stops at the bound, hits do not."""
     monkeypatch.setattr(plan_module, "MEMO_LIMIT", 48)
     arrivals = perf_arrivals(120, lo=0.0)
-    options = dict(failure_prob=0.3, cohorts=True)
-    _, half = run_population(BatchedEngine, PERF.schema, "PSE100", arrivals[:60], **options)
-    full = assert_matches_reference(PERF.schema, "PSE100", arrivals, **options)
+    options = dict(failure_prob=0.3, cohorts=True, cache=False)
+    _, half = run(BatchedEngine, PERF.schema, "PSE100", arrivals=arrivals[:60], **options)
+    full = assert_matches_reference(PERF.schema, "PSE100", arrivals=arrivals, **options)
     for engine, population in ((half, 60), (full, 120)):
         plan = engine.plan
         assert plan.memo_steps == 48 and len(plan.states) <= 48
@@ -339,7 +276,9 @@ INELIGIBLE = {
 def test_ineligible_plans_intern_nothing(case):
     schema, share = INELIGIBLE[case]
     arrivals = [(index * 2.0, {"s": index % 7}) for index in range(14)]
-    engine = assert_matches_reference(schema, "PSE100", arrivals, share=share)
+    engine = assert_matches_reference(
+        schema, "PSE100", arrivals=arrivals, share=share, cache=False
+    )
     plan = engine.plan
     assert not plan.memo
     assert plan.states == {} and plan.root.steps == {}
@@ -349,7 +288,9 @@ def test_ineligible_plans_intern_nothing(case):
 
 def test_eligible_twin_of_the_ineligible_plans_is_memoized():
     arrivals = [(index * 2.0, {"s": index % 7}) for index in range(14)]
-    engine = assert_matches_reference(_diamond(Comparison("s", Op.GT, 3)), "PSE100", arrivals)
+    engine = assert_matches_reference(
+        _diamond(Comparison("s", Op.GT, 3)), "PSE100", arrivals=arrivals, cache=False
+    )
     assert engine.plan.memo and engine.plan.memo_hits > 0
 
 
@@ -363,10 +304,10 @@ def test_throttled_strategies_on_the_bounded_backend(permitted, query_cache):
     engine = assert_matches_reference(
         PERF.schema,
         f"PSE{permitted}",
-        arrivals,
+        arrivals=arrivals,
         backend="bounded",
         failure_prob=0.2,
-        query_cache=query_cache,
+        cache=query_cache,
         cancel_unneeded=True,
     )
     plan = engine.plan
@@ -396,7 +337,7 @@ def test_one_state_two_inflight_counts_two_selections():
     for group in range(1, 5):  # an issuer, then a coalescer half a unit later
         arrivals.append((group * 20.0, {"s": 2 * group, "g": group}))
         arrivals.append((group * 20.0 + 0.5, {"s": 2 * group + 1, "g": group}))
-    engine = assert_matches_reference(schema, "PSE50", arrivals, query_cache=True)
+    engine = assert_matches_reference(schema, "PSE50", arrivals=arrivals)
     plan = engine.plan
     (started,) = plan.root.steps.values()
     x = plan.index["x"]
@@ -441,10 +382,10 @@ def test_cohorts_whose_representative_is_memo_served(backend, failure_prob, quer
     engine = assert_matches_reference(
         schema,
         "PSE100",
-        arrivals,
+        arrivals=arrivals,
         backend=backend,
         failure_prob=failure_prob,
-        query_cache=query_cache,
+        cache=query_cache,
         cohorts=True,
         pooled=True,
     )
@@ -502,9 +443,8 @@ def test_lockstep_cohorts_over_the_memo(monkeypatch, shared_tail, failure_prob):
     engine = assert_matches_reference(
         lockstep_schema(shared_tail),
         "PSE100",
-        arrivals,
+        arrivals=arrivals,
         failure_prob=failure_prob,
-        query_cache=True,
         cohorts=True,
         pooled=True,
     )

@@ -7,33 +7,30 @@ once every step of it is on file.  Nothing of it may be observable: the
 rings here hold the product stack to the reference engine where no
 listener is attached (the path the composite takes without emitting
 anything), pin the walk's two traps on hand-built states, cut a run at a
-wait cancelled mid-wave, and keep a ledger of what the walk did.
+wait cancelled mid-wave, run the unneeded-cancel scan of an unlistened
+composite, and keep a ledger of what the walk did.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+import sys
 
 import pytest
 
 import repro.core.plan as plan_module
-from repro import (
-    BatchedEngine,
-    Engine,
-    PatternParams,
-    Simulation,
-    Strategy,
-    generate_pattern,
-)
+from repro import BatchedEngine, Engine, Strategy
 from repro.api import DecisionService, ExecutionConfig
 from repro.core.plan import E_DISABLED, E_ENABLED, CompiledPlan, ControlState
-from repro.simdb.database import QueryShareCache
-from tests._support import make_database
-from tests.test_engine_differential import METRIC_FIELDS, RecordingObserver
+from tests._support import (
+    PERF,
+    RecordingObserver,
+    assert_matches_reference,
+    assert_same,
+    run,
+    trace_of,
+)
 
-#: The benchmark's flow pattern (perf/stack.py).
-PERF = generate_pattern(PatternParams(nb_rows=4, pct_enabled=50, seed=7))
 SOURCE = PERF.schema.source_names[0]
 
 
@@ -65,25 +62,8 @@ def unlistened(engine: str, code: str, backend: str, arrivals) -> tuple[dict, De
     for at, values in arrivals:
         service.submit(values, at=at)
     service.run()
-    database, cache = service.database, service.engine.query_cache
-    instances = [handle.instance for handle in service.handles]
-    trace = {
-        "metrics": [tuple(getattr(i.metrics, f) for f in METRIC_FIELDS) for i in instances],
-        "values": [sorted((n, repr(v)) for n, v in i.value_map().items()) for i in instances],
-        "states": [sorted((n, s.name) for n, s in i.state_map().items()) for i in instances],
-        # (cohorts are the batched engine's own: the reference has none to count)
-        "summary": replace(service.summary(), cohort_hits=0, cohort_splits=0),
-        "cache": (cache.hits, cache.misses, cache.coalesced, cache.reissues),
-        "database": (
-            database.total_units,
-            database.queries_completed,
-            database.queries_cancelled,
-            database.queries_failed,
-            database.mean_gmpl(),
-        ),
-        "now": service.now,
-    }
-    return trace, service
+    # (no events: a listener would take the path under test away)
+    return trace_of(service.engine, ()), service
 
 
 # -- ring: the unlistened product stack against the reference ------------------------
@@ -96,8 +76,7 @@ def test_unlistened_runs_match_the_reference(kind, code, backend):
     arrivals = population(kind, 150, seed=len(kind) + len(code))
     reference, _ = unlistened("reference", code, backend, arrivals)
     batched, service = unlistened("batched", code, backend, arrivals)
-    for part in reference:
-        assert batched[part] == reference[part], part
+    assert_same(reference, batched)
     engine = service.engine
     assert engine._listening() is None and engine.hit_waves > 0
     steps = sum(engine.wave_steps.values())
@@ -119,8 +98,7 @@ def test_the_ledger_sees_every_outcome(monkeypatch):
         arrivals.append((at, {SOURCE: round(rng.uniform(89, 100), 3)}))
     reference, _ = unlistened("reference", "PSE100", "ideal", arrivals)
     batched, service = unlistened("batched", "PSE100", "ideal", arrivals)
-    for part in reference:
-        assert batched[part] == reference[part], part
+    assert_same(reference, batched)
     ledger, plan = service.engine.wave_steps, service.engine.plan
     assert all(ledger[outcome] > 0 for outcome in ("taken", "filed", "unfiled", "full")), ledger
     assert plan.memo_steps + plan.memo_waves == 32
@@ -230,25 +208,17 @@ class CancellingRecorder(RecordingObserver):
 
 def cancelling_run(engine_cls, arrivals, by):
     """*arrivals* with waits cancelled *by* the engine's unneeded-cancel
-    scan or by a listener; the trace."""
-    sim = Simulation()
-    database = make_database("ideal", "coalesced", sim, 5)
-    observer = CancellingRecorder() if by == "listener" else RecordingObserver()
-    cache = QueryShareCache(database)
-    strategy = Strategy.parse("PSE100", cancel_unneeded=by == "scan")
-    engine = engine_cls(PERF.schema, strategy, database, observer=observer, query_cache=cache)
-    engine.enable_pooled_dispatch()
-    for at, values in arrivals:
-        engine.submit_instance(values, at=at)
-    sim.run()
-    trace = {
-        "events": observer.events,
-        "metrics": [tuple(getattr(i.metrics, f) for f in METRIC_FIELDS) for i in engine.instances],
-        "values": [sorted((n, repr(v)) for n, v in i.value_map().items()) for i in engine.instances],
-        "cache": (cache.hits, cache.misses, cache.coalesced),
-        "database": (database.total_units, database.queries_cancelled, sim.now),
-    }
-    return trace, engine
+    scan or by a listener: (trace, engine)."""
+    return run(
+        engine_cls,
+        PERF.schema,
+        "PSE100",
+        arrivals=arrivals,
+        cancel_unneeded=by == "scan",
+        cohorts=True,
+        pooled=True,
+        listen=CancellingRecorder() if by == "listener" else True,
+    )
 
 
 @pytest.mark.parametrize("by", ["scan", "listener"])
@@ -277,7 +247,36 @@ def test_a_wait_cancelled_mid_wave_ends_the_run_before_it(monkeypatch, by):
     arrivals = population("distinct", 80, seed=9)
     reference, _ = cancelling_run(Engine, arrivals, by)
     batched, engine = cancelling_run(BatchedEngine, arrivals, by)
-    for part in reference:
-        assert batched[part] == reference[part], part
+    assert_same(reference, batched)
     assert engine.wave_steps["taken"] > 0
     assert cuts["during"] > 0 and (by == "scan" or cuts["before"] > 0), cuts
+
+
+@pytest.mark.parametrize(
+    "kind, halt_policy",
+    [("distinct", "cancel"), ("overlap", "cancel"), ("burst", "cancel"), ("burst", "drain")],
+)
+def test_an_unlistened_step_runs_the_cancel_scan(monkeypatch, kind, halt_policy):
+    """A composite step whose last state may cancel runs the unneeded-
+    cancel scan inside ``_compose``, with nobody listening: the ring above
+    never sets ``cancel_unneeded``."""
+    scans = []
+    compose, cancel_unneeded = BatchedEngine._compose.__code__, BatchedEngine._cancel_unneeded
+
+    def spy(self, instance):
+        if sys._getframe(1).f_code is compose:
+            scans.append(self._listening())
+        return cancel_unneeded(self, instance)
+
+    monkeypatch.setattr(BatchedEngine, "_cancel_unneeded", spy)
+    assert_matches_reference(
+        PERF.schema,
+        "PSE100",
+        arrivals=population(kind, 150, seed=len(kind) + len("PSE100")),
+        halt_policy=halt_policy,
+        cancel_unneeded=True,
+        cohorts=True,
+        pooled=True,
+        listen=False,
+    )
+    assert scans and set(scans) == {None}, scans
