@@ -178,6 +178,14 @@ class _Cohort:
     what the representative has done, stage by stage: what
     :meth:`BatchedEngine._dissolve` rebuilds the members from when they
     can ride no further.
+
+    The representative and every member link back (``_cohort``), which
+    with ``rep`` and ``members`` makes the cohort a reference cycle.  A
+    dissolve unlinks them all; in lockstep an instance keeps its link,
+    through any post-halt straggler, until it is settled (done with
+    nothing in flight) and the engine releases it
+    (:meth:`BatchedEngine.release_settled`).  Once the last is
+    released, reference counting frees the cohort and its records.
     """
 
     __slots__ = (
@@ -1274,6 +1282,15 @@ class BatchedEngine(Engine):
     # a coalesce into some other issuer's primary: members need
     # deliveries of their own from there), and when members cancelled a
     # wait whose query went on to complete for the representative.
+
+    def release_settled(self) -> list[BatchedInstance]:
+        """:meth:`Engine.release_settled`, each released instance unlinked
+        from its cohort: settled, it is past every straggler, so nothing
+        reaches the cohort through it any more (see :class:`_Cohort`)."""
+        settled = super().release_settled()
+        for instance in settled:
+            instance._cohort = None
+        return settled
 
     def _start(self, instance: BatchedInstance) -> None:
         if self._cohorts_on and self.sim.now != self._cohort_instant:

@@ -233,6 +233,9 @@ class DatabaseServer:
 
     def _finish(self, handle: QueryHandle, on_complete: CompletionCallback, completed: bool) -> None:
         handle.finished = True
+        # Both close over the handle: dropping them leaves nothing of a
+        # finished query to the cyclic collector (see QueryHandle).
+        handle._event = handle._cancel_hook = None
         self._change_active(-1)
         if completed:
             self.queries_completed += 1

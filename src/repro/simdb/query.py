@@ -28,6 +28,13 @@ class QueryHandle:
     profiled server holds that rate once, server-wide, for every query
     still open to re-pricing; a handle's own copy counts from the moment
     a cancel request pins it.)
+
+    A coalesced query also carries its scheduled completion event
+    (``_event``) and a cancel hook back into its server (``_cancel_hook``),
+    both closing over the handle.  :meth:`DatabaseServer._finish` drops
+    them as the query finishes, before its completion callback runs, so
+    a finished handle, its callbacks and the instance they close over are
+    freed by reference counting, never left to the cyclic collector.
     """
 
     #: shared-wait placeholders set this False so the scheduler's

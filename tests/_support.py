@@ -1,4 +1,5 @@
-"""Shared builders for the test suite, and its one differential harness.
+"""Shared builders for the test suite, its one differential harness and
+its cycle census (``cyclic_garbage``, for ``test_no_cycles`` and CI).
 
 The harness (``run``, ``trace_of``, ``assert_same``,
 ``assert_matches_reference``) serves the eight trace-identity suites:
@@ -10,6 +11,8 @@ Helpers two test modules need live here: no test module imports another.
 
 from __future__ import annotations
 
+import gc
+import random
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
@@ -140,6 +143,98 @@ def engine_arms(*, pooled: bool = True, cohorts: bool = True):
     finally:
         service._ENGINE_CLASSES.update(classes)
         Engine.enable_pooled_dispatch = enable
+
+
+# -- the cycle census -----------------------------------------------------------
+#
+# A finished query, instance, cohort or drain epoch is freed by reference
+# counting: nothing it allocated waits for the cyclic collector.
+# `cyclic_garbage` measures what a run leaves behind with the collector
+# off; tests/test_no_cycles.py holds the execution matrix at zero.
+
+
+@contextmanager
+def collector_off():
+    """Run the block with the cyclic collector disabled, after a collection
+    that clears whatever came before it; its enabled state is restored."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def cyclic_garbage(run) -> Counter:
+    """What ``run()`` leaves for the cyclic collector, by type name.
+
+    The collector is off while *run* runs.  Everything alive before it is
+    frozen out of the count (``gc.freeze``), so the one collection after
+    it, under ``gc.DEBUG_SAVEALL``, looks only at what the run allocated;
+    what *run* returns (a service, an engine, a daemon) is kept alive
+    through it, so only objects that became unreachable inside a cycle
+    are counted.  Every ``gc`` setting is restored on the way out, and
+    the garbage is left to the collector.
+    """
+    enabled, flags, saved = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.disable()
+    gc.freeze()
+    kept = None
+    try:
+        kept = run()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        gc.collect()
+        return Counter(type(obj).__name__ for obj in gc.garbage[saved:])
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[saved:], kept
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def garbage_table(garbage: Counter, instances: int) -> str:
+    """*garbage* as a table: type, objects, objects per instance."""
+    rows = [f"{'type':<24}{'objects':>9}{'per inst':>10}"]
+    for name, count in garbage.most_common():
+        rows.append(f"{name:<24}{count:>9}{count / instances:>10.2f}")
+    return "\n".join(rows)
+
+
+def population(kind: str, n: int, seed: int = 11) -> list[tuple[float, float]]:
+    """``(at, valuation)`` for *n* instances of the perf pattern's source,
+    shaped like the benchmark's populations: ``identical`` (one valuation,
+    all at t = 0), ``overlap`` (bursts at shared instants, 90 % from 8 hot
+    valuations) or ``distinct`` (every valuation new, one per instant)."""
+    rng = random.Random(f"{seed}:{kind}")
+    taken: set[float] = set()
+
+    def fresh() -> float:
+        value = round(rng.uniform(89.0, 100.0), 6)
+        while value in taken:
+            value = round(rng.uniform(89.0, 100.0), 6)
+        taken.add(value)
+        return value
+
+    if kind == "identical":
+        return [(0.0, fresh())] * n
+    items: list[tuple[float, float]] = []
+    at = 0.0
+    if kind == "overlap":
+        hot = [fresh() for _ in range(8)]
+        while len(items) < n:
+            at += rng.expovariate(1 / 50.0)
+            for _ in range(rng.randint(20, 60)):
+                items.append((at, rng.choice(hot) if rng.random() < 0.9 else fresh()))
+        return items[:n]
+    if kind == "distinct":
+        for _ in range(n):
+            at += rng.expovariate(1 / 5.0)
+            items.append((at, fresh()))
+        return items
+    raise ValueError(f"unknown population {kind!r}")
 
 
 # -- the differential harness --------------------------------------------------

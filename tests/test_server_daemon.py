@@ -21,6 +21,7 @@ from repro.core.metrics import MetricsSummary
 from repro.core.snapshot import evaluate_schema
 from repro.nulls import ExceptionValue
 from repro.server import STATUSES, RunStore, ServerDaemon, decode_values
+from tests._support import collector_off
 
 WAIT = 30.0  # generous wall-clock bound; every wait in here is event-driven
 
@@ -399,6 +400,29 @@ class TestRetention:
         assert stats["persisted"] == self.EPOCHS
         assert daemon.summary().count == self.EPOCHS
         assert daemon.metrics_payload()["summary"]["count"] == self.EPOCHS
+
+    def test_released_instances_are_freed_without_the_collector(
+        self, make_daemon, tmp_path
+    ):
+        """The sibling above with the cyclic collector off: a released
+        instance, its cohort and its handle are freed by reference
+        counting, so the counts return to baseline with no
+        ``gc.collect()`` between release and count."""
+        fast = ExecutionConfig.from_code("PSE100", engine="batched", query_cache=True)
+        kinds = (BatchedInstance, _Cohort, InstanceHandle)
+
+        def alive():
+            objects = gc.get_objects()
+            return [sum(1 for obj in objects if type(obj) is kind) for kind in kinds]
+
+        with collector_off():
+            before = alive()
+            daemon = make_daemon(fast, db=str(tmp_path / "runs.sqlite"))
+            self.serve_distinct_epochs(daemon)
+            assert daemon.service.handles == ()
+            for kind, was, now in zip(kinds, before, alive()):
+                assert now == was, (kind.__name__, now - was)
+        assert daemon.server_stats()["persisted"] == self.EPOCHS
 
     def test_without_a_store_records_stay_live(self, make_daemon, pattern):
         daemon = make_daemon("PSE100")
