@@ -54,7 +54,6 @@ from repro.core import (
     IsException,
     IsNull,
     Literal,
-    ResultShare,
     Module,
     Not,
     Op,
@@ -167,7 +166,6 @@ __all__ = [
     "Engine",
     "BatchedEngine",
     "CompiledPlan",
-    "ResultShare",
     "Strategy",
     "expand_pattern",
     "ALL_STRATEGY_CODES",

@@ -217,9 +217,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         "ride one representative (cohort hits and splits in the summary)",
     )
     parser.add_argument(
-        "--share", action="store_true", help="share query results across instances"
-    )
-    parser.add_argument(
         "--observe",
         action="store_true",
         help="arm the repro.obs layer: per-phase span tracing plus a "
@@ -263,7 +260,6 @@ def _build_workload(args: argparse.Namespace):
     config = ExecutionConfig.from_code(
         args.code,
         halt_policy=args.halt,
-        share_results=args.share,
         backend=args.backend,
         engine=args.engine,
         shards=args.shards,

@@ -32,11 +32,28 @@ from typing import Iterable, Sequence
 
 from repro.core.instance import InstanceRuntime
 from repro.core.schema import DecisionFlowSchema
-from repro.core.sharing import freeze
 from repro.core.state import AttributeState
 from repro.bench.report import format_table
 
 __all__ = ["SnapshotRecord", "SnapshotTable", "Refinement", "suggest_refinements"]
+
+
+def freeze(value: object) -> object:
+    """A hashable grouping of *value* by ``==`` for the statistics of
+    :meth:`SnapshotTable.value_counts` — no memo key (``1`` and ``True``
+    group together; see :func:`repro.values.key`).  Containers convert
+    recursively, unhashable leaves to their repr."""
+    if isinstance(value, dict):
+        return ("dict", tuple(sorted((k, freeze(v)) for k, v in value.items())))
+    if isinstance(value, (list, tuple)):
+        return ("seq", tuple(freeze(v) for v in value))
+    if isinstance(value, (set, frozenset)):
+        return ("set", frozenset(freeze(v) for v in value))
+    try:
+        hash(value)
+    except TypeError:
+        return ("repr", repr(value))
+    return value
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """One immutable configuration object for decision-flow execution.
 
 :class:`ExecutionConfig` gathers every knob that was previously scattered
-across ``Engine`` constructor kwargs (``halt_policy``, ``share_results``),
+across ``Engine`` constructor kwargs (``halt_policy``, ``query_cache``),
 :class:`~repro.core.strategy.Strategy` (options and %Permitted), and the
 ad-hoc backend plumbing of the benchmark drivers.  A config is a value:
 build one once, derive variants with :meth:`ExecutionConfig.replace`, and
@@ -58,7 +58,8 @@ class ExecutionConfig:
     name-keyed paper engine; identical observable behavior).
 
     ``query_cache`` arms the per-service
-    :class:`~repro.simdb.database.QueryShareCache`: identical in-flight
+    :class:`~repro.simdb.database.QueryShareCache`, the one cross-instance
+    result sharing (the paper's §6 "overlapping data"): identical in-flight
     queries coalesce into one database dispatch and completed results
     memo-serve re-issues at zero cost (per shard; hit/miss/coalesce
     counters surface in ``summary()``).  Every service drains its DES
@@ -89,7 +90,6 @@ class ExecutionConfig:
 
     strategy: Strategy = field(default_factory=Strategy)
     halt_policy: str = "cancel"
-    share_results: bool = False
     backend: str = "ideal"
     backend_options: Mapping[str, Any] = field(default_factory=dict)
     engine: str = "batched"
@@ -143,7 +143,7 @@ class ExecutionConfig:
         """Build a config from a strategy code, e.g. ``from_code("PSE80")``.
 
         Keyword overrides accept both config fields (``halt_policy``,
-        ``share_results``, ``backend``, ``backend_options``) and strategy
+        ``query_cache``, ``backend``, ``backend_options``) and strategy
         fields (``permitted``, ``cancel_unneeded``, ...), which are folded
         into the parsed strategy.
         """
@@ -159,7 +159,7 @@ class ExecutionConfig:
         """A copy with the given fields replaced.
 
         Strategy-level fields route into ``strategy.replace`` so callers
-        can write ``config.replace(permitted=50, share_results=True)``
+        can write ``config.replace(permitted=50, query_cache=True)``
         without unpacking the nested strategy.
         """
         strategy_changes = {
@@ -208,8 +208,6 @@ class ExecutionConfig:
             extras.append("query-cache")
         if self.observe:
             extras.append("observe")
-        if self.share_results:
-            extras.append("shared")
         if self.cancel_unneeded:
             extras.append("+cancel-unneeded")
         if self.backend_options:

@@ -25,17 +25,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LaunchEvent:
-    """A task launch was decided for an attribute.
-
-    ``shared`` is ``None`` for a real database dispatch, ``"hit"`` for a
-    share-table answer, ``"join"`` for piggybacking on an in-flight query.
-    """
+    """A task launch was decided for an attribute."""
 
     time: float
     instance_id: str
     attribute: str
     speculative: bool
-    shared: str | None
 
 
 @dataclass(frozen=True)
@@ -84,9 +79,7 @@ class _Dispatcher(EngineObserver):
             self.launch_handlers or self.query_done_handlers or self.complete_handlers
         )
 
-    def on_launch(
-        self, instance: InstanceRuntime, name: str, *, speculative: bool, shared: str | None
-    ) -> None:
+    def on_launch(self, instance: InstanceRuntime, name: str, *, speculative: bool) -> None:
         if not self.launch_handlers:
             return
         event = LaunchEvent(
@@ -94,7 +87,6 @@ class _Dispatcher(EngineObserver):
             instance_id=instance.instance_id,
             attribute=name,
             speculative=speculative,
-            shared=shared,
         )
         for handler in list(self.launch_handlers):
             handler(event)

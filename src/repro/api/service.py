@@ -200,7 +200,6 @@ class DecisionService:
             config.strategy,
             self.backend.database,
             halt_policy=config.halt_policy,
-            share_results=config.share_results,
             observer=self._dispatcher,
             query_cache=config.query_cache,
             obs=self.obs,

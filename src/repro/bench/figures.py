@@ -571,9 +571,10 @@ def ablation_sharing(
 
     A personalization flow whose queries are keyed by the customer profile
     runs under Poisson arrivals; customers repeat (``profiles`` distinct
-    ones).  Sharing answers repeated queries from the shared result table,
-    cutting database units — the effect shrinks as the population of
-    distinct profiles grows.
+    ones).  Sharing is the query cache: a repeated query is answered from
+    its memo or coalesced onto the in-flight duplicate, cutting database
+    units — the effect shrinks as the population of distinct profiles
+    grows.
     """
     from repro.api.config import ExecutionConfig
     from repro.api.service import DecisionService
@@ -628,9 +629,7 @@ def ablation_sharing(
         for share in (False, True):
             service = DecisionService(
                 personalization_schema(),
-                ExecutionConfig.from_code(
-                    "PCE100", share_results=share, backend="bounded"
-                ),
+                ExecutionConfig.from_code("PCE100", query_cache=share, backend="bounded"),
                 params=DbParams(),
                 seed=seed,
             )
@@ -661,9 +660,10 @@ def ablation_sharing(
         notes=[
             "sharing cuts database units most when few distinct profiles recur; "
             "the always-identical catalog query is shared at every population size",
-            "upper-bound effect: the table never expires entries, which is only "
-            "sound under the paper's fixed-data assumption — production use "
-            "needs TTL/invalidation, which would shrink these gains",
+            "upper-bound effect: a memoized result never goes stale (the memo "
+            "only evicts by LRU), which is only sound under the paper's "
+            "fixed-data assumption — production use needs TTL/invalidation, "
+            "which would shrink these gains",
         ],
     )
 

@@ -31,7 +31,6 @@ from repro.core.predicates import (
 )
 from repro.core.prequalifier import candidate_pool
 from repro.core.propagation import EdgeTable, NeededTracker, edge_table
-from repro.core.sharing import ResultShare, freeze
 from repro.core.rules import CombiningPolicy, Rule, RuleSetTask, rule_set
 from repro.core.scheduler import rank_key, select_for_launch
 from repro.core.schema import DecisionFlowSchema
@@ -78,8 +77,6 @@ __all__ = [
     "IsNull",
     "IsException",
     "UserPredicate",
-    "ResultShare",
-    "freeze",
     "AttrRef",
     "attr",
     "Op",

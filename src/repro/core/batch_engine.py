@@ -19,9 +19,9 @@ state in flat per-flow arrays indexed by a
   the scheduling phase sorts precomputed scalar ranks, instead of
   re-scanning and re-keying the whole schema between DES events;
 * on an eligible plan (no user code, no attribute-to-attribute
-  comparison, no engine-level share table) an instance *aliases* the
-  arrays of an interned :class:`~repro.core.plan.ControlState` and owns
-  only its value lists, and a scheduling round is a lookup of
+  comparison) an instance *aliases* the arrays of an interned
+  :class:`~repro.core.plan.ControlState` and owns only its value
+  lists, and a scheduling round is a lookup of
   ``(state, event)``: a hit applies the recorded stable-value writes,
   wasted-work deltas and launch list and swaps the alias — no
   propagation runs; a miss copies the arrays, runs the kernel below
@@ -43,7 +43,7 @@ state in flat per-flow arrays indexed by a
   *cohort* — no queries, events or arrays of their own — dissolving
   into ordinary instances where they can ride no further.
 
-The engine-level event handling (query completion, sharing, halting) is
+The engine-level event handling (query completion, halting) is
 *inherited* from the reference engine, so the two can only diverge in
 the instance layer — which the differential harness in
 ``tests/test_engine_differential.py`` pins down property-by-property.
@@ -874,7 +874,7 @@ class BatchedEngine(Engine):
     constructor, same submit/run surface, same observer hooks, same
     error behavior) selected through
     ``ExecutionConfig(engine="batched")``.  The submit path, query
-    completion, sharing, halting, and pooled-dispatch (``drain_pooled``)
+    completion, halting, and pooled-dispatch (``drain_pooled``)
     logic are inherited; only instance construction, the evaluation
     phase, and launch selection are replaced by their array-based
     equivalents — and those run only where the plan's transition memo
@@ -899,16 +899,10 @@ class BatchedEngine(Engine):
             self._obs_cohort_splits = registry.counter("cohort_splits")
         else:
             self.plan = CompiledPlan(self.schema, self.strategy)
-        if self.share is not None:
-            # `_shared_done` edits `speculative_launch` between rounds,
-            # behind the memo's back.
-            self.plan.memo = False
         #: Cohort execution needs a deterministic trace per typed start
         #: key (`start_cache_ok`: no synthesis and no user-coded
         #: conditions run) and the query cache, whose primaries members
-        #: ride; it is mutually exclusive with the engine-level share
-        #: table, whose hit/join rewiring happens inside _launch.  And
-        #: %Permitted must be 100: a member's launches stand for
+        #: ride.  And %Permitted must be 100: a member's launches stand for
         #: followers of the representative's primaries, and follower
         #: handles do not count toward the parallelism budget
         #: (simdb.database._CacheFollower.counts_for_parallelism is False), so a
@@ -919,7 +913,6 @@ class BatchedEngine(Engine):
         self._cohorts_on = (
             self.cohorts
             and self.plan.start_cache_ok
-            and self.share is None
             and self.query_cache is not None
             and self.strategy.permitted >= 100
         )
@@ -946,9 +939,9 @@ class BatchedEngine(Engine):
         )
         self.flow_replays = 0
         self.flow_fallbacks = 0
-        if self.query_cache is None or self.share is not None:
-            # The launch memo (:meth:`_launch`) files cache keys, and a share
-            # table rewires launches before any is asked for: no task is on it.
+        if self.query_cache is None:
+            # The launch memo (:meth:`_launch`) files cache keys, so without
+            # a cache no task is on it.
             self.plan.launch_slots = [None] * self.plan.n
         #: the hit wave still taking deliveries, if any
         self._wave: _HitWave | None = None
@@ -1043,7 +1036,7 @@ class BatchedEngine(Engine):
         return pool[:slots]
 
     def _stage_launch(self, instance: BatchedInstance, name: str):
-        """Array-backed half of a launch; the inherited sharing/dispatch
+        """Array-backed half of a launch; the inherited dispatch
         protocol in :meth:`Engine._launch` runs unchanged on top.  Serves
         only the launches :meth:`_launch` has no launch-memo entry for."""
         plan = self.plan
@@ -1085,13 +1078,13 @@ class BatchedEngine(Engine):
             instance.speculative_launch.add(name)
             metrics.speculative_launched += 1
         if self.observer is not None:
-            self.observer.on_launch(instance, name, speculative=speculative, shared=None)
+            self.observer.on_launch(instance, name, speculative=speculative)
         cache, cost = self.query_cache, plan.cost[i]
         follower = cache.hit(key, cost)
         if follower is None:
 
             def done(processed: int, completed: bool) -> None:
-                self._query_done(instance, name, value, None, processed, completed)
+                self._query_done(instance, name, value, processed, completed)
 
             instance.inflight[name] = cache.submit(key, cost, done)
             return
@@ -1147,9 +1140,7 @@ class BatchedEngine(Engine):
                     or instance._cohort is not None
                     or self._obs_on
                 ):
-                    self._query_done(
-                        instance, name, value, None, 0, not follower.cancel_requested
-                    )
+                    self._query_done(instance, name, value, 0, not follower.cancel_requested)
                 else:
                     instance.inflight.pop(name, None)
                     if self.observer is not None:
@@ -1376,22 +1367,22 @@ class BatchedEngine(Engine):
                 template.speculative_launched += 1
         cohort.absorb(rec)
 
-    def _query_done(self, instance, name, value, key, processed, completed) -> None:
+    def _query_done(self, instance, name, value, processed, completed) -> None:
         cohort = getattr(instance, "_cohort", None)
         if cohort is None:
-            super()._query_done(instance, name, value, key, processed, completed)
+            super()._query_done(instance, name, value, processed, completed)
         elif cohort.members:
-            self._lockstep_rep_done(cohort, instance, name, value, key, processed, completed)
+            self._lockstep_rep_done(cohort, instance, name, value, processed, completed)
         else:
             # Nobody rode, and from its first delivery on nobody can.
             self._close(cohort)
             instance._cohort = None
-            super()._query_done(instance, name, value, key, processed, completed)
+            super()._query_done(instance, name, value, processed, completed)
         if instance._flow is not None:
             self._flow_delivered(instance, name, completed)
 
     def _record_stage(
-        self, cohort: _Cohort, instance, name, value, key, processed, completed
+        self, cohort: _Cohort, instance, name, value, processed, completed
     ) -> _StageRecord:
         """Run the representative's advance and append its stage record."""
         plan = self.plan
@@ -1416,7 +1407,7 @@ class BatchedEngine(Engine):
         before_units = instance.metrics.speculative_wasted_units
         self._recording = rec
         try:
-            super()._query_done(instance, name, value, key, processed, completed)
+            super()._query_done(instance, name, value, processed, completed)
         finally:
             self._recording = None
         # The representative's wasted-work delta has a query-unit-based
@@ -1499,9 +1490,7 @@ class BatchedEngine(Engine):
                         self._finish_lockstep_member(cohort, member)
                     elif obs is not None:
                         for launch in rec.launches:
-                            obs.on_launch(
-                                member, launch.name, speculative=launch.speculative, shared=None
-                            )
+                            obs.on_launch(member, launch.name, speculative=launch.speculative)
                     if sim.scheduled != marker:
                         break
         finally:
@@ -1525,7 +1514,7 @@ class BatchedEngine(Engine):
                     cache.attach_virtual(inflight[launch.name], joined)
 
     def _lockstep_rep_done(
-        self, cohort: _Cohort, rep, name, value, key, processed, completed
+        self, cohort: _Cohort, rep, name, value, processed, completed
     ) -> None:
         launch = cohort.virtual.pop(name, None)
         live_virtual = launch is not None
@@ -1536,11 +1525,11 @@ class BatchedEngine(Engine):
         if rep.done:
             # Post-halt straggler: the representative books its own
             # event, then each (finished) member resolves its wait.
-            super()._query_done(rep, name, value, key, processed, completed)
+            super()._query_done(rep, name, value, processed, completed)
             self._lockstep_straggle(cohort, launch, name, completed, live_virtual, failed)
             return
         self._close(cohort)
-        rec = self._record_stage(cohort, rep, name, value, key, processed, completed)
+        rec = self._record_stage(cohort, rep, name, value, processed, completed)
         cache = self.query_cache
         if completed and not live_virtual:
             trigger = "cancelled"  # a wait the members had cancelled: they part here
@@ -1607,12 +1596,7 @@ class BatchedEngine(Engine):
             for member in cohort.members:
                 obs.on_query_done(member, name, units=0, completed=member_completed)
                 for new_launch in launches:
-                    obs.on_launch(
-                        member,
-                        new_launch.name,
-                        speculative=new_launch.speculative,
-                        shared=None,
-                    )
+                    obs.on_launch(member, new_launch.name, speculative=new_launch.speculative)
 
     def _lockstep_straggle(
         self,
@@ -1646,7 +1630,7 @@ class BatchedEngine(Engine):
         that ran on someone's record (a dissolved member, a flow replay
         falling back): from here on its deliveries are its own."""
         return lambda processed, completed: self._query_done(
-            instance, name, value, None, processed, completed
+            instance, name, value, processed, completed
         )
 
     def _dissolve(self, cohort: _Cohort, recs: Sequence[_StageRecord], trigger: str) -> list:
@@ -1737,8 +1721,6 @@ class BatchedEngine(Engine):
         dst.queries_completed = src.queries_completed
         dst.queries_cancelled = src.queries_cancelled
         dst.queries_failed = src.queries_failed
-        dst.shared_hits = src.shared_hits
-        dst.shared_joins = src.shared_joins
         dst.speculative_launched = src.speculative_launched
         dst.speculative_wasted_queries = src.speculative_wasted_queries
         dst.speculative_wasted_units = src.speculative_wasted_units
@@ -1837,7 +1819,7 @@ class BatchedEngine(Engine):
                 if name is not None:
                     obs.on_query_done(instance, name, units=0, completed=completed)
                 for launch, speculative, _ in launches:
-                    obs.on_launch(instance, launch, speculative=speculative, shared=None)
+                    obs.on_launch(instance, launch, speculative=speculative)
         vars(instance.metrics).update(wave.counters)
         now = self.sim.now
         for fed in wave.next:
@@ -1879,8 +1861,7 @@ class BatchedEngine(Engine):
 
     def __repr__(self) -> str:
         done = sum(1 for i in self.instances if i.done)
-        shared = " shared" if self.share is not None else ""
         return (
-            f"<BatchedEngine {self.schema.name!r} strategy={self.strategy.code}{shared} "
+            f"<BatchedEngine {self.schema.name!r} strategy={self.strategy.code} "
             f"instances={done}/{len(self.instances)} done>"
         )

@@ -20,17 +20,18 @@ cancelled at their next unit boundary and the units already processed
 count toward Work.  Pass ``halt_policy="drain"`` to let them run to
 completion instead (the difference is examined by an ablation benchmark).
 
-Two engine-level extensions beyond the paper's experiments:
+Two extensions beyond the paper's experiments:
 
 * **failure tolerance** — a query the database reports as *failed* still
   stabilizes its attribute, with an :class:`~repro.nulls.ExceptionValue`;
   downstream tasks and conditions continue with incomplete information
   ("e.g., if a database is down").
-* **result sharing** (``share_results=True``) — concurrent instances with
+* **result sharing** (``query_cache``) — concurrent instances with
   overlapping data share query results through a
-  :class:`~repro.core.sharing.ResultShare` (the paper's §6 future-work
-  direction): identical queries are answered from the table or joined to
-  the in-flight duplicate instead of re-hitting the database.
+  :class:`~repro.simdb.database.QueryShareCache` (the paper's §6
+  future-work direction): identical queries are answered from its memo
+  or coalesced onto the in-flight duplicate, and every unit the database
+  runs is booked to an instance's Work.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from repro.core.instance import InstanceRuntime
 from repro.core.metrics import InstanceMetrics
 from repro.core.scheduler import select_for_launch
 from repro.core.schema import DecisionFlowSchema
-from repro.core.sharing import ResultShare, UNSET
 from repro.core.state import Enablement
 from repro.core.strategy import Strategy
 from repro.errors import ExecutionError
@@ -101,14 +101,8 @@ class EngineObserver:
         name: str,
         *,
         speculative: bool,
-        shared: str | None,
     ) -> None:
-        """A task launch was decided for *name*.
-
-        ``shared`` is ``None`` for a real database dispatch, ``"hit"`` when
-        the result came from the share table, ``"join"`` when the launch
-        joined another instance's in-flight query.
-        """
+        """A task launch was decided for *name*."""
 
     def on_query_done(
         self, instance: InstanceRuntime, name: str, *, units: int, completed: bool
@@ -117,22 +111,6 @@ class EngineObserver:
 
     def on_instance_complete(self, instance: InstanceRuntime) -> None:
         """All target attributes of the instance are stable."""
-
-
-class _SharedWait:
-    """Placeholder in ``instance.inflight`` for a joined (shared) query."""
-
-    __slots__ = ("key",)
-
-    #: a joined query costs the database nothing, so it must not consume
-    #: a %Permitted parallelism slot in the scheduler's in-flight count.
-    counts_for_parallelism = False
-
-    def __init__(self, key: tuple):
-        self.key = key
-
-    def cancel(self) -> None:  # waiters have nothing to cancel
-        return None
 
 
 class _ArrivalRun:
@@ -166,7 +144,6 @@ class Engine:
         strategy: Strategy,
         database: DatabaseServer,
         halt_policy: str = "cancel",
-        share_results: bool = False,
         observer: EngineObserver | None = None,
         query_cache: QueryShareCache | bool | None = None,
         obs: Observability | None = None,
@@ -179,7 +156,6 @@ class Engine:
         self.sim = database.sim
         self.halt_policy = halt_policy
         self.observer = observer
-        self.share: ResultShare | None = ResultShare() if share_results else None
         if query_cache is True:
             query_cache = QueryShareCache(database)
         self.query_cache: QueryShareCache | None = query_cache or None
@@ -187,7 +163,6 @@ class Engine:
         self._instance_ids: set[str] = set()
         self._id_next = 1  # the number the next generated id tries first
         self._on_complete: dict[str, Callable[[InstanceMetrics], None]] = {}
-        self._handle_key: dict[object, tuple] = {}
         #: the arrival run still taking arrivals, if any, and the one of
         #: several being fired; runs opened and the arrivals they took
         self._run: _ArrivalRun | None = None
@@ -211,8 +186,6 @@ class Engine:
             registry = self.obs.registry
             self._obs_rounds = registry.counter("engine_scheduling_rounds")
             self._obs_launches = registry.counter("engine_queries_launched")
-            self._obs_share_hits = registry.counter("engine_share_hits")
-            self._obs_share_joins = registry.counter("engine_share_joins")
             self._obs_query_wall = registry.histogram("query_wall_seconds")
             self._obs_completions = registry.counter("engine_instances_completed")
             #: perf_counter at dispatch, keyed (instance_id, attribute) —
@@ -428,32 +401,17 @@ class Engine:
         return select_for_launch(instance)
 
     def _has_waiters(self, handle: object) -> bool:
-        if self.share is not None:
-            key = self._handle_key.get(handle)
-            if key is not None and self.share.waiter_count(key) > 0:
-                return True
-        if self.query_cache is not None and self.query_cache.waiter_count(handle) > 0:
-            # Cancelling a coalesced primary would strand its followers
-            # behind a full-cost reissue; keep it running instead.
-            return True
-        return False
+        # Cancelling a coalesced primary would strand its followers
+        # behind a full-cost reissue; keep it running instead.
+        return self.query_cache is not None and self.query_cache.waiter_count(handle) > 0
 
-    def _submit_query(
-        self,
-        task,
-        values: Mapping[str, object] | None,
-        on_complete,
-        share_key_hint: tuple | None = None,
-    ) -> object:
-        """Dispatch one query, through the share cache when configured.
+    def _submit_query(self, task, values: Mapping[str, object], on_complete) -> object:
+        """Dispatch one query, through the query cache when configured.
 
-        ``share_key_hint`` lets callers that already computed the share
-        key (the launch path with ``share_results`` on, the share-layer
-        reissue) avoid keying the input values a second time.  A query
-        with a refused input (no key) goes to the database uncached.
+        A query with a refused input (no key) goes to the database uncached.
         """
         if self.query_cache is not None:
-            base = share_key_hint or share_key(task.name, values)
+            base = share_key(task.name, values)
             if base is not None:
                 return self.query_cache.submit(base + (task.cost,), task.cost, on_complete)
         return self.database.submit(task.cost, on_complete)
@@ -463,13 +421,13 @@ class Engine:
 
         The instance-representation-specific half of a launch — the
         batched engine overrides it to read its flat arrays — while the
-        sharing/dispatch protocol below stays engine-independent.
+        dispatch protocol below stays engine-independent.
         Returns ``(task, values, speculative)``.
         """
         task = self.schema[name].task
         # Inputs are stable by the READY invariant, and the paper's fixed-data
         # assumption makes the result independent of *when* the query runs —
-        # this is what makes speculative execution (and result sharing) safe.
+        # this is what makes speculative execution (and the query cache) safe.
         values = instance.stable_values(task.inputs)
         speculative = instance.cells[name].enablement is Enablement.UNKNOWN
         instance.launched.add(name)
@@ -477,48 +435,6 @@ class Engine:
 
     def _launch(self, instance: InstanceRuntime, name: str) -> None:
         task, values, speculative = self._stage_launch(instance, name)
-
-        key = share_key(task.name, values) if self.share is not None else None
-        if key is not None:
-            cached = self.share.get(key)
-            if cached is not UNSET:
-                instance.metrics.shared_hits += 1
-                if self._obs_on:
-                    self._obs_share_hits.inc()
-                    self.obs.tracer.instant(
-                        "query.share_hit",
-                        args={"instance": instance.instance_id, "attribute": name},
-                    )
-                if self.observer is not None:
-                    self.observer.on_launch(
-                        instance, name, speculative=speculative, shared="hit"
-                    )
-                # Deliver asynchronously so state changes stay event-driven.
-                # Band 2: zero-delay deliveries fire after any database
-                # completion at the same instant, under either kernel.
-                self.sim.schedule(
-                    0.0, lambda: self._shared_done(instance, name, cached), priority=(2, 0)
-                )
-                return
-            if self.share.is_pending(key):
-                instance.metrics.shared_joins += 1
-                if self._obs_on:
-                    self._obs_share_joins.inc()
-                    self.obs.tracer.instant(
-                        "query.share_join",
-                        args={"instance": instance.instance_id, "attribute": name},
-                    )
-                instance.inflight[name] = _SharedWait(key)
-                if self.observer is not None:
-                    self.observer.on_launch(
-                        instance, name, speculative=speculative, shared="join"
-                    )
-                self.share.join(
-                    key, lambda value: self._shared_done(instance, name, value)
-                )
-                return
-            self.share.mark_pending(key)
-
         value = task.compute(values)
         instance.metrics.queries_launched += 1
         if self._obs_on:
@@ -528,25 +444,20 @@ class Engine:
             instance.speculative_launch.add(name)
             instance.metrics.speculative_launched += 1
         if self.observer is not None:
-            self.observer.on_launch(instance, name, speculative=speculative, shared=None)
-        handle = self._submit_query(
+            self.observer.on_launch(instance, name, speculative=speculative)
+        instance.inflight[name] = self._submit_query(
             task,
             values,
             lambda processed, completed: self._query_done(
-                instance, name, value, key, processed, completed
+                instance, name, value, processed, completed
             ),
-            share_key_hint=key,
         )
-        instance.inflight[name] = handle
-        if key is not None:
-            self._handle_key[handle] = key
 
     def _query_done(
         self,
         instance: InstanceRuntime,
         name: str,
         value: object,
-        key: tuple | None,
         processed: int,
         completed: bool,
     ) -> None:
@@ -567,8 +478,6 @@ class Engine:
                 )
                 self._obs_query_wall.observe(now - started)
         handle = instance.inflight.pop(name, None)
-        if handle is not None:
-            self._handle_key.pop(handle, None)
         instance.metrics.work_units += processed
         if self.observer is not None:
             self.observer.on_query_done(
@@ -596,63 +505,6 @@ class Engine:
                 instance.metrics.speculative_wasted_units += processed
         if not instance.done:
             self._after_event(instance)
-        # Publish after the issuer's own advance: the issuer keeps ownership
-        # of downstream queries, and waiters join those instead of racing to
-        # issue them first.  Publishing happens even for finished instances —
-        # waiters from other instances may still be blocked on this key.
-        if key is not None:
-            self._resolve_share(instance, name, value, key, completed, handle)
-
-    def _resolve_share(
-        self,
-        instance: InstanceRuntime,
-        name: str,
-        value: object,
-        key: tuple,
-        completed: bool,
-        handle: object,
-    ) -> None:
-        assert self.share is not None
-        if completed:
-            failed = handle is not None and getattr(handle, "failed", False)
-            # Failures resolve current waiters but are not cached, so the
-            # next instance retries the query.
-            self.share.publish(key, value, cache=not failed)
-            return
-        # The issuer was cancelled; reissue on behalf of any waiters that
-        # joined before the cancellation took effect.
-        stranded = self.share.abandon(key)
-        if not stranded:
-            return
-        self.share.mark_pending(key)
-        for deliver in stranded:
-            self.share.join(key, deliver)
-        task = self.schema[name].task
-        holder: dict[str, object] = {}
-
-        def on_reissue(processed: int, done: bool) -> None:
-            reissued_handle = holder.get("handle")
-            failed = reissued_handle is not None and getattr(reissued_handle, "failed", False)
-            if done and not failed:
-                self.share.publish(key, value, cache=True)
-            else:
-                outcome = ExceptionValue(f"query for {name!r} failed") if failed else value
-                self.share.publish(key, outcome, cache=False)
-
-        holder["handle"] = self._submit_query(
-            task, None, on_reissue, share_key_hint=key
-        )
-
-    def _shared_done(self, instance: InstanceRuntime, name: str, value: object) -> None:
-        """A shared result (cache hit or resolved join) reaches an instance."""
-        instance.inflight.pop(name, None)
-        if instance.done:
-            return
-        # No database units were spent by this instance, so a later
-        # disabled-condition resolution must not book wasted work for it.
-        instance.speculative_launch.discard(name)
-        instance.apply_query_result(name, value)
-        self._after_event(instance)
 
     # -- pooled dispatch -------------------------------------------------------
 
@@ -722,8 +574,7 @@ class Engine:
 
     def __repr__(self) -> str:
         done = sum(1 for i in self.instances if i.done)
-        shared = " shared" if self.share is not None else ""
         return (
-            f"<Engine {self.schema.name!r} strategy={self.strategy.code}{shared} "
+            f"<Engine {self.schema.name!r} strategy={self.strategy.code} "
             f"instances={done}/{len(self.instances)} done>"
         )

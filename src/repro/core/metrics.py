@@ -33,8 +33,6 @@ class InstanceMetrics:
     queries_completed: int = 0
     queries_cancelled: int = 0
     queries_failed: int = 0
-    shared_hits: int = 0
-    shared_joins: int = 0
     speculative_launched: int = 0
     speculative_wasted_queries: int = 0
     speculative_wasted_units: int = 0

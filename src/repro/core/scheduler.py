@@ -45,9 +45,9 @@ def permitted_slots(pool_size: int, inflight: int, permitted: int) -> int:
 def counted_inflight(instance: InstanceRuntime) -> int:
     """In-flight queries that hold a %Permitted slot.
 
-    Only real database dispatches count: joined (shared) queries and
-    cache followers are zero-cost waits on another query, so they are
-    excluded from the cut instead of throttling launches.
+    Only real database dispatches count: cache followers are zero-cost
+    waits on another query, so they are excluded from the cut instead of
+    throttling launches.
     """
     return sum(
         1

@@ -314,7 +314,6 @@ def config_to_dict(config) -> dict:
     return {
         "strategy": strategy_to_dict(config.strategy),
         "halt_policy": config.halt_policy,
-        "share_results": config.share_results,
         "backend": config.backend,
         "backend_options": options,
         "engine": config.engine,
@@ -341,12 +340,18 @@ def config_from_dict(data: dict):
             f"config encodes placement={placement!r}, a removed option: "
             "sharded services route every instance to its hash home shard"
         )
+    # So do those of the removed engine-level share table; mapping it to
+    # the query cache would change what the saved config means.
+    if data.get("share_results", False):
+        raise SerializationError(
+            "config encodes share_results=True, a removed option: "
+            "cross-instance result sharing is query_cache=True"
+        )
     # Their removed dispatch and cohorts keys are ignored: every service
     # pools and cohorts come with the query cache, and neither moved a trace.
     return ExecutionConfig(
         strategy=strategy_from_dict(strategy_data),
         halt_policy=data.get("halt_policy", "cancel"),
-        share_results=bool(data.get("share_results", False)),
         backend=data.get("backend", "ideal"),
         backend_options={
             key: decode(value)

@@ -142,7 +142,6 @@ def _event_payload(event: object) -> dict | None:
             "instance_id": event.instance_id,
             "attribute": event.attribute,
             "speculative": event.speculative,
-            "shared": event.shared,
         }
     if isinstance(event, QueryDoneEvent):
         return {
@@ -687,7 +686,6 @@ class ServerDaemon:
                 "shards": self.config.shards,
                 "executor": self.config.executor,
                 "query_cache": self.config.query_cache,
-                "share_results": self.config.share_results,
                 "halt_policy": self.config.halt_policy,
                 "hash": self.config_digest,
                 "schema": self.schema.name,

@@ -636,7 +636,7 @@ class _CacheFollower:
     """
 
     #: followers cost the database nothing, so the scheduler's in-flight
-    #: cut must ignore them (same contract as engine-level shared waits).
+    #: cut must ignore them.
     counts_for_parallelism = False
 
     __slots__ = ("key", "cost", "on_complete", "cancel_requested", "finished", "failed", "memo")
@@ -674,24 +674,24 @@ class QueryShareCache:
     *sharing and avoiding* expensive source accesses; the survey
     literature (Kougka & Gounaris) names result reuse/materialization as
     the dominant lever next to task re-ordering.  This cache is that
-    lever at the database-access layer, below the engine's §6
-    ``share_results`` table (which shares *values* and rewires launches):
+    lever at the database-access layer, and the one cross-instance
+    sharing (the paper's §6 "overlapping data"), so every unit the
+    database runs is booked to an instance's Work:
 
     * an **in-flight** identical query (same key: task, frozen inputs,
       cost) is *coalesced* — the second submission gets a
       :class:`_CacheFollower` whose completion callback fires, with zero
       units of work, when the one real query completes;
     * a **completed** identical query is served from a bounded LRU memo
-      as a *hit* — a zero-delay band-2 delivery, the same priority as
-      engine-level shared-result deliveries, so per-event and pooled
+      as a *hit* — a zero-delay band-2 delivery, so per-event and pooled
       dispatch order it identically;
     * anything else is a **miss** and dispatches to the wrapped database.
 
     Failed primaries resolve their followers (marked ``failed``) but are
     never memoized, so the next identical query retries.  A cancelled
     primary strands its followers; the cache reissues one fresh query on
-    behalf of the still-live ones (mirroring the engine share table's
-    abandon/reissue protocol).  Counters — ``hits`` / ``misses`` /
+    behalf of the still-live ones and books its units to the first of
+    them.  Counters — ``hits`` / ``misses`` /
     ``coalesced`` — surface through ``DecisionService.summary()``.
 
     In a sharded fleet each shard owns one of these caches, and it is
@@ -758,9 +758,9 @@ class QueryShareCache:
                 del memo[key]
                 memo[key] = True
             follower = _CacheFollower(key, cost, on_complete, memo=True)
-            # Deliver asynchronously (band 2, like engine-level shared
-            # results) so state changes stay event-driven and pooled
-            # dispatch sees the same event order as per-event stepping.
+            # Deliver asynchronously (band 2: after any database completion
+            # at the same instant) so state changes stay event-driven and
+            # pooled dispatch sees the same event order as per-event stepping.
             self.database.sim.schedule(
                 0.0, lambda: self.deliver(follower), priority=(2, 0)
             )
@@ -810,7 +810,8 @@ class QueryShareCache:
                 self._remember(key)
             if on_complete is not None:
                 on_complete(processed, completed)
-            self._fan_out(followers, failed)
+                processed = 0
+            self._fan_out(followers, failed, processed)
             return
         # The primary was cancelled.  Resolve the issuer first (it keeps
         # ownership of its own advance), then the followers.
@@ -837,15 +838,20 @@ class QueryShareCache:
         reissued = self._dispatch(key, live[0].cost, None)
         self._inflight[key] = (reissued, live)
 
-    def _fan_out(self, followers: list[_CacheFollower], failed: bool) -> None:
-        """Resolve every follower of a completed primary, in join order."""
+    def _fan_out(self, followers: list[_CacheFollower], failed: bool, units: int) -> None:
+        """Resolve every follower of a completed primary, in join order.
+
+        The first is booked *units*: a reissue's, which has no issuer of
+        its own and ran for that follower (cancelled since or not).
+        """
         for follower in followers:
             follower.finished = True
             if follower.cancel_requested:
-                follower.on_complete(0, False)
+                follower.on_complete(units, False)
             else:
                 follower.failed = failed
-                follower.on_complete(0, True)
+                follower.on_complete(units, True)
+            units = 0
 
     def touch(self, keys: Sequence[object]) -> bool:
         """What :meth:`submit` does to the memo on a hit — ``hits``, LRU

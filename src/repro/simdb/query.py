@@ -37,8 +37,8 @@ class QueryHandle:
     freed by reference counting, never left to the cyclic collector.
     """
 
-    #: shared-wait placeholders set this False so the scheduler's
-    #: %Permitted cut ignores them; real queries occupy a slot.
+    #: cache followers set this False so the scheduler's %Permitted cut
+    #: ignores them; real queries occupy a slot.
     counts_for_parallelism = True
 
     __slots__ = (

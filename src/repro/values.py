@@ -1,9 +1,9 @@
 """Value identity and value encoding, decided once.
 
 A decision flow's answer depends only on its source values, so every
-reuse tier — cohorts, the flow memo, the launch memo, the query cache and
-``share_results`` — may treat two values as one only where no task or
-condition can tell them apart.  :func:`key` decides it: two values share
+reuse tier — cohorts, the flow memo, the launch memo and the query
+cache — may treat two values as one only where no task or condition can
+tell them apart.  :func:`key` decides it: two values share
 a key iff they have the same class, are ``==`` and have the same ``repr``
 (a built-in container: the same class and equal element keys in
 iteration order).  A value it cannot vouch for — unhashable, no built-in

@@ -334,8 +334,8 @@ class RecordingObserver(EngineObserver):
     def on_instance_start(self, instance):
         self.events.append(("start", instance.instance_id))
 
-    def on_launch(self, instance, name, *, speculative, shared):
-        self.events.append(("launch", instance.instance_id, name, speculative, shared))
+    def on_launch(self, instance, name, *, speculative):
+        self.events.append(("launch", instance.instance_id, name, speculative))
 
     def on_query_done(self, instance, name, *, units, completed):
         self.events.append(("done", instance.instance_id, name, units, completed))
@@ -397,7 +397,6 @@ def run(
     seed=5,
     cache=True,
     memo_limit=4096,
-    share=False,
     cohorts=False,
     pooled=False,
     observe=False,
@@ -410,6 +409,9 @@ def run(
     ``listen=False`` attaches no observer (the path that emits nothing);
     a :class:`RecordingObserver` passed as ``listen`` records instead of
     a fresh one.
+
+    Every run checks that Work is the database's work: each unit the
+    database ran is booked to exactly one instance.
     """
     sim = Simulation()
     database = make_database(backend, kernel, sim, seed, failure_prob)
@@ -419,7 +421,6 @@ def run(
         Strategy.parse(code, cancel_unneeded=cancel_unneeded),
         database,
         halt_policy=halt_policy,
-        share_results=share,
         observer=observer,
         query_cache=QueryShareCache(database, memo_limit=memo_limit) if cache else None,
         obs=Observability.create() if observe else None,
@@ -443,6 +444,8 @@ def run(
         for _ in range(concurrency):
             submit_next()
     sim.run()
+    booked = sum(i.metrics.work_units for i in engine.instances)
+    assert booked == database.total_units, f"Work {booked} != database units {database.total_units}"
     return trace_of(engine, observer.events if observer else ()), engine
 
 

@@ -13,8 +13,39 @@ from repro import (
     Simulation,
     Strategy,
 )
-from repro.analysis.mining import SnapshotTable, suggest_refinements
+from repro.analysis.mining import SnapshotTable, freeze, suggest_refinements
 from tests._support import q
+
+
+class TestFreeze:
+    def test_scalars_pass_through(self):
+        assert freeze(5) == 5
+        assert freeze("x") == "x"
+        assert freeze(None) is None
+
+    def test_dicts_order_insensitive(self):
+        assert freeze({"a": 1, "b": 2}) == freeze({"b": 2, "a": 1})
+
+    def test_nested_structures(self):
+        a = freeze({"k": [1, {"x": {2, 3}}]})
+        b = freeze({"k": [1, {"x": {3, 2}}]})
+        assert a == b
+        assert isinstance(hash(a), int)
+
+    def test_lists_and_tuples_equivalent(self):
+        assert freeze([1, 2]) == freeze((1, 2))
+
+    def test_distinct_values_distinct_keys(self):
+        assert freeze({"a": 1}) != freeze({"a": 2})
+
+    def test_unhashable_leaf_falls_back_to_repr(self):
+        class Weird:
+            __hash__ = None
+
+            def __repr__(self):
+                return "Weird()"
+
+        assert freeze(Weird()) == ("repr", "Weird()")
 
 
 def gated_schema():

@@ -1,5 +1,7 @@
 """ExecutionConfig values and the named-backend registry."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.api import (
@@ -22,7 +24,7 @@ class TestExecutionConfig:
         config = ExecutionConfig()
         assert config.code == "PCE0"
         assert config.halt_policy == "cancel"
-        assert config.share_results is False
+        assert config.query_cache is False
         assert config.backend == "ideal"
         assert dict(config.backend_options) == {}
 
@@ -39,9 +41,9 @@ class TestExecutionConfig:
 
     def test_from_code_with_config_overrides(self):
         config = ExecutionConfig.from_code(
-            "PCE100", share_results=True, halt_policy="drain", backend="bounded"
+            "PCE100", query_cache=True, halt_policy="drain", backend="bounded"
         )
-        assert config.share_results is True
+        assert config.query_cache is True
         assert config.halt_policy == "drain"
         assert config.backend == "bounded"
 
@@ -50,10 +52,10 @@ class TestExecutionConfig:
 
     def test_replace_config_fields(self):
         base = ExecutionConfig.from_code("PCE0")
-        changed = base.replace(share_results=True, backend="bounded")
-        assert changed.share_results and changed.backend == "bounded"
+        changed = base.replace(query_cache=True, backend="bounded")
+        assert changed.query_cache and changed.backend == "bounded"
         # The original is untouched (configs are values).
-        assert not base.share_results and base.backend == "ideal"
+        assert not base.query_cache and base.backend == "ideal"
 
     def test_replace_routes_strategy_fields(self):
         base = ExecutionConfig.from_code("PCE0")
@@ -88,8 +90,8 @@ class TestExecutionConfig:
             config.halt_policy = "drain"
 
     def test_repr_mentions_code_and_backend(self):
-        text = repr(ExecutionConfig.from_code("PSE80", share_results=True))
-        assert "PSE80" in text and "ideal" in text and "shared" in text
+        text = repr(ExecutionConfig.from_code("PSE80", query_cache=True))
+        assert "PSE80" in text and "ideal" in text and "query-cache" in text
 
     def test_sharding_defaults(self):
         config = ExecutionConfig()
@@ -244,6 +246,14 @@ class TestDispatchAndQueryCache:
                 ExecutionConfig(**{removed: "pooled"})
             with pytest.raises(ValueError, match=removed):
                 ExecutionConfig().replace(**{removed: True})
+
+    def test_share_results_is_gone(self):
+        # The query cache is the one cross-instance sharing: nine fields.
+        assert len(fields(ExecutionConfig)) == 9
+        with pytest.raises(TypeError, match="share_results"):
+            ExecutionConfig(share_results=True)
+        with pytest.raises(ValueError, match="share_results"):
+            ExecutionConfig().replace(share_results=True)
 
     def test_non_bool_query_cache_rejected(self):
         with pytest.raises(ValueError, match="query_cache"):

@@ -346,15 +346,16 @@ class TestObserverHooks:
             ]
         )
         service = DecisionService(
-            schema, ExecutionConfig.from_code("PCE100", share_results=True)
+            schema, ExecutionConfig.from_code("PCE100", query_cache=True)
         )
         log = service.attach_log()
         service.submit({"k": 1}, at=0.0)
         service.submit({"k": 1}, at=1.0)
         service.run()
-        shared = [e.shared for e in log.of_type(LaunchEvent)]
-        assert shared.count(None) == 1
-        assert shared.count("join") == 1
+        # Both launches are events; the second coalesced onto the first.
+        assert len(log.of_type(LaunchEvent)) == 2
+        summary = service.summary()
+        assert (summary.query_cache_misses, summary.query_cache_coalesced) == (1, 1)
 
 
 def drain_share_schema() -> DecisionFlowSchema:
@@ -386,15 +387,13 @@ def drain_share_schema() -> DecisionFlowSchema:
 
 
 class TestDrainWithSharing:
-    """halt_policy='drain' × share_results=True: waiters must resolve."""
+    """halt_policy='drain' × query_cache=True: waiters must resolve."""
 
     @pytest.mark.parametrize("halt_policy", ["drain", "cancel"])
     def test_waiter_resolves_after_issuer_finishes(self, halt_policy):
         service = DecisionService(
             drain_share_schema(),
-            ExecutionConfig.from_code(
-                "PSE100", halt_policy=halt_policy, share_results=True
-            ),
+            ExecutionConfig.from_code("PSE100", halt_policy=halt_policy, query_cache=True),
         )
         issuer = service.submit({"s": "k", "flag": 0})
         waiter = service.submit({"s": "k", "flag": 1})
@@ -406,14 +405,14 @@ class TestDrainWithSharing:
         # resolved by the issuer's in-flight launch completing at t=10.
         assert waiter.result() == {"t": (1, "big-k")}
         assert waiter.metrics.finish_time == 10.0
-        assert waiter.metrics.shared_joins == 1
+        assert service.summary().query_cache_coalesced == 1
         # Only one big query ever hit the database: 2 + 2 + 10 units.
         assert service.database.total_units == 14
 
     def test_drain_books_post_completion_work_to_issuer(self):
         service = DecisionService(
             drain_share_schema(),
-            ExecutionConfig.from_code("PSE100", halt_policy="drain", share_results=True),
+            ExecutionConfig.from_code("PSE100", halt_policy="drain", query_cache=True),
         )
         issuer = service.submit({"s": "k", "flag": 0})
         waiter = service.submit({"s": "k", "flag": 1})

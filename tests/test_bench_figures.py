@@ -98,3 +98,13 @@ class TestAblations:
         text = result.render()
         assert "Fig 5(a)" in text
         assert "note:" in text
+
+    def test_sharing_rows_are_pinned(self):
+        """Ablation A4 at full size, to the last digit: the figure first drawn
+        on an engine-level share table reads the same on the query cache."""
+        assert figures.ablation_sharing().rows == [
+            [1, 12.0, 0.06, 107.00084835118496, 0.475],
+            [4, 12.0, 0.21, 110.82048787357678, 2.2],
+            [16, 12.0, 0.535, 108.38292265805656, 6.125532645556832],
+            [64, 12.0, 1.66, 107.30269176283953, 17.593309798361286],
+        ]

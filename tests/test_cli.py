@@ -100,14 +100,14 @@ class TestSimulate:
         assert payload["mean_work"] > 0
         assert payload["mode"].startswith("open")
 
-    def test_share_and_drain_flags_accepted(self, capsys):
+    def test_query_cache_and_drain_flags_accepted(self, capsys):
         assert main(
             [
                 "simulate",
                 "--nb-nodes", "12",
                 "--instances", "3",
                 "--concurrency", "2",
-                "--share",
+                "--query-cache",
                 "--halt", "drain",
                 "--json",
             ]

@@ -106,15 +106,15 @@ class TestPermittedSelection:
         second = select_for_launch(started("PSE60"))
         assert first == second
 
-    def test_shared_waits_do_not_consume_slots(self):
-        from repro.core.engine import _SharedWait
+    def test_cache_followers_do_not_consume_slots(self):
+        from repro.simdb.database import _CacheFollower
 
         instance = started("PCE50")
-        # Two attributes "launched" as zero-cost joins on another instance's
+        # Two attributes "launched" as zero-cost waits on another instance's
         # queries: they must not count toward the %Permitted in-flight total.
         for name in ("a1", "a2"):
             instance.launched.add(name)
-            instance.inflight[name] = _SharedWait(("key", name))
+            instance.inflight[name] = _CacheFollower(("key", name), 1, None)
         # pool=2, real inflight=0 → target=ceil(0.5·2)=1 → one real launch.
         assert len(select_for_launch(instance)) == 1
 

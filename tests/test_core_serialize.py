@@ -222,7 +222,6 @@ class TestConfigRoundTrip:
             "PSE80",
             cancel_unneeded=True,
             halt_policy="drain",
-            share_results=True,
             backend="bounded",
             backend_options={"seed": 7},
             engine="batched",
@@ -284,6 +283,24 @@ class TestConfigRoundTrip:
     def test_encoding_carries_no_dispatch_or_cohorts(self):
         data = config_to_dict(ExecutionConfig.from_code("PSE100", query_cache=True))
         assert "dispatch" not in data and "cohorts" not in data
+
+    @pytest.mark.parametrize("legacy", [{}, {"share_results": False}])
+    def test_legacy_share_results_off_is_ignored(self, legacy):
+        from repro.server.store import config_hash
+
+        config = ExecutionConfig.from_code("PSE50", query_cache=True)
+        data = config_to_dict(config)
+        assert "share_results" not in data
+        restored = config_from_dict({**data, **legacy})
+        assert restored == config
+        assert config_hash(restored) == config_hash(config)
+
+    def test_legacy_share_results_on_is_refused(self):
+        # The engine-level share table is gone; reading its encoding as the
+        # query cache would change what the saved config means.
+        data = {**config_to_dict(ExecutionConfig()), "share_results": True}
+        with pytest.raises(SerializationError, match="share_results=True.*query_cache=True"):
+            config_from_dict(data)
 
     def test_encoding_carries_no_placement(self):
         config = ExecutionConfig.from_code("PSE50", shards=3, executor="process")

@@ -53,7 +53,6 @@ class Scenario:
     kernel: str = "coalesced"
     code: str = "PSE50"
     halt_policy: str = "cancel"
-    share: bool = False
     failure_prob: float = 0.0
     cancel_unneeded: bool = False
     instances: int = 5
@@ -65,8 +64,6 @@ class Scenario:
     @property
     def label(self) -> str:
         bits = [self.backend, self.kernel, self.code, self.halt_policy]
-        if self.share:
-            bits.append("share")
         if self.failure_prob:
             bits.append(f"fail{self.failure_prob:g}")
         if self.cancel_unneeded:
@@ -90,7 +87,6 @@ class Scenario:
             cancel_unneeded=self.cancel_unneeded,
             failure_prob=self.failure_prob,
             seed=seed,
-            share=self.share,
             cache=cache,
             **arm,
         )
@@ -98,7 +94,7 @@ class Scenario:
 
 #: Corner cases that must always be present: the paper's eager (P*) and
 #: lazy (N*) strategies, the PSE* parallelism family, every backend and
-#: kernel, sharing, both halt policies, failures, and cancel-unneeded.
+#: kernel, both halt policies, failures, and cancel-unneeded.
 CORNERS = [
     Scenario(code="PSE0"),
     Scenario(code="PSE50"),
@@ -106,18 +102,13 @@ CORNERS = [
     Scenario(code="PCE0"),
     Scenario(code="NSE50"),
     Scenario(code="NCC80", halt_policy="drain"),
-    Scenario(code="PSC100", share=True, spacing=0.0),
-    Scenario(code="PSE80", share=True, failure_prob=0.2),
-    Scenario(code="PSE50", halt_policy="drain", share=True),
     Scenario(code="PSE50", failure_prob=0.3),
     Scenario(code="PCC50", cancel_unneeded=True),
     Scenario(code="PSE100", cancel_unneeded=True, halt_policy="drain"),
     Scenario(backend="ideal", kernel="per-unit", code="PSE50"),
     Scenario(backend="profiled", code="PSE100", spacing=0.0),
-    Scenario(backend="profiled", code="PSE50", share=True, failure_prob=0.25),
     Scenario(backend="profiled", kernel="per-unit", code="PCE0", halt_policy="drain"),
     Scenario(backend="bounded", code="PSE50", instances=4, nb_nodes=16),
-    Scenario(backend="bounded", code="NSE100", share=True, instances=4, nb_nodes=16),
 ]
 
 
@@ -128,17 +119,22 @@ def generate_scenarios(total: int = 26, seed: int = 20260729) -> list[Scenario]:
     seen = set(scenarios)
     while len(scenarios) < total:
         backend = rng.choice(["ideal", "ideal", "profiled", "bounded"])
+        kernel = "coalesced" if backend == "bounded" else rng.choice(["coalesced", "per-unit"])
+        code = (
+            rng.choice("PN")
+            + rng.choice("SC")
+            + rng.choice("EC")
+            + str(rng.choice([0, 25, 50, 80, 100]))
+        )
+        halt_policy = rng.choice(["cancel", "drain"])
+        # A draw kept for a removed engine option: the candidates it picks
+        # are dropped, so every other cell keeps its seeded configuration.
+        retired = rng.random() < 0.4
         candidate = Scenario(
             backend=backend,
-            kernel="coalesced" if backend == "bounded" else rng.choice(["coalesced", "per-unit"]),
-            code=(
-                rng.choice("PN")
-                + rng.choice("SC")
-                + rng.choice("EC")
-                + str(rng.choice([0, 25, 50, 80, 100]))
-            ),
-            halt_policy=rng.choice(["cancel", "drain"]),
-            share=rng.random() < 0.4,
+            kernel=kernel,
+            code=code,
+            halt_policy=halt_policy,
             failure_prob=rng.choice([0.0, 0.0, 0.15, 0.3]),
             cancel_unneeded=rng.random() < 0.3,
             instances=rng.randint(4, 6) if backend != "bounded" else 4,
@@ -147,7 +143,7 @@ def generate_scenarios(total: int = 26, seed: int = 20260729) -> list[Scenario]:
             pct_enabled=rng.choice([30.0, 50.0, 70.0]),
             max_cost=rng.choice([4, 6]),
         )
-        if candidate not in seen:
+        if candidate not in seen and not retired:
             seen.add(candidate)
             scenarios.append(candidate)
     return scenarios
@@ -164,7 +160,6 @@ def test_scenario_coverage():
     assert any(s.code.startswith("N") for s in SCENARIOS)  # lazy evaluation
     assert any(s.code.startswith("P") for s in SCENARIOS)  # eager evaluation
     assert {s.code for s in SCENARIOS} >= {"PSE0", "PSE50", "PSE100"}  # PSE* family
-    assert any(s.share for s in SCENARIOS)
     assert any(s.halt_policy == "drain" for s in SCENARIOS)
     assert any(s.failure_prob > 0 for s in SCENARIOS)
     assert any(s.cancel_unneeded for s in SCENARIOS)
@@ -188,7 +183,7 @@ def test_engines_produce_identical_traces(scenario: Scenario, seed: int):
 # Pooled dispatch promises the *same* observable trace with a cheaper
 # drain, and the query cache must behave identically under both drains
 # (and both engines).  A curated scenario subset spans all three
-# backends, both kernels, sharing, failures, drain halts, and
+# backends, both kernels, failures, drain halts, and
 # cancel-unneeded; the full event sequence is compared, not a summary.
 
 DISPATCH_SCENARIOS = [
@@ -196,8 +191,7 @@ DISPATCH_SCENARIOS = [
     Scenario(code="PSE100", spacing=0.0),
     Scenario(code="PCE0"),
     Scenario(code="NCC80", halt_policy="drain"),
-    Scenario(code="PSC100", share=True, spacing=0.0),
-    Scenario(code="PSE80", share=True, failure_prob=0.2),
+    Scenario(code="PSE80", failure_prob=0.2),
     Scenario(code="PCC50", cancel_unneeded=True),
     Scenario(backend="ideal", kernel="per-unit", code="PSE50"),
     Scenario(backend="profiled", code="PSE100", spacing=0.0),
@@ -209,7 +203,6 @@ DISPATCH_SCENARIOS = [
 def test_dispatch_scenario_coverage():
     assert {s.backend for s in DISPATCH_SCENARIOS} == {"ideal", "profiled", "bounded"}
     assert {s.kernel for s in DISPATCH_SCENARIOS} >= {"coalesced", "per-unit"}
-    assert any(s.share for s in DISPATCH_SCENARIOS)
     assert any(s.failure_prob > 0 for s in DISPATCH_SCENARIOS)
     assert any(s.halt_policy == "drain" for s in DISPATCH_SCENARIOS)
     assert any(s.cancel_unneeded for s in DISPATCH_SCENARIOS)
@@ -304,8 +297,7 @@ def test_query_cache_cuts_db_work_and_preserves_full_launch_values(engine_kind):
 # curated ring spans all three backends, same-instant bursts (the cohort
 # case) and spaced arrivals (the no-op case), failure injection and the
 # bounded backend (outcomes members inherit from the one primary), drain halts,
-# cancel-unneeded, sharing (the documented fallback to individual
-# execution), and the cache on (lockstep) / off (inert) boundary.
+# cancel-unneeded, and the cache on (lockstep) / off (inert) boundary.
 
 COHORT_SCENARIOS = [
     Scenario(code="PSE100", spacing=0.0),
@@ -316,7 +308,6 @@ COHORT_SCENARIOS = [
     Scenario(code="NCC80", halt_policy="drain", spacing=0.0),
     Scenario(code="PCC50", cancel_unneeded=True, spacing=0.0),
     Scenario(code="PSE80", failure_prob=0.2, spacing=0.0),
-    Scenario(code="PSC100", share=True, spacing=0.0),
     Scenario(backend="profiled", code="PSE100", spacing=0.0),
     Scenario(backend="profiled", code="PSE50", failure_prob=0.25, spacing=0.0),
     Scenario(backend="bounded", code="PSE50", instances=4, nb_nodes=16, spacing=0.0),
@@ -329,7 +320,6 @@ def test_cohort_scenario_coverage():
     assert any(s.spacing == 0.0 for s in COHORT_SCENARIOS)
     assert any(s.spacing > 0.0 for s in COHORT_SCENARIOS)
     assert any(s.failure_prob > 0 for s in COHORT_SCENARIOS)
-    assert any(s.share for s in COHORT_SCENARIOS)
     assert any(s.halt_policy == "drain" for s in COHORT_SCENARIOS)
     assert any(s.cancel_unneeded for s in COHORT_SCENARIOS)
 
@@ -418,9 +408,7 @@ def _run_closed_loop(
     query_cache: bool = False,
 ) -> dict:
     """The closed loop through the facade, on one engine and dispatch."""
-    config = ExecutionConfig.from_code(
-        code, engine=engine_kind, share_results=True, query_cache=query_cache
-    )
+    config = ExecutionConfig.from_code(code, engine=engine_kind, query_cache=query_cache)
     with engine_arms(pooled=dispatch == "pooled"):
         return run_closed_loop(config, backend, seed)
 

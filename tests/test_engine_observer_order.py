@@ -56,8 +56,8 @@ class OrderRecorder:
     def on_instance_start(self, instance):
         self._record(instance, ("start",))
 
-    def on_launch(self, instance, name, *, speculative, shared):
-        self._record(instance, ("launch", name, shared))
+    def on_launch(self, instance, name, *, speculative):
+        self._record(instance, ("launch", name))
 
     def on_query_done(self, instance, name, *, units, completed):
         self._record(instance, ("done", name, completed))
@@ -66,7 +66,7 @@ class OrderRecorder:
         self._record(instance, ("complete",))
 
 
-def run_recorded(engine_kind: str, *, code: str, halt_policy: str, share: bool,
+def run_recorded(engine_kind: str, *, code: str, halt_policy: str, cache: bool,
                  cancel_unneeded: bool, seed: int) -> OrderRecorder:
     pattern = scenario_pattern(seed, nb_nodes=24, pct_enabled=40.0, max_cost=6)
     sim = Simulation()
@@ -77,8 +77,8 @@ def run_recorded(engine_kind: str, *, code: str, halt_policy: str, share: bool,
         Strategy.parse(code, cancel_unneeded=cancel_unneeded),
         database,
         halt_policy=halt_policy,
-        share_results=share,
         observer=recorder,
+        query_cache=cache,
     )
     for index in range(5):
         engine.submit_instance(pattern.source_values, at=index * 1.0)
@@ -102,8 +102,8 @@ def assert_instance_ordering(events: list[tuple]) -> None:
     launches = [e for e in events if e[0] == "launch"]
     assert len(launches) == len(launch_positions), "an attribute launched twice"
     assert all(0 < i < complete_at for i in launch_positions.values())
-    # Every query_done follows that attribute's launch; shared hits and
-    # joins deliver without a query_done of their own.
+    # Every query_done follows that attribute's launch (a cache hit or a
+    # coalesced query delivers with a zero-unit one).
     for i, event in enumerate(events):
         if event[0] == "done":
             assert event[1] in launch_positions, "done without launch"
@@ -124,17 +124,17 @@ SCENARIOS = [
 
 @pytest.mark.parametrize("engine_kind", ["reference", "batched"])
 @pytest.mark.parametrize(
-    "code,halt_policy,share,cancel_unneeded",
+    "code,halt_policy,cache,cancel_unneeded",
     SCENARIOS,
-    ids=[f"{c}-{h}{'-share' if s else ''}{'-cu' if u else ''}" for c, h, s, u in SCENARIOS],
+    ids=[f"{c}-{h}{'-cache' if s else ''}{'-cu' if u else ''}" for c, h, s, u in SCENARIOS],
 )
-def test_observer_ordering_per_instance(engine_kind, code, halt_policy, share, cancel_unneeded):
+def test_observer_ordering_per_instance(engine_kind, code, halt_policy, cache, cancel_unneeded):
     for seed in range(3):
         recorder = run_recorded(
             engine_kind,
             code=code,
             halt_policy=halt_policy,
-            share=share,
+            cache=cache,
             cancel_unneeded=cancel_unneeded,
             seed=seed,
         )
@@ -145,7 +145,8 @@ def test_observer_ordering_per_instance(engine_kind, code, halt_policy, share, c
 
 @pytest.mark.parametrize("engine_kind", ["reference", "batched"])
 def test_shared_hits_and_joins_keep_ordering(engine_kind):
-    """Sharing-heavy runs (identical instances, zero spacing) stay ordered."""
+    """Sharing-heavy runs (identical instances, zero spacing, the query
+    cache on) stay ordered."""
     pattern = scenario_pattern(3, nb_nodes=20, pct_enabled=60.0, max_cost=5)
     sim = Simulation()
     database = make_database("ideal", "coalesced", sim, 3)
@@ -154,19 +155,14 @@ def test_shared_hits_and_joins_keep_ordering(engine_kind):
         pattern.schema,
         Strategy.parse("PSE100"),
         database,
-        share_results=True,
         observer=recorder,
+        query_cache=True,
     )
     for _ in range(6):
         engine.submit_instance(pattern.source_values)
     sim.run()
-    shared = [
-        event
-        for events in recorder.by_instance.values()
-        for event in events
-        if event[0] == "launch" and event[2] is not None
-    ]
-    assert shared, "scenario failed to exercise sharing"
+    cache = engine.query_cache
+    assert cache.hits + cache.coalesced, "scenario failed to exercise sharing"
     for events in recorder.by_instance.values():
         assert_instance_ordering(events)
 

@@ -175,12 +175,11 @@ def test_an_eligible_plan_files_and_replays():
     "schema, kwargs",
     [
         (gated_schema(), dict(cache=False)),
-        (gated_schema(), dict(share=True)),
         (gated_schema(UserPredicate("big_a", ["a"], lambda values: values["a"] > 1)), {}),
         (gated_schema(synthesis=True), {}),
         (gated_schema(Comparison("a", Op.LT, attr("b"))), {}),
     ],
-    ids=["no-cache", "share-results", "user-predicate", "synthesis", "attr-to-attr"],
+    ids=["no-cache", "user-predicate", "synthesis", "attr-to-attr"],
 )
 def test_ineligible_runs_file_nothing(schema, kwargs):
     engine = assert_matches_reference(schema, "PSE100", arrivals=REPEATS, **kwargs)

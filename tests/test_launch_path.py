@@ -116,14 +116,12 @@ def test_a_raising_fn_raises_as_it_did():
             run(engine_cls, typed_schema(explode), "PSE100", arrivals=spaced([1]))
 
 
-@pytest.mark.parametrize("kwargs", [dict(share=True), dict(cache=False)], ids=["share", "no-cache"])
-def test_without_a_cache_to_itself_the_engine_launches_as_it_did(kwargs):
+def test_without_a_cache_the_engine_launches_as_it_did():
     calls = []
     schema = typed_schema(lambda values: calls.append(values["s"]) or 3)
-    engine = assert_matches_reference(schema, "PSE100", arrivals=spaced([1, 1, 2, 1]), **kwargs)
+    engine = assert_matches_reference(schema, "PSE100", arrivals=spaced([1, 1, 2, 1]), cache=False)
     assert engine.plan.launch_entries == engine.plan.launch_hits == engine.hit_waves == 0
-    if "cache" in kwargs:  # the share table answers repeats before `fn` is asked
-        assert calls == [1, 1, 2, 1] * 2
+    assert calls == [1, 1, 2, 1] * 2
 
 
 def test_fn_runs_once_per_distinct_typed_input_under_the_bound(monkeypatch):

@@ -2,9 +2,10 @@
 
 Unit-level contracts — coalesce/hit/miss classification, zero-cost
 follower delivery, cancellation and failure protocols, memo bounds — on
-a bare :class:`IdealDatabase`.  The end-to-end guarantees (identical
-decision values, dispatch-mode invariance, shard travel) live in the
-differential suites.
+a bare :class:`IdealDatabase`, and the one engine-level contract that is
+the cache's own: every unit the database runs is booked to an instance.
+The other end-to-end guarantees (identical decision values,
+dispatch-mode invariance, shard travel) live in the differential suites.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 
 from repro.simdb.database import IdealDatabase, QueryShareCache
 from repro.simdb.des import Simulation
+from tests._support import ENGINES, PERF, population, run
 
 
 def make_cache(memo_limit: int = 64, failure_prob: float = 0.0, seed: int = 0):
@@ -139,12 +141,27 @@ class TestCancellationAndFailure:
         primary.cancel()
         sim.run()
         # The issuer sees its cancellation; the follower is answered by a
-        # fresh full-cost reissue (the database did real work twice).
+        # fresh full-cost reissue (the database did real work twice), whose
+        # units are the follower's: it ran for nobody else.
         assert primary_done.calls == [(1, False)]
-        assert follower_done.calls == [(0, True)]
+        assert follower_done.calls == [(4, True)]
         assert cache.reissues == 1
         assert database.total_units == 1 + 4
         assert ("q", 4) in cache._memo
+
+    def test_a_reissue_books_its_units_to_its_first_follower(self):
+        sim, database, cache = make_cache()
+        first, second = Recorder(), Recorder()
+        primary = cache.submit(("q", 4), 4, Recorder())
+        waits = [cache.submit(("q", 4), 4, done) for done in (first, second)]
+        primary.cancel()
+        sim.run(until=2.0)  # the reissue is in flight
+        assert cache.reissues == 1
+        waits[0].cancel()  # the follower it ran for no longer needs it
+        sim.run()
+        assert first.calls == [(4, False)]
+        assert second.calls == [(0, True)]
+        assert database.total_units == 1 + 4
 
     def test_cancelled_primary_with_only_cancelled_followers_skips_reissue(self):
         sim, database, cache = make_cache()
@@ -249,3 +266,20 @@ class TestOneTierPerCache:
         assert again.calls == [(0, True)]
         assert database.total_units == 1 + 4  # the hit added no work
         assert cache.hits == 1
+
+
+# -- the engine: Work is the database's work ----------------------------------
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_database_unit_is_booked_to_an_instance(engine):
+    """NCC100 over the benchmark pattern, the smallest case where the
+    retired engine-level share table booked 2 units to no instance (a
+    reissue for halted waiters): Work sums to the database's 188 units,
+    and the last instance pays its own 8."""
+    source = PERF.schema.source_names[0]
+    arrivals = [(at, {source: value}) for at, value in population("distinct", 16)]
+    _, ran = run(ENGINES[engine], PERF.schema, "NCC100", arrivals=arrivals)
+    work = [instance.metrics.work_units for instance in ran.instances]
+    assert sum(work) == ran.database.total_units == 188
+    assert work[-1] == 8

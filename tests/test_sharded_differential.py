@@ -17,8 +17,9 @@ pins the claim down in three rings:
   legitimately differ across partitionings, but decision outcomes must
   not.
 
-Result sharing is deliberately per-shard (shards share nothing), so the
-cross-shard rings run with sharing off; the shards=1 ring keeps it on.
+Result sharing (the query cache) is deliberately per-shard (shards share
+nothing), so the cross-shard rings run with it off; the shards=1 ring
+keeps it on.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ def build_config(
     seed: int,
     *,
     shards: int = 1,
-    share: bool = False,
     failure_prob: float = 0.0,
     query_cache: bool = False,
 ) -> ExecutionConfig:
@@ -58,7 +58,6 @@ def build_config(
         code,
         backend=backend,
         engine=engine,
-        share_results=share,
         backend_options=backend_options(backend, seed, failure_prob),
         shards=shards,
         query_cache=query_cache,
@@ -69,7 +68,7 @@ def project_event(event) -> tuple:
     """A hashable, comparable projection of one typed service event."""
     if isinstance(event, LaunchEvent):
         return ("launch", event.time, event.instance_id, event.attribute,
-                event.speculative, event.shared)
+                event.speculative)
     if isinstance(event, QueryDoneEvent):
         return ("done", event.time, event.instance_id, event.attribute,
                 event.units, event.completed)
@@ -150,11 +149,11 @@ def assert_summaries_close(sharded, plain, exact: bool) -> None:
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("backend", ["ideal", "profiled", "bounded"])
-@pytest.mark.parametrize("code,share", [("PSE50", True), ("PSE100", False)])
-def test_single_shard_is_bit_identical(backend, engine, code, share):
+@pytest.mark.parametrize("code,query_cache", [("PSE50", True), ("PSE100", False)])
+def test_single_shard_is_bit_identical(backend, engine, code, query_cache):
     seed = 11
     pattern = scenario_pattern(seed)
-    config = build_config(code, backend, engine, seed, shards=1, share=share)
+    config = build_config(code, backend, engine, seed, shards=1, query_cache=query_cache)
     arrivals = [index * 2.0 for index in range(5)]
     plain = run_plain(pattern, config, arrivals)
     sharded = run_sharded(pattern, config, arrivals)

@@ -49,44 +49,38 @@ def run_kernel(
 
 # -- the seeded sweep ----------------------------------------------------------
 
-#: (backend, strategy code, halt policy, share, failure_prob) × seeds.
+#: (backend, strategy code, halt policy, failure_prob) × seeds.
 SCENARIOS = [
-    ("ideal", "PSE50", "cancel", False, 0.0),
-    ("ideal", "PSE100", "cancel", False, 0.0),
-    ("ideal", "PSC50", "cancel", False, 0.0),
-    ("ideal", "PCE0", "cancel", False, 0.0),
-    ("ideal", "PCC80", "cancel", False, 0.0),
-    ("ideal", "NSE50", "cancel", False, 0.0),
-    ("ideal", "PSE50", "drain", False, 0.0),
-    ("ideal", "PCC100", "drain", False, 0.0),
-    ("ideal", "PSE80", "cancel", True, 0.0),
-    ("ideal", "PSE50", "drain", True, 0.0),
-    ("ideal", "PSE50", "cancel", False, 0.3),
-    ("ideal", "PSE80", "drain", True, 0.2),
-    ("profiled", "PSE50", "cancel", False, 0.0),
-    ("profiled", "PSE100", "cancel", False, 0.0),
-    ("profiled", "PCC50", "cancel", False, 0.0),
-    ("profiled", "PSE50", "drain", False, 0.0),
-    ("profiled", "PSE80", "cancel", True, 0.0),
-    ("profiled", "PSE50", "cancel", False, 0.25),
-    ("profiled", "PCE0", "drain", False, 0.0),
-    ("profiled", "PSC100", "drain", True, 0.1),
+    ("ideal", "PSE50", "cancel", 0.0),
+    ("ideal", "PSE100", "cancel", 0.0),
+    ("ideal", "PSC50", "cancel", 0.0),
+    ("ideal", "PCE0", "cancel", 0.0),
+    ("ideal", "PCC80", "cancel", 0.0),
+    ("ideal", "NSE50", "cancel", 0.0),
+    ("ideal", "PSE50", "drain", 0.0),
+    ("ideal", "PCC100", "drain", 0.0),
+    ("ideal", "PSE50", "cancel", 0.3),
+    ("profiled", "PSE50", "cancel", 0.0),
+    ("profiled", "PSE100", "cancel", 0.0),
+    ("profiled", "PCC50", "cancel", 0.0),
+    ("profiled", "PSE50", "drain", 0.0),
+    ("profiled", "PSE50", "cancel", 0.25),
+    ("profiled", "PCE0", "drain", 0.0),
 ]
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize(
-    "backend,code,halt_policy,share,failure_prob",
+    "backend,code,halt_policy,failure_prob",
     SCENARIOS,
-    ids=[f"{b}-{c}-{h}{'-share' if s else ''}{'-fail' if f else ''}" for b, c, h, s, f in SCENARIOS],
+    ids=[f"{b}-{c}-{h}{'-fail' if f else ''}" for b, c, h, f in SCENARIOS],
 )
-def test_kernels_produce_identical_traces(backend, code, halt_policy, share, failure_prob, seed):
+def test_kernels_produce_identical_traces(backend, code, halt_policy, failure_prob, seed):
     kwargs = dict(
         backend=backend,
         seed=seed,
         code=code,
         halt_policy=halt_policy,
-        share=share,
         failure_prob=failure_prob,
     )
     coalesced, _ = run_kernel("coalesced", **kwargs)

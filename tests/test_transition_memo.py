@@ -265,20 +265,16 @@ def _diamond(condition=TRUE, target_task=None):
 
 
 INELIGIBLE = {
-    "attr-to-attr": (_diamond(Comparison("a", Op.GT, attr("s"))), False),
-    "user-predicate": (_diamond(UserPredicate("odd", ("s",), lambda v: v["s"] % 2 == 1)), False),
-    "synthesis": (_diamond(TRUE, SynthesisTask("t_sum", ("a", "b"), add_inputs)), False),
-    "share-table": (_diamond(Comparison("s", Op.GT, 3)), True),
+    "attr-to-attr": _diamond(Comparison("a", Op.GT, attr("s"))),
+    "user-predicate": _diamond(UserPredicate("odd", ("s",), lambda v: v["s"] % 2 == 1)),
+    "synthesis": _diamond(TRUE, SynthesisTask("t_sum", ("a", "b"), add_inputs)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INELIGIBLE))
 def test_ineligible_plans_intern_nothing(case):
-    schema, share = INELIGIBLE[case]
     arrivals = [(index * 2.0, {"s": index % 7}) for index in range(14)]
-    engine = assert_matches_reference(
-        schema, "PSE100", arrivals=arrivals, share=share, cache=False
-    )
+    engine = assert_matches_reference(INELIGIBLE[case], "PSE100", arrivals=arrivals, cache=False)
     plan = engine.plan
     assert not plan.memo
     assert plan.states == {} and plan.root.steps == {}

@@ -65,7 +65,6 @@ ROWS = {
 }
 
 STACKS = {
-    "reference-share": dict(engine="reference", share_results=True),
     "batched-cache": dict(engine="batched", query_cache=True, pooled=False, cohorts=False),
     "batched-cache-cohorts": dict(engine="batched", query_cache=True, pooled=False),
     # the benchmark's fast stack
