@@ -43,12 +43,47 @@ def keyed_schema():
 
 
 class TestEngineSharing:
+    def test_identical_instances_share_all_queries(self):
+        engine, simulation, database = shared_engine(keyed_schema())
+        first = engine.submit_instance({"customer": "alice"})
+        second = engine.submit_instance({"customer": "alice"})
+        simulation.run()
+        assert first.done and second.done
+        assert first.cells["t"].value == second.cells["t"].value == "profile-of-alice"
+        # The database ran each distinct query once: 4 + 1 units, not 10.
+        assert database.total_units == 5
+        assert engine.query_cache.coalesced == 2
+        assert first.metrics.work_units == 5
+        assert second.metrics.work_units == 0
+
     def test_distinct_inputs_do_not_share(self):
         engine, simulation, database = shared_engine(keyed_schema())
         engine.submit_instance({"customer": "alice"})
         engine.submit_instance({"customer": "bob"})
         simulation.run()
         assert database.total_units == 10  # no overlap, no sharing
+
+    def test_later_instance_hits_cache(self):
+        engine, simulation, database = shared_engine(keyed_schema())
+        engine.submit_instance({"customer": "alice"}, at=0.0)
+        late = engine.submit_instance({"customer": "alice"}, at=100.0)
+        simulation.run()
+        assert late.done
+        assert engine.query_cache.hits == 2  # both queries served from the memo
+        assert late.metrics.work_units == 0
+        assert late.metrics.elapsed == 0.0
+        assert database.total_units == 5
+
+    def test_concurrent_instances_join_inflight_query(self):
+        engine, simulation, database = shared_engine(keyed_schema())
+        engine.submit_instance({"customer": "alice"}, at=0.0)
+        joiner = engine.submit_instance({"customer": "alice"}, at=1.0)
+        simulation.run()
+        assert joiner.done
+        assert engine.query_cache.coalesced >= 1
+        assert joiner.metrics.work_units == 0
+        assert joiner.metrics.finish_time == 5.0  # when the joined queries land
+        assert database.total_units == 5
 
     def test_sharing_preserves_results_vs_unshared(self):
         schema = keyed_schema()
@@ -76,6 +111,13 @@ class TestEngineSharing:
         simulation.run()
         assert database.total_units == 10
         assert engine.query_cache is None
+
+    def test_shared_repr(self):
+        engine, simulation, _ = shared_engine(keyed_schema())
+        engine.submit_instance({"customer": "alice"})
+        engine.submit_instance({"customer": "alice"})
+        simulation.run()
+        assert "coalesced=2" in repr(engine.query_cache)
 
     def test_many_instances_work_scales_with_distinct_profiles(self):
         engine, simulation, database = shared_engine(keyed_schema())

@@ -183,14 +183,16 @@ def test_engines_produce_identical_traces(scenario: Scenario, seed: int):
 # Pooled dispatch promises the *same* observable trace with a cheaper
 # drain, and the query cache must behave identically under both drains
 # (and both engines).  A curated scenario subset spans all three
-# backends, both kernels, failures, drain halts, and
-# cancel-unneeded; the full event sequence is compared, not a summary.
+# backends, both kernels, a same-instant burst the cache coalesces,
+# failures, drain halts, and cancel-unneeded; the full event sequence is
+# compared, not a summary.
 
 DISPATCH_SCENARIOS = [
     Scenario(code="PSE50"),
     Scenario(code="PSE100", spacing=0.0),
     Scenario(code="PCE0"),
     Scenario(code="NCC80", halt_policy="drain"),
+    Scenario(code="PSC100", spacing=0.0),
     Scenario(code="PSE80", failure_prob=0.2),
     Scenario(code="PCC50", cancel_unneeded=True),
     Scenario(backend="ideal", kernel="per-unit", code="PSE50"),
@@ -308,6 +310,7 @@ COHORT_SCENARIOS = [
     Scenario(code="NCC80", halt_policy="drain", spacing=0.0),
     Scenario(code="PCC50", cancel_unneeded=True, spacing=0.0),
     Scenario(code="PSE80", failure_prob=0.2, spacing=0.0),
+    Scenario(code="PSC100", spacing=0.0),
     Scenario(backend="profiled", code="PSE100", spacing=0.0),
     Scenario(backend="profiled", code="PSE50", failure_prob=0.25, spacing=0.0),
     Scenario(backend="bounded", code="PSE50", instances=4, nb_nodes=16, spacing=0.0),

@@ -4,9 +4,10 @@ Everything a query, an instance, a cohort or a drain epoch allocates is
 freed by reference counting once it is finished: the census
 (:func:`tests._support.cyclic_garbage`) of what each execution path
 leaves for the cyclic collector is empty, cell by cell, over both
-engines × the three backends × {query cache, none}
-× PSE100 / PCE0 / NCC100, plus the drain halt, failure injection, the
-per-unit kernels, a serial fleet and a served daemon.  The release
+engines × the three backends × {query cache, query cache with
+cancel-unneeded, none} × PSE100 / PCE0 / NCC100, plus the drain halt,
+failure injection, the per-unit kernels, a serial fleet and a served
+daemon.  The release
 asserts of ``test_launch_path`` and ``test_flow_memo`` hold here with the
 collector off: released means freed.
 """
@@ -45,6 +46,9 @@ ARRIVALS["reference"] = ARRIVALS["batched"][::6]
 BACKENDS = ("ideal", "profiled", "bounded")
 REUSE = {
     "cache": {"query_cache": True},
+    # cancel-unneeded cancels primaries that followers still wait on: the
+    # cache's reissue path
+    "cache-cancel": {"query_cache": True, "cancel_unneeded": True},
     "neither": {},
 }
 CODES = ("PSE100", "PCE0", "NCC100")

@@ -107,6 +107,15 @@ class TestFollowerHandles:
         sim.run()
         assert late.calls == [(0, False)]
 
+    def test_followers_are_answered_in_join_order(self):
+        sim, _, cache = make_cache()
+        order = []
+        cache.submit(("q", 2), 2, lambda processed, completed: order.append("primary"))
+        for name in ("a", "b", "c"):
+            cache.submit(("q", 2), 2, lambda processed, completed, name=name: order.append(name))
+        sim.run()
+        assert order == ["primary", "a", "b", "c"]
+
     def test_waiter_count_tracks_primary(self):
         sim, _, cache = make_cache()
         primary = cache.submit(("q", 4), 4, Recorder())

@@ -3,12 +3,12 @@
 The coalesced :class:`IdealDatabase` / :class:`ProfiledDatabase` kernels
 replace one heap event per unit of processing with one completion event
 per query.  These tests drive full engine runs — generated schema
-patterns, every strategy dimension, both halt policies, result sharing,
-and failure injection — through both kernels and assert the whole
-*traces* match (``tests/_support.trace_of``): events, values, states,
-per-instance Work and finish times (the paper's TimeInUnits), database
-totals and the time-weighted mean Gmpl, whole and over the run's last
-two-thirds.
+patterns, every strategy dimension, both halt policies, result sharing
+(the query cache), and failure injection — through both kernels and
+assert the whole *traces* match (``tests/_support.trace_of``): events,
+values, states, per-instance Work and finish times (the paper's
+TimeInUnits), database totals and the time-weighted mean Gmpl, whole and
+over the run's last two-thirds.
 
 The ideal database runs on an integer clock, so its traces must be
 bit-identical.  The profiled database accumulates float unit times along
@@ -36,51 +36,61 @@ def run_kernel(
     nb_nodes: int = 24,
     max_cost: int = 6,
     engine: str = "reference",
+    cache: bool = False,
     **arm,
 ):
-    """The generated pattern, uncached, on one kernel: (trace, engine)."""
+    """The generated pattern on one kernel, uncached unless ``cache``:
+    (trace, engine)."""
     pattern = scenario_pattern(seed, nb_nodes=nb_nodes, max_cost=max_cost)
     arrivals = [(index * spacing, pattern.source_values) for index in range(instances)]
     return run(
         ENGINES[engine], pattern.schema, code, arrivals=arrivals, kernel=kernel, seed=seed,
-        cache=False, **arm,
+        cache=cache, **arm,
     )  # fmt: skip
 
 
 # -- the seeded sweep ----------------------------------------------------------
 
-#: (backend, strategy code, halt policy, failure_prob) × seeds.
+#: (backend, strategy code, halt policy, query cache, failure_prob) × seeds.
 SCENARIOS = [
-    ("ideal", "PSE50", "cancel", 0.0),
-    ("ideal", "PSE100", "cancel", 0.0),
-    ("ideal", "PSC50", "cancel", 0.0),
-    ("ideal", "PCE0", "cancel", 0.0),
-    ("ideal", "PCC80", "cancel", 0.0),
-    ("ideal", "NSE50", "cancel", 0.0),
-    ("ideal", "PSE50", "drain", 0.0),
-    ("ideal", "PCC100", "drain", 0.0),
-    ("ideal", "PSE50", "cancel", 0.3),
-    ("profiled", "PSE50", "cancel", 0.0),
-    ("profiled", "PSE100", "cancel", 0.0),
-    ("profiled", "PCC50", "cancel", 0.0),
-    ("profiled", "PSE50", "drain", 0.0),
-    ("profiled", "PSE50", "cancel", 0.25),
-    ("profiled", "PCE0", "drain", 0.0),
+    ("ideal", "PSE50", "cancel", False, 0.0),
+    ("ideal", "PSE100", "cancel", False, 0.0),
+    ("ideal", "PSC50", "cancel", False, 0.0),
+    ("ideal", "PCE0", "cancel", False, 0.0),
+    ("ideal", "PCC80", "cancel", False, 0.0),
+    ("ideal", "NSE50", "cancel", False, 0.0),
+    ("ideal", "PSE50", "drain", False, 0.0),
+    ("ideal", "PCC100", "drain", False, 0.0),
+    ("ideal", "PSE80", "cancel", True, 0.0),
+    ("ideal", "PSE50", "drain", True, 0.0),
+    ("ideal", "PSE50", "cancel", False, 0.3),
+    ("ideal", "PSE80", "drain", True, 0.2),
+    ("profiled", "PSE50", "cancel", False, 0.0),
+    ("profiled", "PSE100", "cancel", False, 0.0),
+    ("profiled", "PCC50", "cancel", False, 0.0),
+    ("profiled", "PSE50", "drain", False, 0.0),
+    ("profiled", "PSE80", "cancel", True, 0.0),
+    ("profiled", "PSE50", "cancel", False, 0.25),
+    ("profiled", "PCE0", "drain", False, 0.0),
+    ("profiled", "PSC100", "drain", True, 0.1),
 ]
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize(
-    "backend,code,halt_policy,failure_prob",
+    "backend,code,halt_policy,cache,failure_prob",
     SCENARIOS,
-    ids=[f"{b}-{c}-{h}{'-fail' if f else ''}" for b, c, h, f in SCENARIOS],
+    ids=[
+        f"{b}-{c}-{h}{'-cache' if q else ''}{'-fail' if f else ''}" for b, c, h, q, f in SCENARIOS
+    ],
 )
-def test_kernels_produce_identical_traces(backend, code, halt_policy, failure_prob, seed):
+def test_kernels_produce_identical_traces(backend, code, halt_policy, cache, failure_prob, seed):
     kwargs = dict(
         backend=backend,
         seed=seed,
         code=code,
         halt_policy=halt_policy,
+        cache=cache,
         failure_prob=failure_prob,
     )
     coalesced, _ = run_kernel("coalesced", **kwargs)

@@ -65,6 +65,7 @@ ROWS = {
 }
 
 STACKS = {
+    "reference-cache": dict(engine="reference", query_cache=True),
     "batched-cache": dict(engine="batched", query_cache=True, pooled=False, cohorts=False),
     "batched-cache-cohorts": dict(engine="batched", query_cache=True, pooled=False),
     # the benchmark's fast stack
