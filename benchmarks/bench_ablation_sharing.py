@@ -1,10 +1,10 @@
 """Ablation A4 (extension): cross-instance result sharing.
 
 The paper's conclusions pose "how to optimize when several decision flows
-will be executed based on overlapping data".  The engine's shared result
-table answers repeated queries once; this benchmark quantifies the
-database-load and response-time effect as the population of distinct
-customer profiles grows.
+will be executed based on overlapping data".  The query cache (the one
+cross-instance sharing layer) answers repeated queries once; this
+benchmark quantifies the database-load and response-time effect as the
+population of distinct customer profiles grows.
 """
 
 from repro.bench import ablation_sharing

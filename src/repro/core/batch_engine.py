@@ -82,9 +82,9 @@ __all__ = ["BatchedEngine", "BatchedInstance"]
 
 _UNSET = object()
 
-#: What an instance that has not started for itself reads in place of the
-#: containers :meth:`BatchedInstance.start` installs: empty, shared, and
-#: refusing every write.
+#: What an instance reads in place of the per-run containers while it
+#: owns none — before it starts for itself, and once it is settled
+#: (:meth:`BatchedEngine._settle`): empty, shared, and refusing every write.
 _NO_INFLIGHT: Mapping[str, object] = MappingProxyType({})
 _NO_NAMES: frozenset = frozenset()
 _NO_QUEUE = ()
@@ -390,13 +390,24 @@ class BatchedInstance:
     path (same traversal order, same metric increments, same error
     types), so the engines' observable traces cannot diverge.
 
-    An instance owns nothing but its sources, its start key and its
-    metrics until it starts for itself: :meth:`start` installs the
-    arrays and the mutable containers (``inflight``,
-    ``speculative_launch``, the candidate pool, the drain queue).  Until
-    then — for a lockstep member or a flow replay, for good: they end
-    aliasing their representative's or trace's arrays — the containers
-    read as shared immutable empties, and writing one raises.
+    Its life has three parts, and it holds only what the part reads:
+
+    * *Submitted*: its sources, its start key and its metrics.  The
+      per-run containers (``inflight``, ``speculative_launch``, the
+      candidate pool, the drain queue) read as shared immutable empties,
+      and writing one raises.
+    * *Running for itself*: :meth:`start` installs the value lists and
+      ``inflight`` / ``speculative_launch``, and aliases an interned
+      state's arrays or takes copies; :meth:`_own` (the kernel's entry)
+      gives it the candidate pool and the drain queue.  A lockstep member
+      or a flow replay never runs for itself: it ends aliasing its
+      representative's or trace's arrays and value lists.
+    * *Settled* (done, nothing in flight): the engine swaps the
+      containers back for the shared empties and drops the sources and
+      start key (:meth:`BatchedEngine._settle`).  What is left is the
+      answer: the metrics, the value lists and the arrays — its own, or
+      the state it aliases.  Every reader (``value_map``, ``cells``,
+      ``state_map``) reads those alone.
     """
 
     __slots__ = (
@@ -442,7 +453,9 @@ class BatchedInstance:
 
         plan.schema.check_sources(source_values)
         names = plan.schema.source_names
-        self._sources = sources = {name: source_values[name] for name in names}
+        sources = {name: source_values[name] for name in names}
+        #: Both dropped once the instance is settled (None from then on).
+        self._sources: dict | None = sources
         self._start_key = plan.start_key(sources) if plan.start_cache_ok else None
         # Arrays are installed lazily: `start()` aliases or copies a
         # state's, and a lockstep member only ever takes its cohort's
@@ -496,8 +509,10 @@ class BatchedInstance:
         self._external = state.external
 
     def _own(self, state) -> None:
-        """Leave the memo with mutable copies of *state*'s arrays."""
+        """Leave the memo with mutable copies of *state*'s arrays, and the
+        drain queue the kernel propagates through."""
         self._state = self._event = None
+        self._queue = deque()
         self._readiness = bytearray(state.readiness)
         self._enablement = bytearray(state.enablement)
         self._pending = list(state.pending)
@@ -552,7 +567,6 @@ class BatchedInstance:
         plan = self.plan
         self.inflight = {}
         self.speculative_launch = set()
-        self._queue = deque()
         self._raw = raw = [None] * plan.n
         self._sv = sv = [UNRESOLVED] * plan.n
         index = plan.index
@@ -1152,6 +1166,8 @@ class BatchedEngine(Engine):
                     self._advance(instance)
                     if instance._flow is not None:
                         self._flow_delivered(instance, name, True)
+                    if instance.done:
+                        self._settle(instance)
             if k < n and sim.scheduled != marker and sim.preempted(wave.event):
                 self.hit_wave_splits += 1
                 return sim.resume(wave.event, lambda: self._fire_wave(wave, k))
@@ -1235,6 +1251,7 @@ class BatchedEngine(Engine):
         instance._alias(final)
         if final.done:
             self._finish(instance)
+            self._settle(instance)
             return m
         if final.scan:
             self._cancel_unneeded(instance)
@@ -1274,6 +1291,24 @@ class BatchedEngine(Engine):
     # deliveries of their own from there), and when members cancelled a
     # wait whose query went on to complete for the representative.
 
+    def _settle(self, instance: BatchedInstance) -> None:
+        """Keep only the answer of done *instance* once nothing is in
+        flight (it is settled): its per-run containers become the shared
+        read-only empties, and its sources and start key go.
+
+        Called where an instance can become settled — after the round it
+        finished in, or after a straggler's delivery — and last there:
+        after :meth:`_flow_delivered` has filed its trace,
+        :meth:`CompiledPlan.record` its final step, and a cohort's members
+        have aliased its end state.  A no-op while a straggler is in
+        flight, and on an instance already settled.
+        """
+        if not instance.inflight:
+            instance.inflight = _NO_INFLIGHT
+            instance.speculative_launch = instance._cand = _NO_NAMES
+            instance._queue = _NO_QUEUE
+            instance._sources = instance._start_key = None
+
     def release_settled(self) -> list[BatchedInstance]:
         """:meth:`Engine.release_settled`, each released instance unlinked
         from its cohort: settled, it is past every straggler, so nothing
@@ -1302,6 +1337,8 @@ class BatchedEngine(Engine):
         self._start_unreplayed(instance)
         if instance._flow is not None:
             self._flow_delivered(instance, None, True)
+        if instance.done:
+            self._settle(instance)
 
     def _start_unreplayed(self, instance: BatchedInstance) -> None:
         key = instance._start_key
@@ -1380,6 +1417,8 @@ class BatchedEngine(Engine):
             super()._query_done(instance, name, value, processed, completed)
         if instance._flow is not None:
             self._flow_delivered(instance, name, completed)
+        if instance.done:
+            self._settle(instance)
 
     def _record_stage(
         self, cohort: _Cohort, instance, name, value, processed, completed
@@ -1708,7 +1747,10 @@ class BatchedEngine(Engine):
         """The state the members (or replays) of a done instance alias.
 
         The interned one when the memo served it to the end; otherwise
-        its own arrays, frozen once (uninterned — it has no way on).
+        its own arrays, frozen once (uninterned — it has no way on).  A
+        representative that finished at its start may be settled by the
+        time members join: it freezes with empty launch sets, which no
+        done state reads.
         """
         if rep._state is None:
             rep._alias(self.plan.freeze(rep))
@@ -1748,6 +1790,7 @@ class BatchedEngine(Engine):
         callback = self._on_complete.pop(member.instance_id, None)
         if callback is not None:
             callback(member.metrics)
+        self._settle(member)
 
     # -- flow memo ------------------------------------------------------------
     #
@@ -1820,7 +1863,9 @@ class BatchedEngine(Engine):
                     obs.on_query_done(instance, name, units=0, completed=completed)
                 for launch, speculative, _ in launches:
                     obs.on_launch(instance, launch, speculative=speculative)
-        vars(instance.metrics).update(wave.counters)
+        metrics = instance.metrics
+        for field, value in wave.counters.items():
+            setattr(metrics, field, value)
         now = self.sim.now
         for fed in wave.next:
             self.sim.schedule_at(now, lambda fed=fed: self._flow_event(instance, fed), (2, 0))
@@ -1835,6 +1880,7 @@ class BatchedEngine(Engine):
             instance._alias(trace.state)
             instance._raw, instance._sv = trace.raw, trace.sv
             self._finish(instance)
+            self._settle(instance)
 
     def _flow_fall_back(self, instance, trace: _FlowTrace, wave: _FlowWave) -> None:
         """Leave the table at a wave boundary: a key *wave* launches was

@@ -21,9 +21,13 @@ from typing import Iterable, Mapping, Sequence
 __all__ = ["InstanceMetrics", "MetricsSummary", "SERVICE_COUNTERS", "summarize"]
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceMetrics:
-    """Counters for one decision-flow instance execution."""
+    """Counters for one decision-flow instance execution.
+
+    Slotted: one allocation per instance, in every engine, fleet record
+    and daemon record.
+    """
 
     instance_id: str
     start_time: float

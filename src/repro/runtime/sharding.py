@@ -128,16 +128,29 @@ class ShardedInstanceHandle:
 
     Mirrors :class:`~repro.api.service.InstanceHandle`.  It resolves
     through the record its shard reports, so results materialize once
-    the service has run — on either executor.
+    the service has run — on either executor.  Until its first record
+    arrives it answers its submitted sources, which are stable from
+    submission, as a plain service's handle does; then it drops them.
     """
 
-    __slots__ = ("_service", "_shard", "_instance_id", "_record")
+    __slots__ = ("_service", "_shard", "_instance_id", "_record", "_sources")
 
-    def __init__(self, service: "ShardedDecisionService", shard: int, instance_id: str):
+    def __init__(
+        self,
+        service: "ShardedDecisionService",
+        shard: int,
+        instance_id: str,
+        sources: Mapping[str, object] | None = None,
+    ):
         self._service = service
         self._shard = shard
         self._instance_id = instance_id
         self._record: InstanceRecord | None = None
+        self._sources: dict[str, object] | None = (
+            None
+            if sources is None
+            else {name: sources[name] for name in service.schema.source_names}
+        )
 
     @property
     def instance_id(self) -> str:
@@ -156,7 +169,7 @@ class ShardedInstanceHandle:
         if record is None or not record.done:
             fetched = self._service._executor.record_for(self._instance_id)
             if fetched is not None:
-                self._record = fetched
+                self._record, self._sources = fetched, None
         return self._record
 
     @property
@@ -179,20 +192,26 @@ class ShardedInstanceHandle:
 
         Raises :class:`KeyError` for a name the schema does not have and
         :class:`ValueError` while the attribute has no stable value in the
-        shard's record, or there is no record yet: ⊥ is a decided value
-        (a disabled attribute's), never a placeholder.
+        shard's record (before it, only the sources have one): ⊥ is a
+        decided value (a disabled attribute's), never a placeholder.
         """
         if name not in self._service.schema:
             raise KeyError(name)
-        record = self._resolve()
-        if record is None or name not in record.values:
+        values = self._values()
+        if name not in values:
             raise ValueError(f"attribute {name!r} is not stable")
-        return record.values[name]
+        return values[name]
 
     def value_map(self) -> dict[str, object]:
         """Every stable attribute's value, as a fresh dict."""
+        return dict(self._values())
+
+    def _values(self) -> Mapping[str, object]:
+        """The record's stable values, or the sources until it arrives."""
         record = self._resolve()
-        return dict(record.values) if record is not None else {}
+        if record is not None:
+            return record.values
+        return self._sources or {}
 
     def wait(self) -> InstanceMetrics:
         """Drive the owning shard until this instance finishes."""
@@ -260,6 +279,8 @@ class ShardedDecisionService:
         self.shards = config.shards
         self._executor = EXECUTOR_CLASSES[config.executor](schema, config, self.shards)
         self._handles: list[ShardedInstanceHandle] = []
+        #: handles submitted since the last round: still answering their sources
+        self._unrecorded: list[ShardedInstanceHandle] = []
         self._instance_ids: set[str] = set()
         self._id_seq = itertools.count(1)
         self._handlers: dict[str, list[Callable]] = {
@@ -280,9 +301,13 @@ class ShardedDecisionService:
         """Which shard an instance id routes to: its stable CRC-32 home."""
         return shard_of(instance_id, self.shards)
 
-    def _register(self, shard: int, instance_id: str) -> ShardedInstanceHandle:
-        handle = ShardedInstanceHandle(self, shard, instance_id)
+    def _register(
+        self, shard: int, instance_id: str, sources: Mapping[str, object] | None = None
+    ) -> ShardedInstanceHandle:
+        handle = ShardedInstanceHandle(self, shard, instance_id, sources)
         self._handles.append(handle)
+        if sources is not None:
+            self._unrecorded.append(handle)
         return handle
 
     # -- submission -----------------------------------------------------------
@@ -301,7 +326,7 @@ class ShardedDecisionService:
         # raises before the id is recorded, so it does not burn the name.
         self._executor.submit(shard, instance_id, source_values, at)
         self._instance_ids.add(instance_id)
-        return self._register(shard, instance_id)
+        return self._register(shard, instance_id, source_values or {})
 
     def submit_stream(
         self,
@@ -378,6 +403,9 @@ class ShardedDecisionService:
         handlers = self._handlers
         collect = any(handlers.values())
         self._executor.run(until, collect_events=collect)
+        for handle in self._unrecorded:
+            handle._resolve()  # its record is in: it lets go of its sources
+        self._unrecorded = []
         if not collect:
             return
         dispatch = {

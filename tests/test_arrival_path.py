@@ -4,8 +4,8 @@
 
 Three shortcuts that must not be observable, and one key they lean on:
 
-* an arrival owns nothing until it starts for itself (an allocation
-  budget, held as a test);
+* an arrival owns nothing until it starts for itself, and a settled
+  instance nothing but its answer (allocation budgets, held as tests);
 * consecutive arrivals for one instant share one calendar event, an
   *arrival run*, on both engines — held here to **per-arrival
   semantics**: the same script with every run broken after each submit
@@ -50,13 +50,19 @@ from tests._support import (
     HIGH,
     LOW,
     OTHER,
+    METRIC_FIELDS,
     PERF,
+    RETENTION_BUDGET,
     assert_same,
     engine_arms,
+    population,
     q,
+    retained_bytes,
+    retention_table,
     run,
     two_source_schema,
     typed_schema,
+    unsettled,
 )
 
 PERF_SOURCE = PERF.schema.source_names[0]
@@ -477,8 +483,7 @@ def holds_a_container(instance) -> bool:
 
 def test_identical_arrivals_stay_within_the_budget_before_and_after_the_run():
     """11.3 tracked objects per arrival before this budget existed, 3.3
-    now (the instance, its metrics, its handle; CPython 3.10 adds the
-    metrics' ``__dict__``)."""
+    now (the instance, its metrics, its handle)."""
     service, n = fast_service(), 2000
     values = dict(PERF.source_values)
     before = tracked()
@@ -488,8 +493,9 @@ def test_identical_arrivals_stay_within_the_budget_before_and_after_the_run():
     service.run()
     assert sum(bool(handle.result()) for handle in handles) == n
     assert tracked() - before <= 5 * n
-    # one representative ran for itself; nobody else ever owned a container
-    assert sum(holds_a_container(handle.instance) for handle in handles) == 1
+    # one representative ran for itself, and let go of its containers on settling
+    assert sum(holds_a_container(handle.instance) for handle in handles) == 0
+    assert not any(unsettled(handle.instance) for handle in handles)
     engine = service.engine
     assert (engine.cohort_hits, engine.bulk_joins, engine.bulk_join_members) == (n - 1, 1, n - 1)
     assert (engine.arrival_runs, engine.arrival_run_arrivals) == (1, n)
@@ -541,7 +547,99 @@ def test_a_write_before_start_fails_loudly():
     other = service.submit(PERF.source_values).instance
     assert not other.inflight and not other.speculative_launch
     service.run()
-    assert instance.done and other.done and isinstance(instance.inflight, dict)
+    # settled: the containers are the read-only empties again
+    assert instance.done and other.done
+    for settled in (instance, other):
+        assert not unsettled(settled)
+        with pytest.raises(TypeError):
+            settled.inflight["x"] = object()
+        with pytest.raises(AttributeError):
+            settled.speculative_launch.add("x")
+        with pytest.raises(AttributeError):
+            settled._cand.add(1)
+        with pytest.raises(AttributeError):
+            settled._queue.append(1)
+
+
+def test_a_settled_distinct_population_keeps_only_its_answer():
+    """500 unique valuations at 500 instants: each instance ran for itself,
+    and after the run none holds a container, its sources or its start key
+    — while every reader still answers."""
+    service, n = fast_service(), 500
+    sources = [{PERF_SOURCE: 80.0 + k / 32} for k in range(n)]
+    handles = [service.submit(values, at=float(k)) for k, values in enumerate(sources)]
+    service.run()
+    assert all(handle.done for handle in handles)
+    assert [name for handle in handles for name in unsettled(handle.instance)] == []
+    for handle, values in zip(handles, sources):
+        assert handle.value(PERF_SOURCE) == values[PERF_SOURCE]
+        assert handle.value_map()[PERF_SOURCE] == values[PERF_SOURCE]
+        assert handle.result()
+
+
+@pytest.mark.parametrize("kind", sorted(RETENTION_BUDGET))
+def test_a_retained_finished_instance_stays_within_its_byte_budget(kind):
+    """Traced bytes per finished instance with every handle held, on the
+    product stack (the CI "Retention census" step prints them by site)."""
+    service, n = fast_service(), 1000
+
+    def drive():
+        handles = [service.submit({PERF_SOURCE: value}, at=at) for at, value in population(kind, n)]
+        service.run()
+        assert all(handle.done for handle in handles)
+        return handles
+
+    sites = retained_bytes(drive)
+    assert sum(sites.values()) / n <= RETENTION_BUDGET[kind], retention_table(sites, n)
+
+
+def straggler_schema() -> DecisionFlowSchema:
+    """``t`` reads ``g`` only where ``a > 3``, and ``g`` reads the slow
+    ``x``: below it ``x`` (cost 20, launched at the start) is unneeded
+    from ``a`` on, and still running when ``t`` decides at t = 2."""
+    return DecisionFlowSchema(
+        [
+            Attribute("s"),
+            Attribute("a", task=q("a", ("s",), fn=lambda v: v["s"], cost=1)),
+            Attribute("x", task=q("x", ("s",), value=5, cost=20)),
+            Attribute(
+                "g", task=q("g", ("x",), value=2, cost=1), condition=Comparison("a", Op.GT, 3)
+            ),
+            Attribute("t", task=q("t", ("a", "g"), fn=lambda v: v["a"], cost=1), is_target=True),
+        ],
+        name="straggler",
+    )
+
+
+def test_an_instance_keeps_its_containers_until_its_straggler_books_its_units():
+    """Halt ``cancel``, two arrivals with one valuation: both decide at
+    t = 2 with ``x`` in flight.  The first's ``x`` is a primary the
+    second waits on, so it is not cancelled and runs to t = 20; the
+    second's cancelled wait resolves there too.  Neither is settled — nor
+    lets go — until then, and their Work is the reference engine's."""
+    seen = {}
+
+    def drive(engine, sim):
+        instances = [engine.submit_instance({"s": 1}) for _ in range(2)]
+        sim.run(until=3.0)
+        seen["done"] = [instance.done for instance in instances]
+        seen["inflight"] = [list(instance.inflight) for instance in instances]
+        if isinstance(engine, BatchedEngine):
+            seen["held"] = [set(unsettled(instance)) for instance in instances]
+        sim.run()
+
+    traces = {}
+    for engine_cls in (Engine, BatchedEngine):
+        traces[engine_cls], engine = run(engine_cls, straggler_schema(), "PSE100", drive=drive)
+        assert seen["done"] == [True, True] and seen["inflight"] == [["x"], ["x"]]
+        assert all(instance.done and not instance.inflight for instance in engine.instances)
+    for held in seen["held"]:
+        assert {"inflight", "speculative_launch", "_sources"} <= held
+    assert not any(unsettled(instance) for instance in engine.instances)
+    assert_same(traces[Engine], traces[BatchedEngine])
+    work = METRIC_FIELDS.index("work_units")
+    # the first: a, t and all 20 units of x; the second rode its primaries
+    assert [row[work] for row in traces[BatchedEngine]["metrics"]] == [1 + 1 + 20, 0]
 
 
 # -- counters, and the armed run takes the same path ---------------------------------

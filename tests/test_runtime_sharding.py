@@ -349,7 +349,9 @@ class TestProcessExecutor:
         assert not handle.done
         with pytest.raises(ValueError, match="has no metrics yet"):
             handle.metrics
-        some_attr = next(iter(pattern.schema)).name
+        source = pattern.schema.source_names[0]
+        assert handle.value(source) == pattern.source_values[source]  # stable from submission
+        some_attr = next(a.name for a in pattern.schema if a.name != source)
         with pytest.raises(ValueError, match="is not stable"):  # nothing materialized yet
             handle.value(some_attr)
         with pytest.raises(KeyError):  # typos raise like the live facade
@@ -916,6 +918,46 @@ def test_a_value_reads_only_once_stable_on_every_facade(pattern, engine):
         assert NULL in answers[0][1].values()  # a disabled attribute reads ⊥
         with pytest.raises(KeyError):
             handles[-1].value("no-such-attribute")
+    finally:
+        for service in services:
+            service.close()
+
+
+@pytest.mark.parametrize("engine", ["reference", "batched"])
+def test_before_the_first_round_every_facade_answers_the_submitted_sources(pattern, engine):
+    """A source is stable from submission: before ``run()`` a fleet handle
+    answers what a plain service's handle does — the sources, snapshotted
+    at submission, and nothing else — and lets go of them once its
+    record is in."""
+    schema = pattern.schema
+    sources = {name: pattern.source_values[name] for name in schema.source_names}
+    source = schema.source_names[0]
+    other = next(a.name for a in schema if a.name not in sources)
+    services = [DecisionService(schema, ExecutionConfig.from_code("PSE100", engine=engine))]
+    services += [
+        ShardedDecisionService(
+            schema,
+            ExecutionConfig.from_code("PSE100", engine=engine, shards=shards, executor=executor),
+        )
+        for shards in (1, 2)
+        for executor in ("serial", "process")
+    ]
+    try:
+        handles = []
+        for service in services:
+            values = dict(pattern.source_values)
+            handles.append(service.submit(values))
+            values[source] = "changed after submission"
+        for handle in handles:
+            assert handle.value_map() == sources
+            assert handle.value(source) == sources[source]
+            with pytest.raises(ValueError, match=f"{other!r} is not stable"):
+                handle.value(other)
+        for service in services:
+            service.run()
+        answers = [handle.value_map() for handle in handles]
+        assert answers == [answers[0]] * len(services) and len(answers[0]) > len(sources)
+        assert all(handle._sources is None for handle in handles[1:])
     finally:
         for service in services:
             service.close()

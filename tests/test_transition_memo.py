@@ -14,6 +14,7 @@ import weakref
 
 import pytest
 
+import repro.core.batch_engine as batch_engine
 import repro.core.plan as plan_module
 from repro import (
     Attribute,
@@ -87,11 +88,14 @@ def test_memoized_instances_alias_immutable_arrays():
     sim = Simulation()
     engine = BatchedEngine(PERF.schema, Strategy.parse("PSE100"), IdealDatabase(sim))
     first = engine.submit_instance({PERF_SOURCE: 93.0})
+    sim.run(until=0.5)
+    assert first._state is None and not first.done  # missed at its start: on its own arrays since
+    assert isinstance(first._readiness, bytearray) and isinstance(first._cand, set)
     sim.run()
+    # settled: its arrays stay, its candidate pool is the shared empty
+    assert isinstance(first._readiness, bytearray) and first._cand is batch_engine._NO_NAMES
     second = engine.submit_instance({PERF_SOURCE: 94.0}, at=sim.now + 1.0)
     sim.run(until=sim.now + 1.5)
-    assert first._state is None  # missed at its start: on its own arrays since
-    assert isinstance(first._readiness, bytearray) and isinstance(first._cand, set)
     state = second._state
     assert state is not None and not second.done
     assert second._readiness is state.readiness and isinstance(state.readiness, bytes)
