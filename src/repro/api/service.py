@@ -158,73 +158,39 @@ class InstanceHandle:
         return f"<InstanceHandle {self.instance_id!r} {state}>"
 
 
-class DecisionService:
-    """Execute decision-flow instances against a configured backend.
+class _ServiceFront:
+    """The front both facades share: config and backend-option coercion,
+    ``submit_stream``, ``run_closed``'s argument checks, the handle list,
+    the event subscriptions and the Chrome-trace export.
 
-    ``config`` may be an :class:`ExecutionConfig`, a :class:`Strategy`, or
-    a strategy code string (``"PSE80"``).  ``backend`` overrides the
-    config's backend selection and may be a registered name or a
-    pre-built :class:`Backend`; extra keyword arguments are forwarded to
-    the backend factory.
+    A facade supplies ``submit``, ``run``, ``now`` and ``trace_groups``,
+    and keeps its issued handles in ``_handles``.  Its handlers live in a
+    :class:`~repro.api.events._Dispatcher`'s lists: a plain service's
+    engine calls it live, a fleet replays each round's events into them.
     """
 
     def __init__(
         self,
         schema: DecisionFlowSchema,
-        config: ExecutionConfig | Strategy | str | None = None,
-        *,
-        backend: Backend | str | None = None,
-        **backend_options: Any,
+        config: ExecutionConfig | Strategy | str | None,
+        backend: Backend | str | None,
+        backend_options: Mapping[str, Any],
     ):
         config = coerce_config(config)
         if isinstance(backend, Backend):
             if backend_options or config.backend_options:
                 raise ValueError("backend_options are ignored with a pre-built Backend")
             config = config.replace(backend=backend.name)
-            self.backend = backend
         else:
             if backend is not None:
                 config = config.replace(backend=backend)
             if backend_options:
                 merged = {**config.backend_options, **backend_options}
                 config = config.replace(backend_options=merged)
-            self.backend = create_backend(config.backend, **config.backend_options)
-
         self.schema = schema
         self.config = config
-        self.obs = Observability.create() if config.observe else NULL_OBS
-        self._dispatcher = _Dispatcher(lambda: self.backend.simulation.now)
-        engine_cls = _ENGINE_CLASSES[config.engine]
-        self.engine = engine_cls(
-            schema,
-            config.strategy,
-            self.backend.database,
-            halt_policy=config.halt_policy,
-            observer=self._dispatcher,
-            query_cache=config.query_cache,
-            obs=self.obs,
-        )
-        self.engine.enable_pooled_dispatch()
-        self._handles: list[InstanceHandle] = []
-        #: running aggregate over the instances release_completed() let go
-        self._released = MetricsSummary.empty()
-
-    # -- submission -----------------------------------------------------------
-
-    def submit(
-        self,
-        source_values: Mapping[str, object] | None = None,
-        *,
-        at: float | None = None,
-        instance_id: str | None = None,
-    ) -> InstanceHandle:
-        """Submit one instance (starting now, or at simulated time *at*)."""
-        instance = self.engine.submit_instance(
-            source_values, at=at, instance_id=instance_id
-        )
-        handle = InstanceHandle(self, instance)
-        self._handles.append(handle)
-        return handle
+        self._dispatcher = _Dispatcher(lambda: self.now)
+        self._handles: list = []
 
     def submit_stream(
         self,
@@ -232,7 +198,7 @@ class DecisionService:
         values: Mapping[str, object] | Callable[[int], Mapping[str, object]] | None = None,
         *,
         run: bool = True,
-    ) -> list[InstanceHandle]:
+    ) -> list:
         """Open-system helper: submit instances at the given arrival times.
 
         *arrivals* is an iterable of absolute simulated times, or of
@@ -254,6 +220,127 @@ class DecisionService:
             self.run()
         return handles
 
+    def _closed_valuations(
+        self,
+        n: int,
+        concurrency: int,
+        values: Mapping[str, object] | Callable[[int], Mapping[str, object]] | None,
+    ) -> list[Mapping[str, object] | None]:
+        """``run_closed``'s checks: its bounds, and every one of the *n*
+        valuations against the schema's sources — all before any id is
+        claimed or any instance submitted, so a bad one runs nothing."""
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if concurrency < 1:
+            raise ValueError(f"concurrency must be >= 1, got {concurrency}")
+        valuations = [values(index) if callable(values) else values for index in range(n)]
+        for index, source_values in enumerate(valuations):
+            try:
+                self.schema.check_sources(source_values or {})
+            except ExecutionError as error:
+                raise ExecutionError(f"run_closed valuation {index}: {error}") from None
+        return valuations
+
+    @property
+    def handles(self) -> tuple:
+        """Every handle the service still tracks, in submission order.
+
+        That is every handle it has issued, minus those
+        :meth:`release_completed` let go.
+        """
+        return tuple(self._handles)
+
+    @property
+    def completed(self) -> tuple:
+        """The finished handles among :attr:`handles` (released ones are gone)."""
+        return tuple(h for h in self._handles if h.done)
+
+    def chrome_trace(self) -> dict:
+        """The flight recorders as one Chrome-trace JSON object."""
+        return export_chrome_trace(self.trace_groups(), armed=self.config.observe)
+
+    # -- observation ----------------------------------------------------------
+
+    def on_launch(self, handler: Callable[[LaunchEvent], None]):
+        """Subscribe to task-launch events; usable as a decorator."""
+        self._dispatcher.launch_handlers.append(handler)
+        return handler
+
+    def on_query_done(self, handler: Callable[[QueryDoneEvent], None]):
+        """Subscribe to query-completion events; usable as a decorator."""
+        self._dispatcher.query_done_handlers.append(handler)
+        return handler
+
+    def on_instance_complete(self, handler: Callable[[InstanceCompleteEvent], None]):
+        """Subscribe to instance-completion events; usable as a decorator."""
+        self._dispatcher.complete_handlers.append(handler)
+        return handler
+
+    def attach_log(self) -> EventLog:
+        """Subscribe a fresh :class:`EventLog` to every event stream."""
+        log = EventLog()
+        self.on_launch(log)
+        self.on_query_done(log)
+        self.on_instance_complete(log)
+        return log
+
+
+class DecisionService(_ServiceFront):
+    """Execute decision-flow instances against a configured backend.
+
+    ``config`` may be an :class:`ExecutionConfig`, a :class:`Strategy`, or
+    a strategy code string (``"PSE80"``).  ``backend`` overrides the
+    config's backend selection and may be a registered name or a
+    pre-built :class:`Backend`; extra keyword arguments are forwarded to
+    the backend factory.
+    """
+
+    def __init__(
+        self,
+        schema: DecisionFlowSchema,
+        config: ExecutionConfig | Strategy | str | None = None,
+        *,
+        backend: Backend | str | None = None,
+        **backend_options: Any,
+    ):
+        super().__init__(schema, config, backend, backend_options)
+        config = self.config
+        if isinstance(backend, Backend):
+            self.backend = backend
+        else:
+            self.backend = create_backend(config.backend, **config.backend_options)
+        self.obs = Observability.create() if config.observe else NULL_OBS
+        engine_cls = _ENGINE_CLASSES[config.engine]
+        self.engine = engine_cls(
+            schema,
+            config.strategy,
+            self.backend.database,
+            halt_policy=config.halt_policy,
+            observer=self._dispatcher,
+            query_cache=config.query_cache,
+            obs=self.obs,
+        )
+        self.engine.enable_pooled_dispatch()
+        #: running aggregate over the instances release_completed() let go
+        self._released = MetricsSummary.empty()
+
+    # -- submission -----------------------------------------------------------
+
+    def submit(
+        self,
+        source_values: Mapping[str, object] | None = None,
+        *,
+        at: float | None = None,
+        instance_id: str | None = None,
+    ) -> InstanceHandle:
+        """Submit one instance (starting now, or at simulated time *at*)."""
+        instance = self.engine.submit_instance(
+            source_values, at=at, instance_id=instance_id
+        )
+        handle = InstanceHandle(self, instance)
+        self._handles.append(handle)
+        return handle
+
     def run_closed(
         self,
         n: int,
@@ -267,7 +354,9 @@ class DecisionService:
 
         Submits *concurrency* instances immediately and replaces each one
         the moment it completes, until *n* have been submitted in total;
-        then drains.  Returns the handles of all *n* instances.
+        then drains.  Returns the handles of all *n* instances.  Every
+        valuation is checked up front: one that misses a source raises,
+        naming its index, before anything is submitted.
 
         *instance_ids* (when given) supplies the id of each submission in
         order — the sharded runtime uses this to keep ids globally unique
@@ -276,25 +365,19 @@ class DecisionService:
         list is the live handle list and keeps growing as each finished
         instance is replaced.
         """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {concurrency}")
+        valuations = self._closed_valuations(n, concurrency, values)
         if instance_ids is not None and len(instance_ids) != n:
             raise ValueError(
                 f"instance_ids must supply exactly n={n} ids, got {len(instance_ids)}"
             )
         handles: list[InstanceHandle] = []
 
-        def source_for(index: int) -> Mapping[str, object] | None:
-            return values(index) if callable(values) else values
-
         def submit_next() -> None:
             index = len(handles)
             if index >= n:
                 return
             instance = self.engine.submit_instance(
-                source_for(index),
+                valuations[index],
                 instance_id=instance_ids[index] if instance_ids is not None else None,
                 on_complete=lambda metrics: submit_next(),
             )
@@ -323,20 +406,6 @@ class DecisionService:
     def database(self):
         """The backend's database server (work totals, Gmpl, ...)."""
         return self.backend.database
-
-    @property
-    def handles(self) -> tuple[InstanceHandle, ...]:
-        """Every handle the service still tracks, in submission order.
-
-        That is every handle it has issued, minus those
-        :meth:`release_completed` let go.
-        """
-        return tuple(self._handles)
-
-    @property
-    def completed(self) -> tuple[InstanceHandle, ...]:
-        """The finished handles among :attr:`handles` (released ones are gone)."""
-        return tuple(h for h in self._handles if h.done)
 
     def release_completed(self) -> tuple[InstanceHandle, ...]:
         """Let go of every finished instance; returns the handles released.
@@ -458,35 +527,6 @@ class DecisionService:
     def trace_groups(self) -> list[tuple[int, str, list]]:
         """Chrome-trace lanes: one per execution context (one here)."""
         return [(0, f"service:{self.schema.name}", self.obs.tracer.events())]
-
-    def chrome_trace(self) -> dict:
-        """The flight recorder as a Chrome-trace JSON object."""
-        return export_chrome_trace(self.trace_groups(), armed=self.obs.enabled)
-
-    # -- observation ----------------------------------------------------------
-
-    def on_launch(self, handler: Callable[[LaunchEvent], None]):
-        """Subscribe to task-launch events; usable as a decorator."""
-        self._dispatcher.launch_handlers.append(handler)
-        return handler
-
-    def on_query_done(self, handler: Callable[[QueryDoneEvent], None]):
-        """Subscribe to query-completion events; usable as a decorator."""
-        self._dispatcher.query_done_handlers.append(handler)
-        return handler
-
-    def on_instance_complete(self, handler: Callable[[InstanceCompleteEvent], None]):
-        """Subscribe to instance-completion events; usable as a decorator."""
-        self._dispatcher.complete_handlers.append(handler)
-        return handler
-
-    def attach_log(self) -> EventLog:
-        """Subscribe a fresh :class:`EventLog` to every event stream."""
-        log = EventLog()
-        self.on_launch(log)
-        self.on_query_done(log)
-        self.on_instance_complete(log)
-        return log
 
     def __repr__(self) -> str:
         released = self._released.count

@@ -1,13 +1,16 @@
 """repro.runtime — the sharded execution runtime.
 
 Scale-out layer over :mod:`repro.api`: a
-:class:`ShardedDecisionService` presents the ``DecisionService`` facade
+:class:`ShardedDecisionService` shares the ``DecisionService`` front
 while partitioning instances across independent engine + DES + database
-shards (each instance routed to its stable CRC-32 home).  A shard is
-always the worker's shard state, driven round by round; it is called
-in-process (``executor="serial"``) or through a pipe to one long-lived
-worker process per shard (``executor="process"``).  Shards share no
-cache: each shard's query cache and memo tiers are its only result reuse.
+shards (each instance routed to its stable CRC-32 home).  The fleet is
+that one class over a transport: each round it sends every shard's state
+(:mod:`repro.runtime.worker`) one frame and pushes the records it
+reports into their handles, until each instance is settled.  The
+transport calls the shards in-process (``executor="serial"``) or
+through a pipe to one long-lived worker process per shard
+(``executor="process"``).  Shards share no cache: each shard's query
+cache and memo tiers are its only result reuse.
 
 Quickstart::
 

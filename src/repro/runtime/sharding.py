@@ -2,36 +2,43 @@
 
 The paper's optimizations are per-instance, which makes instance
 populations embarrassingly partitionable: nothing couples two instances
-except the database they happen to share (and, optionally, result
-sharing).  This module exploits that.  A :class:`ShardedDecisionService`
-presents the :class:`~repro.api.service.DecisionService` facade — submit,
-``submit_stream``, ``run_closed``, handles, summaries, observer hooks —
-but hash-partitions instances across ``config.shards`` shards, each
-owning an independent engine (reference or batched), DES calendar, and
-database replica built from the backend registry.
+except the database they happen to share.  This module exploits that.  A
+:class:`ShardedDecisionService` presents the
+:class:`~repro.api.service.DecisionService` facade — it shares its front
+(config coercion, ``submit_stream``, ``run_closed``'s checks, handles,
+observer hooks, trace export) — but hash-partitions instances across
+``config.shards`` shards, each owning an independent engine (reference
+or batched), DES calendar, and database replica built from the backend
+registry.
 
 Routing is by a *stable* hash (CRC-32 of the instance id), so the same
 workload lands on the same shards in every process on every run, and a
 handle's shard is a pure function of its id.  Shards share no result
-reuse: each shard's query cache and memo tiers are its only cache.  A
-shard is always the worker's shard state, driven by ``run`` frames; two
-executors carry them (``config.executor``): ``"serial"`` calls every
-shard in-process, while ``"process"`` keeps one long-lived worker process
-per shard and streams the frames over a pipe via
-:mod:`repro.core.serialize`.  Either way a handle resolves through the
-record its shard reports, and everything above the transport — handles,
-events, aggregation, release — is the same code.  Both executors are
-fully incremental: submit → run → submit again works identically on
-either.
+reuse: each shard's query cache and memo tiers are its only cache.
+
+The fleet is this one class over a transport.  It buffers submissions
+as per-shard ops, and every ``run()`` sends each shard its new ops in
+one ``run`` frame to the worker's shard state; ``config.executor`` picks
+the transport (:mod:`repro.runtime.executors`): ``"serial"`` calls every
+shard in-process, ``"process"`` keeps one long-lived worker process per
+shard and streams the frames over a pipe via :mod:`repro.core.serialize`.
+Each reply (a :class:`~repro.runtime.worker.ShardOutcome`) is the
+shard's state between rounds — shards idle between rounds, so the last
+outcomes are exact and reading them costs no round-trip — and its
+records are pushed into their handles.  A shard reports an instance
+every round until it is *settled* (done, nothing in flight); the fleet
+folds its metrics into the finished aggregate in the round it settles,
+and only a settled handle can be released.
 
 Determinism and equivalence guarantees:
 
-* Any sharded run is exactly reproducible, and the process executor
-  reproduces the serial executor's results shard for shard (each worker
+* Any sharded run is exactly reproducible, and the process transport
+  reproduces the serial one's results shard for shard (each worker
   replays the same ops on the same substrate at the same round
   boundaries).
 * With one shard, results are identical to a plain ``DecisionService`` —
-  bit for bit, including event order.
+  bit for bit, including event order, and across ``run(until=...)``
+  pauses (a straggler's units reach its handle and the summary).
 * With N shards, per-instance results are identical to a single service
   whenever instances do not interact through the database: always on the
   ideal backend (unbounded resources), and on any backend while arrivals
@@ -39,36 +46,35 @@ Determinism and equivalence guarantees:
   the point — N replicas replace one shared server, so response times
   (and contention-dependent scheduling) legitimately differ.
 
-Cross-shard aggregation reads each shard's last
-:class:`~repro.runtime.worker.ShardOutcome`: ``summary()`` is the
-executor's running aggregate of the records that finished, one
-:meth:`~repro.core.metrics.MetricsSummary.merge` per round, plus the
-shards' service counters summed; ``stats()`` reports per-shard database
-totals.  After every round the
-round's events reach each handler in :func:`merge_shard_events` order
-(time, then shard, then in-shard order); :meth:`attach_log` subscribes a
-plain :class:`~repro.api.events.EventLog` like any other handler.
+Cross-shard aggregation reads each shard's last outcome: ``summary()``
+is the finished aggregate (one
+:meth:`~repro.core.metrics.MetricsSummary.merge` per round), plus the
+done-but-unsettled records, plus the shards' service counters summed;
+``stats()`` is each outcome's :class:`~repro.runtime.worker.ShardStats`.
+A fleet's handles and observers update once per round: after every round
+the round's events reach each handler in :func:`merge_shard_events`
+order (time, then shard, then in-shard order).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Mapping, Sequence
 from zlib import crc32
 
 from repro.api.backends import Backend
 from repro.api.config import ExecutionConfig
-from repro.api.events import EventLog, InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
-from repro.api.service import DecisionService, coerce_config
+from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
+from repro.api.service import DecisionService, _ServiceFront, coerce_config
 from repro.core.engine import claim_instance_id
-from repro.core.metrics import SERVICE_COUNTERS, InstanceMetrics, MetricsSummary
+from repro.core.metrics import SERVICE_COUNTERS, InstanceMetrics, MetricsSummary, summarize
 from repro.core.schema import DecisionFlowSchema
 from repro.core.strategy import Strategy
 from repro.errors import ExecutionError
-from repro.obs import MetricsRegistry, export_chrome_trace
+from repro.obs import MetricsRegistry
 from repro.runtime.executors import EXECUTOR_CLASSES
-from repro.runtime.worker import InstanceRecord
+from repro.runtime.worker import InstanceRecord, ShardOutcome, ShardStats
 
 __all__ = [
     "ShardedDecisionService",
@@ -96,7 +102,7 @@ def merge_shard_events(per_shard: Sequence[Sequence[object]]) -> list[object]:
     Shard clocks are independent, so a total order is a convention: sort
     by event time, then shard index, then in-shard arrival order.  Within
     a shard the engine's deterministic sequence is preserved; across
-    shards same-instant ties resolve by shard index.  Both executors
+    shards same-instant ties resolve by shard index.  Both transports
     produce the same merged stream for the same workload.
     """
     entries = [
@@ -108,84 +114,45 @@ def merge_shard_events(per_shard: Sequence[Sequence[object]]) -> list[object]:
     return [entry[3] for entry in entries]
 
 
-@dataclass(frozen=True)
-class ShardStats:
-    """One shard's aggregate state: population, work, and clock."""
-
-    shard: int
-    instances: int
-    completed: int
-    total_units: int
-    queries_completed: int
-    queries_cancelled: int
-    queries_failed: int
-    mean_gmpl: float
-    end_time: float
-
-
 class ShardedInstanceHandle:
     """A submitted instance in a sharded service: poll it, drive it, read it.
 
-    Mirrors :class:`~repro.api.service.InstanceHandle`.  It resolves
-    through the record its shard reports, so results materialize once
-    the service has run — on either executor.  Until its first record
-    arrives it answers its submitted sources, which are stable from
-    submission, as a plain service's handle does; then it drops them.
+    Mirrors :class:`~repro.api.service.InstanceHandle`.  It reads the
+    last record its shard reported, which each round pushes in, so
+    results materialize once the service has run.  Until its first
+    record it holds a source-only one: its submitted sources, which are
+    stable from submission, as on a plain service, and no metrics.
     """
 
-    __slots__ = ("_service", "_shard", "_instance_id", "_record", "_sources")
+    __slots__ = ("_service", "_shard", "_record")
 
-    def __init__(
-        self,
-        service: "ShardedDecisionService",
-        shard: int,
-        instance_id: str,
-        sources: Mapping[str, object] | None = None,
-    ):
+    def __init__(self, service: "ShardedDecisionService", shard: int, record: InstanceRecord):
         self._service = service
         self._shard = shard
-        self._instance_id = instance_id
-        self._record: InstanceRecord | None = None
-        self._sources: dict[str, object] | None = (
-            None
-            if sources is None
-            else {name: sources[name] for name in service.schema.source_names}
-        )
+        self._record = record
 
     @property
     def instance_id(self) -> str:
-        return self._instance_id
+        return self._record.instance_id
 
     @property
     def shard(self) -> int:
         """The shard this instance was routed to."""
         return self._shard
 
-    def _resolve(self) -> InstanceRecord | None:
-        # Re-fetch until the record reports done: a shard re-reports the
-        # record of a still-running instance every round, so a cached
-        # not-done record goes stale.
-        record = self._record
-        if record is None or not record.done:
-            fetched = self._service._executor.record_for(self._instance_id)
-            if fetched is not None:
-                self._record, self._sources = fetched, None
-        return self._record
-
     @property
     def done(self) -> bool:
-        record = self._resolve()
-        return record is not None and record.done
+        return self._record.done
 
     @property
     def metrics(self) -> InstanceMetrics:
-        record = self._resolve()
-        if record is None:
+        metrics = self._record.metrics
+        if metrics is None:
             raise ValueError(
-                f"instance {self._instance_id} has no metrics yet: a sharded "
+                f"instance {self.instance_id} has no metrics yet: a sharded "
                 "service materializes results when it runs"
             )
-        return record.metrics
+        return metrics
 
     def value(self, name: str) -> object:
         """The value of one attribute, once stable.
@@ -197,52 +164,35 @@ class ShardedInstanceHandle:
         """
         if name not in self._service.schema:
             raise KeyError(name)
-        values = self._values()
+        values = self._record.values
         if name not in values:
             raise ValueError(f"attribute {name!r} is not stable")
         return values[name]
 
     def value_map(self) -> dict[str, object]:
         """Every stable attribute's value, as a fresh dict."""
-        return dict(self._values())
-
-    def _values(self) -> Mapping[str, object]:
-        """The record's stable values, or the sources until it arrives."""
-        record = self._resolve()
-        if record is not None:
-            return record.values
-        return self._sources or {}
+        return dict(self._record.values)
 
     def wait(self) -> InstanceMetrics:
         """Drive the owning shard until this instance finishes."""
         if not self.done:
             self._service.run()
-        record = self._resolve()
-        if record is None or not record.done:
-            raise ExecutionError(
-                f"instance {self._instance_id} stalled on shard {self._shard}"
-            )
-        return record.metrics
+        if not self.done:
+            raise ExecutionError(f"instance {self.instance_id} stalled on shard {self._shard}")
+        return self._record.metrics
 
     def result(self) -> dict[str, object]:
         """The target attribute values, driving the shard if needed."""
         self.wait()
-        record = self._resolve()
-        return {
-            name: record.values[name]
-            for name in self._service.schema.target_names
-            if name in record.values
-        }
+        values = self._record.values
+        return {name: values[name] for name in self._service.schema.target_names if name in values}
 
     def __repr__(self) -> str:
         state = "done" if self.done else "running"
-        return (
-            f"<ShardedInstanceHandle {self._instance_id!r} "
-            f"shard={self._shard} {state}>"
-        )
+        return f"<ShardedInstanceHandle {self.instance_id!r} shard={self._shard} {state}>"
 
 
-class ShardedDecisionService:
+class ShardedDecisionService(_ServiceFront):
     """Execute decision-flow instances across hash-partitioned shards.
 
     Accepts the same ``config`` spellings as
@@ -250,9 +200,12 @@ class ShardedDecisionService:
     :class:`~repro.api.config.ExecutionConfig`, a
     :class:`~repro.core.strategy.Strategy`, or a code string);
     ``config.shards`` sets the shard count and ``config.executor`` picks
-    the drive mode.  ``backend`` must be a registered backend *name* —
+    the transport.  ``backend`` must be a registered backend *name* —
     every shard builds a fresh replica from the registry, so a pre-built
     :class:`~repro.api.backends.Backend` cannot be shared.
+
+    Handlers may subscribe at any point: each round's events reach them
+    once its shards return, in merged order, from the next round on.
     """
 
     def __init__(
@@ -263,31 +216,26 @@ class ShardedDecisionService:
         backend: str | None = None,
         **backend_options: Any,
     ):
-        config = coerce_config(config)
         if isinstance(backend, Backend):
             raise TypeError(
                 "a sharded service builds one fresh backend per shard from the "
                 "registry; pass a registered backend name, not a pre-built Backend"
             )
-        if backend is not None:
-            config = config.replace(backend=backend)
-        if backend_options:
-            merged = {**config.backend_options, **backend_options}
-            config = config.replace(backend_options=merged)
-        self.schema = schema
-        self.config = config
-        self.shards = config.shards
-        self._executor = EXECUTOR_CLASSES[config.executor](schema, config, self.shards)
-        self._handles: list[ShardedInstanceHandle] = []
-        #: handles submitted since the last round: still answering their sources
-        self._unrecorded: list[ShardedInstanceHandle] = []
+        super().__init__(schema, config, backend, backend_options)
+        self.shards = self.config.shards
+        #: each shard's last reply; idle until the first round
+        self.outcomes = [ShardOutcome.idle(shard) for shard in range(self.shards)]
+        #: the fleet's settled instances, released ones included: each
+        #: round folds in the records that settled in it, and only those
+        self.finished = MetricsSummary.empty()
+        self._ops: list[list[tuple]] = [[] for _ in range(self.shards)]
+        #: the handles not yet settled, by instance id: a round's records land here
+        self._pending: dict[str, ShardedInstanceHandle] = {}
+        self._release = False
+        self._transport = None  # built at the first submission
+        self._closed = False
         self._instance_ids: set[str] = set()
         self._id_seq = itertools.count(1)
-        self._handlers: dict[str, list[Callable]] = {
-            "launch": [],
-            "query_done": [],
-            "complete": [],
-        }
 
     # -- id allocation and routing --------------------------------------------
 
@@ -301,13 +249,27 @@ class ShardedDecisionService:
         """Which shard an instance id routes to: its stable CRC-32 home."""
         return shard_of(instance_id, self.shards)
 
+    def _start(self):
+        """The transport, built at the first submission."""
+        if self._closed:
+            raise ExecutionError(
+                f"the {self.config.executor} executor is closed; "
+                "its shard workers have shut down"
+            )
+        if self._transport is None:
+            self._transport = EXECUTOR_CLASSES[self.config.executor](
+                self.schema, self.config, self.shards
+            )
+        return self._transport
+
     def _register(
-        self, shard: int, instance_id: str, sources: Mapping[str, object] | None = None
+        self, shard: int, instance_id: str, sources: Mapping[str, object] | None
     ) -> ShardedInstanceHandle:
-        handle = ShardedInstanceHandle(self, shard, instance_id, sources)
+        values = {name: sources[name] for name in self.schema.source_names} if sources else {}
+        record = InstanceRecord(instance_id, False, False, values, None)
+        handle = ShardedInstanceHandle(self, shard, record)
         self._handles.append(handle)
-        if sources is not None:
-            self._unrecorded.append(handle)
+        self._pending[instance_id] = handle
         return handle
 
     # -- submission -----------------------------------------------------------
@@ -319,34 +281,27 @@ class ShardedDecisionService:
         at: float | None = None,
         instance_id: str | None = None,
     ) -> ShardedInstanceHandle:
-        """Submit one instance to its home shard."""
+        """Submit one instance to its home shard.
+
+        The engine's own submit-time checks run here, so a refused
+        submission (a past start time, a missing source value) raises
+        now, on either transport, before its id is claimed.
+        """
         instance_id = self._claim_id(instance_id)
         shard = shard_of(instance_id, self.shards)
-        # A refused submission (a past start time, a missing source value)
-        # raises before the id is recorded, so it does not burn the name.
-        self._executor.submit(shard, instance_id, source_values, at)
+        floor = self.outcomes[shard].stats.end_time
+        if at is not None and at < floor:
+            raise ExecutionError(
+                f"instance {instance_id!r}: cannot start at past time {at} "
+                f"(simulation clock is at {floor})"
+            )
+        self.schema.check_sources(source_values or {})
+        self._start()
+        # a copy, as buffered: mutations after submit must not leak into the run
+        sources = None if source_values is None else dict(source_values)
+        self._ops[shard].append(("submit", instance_id, sources, at))
         self._instance_ids.add(instance_id)
-        return self._register(shard, instance_id, source_values or {})
-
-    def submit_stream(
-        self,
-        arrivals: Iterable[float | tuple[float, Mapping[str, object]]],
-        values: Mapping[str, object] | Callable[[int], Mapping[str, object]] | None = None,
-        *,
-        run: bool = True,
-    ) -> list[ShardedInstanceHandle]:
-        """Open-system helper; see :meth:`DecisionService.submit_stream`."""
-        handles = []
-        for index, arrival in enumerate(arrivals):
-            if isinstance(arrival, tuple):
-                at, source_values = arrival
-            else:
-                at = arrival
-                source_values = values(index) if callable(values) else values
-            handles.append(self.submit(source_values, at=at))
-        if run:
-            self.run()
-        return handles
+        return self._register(shard, instance_id, sources)
 
     def run_closed(
         self,
@@ -363,129 +318,125 @@ class ShardedDecisionService:
         with every busy shard keeping at least one instance in flight —
         so when ``concurrency < shards`` the global in-flight population
         can exceed *concurrency* (shard clocks are independent; a global
-        bound would serialize the fleet).
+        bound would serialize the fleet).  Every valuation is checked
+        first: one that misses a source raises, naming its index, and
+        nothing runs.
         """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-        ids = []
-        for _ in range(n):
+        valuations = self._closed_valuations(n, concurrency, values)
+        self._start()
+        per_shard: list[tuple[list, list]] = [([], []) for _ in range(self.shards)]
+        handles = []
+        for source_values in valuations:
             instance_id = self._claim_id(None)
             self._instance_ids.add(instance_id)
-            ids.append(instance_id)
-        values_list = [values(i) if callable(values) else values for i in range(n)]
-        homes = [shard_of(instance_id, self.shards) for instance_id in ids]
-        per_shard_ids: list[list[str]] = [[] for _ in range(self.shards)]
-        per_shard_values: list[list[Mapping[str, object] | None]] = [
-            [] for _ in range(self.shards)
-        ]
-        for instance_id, shard, source_values in zip(ids, homes, values_list):
-            per_shard_ids[shard].append(instance_id)
-            per_shard_values[shard].append(source_values)
-        active = [s for s in range(self.shards) if per_shard_ids[s]]
-        shares = _split_concurrency(concurrency, len(active))
-        for share, shard in zip(shares, active):
-            self._executor.start_closed(
-                shard, per_shard_ids[shard], per_shard_values[shard], share
-            )
+            shard = shard_of(instance_id, self.shards)
+            sources = None if source_values is None else dict(source_values)
+            per_shard[shard][0].append(instance_id)
+            per_shard[shard][1].append(sources)
+            handles.append(self._register(shard, instance_id, sources))
+        active = [shard for shard in range(self.shards) if per_shard[shard][0]]
+        for share, shard in zip(_split_concurrency(concurrency, len(active)), active):
+            self._ops[shard].append(("closed", *per_shard[shard], share))
         self.run()
-        return [self._register(shard, instance_id) for instance_id, shard in zip(ids, homes)]
+        return handles
 
     # -- driving and reading --------------------------------------------------
 
     def run(self, until: float | None = None) -> None:
         """Drive every shard one round: to *until*, or until its work drains.
 
-        Then the round's events reach every handler, in
-        :func:`merge_shard_events` order.
+        Each reply's records land in their handles; then the round's
+        events reach every handler, in :func:`merge_shard_events` order.
+        A shard that raised is reported by its next round, and the first
+        error raises once every reply has been read.
         """
-        handlers = self._handlers
-        collect = any(handlers.values())
-        self._executor.run(until, collect_events=collect)
-        for handle in self._unrecorded:
-            handle._resolve()  # its record is in: it lets go of its sources
-        self._unrecorded = []
-        if not collect:
-            return
-        dispatch = {
-            LaunchEvent: handlers["launch"],
-            QueryDoneEvent: handlers["query_done"],
-            InstanceCompleteEvent: handlers["complete"],
-        }
-        per_shard = [outcome.events for outcome in self._executor.outcomes]
-        for event in merge_shard_events(per_shard):
-            for handler in dispatch.get(type(event), ()):
-                handler(event)
+        if self._transport is None and not self._closed:
+            return  # nothing was ever submitted: an idle fleet, nothing to start
+        transport = self._start()
+        ops, self._ops = self._ops, [[] for _ in range(self.shards)]
+        release, self._release = self._release, False
+        dispatcher = self._dispatcher
+        collect = dispatcher.has_listeners
+        replies = transport.exchange(
+            [("run", shard_ops, until, collect, release) for shard_ops in ops]
+        )
+        pending, settled = self._pending, []
+        for shard, reply in enumerate(replies):
+            if isinstance(reply, BaseException):
+                continue
+            self.outcomes[shard] = reply
+            for record in reply.records:
+                if record.settled:
+                    pending.pop(record.instance_id)._record = record
+                    settled.append(record.metrics)
+                else:
+                    pending[record.instance_id]._record = record
+        if settled:
+            self.finished = MetricsSummary.merge(self.finished, summarize(settled))
+        for reply in replies:
+            if isinstance(reply, BaseException):
+                raise reply
+        if collect:
+            handlers = {
+                LaunchEvent: dispatcher.launch_handlers,
+                QueryDoneEvent: dispatcher.query_done_handlers,
+                InstanceCompleteEvent: dispatcher.complete_handlers,
+            }
+            for event in merge_shard_events([outcome.events for outcome in self.outcomes]):
+                for handler in handlers[type(event)]:
+                    handler(event)
 
     @property
     def now(self) -> float:
         """The furthest shard clock."""
-        return max(outcome.end_time for outcome in self._executor.outcomes)
-
-    @property
-    def handles(self) -> tuple[ShardedInstanceHandle, ...]:
-        """Every handle the service still tracks, in submission order.
-
-        That is every handle it has issued, minus those
-        :meth:`release_completed` let go.
-        """
-        return tuple(self._handles)
-
-    @property
-    def completed(self) -> tuple[ShardedInstanceHandle, ...]:
-        """The finished handles among :attr:`handles` (released ones are gone)."""
-        return tuple(h for h in self._handles if h.done)
+        return max(outcome.stats.end_time for outcome in self.outcomes)
 
     def release_completed(self) -> tuple[ShardedInstanceHandle, ...]:
-        """Let go of every finished instance; returns the handles released.
+        """Let go of every settled instance; returns the handles released.
 
         The fleet's counterpart of
         :meth:`DecisionService.release_completed`: the parent drops the
-        finished handles and their records now, and each shard lets go of
-        its own instances at the start of the next round (a ``release``
-        flag on that round's frame, so no extra round-trip).
-        :meth:`summary` keeps covering them, and a handle the caller still
-        holds stays fully readable.
+        settled handles now, and each shard lets go of its own instances
+        at the start of the next round (a ``release`` flag on that
+        round's frame, so no extra round-trip).  A done instance with a
+        query still in flight is kept until its shard reports it settled.
+        :meth:`summary` keeps covering them, and a handle the caller
+        still holds stays fully readable.
         """
+        pending = self._pending
         kept, released = [], []
         for handle in self._handles:
-            (released if handle.done else kept).append(handle)
+            (kept if handle.instance_id in pending else released).append(handle)
         if released:
             self._handles = kept
-            self._executor.release(handle.instance_id for handle in released)
+            self._release = True
         return tuple(released)
+
+    def _counter_sums(self, names: Sequence[str]) -> dict[str, int]:
+        return {name: sum(o.counters[name] for o in self.outcomes) for name in names}
 
     def summary(self) -> MetricsSummary:
         """Aggregate metrics over the fleet's finished instances, released
-        or not, plus every shard's service counters, summed."""
-        outcomes = self._executor.outcomes
-        return replace(
-            self._executor.finished,
-            **{name: sum(o.counters[name] for o in outcomes) for name in SERVICE_COUNTERS},
-        )
+        or not, plus every shard's service counters, summed.
+
+        Settled instances come from the running aggregate; a done one
+        still waiting on a straggler counts its last record at read time,
+        as a plain service counts its live metrics.
+        """
+        unsettled = [h.metrics for h in self._pending.values() if h.done]
+        summary = self.finished
+        if unsettled:
+            summary = MetricsSummary.merge(summary, summarize(unsettled))
+        return replace(summary, **self._counter_sums(SERVICE_COUNTERS))
 
     def stats(self) -> tuple[ShardStats, ...]:
-        """Per-shard population, database totals, and clock positions."""
-        return tuple(
-            ShardStats(
-                shard=outcome.shard,
-                instances=outcome.instances,
-                completed=outcome.completed,
-                total_units=outcome.total_units,
-                queries_completed=outcome.queries_completed,
-                queries_cancelled=outcome.queries_cancelled,
-                queries_failed=outcome.queries_failed,
-                mean_gmpl=outcome.mean_gmpl,
-                end_time=outcome.end_time,
-            )
-            for outcome in self._executor.outcomes
-        )
+        """Per-shard population (held count included), database totals, and clocks."""
+        return tuple(outcome.stats for outcome in self.outcomes)
 
     @property
     def total_units(self) -> int:
         """Units of processing performed across every shard's database."""
-        return sum(outcome.total_units for outcome in self._executor.outcomes)
+        return sum(outcome.stats.total_units for outcome in self.outcomes)
 
     def mean_gmpl(self) -> float:
         """Mean multiprogramming level across shards, weighted by shard time.
@@ -493,25 +444,21 @@ class ShardedDecisionService:
         Each shard's Gmpl is averaged over its own clock; the fleet-level
         figure weights shards by how long they ran.
         """
-        outcomes = self._executor.outcomes
-        total_time = sum(o.end_time for o in outcomes)
+        stats = self.stats()
+        total_time = sum(s.end_time for s in stats)
         if total_time <= 0:
             return 0.0
-        return sum(o.mean_gmpl * o.end_time for o in outcomes) / total_time
+        return sum(s.mean_gmpl * s.end_time for s in stats) / total_time
 
     def time_unit(self) -> str | None:
         """How to read shard clocks (``"units"``/``"ms"``; None before the
         first round has built the shards' backends)."""
-        units = (o.time_unit for o in self._executor.outcomes if o.time_unit is not None)
+        units = (o.time_unit for o in self.outcomes if o.time_unit is not None)
         return next(units, None)
 
     def dispatch_stats(self) -> dict:
         """Fleet-level pooled-dispatch counters (summed across shards)."""
-        outcomes = self._executor.outcomes
-        return {
-            "pooled_batches": sum(o.pooled_batches for o in outcomes),
-            "pooled_events": sum(o.pooled_events for o in outcomes),
-        }
+        return self._counter_sums(("pooled_batches", "pooled_events"))
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -521,15 +468,26 @@ class ShardedDecisionService:
         Idempotent.  A closed service can still be read (summaries,
         handles, stats come from the last outcomes) but not driven further.
         """
-        self._executor.close()
+        self._closed = True
+        transport, self._transport = self._transport, None
+        if transport is not None:
+            transport.close()
 
     def worker_health(self) -> dict:
-        """Executor liveness: per-worker alive flags for the process fleet.
+        """Transport liveness: per-worker alive flags for the process fleet.
 
         The daemon folds this into ``/healthz``; an in-process fleet is
-        alive until closed.
+        alive until closed.  Safe to call while another thread drives or
+        closes the fleet.
         """
-        return self._executor.worker_health()
+        transport = self._transport
+        workers = [] if transport is None else transport.health()
+        return {
+            "executor": self.config.executor,
+            "spawned": bool(workers),
+            "alive": not self._closed and all(worker["alive"] for worker in workers),
+            "workers": workers,
+        }
 
     # -- observability (repro.obs) --------------------------------------------
 
@@ -539,62 +497,23 @@ class ShardedDecisionService:
         Counters and histograms add across shards; gauges stay per-shard
         (each entry keeps its shard label), since summing shard clocks or
         Gmpl figures would be meaningless.  Shards ship their snapshots
-        inside :class:`ShardOutcome`, exactly like their metrics summaries.
+        inside :class:`ShardOutcome`, exactly like their metrics.
         """
         if not self.config.observe:
             return {"enabled": False, "counters": [], "gauges": [], "histograms": []}
         merged = MetricsRegistry()
-        for outcome in self._executor.outcomes:
+        for outcome in self.outcomes:
             snapshot = outcome.obs
             if snapshot and snapshot.get("enabled"):
-                merged.merge_snapshot(snapshot, extra_labels={"shard": outcome.shard})
+                merged.merge_snapshot(snapshot, extra_labels={"shard": outcome.stats.shard})
         return merged.snapshot()
 
     def trace_groups(self) -> list[tuple[int, str, list]]:
         """Chrome-trace lanes: one process lane per shard."""
         return [
-            (outcome.shard, f"shard:{outcome.shard}", outcome.trace or [])
-            for outcome in self._executor.outcomes
+            (outcome.stats.shard, f"shard:{outcome.stats.shard}", outcome.trace or [])
+            for outcome in self.outcomes
         ]
-
-    def chrome_trace(self) -> dict:
-        """The fleet's flight recorders as one Chrome-trace JSON object."""
-        return export_chrome_trace(
-            self.trace_groups(), armed=bool(self.config.observe)
-        )
-
-    # -- observation ----------------------------------------------------------
-
-    def _subscribe(self, kind: str, handler: Callable) -> Callable:
-        self._handlers[kind].append(handler)
-        return handler
-
-    def on_launch(self, handler: Callable[[LaunchEvent], None]):
-        """Subscribe to task-launch events; usable as a decorator.
-
-        Each round's events are delivered once its shards return, in the
-        merged global order.  Handlers may attach at any point in the
-        service's life — a handler attached after some rounds have run
-        receives events from the next round on.
-        """
-        return self._subscribe("launch", handler)
-
-    def on_query_done(self, handler: Callable[[QueryDoneEvent], None]):
-        """Subscribe to query-completion events; usable as a decorator."""
-        return self._subscribe("query_done", handler)
-
-    def on_instance_complete(self, handler: Callable[[InstanceCompleteEvent], None]):
-        """Subscribe to instance-completion events; usable as a decorator."""
-        return self._subscribe("complete", handler)
-
-    def attach_log(self) -> EventLog:
-        """Subscribe a fresh :class:`~repro.api.events.EventLog` to every
-        event stream; like any handler it records from the next round on."""
-        log = EventLog()
-        self.on_launch(log)
-        self.on_query_done(log)
-        self.on_instance_complete(log)
-        return log
 
     def __repr__(self) -> str:
         done = sum(1 for h in self._handles if h.done)
@@ -628,7 +547,10 @@ def create_service(
 
     A config asking for one serial shard is exactly a plain
     :class:`DecisionService`, so that is what it gets; anything else
-    builds a :class:`ShardedDecisionService`.
+    builds a :class:`ShardedDecisionService`.  The branch stays: a plain
+    service's handles and observers are live inside a run (cohort
+    fan-out consults its listeners, a wave step ends at one that
+    schedules), a fleet's update once per round.
     """
     coerced = coerce_config(config)
     if coerced.shards == 1 and coerced.executor == "serial":

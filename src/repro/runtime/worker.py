@@ -1,13 +1,13 @@
-"""Worker-side execution of one shard: the state both executors drive.
+"""Worker-side execution of one shard: the state both transports drive.
 
 :class:`_PersistentShard` is one shard's live state: a single-shard
 :class:`~repro.api.service.DecisionService` built from a live schema and
-config, plus watermarks of what it has reported.  Both executors drive a
-shard through it and nothing else — the serial executor calls it
-in-process, the process executor through a ``multiprocessing`` pipe served
-by :func:`worker_main`, which deserialises the schema and
-:class:`~repro.api.config.ExecutionConfig` (the plain dicts of
-:mod:`repro.core.serialize`) before building it.
+config, plus the handles it has not yet reported settled.  Both
+transports drive a shard through it and nothing else — the serial
+transport calls it in-process, the process transport through a
+``multiprocessing`` pipe served by :func:`worker_main`, which
+deserialises the schema and :class:`~repro.api.config.ExecutionConfig`
+(the plain dicts of :mod:`repro.core.serialize`) before building it.
 
 Submissions travel as an ordered op list — each op either
 ``("submit", instance_id, source_values, at)`` or
@@ -15,14 +15,13 @@ Submissions travel as an ordered op list — each op either
 answers framed commands:
 
 - ``("run", ops, until, collect_events, release)`` — let go of the
-  finished instances already reported (when *release* is set), replay
+  settled instances already reported (when *release* is set), replay
   the new ops, drive the shard (to *until*, or dry), reply
   ``("ok", outcome)``.  The :class:`ShardOutcome`'s ``records`` are
-  *incremental*: instances already reported done are skipped, live ones
-  are re-reported each round until they finish; ``events`` carry only
-  this round's new events.
-- ``("snapshot",)`` — reply the shard's held population and clock
-  without driving anything.
+  *incremental*: an instance is reported every round until it is
+  *settled* (done, with no query in flight — a straggler still books
+  units on a done instance), and the round it settles is the last;
+  ``events`` carry only this round's new events.
 - ``("shutdown",)`` — acknowledge and exit (the worker process only).
 
 Over the pipe any exception is shipped back as
@@ -45,19 +44,50 @@ from repro.errors import ExecutionError
 
 __all__ = [
     "ShardOutcome",
+    "ShardStats",
     "InstanceRecord",
     "worker_main",
 ]
 
+#: The integer counters a shard ships each round: the summary's service
+#: counters plus the pooled-dispatch pair.
+OUTCOME_COUNTERS = SERVICE_COUNTERS + ("pooled_batches", "pooled_events")
 
-@dataclass
+
+@dataclass(slots=True)
 class InstanceRecord:
-    """The materialized result of one instance: values plus final metrics."""
+    """The materialized result of one instance: values plus metrics.
+
+    *settled* once done with nothing in flight: its metrics are final.
+    A fleet handle starts on a source-only record (its sources, no
+    metrics) until its shard reports one.
+    """
 
     instance_id: str
     done: bool
+    settled: bool
     values: dict[str, object]
-    metrics: InstanceMetrics
+    metrics: InstanceMetrics | None
+
+
+@dataclass(frozen=True)
+class ShardStats:
+    """One shard's aggregate state: population, work, and clock.
+
+    *instances* and *completed* count released instances too; *held* is
+    what the shard still holds (released instances leave it).
+    """
+
+    shard: int
+    instances: int
+    completed: int
+    total_units: int
+    queries_completed: int
+    queries_cancelled: int
+    queries_failed: int
+    mean_gmpl: float
+    end_time: float
+    held: int
 
 
 @dataclass
@@ -65,49 +95,28 @@ class ShardOutcome:
     """Everything a shard reports back for cross-shard aggregation.
 
     Nothing here is summarised: the parent folds the metrics of the
-    records it receives as they finish, and a shard adds only its
-    service-level integer counters (`SERVICE_COUNTERS`).
+    records it receives as they settle, and a shard adds only its
+    integer counters (:data:`OUTCOME_COUNTERS`) and its stats.
     """
 
-    shard: int
     records: list[InstanceRecord]
     counters: dict[str, int]
-    total_units: int
-    queries_completed: int
-    queries_cancelled: int
-    queries_failed: int
-    mean_gmpl: float
-    end_time: float
-    backend_name: str
+    stats: ShardStats
     time_unit: str | None
     events: list[object] | None
-    #: pooled-dispatch counters (always shipped)
-    pooled_batches: int = 0
-    pooled_events: int = 0
     #: repro.obs payloads (None unless config.observe armed the shard):
     #: the registry snapshot and the flight-recorder event tuples, merged
     #: by the sharded service exactly like the metrics summary.
     obs: dict | None = None
     trace: list[tuple] | None = None
-    #: shard population totals, released instances included — records
-    #: are incremental, so per-shard counts travel explicitly.
-    instances: int = 0
-    completed: int = 0
 
     @classmethod
-    def idle(cls, shard: int, backend_name: str) -> "ShardOutcome":
+    def idle(cls, shard: int) -> "ShardOutcome":
         """The outcome of a shard that received no work."""
         return cls(
-            shard=shard,
             records=[],
-            counters=dict.fromkeys(SERVICE_COUNTERS, 0),
-            total_units=0,
-            queries_completed=0,
-            queries_cancelled=0,
-            queries_failed=0,
-            mean_gmpl=0.0,
-            end_time=0.0,
-            backend_name=backend_name,
+            counters=dict.fromkeys(OUTCOME_COUNTERS, 0),
+            stats=ShardStats(shard, 0, 0, 0, 0, 0, 0, 0.0, 0.0, 0),
             time_unit=None,
             events=None,
         )
@@ -128,30 +137,27 @@ def _replay_ops(service: DecisionService, ops: list[tuple]) -> None:
                 instance_ids=instance_ids,
                 run=False,
             )
-        else:  # pragma: no cover - guarded by the executor's op builders
+        else:  # pragma: no cover - guarded by the fleet's op builders
             raise ExecutionError(f"unknown shard op {kind!r}")
 
 
 class _PersistentShard:
-    """The live state one shard keeps between rounds, on either executor."""
+    """The live state one shard keeps between rounds, on either transport."""
 
     def __init__(self, shard: int, schema: DecisionFlowSchema, config: ExecutionConfig):
         self.service = DecisionService(schema, config.replace(shards=1, executor="serial"))
         self.shard = shard
         self.log = None
-        #: handles not yet reported done, in submission order
-        self._unreported: list = []
-        #: instances reported done, released ones included
-        self._completed = 0
+        #: handles not yet reported settled, in submission order
+        self._unsettled: list = []
+        #: instances reported settled, released ones included
+        self._settled = 0
 
-    def serve(self, message: tuple):
-        """Answer one ``run`` or ``snapshot`` frame with its payload."""
-        kind = message[0]
-        if kind == "run":
-            return self.round(*message[1:])
-        if kind == "snapshot":
-            return self.snapshot()
-        raise ExecutionError(f"unknown worker command {kind!r}")
+    def serve(self, message: tuple) -> ShardOutcome:
+        """Answer one ``run`` frame with its outcome."""
+        if message[0] != "run":
+            raise ExecutionError(f"unknown worker command {message[0]!r}")
+        return self.round(*message[1:])
 
     def round(
         self,
@@ -162,8 +168,9 @@ class _PersistentShard:
     ) -> ShardOutcome:
         service = self.service
         if release:
-            # Only instances reported done can have settled, so the
-            # parent has their records already.
+            # Nothing ran since the last report, so what is settled now
+            # was reported settled (or, after a round that raised, is
+            # reported by this one: a released handle stays readable).
             service.release_completed()
         if collect_events and self.log is None:
             # Late observer attach: collection starts this round; earlier
@@ -176,63 +183,57 @@ class _PersistentShard:
         finally:
             # this round's submissions, closed-loop refills included, in
             # order — reported by this round or, if it raised, the next
-            self._unreported += service.handles[held:]
+            self._unsettled += service.handles[held:]
         return self._outcome()
 
     def _outcome(self) -> ShardOutcome:
-        """Report what is new: every handle not yet reported done, and
-        the shard's counters.  A round costs what it ran, not what the
-        shard has held."""
+        """Report what can still change: every handle not yet reported
+        settled, and the shard's counters.  A round costs what it ran,
+        not what the shard has held."""
         service = self.service
         database = service.database
-        records, running = [], []
-        for handle in self._unreported:
-            done = handle.done
+        records, unsettled, done = [], [], 0
+        for handle in self._unsettled:
+            instance = handle.instance
+            settled = instance.done and not instance.inflight
             records.append(
                 InstanceRecord(
-                    instance_id=handle.instance_id,
-                    done=done,
-                    values=handle.value_map(),
-                    metrics=handle.metrics,
+                    handle.instance_id,
+                    instance.done,
+                    settled,
+                    handle.value_map(),
+                    instance.metrics,
                 )
             )
-            if not done:
-                running.append(handle)
-        self._completed += len(self._unreported) - len(running)
-        self._unreported = running
+            if not settled:
+                unsettled.append(handle)
+                done += instance.done
+        self._settled += len(self._unsettled) - len(unsettled)
+        self._unsettled = unsettled
         events = None
         if self.log is not None:
             events, self.log.events = self.log.events, []
         observed = service.obs.enabled
         return ShardOutcome(
-            shard=self.shard,
             records=records,
-            counters=service_counters(service.engine),
-            total_units=database.total_units,
-            queries_completed=database.queries_completed,
-            queries_cancelled=database.queries_cancelled,
-            queries_failed=database.queries_failed,
-            mean_gmpl=database.mean_gmpl(),
-            end_time=service.now,
-            backend_name=service.backend.name,
+            counters={**service_counters(service.engine), **service.dispatch_stats()},
+            stats=ShardStats(
+                shard=self.shard,
+                instances=self._settled + len(unsettled),
+                completed=self._settled + done,
+                total_units=database.total_units,
+                queries_completed=database.queries_completed,
+                queries_cancelled=database.queries_cancelled,
+                queries_failed=database.queries_failed,
+                mean_gmpl=database.mean_gmpl(),
+                end_time=service.now,
+                held=len(service.handles),
+            ),
             time_unit=service.backend.time_unit,
             events=events,
-            pooled_batches=service.engine.pooled_batches,
-            pooled_events=service.engine.pooled_events,
             obs=service.observability() if observed else None,
             trace=service.obs.tracer.events() if observed else None,
-            instances=self._completed + len(running),
-            completed=self._completed,
         )
-
-    def snapshot(self) -> dict:
-        service = self.service
-        return {
-            "shard": self.shard,
-            "instances": len(service.handles),
-            "completed": sum(1 for handle in service.handles if handle.done),
-            "now": service.now,
-        }
 
 
 def worker_main(conn, shard: int, schema_data: dict, config_data: dict) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Attribute, Comparison, DecisionFlowSchema, Op, PatternParams, generate_pattern
 from repro.api import DecisionService, ExecutionConfig
 from repro.api.backends import create_backend
 from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
@@ -19,7 +20,7 @@ from repro.runtime import (
 from repro.runtime.sharding import _split_concurrency
 from repro.runtime.worker import _PersistentShard
 
-from tests._support import diamond_schema, scenario_pattern
+from tests._support import diamond_schema, q, scenario_pattern
 
 
 @pytest.fixture(scope="module")
@@ -214,12 +215,11 @@ class TestWorkerProtocol:
                 ("submit", "w#2", sources, 5.0),
             ],
         )
-        assert outcome.shard == 0
+        assert outcome.stats.shard == 0
         assert [r.instance_id for r in outcome.records] == ["w#1", "w#2"]
-        assert all(r.done for r in outcome.records)
-        assert outcome.completed == 2
-        assert outcome.total_units > 0
-        assert outcome.backend_name == "ideal"
+        assert all(r.done and r.settled for r in outcome.records)
+        assert outcome.stats.completed == 2
+        assert outcome.stats.total_units > 0
         assert outcome.time_unit == "units"
         assert outcome.events  # collected
         # The outcome mirrors a hand-driven service with the same workload.
@@ -240,7 +240,7 @@ class TestWorkerProtocol:
             collect_events=False,
         )
         assert [r.instance_id for r in outcome.records] == ["c#1", "c#2", "c#3"]
-        assert outcome.completed == 3
+        assert outcome.stats.completed == 3
         assert outcome.events is None
 
     def test_unknown_op_rejected(self, pattern):
@@ -255,10 +255,10 @@ class TestWorkerProtocol:
         second = state.round([("submit", "w#2", sources, None)], None, True)
         assert [r.instance_id for r in first.records] == ["w#1"]
         assert [r.instance_id for r in second.records] == ["w#2"]
-        assert (second.instances, second.completed) == (2, 2)
+        assert (second.stats.instances, second.stats.completed) == (2, 2)
         assert second.events and not set(map(id, second.events)) & set(map(id, first.events))
 
-    def test_worker_main_speaks_run_snapshot_and_shutdown_frames(self, pattern):
+    def test_worker_main_speaks_run_and_shutdown_frames(self, pattern):
         import threading
         from multiprocessing import Pipe
 
@@ -277,11 +277,7 @@ class TestWorkerProtocol:
             kind, outcome = parent.recv()
             assert kind == "ok" and isinstance(outcome, ShardOutcome)
             assert [r.instance_id for r in outcome.records] == ["f#1"]
-            parent.send(("snapshot",))
-            assert parent.recv() == (
-                "ok",
-                {"shard": 1, "instances": 1, "completed": 1, "now": outcome.end_time},
-            )
+            assert (outcome.stats.shard, outcome.stats.instances, outcome.stats.held) == (1, 1, 1)
             parent.send(("warp",))
             reply = parent.recv()
             assert reply[:2] == ("error", "ExecutionError")
@@ -553,11 +549,7 @@ class TestProcessExecutor:
         )
         service.submit(pattern.source_values)
         service.run()
-        executor = service._executor
-        victim = executor._workers[0].process
-        victim.kill()
-        victim.join(timeout=10.0)
-        assert not victim.is_alive()
+        _kill_worker(service, 0)
         assert service.worker_health()["alive"] is False
         service.submit(pattern.source_values)
         with pytest.raises(ExecutionError, match=r"shard 0 worker .* died"):
@@ -608,18 +600,18 @@ class TestProcessExecutor:
         }
         service.close()  # no-op, but the method exists on both executors
 
-    def test_snapshots_read_live_worker_state(self, pattern):
-        service = ShardedDecisionService(
-            pattern.schema, ExecutionConfig(shards=2, executor="process")
-        )
-        service.submit_stream([0.0, 1.0, 2.0], values=pattern.source_values)
-        snapshots = service._executor.snapshots()
-        assert [s["shard"] for s in snapshots] == [0, 1]
-        assert sum(s["instances"] for s in snapshots) == 3
-        assert sum(s["completed"] for s in snapshots) == 3
-        stats = service.stats()
-        assert [s["now"] for s in snapshots] == [st.end_time for st in stats]
-        service.close()
+
+def _kill_worker(service, shard: int) -> None:
+    """SIGKILL one shard's worker process and wait until the fleet sees it dead."""
+    import os
+    import signal
+    import time
+
+    os.kill(service.worker_health()["workers"][shard]["pid"], signal.SIGKILL)
+    deadline = time.monotonic() + 10.0
+    while service.worker_health()["workers"][shard]["alive"]:
+        assert time.monotonic() < deadline, "the worker outlived SIGKILL"
+        time.sleep(0.01)
 
 
 def _id_on_shard(shard: int, shards: int, prefix: str) -> str:
@@ -749,7 +741,7 @@ def test_a_missing_source_is_refused_at_submit(pattern, executor):
 def test_a_worker_error_leaves_the_fleet_in_step(pattern, executor):
     service = ShardedDecisionService(pattern.schema, ExecutionConfig(shards=2, executor=executor))
     first = service.submit(pattern.source_values, instance_id=_id_on_shard(1, 2, "one"))
-    service._executor._ops[0].append(("warp",))  # an op shard 0 refuses
+    service._ops[0].append(("warp",))  # an op shard 0 refuses
     with pytest.raises(ExecutionError, match="unknown shard op"):
         service.run()
     assert first.done  # shard 1 ran its round; its reply was read
@@ -765,7 +757,7 @@ def test_a_worker_error_leaves_the_fleet_in_step(pattern, executor):
 def test_a_submission_of_a_round_that_raised_is_reported_later(pattern, executor):
     service = ShardedDecisionService(pattern.schema, ExecutionConfig(shards=2, executor=executor))
     early = service.submit(pattern.source_values, instance_id=_id_on_shard(0, 2, "early"))
-    service._executor._ops[0].append(("warp",))  # refused after `early` was replayed
+    service._ops[0].append(("warp",))  # refused after `early` was replayed
     with pytest.raises(ExecutionError, match="unknown shard op"):
         service.run()
     service.run()
@@ -788,7 +780,7 @@ def test_release_completed_lets_go_on_every_shard(pattern, executor):
     late = service.submit(pattern.source_values, at=service.now)
     service.run()  # the shards let go at the start of this round
     assert service.handles == (late,)
-    assert sum(s["instances"] for s in service._executor.snapshots()) == 1
+    assert sum(stat.held for stat in service.stats()) == 1
     assert sum(stat.instances for stat in service.stats()) == 5
     assert service.summary().count == 5
     service.close()
@@ -799,7 +791,7 @@ def test_a_round_summarises_only_what_finished_in_it(pattern, executor, monkeypa
     """Round k's summary work sees round k's newly finished instances and
     nothing a shard reported before, released or not; the shards walk
     only what they have not reported done and ship no summary."""
-    import repro.runtime.executors as executors
+    import repro.runtime.sharding as sharding
     from repro.core.metrics import summarize
 
     seen: list[list[str]] = []
@@ -809,7 +801,7 @@ def test_a_round_summarises_only_what_finished_in_it(pattern, executor, monkeypa
         seen.append(sorted(m.instance_id for m in metrics))
         return summarize(metrics)
 
-    monkeypatch.setattr(executors, "summarize", spy)
+    monkeypatch.setattr(sharding, "summarize", spy)
     service = ShardedDecisionService(
         pattern.schema, ExecutionConfig.from_code("PSE50", shards=2, executor=executor)
     )
@@ -836,9 +828,9 @@ def test_a_round_summarises_only_what_finished_in_it(pattern, executor, monkeypa
     assert summary.mean_work == pytest.approx(whole.mean_work)
     assert summary.std_elapsed == pytest.approx(whole.std_elapsed)
     assert sum(stat.completed for stat in service.stats()) == 12
-    assert not hasattr(service._executor.outcomes[0], "summary")
-    if executor == "serial":
-        assert all(not state._unreported for state in service._executor._workers)
+    assert not hasattr(service.outcomes[0], "summary")
+    service.release_completed()
+    assert service.handles == ()  # every instance was reported settled
     service.close()
 
 
@@ -957,7 +949,88 @@ def test_before_the_first_round_every_facade_answers_the_submitted_sources(patte
             service.run()
         answers = [handle.value_map() for handle in handles]
         assert answers == [answers[0]] * len(services) and len(answers[0]) > len(sources)
-        assert all(handle._sources is None for handle in handles[1:])
+        assert all(handle.metrics == handles[0].metrics for handle in handles[1:])
     finally:
         for service in services:
             service.close()
+
+
+#: A plain service, then fleets of one and two shards on either transport.
+FACADES = [None] + [(shards, executor) for shards in (1, 2) for executor in ("serial", "process")]
+
+
+def _facade(schema, config, facade):
+    if facade is None:
+        return DecisionService(schema, config)
+    shards, executor = facade
+    return ShardedDecisionService(schema, config.replace(shards=shards, executor=executor))
+
+
+def _database_units(service) -> int:
+    if isinstance(service, DecisionService):
+        return service.database.total_units
+    return service.total_units
+
+
+@pytest.mark.parametrize("facade", FACADES, ids=str)
+def test_a_straggler_books_its_units_after_a_pause_on_every_facade(facade):
+    """The straggler flow with constant-valued tasks (so it serialises):
+    ``t`` decides at t = 2 while the unneeded ``x`` (cost 20) runs to
+    t = 20.  With the query cache, the second arrival waits on the first's
+    ``x``, which stays a primary and books 20 units on a done instance
+    after the pause.  Every facade books them — to the handle, and to the
+    summary — and lets neither instance go before it is settled.  Both
+    default ids route to shard 1 of 2, so every facade reads one database."""
+    schema = DecisionFlowSchema(
+        [
+            Attribute("s"),
+            Attribute("a", task=q("a", ("s",), value=1, cost=1)),
+            Attribute("x", task=q("x", ("s",), value=5, cost=20)),
+            Attribute(
+                "g", task=q("g", ("x",), value=2, cost=1), condition=Comparison("a", Op.GT, 3)
+            ),
+            Attribute("t", task=q("t", ("a", "g"), value=1, cost=1), is_target=True),
+        ],
+        name="straggler",
+    )
+    service = _facade(schema, ExecutionConfig.from_code("PSE100", query_cache=True), facade)
+    try:
+        handles = [service.submit({"s": 1}) for _ in range(2)]
+        service.run(until=3.0)
+        assert all(handle.done for handle in handles)
+        assert handles[0] not in service.release_completed()  # done, but its x is in flight
+        assert service.handles == (handles[0],)
+        work = [handle.metrics.work_units for handle in handles]
+        assert sum(work) == service.summary().total_work == _database_units(service) == 2
+        service.run()
+        work = [handle.metrics.work_units for handle in handles]
+        assert work == [22, 0]
+        assert sum(work) == service.summary().total_work == _database_units(service) == 22
+        assert service.release_completed() == (handles[0],) and service.handles == ()
+        assert service.summary().total_work == 22 and service.summary().count == 2
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("facade", FACADES, ids=str)
+def test_run_closed_checks_every_valuation_before_running_any(facade):
+    """A valuation that misses a source, at index 3 of 6: ``run_closed``
+    raises naming it before any id is claimed or instance submitted, and
+    the service stays usable."""
+    pattern = generate_pattern(PatternParams(seed=3))
+    valuations = [dict(pattern.source_values) for _ in range(6)]
+    del valuations[3]["src"]
+    service = _facade(pattern.schema, ExecutionConfig(), facade)
+    try:
+        with pytest.raises(ExecutionError, match=r"valuation 3: missing source values: \['src'\]"):
+            service.run_closed(6, concurrency=2, values=lambda index: valuations[index])
+        assert service.handles == () and service.summary().count == 0
+        assert _database_units(service) == 0
+        handles = service.run_closed(6, concurrency=2, values=pattern.source_values)
+        assert all(handle.done for handle in handles) and service.summary().count == 6
+        assert handles[0].instance_id == f"{pattern.schema.name}#1"  # no id was burnt
+        service.submit(pattern.source_values)
+        service.run()
+        assert service.summary().count == 7
+    finally:
+        service.close()

@@ -9,6 +9,8 @@ iteration), never by sleeping and hoping.
 """
 
 import gc
+import os
+import signal
 import threading
 import time
 
@@ -522,12 +524,10 @@ class TestShardedService:
             assert daemon.submit_many(values).ok
             assert daemon.wait_idle(WAIT)
         fleet = daemon.service
-        assert fleet.handles == ()
-        assert fleet._executor._records == {}
+        assert fleet.handles == ()  # the parent's records live on its handles
         # The shards let go at the start of the next round: each holds at
         # most the last epoch.
-        held = [snapshot["instances"] for snapshot in fleet._executor.snapshots()]
-        assert sum(held) <= 32
+        assert sum(stat.held for stat in fleet.stats()) <= 32
         assert daemon.summary().count == 64 * 32
         assert sum(stat.instances for stat in fleet.stats()) == 64 * 32
         assert daemon.server_stats()["persisted"] == 64 * 32
@@ -538,9 +538,12 @@ class TestShardedService:
         ids = daemon.submit_many([None] * 2).accepted
         assert daemon.wait_idle(WAIT)
         assert all(daemon.get(i)["status"] == "done" for i in ids)
-        victim = daemon.service._executor._workers[0].process
-        victim.kill()
-        victim.join(timeout=10.0)
+        pid = daemon.service.worker_health()["workers"][0]["pid"]
+        os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while daemon.service.worker_health()["workers"][0]["alive"]:
+            assert time.monotonic() < deadline, "the worker outlived SIGKILL"
+            time.sleep(0.01)
         ok, payload = daemon.health()
         assert ok is False
         assert payload["status"] == "workers-dead"

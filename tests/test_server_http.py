@@ -334,7 +334,7 @@ class TestMetricsEndpoint:
             assert parsed.count == 8
             # The sharded facade sums (never averages) the cache counters;
             # the wire value must equal the sum over the shard services.
-            shard_counters = [o.counters for o in daemon.service._executor.outcomes]
+            shard_counters = [o.counters for o in daemon.service.outcomes]
             for field in (
                 "query_cache_hits",
                 "query_cache_misses",
