@@ -322,7 +322,7 @@ class DecisionService(_ServiceFront):
         )
         self.engine.enable_pooled_dispatch()
         #: running aggregate over the instances release_completed() let go
-        self._released = MetricsSummary.empty()
+        self._released = MetricsSummary()
 
     # -- submission -----------------------------------------------------------
 
@@ -354,9 +354,9 @@ class DecisionService(_ServiceFront):
 
         Submits *concurrency* instances immediately and replaces each one
         the moment it completes, until *n* have been submitted in total;
-        then drains.  Returns the handles of all *n* instances.  Every
-        valuation is checked up front: one that misses a source raises,
-        naming its index, before anything is submitted.
+        then drains.  Returns the handles of all *n* instances.  A valuation
+        that misses a source (named by index) or a repeated or claimed id
+        raises before anything is submitted.
 
         *instance_ids* (when given) supplies the id of each submission in
         order — the sharded runtime uses this to keep ids globally unique
@@ -366,10 +366,16 @@ class DecisionService(_ServiceFront):
         instance is replaced.
         """
         valuations = self._closed_valuations(n, concurrency, values)
-        if instance_ids is not None and len(instance_ids) != n:
-            raise ValueError(
-                f"instance_ids must supply exactly n={n} ids, got {len(instance_ids)}"
-            )
+        if instance_ids is not None:
+            if len(instance_ids) != n:
+                raise ValueError(
+                    f"instance_ids must supply exactly n={n} ids, got {len(instance_ids)}"
+                )
+            seen: set[str] = set()
+            for instance_id in instance_ids:
+                if instance_id in seen or instance_id in self.engine._instance_ids:
+                    raise ExecutionError(f"run_closed: duplicate instance id {instance_id!r}")
+                seen.add(instance_id)
         handles: list[InstanceHandle] = []
 
         def submit_next() -> None:
@@ -414,9 +420,9 @@ class DecisionService(_ServiceFront):
         epoch) calls this so the service's memory follows the instances
         in flight, not every instance it has ever served.  Released
         instances leave :attr:`handles` and the engine's instance list;
-        their metrics are folded into a running aggregate first, so
-        :meth:`summary` keeps covering them.  A handle the caller still
-        holds stays fully readable.  An instance that is done but still
+        their metrics are added to a running aggregate first, so
+        :meth:`summary` reads as if nothing had been released.  A handle
+        the caller still holds stays fully readable.  An instance that is done but still
         has a query in flight is kept until that query has booked its
         units.
         """
@@ -437,10 +443,8 @@ class DecisionService(_ServiceFront):
         :class:`MetricsSummary` with ``count == 0`` rather than raising.
         With the query share cache armed, the summary carries its
         service-level hit/miss/coalesce counters; with cohort execution
-        armed, its cohort hit/split totals.  After
-        :meth:`release_completed` the released instances enter through
-        :meth:`MetricsSummary.merge`: counts and totals stay exact, means
-        and deviations agree with a never-released service to rounding.
+        armed, its cohort hit/split totals.  It equals one ``summarize``
+        over every finished instance, whenever :meth:`release_completed` ran.
         """
         summary = MetricsSummary.merge(
             self._released,

@@ -37,6 +37,7 @@ Two extensions beyond the paper's experiments:
 from __future__ import annotations
 
 import itertools
+from math import isfinite
 from time import perf_counter
 from typing import Callable, Mapping
 
@@ -52,7 +53,7 @@ from repro.obs import NULL_OBS, Observability
 from repro.simdb.database import DatabaseServer, QueryShareCache
 from repro.values import share_key
 
-__all__ = ["Engine", "EngineObserver", "claim_instance_id"]
+__all__ = ["Engine", "EngineObserver", "check_start_time", "claim_instance_id"]
 
 
 def claim_instance_id(
@@ -81,6 +82,17 @@ def claim_instance_id(
             f"duplicate instance id {instance_id!r}: ids must be unique per {scope}"
         )
     return instance_id
+
+
+def check_start_time(instance_id: str, at: float, now: float) -> None:
+    """Refuse a start the clock cannot take (non-finite, or before *now*)."""
+    if not isfinite(at):
+        raise ExecutionError(f"instance {instance_id!r}: cannot start at non-finite time {at}")
+    if at < now:
+        raise ExecutionError(
+            f"instance {instance_id!r}: cannot start at past time {at} "
+            f"(simulation clock is at {now})"
+        )
 
 
 class EngineObserver:
@@ -204,8 +216,8 @@ class Engine:
         """Create an instance and schedule its start (default: immediately).
 
         Nothing is claimed until the submission is accepted: a refused one
-        (a past start, sources the schema misses) leaves its id — explicit
-        or the generated one it would have got — free, and is in no run.
+        (a past or non-finite start, sources the schema misses) leaves its
+        id — explicit or the generated one it would have got — free.
 
         Consecutive arrivals for one instant share one calendar event, an
         *arrival run*: an arrival joins the open run when it starts at the
@@ -224,11 +236,7 @@ class Engine:
         instance_id = claim_instance_id(
             instance_id, self.schema.name, drawn, self._instance_ids
         )
-        if start_time < sim.now:
-            raise ExecutionError(
-                f"instance {instance_id!r}: cannot start at past time {start_time} "
-                f"(simulation clock is at {sim.now})"
-            )
+        check_start_time(instance_id, start_time, sim.now)
         instance = self._make_instance(source_values or {}, instance_id, start_time)
         if drawn is not None:
             self._id_next = next(drawn)

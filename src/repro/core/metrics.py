@@ -13,10 +13,11 @@ The paper's three measures (section 5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from math import sqrt
-from statistics import mean, pstdev
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields
+from fractions import Fraction
+from math import isqrt
+from operator import attrgetter
+from typing import Iterable
 
 __all__ = ["InstanceMetrics", "MetricsSummary", "SERVICE_COUNTERS", "summarize"]
 
@@ -93,32 +94,71 @@ SERVICE_COUNTERS = (
 )
 
 
+def _mean_of(total: str) -> property:
+    """A read-time mean: the correctly rounded float of Σx / n (0.0 for none)."""
+    return property(lambda s: float(Fraction(getattr(s, total), s.count)) if s.count else 0.0)
+
+
+def _deviation_of(total: str, squares: str) -> property:
+    """A read-time population deviation, sqrt((Σx² − (Σx)²/n)/n), rounded once."""
+
+    def deviation(s: "MetricsSummary") -> float:
+        n = s.count
+        spread = Fraction(getattr(s, squares) * n - getattr(s, total) ** 2)
+        return _sqrt(spread.numerator, spread.denominator * n * n) if n else 0.0
+
+    return property(deviation)
+
+
+def _sqrt(n: int, m: int) -> float:
+    """The correctly rounded square root of ``n / m``, for ``n >= 0``, ``m > 0``:
+    an integer root of at least 55 bits, its last bit set when any bit below
+    was dropped (rounding to odd), so its one conversion to a float is right."""
+    shift = (n.bit_length() - m.bit_length() - 109) // 2
+    if shift >= 0:
+        m <<= 2 * shift
+    else:
+        n <<= -2 * shift
+    root = isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 @dataclass
 class MetricsSummary:
-    """Aggregates over a set of finished instances.
+    """Exact sums over a set of finished instances.
 
-    The ``query_cache_*`` and ``cohort_*`` counters are service-level
-    (one :class:`~repro.simdb.database.QueryShareCache` and one cohort
-    table per service/shard, not per instance): zero unless the feature
-    is armed, filled in by ``DecisionService.summary()``, and summed —
-    not averaged — by :meth:`merge` so sharded aggregations report fleet
-    totals.
+    The fields are the count; integer Σ and Σ² of ``work_units`` and Σ of
+    the wasted speculative units, unneeded detections and launches; exact
+    (:class:`~fractions.Fraction`) Σ and Σ² of the elapsed times; and the
+    service-level ``query_cache_*`` / ``cohort_*`` counters (per service or
+    shard, zero unless armed, filled in by ``DecisionService.summary()``).
+    :meth:`merge` adds them, so a summary equals one :func:`summarize` over
+    the same instances whatever the releases and fleet rounds.  Means and
+    population deviations are computed when read, each rounded once.
     """
 
-    count: int
-    mean_work: float
-    std_work: float
-    mean_elapsed: float
-    std_elapsed: float
-    mean_speculative_wasted_units: float
-    mean_unneeded_detected: float
+    count: int = 0
     total_work: int = 0
-    mean_queries_launched: float = 0.0
+    total_work_squares: int = 0
+    total_elapsed: Fraction = Fraction(0)
+    total_elapsed_squares: Fraction = Fraction(0)
+    total_speculative_wasted_units: int = 0
+    total_unneeded_detected: int = 0
+    total_queries_launched: int = 0
     query_cache_hits: int = 0
     query_cache_misses: int = 0
     query_cache_coalesced: int = 0
     cohort_hits: int = 0
     cohort_splits: int = 0
+
+    mean_work = _mean_of("total_work")
+    std_work = _deviation_of("total_work", "total_work_squares")
+    mean_elapsed = _mean_of("total_elapsed")
+    std_elapsed = _deviation_of("total_elapsed", "total_elapsed_squares")
+    mean_speculative_wasted_units = _mean_of("total_speculative_wasted_units")
+    mean_unneeded_detected = _mean_of("total_unneeded_detected")
+    mean_queries_launched = _mean_of("total_queries_launched")
 
     # Shards share no cache, so cross-shard reuse is always 0.  perf/'s
     # fleet cells (declared in BENCHMARK.json) still read these two names;
@@ -138,120 +178,65 @@ class MetricsSummary:
         return self.mean_elapsed / 1000.0
 
     def to_dict(self) -> dict:
-        """A plain-dict (hence JSON-able) view of every field.
-
-        The server's ``/metrics`` endpoint serves this; floats survive a
-        JSON round trip exactly (Python serializes them via repr), so
-        ``MetricsSummary.from_dict(json.loads(json.dumps(s.to_dict())))``
-        equals ``s`` bit for bit — including the summed-not-averaged
-        ``query_cache_*`` fleet totals of a sharded service.
-        """
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "MetricsSummary":
-        """Rebuild a summary from :meth:`to_dict` output (strict keys)."""
-        field_names = {f.name for f in fields(cls)}
-        unknown = set(data) - field_names
-        if unknown:
-            raise ValueError(
-                f"unknown MetricsSummary field(s) {sorted(unknown)}; "
-                f"expected a subset of {sorted(field_names)}"
-            )
-        return cls(**dict(data))
-
-    @classmethod
-    def empty(cls) -> "MetricsSummary":
-        """The zeroed summary of no instances (``count == 0``)."""
-        return cls(
-            count=0,
-            mean_work=0.0,
-            std_work=0.0,
-            mean_elapsed=0.0,
-            std_elapsed=0.0,
-            mean_speculative_wasted_units=0.0,
-            mean_unneeded_detected=0.0,
-        )
+        """The ``/metrics`` payload: the count, the means and deviations as
+        read, ``total_work`` and the service counters (JSON round-trips it
+        exactly: Python serializes floats via repr)."""
+        return {name: getattr(self, name) for name in _PAYLOAD}
 
     @classmethod
     def merge(cls, *summaries: "MetricsSummary") -> "MetricsSummary":
-        """Combine summaries of disjoint instance sets into one.
+        """Combine summaries of disjoint instance sets: every field added.
 
-        Means are count-weighted; standard deviations pool the population
-        variances.  Empty summaries (``count == 0``) contribute nothing,
-        and merging none — or only empties — yields the same zeroed
-        summary as ``summarize([], empty_ok=True)``.  A single non-empty
-        input is returned as an exact copy, so one-shard aggregations
-        reproduce their shard's summary bit for bit.
+        Exact, so the grouping and the order never show: merging none is
+        ``MetricsSummary()``, the summary of no instances, and
+        ``merge(*map(summarize, parts)) == summarize(all)``.
         """
-        cache_totals = {
-            name: sum(getattr(s, name) for s in summaries) for name in SERVICE_COUNTERS
-        }
-        live = [s for s in summaries if s.count > 0]
-        if not live:
-            return replace(cls.empty(), **cache_totals)
-        if len(live) == 1:
-            return replace(live[0], **cache_totals)
-        count = sum(s.count for s in live)
+        return cls(*map(sum, zip(*map(_sums, summaries))))
 
-        def weighted(attr: str) -> float:
-            return sum(s.count * getattr(s, attr) for s in live) / count
 
-        def pooled_std(mean_attr: str, std_attr: str, combined_mean: float) -> float:
-            # E[x^2] per part is var + mean^2; recombine and re-center.
-            second_moment = (
-                sum(
-                    s.count * (getattr(s, std_attr) ** 2 + getattr(s, mean_attr) ** 2)
-                    for s in live
-                )
-                / count
-            )
-            return sqrt(max(0.0, second_moment - combined_mean**2))
+_sums = attrgetter(*(f.name for f in fields(MetricsSummary)))
 
-        mean_work = weighted("mean_work")
-        mean_elapsed = weighted("mean_elapsed")
-        return cls(
-            count=count,
-            mean_work=mean_work,
-            std_work=pooled_std("mean_work", "std_work", mean_work),
-            mean_elapsed=mean_elapsed,
-            std_elapsed=pooled_std("mean_elapsed", "std_elapsed", mean_elapsed),
-            mean_speculative_wasted_units=weighted("mean_speculative_wasted_units"),
-            mean_unneeded_detected=weighted("mean_unneeded_detected"),
-            total_work=sum(s.total_work for s in live),
-            mean_queries_launched=weighted("mean_queries_launched"),
-            **cache_totals,
-        )
+#: The keys of :meth:`MetricsSummary.to_dict`, in the order it serves them.
+_PAYLOAD = (
+    "count", "mean_work", "std_work", "mean_elapsed", "std_elapsed",
+    "mean_speculative_wasted_units", "mean_unneeded_detected", "total_work",
+    "mean_queries_launched", *SERVICE_COUNTERS,
+)
 
 
 def summarize(
     metrics: Iterable[InstanceMetrics], *, empty_ok: bool = False
 ) -> MetricsSummary:
-    """Summarize finished instances.
+    """Sum the finished instances among *metrics* into a summary.
 
     By default an empty (or entirely unfinished) input raises
     ``ValueError`` — a figure averaged over nothing is a bug in an
-    experiment driver.  Pass ``empty_ok=True`` to get a well-defined
-    zeroed summary (``count == 0``, all means ``0.0``) instead, which is
-    what live services report before any instance completes.
+    experiment driver.  Pass ``empty_ok=True`` to get the zeroed summary
+    (``count == 0``, all means ``0.0``) instead, which is what live
+    services report before any instance completes.
     """
-    finished: Sequence[InstanceMetrics] = [m for m in metrics if m.done]
-    if not finished:
-        if empty_ok:
-            return MetricsSummary.empty()
+    count = work = work_squares = wasted = unneeded = launched = 0
+    # elapsed times are dyadic: numerators summed per power-of-two denominator
+    elapsed: dict[int, int] = {}
+    elapsed_squares: dict[int, int] = {}
+    for m in metrics:
+        if m.finish_time is None:
+            continue
+        count += 1
+        units = m.work_units
+        work += units
+        work_squares += units * units
+        wasted += m.speculative_wasted_units
+        unneeded += m.unneeded_detected
+        launched += m.queries_launched
+        n, d = (m.finish_time - m.start_time).as_integer_ratio()
+        elapsed[d] = elapsed.get(d, 0) + n
+        elapsed_squares[d] = elapsed_squares.get(d, 0) + n * n
+    if not count and not empty_ok:
         raise ValueError("no finished instances to summarize")
-    works = [float(m.work_units) for m in finished]
-    elapsed = [m.elapsed for m in finished]
     return MetricsSummary(
-        count=len(finished),
-        mean_work=mean(works),
-        std_work=pstdev(works) if len(works) > 1 else 0.0,
-        mean_elapsed=mean(elapsed),
-        std_elapsed=pstdev(elapsed) if len(elapsed) > 1 else 0.0,
-        mean_speculative_wasted_units=mean(
-            float(m.speculative_wasted_units) for m in finished
-        ),
-        mean_unneeded_detected=mean(float(m.unneeded_detected) for m in finished),
-        total_work=int(sum(works)),
-        mean_queries_launched=mean(float(m.queries_launched) for m in finished),
+        count, work, work_squares,
+        sum((Fraction(n, d) for d, n in elapsed.items()), Fraction(0)),
+        sum((Fraction(n, d * d) for d, n in elapsed_squares.items()), Fraction(0)),
+        wasted, unneeded, launched,
     )

@@ -47,9 +47,9 @@ Determinism and equivalence guarantees:
   (and contention-dependent scheduling) legitimately differ.
 
 Cross-shard aggregation reads each shard's last outcome: ``summary()``
-is the finished aggregate (one
-:meth:`~repro.core.metrics.MetricsSummary.merge` per round), plus the
-done-but-unsettled records, plus the shards' service counters summed;
+is the finished aggregate (each round adds its settled instances, an
+exact sum), plus the done-but-unsettled records, plus the shards' service
+counters summed: one ``summarize`` over those instances, whatever the rounds;
 ``stats()`` is each outcome's :class:`~repro.runtime.worker.ShardStats`.
 A fleet's handles and observers update once per round: after every round
 the round's events reach each handler in :func:`merge_shard_events`
@@ -67,7 +67,7 @@ from repro.api.backends import Backend
 from repro.api.config import ExecutionConfig
 from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
 from repro.api.service import DecisionService, _ServiceFront, coerce_config
-from repro.core.engine import claim_instance_id
+from repro.core.engine import check_start_time, claim_instance_id
 from repro.core.metrics import SERVICE_COUNTERS, InstanceMetrics, MetricsSummary, summarize
 from repro.core.schema import DecisionFlowSchema
 from repro.core.strategy import Strategy
@@ -227,7 +227,7 @@ class ShardedDecisionService(_ServiceFront):
         self.outcomes = [ShardOutcome.idle(shard) for shard in range(self.shards)]
         #: the fleet's settled instances, released ones included: each
         #: round folds in the records that settled in it, and only those
-        self.finished = MetricsSummary.empty()
+        self.finished = MetricsSummary()
         self._ops: list[list[tuple]] = [[] for _ in range(self.shards)]
         #: the handles not yet settled, by instance id: a round's records land here
         self._pending: dict[str, ShardedInstanceHandle] = {}
@@ -235,14 +235,13 @@ class ShardedDecisionService(_ServiceFront):
         self._transport = None  # built at the first submission
         self._closed = False
         self._instance_ids: set[str] = set()
-        self._id_seq = itertools.count(1)
+        self._id_next = 1  # the number the next generated id tries first
 
     # -- id allocation and routing --------------------------------------------
 
-    def _claim_id(self, instance_id: str | None) -> str:
+    def _claim_id(self, instance_id: str | None, drawn: itertools.count | None) -> str:
         return claim_instance_id(
-            instance_id, self.schema.name, self._id_seq, self._instance_ids,
-            scope="service",
+            instance_id, self.schema.name, drawn, self._instance_ids, scope="service"
         )
 
     def shard_of(self, instance_id: str) -> int:
@@ -284,23 +283,24 @@ class ShardedDecisionService(_ServiceFront):
         """Submit one instance to its home shard.
 
         The engine's own submit-time checks run here, so a refused
-        submission (a past start time, a missing source value) raises
-        now, on either transport, before its id is claimed.
+        submission (a past or non-finite start, a missing source value)
+        raises now, on either transport, before its id is claimed.
         """
-        instance_id = self._claim_id(instance_id)
+        # a generated id is drawn from a copy of the counter, which moves
+        # only once the submission is accepted
+        drawn = itertools.count(self._id_next) if instance_id is None else None
+        instance_id = self._claim_id(instance_id, drawn)
         shard = shard_of(instance_id, self.shards)
-        floor = self.outcomes[shard].stats.end_time
-        if at is not None and at < floor:
-            raise ExecutionError(
-                f"instance {instance_id!r}: cannot start at past time {at} "
-                f"(simulation clock is at {floor})"
-            )
+        if at is not None:
+            check_start_time(instance_id, at, self.outcomes[shard].stats.end_time)
         self.schema.check_sources(source_values or {})
         self._start()
         # a copy, as buffered: mutations after submit must not leak into the run
         sources = None if source_values is None else dict(source_values)
         self._ops[shard].append(("submit", instance_id, sources, at))
         self._instance_ids.add(instance_id)
+        if drawn is not None:
+            self._id_next = next(drawn)
         return self._register(shard, instance_id, sources)
 
     def run_closed(
@@ -326,14 +326,16 @@ class ShardedDecisionService(_ServiceFront):
         self._start()
         per_shard: list[tuple[list, list]] = [([], []) for _ in range(self.shards)]
         handles = []
+        drawn = itertools.count(self._id_next)
         for source_values in valuations:
-            instance_id = self._claim_id(None)
+            instance_id = self._claim_id(None, drawn)
             self._instance_ids.add(instance_id)
             shard = shard_of(instance_id, self.shards)
             sources = None if source_values is None else dict(source_values)
             per_shard[shard][0].append(instance_id)
             per_shard[shard][1].append(sources)
             handles.append(self._register(shard, instance_id, sources))
+        self._id_next = next(drawn)
         active = [shard for shard in range(self.shards) if per_shard[shard][0]]
         for share, shard in zip(_split_concurrency(concurrency, len(active)), active):
             self._ops[shard].append(("closed", *per_shard[shard], share))

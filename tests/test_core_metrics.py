@@ -1,6 +1,15 @@
 """Instance metrics and aggregation."""
 
+import json
+import math
+import statistics
+import sys
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.metrics import InstanceMetrics, MetricsSummary, summarize
 
@@ -86,18 +95,18 @@ class TestMerge:
         ]
 
     def test_merge_nothing_is_the_zeroed_summary(self):
-        assert MetricsSummary.merge() == MetricsSummary.empty()
+        assert MetricsSummary.merge() == MetricsSummary()
         assert MetricsSummary.merge() == summarize([], empty_ok=True)
 
     def test_merge_only_empties_is_zeroed(self):
-        merged = MetricsSummary.merge(MetricsSummary.empty(), MetricsSummary.empty())
+        merged = MetricsSummary.merge(MetricsSummary(), MetricsSummary())
         assert merged.count == 0
         assert merged == summarize([], empty_ok=True)
 
     def test_single_nonempty_summary_passes_through_exactly(self):
         # Count 3 so a weighted recombination would drift by float ulps.
         original = summarize(self._population([(3, 7.0), (5, 11.0), (9, 2.0)]))
-        merged = MetricsSummary.merge(MetricsSummary.empty(), original)
+        merged = MetricsSummary.merge(MetricsSummary(), original)
         assert merged == original
         assert merged is not original  # a copy, not an alias
 
@@ -106,29 +115,19 @@ class TestMerge:
         part_b = self._population([(9, 2.0), (1, 4.0), (6, 6.0)])
         merged = MetricsSummary.merge(summarize(part_a), summarize(part_b))
         combined = summarize(part_a + part_b)
-        assert merged.count == combined.count
-        assert merged.total_work == combined.total_work
-        for name in (
-            "mean_work",
-            "std_work",
-            "mean_elapsed",
-            "std_elapsed",
-            "mean_speculative_wasted_units",
-            "mean_unneeded_detected",
-            "mean_queries_launched",
-        ):
-            assert getattr(merged, name) == pytest.approx(getattr(combined, name)), name
+        assert merged == combined
+        assert merged.to_dict() == combined.to_dict()
 
     def test_merge_weights_by_count(self):
         heavy = summarize(self._population([(10, 1.0)] * 3))
         light = summarize(self._population([(1, 10.0)]))
         merged = MetricsSummary.merge(heavy, light)
         assert merged.count == 4
-        assert merged.mean_work == pytest.approx((3 * 10 + 1) / 4)
-        assert merged.mean_elapsed == pytest.approx((3 * 1.0 + 10.0) / 4)
+        assert merged.mean_work == (3 * 10 + 1) / 4
+        assert merged.mean_elapsed == (3 * 1.0 + 10.0) / 4
         assert merged.total_work == 31
 
-    def test_merge_is_associative_enough(self):
+    def test_merge_is_associative_exactly(self):
         parts = [
             summarize(self._population([(w, e)]))
             for w, e in [(2, 3.0), (8, 1.0), (5, 9.0)]
@@ -136,8 +135,8 @@ class TestMerge:
         left = MetricsSummary.merge(MetricsSummary.merge(parts[0], parts[1]), parts[2])
         flat = MetricsSummary.merge(*parts)
         assert left.count == flat.count == 3
-        assert left.mean_work == pytest.approx(flat.mean_work)
-        assert left.std_elapsed == pytest.approx(flat.std_elapsed)
+        assert left == flat
+        assert left.to_dict() == flat.to_dict()
 
 
 class TestQueryCacheCounters:
@@ -149,8 +148,6 @@ class TestQueryCacheCounters:
         assert summary.query_cache_coalesced == 0
 
     def test_merge_sums_counters_across_shards(self):
-        from dataclasses import replace
-
         a = replace(
             summarize([InstanceMetrics("a", 0.0, finish_time=2.0, work_units=2)]),
             query_cache_hits=3, query_cache_misses=5, query_cache_coalesced=7,
@@ -165,15 +162,13 @@ class TestQueryCacheCounters:
         assert merged.query_cache_coalesced == 11
 
     def test_merge_keeps_counters_of_empty_shards(self):
-        from dataclasses import replace
-
         busy = replace(
             summarize([InstanceMetrics("a", 0.0, finish_time=2.0, work_units=2)]),
             query_cache_misses=2,
         )
         # A shard whose instances are all still in flight has an empty
         # summary but real cache traffic; the totals must survive merge.
-        idle = replace(MetricsSummary.empty(), query_cache_coalesced=9)
+        idle = replace(MetricsSummary(), query_cache_coalesced=9)
         merged = MetricsSummary.merge(busy, idle)
         assert merged.count == 1
         assert merged.query_cache_misses == 2
@@ -189,10 +184,8 @@ class TestCohortCounters:
 
     def _shard(self, rng):
         """One shard summary: possibly empty, with random cohort totals."""
-        from dataclasses import replace
-
         if rng.random() < 0.4:  # idle shard: no finished instances yet
-            base = MetricsSummary.empty()
+            base = MetricsSummary()
         else:
             base = summarize(
                 [
@@ -233,70 +226,63 @@ class TestCohortCounters:
             assert folded.cohort_splits == merged.cohort_splits, seed
 
     def test_empty_shards_still_contribute_counters(self):
-        from dataclasses import replace
-
         # Shards whose instances are all mid-flight summarize to count=0
         # but have already recorded cohort traffic; an average (or a
         # count-weighted mean) would erase it.
-        idle_a = replace(MetricsSummary.empty(), cohort_hits=7, cohort_splits=2)
-        idle_b = replace(MetricsSummary.empty(), cohort_hits=5)
+        idle_a = replace(MetricsSummary(), cohort_hits=7, cohort_splits=2)
+        idle_b = replace(MetricsSummary(), cohort_hits=5)
         merged = MetricsSummary.merge(idle_a, idle_b)
         assert merged.count == 0
         assert merged.cohort_hits == 12
         assert merged.cohort_splits == 2
 
     def test_merge_roundtrips_through_wire_format(self):
-        from dataclasses import replace
-
         shard = replace(
             summarize([InstanceMetrics("a", 0.0, finish_time=2.0, work_units=2)]),
             cohort_hits=4, cohort_splits=1,
         )
-        merged = MetricsSummary.merge(shard, MetricsSummary.empty())
-        assert MetricsSummary.from_dict(merged.to_dict()) == merged
+        merged = MetricsSummary.merge(shard, MetricsSummary())
+        assert json.loads(json.dumps(merged.to_dict())) == shard.to_dict()
 
 
 class TestSummaryDict:
-    """to_dict/from_dict: the wire format GET /metrics serves."""
+    """to_dict: the wire format GET /metrics serves."""
+
+    #: The keys /metrics, the ``summary_*`` gauges and ``--json`` serve.
+    WIRE_KEYS = [
+        "count", "mean_work", "std_work", "mean_elapsed", "std_elapsed",
+        "mean_speculative_wasted_units", "mean_unneeded_detected", "total_work",
+        "mean_queries_launched", "query_cache_hits", "query_cache_misses",
+        "query_cache_coalesced", "cohort_hits", "cohort_splits",
+    ]
 
     def _summary(self):
-        return MetricsSummary(
-            count=3,
-            mean_work=12.333333333333334,
-            std_work=1.699673171197595,
-            mean_elapsed=7.1,
-            std_elapsed=0.2,
-            mean_speculative_wasted_units=0.5,
-            mean_unneeded_detected=1.25,
-            total_work=37,
-            mean_queries_launched=4.666666666666667,
-            query_cache_hits=9,
-            query_cache_misses=4,
-            query_cache_coalesced=2,
+        population = [
+            InstanceMetrics(
+                f"i{k}", 0.1 * k, finish_time=0.1 * k + elapsed, work_units=work,
+                queries_launched=launched, speculative_wasted_units=k, unneeded_detected=1 + k % 2,
+            )
+            for k, (work, elapsed, launched) in enumerate([(10, 7.3, 4), (13, 6.9, 5), (14, 7.1, 5)])
+        ]
+        return replace(
+            summarize(population), query_cache_hits=9, query_cache_misses=4, query_cache_coalesced=2
         )
 
-    def test_to_dict_covers_every_field(self):
-        from dataclasses import fields
+    def test_to_dict_serves_the_wire_keys_in_order(self):
+        assert list(self._summary().to_dict()) == self.WIRE_KEYS
 
-        data = self._summary().to_dict()
-        assert set(data) == {f.name for f in fields(MetricsSummary)}
-
-    def test_from_dict_inverts_to_dict_exactly(self):
+    def test_to_dict_values_are_the_read_time_values(self):
         summary = self._summary()
-        assert MetricsSummary.from_dict(summary.to_dict()) == summary
+        data = summary.to_dict()
+        assert data == {name: getattr(summary, name) for name in self.WIRE_KEYS}
+        assert type(data["count"]) is type(data["total_work"]) is int
+        assert all(type(data[name]) is float for name in data if name.startswith(("mean_", "std_")))
 
     def test_json_round_trip_is_exact(self):
-        import json
-
-        summary = self._summary()
-        over_the_wire = json.loads(json.dumps(summary.to_dict()))
-        assert MetricsSummary.from_dict(over_the_wire) == summary
-
-    def test_unknown_keys_rejected(self):
         data = self._summary().to_dict()
-        data["bogus"] = 1
-        with pytest.raises(ValueError, match="bogus"):
-            MetricsSummary.from_dict(data)
+        over_the_wire = json.loads(json.dumps(data))
+        assert over_the_wire == data
+        assert [type(v) for v in over_the_wire.values()] == [type(v) for v in data.values()]
 
     def test_merge_then_dict_keeps_summed_cache_counters(self):
         shard_a = self._summary()
@@ -306,7 +292,101 @@ class TestSummaryDict:
         assert data["query_cache_hits"] == 18
         assert data["query_cache_misses"] == 8
         assert data["query_cache_coalesced"] == 4
-        assert MetricsSummary.from_dict(data) == merged
+        assert data["count"] == 6 and data["total_work"] == 74
+
+
+def _exact_variance(xs) -> Fraction:
+    """The exact population variance of *xs*."""
+    exact = [Fraction(x) for x in xs]
+    mean = sum(exact) / len(exact)
+    return sum((x - mean) ** 2 for x in exact) / len(exact)
+
+
+def _is_correctly_rounded_sqrt(root: float, variance: Fraction) -> bool:
+    """*root* is the float nearest sqrt(*variance*): the square of each
+    midpoint to a neighbouring float brackets *variance*."""
+    below = Fraction(root) + (Fraction(math.nextafter(root, -math.inf)) - Fraction(root)) / 2
+    above = Fraction(root) + (Fraction(math.nextafter(root, math.inf)) - Fraction(root)) / 2
+    return (root == 0.0 or below * below <= variance) and variance <= above * above
+
+
+#: A finished instance: integer work, and an elapsed time that is often
+#: not dyadic in decimal (0.1, 2.3), so float sums would round.
+_instances = st.builds(
+    lambda k, start, elapsed, work, wasted, unneeded, launched: InstanceMetrics(
+        f"i{k}", start, finish_time=start + elapsed, work_units=work,
+        speculative_wasted_units=wasted, unneeded_detected=unneeded, queries_launched=launched,
+    ),
+    st.integers(0, 10**6),
+    st.sampled_from([0.0, 0.1, 3.0, 1234.5678]),
+    st.one_of(
+        st.sampled_from([0.1, 0.2, 0.3, 2.3, 7.0, 1e-3]),
+        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    ),
+    st.integers(0, 10**9),
+    st.integers(0, 500),
+    st.integers(0, 40),
+    st.integers(0, 200),
+)
+
+
+class TestExactFold:
+    """A summary is a sum: any partition of a population, merged in any
+    order or grouping, is bit for bit the summary of the whole."""
+
+    @given(
+        population=st.lists(_instances, max_size=40),
+        cuts=st.lists(st.integers(0, 40), max_size=6),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_merge_of_parts_is_the_summary_of_all(self, population, cuts, order):
+        bounds = [0, *sorted(min(cut, len(population)) for cut in cuts), len(population)]
+        parts = [population[lo:hi] for lo, hi in zip(bounds, bounds[1:])]  # empties included
+        whole = summarize(population, empty_ok=True)
+        summaries = [summarize(part, empty_ok=True) for part in parts]
+        order.shuffle(summaries)
+        flat = MetricsSummary.merge(*summaries)
+        folded = MetricsSummary()
+        for summary in summaries:  # one at a time, as releases and rounds fold
+            folded = MetricsSummary.merge(folded, summary)
+        nested = MetricsSummary.merge(
+            MetricsSummary.merge(*summaries[::2]), MetricsSummary.merge(*summaries[1::2])
+        )
+        for merged in (flat, folded, nested):
+            assert merged == whole
+            assert merged.to_dict() == whole.to_dict()
+
+    @given(population=st.lists(_instances, min_size=1, max_size=40))
+    def test_read_time_values_round_the_exact_ones_once(self, population):
+        summary = summarize(population)
+        works = [m.work_units for m in population]
+        elapsed = [m.elapsed for m in population]
+        n = len(population)
+        assert summary.count == n and summary.total_work == sum(works)
+        assert summary.mean_work == float(Fraction(sum(works), n))
+        assert summary.mean_elapsed == float(sum(map(Fraction, elapsed)) / n)
+        assert summary.mean_queries_launched == float(
+            Fraction(sum(m.queries_launched for m in population), n)
+        )
+        assert _is_correctly_rounded_sqrt(summary.std_work, _exact_variance(works))
+        assert _is_correctly_rounded_sqrt(summary.std_elapsed, _exact_variance(elapsed))
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="statistics.pstdev rounds twice before 3.11"
+    )
+    @given(population=st.lists(_instances, min_size=1, max_size=40))
+    def test_a_single_set_reads_as_the_statistics_module(self, population):
+        summary = summarize(population)
+        works = [float(m.work_units) for m in population]
+        elapsed = [m.elapsed for m in population]
+        assert summary.mean_work == statistics.mean(works)
+        assert summary.std_work == statistics.pstdev(works)
+        assert summary.mean_elapsed == statistics.mean(elapsed)
+        assert summary.std_elapsed == statistics.pstdev(elapsed)
+
+    def test_a_perfect_square_deviation_is_exact(self):
+        summary = summarize([finished(w, 0.1 * w) for w in (2, 4, 4, 4, 5, 5, 7, 9)])
+        assert summary.mean_work == 5.0 and summary.std_work == 2.0
 
 
 class TestInstanceDict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro import Attribute, Comparison, DecisionFlowSchema, Op, PatternParams, generate_pattern
@@ -824,9 +826,8 @@ def test_a_round_summarises_only_what_finished_in_it(pattern, executor, monkeypa
     assert seen == expected
     everything = [h.metrics for handles in rounds for h in handles]
     summary, whole = service.summary(), summarize(everything)
-    assert summary.count == whole.count == 12 and summary.total_work == whole.total_work
-    assert summary.mean_work == pytest.approx(whole.mean_work)
-    assert summary.std_elapsed == pytest.approx(whole.std_elapsed)
+    assert summary.count == whole.count == 12
+    assert summary == whole and summary.to_dict() == whole.to_dict()
     assert sum(stat.completed for stat in service.stats()) == 12
     assert not hasattr(service.outcomes[0], "summary")
     service.release_completed()
@@ -1008,6 +1009,33 @@ def test_a_straggler_books_its_units_after_a_pause_on_every_facade(facade):
         assert sum(work) == service.summary().total_work == _database_units(service) == 22
         assert service.release_completed() == (handles[0],) and service.handles == ()
         assert service.summary().total_work == 22 and service.summary().count == 2
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("facade", FACADES, ids=str)
+@pytest.mark.parametrize("at", [float("nan"), float("inf"), -float("inf")], ids=str)
+def test_a_non_finite_start_is_refused_before_its_id_is_claimed(facade, at):
+    """``submit(at=nan | ±inf)`` raises naming the instance, and leaves the
+    handles, the clock and the summary as they were: the clock cannot be
+    poisoned, and a later submission in the past is still refused."""
+    pattern = generate_pattern(PatternParams(nb_rows=4, pct_enabled=50, seed=7))
+    service = _facade(pattern.schema, ExecutionConfig.from_code("PSE100"), facade)
+    try:
+        service.submit(pattern.source_values, at=5.0)
+        service.run()
+        before = (service.handles, service.now, service.summary())
+        name = pattern.schema.name
+        refused = re.escape(f"instance '{name}#2': cannot start at non-finite time")
+        with pytest.raises(ExecutionError, match=refused):
+            service.submit(pattern.source_values, at=at)
+        assert (service.handles, service.now, service.summary()) == before
+        with pytest.raises(ExecutionError, match="past time 1.0"):
+            service.submit(pattern.source_values, at=1.0)
+        handle = service.submit(pattern.source_values)
+        service.run()
+        assert handle.instance_id == f"{name}#2"
+        assert handle.done and service.summary().count == 2
     finally:
         service.close()
 

@@ -19,7 +19,6 @@ import pytest
 from repro import ExecutionConfig, PatternParams, generate_pattern
 from repro.api.service import InstanceHandle
 from repro.core.batch_engine import BatchedInstance, _Cohort
-from repro.core.metrics import MetricsSummary
 from repro.core.snapshot import evaluate_schema
 from repro.nulls import ExceptionValue
 from repro.server import STATUSES, RunStore, ServerDaemon, decode_values
@@ -564,7 +563,7 @@ class TestMetricsPayload:
             "observability",
             "config",
         }
-        assert MetricsSummary.from_dict(payload["summary"]) == daemon.summary()
+        assert payload["summary"] == daemon.summary().to_dict()
         assert payload["server"]["completed"] == 4
         assert payload["config"]["hash"] == daemon.config_digest
 

@@ -132,16 +132,13 @@ def run_sharded(pattern, config: ExecutionConfig, arrivals) -> dict:
     }
 
 
-def assert_summaries_close(sharded, plain, exact: bool) -> None:
+def assert_summaries_close(sharded, plain) -> None:
     assert sharded.count == plain.count
     assert sharded.total_work == plain.total_work
     for name in ("mean_work", "std_work", "mean_elapsed", "std_elapsed",
                  "mean_speculative_wasted_units", "mean_unneeded_detected",
                  "mean_queries_launched"):
-        if exact:
-            assert getattr(sharded, name) == getattr(plain, name), name
-        else:
-            assert getattr(sharded, name) == pytest.approx(getattr(plain, name)), name
+        assert getattr(sharded, name) == getattr(plain, name), name
 
 
 # -- ring 1: one shard is the plain service, bit for bit -----------------------
@@ -161,7 +158,7 @@ def test_single_shard_is_bit_identical(backend, engine, code, query_cache):
     assert sharded["metrics"] == plain["metrics"]
     assert sharded["totals"] == plain["totals"]
     assert sharded["events"] == plain["events"]  # exact sequence, same clock
-    assert_summaries_close(sharded["summary"], plain["summary"], exact=True)
+    assert_summaries_close(sharded["summary"], plain["summary"])
 
 
 # -- ring 2: partitioning is invisible without database coupling ---------------
@@ -192,7 +189,7 @@ def test_sharded_matches_single_when_uncoupled(backend, spacing, code, engine, s
     # Shard clocks are independent: global order is conventional, the
     # event population is not.
     assert Counter(sharded["events"]) == Counter(plain["events"])
-    assert_summaries_close(sharded["summary"], plain["summary"], exact=False)
+    assert_summaries_close(sharded["summary"], plain["summary"])
 
 
 # -- ring 3: stochastic contention varies times, never decisions ---------------
@@ -239,7 +236,7 @@ def test_pooled_dispatch_invisible_at_any_shard_count(
     assert pooled["metrics"] == per_event["metrics"]
     assert pooled["totals"] == per_event["totals"]
     assert pooled["events"] == per_event["events"]
-    assert_summaries_close(pooled["summary"], per_event["summary"], exact=True)
+    assert_summaries_close(pooled["summary"], per_event["summary"])
     assert pooled["summary"].query_cache_misses == per_event["summary"].query_cache_misses
     assert pooled["summary"].query_cache_hits == per_event["summary"].query_cache_hits
     assert (
@@ -275,7 +272,7 @@ def test_cohorts_invisible_at_any_shard_count(backend, engine, shards, query_cac
     assert cohorted["metrics"] == individual["metrics"]
     assert cohorted["totals"] == individual["totals"]
     assert cohorted["events"] == individual["events"]
-    assert_summaries_close(cohorted["summary"], individual["summary"], exact=True)
+    assert_summaries_close(cohorted["summary"], individual["summary"])
     assert individual["summary"].cohort_hits == 0
     assert individual["summary"].cohort_splits == 0
     if engine == "batched" and shards == 1 and query_cache:
@@ -358,7 +355,7 @@ def test_armed_observability_invisible_at_any_shard_count(backend, engine, shard
     assert armed["metrics"] == disarmed["metrics"]
     assert armed["totals"] == disarmed["totals"]
     assert armed["events"] == disarmed["events"]
-    assert_summaries_close(armed["summary"], disarmed["summary"], exact=True)
+    assert_summaries_close(armed["summary"], disarmed["summary"])
     assert armed["dispatch"] == disarmed["dispatch"]
     # The disarmed run reports the stub; the armed run has real content
     # with every instrument carrying its shard label.
