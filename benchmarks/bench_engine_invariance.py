@@ -2,9 +2,10 @@
 
 Every registered experiment renders the same JSON on the default stack
 (the batched engine, pooled dispatch) as on the oracle: the reference
-engine draining its calendar one event at a time.  The oracle is pinned
-here, by swapping the engine class a service builds and skipping its
-``enable_pooled_dispatch()``; the program has no switch for it.
+engine on a simulation with no pool consumer, draining its calendar one
+event at a time.  The oracle is pinned here by swapping the engine a
+service builds for one that unregisters the service's pool drain first;
+the program has no switch for it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,15 @@ def render(name: str, seeds: tuple[int, ...]) -> str:
     return (fn(seeds) if takes_seeds else fn()).render_json()
 
 
+def per_event_reference(schema, strategy, database, **kwargs) -> Engine:
+    """The reference engine, on a simulation it drains event by event (a
+    service registers its pool drain before it builds the engine)."""
+    database.sim.set_batch_consumer(None)
+    return Engine(schema, strategy, database, **kwargs)
+
+
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_figure_is_engine_independent(name, bench_seeds, monkeypatch):
     default = render(name, bench_seeds)
-    monkeypatch.setitem(service_module._ENGINE_CLASSES, "batched", Engine)
-    monkeypatch.setattr(Engine, "enable_pooled_dispatch", lambda self: None)
+    monkeypatch.setitem(service_module._ENGINE_CLASSES, "batched", per_event_reference)
     assert render(name, bench_seeds) == default

@@ -67,13 +67,14 @@ class ExecutionConfig:
     also arms cohorts (identical same-instant arrivals riding one
     representative); neither changes a trace.
 
-    ``observe`` arms the :mod:`repro.obs` layer on every execution
-    context built from this config: a per-service metrics registry and a
-    bounded span tracer (flight recorder) instrumenting plan compilation,
-    scheduling rounds, the query lifecycle, pooled DES drains, and cohort
-    formation/splits.  Instrumentation is provably invisible to execution
-    (identical event order, RNG draws, and cohort decisions); disarmed it
-    costs one boolean test per hook.
+    ``observe`` (batched engine only: the reference engine is the
+    uninstrumented oracle) arms the :mod:`repro.obs` layer on every
+    execution context built from this config: a per-service metrics
+    registry and a bounded span tracer (flight recorder) instrumenting
+    plan compilation, scheduling rounds, the query lifecycle, pooled DES
+    drains, and cohort formation/splits.  Instrumentation is provably
+    invisible to execution (identical event order, RNG draws, and cohort
+    decisions); disarmed it costs one boolean test per hook.
 
     ``shards`` and ``executor`` configure the sharded runtime
     (:class:`repro.runtime.ShardedDecisionService`): instances are
@@ -131,6 +132,8 @@ class ExecutionConfig:
             raise ValueError(
                 f"observe must be a bool, got {self.observe!r}"
             )
+        if self.observe and self.engine == "reference":
+            raise ValueError("the reference engine is not instrumented: use engine='batched'")
         # Freeze the options mapping so the config stays a value.
         object.__setattr__(
             self, "backend_options", MappingProxyType(dict(self.backend_options))

@@ -16,6 +16,7 @@ through :class:`InstanceHandle`.
 from __future__ import annotations
 
 from dataclasses import replace
+from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.api.backends import Backend, create_backend
@@ -38,16 +39,9 @@ from repro.obs import NULL_OBS, Observability, export_chrome_trace
 
 __all__ = ["DecisionService", "InstanceHandle", "coerce_config"]
 
-#: Engine implementations behind ``ExecutionConfig.engine``; kept in
-#: lockstep with the validation list in :data:`repro.api.config.ENGINES`
-#: so a config that validates always resolves here.
-_ENGINE_CLASSES = {"reference": Engine, "batched": BatchedEngine}
-
-if set(_ENGINE_CLASSES) != set(ENGINES):  # pragma: no cover
-    raise AssertionError(
-        f"engine registry drift: config declares {ENGINES}, "
-        f"service implements {tuple(_ENGINE_CLASSES)}"
-    )
+#: Engine implementations behind ``ExecutionConfig.engine``, in the order
+#: of :data:`repro.api.config.ENGINES`: a config that validates resolves here.
+_ENGINE_CLASSES = dict(zip(ENGINES, (Engine, BatchedEngine)))
 
 
 def coerce_config(config: "ExecutionConfig | Strategy | str | None") -> ExecutionConfig:
@@ -71,17 +65,17 @@ def coerce_config(config: "ExecutionConfig | Strategy | str | None") -> Executio
     return config
 
 
-def service_counters(engine: Engine) -> dict[str, int]:
+def service_counters(engine: Engine | BatchedEngine) -> dict[str, int]:
     """*engine*'s service-level summary fields (`SERVICE_COUNTERS`): its
     query cache's, zero without one, and its cohort table's, zero unless
-    cohorts are armed (only they move them)."""
+    cohorts are armed (the reference engine has none)."""
     cache = engine.query_cache
     return {
         "query_cache_hits": cache.hits if cache is not None else 0,
         "query_cache_misses": cache.misses if cache is not None else 0,
         "query_cache_coalesced": cache.coalesced if cache is not None else 0,
-        "cohort_hits": engine.cohort_hits,
-        "cohort_splits": engine.cohort_splits,
+        "cohort_hits": getattr(engine, "cohort_hits", 0),
+        "cohort_splits": getattr(engine, "cohort_splits", 0),
     }
 
 
@@ -310,6 +304,12 @@ class DecisionService(_ServiceFront):
         else:
             self.backend = create_backend(config.backend, **config.backend_options)
         self.obs = Observability.create() if config.observe else NULL_OBS
+        # Every service drains its calendar in instant pools, whichever
+        # engine it runs (the pool is fired in per-event order either way).
+        simulation = self.backend.simulation
+        simulation.set_batch_consumer(
+            self._drain_observed if self.obs.enabled else simulation.fire_pooled
+        )
         engine_cls = _ENGINE_CLASSES[config.engine]
         self.engine = engine_cls(
             schema,
@@ -320,7 +320,6 @@ class DecisionService(_ServiceFront):
             query_cache=config.query_cache,
             obs=self.obs,
         )
-        self.engine.enable_pooled_dispatch()
         #: running aggregate over the instances release_completed() let go
         self._released = MetricsSummary()
 
@@ -462,10 +461,19 @@ class DecisionService(_ServiceFront):
 
     def dispatch_stats(self) -> dict:
         """Pooled-dispatch counters: the instant pools drained, and their events."""
+        simulation = self.backend.simulation
         return {
-            "pooled_batches": self.engine.pooled_batches,
-            "pooled_events": self.engine.pooled_events,
+            "pooled_batches": simulation.pooled_batches,
+            "pooled_events": simulation.pooled_events,
         }
+
+    def _drain_observed(self, events) -> int:
+        """An armed service's pool drain: ``fire_pooled`` in a ``des.pool`` span."""
+        simulation, t0 = self.backend.simulation, perf_counter()
+        consumed = simulation.fire_pooled(events)
+        args = {"time": simulation.now, "pool": len(events), "consumed": consumed}
+        self.obs.tracer.record("des.pool", t0, perf_counter(), args=args)
+        return consumed
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -488,44 +496,43 @@ class DecisionService(_ServiceFront):
         """
         if not self.obs.enabled:
             return self.obs.registry.snapshot()
-        registry = self.obs.registry
+        # Armed, the engine is the batched one (the reference is not instrumented).
+        registry, engine, plan = self.obs.registry, self.engine, self.engine.plan
         simulation = self.backend.simulation
         database = self.backend.database
         registry.gauge("sim_time").set(simulation.now)
         registry.gauge("sim_events_executed").set(simulation.events_executed)
         registry.gauge("db_total_units").set(database.total_units)
         registry.gauge("db_mean_gmpl").set(database.mean_gmpl())
-        registry.gauge("pooled_batches").set(self.engine.pooled_batches)
-        registry.gauge("pooled_events").set(self.engine.pooled_events)
-        registry.gauge("engine_arrival_runs").set(self.engine.arrival_runs)
-        registry.gauge("engine_arrival_run_arrivals").set(self.engine.arrival_run_arrivals)
-        plan = getattr(self.engine, "plan", None)  # the batched engine's
-        if plan is not None:
-            registry.gauge("engine_memo_states").set(len(plan.states))
-            registry.gauge("engine_memo_hits").set(plan.memo_hits)
-            registry.gauge("engine_memo_misses").set(plan.memo_misses)
-            registry.gauge("engine_flow_traces").set(self.engine.flow_traces)
-            registry.gauge("engine_flow_replays").set(self.engine.flow_replays)
-            registry.gauge("engine_flow_fallbacks").set(self.engine.flow_fallbacks)
-            registry.gauge("engine_launch_memo_entries").set(plan.launch_entries)
-            registry.gauge("engine_launch_memo_hits").set(plan.launch_hits)
-            registry.gauge("engine_hit_waves").set(self.engine.hit_waves)
-            registry.gauge("engine_hit_wave_deliveries").set(self.engine.hit_wave_deliveries)
-            registry.gauge("engine_bulk_joins").set(self.engine.bulk_joins)
-            registry.gauge("engine_bulk_join_members").set(self.engine.bulk_join_members)
+        registry.gauge("pooled_batches").set(simulation.pooled_batches)
+        registry.gauge("pooled_events").set(simulation.pooled_events)
+        registry.gauge("engine_arrival_runs").set(engine.arrival_runs)
+        registry.gauge("engine_arrival_run_arrivals").set(engine.arrival_run_arrivals)
+        registry.gauge("engine_memo_states").set(len(plan.states))
+        registry.gauge("engine_memo_hits").set(plan.memo_hits)
+        registry.gauge("engine_memo_misses").set(plan.memo_misses)
+        registry.gauge("engine_flow_traces").set(engine.flow_traces)
+        registry.gauge("engine_flow_replays").set(engine.flow_replays)
+        registry.gauge("engine_flow_fallbacks").set(engine.flow_fallbacks)
+        registry.gauge("engine_launch_memo_entries").set(plan.launch_entries)
+        registry.gauge("engine_launch_memo_hits").set(plan.launch_hits)
+        registry.gauge("engine_hit_waves").set(engine.hit_waves)
+        registry.gauge("engine_hit_wave_deliveries").set(engine.hit_wave_deliveries)
+        registry.gauge("engine_bulk_joins").set(engine.bulk_joins)
+        registry.gauge("engine_bulk_join_members").set(engine.bulk_join_members)
         released = self._released.count
         registry.gauge("instances_submitted").set(released + len(self._handles))
         registry.gauge("instances_done").set(
             released + sum(1 for h in self._handles if h.done)
         )
-        cache = self.engine.query_cache
+        cache = engine.query_cache
         if cache is not None:
             registry.gauge("query_cache_hits").set(cache.hits)
             registry.gauge("query_cache_misses").set(cache.misses)
             registry.gauge("query_cache_coalesced").set(cache.coalesced)
-        if self.engine._cohorts_on:
-            registry.gauge("cohort_hits").set(self.engine.cohort_hits)
-            registry.gauge("cohort_splits").set(self.engine.cohort_splits)
+        if engine._cohorts_on:
+            registry.gauge("cohort_hits").set(engine.cohort_hits)
+            registry.gauge("cohort_splits").set(engine.cohort_splits)
         return registry.snapshot()
 
     def trace_groups(self) -> list[tuple[int, str, list]]:

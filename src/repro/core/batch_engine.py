@@ -43,21 +43,23 @@ state in flat per-flow arrays indexed by a
   *cohort* — no queries, events or arrays of their own — dissolving
   into ordinary instances where they can ride no further.
 
-The engine-level event handling (query completion, halting) is
-*inherited* from the reference engine, so the two can only diverge in
-the instance layer — which the differential harness in
-``tests/test_engine_differential.py`` pins down property-by-property.
+The engine owns its whole shell — submission with arrival runs, the
+start, query completion, halting — and shares only pure helpers with the
+reference engine, so a fault in either shell shows in the differential
+suites (``tests/_support``'s harness), which hold every trace here to the
+reference engine's, drained one event at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from copy import deepcopy
 from time import perf_counter
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from repro.core.engine import Engine
+from repro.core.engine import EngineObserver, check_start_time, claim_instance_id
 from repro.core.metrics import InstanceMetrics
 from repro.core.conditions import UNRESOLVED
 from repro.core.plan import (
@@ -74,9 +76,14 @@ from repro.core.plan import (
     T_UNKNOWN,
 )
 from repro.core.scheduler import counted_inflight, permitted_slots
+from repro.core.schema import DecisionFlowSchema
 from repro.core.state import AttributeState, Enablement, Readiness, derive_state
+from repro.core.strategy import Strategy
 from repro.errors import ExecutionError, IllegalTransitionError
 from repro.nulls import NULL, ExceptionValue
+from repro.obs import NULL_OBS, Observability
+from repro.simdb.database import DatabaseServer, QueryShareCache
+from repro.values import share_key
 
 __all__ = ["BatchedEngine", "BatchedInstance"]
 
@@ -292,6 +299,28 @@ class _FlowTrace:
             lo, hi = hi, hi + sum(len(wave.keys) for wave in waves)
 
 
+class _ArrivalRun:
+    """Arrivals for one instant that one calendar event starts, in order.
+
+    The event is the *first* arrival's start event and the run itself its
+    callback; ``arrivals`` (None while ``first`` is alone: a lone arrival
+    pays for no list) are the starts it stands in for, ``next`` indexes the
+    one to start next, and the run takes another arrival only while
+    ``sim.scheduled`` still reads ``marker`` — while that arrival's own
+    start event would have had the next consecutive seq.
+    """
+
+    __slots__ = ("engine", "first", "arrivals", "next", "event", "marker")
+
+    def __init__(self, engine: "BatchedEngine", first: "BatchedInstance"):
+        self.engine, self.first = engine, first
+        self.arrivals: list[BatchedInstance] | None = None
+        self.next = 0
+
+    def __call__(self) -> None:
+        self.engine._fire_run(self)
+
+
 class _HitWave:
     """A run of one instance's query-memo hits, delivered by one event.
 
@@ -311,9 +340,9 @@ class _HitWave:
 class _BatchCell:
     """Read-only cell adapter over one attribute of a batched instance.
 
-    Presents the :class:`~repro.core.state.AttributeCell` surface
-    (``state``/``stable``/``value``/...) that handles, observers, and the
-    inherited engine paths read, backed by the flat arrays.
+    Presents the :class:`~repro.core.state.AttributeCell` read surface
+    (``state``/``stable``/``value``/...) that handles and observers read,
+    backed by the flat arrays.
     """
 
     __slots__ = ("_instance", "_index", "name")
@@ -834,15 +863,6 @@ class BatchedInstance:
         """Name-keyed cell view (adapter parity with InstanceRuntime)."""
         return _CellMap(self)
 
-    def stable_values(self, names: Sequence[str]) -> dict[str, object]:
-        values: dict[str, object] = {}
-        for name in names:
-            value = self._sv[self.plan.index[name]]
-            if value is UNRESOLVED:
-                raise ExecutionError(f"{self.instance_id}: input {name!r} not stable")
-            values[name] = value
-        return values
-
     def _view(self) -> tuple:
         """``(readiness, enablement, raw, stable values)`` as readers see them.
 
@@ -881,38 +901,69 @@ class BatchedInstance:
         return f"<BatchedInstance {self.instance_id}{flag}>"
 
 
-class BatchedEngine(Engine):
+class BatchedEngine:
     """Executes decision-flow instances via a compiled plan and flat state.
 
-    A drop-in substitute for the reference :class:`Engine` (same
-    constructor, same submit/run surface, same observer hooks, same
-    error behavior) selected through
-    ``ExecutionConfig(engine="batched")``.  The submit path, query
-    completion, halting, and pooled-dispatch (``drain_pooled``)
-    logic are inherited; only instance construction, the evaluation
-    phase, and launch selection are replaced by their array-based
-    equivalents — and those run only where the plan's transition memo
-    has no recorded step to replay (:meth:`_advance`).
+    The product engine (``ExecutionConfig(engine="batched")``, the
+    default): the reference engine's constructor, submit surface, observer
+    hooks and errors, over a shell of its own, index-based — a round runs
+    the propagation kernel only where the plan's transition memo has no
+    step to replay (:meth:`_advance`).  ``cohorts=False`` is a test seam.
     """
 
-    def __init__(self, *args, cohorts: bool = True, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.cohorts = cohorts  # False: no cohorts, whatever else holds
+    def __init__(
+        self,
+        schema: DecisionFlowSchema,
+        strategy: Strategy,
+        database: DatabaseServer,
+        halt_policy: str = "cancel",
+        observer: EngineObserver | None = None,
+        query_cache: QueryShareCache | bool | None = None,
+        obs: Observability | None = None,
+        cohorts: bool = True,
+    ):
+        if halt_policy not in ("cancel", "drain"):
+            raise ValueError(f"halt_policy must be 'cancel' or 'drain', got {halt_policy!r}")
+        self.schema = schema
+        self.strategy = strategy
+        self.database = database
+        self.sim = database.sim
+        self.halt_policy = halt_policy
+        self.observer = observer
+        if query_cache is True:
+            query_cache = QueryShareCache(database)
+        self.query_cache: QueryShareCache | None = query_cache or None
+        self.instances: list[BatchedInstance] = []
+        self._instance_ids: set[str] = set()
+        self._id_next = 1  # the number the next generated id tries first
+        self._on_complete: dict[str, Callable[[InstanceMetrics], None]] = {}
+        #: the arrival run still taking arrivals, if any, and the one of
+        #: several being fired; runs opened and the arrivals they took
+        self._run: _ArrivalRun | None = None
+        self._firing: _ArrivalRun | None = None
+        self.arrival_runs = self.arrival_run_arrivals = 0
+        self.cohort_hits = self.cohort_splits = 0
+        #: Observability (repro.obs): disarmed contexts share NULL_OBS and
+        #: pay one boolean test per hook; armed ones get pre-bound
+        #: instruments so hot paths never do registry lookups.
+        self.obs = obs if obs is not None else NULL_OBS
+        self._obs_on = self.obs.enabled
+        t0 = perf_counter()
+        self.plan = CompiledPlan(schema, strategy)
         if self._obs_on:
-            t0 = perf_counter()
-            self.plan = CompiledPlan(self.schema, self.strategy)
-            self.obs.tracer.record(
-                "plan.compile",
-                t0,
-                perf_counter(),
-                args={"schema": self.schema.name, "nodes": len(self.plan.names)},
-            )
+            args = {"schema": schema.name, "nodes": len(self.plan.names)}
+            self.obs.tracer.record("plan.compile", t0, perf_counter(), args=args)
             registry = self.obs.registry
+            self._obs_rounds = registry.counter("engine_scheduling_rounds")
+            self._obs_launches = registry.counter("engine_queries_launched")
+            self._obs_query_wall = registry.histogram("query_wall_seconds")
+            self._obs_completions = registry.counter("engine_instances_completed")
             self._obs_cohort_forms = registry.counter("cohort_forms")
             self._obs_cohort_joins = registry.counter("cohort_joins")
             self._obs_cohort_splits = registry.counter("cohort_splits")
-        else:
-            self.plan = CompiledPlan(self.schema, self.strategy)
+            #: perf_counter at dispatch, keyed (instance_id, attribute) —
+            #: closed in _take_result into a query-lifecycle span.
+            self._obs_query_start: dict[tuple[str, str], float] = {}
         #: Cohort execution needs a deterministic trace per typed start
         #: key (`start_cache_ok`: no synthesis and no user-coded
         #: conditions run) and the query cache, whose primaries members
@@ -925,7 +976,7 @@ class BatchedEngine(Engine):
         #: the whole pool unconditionally only at 100%.  Anywhere else,
         #: or built with ``cohorts=False``, every instance runs for itself.
         self._cohorts_on = (
-            self.cohorts
+            cohorts
             and self.plan.start_cache_ok
             and self.query_cache is not None
             and self.strategy.permitted >= 100
@@ -967,19 +1018,120 @@ class BatchedEngine(Engine):
         #: wave steps taken off the memo, filed, and refused by reason (kept for tests)
         self.wave_steps = {"taken": 0, "filed": 0, "unfiled": 0, "full": 0}
 
-    def _make_instance(
+    # -- public API -----------------------------------------------------------
+
+    def submit_instance(
         self,
-        source_values: Mapping[str, object],
-        instance_id: str,
-        start_time: float,
+        source_values: Mapping[str, object] | None = None,
+        at: float | None = None,
+        instance_id: str | None = None,
+        on_complete: Callable[[InstanceMetrics], None] | None = None,
     ) -> BatchedInstance:
-        return BatchedInstance(self.plan, instance_id, source_values, start_time)
+        """:meth:`Engine.submit_instance <repro.core.engine.Engine.submit_instance>`
+        in *arrival runs*: an arrival joins the open run when it starts at
+        the run's instant and nothing has been scheduled since the run's
+        last arrival — exactly when its own start event would have sorted
+        directly behind that arrival's — and opens a new run otherwise.
+        One event starts a run's arrivals in order (:meth:`_fire_run`), so
+        traces are those of one start event each, while
+        :attr:`Simulation.pending` and ``events_executed`` count a run once.
+        """
+        sim = self.sim
+        start_time = sim.now if at is None else at
+        # A generated id is drawn from a copy of the counter, which moves
+        # once nothing can refuse the submission any more.
+        drawn = itertools.count(self._id_next) if instance_id is None else None
+        instance_id = claim_instance_id(instance_id, self.schema.name, drawn, self._instance_ids)
+        check_start_time(instance_id, start_time, sim.now)
+        instance = BatchedInstance(self.plan, instance_id, source_values or {}, start_time)
+        if drawn is not None:
+            self._id_next = next(drawn)
+        self._instance_ids.add(instance_id)
+        self.instances.append(instance)
+        if on_complete is not None:
+            self._on_complete[instance_id] = on_complete
+        run = self._run
+        if run is not None and run.marker == sim.scheduled and run.event.time == start_time:
+            if run.arrivals is None:
+                run.arrivals = [run.first]
+            run.arrivals.append(instance)
+            sim.stand_in(run.event)
+        else:
+            self._run = run = _ArrivalRun(self, instance)
+            run.event = sim.schedule_at(start_time, run)
+            self.arrival_runs += 1
+        self.arrival_run_arrivals += 1
+        run.marker = sim.scheduled
+        return instance
 
-    def _tracks_unneeded(self, instance: BatchedInstance) -> bool:
-        return instance._unneeded is not None
+    def release_settled(self) -> list[BatchedInstance]:
+        """:meth:`Engine.release_settled <repro.core.engine.Engine.release_settled>`,
+        each released instance unlinked from its cohort: settled, it is
+        past every straggler, so nothing reaches the cohort through it any
+        more (see :class:`_Cohort`)."""
+        settled = [i for i in self.instances if i.done and not i.inflight]
+        if settled:
+            self.instances = [i for i in self.instances if not i.done or i.inflight]
+        for instance in settled:
+            instance._cohort = None
+        return settled
 
-    def _is_unneeded(self, instance: BatchedInstance, name: str) -> bool:
-        return bool(instance._unneeded[self.plan.index[name]])
+    # -- the shell: starts, rounds, completions, halting ----------------------
+
+    def _fire_run(self, run: _ArrivalRun) -> None:
+        """Start *run*'s arrivals from ``run.next`` on, each as its own
+        start event would have.  After a start that scheduled something
+        the rest would have waited for (a lower sub-priority at this
+        instant: nothing of the engine's own) the rest goes back at the
+        run's seq, as a hit wave's does; so it does — as an instant pool's
+        unfired members do — when a start raises.  ``next`` moves as a
+        start *begins*: the one that raised is not started again."""
+        if self._run is run:
+            self._run = None  # an arrival from here on is a later event
+        arrivals = run.arrivals
+        if arrivals is None:  # a lone arrival: nothing to order it against
+            run.event = self._firing = None
+            return self._start(run.first)
+        sim, event, n = self.sim, run.event, len(arrivals)
+        self._firing = run
+        t0 = perf_counter() if self._obs_on else 0.0
+        try:
+            while run.next < n:
+                instance = arrivals[run.next]
+                run.next += 1
+                marker = sim.scheduled
+                self._start(instance)
+                if run.next < n and sim.scheduled != marker and sim.preempted(event):
+                    return sim.resume(event, run)
+        except BaseException:
+            if run.next < n:
+                sim.resume(event, run)
+            raise
+        finally:
+            if self._obs_on:
+                args = {"time": event.time, "arrivals": n, "started": run.next}
+                self.obs.tracer.record("engine.arrival_run", t0, perf_counter(), args=args)
+        self._firing = run.event = None  # its callback is the run: leave no cycle behind
+
+    def _start_own(self, instance: BatchedInstance) -> None:
+        """Start *instance* for itself: its start state, then a round."""
+        t0 = perf_counter() if self._obs_on else 0.0
+        instance.start()
+        if self._obs_on:
+            args = {"instance": instance.instance_id}
+            self.obs.tracer.record("engine.start_state", t0, perf_counter(), args=args)
+        if self.observer is not None:
+            self.observer.on_instance_start(instance)
+        self._after_event(instance)
+
+    def _after_event(self, instance: BatchedInstance) -> None:
+        if not self._obs_on:
+            return self._advance(instance)
+        t0 = perf_counter()
+        self._advance(instance)
+        args = {"instance": instance.instance_id}
+        self.obs.tracer.record("engine.round", t0, perf_counter(), args=args)
+        self._obs_rounds.inc()
 
     def _advance(self, instance: BatchedInstance) -> None:
         """Second half of a memoized round, or the kernel's whole round."""
@@ -999,11 +1151,11 @@ class BatchedEngine(Engine):
             return
         missed, instance._event = instance._event, None
         if missed is None:
-            return super()._advance(instance)
+            return self._round(instance)
         metrics = instance.metrics
         queries = metrics.speculative_wasted_queries
         units = metrics.speculative_wasted_units
-        super()._advance(instance)
+        self._round(instance)
         self.plan.record(
             *missed,
             instance,
@@ -1011,9 +1163,29 @@ class BatchedEngine(Engine):
             metrics.speculative_wasted_units - units,
         )
 
-    def _select(self, instance: BatchedInstance) -> Sequence[str]:
+    def _round(self, instance: BatchedInstance) -> None:
+        """The kernel's round: drain, finish-check, cancel, select, launch."""
+        instance.drain()
+        if instance.targets_stable():
+            self._finish(instance)
+            return
+        self._cancel_unneeded(instance)
         names = self.plan.names
-        return [names[i] for i in self._select_for_launch(instance)]
+        for i in self._select_for_launch(instance):
+            self._launch(instance, names[i])
+
+    def _cancel_unneeded(self, instance: BatchedInstance) -> None:
+        unneeded = instance._unneeded
+        if self.strategy.cancel_unneeded and unneeded is not None:
+            index = self.plan.index
+            for name, handle in list(instance.inflight.items()):
+                if unneeded[index[name]] and not self._has_waiters(handle):
+                    handle.cancel()
+
+    def _has_waiters(self, handle: object) -> bool:
+        # Cancelling a coalesced primary would strand its followers
+        # behind a full-cost reissue; keep it running instead.
+        return self.query_cache is not None and self.query_cache.waiter_count(handle) > 0
 
     def _select_for_launch(self, instance: BatchedInstance) -> Sequence[int]:
         """The scheduling phase over the incrementally maintained pool."""
@@ -1049,40 +1221,84 @@ class BatchedEngine(Engine):
         pool.sort(key=self.plan.rank.__getitem__)
         return pool[:slots]
 
-    def _stage_launch(self, instance: BatchedInstance, name: str):
-        """Array-backed half of a launch; the inherited dispatch
-        protocol in :meth:`Engine._launch` runs unchanged on top.  Serves
-        only the launches :meth:`_launch` has no launch-memo entry for."""
-        plan = self.plan
-        i = plan.index[name]
-        values = instance._input_values(i)
-        speculative = instance._enablement[i] == E_UNKNOWN
-        if instance._state is None:  # else the state it entered has this launch
-            instance._launched[i] = 1
-            instance._cand.discard(i)
-        rec = self._recording
-        if rec is not None:
-            rec.launches.append(
-                _LaunchRecord(name, i, plan.tasks[i], values, speculative)
-            )
-        return plan.tasks[i], values, speculative
+    def _take_result(self, instance, name, value, processed, completed) -> None:
+        """A query of *instance*'s finished: book it, install a completed
+        value, and run the round it starts unless the instance is done."""
+        if self._obs_on:
+            started = self._obs_query_start.pop((instance.instance_id, name), None)
+            if started is not None:
+                now = perf_counter()
+                args = {"instance": instance.instance_id, "attribute": name}
+                args.update(units=processed, completed=completed)
+                self.obs.tracer.record("query", started, now, args=args)
+                self._obs_query_wall.observe(now - started)
+        handle = instance.inflight.pop(name, None)
+        metrics = instance.metrics
+        metrics.work_units += processed
+        if self.observer is not None:
+            self.observer.on_query_done(instance, name, units=processed, completed=completed)
+        if completed:
+            metrics.queries_completed += 1
+            if handle is not None and getattr(handle, "failed", False):
+                metrics.queries_failed += 1
+                value = ExceptionValue(f"query for {name!r} failed")
+        else:
+            metrics.queries_cancelled += 1
+            if (
+                name in instance.speculative_launch
+                and instance._enablement[self.plan.index[name]] == E_DISABLED
+            ):
+                metrics.speculative_wasted_queries += 1
+                metrics.speculative_wasted_units += processed
+        if completed and not instance.done:
+            if not instance.apply_query_result(name, value):
+                metrics.speculative_wasted_queries += 1
+                metrics.speculative_wasted_units += processed
+        if not instance.done:
+            self._after_event(instance)
+
+    def _finish(self, instance: BatchedInstance) -> None:
+        instance.done = True
+        instance.metrics.finish_time = self.sim.now
+        instance.finalize_metrics()
+        if self._obs_on:
+            self._obs_completions.inc()
+            self.obs.tracer.instant("instance.complete", args={"instance": instance.instance_id})
+        if self.halt_policy == "cancel":
+            for handle in instance.inflight.values():
+                if not self._has_waiters(handle):
+                    handle.cancel()
+        if self.observer is not None:
+            self.observer.on_instance_complete(instance)
+        callback = self._on_complete.pop(instance.instance_id, None)
+        if callback is not None:
+            callback(instance.metrics)
 
     # -- the launch path: the data plane under the three memo tiers ----------
 
     def _launch(self, instance: BatchedInstance, name: str) -> None:
-        """:meth:`Engine._launch` with a launch-memo entry for what that
-        derives (inputs, value, cache key); a key the query memo holds is
-        delivered with the rest of its run, by one event."""
-        plan = self.plan
+        """Launch *name*'s query.  With a launch-memo entry for what a
+        launch derives (inputs, value, cache key), a key the query memo
+        holds is delivered with the rest of its run, by one event."""
+        plan, rec, cache = self.plan, self._recording, self.query_cache
         i = plan.index[name]
-        entry = plan.launch_entry(i, instance._sv) if self._recording is None else None
+        entry = plan.launch_entry(i, instance._sv) if rec is None else None
         if entry is None:
-            return super()._launch(instance, name)
-        key, value, _ = entry
+            task, values = plan.tasks[i], instance._input_values(i)
         speculative = instance._enablement[i] == E_UNKNOWN
         if instance._state is None:  # else the state it entered has this launch
             instance._launched[i] = 1
             instance._cand.discard(i)
+        if entry is None:
+            if rec is not None:
+                rec.launches.append(_LaunchRecord(name, i, task, values, speculative))
+            value = task.compute(values)
+            # A query with a refused input (no key) goes to the database uncached.
+            key = share_key(task.name, values) if cache is not None else None
+            if key is not None:
+                key += (task.cost,)
+        else:
+            key, value, _ = entry
         metrics = instance.metrics
         metrics.queries_launched += 1
         if self._obs_on:
@@ -1093,14 +1309,17 @@ class BatchedEngine(Engine):
             metrics.speculative_launched += 1
         if self.observer is not None:
             self.observer.on_launch(instance, name, speculative=speculative)
-        cache, cost = self.query_cache, plan.cost[i]
-        follower = cache.hit(key, cost)
+        cost = plan.cost[i]
+        follower = cache.hit(key, cost) if entry is not None else None
         if follower is None:
 
             def done(processed: int, completed: bool) -> None:
                 self._query_done(instance, name, value, processed, completed)
 
-            instance.inflight[name] = cache.submit(key, cost, done)
+            if key is None:
+                instance.inflight[name] = self.database.submit(cost, done)
+            else:
+                instance.inflight[name] = cache.submit(key, cost, done)
             return
         instance.inflight[name] = follower
         sim, wave = self.sim, self._wave
@@ -1309,15 +1528,6 @@ class BatchedEngine(Engine):
             instance._queue = _NO_QUEUE
             instance._sources = instance._start_key = None
 
-    def release_settled(self) -> list[BatchedInstance]:
-        """:meth:`Engine.release_settled`, each released instance unlinked
-        from its cohort: settled, it is past every straggler, so nothing
-        reaches the cohort through it any more (see :class:`_Cohort`)."""
-        settled = super().release_settled()
-        for instance in settled:
-            instance._cohort = None
-        return settled
-
     def _start(self, instance: BatchedInstance) -> None:
         if self._cohorts_on and self.sim.now != self._cohort_instant:
             self._open_cohorts.clear()
@@ -1343,11 +1553,11 @@ class BatchedEngine(Engine):
     def _start_unreplayed(self, instance: BatchedInstance) -> None:
         key = instance._start_key
         if not self._cohorts_on or key is None:
-            return super()._start(instance)
+            return self._start_own(instance)
         cohort = self._open_cohorts.get(key)
         if cohort is None:
             instance._cohort = cohort = _Cohort(instance, self.sim.now)
-            super()._start(instance)
+            self._start_own(instance)
             self._open_cohorts[key] = cohort
             if self._obs_on:
                 self._obs_cohort_forms.inc()
@@ -1358,7 +1568,7 @@ class BatchedEngine(Engine):
         else:
             del self._open_cohorts[key]
             self._dissolve(cohort, cohort.log, "join")
-            super()._start(instance)
+            self._start_own(instance)
 
     def _rides(self, cohort: _Cohort) -> bool:
         """Whether an arrival at open *cohort* can ride in lockstep now:
@@ -1405,16 +1615,16 @@ class BatchedEngine(Engine):
         cohort.absorb(rec)
 
     def _query_done(self, instance, name, value, processed, completed) -> None:
-        cohort = getattr(instance, "_cohort", None)
+        cohort = instance._cohort
         if cohort is None:
-            super()._query_done(instance, name, value, processed, completed)
+            self._take_result(instance, name, value, processed, completed)
         elif cohort.members:
             self._lockstep_rep_done(cohort, instance, name, value, processed, completed)
         else:
             # Nobody rode, and from its first delivery on nobody can.
             self._close(cohort)
             instance._cohort = None
-            super()._query_done(instance, name, value, processed, completed)
+            self._take_result(instance, name, value, processed, completed)
         if instance._flow is not None:
             self._flow_delivered(instance, name, completed)
         if instance.done:
@@ -1446,7 +1656,7 @@ class BatchedEngine(Engine):
         before_units = instance.metrics.speculative_wasted_units
         self._recording = rec
         try:
-            super()._query_done(instance, name, value, processed, completed)
+            self._take_result(instance, name, value, processed, completed)
         finally:
             self._recording = None
         # The representative's wasted-work delta has a query-unit-based
@@ -1564,7 +1774,7 @@ class BatchedEngine(Engine):
         if rep.done:
             # Post-halt straggler: the representative books its own
             # event, then each (finished) member resolves its wait.
-            super()._query_done(rep, name, value, processed, completed)
+            self._take_result(rep, name, value, processed, completed)
             self._lockstep_straggle(cohort, launch, name, completed, live_virtual, failed)
             return
         self._close(cohort)

@@ -75,6 +75,7 @@ from repro.errors import ExecutionError
 from repro.obs import MetricsRegistry
 from repro.runtime.executors import EXECUTOR_CLASSES
 from repro.runtime.worker import InstanceRecord, ShardOutcome, ShardStats
+from repro.simdb.des import check_until
 
 __all__ = [
     "ShardedDecisionService",
@@ -350,8 +351,10 @@ class ShardedDecisionService(_ServiceFront):
         Each reply's records land in their handles; then the round's
         events reach every handler, in :func:`merge_shard_events` order.
         A shard that raised is reported by its next round, and the first
-        error raises once every reply has been read.
+        error raises once every reply has been read.  A non-finite *until*
+        is refused before the round goes out.
         """
+        check_until(until)
         if self._transport is None and not self._closed:
             return  # nothing was ever submitted: an idle fleet, nothing to start
         transport = self._start()

@@ -24,16 +24,17 @@ analytical model of section 5 consumes.
 Cost models
 -----------
 
-``IdealDatabase`` and ``ProfiledDatabase`` default to the **coalesced**
-kernel: a query's trajectory between multiprogramming-level changes is
-analytic (its unit time is constant over that window), so one completion
-event per query replaces one heap event per unit of processing.  Work at
+``IdealDatabase`` and ``ProfiledDatabase`` run the **coalesced** kernel:
+a query's trajectory between multiprogramming-level changes is analytic
+(its unit time is constant over that window), so one completion event
+per query replaces one heap event per unit of processing.  Work at
 cancellation is recovered from unit-boundary arithmetic, keeping the
-accounting identical to walking unit by unit.  Pass ``kernel="per-unit"``
-to get the original unit-event reference kernel; the differential test
-suite asserts the two produce identical traces.  ``SimulatedDatabase``
-has no coalesced form — a unit's duration there depends on stochastic
-buffer hits and FCFS queueing, so it is inherently per-visit.
+accounting identical to walking unit by unit.  The unit-event kernels
+they replace are test-only oracles, :mod:`repro.simdb.per_unit`, which
+no product module imports; the differential test suites assert the two
+produce identical traces.  ``SimulatedDatabase`` has no coalesced form —
+a unit's duration there depends on stochastic buffer hits and FCFS
+queueing, so it is inherently per-visit.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ class DatabaseServer:
         """Start executing a submitted query (kernel-specific)."""
         self._start_unit(handle, on_complete)
 
-    # -- per-unit reference kernel --------------------------------------------
+    # -- unit by unit (SimulatedDatabase, and the per-unit oracles) -----------
 
     def _start_unit(self, handle: QueryHandle, on_complete: CompletionCallback) -> None:
         raise NotImplementedError
@@ -262,19 +263,13 @@ class _CoalescedServer(DatabaseServer):
     accounting at cancellation is identical to walking unit by unit.
     """
 
-    def __init__(
-        self, sim: Simulation, failure_prob: float = 0.0, seed: int = 0, kernel: str = "coalesced"
-    ):
-        if kernel not in ("coalesced", "per-unit"):
-            raise ValueError(f"kernel must be 'coalesced' or 'per-unit', got {kernel!r}")
+    def __init__(self, sim: Simulation, failure_prob: float = 0.0, seed: int = 0):
         super().__init__(sim, failure_prob, seed)
-        self.kernel = kernel
         #: live coalesced queries in submission order (query id → plan)
         self._inflight: dict[int, tuple[QueryHandle, CompletionCallback]] = {}
-
-    def _unit_rate(self) -> float:
-        """Duration of a unit of processing starting now."""
-        raise NotImplementedError
+        #: the duration of a unit of processing starting now (the profiled
+        #: server's is Db(Gmpl) as of the last Gmpl change)
+        self._rate = 0.0
 
     def _tie_boundary_fired(self, handle: QueryHandle) -> bool:
         """Has a unit boundary falling exactly *now* already fired?
@@ -287,10 +282,8 @@ class _CoalescedServer(DatabaseServer):
         return current is None or _query_priority(handle) < current
 
     def _begin(self, handle: QueryHandle, on_complete: CompletionCallback) -> None:
-        if self.kernel == "per-unit":
-            self._start_unit(handle, on_complete)
-            return
-        rate = self._unit_rate()
+        # (a submission's own Gmpl change has just settled the profiled rate)
+        rate = self._rate
         handle.unit_time = rate
         handle.unit_end = self.sim.now + rate
         self._inflight[handle.query_id] = (handle, on_complete)
@@ -362,15 +355,11 @@ class IdealDatabase(_CoalescedServer):
         unit_duration: float = 1.0,
         failure_prob: float = 0.0,
         seed: int = 0,
-        kernel: str = "coalesced",
     ):
-        super().__init__(sim, failure_prob, seed, kernel)
+        super().__init__(sim, failure_prob, seed)
         if unit_duration <= 0:
             raise ValueError(f"unit_duration must be positive, got {unit_duration}")
-        self.unit_duration = unit_duration
-
-    def _unit_rate(self) -> float:
-        return self.unit_duration
+        self.unit_duration = self._rate = unit_duration
 
     def _completion_time(self, handle: QueryHandle) -> float:
         # Accumulate like the per-unit kernel (one addition per boundary)
@@ -380,13 +369,6 @@ class IdealDatabase(_CoalescedServer):
         for _ in range(handle.cost - handle.units_done - 1):
             when += handle.unit_time
         return when
-
-    def _start_unit(self, handle: QueryHandle, on_complete: CompletionCallback) -> None:
-        self.sim.schedule(
-            self.unit_duration,
-            lambda: self._unit_finished(handle, on_complete),
-            _query_priority(handle),
-        )
 
 
 class SimulatedDatabase(DatabaseServer):
@@ -461,17 +443,13 @@ class ProfiledDatabase(_CoalescedServer):
         db_function,
         failure_prob: float = 0.0,
         seed: int = 0,
-        kernel: str = "coalesced",
     ):
-        super().__init__(sim, failure_prob, seed, kernel)
+        super().__init__(sim, failure_prob, seed)
         if not callable(db_function):
             raise TypeError(f"db_function must be callable, got {db_function!r}")
         self.db_function = db_function
         self._next_event = None
         self._next_key: tuple[float, int] | None = None
-        #: Db(Gmpl) as of the last Gmpl change: what every unit that has
-        #: not started yet will take (coalesced kernel)
-        self._rate = 0.0
         #: open queries by remaining whole units (>= 1): min-heaps of
         #: ``(unit_end, query_id, handle)``.  Entries are dropped lazily:
         #: one is stale once its query is cancel-requested or has moved on
@@ -480,25 +458,6 @@ class ProfiledDatabase(_CoalescedServer):
         #: ``(finish, query_id, handle)`` of queries no Gmpl change can
         #: move; stale once the query finished.
         self._fixed: list[tuple[float, int, QueryHandle]] = []
-
-    def _db_unit_time(self) -> float:
-        # The submitting query is already counted in Gmpl (>= 1 here).
-        unit_ms = float(self.db_function(self._active))
-        if unit_ms <= 0:
-            raise ValueError(f"Db function returned non-positive UnitTime {unit_ms}")
-        return unit_ms
-
-    def _unit_rate(self) -> float:
-        # A submission's own Gmpl change has just settled the coalesced
-        # rate; the per-unit oracle prices every unit where it starts.
-        return self._rate if self.kernel == "coalesced" else self._db_unit_time()
-
-    def _start_unit(self, handle: QueryHandle, on_complete: CompletionCallback) -> None:
-        self.sim.schedule(
-            self._unit_rate(),
-            lambda: self._unit_finished(handle, on_complete),
-            _query_priority(handle),
-        )
 
     # -- coalesced planning ----------------------------------------------------
 
@@ -525,7 +484,7 @@ class ProfiledDatabase(_CoalescedServer):
 
     def _change_active(self, delta: int) -> None:
         super()._change_active(delta)
-        if self._active and self.kernel == "coalesced":
+        if self._active:
             self._resync_and_arm()
 
     def _resync_and_arm(self) -> None:
@@ -543,7 +502,11 @@ class ProfiledDatabase(_CoalescedServer):
         """
         now = self.sim.now
         old = self._rate
-        rate = self._rate = self._db_unit_time()
+        # Db(Gmpl): a submitting query is already counted in Gmpl (>= 1 here)
+        rate = float(self.db_function(self._active))
+        if rate <= 0:
+            raise ValueError(f"Db function returned non-positive UnitTime {rate}")
+        self._rate = rate
         best = best_key = None
         moved = []
         for left, heap in list(self._open.items()):

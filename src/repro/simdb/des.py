@@ -78,11 +78,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from math import isfinite
 from typing import Callable
 
 from repro.errors import SimulationError
 
-__all__ = ["Event", "Simulation"]
+__all__ = ["Event", "Simulation", "check_until"]
 
 #: Compaction thresholds: sweep the buckets once more than
 #: ``_COMPACT_MIN_CANCELLED`` events are dead *and* dead events exceed
@@ -97,6 +98,12 @@ _COMPACT_LIVE_FRACTION = 1.0
 
 #: Default event priority: band 0, no sub-rank — ties resolve by seq.
 DEFAULT_PRIORITY = (0, 0)
+
+
+def check_until(until: float | None) -> None:
+    """Refuse a run horizon the clock cannot take: a non-finite one."""
+    if until is not None and not isfinite(until):
+        raise SimulationError(f"cannot run until non-finite time {until}")
 
 
 class Event:
@@ -183,6 +190,8 @@ class Simulation:
         #: arrival run or a hit wave open.
         self.scheduled = 0
         self._batch_consumer: Callable[[list[Event]], int | None] | None = None
+        #: instant pools :meth:`fire_pooled` drained, and the events they consumed
+        self.pooled_batches = self.pooled_events = 0
         #: priority of the event whose callback is currently running
         #: (None outside a dispatch) — lets re-planning code decide whether
         #: a same-time event with another priority has already fired.
@@ -330,11 +339,12 @@ class Simulation:
         Events cancelled after being
         popped (an earlier pool member may cancel a later one) are
         skipped; their accounting was already settled by
-        :meth:`_on_cancel`.  Returns the number of pool slots consumed;
-        batch consumers delegate to this and layer their own group work
-        around it.
+        :meth:`_on_cancel`.  Returns the number of pool slots consumed,
+        and counts the pool and them (:attr:`pooled_batches`,
+        :attr:`pooled_events`); a batch consumer is this, or delegates to
+        it and layers its own group work around it.
         """
-        count = len(events)
+        count = consumed = len(events)
         last = count - 1
         previous = self.executing_priority
         marker = self.scheduled
@@ -352,10 +362,13 @@ class Simulation:
                     if head is None or head.time != nxt.time or head.priority[0] > nxt.priority[0]:
                         marker = self.scheduled  # nothing new can pass a later member either
                     elif (head.priority, head.seq) < (nxt.priority, nxt.seq):
-                        return index + 1
+                        consumed = index + 1
+                        break
         finally:
             self.executing_priority = previous
-        return count
+        self.pooled_batches += 1
+        self.pooled_events += consumed
+        return consumed
 
     def step(self) -> bool:
         """Run the next pending event.  Returns False when none remain."""
@@ -505,14 +518,16 @@ class Simulation:
         self._requeue(event)
 
     def run(self, until: float | None = None) -> None:
-        """Run events until the calendar drains or the clock passes *until*."""
+        """Run events until the calendar drains or the clock passes *until*.
+        The clock never runs backwards (an *until* behind it fires nothing),
+        and a non-finite *until* is refused before anything fires."""
+        check_until(until)
         while True:
             found = self._head()
             if found is None:
                 break
             if until is not None and found[0].time > until:
-                self.now = until
-                return
+                break
             # fire the frontier just found: no second `_head()`
             if self._batch_consumer is None:
                 self._step(found)

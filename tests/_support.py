@@ -52,6 +52,7 @@ from repro.core.engine import EngineObserver
 from repro.core.tasks import constant
 from repro.obs import Observability
 from repro.simdb.database import DatabaseServer, ProfiledDatabase
+from repro.simdb.per_unit import PerUnitIdealDatabase, PerUnitProfiledDatabase
 from repro.simdb.profiler import DbFunction
 from repro.workload.generator import GeneratedPattern
 
@@ -123,29 +124,37 @@ def run_engine(
     return instance.metrics, instance
 
 
+def per_event(engine_cls, schema, strategy, database, **kwargs):
+    """*engine_cls* on a simulation with no pool consumer: it drains its
+    calendar one event at a time.  A service registers its pool drain
+    before it builds its engine, so building through this unregisters it."""
+    database.sim.set_batch_consumer(None)
+    return engine_cls(schema, strategy, database, **kwargs)
+
+
 @contextmanager
 def engine_arms(*, pooled: bool = True, cohorts: bool = True):
-    """Build the services made inside on the per-event oracle
+    """Build the services made inside draining event by event
     (``pooled=False``) and/or with cohorts off (``cohorts=False``).
 
     Neither axis is a config field: every ``DecisionService`` pools, and
     the batched engine arms cohorts with the query cache.  Both are
-    engine-level seams (no ``enable_pooled_dispatch()``;
-    ``BatchedEngine(cohorts=False)``), pinned here for services built in
-    this process and for shard workers forked while it is active.
+    swapped in through the service's engine registry (:func:`per_event`;
+    ``BatchedEngine(cohorts=False)``), for services built in this process
+    and for shard workers forked while it is active.
     """
     from repro.api import service
 
-    classes, enable = dict(service._ENGINE_CLASSES), Engine.enable_pooled_dispatch
+    classes = dict(service._ENGINE_CLASSES)
     if not cohorts:
         service._ENGINE_CLASSES["batched"] = partial(BatchedEngine, cohorts=False)
     if not pooled:
-        Engine.enable_pooled_dispatch = lambda self: None
+        for kind, build in list(service._ENGINE_CLASSES.items()):
+            service._ENGINE_CLASSES[kind] = partial(per_event, build)
     try:
         yield
     finally:
         service._ENGINE_CLASSES.update(classes)
-        Engine.enable_pooled_dispatch = enable
 
 
 # -- the cycle census -----------------------------------------------------------
@@ -332,16 +341,19 @@ def make_database(
 ) -> DatabaseServer:
     """A fresh database server of the named backend bound to *sim*.
 
-    ``kernel`` selects the coalesced or per-unit cost model for the
-    ideal/profiled servers; the bounded server is inherently per-visit
-    and ignores it.
+    ``kernel="per-unit"`` builds the ideal/profiled server's per-unit
+    oracle (:mod:`repro.simdb.per_unit`) instead of the coalesced product
+    server; the bounded server is inherently per-visit and ignores it.
     """
+    per_unit = kernel == "per-unit"
+    if kernel not in ("coalesced", "per-unit"):
+        raise ValueError(f"unknown kernel {kernel!r}")
     if backend == "ideal":
-        return IdealDatabase(sim, failure_prob=failure_prob, seed=seed, kernel=kernel)
+        ideal = PerUnitIdealDatabase if per_unit else IdealDatabase
+        return ideal(sim, failure_prob=failure_prob, seed=seed)
     if backend == "profiled":
-        return ProfiledDatabase(
-            sim, RISING_DB, failure_prob=failure_prob, seed=seed, kernel=kernel
-        )
+        profiled = PerUnitProfiledDatabase if per_unit else ProfiledDatabase
+        return profiled(sim, RISING_DB, failure_prob=failure_prob, seed=seed)
     if backend == "bounded":
         return SimulatedDatabase(sim, DbParams(failure_prob=failure_prob), seed=seed)
     raise ValueError(f"unknown backend {backend!r}")
@@ -496,8 +508,8 @@ def run(
         obs=Observability.create() if observe else None,
         **({"cohorts": cohorts} if engine_cls is BatchedEngine else {}),
     )
-    if pooled:
-        engine.enable_pooled_dispatch()
+    if pooled:  # the simulation's own pool drain, whichever engine
+        sim.set_batch_consumer(sim.fire_pooled)
     if drive is not None:
         drive(engine, sim)
     elif closed is None:
@@ -555,7 +567,8 @@ def _flat(event) -> tuple:
 
 def trace_of(engine, events) -> dict:
     """Everything observable of *engine*'s finished run, part by part."""
-    sim, database, cache, obs = engine.sim, engine.database, engine.query_cache, engine.obs
+    sim, database, cache = engine.sim, engine.database, engine.query_cache
+    obs = getattr(engine, "obs", None)  # (the reference engine is not instrumented)
     instances = engine.instances
     # (cohorts are the batched engine's own: the reference has none to count)
     counters = {**service_counters(engine), "cohort_hits": 0, "cohort_splits": 0}
@@ -580,7 +593,7 @@ def trace_of(engine, events) -> dict:
         "lru": cache and list(cache._memo),
         "summary": asdict(summary),
         "end": (sim.now, sim.pending),
-        "obs": {"spans": len(obs.tracer), **obs.registry.snapshot()} if obs.enabled else None,
+        "obs": {"spans": len(obs.tracer), **obs.registry.snapshot()} if obs and obs.enabled else None,
     }
 
 

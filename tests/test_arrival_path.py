@@ -1,5 +1,5 @@
 """The arrival path: from ``submit()`` to an arrival's first decision
-(``Engine.submit_instance`` / ``_fire_run``, ``BatchedInstance.start``,
+(``BatchedEngine.submit_instance`` / ``_fire_run``, ``BatchedInstance.start``,
 ``BatchedEngine._riders`` / ``_join_lockstep``).
 
 Three shortcuts that must not be observable, and one key they lean on:
@@ -7,11 +7,12 @@ Three shortcuts that must not be observable, and one key they lean on:
 * an arrival owns nothing until it starts for itself, and a settled
   instance nothing but its answer (allocation budgets, held as tests);
 * consecutive arrivals for one instant share one calendar event, an
-  *arrival run*, on both engines — held here to **per-arrival
-  semantics**: the same script with every run broken after each submit
-  (a scheduled-and-cancelled no-op moves ``Simulation.scheduled``, so the
-  next arrival opens a run of its own) must give the same trace
-  (``tests/_support.trace_of``), per-event and pooled;
+  *arrival run*, on the batched engine — held here to **per-arrival
+  semantics**: each script's trace (``tests/_support.trace_of``) must be
+  the reference engine's (one start event per arrival, drained event by
+  event), with runs and with every run broken after each submit (a
+  scheduled-and-cancelled no-op moves ``Simulation.scheduled``, so the
+  next arrival opens a run of its own), per-event and pooled;
 * consecutive arrivals of a run that ride one open cohort join it in
   one step;
 * the typed start key tells ``0.0`` from ``-0.0`` (it did not).
@@ -197,7 +198,8 @@ def test_a_refused_submission_leaves_its_id_free(engine):
         service.submit(good, instance_id="x")
     service.run()
     assert first.done and second.done and third.done
-    assert (service.engine.arrival_runs, service.engine.arrival_run_arrivals) == (1, 3)
+    if engine == "batched":  # (the reference engine starts each arrival by its own event)
+        assert (service.engine.arrival_runs, service.engine.arrival_run_arrivals) == (1, 3)
 
 
 def test_a_refused_submission_through_the_daemon():
@@ -239,7 +241,6 @@ def driver(script, lone: bool):
 
 
 STACKS = [
-    (Engine, dict(cohorts=False)),
     (BatchedEngine, dict(cohorts=False)),
     (BatchedEngine, dict(cohorts=True)),
 ]
@@ -250,8 +251,7 @@ def assert_runs_are_invisible(schema, code, script, **kwargs) -> dict:
     run broken, against the reference engine's per-arrival, per-event
     trace; returns ``{(stack index, pooled): engine}`` of the runs with
     runs."""
-    oracle, plain = run(Engine, schema, code, drive=driver(script, lone=True), **kwargs)
-    assert plain.arrival_runs == plain.arrival_run_arrivals  # the oracle is per-arrival
+    oracle, _ = run(Engine, schema, code, drive=driver(script, lone=True), **kwargs)
     engines = {}
     for pooled in (False, True):
         for index, (engine_cls, stack) in enumerate(STACKS):
@@ -284,7 +284,7 @@ def test_a_plain_event_between_two_submits_breaks_the_run():
         events = engine.observer.events
         starts = [k for k, event in enumerate(events) if event[0] == "start"]
         assert starts[1] < events.index(("plain",)) < starts[2]
-    assert engines[2, True].cohort_hits == 2  # the third rides across the break
+    assert engines[1, True].cohort_hits == 2  # the third rides across the break
 
 
 def test_a_run_stays_open_across_a_run_until_that_fired_nothing():
@@ -314,7 +314,7 @@ def test_a_run_until_that_fired_something_closes_the_run():
     engines = assert_runs_are_invisible(two_source_schema(), "PSE100", script)
     for engine in engines.values():
         assert (engine.arrival_runs, engine.arrival_run_arrivals) == (3, 5)
-    assert engines[2, False].bulk_joins == 1  # the second run's pair, in one step
+    assert engines[1, False].bulk_joins == 1  # the second run's pair, in one step
 
 
 def closed_loop(queue, concurrency: int):
@@ -355,8 +355,7 @@ def test_a_closed_loop_replaces_inside_a_run_and_inside_a_hit_wave(concurrency, 
     for (index, _), engine in engines.items():
         assert engine.arrival_run_arrivals == len(queue)
         assert engine.arrival_runs < len(queue)  # the first `concurrency`, at least, are one
-        if index:
-            assert engine.hit_waves > 0
+        assert engine.hit_waves > 0
 
 
 def test_a_closed_loop_on_the_benchmark_pattern():
@@ -368,8 +367,8 @@ def test_a_closed_loop_on_the_benchmark_pattern():
 
     script = closed_loop(queue, 4)
     engines = assert_runs_are_invisible(PERF.schema, "PSE100", script, cancel_unneeded=True)
-    assert engines[2, True].hit_waves > 12
-    assert engines[2, True].arrival_runs < 20
+    assert engines[1, True].hit_waves > 12
+    assert engines[1, True].arrival_runs < 20
 
 
 def raising_schema() -> DecisionFlowSchema:
@@ -408,7 +407,7 @@ def test_a_start_that_raises_leaves_the_rest_of_the_run_queued():
     oracle = None
     for pooled in (False, True):
         for engine_cls in (Engine, BatchedEngine):
-            for lone in (True, False):
+            for lone in (True, False) if engine_cls is BatchedEngine else (True,):
                 trace, engine = run(
                     engine_cls, raising_schema(), "PSE100", drive=driver(script, lone), pooled=pooled
                 )
@@ -456,12 +455,13 @@ def test_an_urgent_event_from_a_start_callback_preempts_the_rest_of_the_run(band
         ]
         assert order == ["1", "2", "urgent", "3", "4", "5", "urgent", "6", "7"]
         assert (engine.arrival_runs, engine.arrival_run_arrivals) == (1, 7)
-    cohorts = engines[2, True]
+    cohorts = engines[1, True]
     assert cohorts.cohort_hits == 5
     # #2 joins alone (its callback scheduled), #3-#4 in one step, #6-#7 behind their own #5
     assert (cohorts.bulk_joins, cohorts.bulk_join_members) == (2, 4)
     # the run fired three times: two resumes, each counted as an event
-    plain = run(Engine, two_source_schema(), "PSE100", arrivals=[(2.0, HIGH)] * 4 + [(2.0, OTHER)] * 3)
+    arrivals = [(2.0, HIGH)] * 4 + [(2.0, OTHER)] * 3
+    plain = run(BatchedEngine, two_source_schema(), "PSE100", arrivals=arrivals)
     assert engines[0, False].sim.events_executed == plain[1].sim.events_executed + 2 + 2
 
 
@@ -671,12 +671,14 @@ def test_counters_and_gauges(observe):
     assert [event["args"]["arrivals"] for event in runs] == [6]  # one span per run of several
 
 
-def test_the_reference_engine_counts_runs_too():
-    config = ExecutionConfig.from_code("PSE100", engine="reference", observe=True)
-    service = DecisionService(PERF.schema, config)
-    for _ in range(4):
-        service.submit(PERF.source_values)
-    service.run()
-    gauges = {entry["name"]: entry["value"] for entry in service.observability()["gauges"]}
-    assert (gauges["engine_arrival_runs"], gauges["engine_arrival_run_arrivals"]) == (1, 4)
-    assert "engine_bulk_joins" not in gauges
+def test_the_reference_engine_starts_each_arrival_by_its_own_event():
+    """The oracle runs no arrival runs (and no instruments): four arrivals
+    at one instant are four start events where the product fires one."""
+    with pytest.raises(ValueError, match="reference engine is not instrumented"):
+        ExecutionConfig.from_code("PSE100", engine="reference", observe=True)
+    arrivals = [(0.0, PERF.source_values)] * 4
+    _, reference = run(Engine, PERF.schema, "PSE100", arrivals=arrivals, cache=False)
+    _, batched = run(BatchedEngine, PERF.schema, "PSE100", arrivals=arrivals, cache=False)
+    assert reference.sim.events_executed == batched.sim.events_executed + 3
+    assert not hasattr(reference, "arrival_runs")
+    assert (batched.arrival_runs, batched.arrival_run_arrivals) == (1, 4)

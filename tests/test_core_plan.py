@@ -295,8 +295,9 @@ def test_batched_run_single_and_cell_views():
     schema, source_values = chain_schema(length=3)
     sim = Simulation()
     engine = BatchedEngine(schema, Strategy.parse("PCE0"), IdealDatabase(sim))
-    metrics = engine.run_single(source_values)
-    assert metrics.done
+    engine.submit_instance(source_values)
+    sim.run()
+    assert engine.instances[0].metrics.done
     instance = engine.instances[0]
     cell = instance.cells["c3"]
     assert cell.stable and cell.value == 3

@@ -211,7 +211,7 @@ def run_closed_loop(engine_kind: str, halt_policy: str, pooled: bool):
         query_cache=QueryShareCache(database),
     )
     if pooled:
-        engine.enable_pooled_dispatch()
+        sim.set_batch_consumer(sim.fire_pooled)
     engine.submit_instance({"s": 1})
     left = [10]
 
@@ -274,7 +274,7 @@ def run_cancel_race(engine_kind: str, pooled: bool) -> OrderRecorder:
         query_cache=QueryShareCache(database),
     )
     if pooled:
-        engine.enable_pooled_dispatch()
+        sim.set_batch_consumer(sim.fire_pooled)
     for value in (93.5, 40.0):
         engine.submit_instance({source: value}, at=0.0)
     sim.run()
@@ -343,7 +343,7 @@ def run_split_waves(engine_kind: str, halt_policy: str, pooled: bool):
         query_cache=QueryShareCache(database),
     )
     if pooled:
-        engine.enable_pooled_dispatch()
+        sim.set_batch_consumer(sim.fire_pooled)
     engine.submit_instance({"s": 0})
     fresh = list(range(1, 11))
 

@@ -430,11 +430,16 @@ def test_armed_runs_take_the_same_waves_and_count_every_round(monkeypatch):
     assert readings["engine_launch_memo_hits"] == engine.plan.launch_hits
     assert engine.plan.launch_hits == plain.engine.plan.launch_hits > 0
     # A wave's deliveries are rounds and query lifecycles like any other:
-    # what the reference engine counts, event by event.
-    _, reference, reference_spans = observed("reference", True, arrivals)
+    # what the reference engine runs, event by event — a round at each
+    # start, and at each delivery to an instance not yet done.
+    _, oracle = run(Engine, PERF.schema, "PSE100", arrivals=arrivals)
+    rounds, done = 0, set()
+    for event in oracle.observer.events:
+        if event[0] == "complete":
+            done.add(event[1])
+        rounds += event[0] == "start" or (event[0] == "done" and event[1] not in done)
     launched = round(plain.summary().mean_queries_launched * len(arrivals))
-    assert readings["engine_queries_launched"] == reference["engine_queries_launched"] == launched
-    assert readings["engine_scheduling_rounds"] == reference["engine_scheduling_rounds"]
-    assert spans["engine.round"] == reference_spans["engine.round"]
-    assert spans["query"] == reference_spans["query"] == launched
-    assert "engine_hit_waves" not in reference
+    assert sum(event[0] == "launch" for event in oracle.observer.events) == launched
+    assert readings["engine_queries_launched"] == launched
+    assert readings["engine_scheduling_rounds"] == spans["engine.round"] == rounds
+    assert spans["query"] == launched

@@ -19,6 +19,7 @@ import pytest
 
 from repro import Simulation
 from repro.simdb.database import ProfiledDatabase
+from repro.simdb.per_unit import PerUnitProfiledDatabase
 from repro.simdb.profiler import DbFunction
 
 #: Unit times on this curve are arbitrary floats (about 40 ms at Gmpl 600),
@@ -60,7 +61,8 @@ def saturating_script(seed: int):
 def drive(kernel: str, db_function, seed: int):
     bursts, cancels = saturating_script(seed)
     sim = Simulation()
-    database = ProfiledDatabase(sim, db_function, failure_prob=0.2, seed=seed, kernel=kernel)
+    server = ProfiledDatabase if kernel == "coalesced" else PerUnitProfiledDatabase
+    database = server(sim, db_function, failure_prob=0.2, seed=seed)
     handles = []
     outcomes = {}
     order = []
@@ -69,14 +71,15 @@ def drive(kernel: str, db_function, seed: int):
     # Every "a boundary falls exactly now: has its event fired yet?" the
     # coalesced kernel decides, by answer.
     ties = {True: 0, False: 0}
-    decide = database._tie_boundary_fired
+    decide = getattr(database, "_tie_boundary_fired", None)  # (the oracle walks them)
 
     def counting_decide(handle):
         fired = decide(handle)
         ties[fired] += 1
         return fired
 
-    database._tie_boundary_fired = counting_decide
+    if decide is not None:
+        database._tie_boundary_fired = counting_decide
 
     def submit_burst(costs):
         nonlocal peak

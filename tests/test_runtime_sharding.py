@@ -11,7 +11,7 @@ from repro.api import DecisionService, ExecutionConfig
 from repro.api.backends import create_backend
 from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
 from repro.core.serialize import config_to_dict, schema_to_dict
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SimulationError
 from repro.nulls import NULL
 from repro.runtime import (
     ShardedDecisionService,
@@ -1062,3 +1062,73 @@ def test_run_closed_checks_every_valuation_before_running_any(facade):
         assert service.summary().count == 7
     finally:
         service.close()
+
+
+# -- the run horizon: the clock never runs backwards, and is always finite ------
+
+
+def _clocks(service) -> list[float]:
+    """Every clock the facade runs: its simulation's, or each shard's."""
+    if isinstance(service, DecisionService):
+        return [service.now]
+    return [outcome.stats.end_time for outcome in service.outcomes]
+
+
+@pytest.mark.parametrize("facade", FACADES, ids=str)
+def test_a_run_until_behind_the_clock_moves_nothing(pattern, facade):
+    """``run(until=30)``, then ``run(until=3)`` with an arrival due at 40:
+    the second fires nothing, no clock moves back, and a start at 5 is in
+    the past on every shard."""
+    service = _facade(pattern.schema, ExecutionConfig(), facade)
+    try:
+        handle = service.submit(pattern.source_values, at=40.0)
+        service.run(until=30.0)
+        assert _clocks(service) == [30.0] * len(_clocks(service))
+        service.run(until=3.0)
+        assert _clocks(service) == [30.0] * len(_clocks(service))
+        assert service.now == 30.0 and not handle.done
+        for k in range(8):  # ids enough to reach every shard
+            with pytest.raises(ExecutionError, match="past time 5.0"):
+                service.submit(pattern.source_values, at=5.0, instance_id=f"late-{k}")
+        service.run()
+        assert handle.done and handle.metrics.start_time == 40.0
+        assert service.summary().count == 1
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("facade", FACADES, ids=str)
+def test_a_non_finite_until_is_refused_before_anything_fires(pattern, facade):
+    """``run(until=nan | inf | -inf)`` raises before anything fires (a
+    fleet, before the round goes out): handles, clock, summary and pool
+    counters are unchanged, and the service then serves a batch exactly as
+    a twin that never saw the calls."""
+
+    def readout(service) -> tuple:
+        handles = [
+            (h.instance_id, h.done, sorted((n, repr(v)) for n, v in h.value_map().items()))
+            for h in service.handles
+        ]
+        return service.now, handles, service.summary(), service.dispatch_stats()
+
+    service = _facade(pattern.schema, ExecutionConfig(), facade)
+    twin = _facade(pattern.schema, ExecutionConfig(), facade)
+    try:
+        for each in (service, twin):
+            each.submit(pattern.source_values)
+            each.submit(pattern.source_values, at=4.0)
+            each.run(until=2.0)
+        before = readout(service)
+        for until in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(SimulationError, match=f"cannot run until non-finite time {until}"):
+                service.run(until=until)
+            assert readout(service) == before
+        for each in (service, twin):
+            for k in range(3):
+                each.submit(pattern.source_values, at=10.0 + k)
+            each.run()
+        assert readout(service) == readout(twin)
+        assert service.summary().count == 5 and service.now > 12.0
+    finally:
+        service.close()
+        twin.close()

@@ -342,7 +342,9 @@ def test_pooled_cache_config_survives_executors(executor):
 def test_armed_observability_invisible_at_any_shard_count(backend, engine, shards):
     """observe=True (tracer + registry armed in every shard) must not
     perturb execution: values, every metrics counter, database totals,
-    and the exact merged event sequence match the disarmed run."""
+    and the exact merged event sequence match the disarmed run.  Only the
+    product is instrumented, so on the reference engine's cells the armed
+    product fleet is held to the disarmed oracle fleet."""
     seed = 7
     pattern = scenario_pattern(seed, nb_nodes=16 if backend == "bounded" else 24)
     arrivals = [index * 1.5 for index in range(6)]
@@ -350,13 +352,17 @@ def test_armed_observability_invisible_at_any_shard_count(backend, engine, shard
         "PSE50", backend, engine, seed, shards=shards, query_cache=True
     )
     disarmed = run_sharded(pattern, config, arrivals)
-    armed = run_sharded(pattern, config.replace(observe=True), arrivals)
+    armed = run_sharded(pattern, config.replace(engine="batched", observe=True), arrivals)
     assert armed["values"] == disarmed["values"]
     assert armed["metrics"] == disarmed["metrics"]
     assert armed["totals"] == disarmed["totals"]
     assert armed["events"] == disarmed["events"]
     assert_summaries_close(armed["summary"], disarmed["summary"])
-    assert armed["dispatch"] == disarmed["dispatch"]
+    # (pools are the product's own: its fast paths fire fewer events)
+    product = disarmed if engine == "batched" else run_sharded(
+        pattern, config.replace(engine="batched"), arrivals
+    )
+    assert armed["dispatch"] == product["dispatch"]
     # The disarmed run reports the stub; the armed run has real content
     # with every instrument carrying its shard label.
     assert disarmed["observability"] == {

@@ -9,6 +9,7 @@ from repro.simdb.database import (
     SimulatedDatabase,
 )
 from repro.simdb.des import Simulation
+from repro.simdb.per_unit import PerUnitIdealDatabase, PerUnitProfiledDatabase
 from repro.simdb.profiler import DbFunction
 
 
@@ -285,12 +286,19 @@ class TestCoalescedKernel:
     RISING = DbFunction(((1.0, 10.0), (2.0, 20.0), (4.0, 40.0)))
 
     def test_kernel_argument_validated(self):
-        with pytest.raises(ValueError, match="kernel"):
-            IdealDatabase(Simulation(), kernel="speculative")
+        """The product servers have one kernel: ``kernel=`` is no argument."""
+        with pytest.raises(TypeError, match="kernel"):
+            IdealDatabase(Simulation(), kernel="per-unit")
+        with pytest.raises(TypeError, match="kernel"):
+            ProfiledDatabase(Simulation(), self.RISING, kernel="per-unit")
 
     def test_coalesced_is_the_default(self):
-        assert IdealDatabase(Simulation()).kernel == "coalesced"
-        assert ProfiledDatabase(Simulation(), self.RISING).kernel == "coalesced"
+        """The per-unit kernels are their own (oracle) classes, and no
+        product server branches on a kernel."""
+        for server in (IdealDatabase(Simulation()), ProfiledDatabase(Simulation(), self.RISING)):
+            assert not hasattr(server, "kernel")
+        assert not isinstance(PerUnitIdealDatabase(Simulation()), IdealDatabase)
+        assert not isinstance(PerUnitProfiledDatabase(Simulation(), self.RISING), ProfiledDatabase)
 
     def test_one_event_per_query(self):
         sim = Simulation()
@@ -303,7 +311,7 @@ class TestCoalescedKernel:
 
     def test_per_unit_kernel_still_available(self):
         sim = Simulation()
-        db = IdealDatabase(sim, kernel="per-unit")
+        db = PerUnitIdealDatabase(sim)
         db.submit(40, lambda p, c: None)
         sim.run()
         assert sim.events_executed == 40
@@ -347,18 +355,18 @@ class TestCoalescedKernel:
         # 0.1 is not exactly representable: the completion instant must
         # come from the same float accumulation the per-unit kernel does.
         finishes = {}
-        for kernel in ("coalesced", "per-unit"):
+        for kernel, server in (("coalesced", IdealDatabase), ("per-unit", PerUnitIdealDatabase)):
             sim = Simulation()
-            db = IdealDatabase(sim, unit_duration=0.1, kernel=kernel)
+            db = server(sim, unit_duration=0.1)
             db.submit(11, lambda p, c: None)
             sim.run()
             finishes[kernel] = sim.now
         assert finishes["coalesced"] == finishes["per-unit"]
 
     def test_work_conservation_under_cancellation_storm(self):
-        for kernel in ("coalesced", "per-unit"):
+        for server in (IdealDatabase, PerUnitIdealDatabase):
             sim = Simulation()
-            db = IdealDatabase(sim, kernel=kernel)
+            db = server(sim)
             handles = [db.submit(7, lambda p, c: None) for _ in range(10)]
             sim.run(until=3.5)
             for handle in handles[::2]:
