@@ -303,10 +303,17 @@ class DecisionService(_ServiceFront):
             self.backend = backend
         else:
             self.backend = create_backend(config.backend, **config.backend_options)
+        simulation = self.backend.simulation
+        if simulation.batch_consumer is not None:
+            # Engines must never share simulations by accident: either
+            # service's run() would drive the other's instances.
+            raise ValueError(
+                f"backend {self.backend.name!r} already drives a service: "
+                "build one Backend per service"
+            )
         self.obs = Observability.create() if config.observe else NULL_OBS
         # Every service drains its calendar in instant pools, whichever
         # engine it runs (the pool is fired in per-event order either way).
-        simulation = self.backend.simulation
         simulation.set_batch_consumer(
             self._drain_observed if self.obs.enabled else simulation.fire_pooled
         )
@@ -418,12 +425,15 @@ class DecisionService(_ServiceFront):
         A long-lived caller (the server daemon, after persisting an
         epoch) calls this so the service's memory follows the instances
         in flight, not every instance it has ever served.  Released
-        instances leave :attr:`handles` and the engine's instance list;
-        their metrics are added to a running aggregate first, so
-        :meth:`summary` reads as if nothing had been released.  A handle
-        the caller still holds stays fully readable.  An instance that is done but still
-        has a query in flight is kept until that query has booked its
-        units.
+        instances leave :attr:`handles` and the engine's instance list,
+        and their ids are free to submit again (the reuse contract of
+        :func:`~repro.core.engine.claim_instance_id`); their metrics are
+        added to a running aggregate first, so :meth:`summary` reads as
+        if nothing had been released.  The database's Gmpl trace is
+        trimmed to the earliest start still held (to now if none is):
+        :meth:`mean_gmpl` stays exact.  A handle the caller still holds
+        stays fully readable.  An instance that is done but still has a
+        query in flight is kept until that query has booked its units.
         """
         settled = {id(instance) for instance in self.engine.release_settled()}
         released = tuple(h for h in self._handles if id(h.instance) in settled)
@@ -432,6 +442,8 @@ class DecisionService(_ServiceFront):
             self._released = MetricsSummary.merge(
                 self._released, summarize(h.metrics for h in released)
             )
+        starts = (instance.metrics.start_time for instance in self.engine.instances)
+        self.database.trim_gmpl_history(min(starts, default=self.now))
         return released
 
     def summary(self) -> MetricsSummary:
@@ -456,7 +468,8 @@ class DecisionService(_ServiceFront):
         return self.backend.time_unit
 
     def mean_gmpl(self) -> float:
-        """The database's mean multiprogramming level over the clock."""
+        """The database's mean multiprogramming level over the whole clock:
+        exact, whatever :meth:`release_completed` trimmed of its trace."""
         return self.database.mean_gmpl()
 
     def dispatch_stats(self) -> dict:

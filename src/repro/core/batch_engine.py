@@ -934,6 +934,7 @@ class BatchedEngine:
             query_cache = QueryShareCache(database)
         self.query_cache: QueryShareCache | None = query_cache or None
         self.instances: list[BatchedInstance] = []
+        #: the ids of the instances held, claimed until released
         self._instance_ids: set[str] = set()
         self._id_next = 1  # the number the next generated id tries first
         self._on_complete: dict[str, Callable[[InstanceMetrics], None]] = {}
@@ -1072,6 +1073,8 @@ class BatchedEngine:
         settled = [i for i in self.instances if i.done and not i.inflight]
         if settled:
             self.instances = [i for i in self.instances if not i.done or i.inflight]
+            # rebuilt, not emptied: a set's table never shrinks on discard
+            self._instance_ids = {i.instance_id for i in self.instances}
         for instance in settled:
             instance._cohort = None
         return settled

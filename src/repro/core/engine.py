@@ -79,6 +79,19 @@ def claim_instance_id(
     accepted (a rejected submission must not burn the name).  Shared by
     the engine and the sharded runtime so preassigned ids can never
     drift from engine-generated ones.
+
+    The reuse contract, the same on every engine and facade:
+
+    * an id is claimed from the accepted submission until its instance
+      is released (``release_settled`` / ``release_completed``), so
+      *claimed* holds only the ids of the instances still held;
+    * a released caller-supplied id may be submitted again, and decides
+      exactly as a fresh id would;
+    * generated ids never repeat: the owner keeps the floor *seq* starts
+      from (``_id_next``) across releases;
+    * the server daemon names its instances from its ``RunStore``
+      sequence, which keeps its own ids unique for its lifetime, as it
+      does across restarts.
     """
     if instance_id is None:
         instance_id = f"{schema_name}#{next(seq)}"
@@ -163,6 +176,7 @@ class Engine:
             query_cache = QueryShareCache(database)
         self.query_cache: QueryShareCache | None = query_cache or None
         self.instances: list[InstanceRuntime] = []
+        #: the ids of the instances held, claimed until released
         self._instance_ids: set[str] = set()
         self._id_next = 1  # the number the next generated id tries first
         self._on_complete: dict[str, Callable[[InstanceMetrics], None]] = {}
@@ -208,12 +222,14 @@ class Engine:
         flight (a straggler still books its units on the finished
         instance).  Settled instances leave :attr:`instances` and are
         returned; whoever still references one keeps a fully readable
-        object.  Their ids stay claimed, so a later submission cannot
-        reuse one.
+        object.  Their ids leave the claimed set with them (see
+        :func:`claim_instance_id`): a later submission may reuse one.
         """
         settled = [i for i in self.instances if i.done and not i.inflight]
         if settled:
             self.instances = [i for i in self.instances if not i.done or i.inflight]
+            # rebuilt, not emptied: a set's table never shrinks on discard
+            self._instance_ids = {i.instance_id for i in self.instances}
         return settled
 
     def run_single(self, source_values: Mapping[str, object] | None = None) -> InstanceMetrics:

@@ -235,6 +235,7 @@ class ShardedDecisionService(_ServiceFront):
         self._release = False
         self._transport = None  # built at the first submission
         self._closed = False
+        #: the ids of the handles held, claimed until released
         self._instance_ids: set[str] = set()
         self._id_next = 1  # the number the next generated id tries first
 
@@ -406,7 +407,10 @@ class ShardedDecisionService(_ServiceFront):
         round's frame, so no extra round-trip).  A done instance with a
         query still in flight is kept until its shard reports it settled.
         :meth:`summary` keeps covering them, and a handle the caller
-        still holds stays fully readable.
+        still holds stays fully readable.  The released ids are free
+        again at once (see :func:`~repro.core.engine.claim_instance_id`):
+        a shard applies the ``release`` flag before it replays the round's
+        ops, so a resubmitted id reaches a shard that has let go of it.
         """
         pending = self._pending
         kept, released = [], []
@@ -415,6 +419,8 @@ class ShardedDecisionService(_ServiceFront):
         if released:
             self._handles = kept
             self._release = True
+            # rebuilt, not emptied: a set's table never shrinks on discard
+            self._instance_ids = {h.instance_id for h in kept}
         return tuple(released)
 
     def _counter_sums(self, names: Sequence[str]) -> dict[str, int]:

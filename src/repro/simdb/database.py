@@ -126,6 +126,8 @@ class DatabaseServer:
         self.failure_prob = failure_prob
         self._failure_rng = derive_rng(seed, "db-failures")
         self._active = 0
+        #: the instant the running integral starts from (zero there)
+        self._gmpl_origin = sim.now
         self._gmpl_integral = 0.0
         self._gmpl_last_change = sim.now
         # Piecewise-linear integral trace: one (time, integral) point per
@@ -157,25 +159,36 @@ class DatabaseServer:
         The mean divides the integral accumulated *inside the window* by
         the window length, so warmup-trimmed measurements (``since > 0``)
         are exact rather than inflated by pre-window history.  A window
-        reaching back past a :meth:`trim_gmpl_history` cut starts at the
-        cut: the mean is over what the trace still covers.
+        from the server's start or before it (the default: the whole
+        clock) reads the running integral, which no trim touches: it is
+        exact, bit for bit what a server that never trimmed reads.  So is
+        any window from a :meth:`trim_gmpl_history` cut on; one starting
+        between the server's start and the cut starts at the cut, the
+        mean over what the trace still covers.
         """
         now = self.sim.now
-        since = max(since, self._gmpl_trimmed_to)
+        if since <= self._gmpl_origin:
+            base = 0.0  # nothing accumulated before the origin
+        else:
+            since = max(since, self._gmpl_trimmed_to)
+            base = self._gmpl_integral_at(since)
         elapsed = now - since
         if elapsed <= 0:
             return 0.0
         total = self._gmpl_integral + self._active * (now - self._gmpl_last_change)
-        return (total - self._gmpl_integral_at(since)) / elapsed
+        return (total - base) / elapsed
 
     def trim_gmpl_history(self, keep_since: float) -> int:
         """Drop Gmpl trace points before *keep_since*; returns the count.
 
         The windowed-mean trace costs two floats per Gmpl change instant
         (~2 changes per query), which an unbounded sweep would accumulate
-        forever.  After trimming, ``mean_gmpl(since=t)`` stays exact for
-        any ``t >= keep_since``; windows reaching further back are clamped
-        to the trimmed start.
+        forever; :meth:`DecisionService.release_completed
+        <repro.api.service.DecisionService.release_completed>` trims it to
+        the earliest start it still holds.  After trimming,
+        ``mean_gmpl(since=t)`` stays exact for any ``t >= keep_since`` and
+        for the whole clock (``t`` at or before the server's start);
+        windows starting in between are clamped to the trimmed start.
         """
         index = bisect_right(self._gmpl_times, keep_since) - 1
         if index <= 0:

@@ -421,6 +421,11 @@ class Simulation:
             )
         self._batch_consumer = consumer
 
+    @property
+    def batch_consumer(self) -> Callable[[list[Event]], int | None] | None:
+        """The registered batch consumer, or None (events fire one by one)."""
+        return self._batch_consumer
+
     def step_instant(self) -> bool:
         """Run every pending event at the ``(time, priority band)`` frontier.
 

@@ -41,6 +41,7 @@ from repro import (
     SimulatedDatabase,
     Strategy,
     SynthesisTask,
+    create_service,
     generate_pattern,
     summarize,
 )
@@ -313,6 +314,65 @@ def population(kind: str, n: int, seed: int = 11) -> list[tuple[float, float]]:
             items.append((at, fresh()))
         return items
     raise ValueError(f"unknown population {kind!r}")
+
+
+# -- the served-state census ---------------------------------------------------
+#
+# A service that releases after every epoch holds what is in flight, not what
+# it has served: its claimed ids are those of the instances it holds, and its
+# database's Gmpl trace starts at the earliest start it holds.  `serve` drives
+# such a service and `served_growth` takes the traced reading of
+# `SERVED_BUDGET` (tests/test_served_state.py bounds what it holds).
+
+#: Bytes a releasing service on the product stack (PSE100, query cache) may
+#: grow by per served instance once its memo tiers are full, on the
+#: distinct and on the overlap population.  Before released ids and the
+#: Gmpl trace left with their instances it grew ≈220 B per instance.
+SERVED_BUDGET = 16
+
+
+def serve(service, items: Sequence[tuple[float, float]], epoch: int = 500, check=None):
+    """Serve *items* (:func:`population`'s ``(at, valuation)`` pairs of the
+    perf pattern's source) through *service* in epochs of *epoch*: submit,
+    ``run()``, ``release_completed()``, then ``check(service)`` if given.
+    Each epoch keeps its arrivals' spacing, shifted to start no earlier
+    than the service's clock.  A fleet then runs one empty round, so its
+    shards apply the last release."""
+    source = PERF.schema.source_names[0]
+    shift = 0.0
+    for start in range(0, len(items), epoch):
+        chunk = items[start : start + epoch]
+        shift = max(shift, service.now - chunk[0][0])
+        for at, value in chunk:
+            service.submit({source: value}, at=at + shift)
+        service.run()
+        service.release_completed()
+        if check is not None:
+            check(service)
+    service.run()
+
+
+def served_growth(config, kind: str, warm: int, n: int) -> float:
+    """Traced heap growth per served instance of a releasing service built
+    from *config*: :func:`serve` *warm* instances of *kind*, then *n* more,
+    with every allocation traced from before the service is built, so a
+    bounded table's turnover (the query memo's keys and its dict table)
+    nets out.  Reads are taken after a full collection."""
+    items = population(kind, warm + n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        service = create_service(PERF.schema, config)
+        serve(service, items[:warm])
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        serve(service, items[warm:])
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    service.close()
+    return (after - before) / n
 
 
 # -- the differential harness --------------------------------------------------

@@ -70,6 +70,28 @@ class TestServiceBasics:
                 backend=prebuilt,
             )
 
+    @pytest.mark.parametrize("observe", [False, True], ids=["disarmed", "armed"])
+    def test_one_backend_drives_one_service(self, observe):
+        """A second service on a Backend another service drives is refused
+        by name before it builds an engine: sharing the calendar, either
+        service's run() would finish the other's instances."""
+        from repro.api import create_backend
+
+        schema, source_values = diamond_schema()
+        config = ExecutionConfig(observe=observe)
+        shared = create_backend("ideal")
+        first = DecisionService(schema, config, backend=shared)
+        drain = shared.simulation.batch_consumer
+        handle = first.submit(source_values)
+        for second_config in (config, ExecutionConfig(observe=not observe)):
+            with pytest.raises(ValueError, match="already drives a service"):
+                DecisionService(schema, second_config, backend=shared)
+        assert shared.simulation.batch_consumer == drain
+        assert first.handles == (handle,) and first.engine.instances == [handle.instance]
+        alone = DecisionService(schema, config).submit(source_values).wait()
+        assert handle.wait() == alone
+        assert first.summary().count == 1
+
     def test_backend_argument_overrides_config(self):
         schema, source_values = diamond_schema()
         service = DecisionService(
@@ -505,13 +527,16 @@ class TestReleaseCompleted:
         assert service.release_completed() == ()
         assert service.summary().count == 2
 
-    def test_released_ids_stay_claimed(self):
+    def test_released_ids_are_free_again(self):
         schema, source_values = diamond_schema()
         service = DecisionService(schema)
-        service.submit(source_values, instance_id="once").wait()
-        service.release_completed()
-        with pytest.raises(ExecutionError, match="once"):
-            service.submit(source_values, instance_id="once")
+        first = service.submit(source_values, instance_id="once")
+        first.wait()
+        assert service.release_completed() == (first,)
+        again = service.submit(source_values, instance_id="once")
+        assert again.result() == first.result()
+        assert again.metrics.work_units == first.metrics.work_units
+        assert service.summary().count == 2
 
     def test_a_done_instance_with_a_query_in_flight_is_kept(self):
         """Under drain, a straggler still books its units on the finished

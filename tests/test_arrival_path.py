@@ -213,7 +213,8 @@ def test_a_refused_submission_through_the_daemon():
         assert daemon.get(bad)["status"] == "failed"
         assert daemon.get(good)["status"] == "done"
         engine = daemon.service.engine
-        assert bad not in engine._instance_ids and good in engine._instance_ids
+        # `good` is done and released with its epoch: no longer claimed either
+        assert bad not in engine._instance_ids and good not in engine._instance_ids
         assert engine.arrival_run_arrivals == 1
         handle = daemon.service.submit(PERF.source_values, instance_id=bad)
         assert handle.result()

@@ -5,7 +5,8 @@ per-instance rows are asserted equal first — and only the moments at
 which finished instances were folded into the running aggregate differ
 (a release after every step, or one fleet round per step).  Because a
 :class:`~repro.core.metrics.MetricsSummary` is a sum, the summaries are
-equal, every field, bit for bit.
+equal, every field, bit for bit.  So is the whole-clock mean Gmpl: a
+release trims the database's Gmpl trace, never its running integral.
 """
 
 from __future__ import annotations
@@ -53,7 +54,26 @@ def test_releasing_after_every_step_reads_as_holding(seeds):
                 service.run(until=pause(step))
             held.extend(releaser.release_completed())
             assert_same_summary(releaser.summary(), holder.summary())
+            assert releaser.mean_gmpl() == holder.mean_gmpl()
         assert [h.metrics for h in held] == [h.metrics for h in holder.handles]
+        trace = releaser.database._gmpl_times
+        assert len(trace) == 1 < len(holder.database._gmpl_times)
+
+
+def test_a_releasing_fleet_reads_as_holding():
+    config = CONFIG.replace(shards=2, executor="serial")
+    for seed in range(10):
+        pattern = scenario_pattern(seed)
+        holder = ShardedDecisionService(pattern.schema, config)
+        releaser = ShardedDecisionService(pattern.schema, config)
+        for step in range(STEPS):
+            for service in (holder, releaser):
+                submit_step(service, pattern, step)
+                service.run(until=pause(step))
+            releaser.release_completed()
+            assert_same_summary(releaser.summary(), holder.summary())
+            assert releaser.mean_gmpl() == holder.mean_gmpl()
+        assert releaser.handles == ()
 
 
 def test_one_fleet_round_reads_as_eight():

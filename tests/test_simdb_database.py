@@ -254,9 +254,11 @@ class TestMeanGmplWindow:
         assert db.trim_gmpl_history(keep_since=3.0) == 0
 
     def test_window_reaching_past_a_trim_is_clamped_with_its_divisor(self):
-        # Trim mid-run, run on, then ask for the whole run: the mean is
-        # over [cut, now] — integral *and* window length — exactly what an
-        # untrimmed twin reports for a window starting at the cut.
+        # Trim mid-run, run on, then ask for a window starting between the
+        # server's start and the cut: the mean is over [cut, now] —
+        # integral *and* window length — exactly what an untrimmed twin
+        # reports for a window starting at the cut.  The whole clock reads
+        # the running integral, which no trim touches.
         def drive(trim: bool):
             sim = Simulation()
             db = IdealDatabase(sim)
@@ -273,13 +275,13 @@ class TestMeanGmplWindow:
         trimmed, twin = drive(trim=True), drive(trim=False)
         # The cut lands on the last change point at or before 3.2, t=3:
         # [3,3.5): 1   [3.5,4): 2   [4,6.5): 1   [6.5,8]: 0  -> 4 over 5.
-        assert trimmed.mean_gmpl() == pytest.approx(4.0 / 5.0)
-        for since in (0.0, 1.0, 2.9, 3.0):
+        assert trimmed.mean_gmpl(since=1.0) == pytest.approx(4.0 / 5.0)
+        for since in (1.0, 2.9, 3.0):
             assert trimmed.mean_gmpl(since=since) == twin.mean_gmpl(since=3.0)
         for since in (3.0, 3.7, 5.0, 7.0):
             assert trimmed.mean_gmpl(since=since) == twin.mean_gmpl(since=since)
-        # (Before the fix this read 4/8: a clamped integral over the full span.)
-        assert twin.mean_gmpl() == pytest.approx(9.0 / 8.0)
+        # The whole clock is exact: 9 over 8, as if nothing was trimmed.
+        assert trimmed.mean_gmpl() == twin.mean_gmpl() == 9.0 / 8.0
 
 
 class TestCoalescedKernel:
