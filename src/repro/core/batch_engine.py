@@ -896,6 +896,11 @@ class BatchedInstance:
             if sv[i] is not UNRESOLVED
         }
 
+    def value_tuple(self) -> tuple:
+        """Every attribute's value in ``schema.names`` order (the plan's),
+        UNRESOLVED where it is not yet stable."""
+        return tuple(self._view()[3])
+
     def __repr__(self) -> str:
         flag = " done" if self.done else ""
         return f"<BatchedInstance {self.instance_id}{flag}>"

@@ -48,6 +48,11 @@ class _Unresolved:
     def __repr__(self) -> str:
         return "UNRESOLVED"
 
+    def __reduce__(self):
+        # Pickling must preserve the singleton property (fleet records
+        # carry the sentinel over the pipe).
+        return (_Unresolved, ())
+
 
 #: Resolver result for attributes whose value is not yet known.
 UNRESOLVED = _Unresolved()

@@ -279,6 +279,11 @@ class InstanceRuntime:
             name: cell.value for name, cell in self.cells.items() if cell.stable
         }
 
+    def value_tuple(self) -> tuple:
+        """Every attribute's value in ``schema.names`` order, UNRESOLVED
+        where it is not yet stable."""
+        return tuple(cell.value if cell.stable else UNRESOLVED for cell in self.cells.values())
+
     def __repr__(self) -> str:
         flag = " done" if self.done else ""
         return f"<InstanceRuntime {self.instance_id}{flag}>"

@@ -26,9 +26,10 @@ Each reply (a :class:`~repro.runtime.worker.ShardOutcome`) is the
 shard's state between rounds — shards idle between rounds, so the last
 outcomes are exact and reading them costs no round-trip — and its
 records are pushed into their handles.  A shard reports an instance
-every round until it is *settled* (done, nothing in flight); the fleet
-folds its metrics into the finished aggregate in the round it settles,
-and only a settled handle can be released.
+every round until it is *settled* (done, nothing in flight) and lets go
+of it in the round that reports it so: the fleet folds its metrics into
+the finished aggregate in that round, its record is the only copy from
+then on, and only a settled handle can be released.
 
 Determinism and equivalence guarantees:
 
@@ -67,6 +68,7 @@ from repro.api.backends import Backend
 from repro.api.config import ExecutionConfig
 from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
 from repro.api.service import DecisionService, _ServiceFront, coerce_config
+from repro.core.conditions import UNRESOLVED
 from repro.core.engine import check_start_time, claim_instance_id
 from repro.core.metrics import SERVICE_COUNTERS, InstanceMetrics, MetricsSummary, summarize
 from repro.core.schema import DecisionFlowSchema
@@ -163,16 +165,18 @@ class ShardedInstanceHandle:
         shard's record (before it, only the sources have one): ⊥ is a
         decided value (a disabled attribute's), never a placeholder.
         """
-        if name not in self._service.schema:
-            raise KeyError(name)
-        values = self._record.values
-        if name not in values:
+        value = self._record.values[self._service._slots[name]]
+        if value is UNRESOLVED:
             raise ValueError(f"attribute {name!r} is not stable")
-        return values[name]
+        return value
 
     def value_map(self) -> dict[str, object]:
         """Every stable attribute's value, as a fresh dict."""
-        return dict(self._record.values)
+        return {
+            name: value
+            for name, value in zip(self._service._slots, self._record.values)
+            if value is not UNRESOLVED
+        }
 
     def wait(self) -> InstanceMetrics:
         """Drive the owning shard until this instance finishes."""
@@ -185,8 +189,9 @@ class ShardedInstanceHandle:
     def result(self) -> dict[str, object]:
         """The target attribute values, driving the shard if needed."""
         self.wait()
-        values = self._record.values
-        return {name: values[name] for name in self._service.schema.target_names if name in values}
+        values, slots = self._record.values, self._service._slots
+        targets = ((name, values[slots[name]]) for name in self._service.schema.target_names)
+        return {name: value for name, value in targets if value is not UNRESOLVED}
 
     def __repr__(self) -> str:
         state = "done" if self.done else "running"
@@ -232,7 +237,8 @@ class ShardedDecisionService(_ServiceFront):
         self._ops: list[list[tuple]] = [[] for _ in range(self.shards)]
         #: the handles not yet settled, by instance id: a round's records land here
         self._pending: dict[str, ShardedInstanceHandle] = {}
-        self._release = False
+        #: each attribute's index in a record's values, in ``schema.names`` order
+        self._slots = {name: index for index, name in enumerate(self.schema.names)}
         self._transport = None  # built at the first submission
         self._closed = False
         #: the ids of the handles held, claimed until released
@@ -266,8 +272,11 @@ class ShardedDecisionService(_ServiceFront):
     def _register(
         self, shard: int, instance_id: str, sources: Mapping[str, object] | None
     ) -> ShardedInstanceHandle:
-        values = {name: sources[name] for name in self.schema.source_names} if sources else {}
-        record = InstanceRecord(instance_id, False, False, values, None)
+        values = [UNRESOLVED] * len(self._slots)
+        if sources:
+            for name in self.schema.source_names:
+                values[self._slots[name]] = sources[name]
+        record = InstanceRecord(instance_id, False, False, tuple(values), None)
         handle = ShardedInstanceHandle(self, shard, record)
         self._handles.append(handle)
         self._pending[instance_id] = handle
@@ -360,11 +369,10 @@ class ShardedDecisionService(_ServiceFront):
             return  # nothing was ever submitted: an idle fleet, nothing to start
         transport = self._start()
         ops, self._ops = self._ops, [[] for _ in range(self.shards)]
-        release, self._release = self._release, False
         dispatcher = self._dispatcher
         collect = dispatcher.has_listeners
         replies = transport.exchange(
-            [("run", shard_ops, until, collect, release) for shard_ops in ops]
+            [("run", shard_ops, until, collect) for shard_ops in ops]
         )
         pending, settled = self._pending, []
         for shard, reply in enumerate(replies):
@@ -401,16 +409,15 @@ class ShardedDecisionService(_ServiceFront):
         """Let go of every settled instance; returns the handles released.
 
         The fleet's counterpart of
-        :meth:`DecisionService.release_completed`: the parent drops the
-        settled handles now, and each shard lets go of its own instances
-        at the start of the next round (a ``release`` flag on that
-        round's frame, so no extra round-trip).  A done instance with a
-        query still in flight is kept until its shard reports it settled.
-        :meth:`summary` keeps covering them, and a handle the caller
-        still holds stays fully readable.  The released ids are free
-        again at once (see :func:`~repro.core.engine.claim_instance_id`):
-        a shard applies the ``release`` flag before it replays the round's
-        ops, so a resubmitted id reaches a shard that has let go of it.
+        :meth:`DecisionService.release_completed`: the parent drops its
+        settled handles and their ids; the shards hold nothing to let go
+        of, as each lets go of an instance in the round that reports it
+        settled.  A done instance with a query still in flight is kept
+        until its shard reports it settled.  :meth:`summary` keeps
+        covering them, and a handle the caller still holds stays fully
+        readable.  The released ids are free again at once (see
+        :func:`~repro.core.engine.claim_instance_id`): their shards have
+        already let go of them.
         """
         pending = self._pending
         kept, released = [], []
@@ -418,7 +425,6 @@ class ShardedDecisionService(_ServiceFront):
             (kept if handle.instance_id in pending else released).append(handle)
         if released:
             self._handles = kept
-            self._release = True
             # rebuilt, not emptied: a set's table never shrinks on discard
             self._instance_ids = {h.instance_id for h in kept}
         return tuple(released)

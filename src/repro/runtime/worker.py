@@ -14,14 +14,14 @@ Submissions travel as an ordered op list — each op either
 ``("closed", instance_ids, values_list, concurrency)`` — and a shard
 answers framed commands:
 
-- ``("run", ops, until, collect_events, release)`` — let go of the
-  settled instances already reported (when *release* is set), replay
-  the new ops, drive the shard (to *until*, or dry), reply
-  ``("ok", outcome)``.  The :class:`ShardOutcome`'s ``records`` are
-  *incremental*: an instance is reported every round until it is
-  *settled* (done, with no query in flight — a straggler still books
-  units on a done instance), and the round it settles is the last;
-  ``events`` carry only this round's new events.
+- ``("run", ops, until, collect_events)`` — replay the new ops, drive
+  the shard (to *until*, or dry), reply ``("ok", outcome)``.  The
+  :class:`ShardOutcome`'s ``records`` are *incremental*: an instance is
+  reported every round until it is *settled* (done, with no query in
+  flight — a straggler still books units on a done instance), and the
+  round it settles is the last: the shard lets go of it in that round
+  (its own ``release_completed()``), so the parent's record is the only
+  copy.  ``events`` carry only this round's new events.
 - ``("shutdown",)`` — acknowledge and exit (the worker process only).
 
 Over the pipe any exception is shipped back as
@@ -58,15 +58,17 @@ OUTCOME_COUNTERS = SERVICE_COUNTERS + ("pooled_batches", "pooled_events")
 class InstanceRecord:
     """The materialized result of one instance: values plus metrics.
 
-    *settled* once done with nothing in flight: its metrics are final.
-    A fleet handle starts on a source-only record (its sources, no
-    metrics) until its shard reports one.
+    *values* holds every attribute's value in ``schema.names`` order,
+    :data:`~repro.core.conditions.UNRESOLVED` where it is not yet
+    stable.  *settled* once done with nothing in flight: its metrics are
+    final.  A fleet handle starts on a source-only record (its sources,
+    everything else unresolved, no metrics) until its shard reports one.
     """
 
     instance_id: str
     done: bool
     settled: bool
-    values: dict[str, object]
+    values: tuple
     metrics: InstanceMetrics | None
 
 
@@ -75,7 +77,8 @@ class ShardStats:
     """One shard's aggregate state: population, work, and clock.
 
     *instances* and *completed* count released instances too; *held* is
-    what the shard still holds (released instances leave it).
+    what the shard still holds: its unsettled instances, as a shard lets
+    go of each in the round that reports it settled.
     """
 
     shard: int
@@ -148,9 +151,7 @@ class _PersistentShard:
         self.service = DecisionService(schema, config.replace(shards=1, executor="serial"))
         self.shard = shard
         self.log = None
-        #: handles not yet reported settled, in submission order
-        self._unsettled: list = []
-        #: instances reported settled, released ones included
+        #: instances reported settled, and so released
         self._settled = 0
 
     def serve(self, message: tuple) -> ShardOutcome:
@@ -159,57 +160,39 @@ class _PersistentShard:
             raise ExecutionError(f"unknown worker command {message[0]!r}")
         return self.round(*message[1:])
 
-    def round(
-        self,
-        ops: list[tuple],
-        until: float | None,
-        collect_events: bool,
-        release: bool = False,
-    ) -> ShardOutcome:
+    def round(self, ops: list[tuple], until: float | None, collect_events: bool) -> ShardOutcome:
         service = self.service
-        if release:
-            # Nothing ran since the last report, so what is settled now
-            # was reported settled (or, after a round that raised, is
-            # reported by this one: a released handle stays readable).
-            service.release_completed()
         if collect_events and self.log is None:
             # Late observer attach: collection starts this round; earlier
             # rounds' events are gone, matching the documented contract.
             self.log = service.attach_log()
-        held = len(service.handles)
-        try:
-            _replay_ops(service, ops)
-            service.run(until)
-        finally:
-            # this round's submissions, closed-loop refills included, in
-            # order — reported by this round or, if it raised, the next
-            self._unsettled += service.handles[held:]
+        # A round that raises reports nothing and releases nothing: the
+        # next round reports its submissions (the handles still held).
+        _replay_ops(service, ops)
+        service.run(until)
         return self._outcome()
 
     def _outcome(self) -> ShardOutcome:
-        """Report what can still change: every handle not yet reported
-        settled, and the shard's counters.  A round costs what it ran,
-        not what the shard has held."""
+        """Report what can still change: every instance the shard holds
+        (none it reported settled: it let go of them), then let go of the
+        ones this report settles.  A round costs what it ran, not what
+        the shard has served."""
         service = self.service
         database = service.database
-        records, unsettled, done = [], [], 0
-        for handle in self._unsettled:
+        records = []
+        for handle in service.handles:
             instance = handle.instance
-            settled = instance.done and not instance.inflight
             records.append(
                 InstanceRecord(
                     handle.instance_id,
                     instance.done,
-                    settled,
-                    handle.value_map(),
+                    instance.done and not instance.inflight,
+                    instance.value_tuple(),
                     instance.metrics,
                 )
             )
-            if not settled:
-                unsettled.append(handle)
-                done += instance.done
-        self._settled += len(self._unsettled) - len(unsettled)
-        self._unsettled = unsettled
+        self._settled += len(service.release_completed())
+        held = service.handles
         events = None
         if self.log is not None:
             events, self.log.events = self.log.events, []
@@ -219,15 +202,15 @@ class _PersistentShard:
             counters={**service_counters(service.engine), **service.dispatch_stats()},
             stats=ShardStats(
                 shard=self.shard,
-                instances=self._settled + len(unsettled),
-                completed=self._settled + done,
+                instances=self._settled + len(held),
+                completed=self._settled + sum(handle.done for handle in held),
                 total_units=database.total_units,
                 queries_completed=database.queries_completed,
                 queries_cancelled=database.queries_cancelled,
                 queries_failed=database.queries_failed,
                 mean_gmpl=database.mean_gmpl(),
                 end_time=service.now,
-                held=len(service.handles),
+                held=len(held),
             ),
             time_unit=service.backend.time_unit,
             events=events,

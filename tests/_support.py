@@ -240,6 +240,14 @@ SETTLED = (
 #: of their per-run containers they read 4 856 / 2 058 / 973.
 RETENTION_BUDGET = {"distinct": 3200, "overlap": 1600, "identical": 760}
 
+#: Traced bytes per held handle of a drained 2-shard serial fleet on the
+#: same stack and populations: ≈2 490 / 2 038 / 1 374 measured on CPython
+#: 3.11 (the parent's record and a shard's one-off plan and memo growth),
+#: plus ≈20 %.  Before each shard let go of what it reported settled, and
+#: while a record carried its values as a dict, they read 5 264 / 3 778 /
+#: 2 791.
+FLEET_RETENTION_BUDGET = {"distinct": 3000, "overlap": 2450, "identical": 1650}
+
 
 def unsettled(instance) -> list[str]:
     """The per-run fields a batched *instance* still holds (none once it is

@@ -1,5 +1,8 @@
 """Condition AST: construction, Kleene evaluation, monotonicity."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,6 +97,20 @@ class TestEvalBool:
     def test_ok_when_short_circuit_decides(self):
         cond = And(Comparison("a", Op.GT, 10), Comparison("zz", Op.GT, 1))
         assert cond.eval_bool(resolve_of(a=5)) is False
+
+
+class TestUnresolved:
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_preserves_identity(self, protocol):
+        # fleet records carry the sentinel over the worker pipe
+        assert pickle.loads(pickle.dumps(UNRESOLVED, protocol)) is UNRESOLVED
+        values = pickle.loads(pickle.dumps((1, UNRESOLVED, NULL), protocol))
+        assert values[1] is UNRESOLVED and values[2] is NULL
+
+    def test_copies_are_the_sentinel(self):
+        assert copy.copy(UNRESOLVED) is UNRESOLVED
+        assert copy.deepcopy(UNRESOLVED) is UNRESOLVED
+        assert copy.deepcopy([UNRESOLVED])[0] is UNRESOLVED
 
 
 class TestEquality:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -10,11 +11,14 @@ from repro import Attribute, Comparison, DecisionFlowSchema, Op, PatternParams, 
 from repro.api import DecisionService, ExecutionConfig
 from repro.api.backends import create_backend
 from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
+from repro.core.batch_engine import BatchedEngine
+from repro.core.engine import Engine
 from repro.core.serialize import config_to_dict, schema_to_dict
 from repro.errors import ExecutionError, SimulationError
 from repro.nulls import NULL
 from repro.runtime import (
     ShardedDecisionService,
+    ShardedInstanceHandle,
     create_service,
     merge_shard_events,
     shard_of,
@@ -22,7 +26,16 @@ from repro.runtime import (
 from repro.runtime.sharding import _split_concurrency
 from repro.runtime.worker import _PersistentShard
 
-from tests._support import diamond_schema, q, scenario_pattern
+from tests._support import (
+    FLEET_RETENTION_BUDGET,
+    PERF,
+    diamond_schema,
+    population,
+    q,
+    retained_bytes,
+    retention_table,
+    scenario_pattern,
+)
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +245,11 @@ class TestWorkerProtocol:
         mirror.submit(sources, at=5.0, instance_id="w#2")
         mirror.run()
         assert outcome.records[0].metrics == mirror.handles[0].metrics
-        assert outcome.records[1].values == dict(mirror.handles[1].instance.value_map())
+        # A record carries its values as one tuple in schema order; a fleet
+        # handle reads it back as the plain handle's map.
+        fleet = ShardedDecisionService(pattern.schema, ExecutionConfig.from_code("PSE50"))
+        read = ShardedInstanceHandle(fleet, 0, outcome.records[1])
+        assert read.value_map() == mirror.handles[1].value_map()
 
     def test_a_round_replays_closed_loops(self, pattern):
         sources = dict(pattern.source_values)
@@ -279,7 +296,10 @@ class TestWorkerProtocol:
             kind, outcome = parent.recv()
             assert kind == "ok" and isinstance(outcome, ShardOutcome)
             assert [r.instance_id for r in outcome.records] == ["f#1"]
-            assert (outcome.stats.shard, outcome.stats.instances, outcome.stats.held) == (1, 1, 1)
+            # reported settled, so the shard has let go of it
+            assert (outcome.stats.shard, outcome.stats.instances, outcome.stats.held) == (1, 1, 0)
+            parent.send(("run", [], None, False, True))  # a run frame has 4 fields
+            assert parent.recv()[:2] == ("error", "TypeError")
             parent.send(("warp",))
             reply = parent.recv()
             assert reply[:2] == ("error", "ExecutionError")
@@ -774,18 +794,110 @@ def test_release_completed_lets_go_on_every_shard(pattern, executor):
         pattern.schema, ExecutionConfig.from_code("PSE50", shards=2, executor=executor)
     )
     early = service.submit_stream([0.0, 1.0, 2.0, 3.0], values=pattern.source_values)
+    # each shard let go of its instances in the round that reported them settled
+    assert sum(stat.held for stat in service.stats()) == 0
     before = service.summary()
     assert service.release_completed() == tuple(early)
     assert service.handles == () and service.release_completed() == ()
     assert service.summary() == before  # nothing ran, nothing moved
     assert all(handle.done and handle.result() for handle in early)  # still readable
-    late = service.submit(pattern.source_values, at=service.now)
-    service.run()  # the shards let go at the start of this round
-    assert service.handles == (late,)
-    assert sum(stat.held for stat in service.stats()) == 1
-    assert sum(stat.instances for stat in service.stats()) == 5
-    assert service.summary().count == 5
+    now = service.now
+    late = service.submit(pattern.source_values, at=now)
+    again = service.submit(pattern.source_values, at=now, instance_id=early[0].instance_id)
+    service.run()
+    assert service.handles == (late, again)
+    assert sum(stat.held for stat in service.stats()) == 0
+    assert sum(stat.instances for stat in service.stats()) == 6
+    assert service.summary().count == 6
+    # the released id decides as a fresh instance on its home shard
+    assert again.shard == early[0].shard and again.done
+    assert again.metrics is not early[0].metrics and again.metrics.start_time == now
+    assert again.value_map() == early[0].value_map() == late.value_map()
     service.close()
+
+
+def _keep_every_instance(engine) -> list:
+    """``release_settled`` of an engine that never lets go: it lists the
+    settled instances and keeps them all, cohort links included."""
+    return [i for i in engine.instances if i.done and not i.inflight]
+
+
+def _paused_straggler_rounds(executor: str) -> tuple[list, list]:
+    """A 2-shard fleet that never releases, through four rounds paused
+    mid-straggler (``until=``) and a drain: per round, what it reads, and
+    each shard's ``(held, unsettled records)``."""
+    config = ExecutionConfig.from_code("PSE100", query_cache=True, shards=2, executor=executor)
+    service = ShardedDecisionService(_straggler_schema(), config)
+    log = service.attach_log()
+    reads, held = [], []
+    try:
+        for step in range(5):
+            if step < 4:
+                at = service.now
+                for gap in (0.0, 0.0, 1.0, 2.5):
+                    service.submit({"s": step % 2 + 1}, at=at + gap)
+                service.run(until=at + 3.0)
+            else:
+                service.run()
+            reads.append(
+                (
+                    service.summary(),
+                    service.mean_gmpl(),
+                    [replace(stat, held=0) for stat in service.stats()],
+                    list(log.events),
+                )
+            )
+            held.append(
+                [
+                    (outcome.stats.held, sum(not r.settled for r in outcome.records))
+                    for outcome in service.outcomes
+                ]
+            )
+    finally:
+        service.close()
+    return reads, held
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_a_fleet_that_never_releases_holds_only_what_is_in_flight(executor, monkeypatch):
+    """Each shard lets go of an instance in the round that reports it
+    settled, so after every round it holds exactly its unsettled records,
+    straggling ones included; and it reads as a twin whose shards keep
+    every instance they served: summary, Gmpl, stats counts and the
+    merged event stream, round by round."""
+    with monkeypatch.context() as patch:
+        # the twin's workers fork with the patch, and keep it
+        for engine in (Engine, BatchedEngine):
+            patch.setattr(engine, "release_settled", _keep_every_instance)
+        twin_reads, _ = _paused_straggler_rounds(executor)
+    reads, rounds = _paused_straggler_rounds(executor)
+    assert reads == twin_reads
+    assert all(held == unsettled for shards in rounds for held, unsettled in shards)
+    assert any(held for shards in rounds[:-1] for held, _ in shards)  # a straggler paused
+    assert rounds[-1] == [(0, 0), (0, 0)]
+    summary, _, stats, _ = reads[-1]
+    assert summary.count == 16 and summary.total_work == sum(s.total_units for s in stats)
+
+
+@pytest.mark.parametrize("kind", sorted(FLEET_RETENTION_BUDGET))
+def test_a_fleet_holds_each_finished_instance_once(kind):
+    """Traced bytes per held handle of a drained 2-shard serial fleet on
+    the product stack: every shard has let go of what it reported
+    settled, so a handle costs its record alone (the CI "Retention
+    census" step prints them by site)."""
+    config = ExecutionConfig.from_code("PSE100", query_cache=True, shards=2, executor="serial")
+    service, n = ShardedDecisionService(PERF.schema, config), 1000
+    source = PERF.schema.source_names[0]
+
+    def drive():
+        handles = [service.submit({source: value}, at=at) for at, value in population(kind, n)]
+        service.run()
+        assert all(handle.done for handle in handles)
+        return handles
+
+    sites = retained_bytes(drive)
+    assert [stat.held for stat in service.stats()] == [0, 0]
+    assert sum(sites.values()) / n <= FLEET_RETENTION_BUDGET[kind], retention_table(sites, n)
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
@@ -973,16 +1085,13 @@ def _database_units(service) -> int:
     return service.total_units
 
 
-@pytest.mark.parametrize("facade", FACADES, ids=str)
-def test_a_straggler_books_its_units_after_a_pause_on_every_facade(facade):
+def _straggler_schema() -> DecisionFlowSchema:
     """The straggler flow with constant-valued tasks (so it serialises):
     ``t`` decides at t = 2 while the unneeded ``x`` (cost 20) runs to
-    t = 20.  With the query cache, the second arrival waits on the first's
-    ``x``, which stays a primary and books 20 units on a done instance
-    after the pause.  Every facade books them — to the handle, and to the
-    summary — and lets neither instance go before it is settled.  Both
-    default ids route to shard 1 of 2, so every facade reads one database."""
-    schema = DecisionFlowSchema(
+    t = 20.  With the query cache, a second arrival on the same ``s``
+    waits on the first's ``x``, which stays a primary and books 20 units
+    on a done instance."""
+    return DecisionFlowSchema(
         [
             Attribute("s"),
             Attribute("a", task=q("a", ("s",), value=1, cost=1)),
@@ -994,6 +1103,16 @@ def test_a_straggler_books_its_units_after_a_pause_on_every_facade(facade):
         ],
         name="straggler",
     )
+
+
+@pytest.mark.parametrize("facade", FACADES, ids=str)
+def test_a_straggler_books_its_units_after_a_pause_on_every_facade(facade):
+    """:func:`_straggler_schema`: the second arrival's wait keeps the
+    first's ``x`` running past the pause.  Every facade books its units —
+    to the handle, and to the summary — and lets neither instance go
+    before it is settled.  Both default ids route to shard 1 of 2, so
+    every facade reads one database."""
+    schema = _straggler_schema()
     service = _facade(schema, ExecutionConfig.from_code("PSE100", query_cache=True), facade)
     try:
         handles = [service.submit({"s": 1}) for _ in range(2)]
