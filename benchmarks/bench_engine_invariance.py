@@ -14,7 +14,7 @@ import pytest
 
 from repro.__main__ import EXPERIMENTS
 from repro.api import service as service_module
-from repro.core.engine import Engine
+from repro.oracle import Engine
 
 
 def render(name: str, seeds: tuple[int, ...]) -> str:

@@ -23,6 +23,8 @@ The package provides:
   :class:`DecisionService` facade.
 * :mod:`repro.bench` — experiment runners and reporting shared by the
   benchmark suite and the examples.
+* :mod:`repro.oracle` — the reference engine and the per-unit database
+  kernels the product is held to; ``repro.Engine`` loads it on first use.
 
 Quickstart::
 
@@ -48,7 +50,6 @@ from repro.core import (
     BatchedEngine,
     CompiledPlan,
     DecisionFlowSchema,
-    Engine,
     FALSE,
     InstanceMetrics,
     IsException,
@@ -212,3 +213,11 @@ def run_once(pattern: GeneratedPattern, strategy: Strategy) -> InstanceMetrics:
     """
     service = DecisionService(pattern.schema, ExecutionConfig(strategy=strategy))
     return service.submit(pattern.source_values).wait()
+
+
+def __getattr__(name: str):
+    if name == "Engine":  # the reference engine: the oracle loads on first use
+        from repro.oracle import Engine
+
+        return Engine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core.instance import InstanceRuntime
 from repro.core.schema import DecisionFlowSchema
 from repro.core.state import AttributeState
 from repro.bench.report import format_table
+
+if TYPE_CHECKING:
+    from repro.oracle import InstanceRuntime
 
 __all__ = ["SnapshotRecord", "SnapshotTable", "Refinement", "suggest_refinements"]
 

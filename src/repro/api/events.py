@@ -9,11 +9,13 @@ records and fans them out to any number of subscribed handlers — the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.engine import EngineObserver
-from repro.core.instance import InstanceRuntime
 from repro.core.metrics import InstanceMetrics
+
+if TYPE_CHECKING:
+    from repro.oracle import InstanceRuntime
 
 __all__ = [
     "LaunchEvent",

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 from time import perf_counter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.api.backends import Backend, create_backend
-from repro.api.config import ENGINES, ExecutionConfig
+from repro.api.config import ExecutionConfig
 from repro.api.events import (
     EventLog,
     InstanceCompleteEvent,
@@ -29,19 +29,28 @@ from repro.api.events import (
     _Dispatcher,
 )
 from repro.core.batch_engine import BatchedEngine
-from repro.core.engine import Engine
-from repro.core.instance import InstanceRuntime
 from repro.core.metrics import InstanceMetrics, MetricsSummary, summarize
 from repro.core.schema import DecisionFlowSchema
 from repro.core.strategy import Strategy
 from repro.errors import ExecutionError
 from repro.obs import NULL_OBS, Observability, export_chrome_trace
 
+if TYPE_CHECKING:
+    from repro.oracle import Engine, InstanceRuntime
+
 __all__ = ["DecisionService", "InstanceHandle", "coerce_config"]
 
-#: Engine implementations behind ``ExecutionConfig.engine``, in the order
-#: of :data:`repro.api.config.ENGINES`: a config that validates resolves here.
-_ENGINE_CLASSES = dict(zip(ENGINES, (Engine, BatchedEngine)))
+
+def _reference_engine(*args, **kwargs) -> "Engine":
+    """The reference engine, the one lazy way to the oracle package."""
+    from repro.oracle import Engine
+
+    return Engine(*args, **kwargs)
+
+
+#: What builds the engine behind each ``ExecutionConfig.engine``
+#: (:data:`repro.api.config.ENGINES`; the test harness swaps entries).
+_ENGINE_CLASSES = {"reference": _reference_engine, "batched": BatchedEngine}
 
 
 def coerce_config(config: "ExecutionConfig | Strategy | str | None") -> ExecutionConfig:
@@ -65,7 +74,7 @@ def coerce_config(config: "ExecutionConfig | Strategy | str | None") -> Executio
     return config
 
 
-def service_counters(engine: Engine | BatchedEngine) -> dict[str, int]:
+def service_counters(engine: "Engine | BatchedEngine") -> dict[str, int]:
     """*engine*'s service-level summary fields (`SERVICE_COUNTERS`): its
     query cache's, zero without one, and its cohort table's, zero unless
     cohorts are armed (the reference engine has none)."""
@@ -279,6 +288,40 @@ class _ServiceFront:
         return log
 
 
+class _ClosedLoop:
+    """One :meth:`DecisionService.run_closed` loop: each call submits the
+    next instance, with the loop itself as its completion callback.
+
+    Nothing refers back to the loop but the callbacks of its instances
+    still in flight, and it lets go of the service and the valuations at
+    the last submission, so a finished loop is freed by reference
+    counting, not left for the cyclic collector.
+    """
+
+    __slots__ = ("service", "valuations", "instance_ids", "handles")
+
+    def __init__(self, service, valuations, instance_ids):
+        self.service, self.valuations, self.instance_ids = service, valuations, instance_ids
+        #: the handles submitted so far: ``run_closed``'s live list
+        self.handles: list[InstanceHandle] = []
+
+    def __call__(self, _metrics: InstanceMetrics | None = None) -> None:
+        service, valuations, ids = self.service, self.valuations, self.instance_ids
+        if service is None:  # all submitted
+            return
+        index = len(self.handles)
+        instance = service.engine.submit_instance(
+            valuations[index],
+            instance_id=ids[index] if ids is not None else None,
+            on_complete=self,
+        )
+        handle = InstanceHandle(service, instance)
+        self.handles.append(handle)
+        service._handles.append(handle)
+        if index + 1 == len(valuations):
+            self.service = self.valuations = self.instance_ids = None
+
+
 class DecisionService(_ServiceFront):
     """Execute decision-flow instances against a configured backend.
 
@@ -382,26 +425,12 @@ class DecisionService(_ServiceFront):
                 if instance_id in seen or instance_id in self.engine._instance_ids:
                     raise ExecutionError(f"run_closed: duplicate instance id {instance_id!r}")
                 seen.add(instance_id)
-        handles: list[InstanceHandle] = []
-
-        def submit_next() -> None:
-            index = len(handles)
-            if index >= n:
-                return
-            instance = self.engine.submit_instance(
-                valuations[index],
-                instance_id=instance_ids[index] if instance_ids is not None else None,
-                on_complete=lambda metrics: submit_next(),
-            )
-            handle = InstanceHandle(self, instance)
-            handles.append(handle)
-            self._handles.append(handle)
-
+        loop = _ClosedLoop(self, valuations, instance_ids)
         for _ in range(min(concurrency, n)):
-            submit_next()
+            loop()
         if run:
             self.run()
-        return handles
+        return loop.handles
 
     # -- driving and reading --------------------------------------------------
 
@@ -543,7 +572,7 @@ class DecisionService(_ServiceFront):
             registry.gauge("query_cache_hits").set(cache.hits)
             registry.gauge("query_cache_misses").set(cache.misses)
             registry.gauge("query_cache_coalesced").set(cache.coalesced)
-        if engine._cohorts_on:
+        if engine._cohorts is not None:
             registry.gauge("cohort_hits").set(engine.cohort_hits)
             registry.gauge("cohort_splits").set(engine.cohort_splits)
         return registry.snapshot()

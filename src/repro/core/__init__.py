@@ -1,4 +1,10 @@
-"""Core decision-flow model and execution engine."""
+"""Core decision-flow model and the product execution engine.
+
+The reference engine and its name-keyed instance, prequalifier and
+scheduler live in :mod:`repro.oracle`; ``Engine``, ``InstanceRuntime``,
+``candidate_pool``, ``rank_key`` and ``select_for_launch`` still resolve
+here, loading the oracle on first use (PEP 562).
+"""
 
 from repro.core.attribute import Attribute, source_attribute
 from repro.core.conditions import (
@@ -13,10 +19,9 @@ from repro.core.conditions import (
     conjoin,
     resolver_from_mapping,
 )
-from repro.core.batch_engine import BatchedEngine, BatchedInstance
-from repro.core.engine import Engine
+from repro.core.batch_engine import BatchedEngine
+from repro.core.batch_instance import BatchedInstance
 from repro.core.graph import DependencyGraph, EdgeKind
-from repro.core.instance import InstanceRuntime
 from repro.core.metrics import InstanceMetrics, MetricsSummary, summarize
 from repro.core.plan import CompiledPlan, compile_condition
 from repro.core.module import Module, flatten
@@ -29,10 +34,8 @@ from repro.core.predicates import (
     UserPredicate,
     attr,
 )
-from repro.core.prequalifier import candidate_pool
 from repro.core.propagation import EdgeTable, NeededTracker, edge_table
 from repro.core.rules import CombiningPolicy, Rule, RuleSetTask, rule_set
-from repro.core.scheduler import rank_key, select_for_launch
 from repro.core.schema import DecisionFlowSchema
 from repro.core.serialize import (
     SerializationError,
@@ -141,3 +144,15 @@ __all__ = [
     "select_for_launch",
     "rank_key",
 ]
+
+
+#: Names that resolve to the oracle package, loaded on first use.
+_ORACLE = {"Engine", "InstanceRuntime", "candidate_pool", "rank_key", "select_for_launch"}
+
+
+def __getattr__(name: str):
+    if name in _ORACLE:
+        import repro.oracle
+
+        return getattr(repro.oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

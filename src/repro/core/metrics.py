@@ -161,8 +161,9 @@ class MetricsSummary:
     mean_queries_launched = _mean_of("total_queries_launched")
 
     # Shards share no cache, so cross-shard reuse is always 0.  perf/'s
-    # fleet cells (declared in BENCHMARK.json) still read these two names;
-    # they are not fields, so no summary, payload or merge carries them.
+    # fleet cells (declared in BENCHMARK.json) still read these two names,
+    # and its smoke test wants every declared cell read; they are not
+    # fields, so no summary, payload or merge carries them.
     @property
     def query_cache_l2_hits(self) -> int:
         return 0

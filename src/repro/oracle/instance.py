@@ -1,4 +1,5 @@
-"""Runtime state of a single decision-flow instance.
+"""Runtime state of a single decision-flow instance, name-keyed: the
+reference engine's (:class:`repro.oracle.Engine`).
 
 The instance runtime owns the attribute cells (state automaton), the
 data-input pending counters, and the condition-resolution machinery.  It
@@ -18,7 +19,8 @@ propagates it to a fixpoint —
 * eligible synthesis tasks execute inline (zero simulated time).
 
 Scheduling (what query to launch next) is *not* done here — see
-:mod:`repro.core.scheduler` and :mod:`repro.core.engine`.
+:mod:`repro.oracle.scheduler` and :mod:`repro.oracle.engine`.  The
+product engine's instances are :class:`repro.core.batch_instance.BatchedInstance`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """The per-unit database kernels: test-only oracles of the coalesced ones.
 
 Each walks a query one unit of processing at a time, one band-1 calendar
-event per unit, the way the paper's CSIM model did.  :class:`IdealDatabase`
-and :class:`ProfiledDatabase` replace that walk with one completion event
+event per unit, the way the paper's CSIM model did.
+:class:`~repro.simdb.database.IdealDatabase` and
+:class:`~repro.simdb.database.ProfiledDatabase` replace that walk with one completion event
 per query; the differential suites hold their traces to these.  No
-product module imports this one.
+product module imports the oracle package.
 """
 
 from __future__ import annotations

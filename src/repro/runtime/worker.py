@@ -151,8 +151,6 @@ class _PersistentShard:
         self.service = DecisionService(schema, config.replace(shards=1, executor="serial"))
         self.shard = shard
         self.log = None
-        #: instances reported settled, and so released
-        self._settled = 0
 
     def serve(self, message: tuple) -> ShardOutcome:
         """Answer one ``run`` frame with its outcome."""
@@ -191,8 +189,9 @@ class _PersistentShard:
                     instance.metrics,
                 )
             )
-        self._settled += len(service.release_completed())
+        service.release_completed()
         held = service.handles
+        released = service._released.count  # all it has reported settled
         events = None
         if self.log is not None:
             events, self.log.events = self.log.events, []
@@ -202,8 +201,8 @@ class _PersistentShard:
             counters={**service_counters(service.engine), **service.dispatch_stats()},
             stats=ShardStats(
                 shard=self.shard,
-                instances=self._settled + len(held),
-                completed=self._settled + sum(handle.done for handle in held),
+                instances=released + len(held),
+                completed=released + sum(handle.done for handle in held),
                 total_units=database.total_units,
                 queries_completed=database.queries_completed,
                 queries_cancelled=database.queries_cancelled,

@@ -30,7 +30,7 @@ a query's trajectory between multiprogramming-level changes is analytic
 per query replaces one heap event per unit of processing.  Work at
 cancellation is recovered from unit-boundary arithmetic, keeping the
 accounting identical to walking unit by unit.  The unit-event kernels
-they replace are test-only oracles, :mod:`repro.simdb.per_unit`, which
+they replace are test-only oracles, :mod:`repro.oracle.per_unit`, which
 no product module imports; the differential test suites assert the two
 produce identical traces.  ``SimulatedDatabase`` has no coalesced form —
 a unit's duration there depends on stochastic buffer hits and FCFS

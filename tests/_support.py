@@ -48,12 +48,12 @@ from repro import (
 from repro.api import DecisionService
 from repro.api.backends import Backend
 from repro.api.service import service_counters
-from repro.core.batch_engine import _NO_INFLIGHT, _NO_NAMES, _NO_QUEUE
+from repro.core.batch_instance import _NO_INFLIGHT, _NO_NAMES, _NO_QUEUE
 from repro.core.engine import EngineObserver
 from repro.core.tasks import constant
 from repro.obs import Observability
 from repro.simdb.database import DatabaseServer, ProfiledDatabase
-from repro.simdb.per_unit import PerUnitIdealDatabase, PerUnitProfiledDatabase
+from repro.oracle.per_unit import PerUnitIdealDatabase, PerUnitProfiledDatabase
 from repro.simdb.profiler import DbFunction
 from repro.workload.generator import GeneratedPattern
 
@@ -410,7 +410,7 @@ def make_database(
     """A fresh database server of the named backend bound to *sim*.
 
     ``kernel="per-unit"`` builds the ideal/profiled server's per-unit
-    oracle (:mod:`repro.simdb.per_unit`) instead of the coalesced product
+    oracle (:mod:`repro.oracle.per_unit`) instead of the coalesced product
     server; the bounded server is inherently per-visit and ignores it.
     """
     per_unit = kernel == "per-unit"

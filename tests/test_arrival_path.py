@@ -1,6 +1,6 @@
 """The arrival path: from ``submit()`` to an arrival's first decision
 (``BatchedEngine.submit_instance`` / ``_fire_run``, ``BatchedInstance.start``,
-``BatchedEngine._riders`` / ``_join_lockstep``).
+``Cohorts._riders`` / ``_join``).
 
 Three shortcuts that must not be observable, and one key they lean on:
 
@@ -30,7 +30,7 @@ from collections import deque
 
 import pytest
 
-import repro.core.batch_engine as batch_engine
+import repro.core.flow_memo as flow_memo
 import repro.core.plan as plan_module
 from repro import (
     Attribute,
@@ -122,7 +122,7 @@ def test_negative_zero_is_not_zero(config):
 
 @pytest.mark.parametrize(
     "parked",
-    [(plan_module, "LAUNCH_LIMIT"), (batch_engine, "FLOW_LIMIT")],
+    [(plan_module, "LAUNCH_LIMIT"), (flow_memo, "FLOW_LIMIT")],
     ids=["launch-memo-parked", "flow-memo-parked"],
 )
 def test_negative_zero_with_a_tier_parked(monkeypatch, parked):

@@ -65,7 +65,7 @@ def test_each_exit_by_hand(trigger, halt_policy, pooled):
         members -= 1  # the arrival that could not ride
     assert engine.cohort_exits == {"join": 0, "answered": 0, "cancelled": 0, trigger: 1}
     assert (engine.cohort_hits, engine.cohort_splits) == (members, members)
-    assert not engine._open_cohorts
+    assert not engine._cohorts.open
 
 
 def test_riding_to_the_end_by_hand():
@@ -159,7 +159,7 @@ def test_seeded_stress_takes_every_exit():
             assert engine.arrival_runs == len({at for at, _ in kwargs["arrivals"]})
             if not kwargs["cache"]:
                 inert += 1
-                assert engine.cohort_hits == 0 and not engine._open_cohorts
+                assert engine.cohort_hits == 0 and engine._cohorts is None
             elif engine.cohort_hits:
                 cut += cut_bursts(kwargs["arrivals"])
     assert all(count > 0 for count in exits.values()), exits

@@ -369,11 +369,9 @@ class TestCohortTable:
 
         def checked_start(instance):
             start(instance)
-            starts.append(len(engine._open_cohorts))
-            assert all(
-                cohort.start_time == engine.sim.now
-                for cohort in engine._open_cohorts.values()
-            )
+            table = engine._cohorts.open if engine._cohorts is not None else {}
+            starts.append(len(table))
+            assert all(cohort.start_time == engine.sim.now for cohort in table.values())
 
         engine._start = checked_start
         self.submit_overlap(service)
@@ -391,7 +389,7 @@ class TestCohortTable:
         # answers them, and within it the valuations' coalesce behind each
         # other's.
         assert (summary.cohort_hits, summary.cohort_splits) == (0, 0)
-        assert not service.engine._open_cohorts  # every one was closed
+        assert not service.engine._cohorts.open  # every one was closed
 
     def test_without_a_cache_the_flag_is_inert(self):
         """No cache, no primaries to ride: the table stays empty and the

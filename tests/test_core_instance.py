@@ -12,7 +12,7 @@ from repro import (
     Strategy,
     SynthesisTask,
 )
-from repro.core.instance import InstanceRuntime
+from repro.oracle.instance import InstanceRuntime
 from repro.core.conditions import UNRESOLVED
 from repro.errors import ExecutionError
 from tests._support import add_inputs, diamond_schema, q, syn

@@ -29,7 +29,8 @@ from repro.api import ExecutionConfig
 from repro.core.conditions import And, FALSE, Literal, Not, Or, TRUE, UNRESOLVED
 from repro.core.plan import compile_condition
 from repro.core.predicates import attr
-from repro.core.scheduler import permitted_slots, rank_key
+from repro.core.engine import permitted_slots
+from repro.oracle.scheduler import rank_key
 from repro.errors import ExecutionError
 from tests._support import chain_schema, diamond_schema, q
 
@@ -104,7 +105,7 @@ def test_rank_scalars_agree_with_rank_key(code):
     strategy = Strategy.parse(code)
     plan = CompiledPlan(pattern.schema, strategy)
 
-    from repro.core.instance import InstanceRuntime
+    from repro.oracle.instance import InstanceRuntime
 
     instance = InstanceRuntime(pattern.schema, strategy, "i", pattern.source_values, 0.0)
     queries = list(pattern.schema.query_names())

@@ -1,8 +1,8 @@
 """The prequalifier: candidate-pool membership under the four option combos."""
 
 from repro import Attribute, Comparison, DecisionFlowSchema, Op, Strategy
-from repro.core.instance import InstanceRuntime
-from repro.core.prequalifier import candidate_pool
+from repro.oracle.instance import InstanceRuntime
+from repro.oracle.scheduler import candidate_pool
 from tests._support import q, syn
 
 

@@ -1,8 +1,8 @@
 """Scheduler: heuristic ordering and the %Permitted selection rule."""
 
 from repro import Attribute, DecisionFlowSchema, Strategy
-from repro.core.instance import InstanceRuntime
-from repro.core.scheduler import rank_key, select_for_launch
+from repro.oracle.instance import InstanceRuntime
+from repro.oracle.scheduler import rank_key, select_for_launch
 from tests._support import q
 
 

@@ -1,5 +1,5 @@
 """The flow memo: an instance the query memo serves whole replays a
-recorded trace (core/batch_engine.py, ``_FlowTrace``).
+recorded trace (core/flow_memo.py, ``_FlowTrace``).
 
 The three differential suites submit a handful of instances per
 scenario, mostly before the first has finished, so few of theirs are
@@ -19,9 +19,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.batch_engine as batch_engine
+import repro.core.flow_memo as flow_memo
 from repro import (
     Attribute,
-    BatchedEngine,
     Comparison,
     DecisionFlowSchema,
     Engine,
@@ -120,13 +120,13 @@ def test_eviction_is_found_at_a_wave_boundary(memo_limit, monkeypatch):
         for _ in range(4)
     ]
     left_mid_wave = []
-    fall_back = BatchedEngine._flow_fall_back
+    fall_back = flow_memo.FlowMemo._fall_back
 
     def spy(self, instance, trace, wave):
         left_mid_wave.append(wave.lo)
         fall_back(self, instance, trace, wave)
 
-    monkeypatch.setattr(BatchedEngine, "_flow_fall_back", spy)
+    monkeypatch.setattr(flow_memo.FlowMemo, "_fall_back", spy)
     engine = assert_matches_reference(
         pattern.schema, "PSE100", arrivals=arrivals, memo_limit=memo_limit, **FAST
     )
@@ -238,7 +238,7 @@ def test_sources_keyed_by_identity_are_not_filed():
 
 @pytest.mark.parametrize("limit", [1, 0])
 def test_a_full_table_records_nothing_and_keeps_serving(limit, monkeypatch):
-    monkeypatch.setattr(batch_engine, "FLOW_LIMIT", limit)
+    monkeypatch.setattr(flow_memo, "FLOW_LIMIT", limit)
     arrivals = bursts([93.5, 95.25, 40.0], instants=24)
     engine = assert_matches_reference(PERF.schema, "PSE100", arrivals=arrivals, **FAST)
     assert engine.flow_traces == limit
@@ -290,7 +290,7 @@ def test_release_completed_between_rounds():
     # own arrays frozen otherwise) — not the instance.
     gc.collect()
     assert not any(isinstance(obj, batch_engine.BatchedInstance) for obj in gc.get_objects())
-    trace = next(iter(engine._flow_traces.values()))
+    trace = next(iter(engine._flows.traces.values()))
     assert trace.raw is lists[0] and trace.sv is lists[1]
     assert isinstance(trace.state, ControlState) and trace.state.done
 
@@ -324,7 +324,7 @@ def test_armed_runs_replay_and_count_what_an_unreplayed_run_counts(monkeypatch):
     assert replayed["engine_flow_replays"] > 10
     assert replayed["engine_flow_fallbacks"] == 0
     assert spans >= 2 * replayed["engine_flow_replays"]  # one per wave
-    monkeypatch.setattr(batch_engine, "FLOW_LIMIT", 0)
+    monkeypatch.setattr(flow_memo, "FLOW_LIMIT", 0)
     plain, spans = armed(cohorts=False)
     assert spans == plain["engine_flow_replays"] == plain["engine_flow_traces"] == 0
     for name in (

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.batch_engine as batch_engine
+import repro.core.flow_memo as flow_memo
 import repro.core.plan as plan_module
 from repro import BatchedEngine, Comparison, Engine, ExceptionValue, Op
 from repro.api import DecisionService, ExecutionConfig
@@ -126,7 +127,7 @@ def test_without_a_cache_the_engine_launches_as_it_did():
 
 def test_fn_runs_once_per_distinct_typed_input_under_the_bound(monkeypatch):
     # (the flow memo would replay the third occurrence of a valuation whole)
-    monkeypatch.setattr(batch_engine, "FLOW_LIMIT", 0)
+    monkeypatch.setattr(flow_memo, "FLOW_LIMIT", 0)
     calls = []
     schema = typed_schema(lambda values: calls.append(values["s"]) or 3)
     sources = [1, 2, 1, 1.0, 2, 1, 1.0]
@@ -413,7 +414,7 @@ def observed(engine: str, observe: bool, arrivals):
 
 def test_armed_runs_take_the_same_waves_and_count_every_round(monkeypatch):
     # (a flow-memo replay is one `engine.replay` span per wave, not rounds)
-    monkeypatch.setattr(batch_engine, "FLOW_LIMIT", 0)
+    monkeypatch.setattr(flow_memo, "FLOW_LIMIT", 0)
     arrivals = mixed_arrivals(
         PERF, [93.5, 40.0], (89.0, 100.0), instants=30, seed=4, gaps=(0.0, 5.0, 9.0)
     )

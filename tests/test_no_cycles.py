@@ -6,8 +6,8 @@ freed by reference counting once it is finished: the census
 leaves for the cyclic collector is empty, cell by cell, over both
 engines × the three backends × {query cache, query cache with
 cancel-unneeded, none} × PSE100 / PCE0 / NCC100, plus the drain halt,
-failure injection, the per-unit kernels, a serial fleet and a served
-daemon.  The release
+failure injection, the per-unit kernels, a serial fleet, closed loops
+and a served daemon.  The release
 asserts of ``test_launch_path`` and ``test_flow_memo`` hold here with the
 collector off: released means freed.
 """
@@ -20,9 +20,10 @@ import weakref
 import pytest
 
 import repro.core.batch_engine as batch_engine
+import repro.core.cohorts as cohort_tier
 from repro import DbParams, ExecutionConfig, create_service
 from repro.api import DecisionService
-from repro.core.instance import InstanceRuntime
+from repro.oracle.instance import InstanceRuntime
 from repro.server import ServerDaemon
 from tests._support import (
     ENGINES,
@@ -139,6 +140,25 @@ def test_a_serial_fleet_leaves_no_cyclic_garbage(engine):
     assert_no_cycles(drive, len(ARRIVALS[engine]))
 
 
+@pytest.mark.parametrize("shards", [None, 2], ids=["plain", "fleet-2-serial"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_closed_loop_leaves_no_cyclic_garbage(engine, shards):
+    """A released closed loop is freed: the loop that submits each next
+    instance from the last one's completion (on a fleet, each shard's,
+    replayed from its ``closed`` op) outlives its instances in no cycle."""
+    values = [{SOURCE: value} for _, value in ARRIVALS[engine]]
+    fleet = {"shards": shards, "executor": "serial"} if shards else {}
+    config = ExecutionConfig.from_code("PSE100", engine=engine, query_cache=True, **fleet)
+    service = create_service(PERF.schema, config)
+
+    def drive():
+        service.run_closed(len(values), concurrency=8, values=values.__getitem__)
+        assert len(service.release_completed()) == len(values)
+        return service
+
+    assert_no_cycles(drive, len(values))
+
+
 def test_a_served_daemon_leaves_no_cyclic_garbage(tmp_path):
     """Drain epochs of ten distinct valuations each, persisted to a store
     and released: nothing an epoch served outlives it in a cycle."""
@@ -164,7 +184,7 @@ def test_a_cohort_in_lockstep_is_freed_on_release(backend):
     """Identical same-instant arrivals ride one cohort to the end; once
     the engine releases them, neither the cohort nor its stage and launch
     records outlive them — not as garbage, not alive."""
-    kinds = {batch_engine._Cohort, batch_engine._StageRecord, batch_engine._LaunchRecord}
+    kinds = {cohort_tier._Cohort, cohort_tier._StageRecord, cohort_tier._LaunchRecord}
     config = ExecutionConfig.from_code("NCC100", backend=backend, query_cache=True)
     service = DecisionService(PERF.schema, config)
 

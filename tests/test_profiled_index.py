@@ -19,7 +19,7 @@ import pytest
 
 from repro import Simulation
 from repro.simdb.database import ProfiledDatabase
-from repro.simdb.per_unit import PerUnitProfiledDatabase
+from repro.oracle.per_unit import PerUnitProfiledDatabase
 from repro.simdb.profiler import DbFunction
 
 #: Unit times on this curve are arbitrary floats (about 40 ms at Gmpl 600),

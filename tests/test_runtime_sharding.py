@@ -12,7 +12,7 @@ from repro.api import DecisionService, ExecutionConfig
 from repro.api.backends import create_backend
 from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
 from repro.core.batch_engine import BatchedEngine
-from repro.core.engine import Engine
+from repro.oracle import Engine
 from repro.core.serialize import config_to_dict, schema_to_dict
 from repro.errors import ExecutionError, SimulationError
 from repro.nulls import NULL

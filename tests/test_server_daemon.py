@@ -18,7 +18,8 @@ import pytest
 
 from repro import ExecutionConfig, PatternParams, generate_pattern
 from repro.api.service import InstanceHandle
-from repro.core.batch_engine import BatchedInstance, _Cohort
+from repro.core.batch_instance import BatchedInstance
+from repro.core.cohorts import _Cohort
 from repro.core.snapshot import evaluate_schema
 from repro.nulls import ExceptionValue
 from repro.server import STATUSES, RunStore, ServerDaemon, decode_values

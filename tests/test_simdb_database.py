@@ -9,7 +9,7 @@ from repro.simdb.database import (
     SimulatedDatabase,
 )
 from repro.simdb.des import Simulation
-from repro.simdb.per_unit import PerUnitIdealDatabase, PerUnitProfiledDatabase
+from repro.oracle.per_unit import PerUnitIdealDatabase, PerUnitProfiledDatabase
 from repro.simdb.profiler import DbFunction
 
 

@@ -14,7 +14,8 @@ import weakref
 
 import pytest
 
-import repro.core.batch_engine as batch_engine
+import repro.core.batch_instance as batch_instance
+import repro.core.cohorts as cohort_tier
 import repro.core.plan as plan_module
 from repro import (
     Attribute,
@@ -93,7 +94,7 @@ def test_memoized_instances_alias_immutable_arrays():
     assert isinstance(first._readiness, bytearray) and isinstance(first._cand, set)
     sim.run()
     # settled: its arrays stay, its candidate pool is the shared empty
-    assert isinstance(first._readiness, bytearray) and first._cand is batch_engine._NO_NAMES
+    assert isinstance(first._readiness, bytearray) and first._cand is batch_instance._NO_NAMES
     second = engine.submit_instance({PERF_SOURCE: 94.0}, at=sim.now + 1.0)
     sim.run(until=sim.now + 1.5)
     state = second._state
@@ -429,14 +430,14 @@ def lockstep_schema(shared_tail: bool):
 @pytest.mark.parametrize("failure_prob", [0.0, 0.4])
 def test_lockstep_cohorts_over_the_memo(monkeypatch, shared_tail, failure_prob):
     rebuilt = []
-    dissolve = BatchedEngine._dissolve
+    dissolve = cohort_tier.Cohorts._dissolve
 
     def watched(self, cohort, recs, trigger):
         members = dissolve(self, cohort, recs, trigger)
         rebuilt.extend(type(member._readiness) for member in members)
         return members
 
-    monkeypatch.setattr(BatchedEngine, "_dissolve", watched)
+    monkeypatch.setattr(cohort_tier.Cohorts, "_dissolve", watched)
     arrivals = [(index * 20.0, {"s": index % 8}) for index in range(24)]  # warm
     for index, value in enumerate([100, -20, 101, -21]):
         arrivals += [(600.0 + index * 20.0, {"s": value})] * 4
