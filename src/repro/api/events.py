@@ -58,12 +58,14 @@ class InstanceCompleteEvent:
 class _Dispatcher(EngineObserver):
     """Adapts engine callbacks to typed events and fans them out.
 
-    ``clock`` supplies the current simulated time (the service passes the
-    backend simulation's ``now``).
+    ``clock`` supplies the current simulated time: a plain service sets it
+    to read its backend simulation's ``now`` (never the service, which
+    holds the engine that holds this dispatcher).  A fleet replays its
+    shards' events into the handler lists and sets none.
     """
 
-    def __init__(self, clock: Callable[[], float]):
-        self._clock = clock
+    def __init__(self) -> None:
+        self.clock: Callable[[], float] | None = None
         self.launch_handlers: list[Callable[[LaunchEvent], None]] = []
         self.query_done_handlers: list[Callable[[QueryDoneEvent], None]] = []
         self.complete_handlers: list[Callable[[InstanceCompleteEvent], None]] = []
@@ -85,7 +87,7 @@ class _Dispatcher(EngineObserver):
         if not self.launch_handlers:
             return
         event = LaunchEvent(
-            time=self._clock(),
+            time=self.clock(),
             instance_id=instance.instance_id,
             attribute=name,
             speculative=speculative,
@@ -99,7 +101,7 @@ class _Dispatcher(EngineObserver):
         if not self.query_done_handlers:
             return
         event = QueryDoneEvent(
-            time=self._clock(),
+            time=self.clock(),
             instance_id=instance.instance_id,
             attribute=name,
             units=units,
@@ -112,7 +114,7 @@ class _Dispatcher(EngineObserver):
         if not self.complete_handlers:
             return
         event = InstanceCompleteEvent(
-            time=self._clock(),
+            time=self.clock(),
             instance_id=instance.instance_id,
             metrics=instance.metrics,
         )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from time import perf_counter
+from types import MethodType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.api.backends import Backend, create_backend
@@ -29,6 +30,7 @@ from repro.api.events import (
     _Dispatcher,
 )
 from repro.core.batch_engine import BatchedEngine
+from repro.core.engine import check_start_time, next_instance_ids
 from repro.core.metrics import InstanceMetrics, MetricsSummary, summarize
 from repro.core.schema import DecisionFlowSchema
 from repro.core.strategy import Strategy
@@ -108,7 +110,14 @@ class InstanceHandle:
 
     @property
     def metrics(self) -> InstanceMetrics:
-        """The live metrics counters (final once :attr:`done`)."""
+        """The live metrics counters (final once :attr:`done`).
+
+        One record per instance, the same object on every read.  A cohort
+        rider that finished holding its cohort's shared final record gets
+        a private equal copy under its own id on the first read, stable
+        and live from then on (a later straggler is booked on it); read
+        before it finishes, the record is its own and stays live.
+        """
         return self._instance.metrics
 
     @property
@@ -135,6 +144,11 @@ class InstanceHandle:
         Returns the final metrics; raises :class:`ExecutionError` if the
         simulation runs dry with targets still unstable (a stalled flow).
         """
+        self._drive()
+        return self._instance.metrics
+
+    def _drive(self) -> None:
+        """:meth:`wait`, reading no metrics."""
         if not self._instance.done:
             self._service.run()
         if not self._instance.done:
@@ -146,11 +160,10 @@ class InstanceHandle:
             raise ExecutionError(
                 f"instance {self.instance_id} stalled; unstable targets: {unstable}"
             )
-        return self._instance.metrics
 
     def result(self) -> dict[str, object]:
         """The target attribute values, driving the clock if needed."""
-        self.wait()
+        self._drive()
         return {
             name: self._instance.cells[name].value
             for name in self._service.schema.target_names
@@ -166,10 +179,11 @@ class _ServiceFront:
     ``submit_stream``, ``run_closed``'s argument checks, the handle list,
     the event subscriptions and the Chrome-trace export.
 
-    A facade supplies ``submit``, ``run``, ``now`` and ``trace_groups``,
-    and keeps its issued handles in ``_handles``.  Its handlers live in a
-    :class:`~repro.api.events._Dispatcher`'s lists: a plain service's
-    engine calls it live, a fleet replays each round's events into them.
+    A facade supplies ``submit``, ``run``, ``now``, ``trace_groups`` and
+    ``_stream_starts``, and keeps its issued handles in ``_handles``.
+    Its handlers live in a :class:`~repro.api.events._Dispatcher`'s
+    lists: a plain service's engine calls it live, a fleet replays each
+    round's events into them.
     """
 
     def __init__(
@@ -192,7 +206,7 @@ class _ServiceFront:
                 config = config.replace(backend_options=merged)
         self.schema = schema
         self.config = config
-        self._dispatcher = _Dispatcher(lambda: self.now)
+        self._dispatcher = _Dispatcher()
         self._handles: list = []
 
     def submit_stream(
@@ -207,18 +221,27 @@ class _ServiceFront:
         *arrivals* is an iterable of absolute simulated times, or of
         ``(time, source_values)`` pairs.  With plain times, *values*
         supplies the source values — either one mapping shared by every
-        instance or a callable of the arrival index.  By default the clock
-        is then advanced until all work drains; pass ``run=False`` to
-        submit only.
+        instance or a callable of the arrival index.  Every arrival is
+        checked first, as :meth:`submit` checks it — its start time
+        against its clock, then its sources — so a bad one raises before
+        anything is submitted.  By default the clock is then advanced
+        until all work drains; pass ``run=False`` to submit only.
         """
-        handles = []
+        items = []
         for index, arrival in enumerate(arrivals):
             if isinstance(arrival, tuple):
                 at, source_values = arrival
             else:
                 at = arrival
                 source_values = values(index) if callable(values) else values
-            handles.append(self.submit(source_values, at=at))
+            items.append((at, source_values))
+        for (at, source_values), (instance_id, floor) in zip(
+            items, self._stream_starts(len(items))
+        ):
+            if at is not None:
+                check_start_time(instance_id, at, floor)
+            self.schema.check_sources(source_values or {})
+        handles = [self.submit(source_values, at=at) for at, source_values in items]
         if run:
             self.run()
         return handles
@@ -288,6 +311,26 @@ class _ServiceFront:
         return log
 
 
+class _ObservedDrain:
+    """An armed service's pool drain: ``fire_pooled`` in a ``des.pool`` span.
+
+    It holds the tracer and is handed the simulation, to which it is
+    registered bound: nothing of it leads back to the service.
+    """
+
+    __slots__ = ("tracer",)
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+
+    def __call__(self, simulation, events) -> int:
+        t0 = perf_counter()
+        consumed = simulation.fire_pooled(events)
+        args = {"time": simulation.now, "pool": len(events), "consumed": consumed}
+        self.tracer.record("des.pool", t0, perf_counter(), args=args)
+        return consumed
+
+
 class _ClosedLoop:
     """One :meth:`DecisionService.run_closed` loop: each call submits the
     next instance, with the loop itself as its completion callback.
@@ -347,6 +390,7 @@ class DecisionService(_ServiceFront):
         else:
             self.backend = create_backend(config.backend, **config.backend_options)
         simulation = self.backend.simulation
+        self._dispatcher.clock = lambda: simulation.now
         if simulation.batch_consumer is not None:
             # Engines must never share simulations by accident: either
             # service's run() would drive the other's instances.
@@ -357,8 +401,12 @@ class DecisionService(_ServiceFront):
         self.obs = Observability.create() if config.observe else NULL_OBS
         # Every service drains its calendar in instant pools, whichever
         # engine it runs (the pool is fired in per-event order either way).
+        # Both drains are bound to the simulation, which holds them unbound:
+        # neither the service nor a bound method makes a reference cycle.
         simulation.set_batch_consumer(
-            self._drain_observed if self.obs.enabled else simulation.fire_pooled
+            MethodType(_ObservedDrain(self.obs.tracer), simulation)
+            if self.obs.enabled
+            else simulation.fire_pooled
         )
         engine_cls = _ENGINE_CLASSES[config.engine]
         self.engine = engine_cls(
@@ -432,6 +480,13 @@ class DecisionService(_ServiceFront):
             self.run()
         return loop.handles
 
+    def _stream_starts(self, n: int) -> list[tuple[str, float]]:
+        """The ids the next *n* submissions get, each with the clock its
+        start is checked against: this service's."""
+        engine, now = self.engine, self.now
+        ids = next_instance_ids(self.schema.name, engine._id_next, engine._instance_ids, n)
+        return [(instance_id, now) for instance_id in ids]
+
     # -- driving and reading --------------------------------------------------
 
     def run(self, until: float | None = None) -> None:
@@ -469,9 +524,9 @@ class DecisionService(_ServiceFront):
         if released:
             self._handles = [h for h in self._handles if id(h.instance) not in settled]
             self._released = MetricsSummary.merge(
-                self._released, summarize(h.metrics for h in released)
+                self._released, summarize(h.instance.booked for h in released)
             )
-        starts = (instance.metrics.start_time for instance in self.engine.instances)
+        starts = (instance.start_time for instance in self.engine.instances)
         self.database.trim_gmpl_history(min(starts, default=self.now))
         return released
 
@@ -488,7 +543,7 @@ class DecisionService(_ServiceFront):
         """
         summary = MetricsSummary.merge(
             self._released,
-            summarize((h.metrics for h in self._handles if h.done), empty_ok=True),
+            summarize((h.instance.booked for h in self._handles if h.done), empty_ok=True),
         )
         return replace(summary, **service_counters(self.engine))
 
@@ -508,14 +563,6 @@ class DecisionService(_ServiceFront):
             "pooled_batches": simulation.pooled_batches,
             "pooled_events": simulation.pooled_events,
         }
-
-    def _drain_observed(self, events) -> int:
-        """An armed service's pool drain: ``fire_pooled`` in a ``des.pool`` span."""
-        simulation, t0 = self.backend.simulation, perf_counter()
-        consumed = simulation.fire_pooled(events)
-        args = {"time": simulation.now, "pool": len(events), "consumed": consumed}
-        self.obs.tracer.record("des.pool", t0, perf_counter(), args=args)
-        return consumed
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -333,7 +333,7 @@ class BatchedEngine:
         missed, instance._event = instance._event, None
         if missed is None:
             return self._round(instance)
-        metrics = instance.metrics
+        metrics = instance._metrics
         queries = metrics.speculative_wasted_queries
         units = metrics.speculative_wasted_units
         self._round(instance)
@@ -414,7 +414,7 @@ class BatchedEngine:
                 self.obs.tracer.record("query", started, now, args=args)
                 self._obs_query_wall.observe(now - started)
         handle = instance.inflight.pop(name, None)
-        metrics = instance.metrics
+        metrics = instance._metrics
         metrics.work_units += processed
         if self.observer is not None:
             self.observer.on_query_done(instance, name, units=processed, completed=completed)
@@ -440,7 +440,7 @@ class BatchedEngine:
 
     def _finish(self, instance: BatchedInstance) -> None:
         instance.done = True
-        instance.metrics.finish_time = self.sim.now
+        instance._metrics.finish_time = self.sim.now
         instance.finalize_metrics()
         if self._obs_on:
             self._obs_completions.inc()
@@ -453,7 +453,7 @@ class BatchedEngine:
             self.observer.on_instance_complete(instance)
         callback = self._on_complete.pop(instance.instance_id, None)
         if callback is not None:
-            callback(instance.metrics)
+            callback(instance._metrics)
 
     # -- the launch path: the data plane under the three memo tiers ----------
 
@@ -480,7 +480,7 @@ class BatchedEngine:
                 key += (task.cost,)
         else:
             key, value, _ = entry
-        metrics = instance.metrics
+        metrics = instance._metrics
         metrics.queries_launched += 1
         if self._obs_on:
             self._obs_launches.inc()
@@ -559,7 +559,7 @@ class BatchedEngine:
                     instance.inflight.pop(name, None)
                     if self.observer is not None:
                         self.observer.on_query_done(instance, name, units=0, completed=True)
-                    metrics = instance.metrics
+                    metrics = instance._metrics
                     metrics.queries_completed += 1
                     if not instance.apply_query_result(name, value, sig):
                         metrics.speculative_wasted_queries += 1
@@ -632,7 +632,7 @@ class BatchedEngine:
                     m = j
                     break
         plan.memo_hits += m
-        metrics = instance.metrics
+        metrics = instance._metrics
         metrics.queries_completed += m
         final, nulls, copies, wasted_queries, wasted_units, launches, _ = step
         sv = instance._sv

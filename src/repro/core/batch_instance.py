@@ -14,6 +14,8 @@ kernel here.  The shell that drives it is :mod:`repro.core.batch_engine`.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import fields
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -36,7 +38,7 @@ from repro.core.state import AttributeState, Enablement, Readiness, derive_state
 from repro.errors import ExecutionError, IllegalTransitionError
 from repro.nulls import NULL
 
-__all__ = ["BatchedInstance"]
+__all__ = ["BatchedInstance", "SharedMetrics"]
 
 #: What an instance reads in place of the per-run containers while it
 #: owns none — before it starts for itself, and once it is settled
@@ -44,6 +46,22 @@ __all__ = ["BatchedInstance"]
 _NO_INFLIGHT: Mapping[str, object] = MappingProxyType({})
 _NO_NAMES: frozenset = frozenset()
 _NO_QUEUE = ()
+
+
+class SharedMetrics(InstanceMetrics):
+    """A lockstep cohort's final metrics record, which every rider that
+    booked nothing of its own holds until it is read.
+
+    Its ``instance_id`` is the cohort's; a rider reading
+    :attr:`BatchedInstance.metrics` gets a private equal copy under its
+    own id instead (``summary()`` folds it as it is).
+    """
+
+    __slots__ = ()
+
+
+#: every field of a metrics record after its ``instance_id``
+_AFTER_ID = attrgetter(*(f.name for f in fields(InstanceMetrics)[1:]))
 
 
 class _BatchCell:
@@ -130,7 +148,9 @@ class BatchedInstance:
 
     Its life has three parts, and it holds only what the part reads:
 
-    * *Submitted*: its sources, its start key and its metrics.  The
+    * *Submitted*: its sources, its start key and its start time; no
+      metrics record until it books something for itself (:meth:`start`,
+      :meth:`materialize`, a flow replay) or :attr:`metrics` is read.  The
       per-run containers (``inflight``, ``speculative_launch``, the
       candidate pool, the drain queue) read as shared immutable empties,
       and writing one raises.
@@ -139,7 +159,9 @@ class BatchedInstance:
       state's arrays or takes copies; :meth:`_own` (the kernel's entry)
       gives it the candidate pool and the drain queue.  A lockstep member
       or a flow replay never runs for itself: it ends aliasing its
-      representative's or trace's arrays and value lists.
+      representative's or trace's arrays and value lists, and a rider
+      that booked nothing of its own shares its cohort's final metrics
+      record (a :class:`SharedMetrics`) until it is read.
     * *Settled* (done, nothing in flight): the engine swaps the
       containers back for the shared empties and drops the sources and
       start key (:meth:`BatchedEngine._settle`).  What is left is the
@@ -153,7 +175,8 @@ class BatchedInstance:
         "strategy",
         "instance_id",
         "done",
-        "metrics",
+        "start_time",
+        "_metrics",
         "inflight",
         "speculative_launch",
         "_readiness",
@@ -187,7 +210,11 @@ class BatchedInstance:
         self.strategy = plan.strategy
         self.instance_id = instance_id
         self.done = False
-        self.metrics = InstanceMetrics(instance_id=instance_id, start_time=start_time)
+        self.start_time = start_time
+        #: Its metrics record, None until it needs one: its own, or its
+        #: cohort's shared final one (see :attr:`metrics`).  The engine
+        #: reads and writes it here, on instances that have their own.
+        self._metrics: InstanceMetrics | None = None
 
         plan.schema.check_sources(source_values)
         names = plan.schema.source_names
@@ -230,6 +257,38 @@ class BatchedInstance:
         #: launch was a query-memo hit, the :class:`_FlowTrace` of an
         #: instance replayed from one, None otherwise.
         self._flow = None
+
+    # -- metrics -----------------------------------------------------------
+
+    @property
+    def metrics(self) -> InstanceMetrics:
+        """Its metrics record: live while it runs, final once done.
+
+        One not yet started gets a fresh zero record, which it keeps and
+        books into from then on.  A lockstep rider holding its cohort's
+        shared final record gets, on its first read, a private equal
+        copy under its own id, stable from then on.
+        """
+        metrics = self._metrics
+        if metrics is None:
+            return self._own_metrics()
+        if type(metrics) is SharedMetrics:
+            self._metrics = metrics = InstanceMetrics(self.instance_id, *_AFTER_ID(metrics))
+        return metrics
+
+    @property
+    def booked(self) -> InstanceMetrics | None:
+        """Its metrics record as it holds it, with no copy made: a rider's
+        may be its cohort's :class:`SharedMetrics`; None before it needs
+        one.  What summaries fold."""
+        return self._metrics
+
+    def _own_metrics(self) -> InstanceMetrics:
+        """Its own record, made now if it has none: where it books for itself."""
+        metrics = self._metrics
+        if metrics is None:
+            self._metrics = metrics = InstanceMetrics(self.instance_id, self.start_time)
+        return metrics
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -292,8 +351,9 @@ class BatchedInstance:
             for i in copies:
                 sv[i] = raw[i]
         if wasted_queries:
-            self.metrics.speculative_wasted_queries += wasted_queries
-            self.metrics.speculative_wasted_units += wasted_units
+            metrics = self._metrics
+            metrics.speculative_wasted_queries += wasted_queries
+            metrics.speculative_wasted_units += wasted_units
         self._alias(state)
         return True
 
@@ -303,6 +363,7 @@ class BatchedInstance:
         if self._sv is not None:
             raise ExecutionError(f"instance {self.instance_id} already started")
         plan = self.plan
+        self._own_metrics()
         self.inflight = {}
         self.speculative_launch = set()
         self._raw = raw = [None] * plan.n
@@ -408,8 +469,8 @@ class BatchedInstance:
             if was_computed and plan.names[i] in self.speculative_launch:
                 # The speculative query already completed; its result is now
                 # discarded — the full cost was wasted work.
-                self.metrics.speculative_wasted_queries += 1
-                self.metrics.speculative_wasted_units += plan.cost[i]
+                self._metrics.speculative_wasted_queries += 1
+                self._metrics.speculative_wasted_units += plan.cost[i]
         if self._alive is not None:
             self._kill_in_edges(i, data=False, cond=True)
         if stable:
@@ -437,7 +498,7 @@ class BatchedInstance:
             if not self._is_executable(i):
                 continue
             values = self._input_values(i)
-            self.metrics.synthesis_executed += 1
+            self._metrics.synthesis_executed += 1
             self._set_computed(i, plan.tasks[i].compute(values))
             ran = True
         return ran
@@ -537,16 +598,14 @@ class BatchedInstance:
                 self.speculative_launch.add(name)
         # The results are applied on a scratch metrics object: whatever
         # they book was booked, or recorded, when they arrived.
-        real_metrics = self.metrics
-        self.metrics = InstanceMetrics(
-            instance_id=self.instance_id, start_time=real_metrics.start_time
-        )
+        real_metrics = self._metrics
+        self._metrics = InstanceMetrics(self.instance_id, self.start_time)
         try:
             for name, value in delivered:
                 self.apply_query_result(name, value)
                 self.drain()
         finally:
-            self.metrics = real_metrics
+            self._metrics = real_metrics
 
     def end_state(self):
         """The state the members (or replays) of this done instance alias.
@@ -595,7 +654,7 @@ class BatchedInstance:
             derived = (value_count, disabled_count, unstable, detected, avoided)
             if state is not None:
                 state.final = derived
-        metrics = self.metrics
+        metrics = self._metrics
         (
             metrics.attrs_value,
             metrics.attrs_disabled,

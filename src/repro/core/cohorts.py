@@ -12,8 +12,9 @@ its outcome, so the members of a cohort are *bit-identical* until they
 finish and ride in lockstep: they never submit a query (one weighted
 virtual attachment per primary keeps cache counters and cancel-pinning
 exact), hold no arrays until they finish, and share one metrics template
-that each copies on finishing.  Per-member work remains only where
-identity genuinely diverges: observer events (skipped when nobody
+while they ride and one final record once they finish, copied only for
+a member that is read.  Per-member work remains only where identity
+genuinely diverges: observer events (skipped when nobody
 listens) and finishing.  An arrival that cannot ride starts as the
 ordinary instance it is — its launches coalesce or hit like anyone's —
 and the cohort leaves the table.
@@ -33,7 +34,9 @@ complete for the representative.
 
 from __future__ import annotations
 
-from repro.core.batch_instance import BatchedInstance
+from weakref import ref
+
+from repro.core.batch_instance import BatchedInstance, SharedMetrics
 from repro.core.metrics import InstanceMetrics
 from repro.core.plan import E_DISABLED
 from repro.nulls import ExceptionValue
@@ -134,8 +137,9 @@ class _Cohort:
     representative's own primary for the same key, so members are
     tracked *virtually*: one weighted attachment per primary
     (:meth:`QueryShareCache.attach_virtual`), one shared metrics
-    ``template`` (members are bit-identical until they finish), and
-    per-member work only for observer events and finishing.  ``log`` is
+    ``template`` (members are bit-identical until they finish), one
+    shared ``final`` record once they have (:meth:`Cohorts._finish_member`),
+    and per-member work only for observer events and finishing.  ``log`` is
     what the representative has done, stage by stage: what
     :meth:`Cohorts._dissolve` rebuilds the members from when they can
     ride no further.
@@ -156,6 +160,8 @@ class _Cohort:
         "launch_by_name",
         "members",
         "template",
+        "final",
+        "final_closed",
         "virtual",
         "cancelled",
         "epoch",
@@ -169,8 +175,13 @@ class _Cohort:
         #: members in join order (retained after finishing for post-halt
         #: straggler bookkeeping)
         self.members: list = []
-        #: the members' shared metrics record, built at the first join
+        #: the members' shared counters while they ride, built at the first join
         self.template: InstanceMetrics | None = None
+        #: the final record every member that booked nothing of its own
+        #: shares, built by the first to finish; closed to later
+        #: finishers once a straggle is booked on it
+        self.final: SharedMetrics | None = None
+        self.final_closed = False
         #: attribute name -> launch record, for virtual attachments whose
         #: members still wait on the result / have cancelled the wait
         self.virtual: dict[str, _LaunchRecord] = {}
@@ -184,6 +195,20 @@ class _Cohort:
         self.log.append(rec)
         for launch in rec.launches:
             self.launch_by_name[launch.name] = launch
+
+
+def _book_straggle(
+    instance, metrics: InstanceMetrics, launch: _LaunchRecord, completed: bool, failed: bool
+) -> None:
+    """Book a straggler's resolution of a finished member's wait."""
+    if completed:
+        metrics.queries_completed += 1
+        if failed:
+            metrics.queries_failed += 1
+    else:
+        metrics.queries_cancelled += 1
+        if launch.speculative and instance._enablement[launch.index] == E_DISABLED:
+            metrics.speculative_wasted_queries += 1
 
 
 def _copy_counters(src: InstanceMetrics, dst: InstanceMetrics) -> None:
@@ -216,7 +241,9 @@ class Cohorts:
     """
 
     def __init__(self, engine):
-        self.engine = engine
+        #: the engine, weakly: it holds this tier, and a strong link back
+        #: would make every engine a reference cycle
+        self._engine = ref(engine)
         self.cache = engine.query_cache
         #: start_key → the open cohort formed for that valuation at
         #: :attr:`instant`, the instant of the latest start: one is taken
@@ -242,7 +269,7 @@ class Cohorts:
     def start(self, instance: BatchedInstance) -> None:
         """Start *instance* (its start key cacheable): form a cohort, ride
         the open one, or dissolve a cohort it cannot ride and start alone."""
-        engine, key = self.engine, instance._start_key
+        engine, key = self._engine(), instance._start_key
         cohort = self.open.get(key)
         if cohort is None:
             instance._cohort = cohort = _Cohort(instance, engine.sim.now)
@@ -294,7 +321,7 @@ class Cohorts:
         built when the first member joins: an open cohort's
         representative has had nothing delivered, so its in-flight
         queries are its start launches, in order."""
-        rep, plan = cohort.rep, self.engine.plan
+        rep, plan = cohort.rep, self._engine().plan
         rec = _StageRecord(None)
         rec.done_after = rep.done
         # Cohort-eligible schemas run no synthesis (start_cache_ok), so
@@ -318,7 +345,7 @@ class Cohorts:
         self, cohort: _Cohort, instance, name, value, processed, completed
     ) -> _StageRecord:
         """Run the representative's advance and append its stage record."""
-        engine = self.engine
+        engine = self._engine()
         i = engine.plan.index[name]
         handle = instance.inflight.get(name)
         rec = _StageRecord(name)
@@ -336,8 +363,9 @@ class Cohorts:
             and instance._enablement[i] == E_DISABLED
         )
         pre_inflight = [n for n in instance.inflight if n != name]
-        before_queries = instance.metrics.speculative_wasted_queries
-        before_units = instance.metrics.speculative_wasted_units
+        metrics = instance._metrics
+        before_queries = metrics.speculative_wasted_queries
+        before_units = metrics.speculative_wasted_units
         engine._recording = rec
         try:
             engine._take_result(instance, name, value, processed, completed)
@@ -350,11 +378,9 @@ class Cohorts:
         if (completed and not rec.accepted) or rec.cancel_wasted:
             query_queries, query_units = 1, processed
         rec.drain_wasted_queries = (
-            instance.metrics.speculative_wasted_queries - before_queries - query_queries
+            metrics.speculative_wasted_queries - before_queries - query_queries
         )
-        rec.drain_wasted_units = (
-            instance.metrics.speculative_wasted_units - before_units - query_units
-        )
+        rec.drain_wasted_units = metrics.speculative_wasted_units - before_units - query_units
         rec.done_after = instance.done
         if (
             not instance.done
@@ -375,7 +401,7 @@ class Cohorts:
         pending among them (one may schedule what the next start would
         have waited for).  The run moves past those taken.
         """
-        engine = self.engine
+        engine = self._engine()
         riders, run, flows = [instance], engine._firing, engine._flows
         key, pending = instance._start_key, engine._on_complete
         if (
@@ -406,7 +432,7 @@ class Cohorts:
         """
         if not cohort.log:
             self._record_start(cohort)
-        engine = self.engine
+        engine = self._engine()
         rec, sim = cohort.log[0], engine.sim
         obs = engine._listening()
         joined = len(members)
@@ -457,7 +483,7 @@ class Cohorts:
         if rep.done:
             # Post-halt straggler: the representative books its own
             # event, then each (finished) member resolves its wait.
-            self.engine._take_result(rep, name, value, processed, completed)
+            self._engine()._take_result(rep, name, value, processed, completed)
             self._straggle(cohort, launch, name, completed, live_virtual, failed)
             return
         self._close(cohort)
@@ -472,8 +498,9 @@ class Cohorts:
         # Dissolved as of the stage before, each member takes this
         # delivery as its own follower's.
         cost, cancelled = launch.task.cost, not live_virtual
+        own_wait = self._engine()._own_wait
         for member in self._dissolve(cohort, cohort.log[:-1], trigger):
-            wait = self.engine._own_wait(member, name, value)
+            wait = own_wait(member, name, value)
             member.inflight[name] = follower = cache.follower(None, cost, wait, cancelled)
             follower.failed = failed
             cache.deliver(follower)
@@ -503,13 +530,14 @@ class Cohorts:
             cache.release_virtual(rep.inflight[cancel_name], count)
         name = rec.name
         member_completed = live_virtual
-        obs = self.engine._listening()
+        engine = self._engine()
+        obs = engine._listening()
         if rec.done_after:
             for member in cohort.members:
                 if obs is not None:
                     obs.on_query_done(member, name, units=0, completed=member_completed)
                 self._finish_member(cohort, member)
-            if self.engine.halt_policy == "cancel":
+            if engine.halt_policy == "cancel":
                 for vname in list(cohort.virtual):
                     cohort.cancelled[vname] = cohort.virtual.pop(vname)
                     cache.release_virtual(rep.inflight[vname], count)
@@ -536,23 +564,25 @@ class Cohorts:
         live_virtual: bool,
         failed: bool,
     ) -> None:
+        """A post-halt straggler of the representative resolves every
+        (finished) member's wait on it: booked on each record of a
+        member's own, and once on the shared final record for every
+        member still holding it — which then closes to later finishers,
+        who never waited on the straggler (none finishes later, in fact:
+        a cohort that finished past its start finished whole)."""
         member_completed = live_virtual and completed
-        obs = self.engine._listening()
+        obs = self._engine()._listening()
+        final, holder = cohort.final, None
         for member in cohort.members:
             if obs is not None:
                 obs.on_query_done(member, name, units=0, completed=member_completed)
-            metrics = member.metrics
-            if member_completed:
-                metrics.queries_completed += 1
-                if failed:
-                    metrics.queries_failed += 1
+            if member._metrics is final:
+                holder = member
             else:
-                metrics.queries_cancelled += 1
-                if (
-                    launch.speculative
-                    and member._enablement[launch.index] == E_DISABLED
-                ):
-                    metrics.speculative_wasted_queries += 1
+                _book_straggle(member, member._metrics, launch, member_completed, failed)
+        if holder is not None:
+            _book_straggle(holder, final, launch, member_completed, failed)
+            cohort.final_closed = True
 
     def _dissolve(self, cohort: _Cohort, recs, trigger: str) -> list:
         """The one way out of lockstep: every member of *cohort* becomes
@@ -568,7 +598,7 @@ class Cohorts:
         cohort.rep._cohort = None
         if not members:
             return members
-        engine = self.engine
+        engine = self._engine()
         self.splits += len(members)
         self.exits[trigger] += 1
         if engine._obs_on:
@@ -584,7 +614,7 @@ class Cohorts:
         for member in members:
             member._cohort = None
             member.materialize(made, delivered)
-            _copy_counters(cohort.template, member.metrics)
+            _copy_counters(cohort.template, member._metrics)
         cache, inflight = self.cache, cohort.rep.inflight
         for waits, cancelled in ((cohort.virtual, False), (cohort.cancelled, True)):
             for name, launch in waits.items():
@@ -604,16 +634,29 @@ class Cohorts:
         same inherited outcomes), so they alias the representative's end
         state — which carries the attribute counters
         :meth:`BatchedInstance.finalize_metrics` derives — and its value
-        lists: done instances never write their arrays again.
+        lists: done instances never write their arrays again.  A member
+        that booked nothing of its own (no record read before it
+        finished) holds the cohort's shared final record, which the
+        first to finish builds: the template's counters, the finish time
+        and the attribute counters.  One with a record fills its own.
         """
-        engine, rep = self.engine, cohort.rep
+        engine, rep = self._engine(), cohort.rep
         member.done = True
-        _copy_counters(cohort.template, member.metrics)
-        member.metrics.finish_time = engine.sim.now
         member._alias(rep.end_state())
         member._raw = rep._raw
         member._sv = rep._sv
-        member.finalize_metrics()
+        shares = member._metrics is None and not cohort.final_closed
+        if shares and cohort.final is not None:
+            member._metrics = cohort.final
+        else:
+            if shares:  # the first to finish builds the shared record
+                member._metrics = cohort.final = SharedMetrics(
+                    cohort.template.instance_id, cohort.start_time
+                )
+            metrics = member._own_metrics()
+            _copy_counters(cohort.template, metrics)
+            metrics.finish_time = engine.sim.now
+            member.finalize_metrics()
         if engine.observer is not None:
             engine.observer.on_instance_complete(member)
         callback = engine._on_complete.pop(member.instance_id, None)

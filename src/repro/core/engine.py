@@ -25,6 +25,7 @@ __all__ = [
     "check_start_time",
     "claim_instance_id",
     "counted_inflight",
+    "next_instance_ids",
     "permitted_slots",
 ]
 
@@ -68,6 +69,14 @@ def claim_instance_id(
             f"duplicate instance id {instance_id!r}: ids must be unique per {scope}"
         )
     return instance_id
+
+
+def next_instance_ids(schema_name: str, id_next: int, claimed: set[str], n: int) -> list[str]:
+    """The ids the next *n* generated submissions will get, claiming none
+    (generated ids only grow, so the batch cannot repeat one): the names a
+    batch of arrivals is checked under before any is submitted."""
+    drawn = itertools.count(id_next)
+    return [claim_instance_id(None, schema_name, drawn, claimed) for _ in range(n)]
 
 
 def check_start_time(instance_id: str, at: float, now: float) -> None:

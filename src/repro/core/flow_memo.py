@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from copy import deepcopy
 from time import perf_counter
+from weakref import ref
 
 from repro.core.batch_instance import BatchedInstance
 
@@ -96,7 +97,9 @@ class FlowMemo:
     """
 
     def __init__(self, engine):
-        self.engine = engine
+        #: the engine, weakly: it holds this tier, and a strong link back
+        #: would make every engine a reference cycle
+        self._engine = ref(engine)
         self.cache = engine.query_cache
         #: start_key → :class:`_FlowTrace`, at most `FLOW_LIMIT`
         self.traces: dict[object, _FlowTrace] = {}
@@ -115,8 +118,9 @@ class FlowMemo:
         if not self.cache.touch(trace.head.keys):
             return False
         instance._flow = trace
+        instance._own_metrics()  # a replay books its trace's counters
         self.replays += 1
-        observer = self.engine.observer
+        observer = self._engine().observer
         if observer is not None:
             observer.on_instance_start(instance)
         self._wave(instance, trace, trace.head)
@@ -133,7 +137,7 @@ class FlowMemo:
         """
         rec = instance._flow
         inflight = instance.inflight
-        metrics = instance.metrics
+        metrics = instance._metrics
         made = metrics.queries_launched - (rec[-1][3]["queries_launched"] if rec else 0)
         launches = []
         for launch in list(inflight)[-made:] if made else ():
@@ -171,7 +175,7 @@ class FlowMemo:
 
     def _wave(self, instance: BatchedInstance, trace: _FlowTrace, wave: _FlowWave) -> None:
         """Replay one wave whose launches the cache has just been shown."""
-        engine = self.engine
+        engine = self._engine()
         if engine._obs_on:
             t0 = perf_counter()
         obs = engine._listening()
@@ -181,7 +185,7 @@ class FlowMemo:
                     obs.on_query_done(instance, name, units=0, completed=completed)
                 for launch, speculative, _ in launches:
                     obs.on_launch(instance, launch, speculative=speculative)
-        metrics = instance.metrics
+        metrics = instance._metrics
         for field, value in wave.counters.items():
             setattr(metrics, field, value)
         sim = engine.sim
@@ -217,7 +221,7 @@ class FlowMemo:
         made = [launch for stage in stages[:lo] for launch in stage[2]]
         delivered = [(name, raw[index[name]]) for name, ok, _ in stages[1:lo] if ok]
         instance.materialize([launch[:2] for launch in made], delivered)
-        own_wait = self.engine._own_wait
+        own_wait = self._engine()._own_wait
         for (name, _, key), (_, completed, _) in zip(made[lo - 1 :], stages[lo:]):
             i = index[name]
             instance.inflight[name] = self.cache.follower(

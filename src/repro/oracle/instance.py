@@ -103,6 +103,16 @@ class InstanceRuntime:
         self._stable_queue: deque[str] = deque()
         self._started = False
 
+    @property
+    def start_time(self) -> float:
+        return self.metrics.start_time
+
+    @property
+    def booked(self) -> InstanceMetrics:
+        """Its metrics record as summaries fold it: always its own here
+        (a batched cohort rider's may be shared)."""
+        return self.metrics
+
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:

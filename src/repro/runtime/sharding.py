@@ -69,7 +69,7 @@ from repro.api.config import ExecutionConfig
 from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
 from repro.api.service import DecisionService, _ServiceFront, coerce_config
 from repro.core.conditions import UNRESOLVED
-from repro.core.engine import check_start_time, claim_instance_id
+from repro.core.engine import check_start_time, claim_instance_id, next_instance_ids
 from repro.core.metrics import SERVICE_COUNTERS, InstanceMetrics, MetricsSummary, summarize
 from repro.core.schema import DecisionFlowSchema
 from repro.core.strategy import Strategy
@@ -352,6 +352,13 @@ class ShardedDecisionService(_ServiceFront):
             self._ops[shard].append(("closed", *per_shard[shard], share))
         self.run()
         return handles
+
+    def _stream_starts(self, n: int) -> list[tuple[str, float]]:
+        """The ids the next *n* submissions get, each with the clock its
+        start is checked against: its home shard's."""
+        ids = next_instance_ids(self.schema.name, self._id_next, self._instance_ids, n)
+        clocks = [outcome.stats.end_time for outcome in self.outcomes]
+        return [(instance_id, clocks[shard_of(instance_id, self.shards)]) for instance_id in ids]
 
     # -- driving and reading --------------------------------------------------
 

@@ -79,6 +79,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from math import isfinite
+from types import MethodType
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -189,7 +190,10 @@ class Simulation:
         #: skips its preemption peek on that, and the engines keep an
         #: arrival run or a hit wave open.
         self.scheduled = 0
-        self._batch_consumer: Callable[[list[Event]], int | None] | None = None
+        self._batch_consumer: Callable[..., int | None] | None = None
+        #: the consumer was bound to this simulation: it is held unbound
+        #: and called with the simulation (see :meth:`set_batch_consumer`)
+        self._consumer_bound = False
         #: instant pools :meth:`fire_pooled` drained, and the events they consumed
         self.pooled_batches = self.pooled_events = 0
         #: priority of the event whose callback is currently running
@@ -410,21 +414,28 @@ class Simulation:
         the rest.  Returning ``None`` means the whole pool was consumed.
         Pass ``None`` to deregister; registering over a *different* live
         consumer raises (two drains would race for the same calendar).
+
+        A consumer bound to this simulation — its own ``fire_pooled``, or
+        any function bound to it with :class:`types.MethodType` — is held
+        unbound and called with the simulation: held bound, it would make
+        the simulation a reference cycle, left for the cyclic collector.
         """
         if (
             consumer is not None
             and self._batch_consumer is not None
-            and self._batch_consumer != consumer  # == covers bound methods
+            and self.batch_consumer != consumer  # == covers bound methods
         ):
             raise SimulationError(
                 "a batch consumer is already registered; clear it first"
             )
-        self._batch_consumer = consumer
+        self._consumer_bound = getattr(consumer, "__self__", None) is self
+        self._batch_consumer = consumer.__func__ if self._consumer_bound else consumer
 
     @property
     def batch_consumer(self) -> Callable[[list[Event]], int | None] | None:
         """The registered batch consumer, or None (events fire one by one)."""
-        return self._batch_consumer
+        consumer = self._batch_consumer
+        return MethodType(consumer, self) if self._consumer_bound else consumer
 
     def step_instant(self) -> bool:
         """Run every pending event at the ``(time, priority band)`` frontier.
@@ -459,7 +470,8 @@ class Simulation:
         heapq.heappop(self._heap)  # _head left this bucket's key on top
         self.now = head.time
         try:
-            consumed = self._batch_consumer(batch)
+            consumer = self._batch_consumer
+            consumed = consumer(self, batch) if self._consumer_bound else consumer(batch)
         except BaseException:
             # A callback raised mid-pool: per-event stepping would leave
             # the unfired siblings queued, so restore them before

@@ -235,10 +235,21 @@ SETTLED = (
 
 #: Traced bytes per retained finished instance, all handles held, on the
 #: product stack (PSE100, query cache) at 1 000 instances of each
-#: `population`: 2 686 / 1 313 / 626 measured on CPython 3.11, plus ≈20 %
+#: `population`: 2 694 / 1 321 / 466 measured on CPython 3.11, plus ≈20 %
 #: for other interpreters' object sizes.  Before settled instances let go
-#: of their per-run containers they read 4 856 / 2 058 / 973.
-RETENTION_BUDGET = {"distinct": 3200, "overlap": 1600, "identical": 760}
+#: of their per-run containers they read 4 856 / 2 058 / 973; before a
+#: cohort's riders shared one final metrics record, identical read 626
+#: (budget 760).
+RETENTION_BUDGET = {"distinct": 3200, "overlap": 1600, "identical": 560}
+
+#: GC-tracked objects per held finished handle at the margin (the growth
+#: from 1 000 to 2 000 held handles, per handle: one-off plan, memo and
+#: cohort growth left out) on the same stack: ≈7.0 / 3.3 / 2.0 measured
+#: (distinct and overlap move by a few tenths with when the collector
+#: untracks tuples).  Identical is held to its two: the handle and the
+#: instance, whose metrics are its cohort's shared final record — a
+#: record of its own each made it 3.
+TRACKED_BUDGET = {"identical": 2}
 
 #: Traced bytes per held handle of a drained 2-shard serial fleet on the
 #: same stack and populations: ≈2 490 / 2 038 / 1 374 measured on CPython
@@ -279,6 +290,19 @@ def retained_bytes(drive) -> Counter:
         path = frame.filename.rpartition("/src/")[2]
         sites[f"{path}:{frame.lineno}"] += stat.size_diff
     return sites
+
+
+def retained_objects(drive) -> int:
+    """How many more objects the cyclic collector tracks once ``drive()``
+    has run, what it returns kept alive; both counts after a full
+    collection."""
+    gc.collect()
+    before = len(gc.get_objects())
+    kept = drive()
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    del kept
+    return grown
 
 
 def retention_table(sites: Counter, instances: int, top: int = 10) -> str:

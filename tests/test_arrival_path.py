@@ -54,11 +54,13 @@ from tests._support import (
     METRIC_FIELDS,
     PERF,
     RETENTION_BUDGET,
+    TRACKED_BUDGET,
     assert_same,
     engine_arms,
     population,
     q,
     retained_bytes,
+    retained_objects,
     retention_table,
     run,
     two_source_schema,
@@ -484,7 +486,8 @@ def holds_a_container(instance) -> bool:
 
 def test_identical_arrivals_stay_within_the_budget_before_and_after_the_run():
     """11.3 tracked objects per arrival before this budget existed, 3.3
-    now (the instance, its metrics, its handle)."""
+    once down to the instance, its metrics and its handle, ≈2.1 now that
+    riders share their cohort's final metrics record."""
     service, n = fast_service(), 2000
     values = dict(PERF.source_values)
     before = tracked()
@@ -592,6 +595,26 @@ def test_a_retained_finished_instance_stays_within_its_byte_budget(kind):
 
     sites = retained_bytes(drive)
     assert sum(sites.values()) / n <= RETENTION_BUDGET[kind], retention_table(sites, n)
+
+
+@pytest.mark.parametrize("kind", sorted(TRACKED_BUDGET))
+def test_a_held_finished_handle_keeps_its_budget_of_tracked_objects(kind):
+    """GC-tracked objects per held handle, at the margin from 1 000 to
+    2 000 handles: the collector walks them all on every full collection
+    (the CI "Retention census" step prints every population's)."""
+
+    def held(n: int) -> int:
+        service = fast_service()
+
+        def drive():
+            items = population(kind, n)
+            handles = [service.submit({PERF_SOURCE: value}, at=at) for at, value in items]
+            service.run()
+            return handles
+
+        return retained_objects(drive)
+
+    assert (held(2000) - held(1000)) / 1000 <= TRACKED_BUDGET[kind]
 
 
 def straggler_schema() -> DecisionFlowSchema:

@@ -6,8 +6,8 @@ freed by reference counting once it is finished: the census
 leaves for the cyclic collector is empty, cell by cell, over both
 engines × the three backends × {query cache, query cache with
 cancel-unneeded, none} × PSE100 / PCE0 / NCC100, plus the drain halt,
-failure injection, the per-unit kernels, a serial fleet, closed loops
-and a served daemon.  The release
+failure injection, the per-unit kernels, a serial fleet, closed loops,
+a served daemon, and each facade built and dropped.  The release
 asserts of ``test_launch_path`` and ``test_flow_memo`` hold here with the
 collector off: released means freed.
 """
@@ -177,6 +177,29 @@ def test_a_served_daemon_leaves_no_cyclic_garbage(tmp_path):
         assert daemon.server_stats()["persisted"] == N
     finally:
         daemon.shutdown()
+
+
+FACADES = {
+    "batched": {"engine": "batched"},
+    "reference": {"engine": "reference"},
+    "armed": {"observe": True},
+    "fleet-2-serial": {"shards": 2, "executor": "serial"},
+}
+
+
+@pytest.mark.parametrize("facade", list(FACADES))
+def test_a_dropped_service_leaves_no_cyclic_garbage(facade):
+    """A facade built and dropped is freed by reference counting: nothing
+    it holds (its dispatcher's clock, its pool drain, the engine's reuse
+    tiers) leads back to it."""
+    config = ExecutionConfig.from_code("PSE100", query_cache=True, **FACADES[facade])
+    create_service(PERF.schema, config)  # one-off process state, outside the census
+
+    def drive():
+        create_service(PERF.schema, config)
+
+    garbage = cyclic_garbage(drive)
+    assert not garbage, "a dropped service is a cycle:\n" + garbage_table(garbage, 1)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

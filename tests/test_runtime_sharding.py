@@ -1183,6 +1183,47 @@ def test_run_closed_checks_every_valuation_before_running_any(facade):
         service.close()
 
 
+@pytest.mark.parametrize("facade", [None, (2, "serial")], ids=str)
+@pytest.mark.parametrize("bad", ["source", "non-finite", "past"])
+def test_submit_stream_checks_every_arrival_before_submitting_any(pattern, facade, bad):
+    """One bad arrival of three — the third missing a source, the second
+    at ``nan``, the third before its clock — and ``submit_stream`` raises
+    the error ``submit`` would have, with no handle issued: handles,
+    clock, summary and pool counters are as they were, and no id is
+    burnt."""
+    service = _facade(pattern.schema, ExecutionConfig(), facade)
+    name, sources = pattern.schema.name, pattern.source_values
+    try:
+        for _ in range(4):  # ids enough to reach every shard
+            service.submit(sources, at=5.0)
+        service.run()
+        assert min(_clocks(service)) > 1.0
+
+        def readout() -> tuple:
+            return service.handles, service.now, service.summary(), service.dispatch_stats()
+
+        before = readout()
+        at = service.now + 1.0
+        arrivals = [(at, sources), (at + 1.0, sources), (at + 2.0, sources)]
+        if bad == "source":
+            arrivals[2] = (at + 2.0, {})
+            refused = r"missing source values"
+        elif bad == "non-finite":
+            arrivals[1] = (float("nan"), sources)
+            refused = re.escape(f"instance '{name}#6': cannot start at non-finite time")
+        else:
+            arrivals[2] = (1.0, sources)
+            refused = re.escape(f"instance '{name}#7': cannot start at past time 1.0")
+        with pytest.raises(ExecutionError, match=refused):
+            service.submit_stream(arrivals)
+        assert readout() == before
+        handles = service.submit_stream([(at, sources)] * 3)
+        assert [h.instance_id for h in handles] == [f"{name}#{k}" for k in (5, 6, 7)]
+        assert all(h.done for h in handles) and service.summary().count == 7
+    finally:
+        service.close()
+
+
 # -- the run horizon: the clock never runs backwards, and is always finite ------
 
 
