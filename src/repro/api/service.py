@@ -91,22 +91,33 @@ def service_counters(engine: "Engine | BatchedEngine") -> dict[str, int]:
 
 
 class InstanceHandle:
-    """A submitted decision-flow instance: poll it, drive it, read it."""
+    """A submitted decision-flow instance: poll it, drive it, read it.
 
-    __slots__ = ("_service", "_instance")
+    A view the caller owns over its service and its *source* (the live
+    instance on a plain service, the fleet's record of it on a sharded
+    one); a read that differs between the two asks the service.  No
+    facade keeps handles: two over one service and source are equal.
+    """
 
-    def __init__(self, service: "DecisionService", instance: InstanceRuntime):
+    __slots__ = ("_service", "_source")
+
+    def __init__(self, service: "_ServiceFront", source: object):
         self._service = service
-        self._instance = instance
+        self._source = source
 
     @property
     def instance_id(self) -> str:
-        return self._instance.instance_id
+        return self._source.instance_id
+
+    @property
+    def shard(self) -> int:
+        """The shard this instance was routed to (0 on a plain service)."""
+        return self._service.shard_of(self._source.instance_id)
 
     @property
     def done(self) -> bool:
         """Whether every target attribute is stable."""
-        return self._instance.done
+        return self._source.done
 
     @property
     def metrics(self) -> InstanceMetrics:
@@ -115,75 +126,84 @@ class InstanceHandle:
         One record per instance, the same object on every read.  A cohort
         rider that finished holding its cohort's shared final record gets
         a private equal copy under its own id on the first read, stable
-        and live from then on (a later straggler is booked on it); read
-        before it finishes, the record is its own and stays live.
+        and live from then on (a later straggler is booked on it).  On a
+        fleet it is its shard's last report (:class:`ValueError` before one).
         """
-        return self._instance.metrics
+        return self._service._metrics(self._source)
 
     @property
     def instance(self) -> InstanceRuntime:
-        """The underlying runtime, for low-level inspection."""
-        return self._instance
+        """The underlying runtime, for low-level inspection (a fleet's
+        lives in its shard: :class:`AttributeError`)."""
+        return self._service._instance(self._source)
 
     def value(self, name: str) -> object:
         """The value of one attribute, once stable.
 
         Raises :class:`KeyError` for a name the schema does not have and
         :class:`ValueError` while the attribute is not stable: ⊥ is a
-        decided value (a disabled attribute's), never a placeholder.
+        decided value (a disabled attribute's), never a placeholder.  A
+        source is stable from submission, on a fleet too.
         """
-        return self._instance.cells[name].value
+        return self._service._value(self._source, name)
 
     def value_map(self) -> dict[str, object]:
         """Every stable attribute's value, as a fresh dict."""
-        return self._instance.value_map()
+        return self._service._value_map(self._source)
 
     def wait(self) -> InstanceMetrics:
-        """Advance the shared clock until this instance finishes.
+        """Advance the clock (a fleet: run a round) until this instance finishes.
 
         Returns the final metrics; raises :class:`ExecutionError` if the
         simulation runs dry with targets still unstable (a stalled flow).
         """
         self._drive()
-        return self._instance.metrics
+        return self.metrics
 
     def _drive(self) -> None:
         """:meth:`wait`, reading no metrics."""
-        if not self._instance.done:
+        if not self._source.done:
             self._service.run()
-        if not self._instance.done:
-            unstable = [
-                t
-                for t in self._service.schema.target_names
-                if not self._instance.cells[t].stable
-            ]
+        if not self._source.done:
+            stable = self.value_map()
+            targets = self._service.schema.target_names
             raise ExecutionError(
-                f"instance {self.instance_id} stalled; unstable targets: {unstable}"
+                f"instance {self.instance_id} stalled on shard {self.shard}; "
+                f"unstable targets: {[t for t in targets if t not in stable]}"
             )
 
     def result(self) -> dict[str, object]:
         """The target attribute values, driving the clock if needed."""
         self._drive()
-        return {
-            name: self._instance.cells[name].value
-            for name in self._service.schema.target_names
-        }
+        value, source = self._service._value, self._source
+        return {name: value(source, name) for name in self._service.schema.target_names}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InstanceHandle):
+            return NotImplemented
+        return self._service is other._service and self._source is other._source
+
+    def __hash__(self) -> int:
+        return hash((id(self._service), id(self._source)))
 
     def __repr__(self) -> str:
         state = "done" if self.done else "running"
-        return f"<InstanceHandle {self.instance_id!r} {state}>"
+        return f"<InstanceHandle {self.instance_id!r} shard={self.shard} {state}>"
 
 
 class _ServiceFront:
     """The front both facades share: config and backend-option coercion,
-    ``submit_stream``, ``run_closed``'s argument checks, the handle list,
-    the event subscriptions and the Chrome-trace export.
+    ``submit_stream``, ``run_closed``'s argument checks, :attr:`handles`
+    and :attr:`completed`, the event subscriptions and the Chrome-trace
+    export.
 
-    A facade supplies ``submit``, ``run``, ``now``, ``trace_groups`` and
-    ``_stream_starts``, and keeps its issued handles in ``_handles``.
-    Its handlers live in a :class:`~repro.api.events._Dispatcher`'s
-    lists: a plain service's engine calls it live, a fleet replays each
-    round's events into them.
+    A facade supplies ``submit``, ``run``, ``now``, ``trace_groups``,
+    ``_stream_starts``, ``_held()`` (its instances or records, in
+    submission order) and the reads a handle asks of it: ``shard_of``,
+    ``_metrics``, ``_instance``, ``_value`` and ``_value_map``.  Its
+    handlers live in a :class:`~repro.api.events._Dispatcher`'s lists: a
+    plain service's engine calls it live, a fleet replays each round's
+    events into them.
     """
 
     def __init__(
@@ -207,7 +227,6 @@ class _ServiceFront:
         self.schema = schema
         self.config = config
         self._dispatcher = _Dispatcher()
-        self._handles: list = []
 
     def submit_stream(
         self,
@@ -268,18 +287,16 @@ class _ServiceFront:
         return valuations
 
     @property
-    def handles(self) -> tuple:
-        """Every handle the service still tracks, in submission order.
-
-        That is every handle it has issued, minus those
-        :meth:`release_completed` let go.
-        """
-        return tuple(self._handles)
+    def handles(self) -> tuple[InstanceHandle, ...]:
+        """A handle over every instance the service holds, in submission
+        order: every one submitted, minus those :meth:`release_completed`
+        let go (fresh handles, equal to the ones ``submit`` returned)."""
+        return tuple(InstanceHandle(self, source) for source in self._held())
 
     @property
-    def completed(self) -> tuple:
+    def completed(self) -> tuple[InstanceHandle, ...]:
         """The finished handles among :attr:`handles` (released ones are gone)."""
-        return tuple(h for h in self._handles if h.done)
+        return tuple(InstanceHandle(self, source) for source in self._held() if source.done)
 
     def chrome_trace(self) -> dict:
         """The flight recorders as one Chrome-trace JSON object."""
@@ -341,26 +358,25 @@ class _ClosedLoop:
     counting, not left for the cyclic collector.
     """
 
-    __slots__ = ("service", "valuations", "instance_ids", "handles")
+    __slots__ = ("service", "valuations", "instance_ids", "instances")
 
     def __init__(self, service, valuations, instance_ids):
         self.service, self.valuations, self.instance_ids = service, valuations, instance_ids
-        #: the handles submitted so far: ``run_closed``'s live list
-        self.handles: list[InstanceHandle] = []
+        #: the instances submitted so far, in submission order
+        self.instances: list = []
 
     def __call__(self, _metrics: InstanceMetrics | None = None) -> None:
         service, valuations, ids = self.service, self.valuations, self.instance_ids
         if service is None:  # all submitted
             return
-        index = len(self.handles)
-        instance = service.engine.submit_instance(
-            valuations[index],
-            instance_id=ids[index] if ids is not None else None,
-            on_complete=self,
+        index = len(self.instances)
+        self.instances.append(
+            service.engine.submit_instance(
+                valuations[index],
+                instance_id=ids[index] if ids is not None else None,
+                on_complete=self,
+            )
         )
-        handle = InstanceHandle(service, instance)
-        self.handles.append(handle)
-        service._handles.append(handle)
         if index + 1 == len(valuations):
             self.service = self.valuations = self.instance_ids = None
 
@@ -431,12 +447,9 @@ class DecisionService(_ServiceFront):
         instance_id: str | None = None,
     ) -> InstanceHandle:
         """Submit one instance (starting now, or at simulated time *at*)."""
-        instance = self.engine.submit_instance(
-            source_values, at=at, instance_id=instance_id
+        return InstanceHandle(
+            self, self.engine.submit_instance(source_values, at=at, instance_id=instance_id)
         )
-        handle = InstanceHandle(self, instance)
-        self._handles.append(handle)
-        return handle
 
     def run_closed(
         self,
@@ -458,9 +471,8 @@ class DecisionService(_ServiceFront):
         *instance_ids* (when given) supplies the id of each submission in
         order — the sharded runtime uses this to keep ids globally unique
         across shards.  ``run=False`` arms the loop without driving the
-        clock (the loop still refills once someone runs it); the returned
-        list is the live handle list and keeps growing as each finished
-        instance is replaced.
+        clock (the loop still refills once someone runs it) and returns
+        the handles of the first *concurrency* instances only.
         """
         valuations = self._closed_valuations(n, concurrency, values)
         if instance_ids is not None:
@@ -478,7 +490,7 @@ class DecisionService(_ServiceFront):
             loop()
         if run:
             self.run()
-        return loop.handles
+        return [InstanceHandle(self, instance) for instance in loop.instances]
 
     def _stream_starts(self, n: int) -> list[tuple[str, float]]:
         """The ids the next *n* submissions get, each with the clock its
@@ -503,13 +515,38 @@ class DecisionService(_ServiceFront):
         """The backend's database server (work totals, Gmpl, ...)."""
         return self.backend.database
 
+    # -- what a handle reads: the live instance --------------------------------
+
+    def _held(self) -> list:
+        return self.engine.instances
+
+    def shard_of(self, instance_id: str) -> int:
+        """Which shard an instance id routes to: a service is one shard, 0."""
+        return 0
+
+    @staticmethod
+    def _metrics(instance) -> InstanceMetrics:
+        return instance.metrics
+
+    @staticmethod
+    def _instance(instance):
+        return instance
+
+    @staticmethod
+    def _value(instance, name: str) -> object:
+        return instance.cells[name].value
+
+    @staticmethod
+    def _value_map(instance) -> dict[str, object]:
+        return instance.value_map()
+
     def release_completed(self) -> tuple[InstanceHandle, ...]:
         """Let go of every finished instance; returns the handles released.
 
         A long-lived caller (the server daemon, after persisting an
         epoch) calls this so the service's memory follows the instances
         in flight, not every instance it has ever served.  Released
-        instances leave :attr:`handles` and the engine's instance list,
+        instances leave the engine's instance list (so :attr:`handles`),
         and their ids are free to submit again (the reuse contract of
         :func:`~repro.core.engine.claim_instance_id`); their metrics are
         added to a running aggregate first, so :meth:`summary` reads as
@@ -519,16 +556,14 @@ class DecisionService(_ServiceFront):
         stays fully readable.  An instance that is done but still has a
         query in flight is kept until that query has booked its units.
         """
-        settled = {id(instance) for instance in self.engine.release_settled()}
-        released = tuple(h for h in self._handles if id(h.instance) in settled)
-        if released:
-            self._handles = [h for h in self._handles if id(h.instance) not in settled]
+        settled = self.engine.release_settled()
+        if settled:
             self._released = MetricsSummary.merge(
-                self._released, summarize(h.instance.booked for h in released)
+                self._released, summarize(instance.booked for instance in settled)
             )
         starts = (instance.start_time for instance in self.engine.instances)
         self.database.trim_gmpl_history(min(starts, default=self.now))
-        return released
+        return tuple(InstanceHandle(self, instance) for instance in settled)
 
     def summary(self) -> MetricsSummary:
         """Aggregate metrics over all finished instances, released or not.
@@ -543,7 +578,7 @@ class DecisionService(_ServiceFront):
         """
         summary = MetricsSummary.merge(
             self._released,
-            summarize((h.instance.booked for h in self._handles if h.done), empty_ok=True),
+            summarize((i.booked for i in self.engine.instances if i.done), empty_ok=True),
         )
         return replace(summary, **service_counters(self.engine))
 
@@ -609,11 +644,9 @@ class DecisionService(_ServiceFront):
         registry.gauge("engine_hit_wave_deliveries").set(engine.hit_wave_deliveries)
         registry.gauge("engine_bulk_joins").set(engine.bulk_joins)
         registry.gauge("engine_bulk_join_members").set(engine.bulk_join_members)
-        released = self._released.count
-        registry.gauge("instances_submitted").set(released + len(self._handles))
-        registry.gauge("instances_done").set(
-            released + sum(1 for h in self._handles if h.done)
-        )
+        submitted, done = self._counts()
+        registry.gauge("instances_submitted").set(submitted)
+        registry.gauge("instances_done").set(done)
         cache = engine.query_cache
         if cache is not None:
             registry.gauge("query_cache_hits").set(cache.hits)
@@ -628,11 +661,14 @@ class DecisionService(_ServiceFront):
         """Chrome-trace lanes: one per execution context (one here)."""
         return [(0, f"service:{self.schema.name}", self.obs.tracer.events())]
 
+    def _counts(self) -> tuple[int, int]:
+        """Instances submitted and done, released ones included."""
+        released, held = self._released.count, self.engine.instances
+        return released + len(held), released + sum(1 for i in held if i.done)
+
     def __repr__(self) -> str:
-        released = self._released.count
-        done = released + sum(1 for h in self._handles if h.done)
+        submitted, done = self._counts()
         return (
             f"<DecisionService {self.schema.name!r} {self.config.code} "
-            f"backend={self.backend.name!r} "
-            f"instances={done}/{released + len(self._handles)} done>"
+            f"backend={self.backend.name!r} instances={done}/{submitted} done>"
         )

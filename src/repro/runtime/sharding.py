@@ -24,12 +24,16 @@ shard in-process, ``"process"`` keeps one long-lived worker process per
 shard and streams the frames over a pipe via :mod:`repro.core.serialize`.
 Each reply (a :class:`~repro.runtime.worker.ShardOutcome`) is the
 shard's state between rounds — shards idle between rounds, so the last
-outcomes are exact and reading them costs no round-trip — and its
-records are pushed into their handles.  A shard reports an instance
-every round until it is *settled* (done, nothing in flight) and lets go
-of it in the round that reports it so: the fleet folds its metrics into
-the finished aggregate in that round, its record is the only copy from
-then on, and only a settled handle can be released.
+outcomes are exact and reading them costs no round-trip.  The fleet
+holds one :class:`~repro.runtime.worker.InstanceRecord` per instance,
+by id in submission order, and writes each reported record into it in
+place; its handles (:class:`~repro.api.service.InstanceHandle`, the one
+handle class) read that record, and the fleet keeps none of them.  A
+shard reports an instance every round until it is *settled* (done,
+nothing in flight) and lets go of it in the round that reports it so:
+the fleet folds its metrics into the finished aggregate in that round,
+its record is the only copy from then on, and only a settled record can
+be released.
 
 Determinism and equivalence guarantees:
 
@@ -67,7 +71,7 @@ from zlib import crc32
 from repro.api.backends import Backend
 from repro.api.config import ExecutionConfig
 from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
-from repro.api.service import DecisionService, _ServiceFront, coerce_config
+from repro.api.service import DecisionService, InstanceHandle, _ServiceFront, coerce_config
 from repro.core.conditions import UNRESOLVED
 from repro.core.engine import check_start_time, claim_instance_id, next_instance_ids
 from repro.core.metrics import SERVICE_COUNTERS, InstanceMetrics, MetricsSummary, summarize
@@ -117,85 +121,8 @@ def merge_shard_events(per_shard: Sequence[Sequence[object]]) -> list[object]:
     return [entry[3] for entry in entries]
 
 
-class ShardedInstanceHandle:
-    """A submitted instance in a sharded service: poll it, drive it, read it.
-
-    Mirrors :class:`~repro.api.service.InstanceHandle`.  It reads the
-    last record its shard reported, which each round pushes in, so
-    results materialize once the service has run.  Until its first
-    record it holds a source-only one: its submitted sources, which are
-    stable from submission, as on a plain service, and no metrics.
-    """
-
-    __slots__ = ("_service", "_shard", "_record")
-
-    def __init__(self, service: "ShardedDecisionService", shard: int, record: InstanceRecord):
-        self._service = service
-        self._shard = shard
-        self._record = record
-
-    @property
-    def instance_id(self) -> str:
-        return self._record.instance_id
-
-    @property
-    def shard(self) -> int:
-        """The shard this instance was routed to."""
-        return self._shard
-
-    @property
-    def done(self) -> bool:
-        return self._record.done
-
-    @property
-    def metrics(self) -> InstanceMetrics:
-        metrics = self._record.metrics
-        if metrics is None:
-            raise ValueError(
-                f"instance {self.instance_id} has no metrics yet: a sharded "
-                "service materializes results when it runs"
-            )
-        return metrics
-
-    def value(self, name: str) -> object:
-        """The value of one attribute, once stable.
-
-        Raises :class:`KeyError` for a name the schema does not have and
-        :class:`ValueError` while the attribute has no stable value in the
-        shard's record (before it, only the sources have one): ⊥ is a
-        decided value (a disabled attribute's), never a placeholder.
-        """
-        value = self._record.values[self._service._slots[name]]
-        if value is UNRESOLVED:
-            raise ValueError(f"attribute {name!r} is not stable")
-        return value
-
-    def value_map(self) -> dict[str, object]:
-        """Every stable attribute's value, as a fresh dict."""
-        return {
-            name: value
-            for name, value in zip(self._service._slots, self._record.values)
-            if value is not UNRESOLVED
-        }
-
-    def wait(self) -> InstanceMetrics:
-        """Drive the owning shard until this instance finishes."""
-        if not self.done:
-            self._service.run()
-        if not self.done:
-            raise ExecutionError(f"instance {self.instance_id} stalled on shard {self._shard}")
-        return self._record.metrics
-
-    def result(self) -> dict[str, object]:
-        """The target attribute values, driving the shard if needed."""
-        self.wait()
-        values, slots = self._record.values, self._service._slots
-        targets = ((name, values[slots[name]]) for name in self._service.schema.target_names)
-        return {name: value for name, value in targets if value is not UNRESOLVED}
-
-    def __repr__(self) -> str:
-        state = "done" if self.done else "running"
-        return f"<ShardedInstanceHandle {self.instance_id!r} shard={self._shard} {state}>"
+#: The one handle class, under the name a fleet's handles once had.
+ShardedInstanceHandle = InstanceHandle
 
 
 class ShardedDecisionService(_ServiceFront):
@@ -235,21 +162,21 @@ class ShardedDecisionService(_ServiceFront):
         #: round folds in the records that settled in it, and only those
         self.finished = MetricsSummary()
         self._ops: list[list[tuple]] = [[] for _ in range(self.shards)]
-        #: the handles not yet settled, by instance id: a round's records land here
-        self._pending: dict[str, ShardedInstanceHandle] = {}
+        #: the record of every instance held, by id in submission order: a
+        #: round writes its shard's report into it in place, and its keys
+        #: are the ids claimed until released
+        self._records: dict[str, InstanceRecord] = {}
         #: each attribute's index in a record's values, in ``schema.names`` order
         self._slots = {name: index for index, name in enumerate(self.schema.names)}
         self._transport = None  # built at the first submission
         self._closed = False
-        #: the ids of the handles held, claimed until released
-        self._instance_ids: set[str] = set()
         self._id_next = 1  # the number the next generated id tries first
 
     # -- id allocation and routing --------------------------------------------
 
     def _claim_id(self, instance_id: str | None, drawn: itertools.count | None) -> str:
         return claim_instance_id(
-            instance_id, self.schema.name, drawn, self._instance_ids, scope="service"
+            instance_id, self.schema.name, drawn, self._records, scope="service"
         )
 
     def shard_of(self, instance_id: str) -> int:
@@ -269,18 +196,16 @@ class ShardedDecisionService(_ServiceFront):
             )
         return self._transport
 
-    def _register(
-        self, shard: int, instance_id: str, sources: Mapping[str, object] | None
-    ) -> ShardedInstanceHandle:
+    def _register(self, instance_id: str, sources: Mapping[str, object] | None) -> InstanceHandle:
+        """Hold a source-only record for a claimed id: its sources, which
+        are stable from submission, and no metrics until its first round."""
         values = [UNRESOLVED] * len(self._slots)
         if sources:
             for name in self.schema.source_names:
                 values[self._slots[name]] = sources[name]
         record = InstanceRecord(instance_id, False, False, tuple(values), None)
-        handle = ShardedInstanceHandle(self, shard, record)
-        self._handles.append(handle)
-        self._pending[instance_id] = handle
-        return handle
+        self._records[instance_id] = record
+        return InstanceHandle(self, record)
 
     # -- submission -----------------------------------------------------------
 
@@ -290,7 +215,7 @@ class ShardedDecisionService(_ServiceFront):
         *,
         at: float | None = None,
         instance_id: str | None = None,
-    ) -> ShardedInstanceHandle:
+    ) -> InstanceHandle:
         """Submit one instance to its home shard.
 
         The engine's own submit-time checks run here, so a refused
@@ -309,10 +234,9 @@ class ShardedDecisionService(_ServiceFront):
         # a copy, as buffered: mutations after submit must not leak into the run
         sources = None if source_values is None else dict(source_values)
         self._ops[shard].append(("submit", instance_id, sources, at))
-        self._instance_ids.add(instance_id)
         if drawn is not None:
             self._id_next = next(drawn)
-        return self._register(shard, instance_id, sources)
+        return self._register(instance_id, sources)
 
     def run_closed(
         self,
@@ -320,7 +244,7 @@ class ShardedDecisionService(_ServiceFront):
         *,
         concurrency: int = 1,
         values: Mapping[str, object] | Callable[[int], Mapping[str, object]] | None = None,
-    ) -> list[ShardedInstanceHandle]:
+    ) -> list[InstanceHandle]:
         """Closed-system helper: per-shard closed loops, then drain.
 
         Ids are allocated globally and hash-routed; each shard with work
@@ -340,12 +264,11 @@ class ShardedDecisionService(_ServiceFront):
         drawn = itertools.count(self._id_next)
         for source_values in valuations:
             instance_id = self._claim_id(None, drawn)
-            self._instance_ids.add(instance_id)
             shard = shard_of(instance_id, self.shards)
             sources = None if source_values is None else dict(source_values)
             per_shard[shard][0].append(instance_id)
             per_shard[shard][1].append(sources)
-            handles.append(self._register(shard, instance_id, sources))
+            handles.append(self._register(instance_id, sources))
         self._id_next = next(drawn)
         active = [shard for shard in range(self.shards) if per_shard[shard][0]]
         for share, shard in zip(_split_concurrency(concurrency, len(active)), active):
@@ -356,7 +279,7 @@ class ShardedDecisionService(_ServiceFront):
     def _stream_starts(self, n: int) -> list[tuple[str, float]]:
         """The ids the next *n* submissions get, each with the clock its
         start is checked against: its home shard's."""
-        ids = next_instance_ids(self.schema.name, self._id_next, self._instance_ids, n)
+        ids = next_instance_ids(self.schema.name, self._id_next, self._records, n)
         clocks = [outcome.stats.end_time for outcome in self.outcomes]
         return [(instance_id, clocks[shard_of(instance_id, self.shards)]) for instance_id in ids]
 
@@ -365,8 +288,9 @@ class ShardedDecisionService(_ServiceFront):
     def run(self, until: float | None = None) -> None:
         """Drive every shard one round: to *until*, or until its work drains.
 
-        Each reply's records land in their handles; then the round's
-        events reach every handler, in :func:`merge_shard_events` order.
+        Each reply's records are written into the held records in place
+        (what the handles read); then the round's events reach every
+        handler, in :func:`merge_shard_events` order.
         A shard that raised is reported by its next round, and the first
         error raises once every reply has been read.  A non-finite *until*
         is refused before the round goes out.
@@ -381,17 +305,19 @@ class ShardedDecisionService(_ServiceFront):
         replies = transport.exchange(
             [("run", shard_ops, until, collect) for shard_ops in ops]
         )
-        pending, settled = self._pending, []
+        held, settled = self._records, []
         for shard, reply in enumerate(replies):
             if isinstance(reply, BaseException):
                 continue
+            reports = reply.records
+            for index, report in enumerate(reports):
+                # the outcome keeps the held record, not a second copy of it
+                reports[index] = record = held[report.instance_id]
+                record.done, record.settled = report.done, report.settled
+                record.values, record.metrics = report.values, report.metrics
+                if report.settled:
+                    settled.append(report.metrics)
             self.outcomes[shard] = reply
-            for record in reply.records:
-                if record.settled:
-                    pending.pop(record.instance_id)._record = record
-                    settled.append(record.metrics)
-                else:
-                    pending[record.instance_id]._record = record
         if settled:
             self.finished = MetricsSummary.merge(self.finished, summarize(settled))
         for reply in replies:
@@ -412,29 +338,60 @@ class ShardedDecisionService(_ServiceFront):
         """The furthest shard clock."""
         return max(outcome.stats.end_time for outcome in self.outcomes)
 
-    def release_completed(self) -> tuple[ShardedInstanceHandle, ...]:
-        """Let go of every settled instance; returns the handles released.
+    # -- what a handle reads: the fleet's record ------------------------------
+
+    def _held(self):
+        return self._records.values()
+
+    @staticmethod
+    def _metrics(record: InstanceRecord) -> InstanceMetrics:
+        if record.metrics is None:
+            raise ValueError(
+                f"instance {record.instance_id} has no metrics yet: a sharded "
+                "service materializes results when it runs"
+            )
+        return record.metrics
+
+    @staticmethod
+    def _instance(record: InstanceRecord):
+        raise AttributeError(
+            f"instance {record.instance_id} lives in its shard: a fleet handle "
+            "reads the record its shard reported"
+        )
+
+    def _value(self, record: InstanceRecord, name: str) -> object:
+        value = record.values[self._slots[name]]
+        if value is UNRESOLVED:
+            raise ValueError(f"attribute {name!r} is not stable")
+        return value
+
+    def _value_map(self, record: InstanceRecord) -> dict[str, object]:
+        return {
+            name: value
+            for name, value in zip(self._slots, record.values)
+            if value is not UNRESOLVED
+        }
+
+    def release_completed(self) -> tuple[InstanceHandle, ...]:
+        """Let go of every settled instance; returns handles over them.
 
         The fleet's counterpart of
         :meth:`DecisionService.release_completed`: the parent drops its
-        settled handles and their ids; the shards hold nothing to let go
-        of, as each lets go of an instance in the round that reports it
-        settled.  A done instance with a query still in flight is kept
-        until its shard reports it settled.  :meth:`summary` keeps
+        settled records, and with them their ids; the shards hold nothing
+        to let go of, as each lets go of an instance in the round that
+        reports it settled.  A done instance with a query still in flight
+        is kept until its shard reports it settled.  :meth:`summary` keeps
         covering them, and a handle the caller still holds stays fully
         readable.  The released ids are free again at once (see
         :func:`~repro.core.engine.claim_instance_id`): their shards have
         already let go of them.
         """
-        pending = self._pending
-        kept, released = [], []
-        for handle in self._handles:
-            (kept if handle.instance_id in pending else released).append(handle)
+        held = self._records
+        released = tuple(InstanceHandle(self, r) for r in held.values() if r.settled)
         if released:
-            self._handles = kept
-            # rebuilt, not emptied: a set's table never shrinks on discard
-            self._instance_ids = {h.instance_id for h in kept}
-        return tuple(released)
+            # rebuilt, not emptied: a dict's table never shrinks on delete
+            self._records = {i: r for i, r in held.items() if not r.settled}
+        return released
 
     def _counter_sums(self, names: Sequence[str]) -> dict[str, int]:
         return {name: sum(o.counters[name] for o in self.outcomes) for name in names}
@@ -447,7 +404,7 @@ class ShardedDecisionService(_ServiceFront):
         still waiting on a straggler counts its last record at read time,
         as a plain service counts its live metrics.
         """
-        unsettled = [h.metrics for h in self._pending.values() if h.done]
+        unsettled = [r.metrics for r in self._records.values() if r.done and not r.settled]
         summary = self.finished
         if unsettled:
             summary = MetricsSummary.merge(summary, summarize(unsettled))
@@ -540,11 +497,14 @@ class ShardedDecisionService(_ServiceFront):
         ]
 
     def __repr__(self) -> str:
-        done = sum(1 for h in self._handles if h.done)
+        # settled instances, released or not, are in the finished aggregate
+        unsettled = [r for r in self._records.values() if not r.settled]
+        settled = self.finished.count
         return (
             f"<ShardedDecisionService {self.schema.name!r} {self.config.code} "
             f"shards={self.shards} executor={self.config.executor!r} "
-            f"backend={self.config.backend!r} instances={done}/{len(self._handles)} done>"
+            f"backend={self.config.backend!r} instances="
+            f"{settled + sum(r.done for r in unsettled)}/{settled + len(unsettled)} done>"
         )
 
 

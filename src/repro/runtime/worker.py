@@ -2,10 +2,10 @@
 
 :class:`_PersistentShard` is one shard's live state: a single-shard
 :class:`~repro.api.service.DecisionService` built from a live schema and
-config, plus the handles it has not yet reported settled.  Both
-transports drive a shard through it and nothing else — the serial
-transport calls it in-process, the process transport through a
-``multiprocessing`` pipe served by :func:`worker_main`, which
+config, whose engine holds the instances the shard has not yet reported
+settled.  Both transports drive a shard through it and nothing else —
+the serial transport calls it in-process, the process transport through
+a ``multiprocessing`` pipe served by :func:`worker_main`, which
 deserialises the schema and :class:`~repro.api.config.ExecutionConfig`
 (the plain dicts of :mod:`repro.core.serialize`) before building it.
 
@@ -20,8 +20,9 @@ answers framed commands:
   reported every round until it is *settled* (done, with no query in
   flight — a straggler still books units on a done instance), and the
   round it settles is the last: the shard lets go of it in that round
-  (its own ``release_completed()``), so the parent's record is the only
-  copy.  ``events`` carry only this round's new events.
+  (its own ``release_completed()``).  The parent writes each report into
+  the one record it holds for that instance, the only copy from then on.
+  ``events`` carry only this round's new events.
 - ``("shutdown",)`` — acknowledge and exit (the worker process only).
 
 Over the pipe any exception is shipped back as
@@ -177,20 +178,18 @@ class _PersistentShard:
         the shard has served."""
         service = self.service
         database = service.database
-        records = []
-        for handle in service.handles:
-            instance = handle.instance
-            records.append(
-                InstanceRecord(
-                    handle.instance_id,
-                    instance.done,
-                    instance.done and not instance.inflight,
-                    instance.value_tuple(),
-                    instance.metrics,
-                )
+        records = [
+            InstanceRecord(
+                instance.instance_id,
+                instance.done,
+                instance.done and not instance.inflight,
+                instance.value_tuple(),
+                instance.metrics,
             )
+            for instance in service.engine.instances
+        ]
         service.release_completed()
-        held = service.handles
+        held = service.engine.instances
         released = service._released.count  # all it has reported settled
         events = None
         if self.log is not None:
@@ -202,7 +201,7 @@ class _PersistentShard:
             stats=ShardStats(
                 shard=self.shard,
                 instances=released + len(held),
-                completed=released + sum(handle.done for handle in held),
+                completed=released + sum(instance.done for instance in held),
                 total_units=database.total_units,
                 queries_completed=database.queries_completed,
                 queries_cancelled=database.queries_cancelled,

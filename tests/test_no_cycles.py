@@ -7,7 +7,7 @@ leaves for the cyclic collector is empty, cell by cell, over both
 engines × the three backends × {query cache, query cache with
 cancel-unneeded, none} × PSE100 / PCE0 / NCC100, plus the drain halt,
 failure injection, the per-unit kernels, a serial fleet, closed loops,
-a served daemon, and each facade built and dropped.  The release
+a served daemon, and each facade built, or served, and dropped.  The release
 asserts of ``test_launch_path`` and ``test_flow_memo`` hold here with the
 collector off: released means freed.
 """
@@ -200,6 +200,35 @@ def test_a_dropped_service_leaves_no_cyclic_garbage(facade):
 
     garbage = cyclic_garbage(drive)
     assert not garbage, "a dropped service is a cycle:\n" + garbage_table(garbage, 1)
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["dropped", "handle-held"])
+@pytest.mark.parametrize("facade", list(FACADES))
+def test_a_service_that_served_leaves_no_cyclic_garbage(facade, held):
+    """A facade that served one submission, released it, then served a
+    closed loop of three and is dropped holding those is freed by
+    reference counting — also when the caller drops it while still
+    holding a handle, then drops the handle: a handle holds its service,
+    and no facade holds a handle."""
+    config = ExecutionConfig.from_code("PSE100", query_cache=True, **FACADES[facade])
+    values = {SOURCE: 93.5}
+    create_service(PERF.schema, config).submit(values).wait()  # one-off process state
+
+    def drive():
+        service = create_service(PERF.schema, config)
+        service.submit(values)
+        service.run()
+        assert len(service.release_completed()) == 1
+        handle = service.run_closed(3, values=values)[-1]
+        if not held:
+            del handle
+        del service
+        if held:
+            assert handle.done and handle.result() and handle.metrics.work_units >= 0
+            del handle
+
+    garbage = cyclic_garbage(drive)
+    assert not garbage, "a served service is a cycle:\n" + garbage_table(garbage, 4)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

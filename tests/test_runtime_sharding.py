@@ -8,8 +8,9 @@ from dataclasses import replace
 import pytest
 
 from repro import Attribute, Comparison, DecisionFlowSchema, Op, PatternParams, generate_pattern
-from repro.api import DecisionService, ExecutionConfig
-from repro.api.backends import create_backend
+from repro.api import DecisionService, ExecutionConfig, InstanceHandle
+from repro.api import backends
+from repro.api.backends import Backend, create_backend
 from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
 from repro.core.batch_engine import BatchedEngine
 from repro.oracle import Engine
@@ -18,13 +19,14 @@ from repro.errors import ExecutionError, SimulationError
 from repro.nulls import NULL
 from repro.runtime import (
     ShardedDecisionService,
-    ShardedInstanceHandle,
     create_service,
     merge_shard_events,
     shard_of,
 )
 from repro.runtime.sharding import _split_concurrency
-from repro.runtime.worker import _PersistentShard
+from repro.runtime.worker import InstanceRecord, _PersistentShard
+from repro.simdb.database import DatabaseServer, IdealDatabase
+from repro.simdb.des import Simulation
 
 from tests._support import (
     FLEET_RETENTION_BUDGET,
@@ -245,10 +247,10 @@ class TestWorkerProtocol:
         mirror.submit(sources, at=5.0, instance_id="w#2")
         mirror.run()
         assert outcome.records[0].metrics == mirror.handles[0].metrics
-        # A record carries its values as one tuple in schema order; a fleet
-        # handle reads it back as the plain handle's map.
+        # A record carries its values as one tuple in schema order; a handle
+        # over it reads it back, through its fleet, as the plain handle's map.
         fleet = ShardedDecisionService(pattern.schema, ExecutionConfig.from_code("PSE50"))
-        read = ShardedInstanceHandle(fleet, 0, outcome.records[1])
+        read = InstanceHandle(fleet, outcome.records[1])
         assert read.value_map() == mirror.handles[1].value_map()
 
     def test_a_round_replays_closed_loops(self, pattern):
@@ -666,9 +668,11 @@ def test_routing_is_pure_and_a_refused_submit_is_free(pattern, executor):
     ids = {h.instance_id for h in service.handles}
     assert refused in ids and len(ids) == len(service.handles) == 9
     assert all(h.shard == shard_of(h.instance_id, 3) for h in service.handles)
-    # A handle's shard is a function of its id, so nothing maps ids to shards.
+    # A handle's shard is a function of its id, so nothing maps ids to
+    # shards: the one id-keyed table holds records, which carry none.
     tables = [v for v in vars(service).values() if isinstance(v, dict)]
-    assert not any(ids & set(table) for table in tables)
+    assert not any(isinstance(table.get(i), int) for table in tables for i in ids)
+    assert "shard" not in InstanceRecord.__slots__
     service.close()
 
 
@@ -818,8 +822,12 @@ def test_release_completed_lets_go_on_every_shard(pattern, executor):
 
 def _keep_every_instance(engine) -> list:
     """``release_settled`` of an engine that never lets go: it lists the
-    settled instances and keeps them all, cohort links included."""
-    return [i for i in engine.instances if i.done and not i.inflight]
+    settled instances and keeps them all, cohort links included, on a
+    list of its own (``instances``, what its shard reports, loses them)."""
+    settled = [i for i in engine.instances if i.done and not i.inflight]
+    engine.kept = [*getattr(engine, "kept", ()), *settled]
+    engine.instances = [i for i in engine.instances if not i.done or i.inflight]
+    return settled
 
 
 def _paused_straggler_rounds(executor: str) -> tuple[list, list]:
@@ -866,9 +874,11 @@ def test_a_fleet_that_never_releases_holds_only_what_is_in_flight(executor, monk
     every instance they served: summary, Gmpl, stats counts and the
     merged event stream, round by round."""
     with monkeypatch.context() as patch:
-        # the twin's workers fork with the patch, and keep it
+        # the twin's workers fork with the patch, and keep it: its engines
+        # keep every instance, and its databases their whole Gmpl trace
         for engine in (Engine, BatchedEngine):
             patch.setattr(engine, "release_settled", _keep_every_instance)
+        patch.setattr(DatabaseServer, "trim_gmpl_history", lambda database, keep_since: 0)
         twin_reads, _ = _paused_straggler_rounds(executor)
     reads, rounds = _paused_straggler_rounds(executor)
     assert reads == twin_reads
@@ -1083,6 +1093,98 @@ def _database_units(service) -> int:
     if isinstance(service, DecisionService):
         return service.database.total_units
     return service.total_units
+
+
+class _NeverDone(IdealDatabase):
+    """An ideal database whose queries never complete: every flow stalls."""
+
+    def _arm_completion(self, handle, on_complete) -> None:
+        pass
+
+
+def _stalled_backend() -> Backend:
+    simulation = Simulation()
+    return Backend("stalled", simulation, _NeverDone(simulation))
+
+
+def _counts(service) -> str:
+    return re.search(r"instances=\d+/\d+ done", repr(service)).group()
+
+
+@pytest.mark.parametrize("facade", FACADES, ids=str)
+def test_every_facade_issues_one_handle_class(pattern, facade):
+    """One :class:`InstanceHandle` over either facade, which keeps none:
+    ``handles`` and ``release_completed()`` issue fresh handles equal (and
+    hash equal) to the submitted ones, in submission order, and every
+    read keeps its errors, before the first round and after it."""
+    schema = pattern.schema
+    source = schema.source_names[0]
+    other = next(name for name in schema.names if name not in schema.source_names)
+    shards = 1 if facade is None else facade[0]
+    service = _facade(schema, ExecutionConfig.from_code("PSE100"), facade)
+    try:
+        handles = [service.submit(pattern.source_values) for _ in range(4)]
+        assert all(type(handle) is InstanceHandle for handle in handles)
+        assert service.handles == tuple(handles) and service.completed == ()
+        assert len({*handles, *service.handles}) == 4  # equal handles hash equal
+        assert [handle.shard for handle in handles] == [
+            shard_of(handle.instance_id, shards) for handle in handles
+        ]
+        for handle in (handles[0], service.handles[0]):
+            with pytest.raises(KeyError):
+                handle.value("no such attribute")
+            with pytest.raises(ValueError, match=f"{other!r} is not stable"):
+                handle.value(other)
+            assert handle.value(source) == pattern.source_values[source]
+            if facade is not None:
+                with pytest.raises(ValueError, match="no metrics yet"):
+                    handle.metrics
+        service.run()
+        assert service.completed == tuple(handles)
+        with pytest.raises(KeyError):
+            handles[0].value("no such attribute")
+        assert service.release_completed() == tuple(handles) and service.handles == ()
+        assert all(handle.done and handle.metrics.work_units >= 0 for handle in handles)
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("facade", FACADES, ids=str)
+def test_a_stalled_instance_raises_naming_it_on_every_facade(pattern, facade, monkeypatch):
+    """A flow whose queries never complete: ``wait()`` and ``result()``
+    run the service dry and raise, naming the instance and its shard."""
+    # registered before the fleet's workers fork, so they inherit it
+    monkeypatch.setitem(backends._REGISTRY, "stalled", _stalled_backend)
+    config = ExecutionConfig.from_code("PSE100", backend="stalled")
+    service = _facade(pattern.schema, config, facade)
+    try:
+        handle = service.submit(pattern.source_values, instance_id="stuck")
+        stalled = f"instance stuck stalled on shard {handle.shard}; unstable targets"
+        for read in (handle.wait, handle.result):
+            with pytest.raises(ExecutionError, match=re.escape(stalled)):
+                read()
+        assert not handle.done and service.handles == (handle,)
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("facade", FACADES, ids=str)
+def test_every_facade_counts_released_instances_in_its_repr(pattern, facade):
+    """``repr`` counts what was submitted and done, released or not, as
+    ``summary().count`` does: the same on every facade."""
+    service = _facade(pattern.schema, ExecutionConfig.from_code("PSE100"), facade)
+    try:
+        for _ in range(4):
+            service.submit(pattern.source_values)
+        readings = [_counts(service)]
+        service.run()
+        readings.append(_counts(service))
+        assert len(service.release_completed()) == 4
+        readings.append(_counts(service))
+        assert service.summary().count == 4
+        assert readings == ["instances=0/4 done"] + ["instances=4/4 done"] * 2
+    finally:
+        service.close()
 
 
 def _straggler_schema() -> DecisionFlowSchema:

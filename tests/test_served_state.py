@@ -59,11 +59,12 @@ def build(request):
 def served_state(service) -> list[tuple[int, int, object]]:
     """What *service* holds, per id owner: ``(claimed ids, instances held,
     database)`` for a plain service's engine; for an in-process fleet, the
-    parent's ids and handles (no database), then each shard's engine."""
+    parent's records, which are also its claimed ids (no database), then
+    each shard's engine."""
     if isinstance(service, DecisionService):
         engine = service.engine
         return [(len(engine._instance_ids), len(engine.instances), service.database)]
-    rows = [(len(service._instance_ids), len(service._handles), None)]
+    rows = [(len(service._records), len(service._records), None)]
     transport = service._transport
     for state in transport._states if transport is not None else ():
         rows.extend(served_state(state.service))
