@@ -134,7 +134,10 @@ class InstanceHandle:
     @property
     def instance(self) -> InstanceRuntime:
         """The underlying runtime, for low-level inspection (a fleet's
-        lives in its shard: :class:`AttributeError`)."""
+        lives in its shard: :class:`AttributeError`).  A lockstep
+        rider's is its :class:`~repro.core.rows.Row`, which reads like an
+        instance (``done``, ``metrics``, ``value``, ``value_map``,
+        ``value_tuple``, ``cells``, ``state_map``)."""
         return self._service._instance(self._source)
 
     def value(self, name: str) -> object:
@@ -388,7 +391,9 @@ class DecisionService(_ServiceFront):
     a strategy code string (``"PSE80"``).  ``backend`` overrides the
     config's backend selection and may be a registered name or a
     pre-built :class:`Backend`; extra keyword arguments are forwarded to
-    the backend factory.
+    the backend factory.  It runs one in-process shard: a config with
+    ``shards > 1`` or a process executor raises :class:`ValueError`
+    (:func:`repro.runtime.create_service` builds the fleet it asks for).
     """
 
     def __init__(
@@ -401,6 +406,14 @@ class DecisionService(_ServiceFront):
     ):
         super().__init__(schema, config, backend, backend_options)
         config = self.config
+        if config.shards > 1 or config.executor != "serial":
+            # One in-process shard is all this class runs: a fleet config
+            # would serve, and report its shards, as one.
+            raise ValueError(
+                f"a DecisionService runs one serial shard, not shards={config.shards} "
+                f"executor={config.executor!r}: build a fleet with "
+                "repro.runtime.create_service"
+            )
         if isinstance(backend, Backend):
             self.backend = backend
         else:
@@ -534,7 +547,7 @@ class DecisionService(_ServiceFront):
 
     @staticmethod
     def _value(instance, name: str) -> object:
-        return instance.cells[name].value
+        return instance.value(name)
 
     @staticmethod
     def _value_map(instance) -> dict[str, object]:

@@ -44,14 +44,18 @@ from repro.core.engine import (
 from repro.core.flow_memo import FlowMemo
 from repro.core.metrics import InstanceMetrics
 from repro.core.plan import CompiledPlan, E_DISABLED, E_UNKNOWN, EV_CANCELLED, R_READY
+from repro.core.rows import Row, _Valuation
 from repro.core.schema import DecisionFlowSchema
 from repro.core.strategy import Strategy
 from repro.nulls import NULL, ExceptionValue
 from repro.obs import NULL_OBS, Observability
 from repro.simdb.database import DatabaseServer, QueryShareCache
-from repro.values import share_key
+from repro.values import key as value_key, share_key
 
 __all__ = ["BatchedEngine", "BatchedInstance"]
+
+#: what a submission's start key reads until it is computed
+_UNKEYED = object()
 
 
 class _ArrivalRun:
@@ -65,12 +69,18 @@ class _ArrivalRun:
     start event would have had the next consecutive seq.
     """
 
-    __slots__ = ("engine", "first", "arrivals", "next", "event", "marker")
+    __slots__ = (
+        "engine", "first", "arrivals", "next", "event", "marker", "key", "sources", "valuation",
+    )  # fmt: skip
 
     def __init__(self, engine: "BatchedEngine", first: "BatchedInstance"):
         self.engine, self.first = engine, first
-        self.arrivals: list[BatchedInstance] | None = None
+        self.arrivals: list[BatchedInstance | Row] | None = None
         self.next = 0
+        #: the start key and sources of its last arrival that is an
+        #: instance (key None where no row may follow it), and the
+        #: valuation the rows behind that arrival share, made with the first
+        self.key = self.sources = self.valuation = None
 
     def __call__(self) -> None:
         self.engine._fire_run(self)
@@ -137,7 +147,8 @@ class BatchedEngine:
         if query_cache is True:
             query_cache = QueryShareCache(database)
         self.query_cache: QueryShareCache | None = query_cache or None
-        self.instances: list[BatchedInstance] = []
+        #: what it holds: instances, and the rows of lockstep riders
+        self.instances: list[BatchedInstance | Row] = []
         #: the ids of the instances held, claimed until released
         self._instance_ids: set[str] = set()
         self._id_next = 1  # the number the next generated id tries first
@@ -215,22 +226,40 @@ class BatchedEngine:
         traces are those of one start event each, while
         :attr:`Simulation.pending` and ``events_executed`` count a run once.
         """
-        sim = self.sim
+        sim, plan = self.sim, self.plan
         start_time = sim.now if at is None else at
         # A generated id is drawn from a copy of the counter, which moves
         # once nothing can refuse the submission any more.
         drawn = itertools.count(self._id_next) if instance_id is None else None
         instance_id = claim_instance_id(instance_id, self.schema.name, drawn, self._instance_ids)
         check_start_time(instance_id, start_time, sim.now)
-        instance = BatchedInstance(self.plan, instance_id, source_values or {}, start_time)
+        source_values = source_values or {}
+        names = plan.schema.source_names
+        plan.schema.check_sources(source_values)
+        run = self._run
+        joins = run is not None and run.marker == sim.scheduled and run.event.time == start_time
+        key, instance = _UNKEYED, None
+        if joins and run.key is not None and on_complete is None:
+            key = tuple(map(value_key, map(source_values.__getitem__, names)))
+            if None in key:
+                key = None  # a refused value: no key (repro.values.keys)
+            elif key == run.key and (self._flows is None or key not in self._flows.traces):
+                # The arrival before it decides for it: a row of its cohort.
+                if run.valuation is None:
+                    run.valuation = _Valuation(plan, run.key, run.sources)
+                instance = Row(instance_id, start_time, run.valuation)
+        if instance is None:
+            sources = {name: source_values[name] for name in names}
+            if key is _UNKEYED:
+                key = plan.start_key(sources) if plan.start_cache_ok else None
+            instance = BatchedInstance(plan, instance_id, sources, key, start_time)
         if drawn is not None:
             self._id_next = next(drawn)
         self._instance_ids.add(instance_id)
         self.instances.append(instance)
         if on_complete is not None:
             self._on_complete[instance_id] = on_complete
-        run = self._run
-        if run is not None and run.marker == sim.scheduled and run.event.time == start_time:
+        if joins:
             if run.arrivals is None:
                 run.arrivals = [run.first]
             run.arrivals.append(instance)
@@ -239,6 +268,9 @@ class BatchedEngine:
             self._run = run = _ArrivalRun(self, instance)
             run.event = sim.schedule_at(start_time, run)
             self.arrival_runs += 1
+        if type(instance) is BatchedInstance:
+            run.key = key if self._cohorts is not None else None
+            run.sources, run.valuation = instance._sources, None
         self.arrival_run_arrivals += 1
         run.marker = sim.scheduled
         return instance
@@ -254,6 +286,10 @@ class BatchedEngine:
             # rebuilt, not emptied: a set's table never shrinks on discard
             self._instance_ids = {i.instance_id for i in self.instances}
         for instance in settled:
+            if type(instance) is Row:  # its link is its answer, and leads to no row
+                instance = instance.materialized
+                if instance is None:
+                    continue
             instance._cohort = None
         return settled
 
@@ -681,6 +717,10 @@ class BatchedEngine:
         cohorts, flows = self._cohorts, self._flows
         if cohorts is not None:
             cohorts.at(self.sim.now)
+        if type(instance) is Row:
+            instance = cohorts.ride(instance)
+            if instance is None:
+                return  # it rides
         if instance._start_key is None:
             self._start_own(instance)
         elif flows is not None and flows.replay(instance):

@@ -38,7 +38,7 @@ from repro.core.state import AttributeState, Enablement, Readiness, derive_state
 from repro.errors import ExecutionError, IllegalTransitionError
 from repro.nulls import NULL
 
-__all__ = ["BatchedInstance", "SharedMetrics"]
+__all__ = ["BatchedInstance", "SharedMetrics", "copy_record", "set_final_counts", "unstarted_view"]
 
 #: What an instance reads in place of the per-run containers while it
 #: owns none — before it starts for itself, and once it is settled
@@ -62,6 +62,22 @@ class SharedMetrics(InstanceMetrics):
 
 #: every field of a metrics record after its ``instance_id``
 _AFTER_ID = attrgetter(*(f.name for f in fields(InstanceMetrics)[1:]))
+
+
+def copy_record(instance_id: str, metrics: InstanceMetrics) -> InstanceMetrics:
+    """A private record equal to *metrics* under *instance_id*."""
+    return InstanceMetrics(instance_id, *_AFTER_ID(metrics))
+
+
+def set_final_counts(metrics: InstanceMetrics, counts: tuple) -> None:
+    """Write :meth:`BatchedInstance.final_counts` into *metrics*."""
+    (
+        metrics.attrs_value,
+        metrics.attrs_disabled,
+        metrics.attrs_unstable,
+        metrics.unneeded_detected,
+        metrics.unneeded_cost_avoided,
+    ) = counts
 
 
 class _BatchCell:
@@ -138,7 +154,68 @@ class _CellMap:
             yield name, self[name]
 
 
-class BatchedInstance:
+def unstarted_view(plan: CompiledPlan, sources: Mapping[str, object]) -> tuple:
+    """What an instance not yet started reads: the plan's pre-start root
+    with its *sources* stable, as a reference instance does."""
+    sv = [UNRESOLVED] * plan.n
+    for name, value in sources.items():
+        sv[plan.index[name]] = value
+    return plan.root.readiness, plan.root.enablement, sv, sv
+
+
+class _Reads:
+    """The read surface of an instance, over its ``plan`` and its
+    ``_view()``: ``(readiness, enablement, raw, stable values)`` as
+    readers see them (:meth:`BatchedInstance._view`).  Shared by
+    :class:`BatchedInstance` and a lockstep rider's
+    :class:`~repro.core.rows.Row`."""
+
+    __slots__ = ()
+
+    @property
+    def schema(self):
+        # Not a slot: nothing hot reads it.
+        return self.plan.schema
+
+    @property
+    def cells(self) -> _CellMap:
+        """Name-keyed cell view (adapter parity with InstanceRuntime)."""
+        return _CellMap(self)
+
+    def value(self, name: str) -> object:
+        """One attribute's value, as ``cells[name].value`` reads it —
+        :class:`KeyError` for a name the plan does not have,
+        :class:`ValueError` while it is not stable — with no cell built."""
+        i = self.plan.index[name]
+        readiness, enablement, _, sv = self._view()
+        value = sv[i]
+        if value is UNRESOLVED:
+            state = derive_state(Readiness(readiness[i]), Enablement(enablement[i]))
+            raise ValueError(f"attribute {name!r} is not stable (state {state})")
+        return value
+
+    def state_map(self) -> dict[str, AttributeState]:
+        readiness, enablement, _, _ = self._view()
+        return {
+            name: derive_state(Readiness(readiness[i]), Enablement(enablement[i]))
+            for i, name in enumerate(self.plan.names)
+        }
+
+    def value_map(self) -> dict[str, object]:
+        sv = self._view()[3]
+        return {
+            name: sv[i]
+            for i, name in enumerate(self.plan.names)
+            if sv[i] is not UNRESOLVED
+        }
+
+    def value_tuple(self) -> tuple:
+        """Every attribute's value in ``schema.names`` order (the plan's),
+        UNRESOLVED where it is not yet stable."""
+        return tuple(self._view()[3])
+
+
+class BatchedInstance(_Reads):
     """One flow instance as flat arrays over a :class:`CompiledPlan`.
 
     Mirrors the :class:`InstanceRuntime` contract attribute for
@@ -161,7 +238,11 @@ class BatchedInstance:
       or a flow replay never runs for itself: it ends aliasing its
       representative's or trace's arrays and value lists, and a rider
       that booked nothing of its own shares its cohort's final metrics
-      record (a :class:`SharedMetrics`) until it is read.
+      record (a :class:`SharedMetrics`) until it is read.  Most riders
+      never get an instance at all: they are rows of their cohort
+      (:class:`~repro.core.rows.Row`), and one is built only for a row
+      that has to run for itself (:meth:`Row.materialize
+      <repro.core.rows.Row.materialize>`).
     * *Settled* (done, nothing in flight): the engine swaps the
       containers back for the shared empties and drops the sources and
       start key (:meth:`BatchedEngine._settle`).  What is left is the
@@ -203,7 +284,8 @@ class BatchedInstance:
         self,
         plan: CompiledPlan,
         instance_id: str,
-        source_values: Mapping[str, object],
+        sources: dict[str, object],
+        start_key: tuple | None,
         start_time: float,
     ):
         self.plan = plan
@@ -215,13 +297,11 @@ class BatchedInstance:
         #: cohort's shared final one (see :attr:`metrics`).  The engine
         #: reads and writes it here, on instances that have their own.
         self._metrics: InstanceMetrics | None = None
-
-        plan.schema.check_sources(source_values)
-        names = plan.schema.source_names
-        sources = {name: source_values[name] for name in names}
-        #: Both dropped once the instance is settled (None from then on).
+        #: Its sources (checked, in ``schema.source_names`` order, never
+        #: written) and their start key (None where the plan keys no
+        #: start): both dropped once it is settled (None from then on).
         self._sources: dict | None = sources
-        self._start_key = plan.start_key(sources) if plan.start_cache_ok else None
+        self._start_key = start_key
         # Arrays are installed lazily: `start()` aliases or copies a
         # state's, and a lockstep member only ever takes its cohort's
         # final ones.
@@ -273,7 +353,7 @@ class BatchedInstance:
         if metrics is None:
             return self._own_metrics()
         if type(metrics) is SharedMetrics:
-            self._metrics = metrics = InstanceMetrics(self.instance_id, *_AFTER_ID(metrics))
+            self._metrics = metrics = copy_record(self.instance_id, metrics)
         return metrics
 
     @property
@@ -623,7 +703,11 @@ class BatchedInstance:
     # -- finalization -----------------------------------------------------------
 
     def finalize_metrics(self) -> None:
-        """Fill end-of-instance attribute counters into the metrics record.
+        """Fill end-of-instance attribute counters into the metrics record."""
+        set_final_counts(self._metrics, self.final_counts())
+
+    def final_counts(self) -> tuple:
+        """The end-of-instance attribute counters of a done instance.
 
         They are a function of the discrete arrays alone, so an interned
         state computes them once for every instance that ends there.
@@ -654,26 +738,9 @@ class BatchedInstance:
             derived = (value_count, disabled_count, unstable, detected, avoided)
             if state is not None:
                 state.final = derived
-        metrics = self._metrics
-        (
-            metrics.attrs_value,
-            metrics.attrs_disabled,
-            metrics.attrs_unstable,
-            metrics.unneeded_detected,
-            metrics.unneeded_cost_avoided,
-        ) = derived
+        return derived
 
     # -- inspection -------------------------------------------------------------
-
-    @property
-    def schema(self):
-        # Not a slot: nothing hot reads it.
-        return self.plan.schema
-
-    @property
-    def cells(self) -> _CellMap:
-        """Name-keyed cell view (adapter parity with InstanceRuntime)."""
-        return _CellMap(self)
 
     def _view(self) -> tuple:
         """``(readiness, enablement, raw, stable values)`` as readers see them.
@@ -687,31 +754,16 @@ class BatchedInstance:
         cohort = self._cohort
         if cohort is not None and cohort.rep is not self:
             return cohort.rep._view()
-        plan = self.plan
-        sv = [UNRESOLVED] * plan.n
-        for name, value in self._sources.items():
-            sv[plan.index[name]] = value
-        return plan.root.readiness, plan.root.enablement, sv, sv
+        return unstarted_view(self.plan, self._sources)
 
-    def state_map(self) -> dict[str, AttributeState]:
-        readiness, enablement, _, _ = self._view()
-        return {
-            name: derive_state(Readiness(readiness[i]), Enablement(enablement[i]))
-            for i, name in enumerate(self.plan.names)
-        }
-
-    def value_map(self) -> dict[str, object]:
-        sv = self._view()[3]
-        return {
-            name: sv[i]
-            for i, name in enumerate(self.plan.names)
-            if sv[i] is not UNRESOLVED
-        }
-
-    def value_tuple(self) -> tuple:
-        """Every attribute's value in ``schema.names`` order (the plan's),
-        UNRESOLVED where it is not yet stable."""
-        return tuple(self._view()[3])
+    def value(self, name: str) -> object:
+        sv = self._sv
+        if sv is None:
+            return _Reads.value(self, name)
+        value = sv[self.plan.index[name]]
+        if value is UNRESOLVED:
+            return _Reads.value(self, name)  # raises, naming the state
+        return value
 
     def __repr__(self) -> str:
         flag = " done" if self.done else ""

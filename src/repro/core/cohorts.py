@@ -11,11 +11,17 @@ would then coalesce behind that primary, deliver zero units and inherit
 its outcome, so the members of a cohort are *bit-identical* until they
 finish and ride in lockstep: they never submit a query (one weighted
 virtual attachment per primary keeps cache counters and cancel-pinning
-exact), hold no arrays until they finish, and share one metrics template
-while they ride and one final record once they finish, copied only for
-a member that is read.  Per-member work remains only where identity
-genuinely diverges: observer events (skipped when nobody
-listens) and finishing.  An arrival that cannot ride starts as the
+exact), hold no arrays, and share one metrics template while they ride
+and one final record once they finish, copied only for a member that is
+read.  Most members are *rows* (:class:`~repro.core.rows.Row`): an
+arrival right behind one with the same start key is submitted as one,
+never builds a :class:`BatchedInstance` unless it has to run for itself,
+and reads its cohort's :class:`~repro.core.rows._Ride` — so where nobody
+listens and no member has a callback pending, a cohort finishes its rows
+in one step (:meth:`Cohorts._finish_together`).  Per-member work remains
+only where identity genuinely diverges: observer events (skipped when
+nobody listens), straggler booking, a metrics read, and finishing a
+member that is an instance.  An arrival that cannot ride starts as the
 ordinary instance it is — its launches coalesce or hit like anyone's —
 and the cohort leaves the table.
 
@@ -23,22 +29,24 @@ There is one way out of lockstep, :meth:`Cohorts._dissolve`: every
 member becomes the ordinary instance it would be at that point, with a
 real follower of its own behind each primary, so database totals, cache
 counters, event sequences and cancel-pinning are unchanged by
-construction.  It is taken when an arrival cannot ride a cohort that has
-members (a real follower has coalesced since the last join, and would
-sit between them and the arrival), when the cache answers one of the
-representative's later launches (a memo hit, or a coalesce into some
-other issuer's primary: members need deliveries of their own from
-there), and when members cancelled a wait whose query went on to
-complete for the representative.
+construction; a row gets its :class:`BatchedInstance` there.  It is
+taken when an arrival cannot ride a cohort that has members (a real
+follower has coalesced since the last join, and would sit between them
+and the arrival), when the cache answers one of the representative's
+later launches (a memo hit, or a coalesce into some other issuer's
+primary: members need deliveries of their own from there), and when
+members cancelled a wait whose query went on to complete for the
+representative.
 """
 
 from __future__ import annotations
 
 from weakref import ref
 
-from repro.core.batch_instance import BatchedInstance, SharedMetrics
+from repro.core.batch_instance import BatchedInstance, SharedMetrics, set_final_counts
 from repro.core.metrics import InstanceMetrics
 from repro.core.plan import E_DISABLED
+from repro.core.rows import Row, _Ride
 from repro.nulls import ExceptionValue
 
 __all__ = ["Cohorts"]
@@ -138,19 +146,22 @@ class _Cohort:
     tracked *virtually*: one weighted attachment per primary
     (:meth:`QueryShareCache.attach_virtual`), one shared metrics
     ``template`` (members are bit-identical until they finish), one
-    shared ``final`` record once they have (:meth:`Cohorts._finish_member`),
-    and per-member work only for observer events and finishing.  ``log`` is
-    what the representative has done, stage by stage: what
-    :meth:`Cohorts._dissolve` rebuilds the members from when they can
-    ride no further.
+    shared final record once they have (``ride.final``: :meth:`Cohorts._final`),
+    and per-member work only for observer events and finishing an
+    instance.  ``log`` is what the representative has done, stage by
+    stage: what :meth:`Cohorts._dissolve` rebuilds the members from when
+    they can ride no further.
 
-    The representative and every member link back (``_cohort``), which
-    with ``rep`` and ``members`` makes the cohort a reference cycle.  A
-    dissolve unlinks them all; in lockstep an instance keeps its link,
-    through any post-halt straggler, until it is settled (done with
-    nothing in flight) and the engine releases it
-    (:meth:`BatchedEngine.release_settled`).  Once the last is
-    released, reference counting frees the cohort and its records.
+    The representative and every member that is an instance link back
+    (``_cohort``), which with ``rep`` and ``members`` makes the cohort a
+    reference cycle.  A dissolve unlinks them all; in lockstep an
+    instance keeps its link, through any post-halt straggler, until it
+    is settled (done with nothing in flight) and the engine releases it
+    (:meth:`BatchedEngine.release_settled`).  A row links to the
+    cohort's ``ride`` instead, which leads to the representative and to
+    no member, so a released row keeps its answer and closes no cycle.
+    Once the representative is released, reference counting frees the
+    cohort and its records.
     """
 
     __slots__ = (
@@ -159,8 +170,9 @@ class _Cohort:
         "log",
         "launch_by_name",
         "members",
+        "solo",
+        "ride",
         "template",
-        "final",
         "final_closed",
         "virtual",
         "cancelled",
@@ -172,15 +184,18 @@ class _Cohort:
         self.start_time = start_time
         self.log: list[_StageRecord] = []
         self.launch_by_name: dict[str, _LaunchRecord] = {}
-        #: members in join order (retained after finishing for post-halt
-        #: straggler bookkeeping)
+        #: members in join order, rows and instances (retained after
+        #: finishing for post-halt straggler bookkeeping), and the
+        #: instances among them, which finish one by one
         self.members: list = []
+        self.solo: list[BatchedInstance] = []
+        #: what its rows read (their link): the representative, the
+        #: shared final record, and whether they have finished
+        self.ride = _Ride(rep)
         #: the members' shared counters while they ride, built at the first join
         self.template: InstanceMetrics | None = None
-        #: the final record every member that booked nothing of its own
-        #: shares, built by the first to finish; closed to later
-        #: finishers once a straggle is booked on it
-        self.final: SharedMetrics | None = None
+        #: whether a straggle was booked on the shared final record (the
+        #: ride's), which then closes to later finishers
         self.final_closed = False
         #: attribute name -> launch record, for virtual attachments whose
         #: members still wait on the result / have cancelled the wait
@@ -297,6 +312,22 @@ class Cohorts:
         rep._cohort = None
         return True
 
+    def ride(self, row: Row) -> BatchedInstance | None:
+        """Start *row*: ride its key's open cohort where an instance with
+        its valuation would (no flow trace on file, the cohort ridable),
+        and None; otherwise the instance built for it (:meth:`Row.materialize`),
+        to start as any arrival does."""
+        key, flows = row._link.key, self._engine()._flows
+        cohort = self.open.get(key)
+        if (
+            cohort is not None
+            and (flows is None or key not in flows.traces)
+            and self._rides(cohort)
+        ):
+            self._join(cohort, self._riders(row))
+            return None
+        return row.materialize()
+
     def _rides(self, cohort: _Cohort) -> bool:
         """Whether an arrival at open *cohort* can ride in lockstep now:
         virtual attachments fan ahead of a primary's real followers, so
@@ -392,43 +423,53 @@ class Cohorts:
         cohort.absorb(rec)
         return rec
 
-    def _riders(self, instance: BatchedInstance) -> list[BatchedInstance]:
-        """*instance*, about to ride an open cohort, and the arrivals right
-        behind it in the run being fired whose start would make the very
-        same decision: the same typed start key — so the same cohort,
-        still open and still ridable, since joining changes neither — with
-        no flow trace on file for it, and no ``on_complete`` callback
-        pending among them (one may schedule what the next start would
-        have waited for).  The run moves past those taken.
+    def _riders(self, instance) -> list:
+        """*instance* (or row), about to ride an open cohort, and the
+        arrivals right behind it in the run being fired whose start would
+        make the very same decision: the same typed start key — so the
+        same cohort, still open and still ridable, since joining changes
+        neither — with no flow trace on file for it, and no
+        ``on_complete`` callback pending among them (one may schedule what
+        the next start would have waited for).  A row behind it is such
+        an arrival by construction.  The run moves past those taken.
         """
         engine = self._engine()
         riders, run, flows = [instance], engine._firing, engine._flows
-        key, pending = instance._start_key, engine._on_complete
+        row = type(instance) is Row
+        key = instance._link.key if row else instance._start_key
+        pending = engine._on_complete
         if (
             run is None
-            or instance.instance_id in pending
+            or (not row and instance.instance_id in pending)
             or (flows is not None and key in flows.traces)
         ):
             return riders
         arrivals, k = run.arrivals, run.next
         n = len(arrivals)
-        while k < n and arrivals[k]._start_key == key and arrivals[k].instance_id not in pending:
+        while k < n:
+            arrival = arrivals[k]
+            if type(arrival) is not Row and (
+                arrival._start_key != key or arrival.instance_id in pending
+            ):
+                break
             k += 1
         riders += arrivals[run.next : k]
         run.next = k
         return riders
 
-    def _join(self, cohort: _Cohort, members: list[BatchedInstance]) -> None:
+    def _join(self, cohort: _Cohort, members: list) -> None:
         """*members* (consecutive arrivals: :meth:`_riders`) ride *cohort*
         from its start stage, in one step: one extension of its member
         list, one weighted virtual attachment per primary the
         representative waits on.  Per-member work is left only where
         identity diverges — observer calls, member-major as one start
         event each would have made them and skipped when nobody listens,
-        and finishing when the representative finished at its start.  A
-        member whose observer schedules anything (or raises) is the last
-        to join: the rest are handed back to the run, which decides as it
-        does after any start whether they still go next.
+        and finishing an instance when the representative finished at its
+        start (its rows finish with the cohort: :meth:`_finish_together`).
+        A member whose observer or callback schedules anything (or
+        raises) is the last to join: the rest are handed back to the run,
+        which decides as it does after any start whether they still go
+        next.
         """
         if not cohort.log:
             self._record_start(cohort)
@@ -437,10 +478,17 @@ class Cohorts:
         obs = engine._listening()
         joined = len(members)
         try:
-            if obs is not None or rec.done_after:
+            if obs is None and not (
+                rec.done_after and (cohort.final_closed or self._pending(members))
+            ):
+                instances, booked = self._link(cohort, members)
+                if rec.done_after:
+                    self._finish_together(cohort, instances, booked)
+            else:
                 joined, marker = 0, sim.scheduled
                 for member in members:
                     joined += 1
+                    self._link(cohort, (member,))
                     if obs is not None:
                         obs.on_instance_start(member)
                     if rec.done_after:
@@ -450,12 +498,12 @@ class Cohorts:
                             obs.on_launch(member, launch.name, speculative=launch.speculative)
                     if sim.scheduled != marker:
                         break
+                if rec.done_after:
+                    cohort.ride.done = True
         finally:
             if joined < len(members):
                 engine._firing.next -= len(members) - joined
                 del members[joined:]
-            for member in members:
-                member._cohort = cohort
             cohort.members.extend(members)
             self.hits += joined
             if joined > 1:
@@ -469,6 +517,31 @@ class Cohorts:
                 cache, inflight = self.cache, cohort.rep.inflight
                 for launch in rec.launches:
                     cache.attach_virtual(inflight[launch.name], joined)
+
+    def _link(self, cohort: _Cohort, members) -> tuple[list, list]:
+        """Make *members* the cohort's: a row reads its ride from now on,
+        an instance links back.  Returns the instances, and the rows that
+        hold a record of their own."""
+        ride, instances, booked = cohort.ride, [], []
+        for member in members:
+            if type(member) is Row:
+                member._link = ride
+                if member._metrics is not None:
+                    ride.reads += 1
+                    booked.append(member)
+            else:
+                member._cohort = cohort
+                instances.append(member)
+        cohort.solo += instances
+        return instances, booked
+
+    def _pending(self, members) -> bool:
+        """Whether an instance among *members* has a completion callback
+        pending (a row never has one)."""
+        pending = self._engine()._on_complete
+        return bool(pending) and any(
+            type(member) is not Row and member.instance_id in pending for member in members
+        )
 
     def rep_done(self, rep: BatchedInstance, name, value, processed, completed) -> None:
         """A query of representative *rep* finished while members ride:
@@ -533,10 +606,15 @@ class Cohorts:
         engine = self._engine()
         obs = engine._listening()
         if rec.done_after:
-            for member in cohort.members:
-                if obs is not None:
-                    obs.on_query_done(member, name, units=0, completed=member_completed)
-                self._finish_member(cohort, member)
+            if obs is None and not self._pending(cohort.solo):
+                booked = [m for m in cohort.members if type(m) is Row] if cohort.ride.reads else ()
+                self._finish_together(cohort, cohort.solo, booked)
+            else:
+                for member in cohort.members:
+                    if obs is not None:
+                        obs.on_query_done(member, name, units=0, completed=member_completed)
+                    self._finish_member(cohort, member)
+                cohort.ride.done = True
             if engine.halt_policy == "cancel":
                 for vname in list(cohort.virtual):
                     cohort.cancelled[vname] = cohort.virtual.pop(vname)
@@ -569,19 +647,27 @@ class Cohorts:
         member's own, and once on the shared final record for every
         member still holding it — which then closes to later finishers,
         who never waited on the straggler (none finishes later, in fact:
-        a cohort that finished past its start finished whole)."""
+        a cohort that finished past its start finished whole).  Without
+        a listener, and with no row holding a record of its own, only
+        the instances among the members are visited."""
         member_completed = live_virtual and completed
         obs = self._engine()._listening()
-        final, holder = cohort.final, None
-        for member in cohort.members:
+        rep, final = cohort.rep, cohort.ride.final
+        members = cohort.members
+        shared = False
+        if obs is None and not cohort.ride.reads:
+            shared = len(members) > len(cohort.solo)  # a row holds the final record
+            members = cohort.solo
+        for member in members:
             if obs is not None:
                 obs.on_query_done(member, name, units=0, completed=member_completed)
-            if member._metrics is final:
-                holder = member
+            metrics = member._metrics
+            if metrics is None or metrics is final:  # a row without a record shares it
+                shared = True
             else:
-                _book_straggle(member, member._metrics, launch, member_completed, failed)
-        if holder is not None:
-            _book_straggle(holder, final, launch, member_completed, failed)
+                _book_straggle(rep, metrics, launch, member_completed, failed)
+        if shared and final is not None:
+            _book_straggle(rep, final, launch, member_completed, failed)
             cohort.final_closed = True
 
     def _dissolve(self, cohort: _Cohort, recs, trigger: str) -> list:
@@ -594,7 +680,7 @@ class Cohorts:
         cancelled where the members had cancelled the wait — ahead of any
         that coalesced later.  Returns the members, in join order.
         """
-        members, cohort.members = cohort.members, []
+        members, cohort.members, cohort.solo = cohort.members, [], []
         cohort.rep._cohort = None
         if not members:
             return members
@@ -611,7 +697,9 @@ class Cohorts:
             (rec.name, launched[rec.name].value_for(rec.failed))
             for rec in recs[1:] if rec.completed
         ]  # fmt: skip
-        for member in members:
+        for k, member in enumerate(members):
+            if type(member) is Row:
+                member = members[k] = member.materialize()
             member._cohort = None
             member.materialize(made, delivered)
             _copy_counters(cohort.template, member._metrics)
@@ -627,38 +715,72 @@ class Cohorts:
                     member.inflight[name] = follower
         return members
 
-    def _finish_member(self, cohort: _Cohort, member: BatchedInstance) -> None:
-        """Materialize a lockstep member from the shared cohort state.
+    def _final(self, cohort: _Cohort) -> SharedMetrics:
+        """The final record the members that booked nothing of their own
+        share, built by the first to finish."""
+        final = cohort.ride.final
+        if final is None:
+            final = SharedMetrics(cohort.template.instance_id, cohort.start_time)
+            self._fill(cohort, final)
+            cohort.ride.final = final
+        return final
+
+    def _fill(self, cohort: _Cohort, metrics: InstanceMetrics) -> None:
+        """Finish *metrics*: the cohort's counters, the finish time, and
+        the attribute counters of the representative's end state, which
+        every member's is."""
+        _copy_counters(cohort.template, metrics)
+        metrics.finish_time = self._engine().sim.now
+        set_final_counts(metrics, cohort.rep.final_counts())
+
+    def _finish_together(self, cohort: _Cohort, instances, booked) -> None:
+        """Finish the cohort's rows in one step — they read ``done`` and
+        the final record off its ride — then fill the *booked* rows' own
+        records and finish the *instances* one by one.  Taken where
+        nobody listens and no member has a callback pending: nothing
+        tells the members' finishes apart."""
+        ride = cohort.ride
+        self._final(cohort)
+        ride.done = True
+        for row in booked:
+            metrics = row._metrics
+            if type(metrics) is InstanceMetrics and metrics.finish_time is None:
+                self._fill(cohort, metrics)
+        for member in instances:
+            self._finish_member(cohort, member)
+
+    def _finish_member(self, cohort: _Cohort, member) -> None:
+        """Finish one lockstep member from the shared cohort state.
 
         All members of a cohort end bit-identical (same start valuation,
-        same inherited outcomes), so they alias the representative's end
-        state — which carries the attribute counters
+        same inherited outcomes).  An instance aliases the
+        representative's end state — which carries the attribute counters
         :meth:`BatchedInstance.finalize_metrics` derives — and its value
-        lists: done instances never write their arrays again.  A member
-        that booked nothing of its own (no record read before it
-        finished) holds the cohort's shared final record, which the
-        first to finish builds: the template's counters, the finish time
-        and the attribute counters.  One with a record fills its own.
+        lists: done instances never write their arrays again; a row reads
+        them through its ride.  A member that booked nothing of its own
+        (no record read before it finished) holds the cohort's shared
+        final record (:meth:`_final`); one with a record fills its own.
         """
         engine, rep = self._engine(), cohort.rep
-        member.done = True
-        member._alias(rep.end_state())
-        member._raw = rep._raw
-        member._sv = rep._sv
-        shares = member._metrics is None and not cohort.final_closed
-        if shares and cohort.final is not None:
-            member._metrics = cohort.final
+        row = type(member) is Row
+        if not row:
+            member.done = True
+            member._alias(rep.end_state())
+            member._raw = rep._raw
+            member._sv = rep._sv
+        metrics = member._metrics
+        if metrics is None and not cohort.final_closed:
+            member._metrics = self._final(cohort)
         else:
-            if shares:  # the first to finish builds the shared record
-                member._metrics = cohort.final = SharedMetrics(
-                    cohort.template.instance_id, cohort.start_time
-                )
-            metrics = member._own_metrics()
-            _copy_counters(cohort.template, metrics)
-            metrics.finish_time = engine.sim.now
-            member.finalize_metrics()
+            if metrics is None:  # a straggle closed the shared record: one of its own
+                metrics = member._metrics = InstanceMetrics(member.instance_id, member.start_time)
+                if row:
+                    cohort.ride.reads += 1
+            self._fill(cohort, metrics)
         if engine.observer is not None:
             engine.observer.on_instance_complete(member)
+        if row:
+            return  # no callback, nothing to settle
         callback = engine._on_complete.pop(member.instance_id, None)
         if callback is not None:
             callback(member.metrics)

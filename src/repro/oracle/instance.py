@@ -283,6 +283,10 @@ class InstanceRuntime:
                 if name not in self.launched
             )
 
+    def value(self, name: str) -> object:
+        """One attribute's value: ``cells[name].value``."""
+        return self.cells[name].value
+
     def state_map(self) -> dict[str, AttributeState]:
         return {name: cell.state for name, cell in self.cells.items()}
 

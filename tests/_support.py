@@ -50,6 +50,7 @@ from repro.api.backends import Backend
 from repro.api.service import service_counters
 from repro.core.batch_instance import _NO_INFLIGHT, _NO_NAMES, _NO_QUEUE
 from repro.core.engine import EngineObserver
+from repro.core.rows import Row
 from repro.core.tasks import constant
 from repro.obs import Observability
 from repro.simdb.database import DatabaseServer, ProfiledDatabase
@@ -235,20 +236,21 @@ SETTLED = (
 
 #: Traced bytes per retained finished instance, all handles held, on the
 #: product stack (PSE100, query cache) at 1 000 instances of each
-#: `population`: 2 694 / 1 321 / 466 measured on CPython 3.11, plus ≈20 %
+#: `population`: 2 685 / 1 318 / 281 measured on CPython 3.11, plus ≈20 %
 #: for other interpreters' object sizes.  Before settled instances let go
 #: of their per-run containers they read 4 856 / 2 058 / 973; before a
 #: cohort's riders shared one final metrics record, identical read 626
-#: (budget 760).
-RETENTION_BUDGET = {"distinct": 3200, "overlap": 1600, "identical": 560}
+#: (budget 760); before a rider was a row of its cohort (no
+#: BatchedInstance of its own), 458 (budget 560).
+RETENTION_BUDGET = {"distinct": 3200, "overlap": 1600, "identical": 340}
 
 #: GC-tracked objects per held finished handle at the margin (the growth
 #: from 1 000 to 2 000 held handles, per handle: one-off plan, memo and
 #: cohort growth left out) on the same stack: ≈7.0 / 3.3 / 2.0 measured
 #: (distinct and overlap move by a few tenths with when the collector
 #: untracks tuples).  Identical is held to its two: the handle and the
-#: instance, whose metrics are its cohort's shared final record — a
-#: record of its own each made it 3.
+#: rider's row, which reads its cohort's shared final record — a record
+#: of its own each made it 3.
 TRACKED_BUDGET = {"identical": 2}
 
 #: Traced bytes per held handle of a drained 2-shard serial fleet on the
@@ -262,7 +264,13 @@ FLEET_RETENTION_BUDGET = {"distinct": 3000, "overlap": 2450, "identical": 1650}
 
 def unsettled(instance) -> list[str]:
     """The per-run fields a batched *instance* still holds (none once it is
-    settled)."""
+    settled).  A lockstep rider's row is read through the instance built
+    for it, if it had to run for itself; otherwise its one per-run field
+    is its sources, held until its run fires."""
+    if isinstance(instance, Row):
+        if instance.materialized is not None:
+            return unsettled(instance.materialized)
+        return ["_sources"] if instance._sources is not None else []
     return [name for name, empty in SETTLED if getattr(instance, name) is not empty]
 
 

@@ -70,6 +70,27 @@ class TestServiceBasics:
                 backend=prebuilt,
             )
 
+    @pytest.mark.parametrize(
+        "fleet",
+        [{"shards": 4, "executor": "process"}, {"shards": 2}, {"executor": "process"}],
+        ids=["4-process", "2-serial", "1-process"],
+    )
+    def test_a_fleet_config_is_refused_naming_create_service(self, fleet):
+        """A service runs one in-process shard: built from a fleet config
+        it would serve as one while its config reads the fleet's."""
+        from repro import create_service
+
+        schema, source_values = diamond_schema()
+        config = ExecutionConfig.from_code("PSE100", **fleet)
+        with pytest.raises(ValueError, match=r"repro\.runtime\.create_service"):
+            DecisionService(schema, config)
+        if config.executor == "serial":  # the fleet it asks for, built the right way
+            fleet_service = create_service(schema, config)
+            assert fleet_service.submit(source_values).result() == {"t": 1}
+            assert len(fleet_service.stats()) == config.shards
+        plain = DecisionService(schema, config.replace(shards=1, executor="serial"))
+        assert plain.submit(source_values).result() == {"t": 1}
+
     @pytest.mark.parametrize("observe", [False, True], ids=["disarmed", "armed"])
     def test_one_backend_drives_one_service(self, observe):
         """A second service on a Backend another service drives is refused

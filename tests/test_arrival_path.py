@@ -45,6 +45,7 @@ from repro import (
 )
 from repro.api import DecisionService, ExecutionConfig
 from repro.core.predicates import UserPredicate
+from repro.core.rows import Row
 from repro.errors import ExecutionError
 from repro.server import ServerDaemon
 from tests._support import (
@@ -548,21 +549,26 @@ def test_a_write_before_start_fails_loudly():
         instance._cand.add(1)
     with pytest.raises(AttributeError):
         instance._queue.append(1)
+    # the same valuation right behind it rides it: a row, with no containers at all
     other = service.submit(PERF.source_values).instance
-    assert not other.inflight and not other.speculative_launch
+    assert type(other) is Row and not other.inflight and unsettled(other) == ["_sources"]
+    with pytest.raises(TypeError):
+        other.inflight["x"] = object()
     service.run()
     # settled: the containers are the read-only empties again
     assert instance.done and other.done
-    for settled in (instance, other):
-        assert not unsettled(settled)
-        with pytest.raises(TypeError):
-            settled.inflight["x"] = object()
-        with pytest.raises(AttributeError):
-            settled.speculative_launch.add("x")
-        with pytest.raises(AttributeError):
-            settled._cand.add(1)
-        with pytest.raises(AttributeError):
-            settled._queue.append(1)
+    assert not unsettled(other) and other.materialized is None
+    with pytest.raises(TypeError):
+        other.inflight["x"] = object()
+    assert not unsettled(instance)
+    with pytest.raises(TypeError):
+        instance.inflight["x"] = object()
+    with pytest.raises(AttributeError):
+        instance.speculative_launch.add("x")
+    with pytest.raises(AttributeError):
+        instance._cand.add(1)
+    with pytest.raises(AttributeError):
+        instance._queue.append(1)
 
 
 def test_a_settled_distinct_population_keeps_only_its_answer():

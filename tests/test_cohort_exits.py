@@ -25,6 +25,7 @@ import random
 
 import pytest
 
+from repro.core.rows import Row
 from tests._support import (
     HIGH,
     LOW,
@@ -66,6 +67,24 @@ def test_each_exit_by_hand(trigger, halt_policy, pooled):
     assert engine.cohort_exits == {"join": 0, "answered": 0, "cancelled": 0, trigger: 1}
     assert (engine.cohort_hits, engine.cohort_splits) == (members, members)
     assert not engine._cohorts.open
+
+
+@pytest.mark.parametrize("trigger", list(HAND_BUILT))
+def test_each_exit_builds_the_rows_it_dissolves(trigger):
+    """In each hand-built burst a repeat right behind its twin is a row;
+    the exit builds its instance, which then decides as the reference's
+    (values, metrics, events and database totals: the whole trace)."""
+    engine = assert_matches_reference(
+        two_source_schema(),
+        "PSE100",
+        arrivals=HAND_BUILT[trigger],
+        cancel_unneeded=True,
+        cohorts=True,
+        pooled=True,
+    )
+    rows = [instance for instance in engine.instances if type(instance) is Row]
+    assert rows and all(row.materialized is not None for row in rows)
+    assert engine.cohort_exits[trigger] == 1 and engine.cohort_splits == len(rows)
 
 
 def test_riding_to_the_end_by_hand():

@@ -7,19 +7,33 @@ equal copy under its own id; a record read before the rider finished is
 its own and stays live.  Every record read is the reference engine's for
 that instance, and a post-halt straggle booked once on the shared record
 equals the per-member booking of the ``cohorts=False`` seam.
+
+A rider is a row of its cohort (:class:`~repro.core.rows.Row`): the cases
+at the end hold rows to the reference engine where they read, listen,
+take callbacks, are released, run on a fleet or are built into instances.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from repro import Attribute, BatchedEngine, Comparison, DecisionFlowSchema, Engine, Op
+from repro import (
+    Attribute,
+    BatchedEngine,
+    Comparison,
+    DecisionFlowSchema,
+    Engine,
+    Op,
+    create_service,
+)
 from repro.api import DecisionService, ExecutionConfig
-from repro.core.batch_instance import SharedMetrics
+from repro.core.batch_instance import BatchedInstance, SharedMetrics
 from repro.core.metrics import InstanceMetrics
-from tests._support import METRIC_FIELDS, PERF, assert_same, q, run
+from repro.core.rows import Row
+from tests._support import METRIC_FIELDS, PERF, _row, assert_same, q, run, trace_of
 
 SOURCE = PERF.schema.source_names[0]
 N = 12
@@ -197,3 +211,175 @@ def test_a_straggle_booked_once_on_the_shared_record_is_the_per_member_booking(
                 assert getattr(final, field) == twin[field], field
     assert_same(traces["reference"], traces["seam"])
     assert_same(traces["reference"], traces["cohorts"])
+
+
+# -- a rider is a row of its cohort -------------------------------------------------
+#
+# An arrival right behind one with the same typed start key in an open
+# arrival run (no ``on_complete``, no flow trace on file) is submitted as a
+# :class:`~repro.core.rows.Row`; each case decides — values, metrics,
+# events, database totals — as the reference engine does.
+
+
+def outcome(read) -> tuple:
+    """What a read returns, ``("ok", repr)``, or raises: its type and message."""
+    try:
+        return ("ok", repr(read()))
+    except (KeyError, ValueError) as error:
+        return (type(error).__name__, str(error))
+
+
+@pytest.mark.parametrize("until", ["before", 5.0, 8.0, "settled"])
+def test_one_value_read_equals_the_cell_read_on_every_kind_of_instance(until):
+    """``value(name)`` on the reference instance, a batched instance and a
+    row — and through the handle — returns or raises exactly what
+    ``cells[name].value`` does: before start, at its start, mid-run and
+    once settled."""
+    built = services()
+    handles = {engine: identical(service, at=5.0, n=3) for engine, service in built.items()}
+    for service in built.values():
+        if until == "settled":
+            service.run()
+        elif until != "before":
+            service.run(until=until)
+    batched, reference = handles["batched"], handles["reference"]
+    assert type(batched[0].instance) is BatchedInstance
+    assert [type(h.instance) for h in batched[1:]] == [Row, Row]
+    assert all(h.done for h in batched) == (until == "settled")
+    names = (*PERF.schema.names, "no-such-attribute")
+    for handle, twin in zip(batched, reference):
+        for name in names:
+            want = outcome(lambda: twin.instance.cells[name].value)
+            assert outcome(lambda: twin.instance.value(name)) == want, name
+            assert outcome(lambda: handle.instance.cells[name].value) == want, name
+            assert outcome(lambda: handle.instance.value(name)) == want, name
+            assert outcome(lambda: handle.value(name)) == want, name
+        assert handle.instance.value_tuple() == twin.instance.value_tuple()
+        assert handle.instance.state_map() == twin.instance.state_map()
+
+
+def test_identical_arrivals_at_one_instant_hold_one_batched_instance():
+    service = services()["batched"]
+    handles = identical(service, n=10_000)
+    service.run()
+    assert service.engine.cohort_hits == 10_000 - 1
+    kinds = [type(instance) for instance in service.engine.instances]
+    assert kinds.count(BatchedInstance) == 1 and kinds.count(Row) == 10_000 - 1
+    assert {tuple(h.result().items()) for h in handles} == {tuple(handles[0].result().items())}
+
+
+def test_a_row_whose_key_is_traced_before_its_run_fires_replays():
+    """Arrivals of one valuation at t = 200 are a row behind an instance
+    at submission, when no trace is on file; the t = 100 one, all
+    query-memo hits, files it before they fire, so each is built then
+    and replayed from the flow memo."""
+    seen = {}
+
+    def drive(engine, sim):
+        values = {SOURCE: 93.5}
+        engine.submit_instance(values, at=0.0)
+        engine.submit_instance(values, at=100.0)
+        seen["late"] = [engine.submit_instance(values, at=200.0) for _ in range(4)]
+        seen["kinds"] = [type(instance) for instance in seen["late"]]
+
+    traces = {}
+    for engine_cls in (Engine, BatchedEngine):
+        traces[engine_cls], engine = run(
+            engine_cls, PERF.schema, "PSE100", drive=drive, cohorts=True, pooled=True
+        )
+    assert seen["kinds"] == [BatchedInstance, Row, Row, Row]
+    assert all(row.materialized is not None for row in seen["late"][1:])
+    assert engine.flow_traces == 1 and engine.flow_replays == 4 and engine.cohort_hits == 0
+    assert_same(traces[Engine], traces[BatchedEngine])
+
+
+def test_rows_under_an_attached_event_log_decide_as_the_reference():
+    """A log listens: the cohort finishes its rows one by one, each with
+    its events, and each event's record is the row's own."""
+    built = services()
+    logs = {engine: service.attach_log() for engine, service in built.items()}
+    handles = {}
+    for engine, service in built.items():
+        handles[engine] = identical(service)
+        service.run()
+    engine = built["batched"].engine
+    rows = [i for i in engine.instances if type(i) is Row]
+    assert len(rows) == N - 1 and all(row.materialized is None for row in rows)
+    assert_same(
+        trace_of(built["reference"].engine, logs["reference"].events),
+        trace_of(engine, logs["batched"].events),
+    )
+    completed = {e.instance_id: e.metrics for e in logs["batched"].events if hasattr(e, "metrics")}
+    assert all(completed[h.instance_id] is h.metrics for h in handles["batched"])
+
+
+def test_rows_mixed_with_completion_callbacks_decide_as_the_reference():
+    """Every fourth arrival passes ``on_complete`` (an instance), the rest
+    of a burst behind it are rows; the callbacks fire in the reference
+    order with the reference records."""
+    seen = {}
+
+    def drive(engine, sim):
+        called = seen.setdefault(type(engine), [])
+        for k in range(16):
+            callback = (lambda m, k=k: called.append((k, _row(m)))) if k % 4 == 1 else None
+            engine.submit_instance({SOURCE: 93.5}, at=0.0, on_complete=callback)
+        seen["kinds"] = [type(instance).__name__ for instance in engine.instances]
+
+    traces = {}
+    for engine_cls in (Engine, BatchedEngine):
+        traces[engine_cls], engine = run(
+            engine_cls, PERF.schema, "PSE100", drive=drive, cohorts=True, pooled=True
+        )
+    assert seen["kinds"].count("Row") == 11 and engine.cohort_hits == 15
+    assert len(seen[BatchedEngine]) == 4 and seen[BatchedEngine] == seen[Engine]
+    assert_same(traces[Engine], traces[BatchedEngine])
+
+
+def test_released_rows_read_as_the_reference_after_release():
+    built = services()
+    handles = {engine: identical(service) for engine, service in built.items()}
+    released = {}
+    for engine, service in built.items():
+        service.run()
+        released[engine] = service.release_completed()
+        assert service.engine.instances == [] and len(released[engine]) == N
+    assert released["batched"] == tuple(handles["batched"])
+    for handle, twin in zip(handles["batched"], handles["reference"]):
+        assert handle.done and handle.result() == twin.result()
+        assert handle.value_map() == twin.value_map()
+        assert handle.instance.value_tuple() == twin.instance.value_tuple()
+        assert handle.instance.state_map() == twin.instance.state_map()
+        assert handle.metrics == twin.metrics and handle.metrics.instance_id == handle.instance_id
+    assert built["batched"].summary() == replace(built["reference"].summary(), cohort_hits=N - 1)
+    database = {engine: service.database for engine, service in built.items()}
+    assert database["batched"].total_units == database["reference"].total_units
+
+
+def test_rows_on_a_two_shard_serial_fleet_decide_as_the_reference():
+    fleets = {
+        engine: create_service(
+            PERF.schema,
+            ExecutionConfig.from_code(
+                "PSE100", engine=engine, query_cache=True, shards=2, executor="serial"
+            ),
+        )
+        for engine in ("batched", "reference")
+    }
+    logs = {engine: fleet.attach_log() for engine, fleet in fleets.items()}
+    handles = {engine: identical(fleet, n=24) for engine, fleet in fleets.items()}
+    for fleet in fleets.values():
+        fleet.run()
+    batched, reference = fleets["batched"], fleets["reference"]
+    assert batched.summary().cohort_hits == 24 - 2  # one representative per shard
+    assert batched.summary() == replace(reference.summary(), cohort_hits=24 - 2)
+    for handle, twin in zip(handles["batched"], handles["reference"]):
+        assert (handle.shard, handle.result(), handle.value_map()) == (
+            twin.shard,
+            twin.result(),
+            twin.value_map(),
+        )
+        assert handle.metrics == twin.metrics
+    assert [s.total_units for s in batched.stats()] == [s.total_units for s in reference.stats()]
+    project = lambda log: Counter(map(repr, log.events))  # noqa: E731
+    assert project(logs["batched"]) == project(logs["reference"])

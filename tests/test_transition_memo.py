@@ -36,6 +36,7 @@ from repro import (
 from repro.api import DecisionService, ExecutionConfig
 from repro.core.conditions import TRUE, And, Not, Or
 from repro.core.predicates import attr
+from repro.core.rows import Row
 from tests._support import PERF, add_inputs, assert_matches_reference, q, run
 
 #: No condition of the benchmark's pattern reads the source above 88, so
@@ -393,10 +394,16 @@ def test_cohorts_whose_representative_is_memo_served(backend, failure_prob, quer
     assert engine.plan.memo_hits > 0
     assert (engine.cohort_hits > 0) == query_cache
     if backend == "ideal" and not failure_prob:
-        # Lockstep members ended on their representative's interned state.
-        members = [inst for inst in engine.instances if inst._cohort is not None]
-        assert members and all(isinstance(inst._readiness, bytes) for inst in members)
-        assert any(inst._state in engine.plan.states.values() for inst in members)
+        # Lockstep members (rows) read their representative's interned state.
+        rows = [inst for inst in engine.instances if type(inst) is Row]
+        reps = [rep_of(row) for row in rows if row.materialized is None]
+        assert reps and all(isinstance(rep._readiness, bytes) for rep in reps)
+        assert any(rep._state in engine.plan.states.values() for rep in reps)
+
+
+def rep_of(inst):
+    """The representative a cohort member (a row, or an instance) rides."""
+    return inst._link.rep if type(inst) is Row else inst._cohort.rep
 
 
 def lockstep_schema(shared_tail: bool):
@@ -459,13 +466,17 @@ def test_lockstep_cohorts_over_the_memo(monkeypatch, shared_tail, failure_prob):
     assert not rebuilt and engine.cohort_splits == 0
     if not failure_prob:
         # Lockstep to the end, representatives memo-served throughout: the
-        # members alias an interned state and the representative's values.
-        reps = [inst for inst in engine.instances[24:] if inst._cohort.rep is inst]
+        # members are rows, which read an interned state and the
+        # representative's values through their ride.
+        reps = [inst for inst in engine.instances[24:] if rep_of(inst) is inst]
         assert len(reps) == 4
         for inst in engine.instances[24:]:
-            rep = inst._cohort.rep
-            assert inst._state is rep._state and inst._state in plan.states.values()
-            assert inst is rep or (inst._raw is rep._raw and inst._sv is rep._sv)
+            rep = rep_of(inst)
+            assert rep._state in plan.states.values()
+            if inst is not rep:
+                assert type(inst) is Row and inst.materialized is None
+                readiness, _, raw, sv = inst._view()
+                assert readiness is rep._readiness and raw is rep._raw and sv is rep._sv
 
 
 # -- satellite: nothing plan-level holds an instance value -----------------------
