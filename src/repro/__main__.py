@@ -279,6 +279,7 @@ def _build_workload(args: argparse.Namespace):
 
 
 def run_simulate(args: argparse.Namespace) -> int:
+    from repro.api.counters import SUMMARY
     from repro.runtime import create_service
     from repro.simdb.rng import derive_rng
 
@@ -320,11 +321,7 @@ def run_simulate(args: argparse.Namespace) -> int:
         "sim_time": service.now,
         "mean_gmpl": service.mean_gmpl(),
         "query_cache": config.query_cache,
-        "query_cache_hits": summary.query_cache_hits,
-        "query_cache_misses": summary.query_cache_misses,
-        "query_cache_coalesced": summary.query_cache_coalesced,
-        "cohort_hits": summary.cohort_hits,
-        "cohort_splits": summary.cohort_splits,
+        **{row.name: getattr(summary, row.name) for row in SUMMARY},
         **service.dispatch_stats(),
         "observe": config.observe,
     }

@@ -20,6 +20,7 @@ from time import perf_counter
 from types import MethodType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
+from repro.api import counters as table
 from repro.api.backends import Backend, create_backend
 from repro.api.config import ExecutionConfig
 from repro.api.events import (
@@ -74,20 +75,6 @@ def coerce_config(config: "ExecutionConfig | Strategy | str | None") -> Executio
             f"config must be ExecutionConfig, Strategy, or code string, got {config!r}"
         )
     return config
-
-
-def service_counters(engine: "Engine | BatchedEngine") -> dict[str, int]:
-    """*engine*'s service-level summary fields (`SERVICE_COUNTERS`): its
-    query cache's, zero without one, and its cohort table's, zero unless
-    cohorts are armed (the reference engine has none)."""
-    cache = engine.query_cache
-    return {
-        "query_cache_hits": cache.hits if cache is not None else 0,
-        "query_cache_misses": cache.misses if cache is not None else 0,
-        "query_cache_coalesced": cache.coalesced if cache is not None else 0,
-        "cohort_hits": getattr(engine, "cohort_hits", 0),
-        "cohort_splits": getattr(engine, "cohort_splits", 0),
-    }
 
 
 class InstanceHandle:
@@ -584,16 +571,16 @@ class DecisionService(_ServiceFront):
         A service with no finished instances (nothing submitted yet, or
         everything still in flight) summarizes to a zeroed
         :class:`MetricsSummary` with ``count == 0`` rather than raising.
-        With the query share cache armed, the summary carries its
-        service-level hit/miss/coalesce counters; with cohort execution
-        armed, its cohort hit/split totals.  It equals one ``summarize``
+        It carries the counter table's summary rows
+        (:data:`repro.api.counters.SUMMARY`: the query cache's and the
+        cohort tier's counts, 0 where not armed).  It equals one ``summarize``
         over every finished instance, whenever :meth:`release_completed` ran.
         """
         summary = MetricsSummary.merge(
             self._released,
             summarize((i.booked for i in self.engine.instances if i.done), empty_ok=True),
         )
-        return replace(summary, **service_counters(self.engine))
+        return replace(summary, **table.fold(self, table.SUMMARY))
 
     def time_unit(self) -> str | None:
         """How to read the clock (``"units"``/``"ms"``)."""
@@ -606,11 +593,14 @@ class DecisionService(_ServiceFront):
 
     def dispatch_stats(self) -> dict:
         """Pooled-dispatch counters: the instant pools drained, and their events."""
-        simulation = self.backend.simulation
-        return {
-            "pooled_batches": simulation.pooled_batches,
-            "pooled_events": simulation.pooled_events,
-        }
+        return table.fold(self, table.DISPATCH)
+
+    def counters(self) -> dict[str, int | float]:
+        """Every count of :mod:`repro.api.counters` this service keeps, by
+        name, as it reads now: kept on every path, armed or not (the
+        reference engine keeps only the simulation's, the database's and
+        the cache's)."""
+        return table.read(self)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -624,51 +614,16 @@ class DecisionService(_ServiceFront):
     # -- observability (repro.obs) --------------------------------------------
 
     def observability(self) -> dict:
-        """The armed registry snapshot, refreshed with point-in-time gauges.
+        """The armed registry snapshot, with every count of the counter
+        table (:meth:`counters`) written in as its row's kind.
 
         Disarmed services return an ``enabled: False`` snapshot with no
-        entries; armed ones fold the live engine/DES/database/cache state
-        into gauges before snapshotting, so the result is self-contained
-        (JSON-able, mergeable across shards, renderable as Prometheus).
+        entries; an armed one is self-contained (JSON-able, mergeable
+        across shards, renderable as Prometheus).
         """
-        if not self.obs.enabled:
-            return self.obs.registry.snapshot()
-        # Armed, the engine is the batched one (the reference is not instrumented).
-        registry, engine, plan = self.obs.registry, self.engine, self.engine.plan
-        simulation = self.backend.simulation
-        database = self.backend.database
-        registry.gauge("sim_time").set(simulation.now)
-        registry.gauge("sim_events_executed").set(simulation.events_executed)
-        registry.gauge("db_total_units").set(database.total_units)
-        registry.gauge("db_mean_gmpl").set(database.mean_gmpl())
-        registry.gauge("pooled_batches").set(simulation.pooled_batches)
-        registry.gauge("pooled_events").set(simulation.pooled_events)
-        registry.gauge("engine_arrival_runs").set(engine.arrival_runs)
-        registry.gauge("engine_arrival_run_arrivals").set(engine.arrival_run_arrivals)
-        registry.gauge("engine_memo_states").set(len(plan.states))
-        registry.gauge("engine_memo_hits").set(plan.memo_hits)
-        registry.gauge("engine_memo_misses").set(plan.memo_misses)
-        registry.gauge("engine_flow_traces").set(engine.flow_traces)
-        registry.gauge("engine_flow_replays").set(engine.flow_replays)
-        registry.gauge("engine_flow_fallbacks").set(engine.flow_fallbacks)
-        registry.gauge("engine_launch_memo_entries").set(plan.launch_entries)
-        registry.gauge("engine_launch_memo_hits").set(plan.launch_hits)
-        registry.gauge("engine_hit_waves").set(engine.hit_waves)
-        registry.gauge("engine_hit_wave_deliveries").set(engine.hit_wave_deliveries)
-        registry.gauge("engine_bulk_joins").set(engine.bulk_joins)
-        registry.gauge("engine_bulk_join_members").set(engine.bulk_join_members)
-        submitted, done = self._counts()
-        registry.gauge("instances_submitted").set(submitted)
-        registry.gauge("instances_done").set(done)
-        cache = engine.query_cache
-        if cache is not None:
-            registry.gauge("query_cache_hits").set(cache.hits)
-            registry.gauge("query_cache_misses").set(cache.misses)
-            registry.gauge("query_cache_coalesced").set(cache.coalesced)
-        if engine._cohorts is not None:
-            registry.gauge("cohort_hits").set(engine.cohort_hits)
-            registry.gauge("cohort_splits").set(engine.cohort_splits)
-        return registry.snapshot()
+        if self.obs.enabled:
+            table.publish(self.obs.registry, self.counters())
+        return self.obs.registry.snapshot()
 
     def trace_groups(self) -> list[tuple[int, str, list]]:
         """Chrome-trace lanes: one per execution context (one here)."""

@@ -158,9 +158,11 @@ class BatchedEngine:
         self._run: _ArrivalRun | None = None
         self._firing: _ArrivalRun | None = None
         self.arrival_runs = self.arrival_run_arrivals = 0
-        #: Observability (repro.obs): disarmed contexts share NULL_OBS and
-        #: pay one boolean test per hook; armed ones get pre-bound
-        #: instruments so hot paths never do registry lookups.
+        #: scheduling rounds run, queries launched and instances finished,
+        #: on every path (flow replays' and wave steps' included)
+        self.scheduling_rounds = self.queries_launched = self.instances_completed = 0
+        #: Observability (repro.obs): spans and the query-wall histogram.
+        #: Disarmed contexts share NULL_OBS and pay one boolean test per hook.
         self.obs = obs if obs is not None else NULL_OBS
         self._obs_on = self.obs.enabled
         t0 = perf_counter()
@@ -168,14 +170,7 @@ class BatchedEngine:
         if self._obs_on:
             args = {"schema": schema.name, "nodes": len(self.plan.names)}
             self.obs.tracer.record("plan.compile", t0, perf_counter(), args=args)
-            registry = self.obs.registry
-            self._obs_rounds = registry.counter("engine_scheduling_rounds")
-            self._obs_launches = registry.counter("engine_queries_launched")
-            self._obs_query_wall = registry.histogram("query_wall_seconds")
-            self._obs_completions = registry.counter("engine_instances_completed")
-            self._obs_cohort_forms = registry.counter("cohort_forms")
-            self._obs_cohort_joins = registry.counter("cohort_joins")
-            self._obs_cohort_splits = registry.counter("cohort_splits")
+            self._obs_query_wall = self.obs.registry.histogram("query_wall_seconds")
             #: perf_counter at dispatch, keyed (instance_id, attribute) —
             #: closed in _take_result into a query-lifecycle span.
             self._obs_query_start: dict[tuple[str, str], float] = {}
@@ -203,7 +198,7 @@ class BatchedEngine:
         #: waves fired, their deliveries, and the waves that gave way mid-run
         self.hit_waves = self.hit_wave_deliveries = self.hit_wave_splits = 0
         #: Wave steps (:meth:`_compose`) need the memo's unthrottled event
-        #: keys, and an armed run counts every delivery as a round of its own.
+        #: keys, and an armed run records a span for every delivery's round.
         self._composing = self.plan.memo and not self.plan.throttled and not self._obs_on
         #: wave steps taken off the memo, filed, and refused by reason (kept for tests)
         self.wave_steps = {"taken": 0, "filed": 0, "unfiled": 0, "full": 0}
@@ -342,13 +337,13 @@ class BatchedEngine:
         self._after_event(instance)
 
     def _after_event(self, instance: BatchedInstance) -> None:
+        self.scheduling_rounds += 1
         if not self._obs_on:
             return self._advance(instance)
         t0 = perf_counter()
         self._advance(instance)
         args = {"instance": instance.instance_id}
         self.obs.tracer.record("engine.round", t0, perf_counter(), args=args)
-        self._obs_rounds.inc()
 
     def _advance(self, instance: BatchedInstance) -> None:
         """Second half of a memoized round, or the kernel's whole round."""
@@ -478,8 +473,8 @@ class BatchedEngine:
         instance.done = True
         instance._metrics.finish_time = self.sim.now
         instance.finalize_metrics()
+        self.instances_completed += 1
         if self._obs_on:
-            self._obs_completions.inc()
             self.obs.tracer.instant("instance.complete", args={"instance": instance.instance_id})
         if self.halt_policy == "cancel":
             for handle in instance.inflight.values():
@@ -518,8 +513,8 @@ class BatchedEngine:
             key, value, _ = entry
         metrics = instance._metrics
         metrics.queries_launched += 1
+        self.queries_launched += 1
         if self._obs_on:
-            self._obs_launches.inc()
             self._obs_query_start[(instance.instance_id, name)] = perf_counter()
         if speculative:
             instance.speculative_launch.add(name)
@@ -599,6 +594,7 @@ class BatchedEngine:
                     metrics.queries_completed += 1
                     if not instance.apply_query_result(name, value, sig):
                         metrics.speculative_wasted_queries += 1
+                    self.scheduling_rounds += 1
                     self._advance(instance)
                     if instance._flow is not None:
                         self._flows.delivered(instance, name, True)
@@ -668,6 +664,7 @@ class BatchedEngine:
                     m = j
                     break
         plan.memo_hits += m
+        self.scheduling_rounds += m
         metrics = instance._metrics
         metrics.queries_completed += m
         final, nulls, copies, wasted_queries, wasted_units, launches, _ = step
@@ -759,6 +756,7 @@ class BatchedEngine:
             instance, name, value, processed, completed
         )
 
+    cohort_forms = _tier_count("_cohorts", "forms")
     cohort_hits = _tier_count("_cohorts", "hits")
     cohort_splits = _tier_count("_cohorts", "splits")
     cohort_exits = _tier_count("_cohorts", "exits", MappingProxyType(dict.fromkeys(EXITS, 0)))

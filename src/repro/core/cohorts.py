@@ -268,8 +268,8 @@ class Cohorts:
         #: (:meth:`at`) — it never holds more than one instant's valuations.
         self.open: dict[object, _Cohort] = {}
         self.instant: float | None = None
-        #: members that joined, and that were dissolved back out
-        self.hits = self.splits = 0
+        #: cohorts formed, members that joined, and that were dissolved back out
+        self.forms = self.hits = self.splits = 0
         #: cohorts dissolved, by what made them (kept for tests)
         self.exits = dict.fromkeys(EXITS, 0)
         #: joins that took more than one arrival of a run, and their members
@@ -290,8 +290,8 @@ class Cohorts:
             instance._cohort = cohort = _Cohort(instance, engine.sim.now)
             engine._start_own(instance)
             self.open[key] = cohort
+            self.forms += 1
             if engine._obs_on:
-                engine._obs_cohort_forms.inc()
                 engine.obs.tracer.instant("cohort.form", args={"rep": instance.instance_id})
         elif self._rides(cohort):
             instance._flow = None  # a member rides; its representative records
@@ -510,7 +510,6 @@ class Cohorts:
                 self.bulk_joins += 1
                 self.bulk_join_members += joined
             if engine._obs_on:
-                engine._obs_cohort_joins.inc(joined)
                 args = {"member": members[0].instance_id, "members": joined}
                 engine.obs.tracer.instant("cohort.join", args=args)
             if not rec.done_after:
@@ -688,7 +687,6 @@ class Cohorts:
         self.splits += len(members)
         self.exits[trigger] += 1
         if engine._obs_on:
-            engine._obs_cohort_splits.inc(len(members))
             args = {"rep": cohort.rep.instance_id, "members": len(members), "trigger": trigger}
             engine.obs.tracer.instant("cohort.split", args=args)
         made = [(launch.name, launch.speculative) for rec in recs for launch in rec.launches]

@@ -192,9 +192,9 @@ class FlowMemo:
         now = sim.now
         for fed in wave.next:
             sim.schedule_at(now, lambda fed=fed: self._event(instance, fed), (2, 0))
+        engine.queries_launched += len(wave.keys)
+        engine.scheduling_rounds += wave.rounds
         if engine._obs_on:
-            engine._obs_launches.inc(len(wave.keys))
-            engine._obs_rounds.inc(wave.rounds)
             args = {"instance": instance.instance_id, "rounds": wave.rounds}
             engine.obs.tracer.record("engine.replay", t0, perf_counter(), args=args)
         if wave.finishes:

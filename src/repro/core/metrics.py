@@ -19,7 +19,7 @@ from math import isqrt
 from operator import attrgetter
 from typing import Iterable
 
-__all__ = ["InstanceMetrics", "MetricsSummary", "SERVICE_COUNTERS", "summarize"]
+__all__ = ["InstanceMetrics", "MetricsSummary", "summarize"]
 
 
 @dataclass(slots=True)
@@ -83,17 +83,6 @@ class InstanceMetrics:
 _INSTANCE_FIELDS = tuple(f.name for f in fields(InstanceMetrics))
 
 
-#: The service-level fields of a :class:`MetricsSummary`: counters of one
-#: query cache and one cohort table, summed — never averaged — across shards.
-SERVICE_COUNTERS = (
-    "query_cache_hits",
-    "query_cache_misses",
-    "query_cache_coalesced",
-    "cohort_hits",
-    "cohort_splits",
-)
-
-
 def _mean_of(total: str) -> property:
     """A read-time mean: the correctly rounded float of Σx / n (0.0 for none)."""
     return property(lambda s: float(Fraction(getattr(s, total), s.count)) if s.count else 0.0)
@@ -130,9 +119,10 @@ class MetricsSummary:
 
     The fields are the count; integer Σ and Σ² of ``work_units`` and Σ of
     the wasted speculative units, unneeded detections and launches; exact
-    (:class:`~fractions.Fraction`) Σ and Σ² of the elapsed times; and the
-    service-level ``query_cache_*`` / ``cohort_*`` counters (per service or
-    shard, zero unless armed, filled in by ``DecisionService.summary()``).
+    (:class:`~fractions.Fraction`) Σ and Σ² of the elapsed times; and, from
+    ``query_cache_hits`` on, the service counters: the counter table's
+    summary rows (:data:`repro.api.counters.SUMMARY`, zero unless armed),
+    filled in by ``summary()`` and summed — never averaged — across shards.
     :meth:`merge` adds them, so a summary equals one :func:`summarize` over
     the same instances whatever the releases and fleet rounds.  Means and
     population deviations are computed when read, each rounded once.
@@ -195,13 +185,14 @@ class MetricsSummary:
         return cls(*map(sum, zip(*map(_sums, summaries))))
 
 
-_sums = attrgetter(*(f.name for f in fields(MetricsSummary)))
+_FIELDS = tuple(f.name for f in fields(MetricsSummary))
+_sums = attrgetter(*_FIELDS)
 
 #: The keys of :meth:`MetricsSummary.to_dict`, in the order it serves them.
 _PAYLOAD = (
     "count", "mean_work", "std_work", "mean_elapsed", "std_elapsed",
     "mean_speculative_wasted_units", "mean_unneeded_detected", "total_work",
-    "mean_queries_launched", *SERVICE_COUNTERS,
+    "mean_queries_launched", *_FIELDS[_FIELDS.index("query_cache_hits") :],
 )
 
 

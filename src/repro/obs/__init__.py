@@ -7,7 +7,7 @@ One :class:`Observability` bundle pairs a
 :class:`~repro.api.service.DecisionService` through both engines, the
 sharded executors (workers ship registry snapshots and trace events back
 with their results), and the server daemon.  Disarmed, every execution
-context shares :data:`NULL_OBS` — no-op instruments, no-op tracer — and
+context shares :data:`NULL_OBS` — an empty registry, a no-op tracer — and
 hot paths guard on ``obs.enabled`` so the cost is one attribute test.
 """
 
@@ -15,9 +15,6 @@ from __future__ import annotations
 
 from repro.obs.registry import (
     DEFAULT_LATENCY_BOUNDS,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     Counter,
     Gauge,
     Histogram,
@@ -46,9 +43,6 @@ __all__ = [
     "histogram_quantile",
     "DEFAULT_LATENCY_BOUNDS",
     "DEFAULT_TRACE_CAPACITY",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
 ]
 
 

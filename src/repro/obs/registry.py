@@ -1,16 +1,15 @@
 """A lightweight metrics registry: counters, gauges, fixed-bucket histograms.
 
 Instrumented code asks the registry for an instrument once (typically in a
-constructor) and then calls ``inc`` / ``set`` / ``observe`` on the hot
-path.  Everything is lock-free plain Python — the engine and DES run on
-one thread, and the sharded runtime merges per-shard *snapshots* rather
-than sharing live registries, exactly like
+constructor) and then calls ``inc`` / ``set`` / ``observe``; counts kept
+elsewhere are written in at snapshot time (:mod:`repro.api.counters`).
+Everything is lock-free plain Python — the engine and DES run on one
+thread, and the sharded runtime merges per-shard *snapshots* rather than
+sharing live registries, exactly like
 :meth:`~repro.core.metrics.MetricsSummary.merge`.
 
-Disarmed observability costs nothing: :class:`NullRegistry` hands out
-process-wide no-op singletons (:data:`NULL_COUNTER` & co.) whose methods
-do nothing, and hot paths additionally guard on ``registry.enabled`` so
-even the no-op call is skipped where it matters.
+Disarmed, a context holds :class:`NullRegistry`, which has no instruments
+and snapshots to nothing: no path asks it for one.
 
 Snapshots are plain JSON-able dicts (``{"enabled", "counters", "gauges",
 "histograms"}``, each a list of labelled entries) so they cross process
@@ -32,9 +31,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "histogram_quantile",
 ]
 
@@ -304,54 +300,15 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        return None
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        return None
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-#: Process-wide no-op instruments: calling them is safe and free of state.
-NULL_COUNTER = _NullCounter("null")
-NULL_GAUGE = _NullGauge("null")
-NULL_HISTOGRAM = _NullHistogram("null")
-
-
 class NullRegistry:
-    """The disarmed registry: every lookup returns the shared no-ops."""
+    """The disarmed registry: no instruments, an empty snapshot."""
 
     enabled = False
 
     __slots__ = ()
 
-    def counter(self, name: str, **labels: object) -> Counter:
-        return NULL_COUNTER
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        return NULL_GAUGE
-
-    def histogram(self, name: str, bounds=DEFAULT_LATENCY_BOUNDS, **labels: object) -> Histogram:
-        return NULL_HISTOGRAM
-
     def snapshot(self) -> dict:
         return {"enabled": False, "counters": [], "gauges": [], "histograms": []}
-
-    def merge_snapshot(self, snapshot: dict, extra_labels: dict | None = None) -> None:
-        return None
 
     def to_prometheus(self, prefix: str = "repro_") -> str:
         return ""

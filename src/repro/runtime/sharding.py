@@ -68,13 +68,14 @@ from dataclasses import replace
 from typing import Any, Callable, Mapping, Sequence
 from zlib import crc32
 
+from repro.api import counters as table
 from repro.api.backends import Backend
 from repro.api.config import ExecutionConfig
 from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
 from repro.api.service import DecisionService, InstanceHandle, _ServiceFront, coerce_config
 from repro.core.conditions import UNRESOLVED
 from repro.core.engine import check_start_time, claim_instance_id, next_instance_ids
-from repro.core.metrics import SERVICE_COUNTERS, InstanceMetrics, MetricsSummary, summarize
+from repro.core.metrics import InstanceMetrics, MetricsSummary, summarize
 from repro.core.schema import DecisionFlowSchema
 from repro.core.strategy import Strategy
 from repro.errors import ExecutionError
@@ -393,8 +394,9 @@ class ShardedDecisionService(_ServiceFront):
             self._records = {i: r for i, r in held.items() if not r.settled}
         return released
 
-    def _counter_sums(self, names: Sequence[str]) -> dict[str, int]:
-        return {name: sum(o.counters[name] for o in self.outcomes) for name in names}
+    def _sums(self, rows) -> dict[str, int]:
+        """The counter table's *rows* (folded ones), summed over the shards."""
+        return {row.name: sum(o.counters[row.name] for o in self.outcomes) for row in rows}
 
     def summary(self) -> MetricsSummary:
         """Aggregate metrics over the fleet's finished instances, released
@@ -408,7 +410,7 @@ class ShardedDecisionService(_ServiceFront):
         summary = self.finished
         if unsettled:
             summary = MetricsSummary.merge(summary, summarize(unsettled))
-        return replace(summary, **self._counter_sums(SERVICE_COUNTERS))
+        return replace(summary, **self._sums(table.SUMMARY))
 
     def stats(self) -> tuple[ShardStats, ...]:
         """Per-shard population (held count included), database totals, and clocks."""
@@ -439,7 +441,13 @@ class ShardedDecisionService(_ServiceFront):
 
     def dispatch_stats(self) -> dict:
         """Fleet-level pooled-dispatch counters (summed across shards)."""
-        return self._counter_sums(("pooled_batches", "pooled_events"))
+        return self._sums(table.DISPATCH)
+
+    def counters(self) -> dict[str, int]:
+        """The counts a fleet sums (:data:`repro.api.counters.FOLDED`),
+        summed over its shards; the rest stay per shard, labelled, in
+        :meth:`observability`."""
+        return self._sums(table.FOLDED)
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -36,9 +36,10 @@ from __future__ import annotations
 import traceback
 from dataclasses import dataclass
 
+from repro.api import counters as table
 from repro.api.config import ExecutionConfig
-from repro.api.service import DecisionService, service_counters
-from repro.core.metrics import SERVICE_COUNTERS, InstanceMetrics
+from repro.api.service import DecisionService
+from repro.core.metrics import InstanceMetrics
 from repro.core.schema import DecisionFlowSchema
 from repro.core.serialize import config_from_dict, schema_from_dict
 from repro.errors import ExecutionError
@@ -49,11 +50,6 @@ __all__ = [
     "InstanceRecord",
     "worker_main",
 ]
-
-#: The integer counters a shard ships each round: the summary's service
-#: counters plus the pooled-dispatch pair.
-OUTCOME_COUNTERS = SERVICE_COUNTERS + ("pooled_batches", "pooled_events")
-
 
 @dataclass(slots=True)
 class InstanceRecord:
@@ -100,7 +96,8 @@ class ShardOutcome:
 
     Nothing here is summarised: the parent folds the metrics of the
     records it receives as they settle, and a shard adds only its
-    integer counters (:data:`OUTCOME_COUNTERS`) and its stats.
+    counts the fleet sums (the counter table's
+    :data:`~repro.api.counters.FOLDED` rows) and its stats.
     """
 
     records: list[InstanceRecord]
@@ -119,7 +116,7 @@ class ShardOutcome:
         """The outcome of a shard that received no work."""
         return cls(
             records=[],
-            counters=dict.fromkeys(OUTCOME_COUNTERS, 0),
+            counters={row.name: 0 for row in table.FOLDED},
             stats=ShardStats(shard, 0, 0, 0, 0, 0, 0, 0.0, 0.0, 0),
             time_unit=None,
             events=None,
@@ -197,7 +194,7 @@ class _PersistentShard:
         observed = service.obs.enabled
         return ShardOutcome(
             records=records,
-            counters={**service_counters(service.engine), **service.dispatch_stats()},
+            counters=table.fold(service, table.FOLDED),
             stats=ShardStats(
                 shard=self.shard,
                 instances=released + len(held),

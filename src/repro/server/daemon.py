@@ -21,10 +21,10 @@ over recent epochs.  The queue can never exceed ``high_water``, which
 bounds the work in flight and keeps the engine from falling unboundedly
 behind the arrival rate.
 
-Completed records (source valuation, decision values, metrics snapshot,
-config hash) are written to a :class:`~repro.server.store.RunStore` after
-every epoch, so ``get()`` on a restarted daemon still resolves instances
-finished before the restart.  Once an epoch is committed the daemon
+Finished records — done, stalled or failed: source valuation, decision
+values or error, metrics snapshot, config hash — are written to a
+:class:`~repro.server.store.RunStore` after every epoch, so ``get()`` on
+a restarted daemon still resolves instances finished before the restart.  Once an epoch is committed the daemon
 **forgets** it: the finished instances are released from the service
 (its summary keeps counting them) and their records leave the live map,
 so memory follows the admission bound rather than the number of
@@ -45,10 +45,11 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from queue import Full, Queue
 from typing import Any, Mapping, Sequence
 
+from repro.api import counters as table
 from repro.api.config import ExecutionConfig
 from repro.api.events import InstanceCompleteEvent, LaunchEvent, QueryDoneEvent
 from repro.api.service import coerce_config
@@ -110,17 +111,9 @@ class SubmitResult:
 
 
 @dataclass
-class _Pending:
-    """One admitted arrival waiting for the next drain epoch."""
-
-    instance_id: str
-    source: dict | None
-    wall: float
-
-
-@dataclass
 class _Record:
-    """In-memory state of one accepted instance, until it is persisted."""
+    """In-memory state of one accepted instance, until it is persisted:
+    what the arrival queue holds until its drain epoch."""
 
     instance_id: str
     status: str
@@ -235,7 +228,7 @@ class ServerDaemon:
         self._mono0 = time.monotonic()
         self._state_lock = threading.Lock()
         self._service_lock = threading.Lock()
-        self._queue: deque[_Pending] = deque()
+        self._queue: deque[_Record] = deque()
         self._records: dict[str, _Record] = {}
         self._completion_walls: dict[str, float] = {}
 
@@ -353,10 +346,9 @@ class ServerDaemon:
                     source = dict(self.default_values)
                 else:
                     source = None
-                self._queue.append(_Pending(instance_id, source, wall))
-                self._records[instance_id] = _Record(
-                    instance_id, QUEUED, wall, source
-                )
+                record = _Record(instance_id, QUEUED, wall, source)
+                self._queue.append(record)
+                self._records[instance_id] = record
                 ids.append(instance_id)
             self._accepted += n
             depth = len(self._queue)
@@ -389,7 +381,7 @@ class ServerDaemon:
                         break
         self._stopped.set()
 
-    def _take_batch(self) -> list[_Pending]:
+    def _take_batch(self) -> list[_Record]:
         with self._state_lock:
             if not self._queue:
                 return []
@@ -397,35 +389,35 @@ class ServerDaemon:
             self._queue.clear()
         return batch
 
-    def _run_epoch(self, batch: list[_Pending]) -> None:
+    def _run_epoch(self, batch: list[_Record]) -> None:
         epoch_mono = time.monotonic()
         epoch_wall = time.time()
         span_started = time.perf_counter()
-        handles: list[tuple[_Pending, object]] = []
+        handles: list[tuple[_Record, object]] = []
+        failed: list[_Record] = []
         with self._service_lock:
             floor = self.service.now
-            for pending in batch:
+            for record in batch:
                 with self._state_lock:
-                    record = self._records[pending.instance_id]
                     record.status = RUNNING
                     record.started_wall = epoch_wall
-                    self._h_queue_wait.observe(max(0.0, epoch_wall - pending.wall))
-                scaled = (pending.wall - self._wall0) * self.ticks_per_second
+                    self._h_queue_wait.observe(max(0.0, epoch_wall - record.submitted_wall))
+                scaled = (record.submitted_wall - self._wall0) * self.ticks_per_second
                 try:
                     handle = self.service.submit(
-                        pending.source,
+                        record.source,
                         at=max(floor, scaled),
-                        instance_id=pending.instance_id,
+                        instance_id=record.instance_id,
                     )
                 except Exception as error:  # a bad valuation must not kill the loop
-                    self._mark_failed(pending.instance_id, error)
+                    failed.append(self._mark_failed(record, error))
                     continue
-                handles.append((pending, handle))
+                handles.append((record, handle))
             try:
                 self.service.run()
             except Exception as error:  # pragma: no cover - engine invariant breach
-                for pending, _handle in handles:
-                    self._mark_failed(pending.instance_id, error)
+                for record, _handle in handles:
+                    failed.append(self._mark_failed(record, error))
                 handles = []
         if self._obs.enabled:
             self._obs.tracer.record(
@@ -434,30 +426,35 @@ class ServerDaemon:
                 time.perf_counter(),
                 args={"batch": len(batch)},
             )
-        self._finish_epoch(handles, time.monotonic() - epoch_mono)
+        self._finish_epoch(handles, failed, time.monotonic() - epoch_mono)
 
-    def _mark_failed(self, instance_id: str, error: Exception) -> None:
+    def _mark_failed(self, record: _Record, error: Exception) -> _Record:
         with self._state_lock:
-            record = self._records[instance_id]
             record.status = FAILED
             record.error = f"{type(error).__name__}: {error}"
             self._failed += 1
+        return record
 
     def _finish_epoch(
-        self, handles: list[tuple[_Pending, object]], epoch_seconds: float
+        self,
+        handles: list[tuple[_Record, object]],
+        failed: list[_Record],
+        epoch_seconds: float,
     ) -> None:
+        """Record the epoch's outcomes and persist them with the records
+        that *failed* to start: every record it settled, failed ones too,
+        leaves the live map once the store has it."""
         fallback_wall = time.time()
         # Every value_map() returns a fresh dict: the record may keep it.
-        decided = [h.value_map() if h.done else None for _p, h in handles]
-        finished = []
+        decided = [h.value_map() if h.done else None for _r, h in handles]
+        finished = failed
         done_count = 0
         with self._state_lock:
-            for (pending, handle), values in zip(handles, decided):
-                record = self._records[pending.instance_id]
+            for (record, handle), values in zip(handles, decided):
                 if handle.done:
                     record.status = DONE
                     record.completed_wall = self._completion_walls.pop(
-                        pending.instance_id, fallback_wall
+                        record.instance_id, fallback_wall
                     )
                     record.values = values
                     record.metrics = handle.metrics
@@ -506,6 +503,7 @@ class ServerDaemon:
             "values": record.values,
             "metrics": None if record.metrics is None else record.metrics.to_dict(),
             "config_hash": self.config_digest,
+            "error": record.error,
         }
 
     # -- reading --------------------------------------------------------------
@@ -527,31 +525,18 @@ class ServerDaemon:
         if self._store is not None:
             stored = self._store.get(instance_id)
             if stored is not None:
-                return self._payload_from_store(stored)
+                return self._payload(stored, "store")
         return None
 
     def _payload_from_live(self, record: _Record) -> dict:
-        payload = {
-            "id": record.instance_id,
-            "status": record.status,
-            "schema": self.schema.name,
-            "submitted_at": record.submitted_wall,
-            "started_at": record.started_wall,
-            "completed_at": record.completed_wall,
-            "source": encode_values(record.source) or {},
-            "values": encode_values(record.values),
-            "metrics": None if record.metrics is None else record.metrics.to_dict(),
-            "config_hash": self.config_digest,
-            "origin": "live",
-        }
-        if record.error is not None:
-            payload["error"] = record.error
-        if record.completed_wall is not None:
-            payload["latency"] = record.completed_wall - record.submitted_wall
-        return payload
+        stored = self._store_record(record)
+        stored["source"] = encode_values(record.source) or {}
+        stored["values"] = encode_values(record.values)
+        return self._payload(stored, "live")
 
     @staticmethod
-    def _payload_from_store(stored: dict) -> dict:
+    def _payload(stored: dict, origin: str) -> dict:
+        """The ``get()`` payload of a record in the store's form."""
         payload = {
             "id": stored["instance_id"],
             "status": stored["status"],
@@ -563,8 +548,10 @@ class ServerDaemon:
             "values": stored["values"],
             "metrics": stored["metrics"],
             "config_hash": stored["config_hash"],
-            "origin": "store",
+            "origin": origin,
         }
+        if stored.get("error") is not None:
+            payload["error"] = stored["error"]
         if stored["completed_wall"] is not None:
             payload["latency"] = stored["completed_wall"] - stored["submitted_wall"]
         return payload
@@ -608,17 +595,13 @@ class ServerDaemon:
         or, on a process-executor service, when any persistent shard
         worker has died (the fleet cannot recover its shard state).
         """
-        now = time.monotonic()
-        heartbeat_age = now - self._heartbeat_mono
-        alive = self._thread.is_alive()
-        stopping = self._stopping.is_set()
-        with self._state_lock:
-            depth = len(self._queue)
+        stats = self.server_stats()
+        alive, stopping = stats["drain_alive"], stats["stopping"]
         # Unlocked: a liveness probe must not wait out a running epoch.
         workers = self.service.worker_health()
         if not alive and not self._stopped.is_set():
             status, ok = "dead", False
-        elif alive and heartbeat_age > self._stall_after:
+        elif alive and stats["heartbeat_age"] > self._stall_after:
             status, ok = "wedged", False
         elif not workers["alive"] and not stopping:
             status, ok = "workers-dead", False
@@ -629,12 +612,10 @@ class ServerDaemon:
         payload = {
             "status": status,
             "ok": ok,
-            "queue_depth": depth,
-            "high_water": self.high_water,
-            "heartbeat_age": heartbeat_age,
+            **{key: stats[key] for key in ("queue_depth", "high_water", "heartbeat_age")},
             "stall_after": self._stall_after,
             "drain_alive": alive,
-            "uptime": now - self._mono0,
+            "uptime": stats["uptime"],
             "workers": workers,
         }
         return ok, payload
@@ -649,8 +630,7 @@ class ServerDaemon:
 
         Each stage reports ``count``, ``mean``, ``p50``, and ``p99`` in
         wall seconds, interpolated from the always-on fixed-bucket
-        histograms — these power the ``/metrics`` JSON body and feed the
-        AdaptiveStrategy controller sketched in ROADMAP item 5.
+        histograms — these power the ``/metrics`` JSON body.
         """
         with self._state_lock:
             snapshot = self._stages.snapshot()
@@ -672,7 +652,10 @@ class ServerDaemon:
             return self.service.observability()
 
     def metrics_payload(self) -> dict:
-        """The ``GET /metrics`` body: summary + server + config identity."""
+        """The ``GET /metrics`` body: summary + server + config identity
+        (the strategy's code and every scalar config field)."""
+        config = self.config
+        identity = {f.name: getattr(config, f.name) for f in fields(config)}
         return {
             "summary": self.summary().to_dict(),
             "server": self.server_stats(),
@@ -680,13 +663,8 @@ class ServerDaemon:
             "stages": self.stage_stats(),
             "observability": self.observability(),
             "config": {
-                "code": self.config.code,
-                "backend": self.config.backend,
-                "engine": self.config.engine,
-                "shards": self.config.shards,
-                "executor": self.config.executor,
-                "query_cache": self.config.query_cache,
-                "halt_policy": self.config.halt_policy,
+                "code": config.code,
+                **{k: v for k, v in identity.items() if isinstance(v, (str, int, float))},
                 "hash": self.config_digest,
                 "schema": self.schema.name,
             },
@@ -697,20 +675,17 @@ class ServerDaemon:
 
         Summary and server counters become ``repro_summary_*`` /
         ``repro_server_*`` gauges, pooled-dispatch totals become
-        ``repro_dispatch_*`` counters, the always-on stage histograms
-        export with cumulative ``_bucket{le=...}`` series, and — when the
-        daemon runs with ``observe=True`` — the merged engine registry
-        (per-shard labels intact) rides along.
+        ``repro_dispatch_*`` counters (the summary and dispatch ones as
+        :func:`repro.api.counters.publish_folds` writes them), the always-on
+        stage histograms export with cumulative ``_bucket{le=...}`` series,
+        and — when the daemon runs with ``observe=True`` — the merged engine
+        registry (per-shard labels intact) rides along.
         """
         registry = MetricsRegistry()
-        for name, value in self.summary().to_dict().items():
-            if isinstance(value, (int, float)):
-                registry.gauge(f"summary_{name}").set(float(value))
+        table.publish_folds(registry, self.summary().to_dict(), self.dispatch_stats())
         for name, value in self.server_stats().items():
             if isinstance(value, (int, float)):  # bools export as 0/1
                 registry.gauge(f"server_{name}").set(float(value))
-        for name, value in self.dispatch_stats().items():
-            registry.counter(f"dispatch_{name}").inc(int(value))
         with self._state_lock:
             stage_snapshot = self._stages.snapshot()
         registry.merge_snapshot(stage_snapshot)

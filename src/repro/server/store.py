@@ -1,11 +1,11 @@
 """SQLite persistence for the decision-service daemon.
 
 A :class:`RunStore` keeps one row per finished decision-flow instance —
-the source valuation, the decision (stable attribute) values, the final
-metrics snapshot, wall-clock timestamps, and the hash of the
-:class:`~repro.api.config.ExecutionConfig` that produced it — so a
-restarted daemon answers ``GET /instances/<id>`` for work completed
-before the restart.
+the source valuation, the decision (stable attribute) values or a failed
+run's error, the final metrics snapshot, wall-clock timestamps, and the
+hash of the :class:`~repro.api.config.ExecutionConfig` that produced it
+— so a restarted daemon answers ``GET /instances/<id>`` for work
+completed before the restart.
 
 Everything is stdlib ``sqlite3``.  One connection is shared across the
 daemon's threads behind a lock (the drain loop writes whole epochs in
@@ -52,7 +52,8 @@ CREATE TABLE IF NOT EXISTS runs (
     values_json    TEXT,
     metrics_json   TEXT,
     config_hash    TEXT NOT NULL,
-    row_version    INTEGER
+    row_version    INTEGER,
+    error          TEXT
 );
 """
 
@@ -61,7 +62,7 @@ CREATE TABLE IF NOT EXISTS runs (
 #: drop or retype columns in place, and additive migration keeps old
 #: daemons able to open new stores (they select by name, not position),
 #: though they read a version-2 value column in its row form.
-_MIGRATIONS = (("started_wall", "REAL"), ("row_version", "INTEGER"))
+_MIGRATIONS = (("started_wall", "REAL"), ("row_version", "INTEGER"), ("error", "TEXT"))
 
 ROW_VERSION = 2
 
@@ -152,8 +153,9 @@ class RunStore:
         ``schema_name``, ``status``, ``submitted_wall``, ``started_wall``
         (optional — legacy writers omit it), ``completed_wall``,
         ``source`` (raw values), ``values`` (raw values or None),
-        ``metrics`` (plain dict or None), and ``config_hash``; it encodes
-        the values itself.  Returns the number of rows written.
+        ``metrics`` (plain dict or None), ``config_hash`` and ``error``
+        (optional: a failed run's error text); it encodes the values
+        itself.  Returns the number of rows written.
         """
         rows = [
             (
@@ -170,6 +172,7 @@ class RunStore:
                 else _encode_json(record["metrics"]),
                 record["config_hash"],
                 ROW_VERSION,
+                record.get("error"),
             )
             for record in records
         ]
@@ -183,8 +186,8 @@ class RunStore:
                 "INSERT OR REPLACE INTO runs ("
                 "instance_id, schema_name, status, submitted_wall, "
                 "started_wall, completed_wall, source_json, values_json, "
-                "metrics_json, config_hash, row_version) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "metrics_json, config_hash, row_version, error) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 rows,
             )
             self._conn.commit()
@@ -221,6 +224,7 @@ class RunStore:
             "values": _values_from(row["values_json"], row["row_version"]),
             "metrics": None if row["metrics_json"] is None else json.loads(row["metrics_json"]),
             "config_hash": row["config_hash"],
+            "error": row["error"],
         }
 
     def count(self) -> int:

@@ -19,6 +19,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from functools import partial
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import pytest
@@ -47,7 +48,7 @@ from repro import (
 )
 from repro.api import DecisionService
 from repro.api.backends import Backend
-from repro.api.service import service_counters
+from repro.api import counters as table
 from repro.core.batch_instance import _NO_INFLIGHT, _NO_NAMES, _NO_QUEUE
 from repro.core.engine import EngineObserver
 from repro.core.rows import Row
@@ -670,9 +671,13 @@ def trace_of(engine, events) -> dict:
     sim, database, cache = engine.sim, engine.database, engine.query_cache
     obs = getattr(engine, "obs", None)  # (the reference engine is not instrumented)
     instances = engine.instances
+    view = SimpleNamespace(engine=engine)  # all the table's summary and counter rows read
     # (cohorts are the batched engine's own: the reference has none to count)
-    counters = {**service_counters(engine), "cohort_hits": 0, "cohort_splits": 0}
+    counters = {**table.fold(view, table.SUMMARY), "cohort_hits": 0, "cohort_splits": 0}
     summary = replace(summarize((i.metrics for i in instances if i.done), empty_ok=True), **counters)
+    if obs and obs.enabled:  # the registry as an armed run's snapshot has it
+        counted = [row for row in table.COUNTS if row.kind == table.COUNTER]
+        table.publish(obs.registry, table.read(view, counted))
     return {
         "events": [_flat(event) for event in events],
         "values": [

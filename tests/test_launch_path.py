@@ -444,3 +444,8 @@ def test_armed_runs_take_the_same_waves_and_count_every_round(monkeypatch):
     assert readings["engine_queries_launched"] == launched
     assert readings["engine_scheduling_rounds"] == spans["engine.round"] == rounds
     assert spans["query"] == launched
+    # ...and the disarmed run, wave steps and all, keeps the same counts.
+    assert plain.engine.wave_steps["taken"] > 0
+    counts = plain.counters()
+    for name in ("scheduling_rounds", "queries_launched", "instances_completed"):
+        assert counts[f"engine_{name}"] == readings[f"engine_{name}"], name

@@ -9,6 +9,7 @@ iteration), never by sleeping and hoping.
 """
 
 import gc
+import json
 import os
 import signal
 import threading
@@ -439,16 +440,36 @@ class TestRetention:
             self.assert_oracle_equal(pattern, payload, value)
         assert daemon.summary().count == self.EPOCHS
 
-    def test_unpersisted_terminal_records_stay_live(self, make_daemon, tmp_path):
-        """A failed submission has no store row; memory is its only home."""
+    def test_failed_records_are_persisted_in_their_epoch(self, make_daemon, tmp_path):
+        """A failed submission is stored, its error with it, in the epoch
+        it failed, and leaves the live map as a finished record does."""
         daemon = make_daemon(db=str(tmp_path / "runs.sqlite"))
         (bad,) = daemon.submit({"no_such_attribute": 1}).accepted
         (good,) = daemon.submit().accepted
         assert daemon.wait_idle(WAIT)
-        assert daemon.get(bad)["status"] == "failed"
-        assert daemon.get(bad)["origin"] == "live"
+        failed = daemon.get(bad)
+        assert failed["status"] == "failed"
+        assert failed["origin"] == "store"
+        assert "ExecutionError" in failed["error"]
+        assert failed["metrics"] is None and failed["completed_at"] is None
         assert daemon.get(good)["origin"] == "store"
-        assert set(daemon._records) == {bad}
+        assert daemon._records == {}
+        assert daemon.server_stats()["persisted"] == 2
+
+    def test_a_restart_keeps_a_failed_id_and_never_reissues_it(self, make_daemon, tmp_path):
+        db = str(tmp_path / "runs.sqlite")
+        first = make_daemon(db=db)
+        (done,) = first.submit().accepted
+        assert first.wait_idle(WAIT)
+        (failed,) = first.submit({"no_such_attribute": 1}).accepted
+        assert first.wait_idle(WAIT)
+        assert first.shutdown()
+        second = make_daemon(db=db)
+        assert second.get(done)["status"] == "done"
+        assert second.get(failed)["status"] == "failed"
+        assert "ExecutionError" in second.get(failed)["error"]
+        (fresh,) = second.submit().accepted
+        assert fresh not in (done, failed)
 
 
 class TestShardedService:
@@ -567,6 +588,23 @@ class TestMetricsPayload:
         assert payload["summary"] == daemon.summary().to_dict()
         assert payload["server"]["completed"] == 4
         assert payload["config"]["hash"] == daemon.config_digest
+
+    def test_the_config_block_tells_an_armed_daemon_apart(self, make_daemon):
+        blocks = {
+            observe: make_daemon(ExecutionConfig.from_code("PSE80", observe=observe))
+            .metrics_payload()["config"]
+            for observe in (False, True)
+        }
+        armed, disarmed = blocks[True], blocks[False]
+        assert armed.pop("hash") != disarmed.pop("hash")
+        assert (armed.pop("observe"), disarmed.pop("observe")) == (True, False)
+        assert armed == disarmed
+        block = make_daemon().metrics_payload()["config"]
+        assert set(block) == {
+            "code", "backend", "engine", "shards", "executor", "query_cache",
+            "halt_policy", "observe", "hash", "schema",
+        }
+        assert json.loads(json.dumps(block)) == block
 
 
 class TestEvents:

@@ -330,6 +330,15 @@ class TestSchemaMigration:
         # The legacy row stays version 1 (NULL); the new one is version 2.
         assert self._row_versions(path) == {"srv-legacy": None, "srv-new": 2}
 
+    def test_legacy_db_gains_error(self, tmp_path):
+        path = tmp_path / "runs.sqlite"
+        self._make_legacy_db(path)
+        with RunStore(path) as store:
+            assert store.get("srv-legacy")["error"] is None
+            store.record(make_record("srv-failed", status="failed", error="ExecutionError: x"))
+            assert store.get("srv-failed")["error"] == "ExecutionError: x"
+            assert store.get("srv-failed")["status"] == "failed"
+
     def test_migration_preserves_wal_mode(self, tmp_path):
         path = tmp_path / "runs.sqlite"
         self._make_legacy_db(path)
