@@ -5,9 +5,11 @@ It executes the same algorithm as the reference :class:`repro.oracle.Engine`
 instances (:mod:`repro.core.batch_instance`), one tier per module:
 
 * here, the shell: submission in *arrival runs* (one event starts a run
-  of same-instant arrivals), rounds — a transition-memo step where the
-  plan has one, the kernel's round otherwise — the launch path under the
-  launch memo, finishing and settling;
+  of same-instant arrivals), each arrival with a start key a *row*
+  (:mod:`repro.core.rows`) until its start decides what it becomes,
+  rounds — a transition-memo step where the plan has one, the kernel's
+  round otherwise — the launch path under the launch memo, finishing and
+  settling;
 * here too, *hit waves*: a run of query-memo hits delivered by one event,
   whose longest run of deliveries that launch, finish and cancel nothing
   before the last is one *wave step*, looked up and filed in the
@@ -16,8 +18,12 @@ instances (:mod:`repro.core.batch_instance`), one tier per module:
   plan and an armed run keep one round per delivery);
 * with a query cache, two collaborators share whole instances, each built
   only where it is armed: the flow memo replays a valuation seen before
-  (:mod:`repro.core.flow_memo`), and same-instant copies of a new one
-  ride the first in lockstep as a *cohort* (:mod:`repro.core.cohorts`).
+  (:mod:`repro.core.flow_memo`) — a row that never runs for itself, whose
+  waves run with the other replays of its instant as one event per wave
+  and which ends holding its trace's shared final record — and
+  same-instant copies of a new one ride the first in lockstep as a
+  *cohort* (:mod:`repro.core.cohorts`).  Where neither applies, the row
+  becomes the :class:`BatchedInstance` it stands for.
 
 It shares only pure helpers (:mod:`repro.core.engine`) with the reference
 engine, so a fault in either shell shows in the differential suites
@@ -50,12 +56,9 @@ from repro.core.strategy import Strategy
 from repro.nulls import NULL, ExceptionValue
 from repro.obs import NULL_OBS, Observability
 from repro.simdb.database import DatabaseServer, QueryShareCache
-from repro.values import key as value_key, share_key
+from repro.values import keys, share_key
 
 __all__ = ["BatchedEngine", "BatchedInstance"]
-
-#: what a submission's start key reads until it is computed
-_UNKEYED = object()
 
 
 class _ArrivalRun:
@@ -66,21 +69,17 @@ class _ArrivalRun:
     pays for no list) are the starts it stands in for, ``next`` indexes the
     one to start next, and the run takes another arrival only while
     ``sim.scheduled`` still reads ``marker`` — while that arrival's own
-    start event would have had the next consecutive seq.
+    start event would have had the next consecutive seq.  ``valuation``
+    is its last row's, which the next row of that key shares.
     """
 
-    __slots__ = (
-        "engine", "first", "arrivals", "next", "event", "marker", "key", "sources", "valuation",
-    )  # fmt: skip
+    __slots__ = ("engine", "first", "arrivals", "next", "event", "marker", "valuation")
 
-    def __init__(self, engine: "BatchedEngine", first: "BatchedInstance"):
+    def __init__(self, engine: "BatchedEngine", first: "BatchedInstance | Row"):
         self.engine, self.first = engine, first
         self.arrivals: list[BatchedInstance | Row] | None = None
         self.next = 0
-        #: the start key and sources of its last arrival that is an
-        #: instance (key None where no row may follow it), and the
-        #: valuation the rows behind that arrival share, made with the first
-        self.key = self.sources = self.valuation = None
+        self.valuation: _Valuation | None = None
 
     def __call__(self) -> None:
         self.engine._fire_run(self)
@@ -158,6 +157,9 @@ class BatchedEngine:
         self._run: _ArrivalRun | None = None
         self._firing: _ArrivalRun | None = None
         self.arrival_runs = self.arrival_run_arrivals = 0
+        #: waves the flow memo's replay runs took: ``sim.scheduled`` moves
+        #: they need not probe for (they sort behind any run being fired)
+        self._replayed = 0
         #: scheduling rounds run, queries launched and instances finished,
         #: on every path (flow replays' and wave steps' included)
         self.scheduling_rounds = self.queries_launched = self.instances_completed = 0
@@ -186,6 +188,10 @@ class BatchedEngine:
             else None
         )
         self._flows = FlowMemo(self) if armed and self.plan.memo else None
+        #: whether an arrival is keyed (a row until it starts): where a tier reads the key
+        self._keyed = self.plan.start_cache_ok and (
+            self._cohorts is not None or self._flows is not None
+        )
         #: the stage record the cohort tier captures while its
         #: representative advances: what `_launch` appends to
         self._recording = None
@@ -211,7 +217,7 @@ class BatchedEngine:
         at: float | None = None,
         instance_id: str | None = None,
         on_complete: Callable[[InstanceMetrics], None] | None = None,
-    ) -> BatchedInstance:
+    ) -> BatchedInstance | Row:
         """:meth:`Engine.submit_instance <repro.oracle.engine.Engine.submit_instance>`
         in *arrival runs*: an arrival joins the open run when it starts at
         the run's instant and nothing has been scheduled since the run's
@@ -220,6 +226,9 @@ class BatchedEngine:
         One event starts a run's arrivals in order (:meth:`_fire_run`), so
         traces are those of one start event each, while
         :attr:`Simulation.pending` and ``events_executed`` count a run once.
+        An arrival with a start key is a :class:`Row` until it starts
+        (:meth:`_start`), sharing the valuation of the row right before it
+        if that has its key; one with none is an instance from the start.
         """
         sim, plan = self.sim, self.plan
         start_time = sim.now if at is None else at
@@ -233,21 +242,18 @@ class BatchedEngine:
         plan.schema.check_sources(source_values)
         run = self._run
         joins = run is not None and run.marker == sim.scheduled and run.event.time == start_time
-        key, instance = _UNKEYED, None
-        if joins and run.key is not None and on_complete is None:
-            key = tuple(map(value_key, map(source_values.__getitem__, names)))
-            if None in key:
-                key = None  # a refused value: no key (repro.values.keys)
-            elif key == run.key and (self._flows is None or key not in self._flows.traces):
-                # The arrival before it decides for it: a row of its cohort.
-                if run.valuation is None:
-                    run.valuation = _Valuation(plan, run.key, run.sources)
-                instance = Row(instance_id, start_time, run.valuation)
-        if instance is None:
+        # A refused value has no key (repro.values.keys): such an arrival
+        # is an instance from the start, as is every one where no tier keys.
+        key = keys(map(source_values.__getitem__, names)) if self._keyed else None
+        if key is None:
             sources = {name: source_values[name] for name in names}
-            if key is _UNKEYED:
-                key = plan.start_key(sources) if plan.start_cache_ok else None
-            instance = BatchedInstance(plan, instance_id, sources, key, start_time)
+            instance = BatchedInstance(plan, instance_id, sources, None, start_time)
+        else:
+            valuation = run.valuation if joins else None
+            if valuation is None or valuation.key != key:
+                sources = {name: source_values[name] for name in names}
+                valuation = _Valuation(plan, key, sources)
+            instance = Row(instance_id, start_time, valuation)
         if drawn is not None:
             self._id_next = next(drawn)
         self._instance_ids.add(instance_id)
@@ -263,9 +269,8 @@ class BatchedEngine:
             self._run = run = _ArrivalRun(self, instance)
             run.event = sim.schedule_at(start_time, run)
             self.arrival_runs += 1
-        if type(instance) is BatchedInstance:
-            run.key = key if self._cohorts is not None else None
-            run.sources, run.valuation = instance._sources, None
+        if key is not None:
+            run.valuation = valuation
         self.arrival_run_arrivals += 1
         run.marker = sim.scheduled
         return instance
@@ -311,9 +316,13 @@ class BatchedEngine:
             while run.next < n:
                 instance = arrivals[run.next]
                 run.next += 1
-                marker = sim.scheduled
+                marker = sim.scheduled - self._replayed
                 self._start(instance)
-                if run.next < n and sim.scheduled != marker and sim.preempted(event):
+                if (
+                    run.next < n
+                    and sim.scheduled - self._replayed != marker
+                    and sim.preempted(event)
+                ):
                     return sim.resume(event, run)
         except BaseException:
             if run.next < n:
@@ -708,24 +717,29 @@ class BatchedEngine:
             instance._queue = _NO_QUEUE
             instance._sources = instance._start_key = None
 
-    def _start(self, instance: BatchedInstance) -> None:
-        """An arrival's start: a flow replay, a cohort's decision, or a
-        start of its own."""
+    def _start(self, instance: BatchedInstance | Row) -> None:
+        """An arrival's start.  A row replays its key's trace, rides its
+        key's open cohort, or becomes the instance it stands for (one
+        with a completion callback never rides as a row); an instance
+        leads a cohort, rides or dissolves one, or starts on its own."""
         cohorts, flows = self._cohorts, self._flows
         if cohorts is not None:
             cohorts.at(self.sim.now)
         if type(instance) is Row:
-            instance = cohorts.ride(instance)
-            if instance is None:
-                return  # it rides
-        if instance._start_key is None:
+            if flows is not None and flows.replay(instance):
+                return
+            if cohorts is None or instance.instance_id in self._on_complete:
+                instance = instance.materialize()
+            else:
+                instance = cohorts.ride(instance)
+                if instance is None:
+                    return  # it rides
+            if flows is not None:
+                flows.record(instance)
+        if cohorts is None or instance._start_key is None:
             self._start_own(instance)
-        elif flows is not None and flows.replay(instance):
-            return
-        elif cohorts is not None:
-            cohorts.start(instance)
         else:
-            self._start_own(instance)
+            cohorts.start(instance)
         if instance._flow is not None:
             flows.delivered(instance, None, True)
         if instance.done:

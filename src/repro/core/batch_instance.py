@@ -49,12 +49,13 @@ _NO_QUEUE = ()
 
 
 class SharedMetrics(InstanceMetrics):
-    """A lockstep cohort's final metrics record, which every rider that
-    booked nothing of its own holds until it is read.
+    """A final metrics record that many finished arrivals hold until it is
+    read: a lockstep cohort's, held by every rider that booked nothing of
+    its own, or a flow trace's for one instant, held by its replays there.
 
-    Its ``instance_id`` is the cohort's; a rider reading
-    :attr:`BatchedInstance.metrics` gets a private equal copy under its
-    own id instead (``summary()`` folds it as it is).
+    Its ``instance_id`` is the cohort's or the trace's; an arrival reading
+    ``metrics`` gets a private equal copy under its own id instead
+    (``summary()`` folds it as it is).
     """
 
     __slots__ = ()
@@ -227,7 +228,7 @@ class BatchedInstance(_Reads):
 
     * *Submitted*: its sources, its start key and its start time; no
       metrics record until it books something for itself (:meth:`start`,
-      :meth:`materialize`, a flow replay) or :attr:`metrics` is read.  The
+      :meth:`materialize`) or :attr:`metrics` is read.  The
       per-run containers (``inflight``, ``speculative_launch``, the
       candidate pool, the drain queue) read as shared immutable empties,
       and writing one raises.
@@ -235,13 +236,13 @@ class BatchedInstance(_Reads):
       ``inflight`` / ``speculative_launch``, and aliases an interned
       state's arrays or takes copies; :meth:`_own` (the kernel's entry)
       gives it the candidate pool and the drain queue.  A lockstep member
-      or a flow replay never runs for itself: it ends aliasing its
-      representative's or trace's arrays and value lists, and a rider
-      that booked nothing of its own shares its cohort's final metrics
-      record (a :class:`SharedMetrics`) until it is read.  Most riders
-      never get an instance at all: they are rows of their cohort
-      (:class:`~repro.core.rows.Row`), and one is built only for a row
-      that has to run for itself (:meth:`Row.materialize
+      never runs for itself: it ends aliasing its representative's arrays
+      and value lists, and a rider that booked nothing of its own shares
+      its cohort's final metrics record (a :class:`SharedMetrics`) until
+      it is read.  Most arrivals with a start key never get an instance
+      at all: they are rows (:class:`~repro.core.rows.Row`) of their
+      cohort or of a flow trace, and one is built only for a row that has
+      to run for itself (:meth:`Row.materialize
       <repro.core.rows.Row.materialize>`).
     * *Settled* (done, nothing in flight): the engine swaps the
       containers back for the shared empties and drops the sources and
@@ -334,8 +335,8 @@ class BatchedInstance(_Reads):
         #: dissolved cohort leaves behind).
         self._cohort = None
         #: Flow memo: the rounds recorded so far (a list) while every
-        #: launch was a query-memo hit, the :class:`_FlowTrace` of an
-        #: instance replayed from one, None otherwise.
+        #: launch was a query-memo hit, None otherwise (an instance never
+        #: replays: a replay is a row of its trace).
         self._flow = None
 
     # -- metrics -----------------------------------------------------------

@@ -313,17 +313,12 @@ class Cohorts:
         return True
 
     def ride(self, row: Row) -> BatchedInstance | None:
-        """Start *row*: ride its key's open cohort where an instance with
-        its valuation would (no flow trace on file, the cohort ridable),
-        and None; otherwise the instance built for it (:meth:`Row.materialize`),
-        to start as any arrival does."""
-        key, flows = row._link.key, self._engine()._flows
-        cohort = self.open.get(key)
-        if (
-            cohort is not None
-            and (flows is None or key not in flows.traces)
-            and self._rides(cohort)
-        ):
+        """Start *row*, which did not replay and has no callback: ride its
+        key's open cohort where an instance with its valuation would (the
+        cohort ridable), and None; otherwise the instance built for it
+        (:meth:`Row.materialize`), to start as any arrival does."""
+        cohort = self.open.get(row._link.key)
+        if cohort is not None and self._rides(cohort):
             self._join(cohort, self._riders(row))
             return None
         return row.materialize()
@@ -430,8 +425,8 @@ class Cohorts:
         same cohort, still open and still ridable, since joining changes
         neither — with no flow trace on file for it, and no
         ``on_complete`` callback pending among them (one may schedule what
-        the next start would have waited for).  A row behind it is such
-        an arrival by construction.  The run moves past those taken.
+        the next start would have waited for): rows, since every arrival
+        with a key is one until it starts.  The run moves past those taken.
         """
         engine = self._engine()
         riders, run, flows = [instance], engine._firing, engine._flows
@@ -448,8 +443,10 @@ class Cohorts:
         n = len(arrivals)
         while k < n:
             arrival = arrivals[k]
-            if type(arrival) is not Row and (
-                arrival._start_key != key or arrival.instance_id in pending
+            if (
+                type(arrival) is not Row
+                or arrival._link.key != key
+                or (pending and arrival.instance_id in pending)
             ):
                 break
             k += 1

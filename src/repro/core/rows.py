@@ -1,23 +1,29 @@
-"""Lockstep riders as rows of their cohort.
+"""Arrivals as rows: an id and a start time until they run for themselves.
 
-An arrival that would only ride a cohort (:mod:`repro.core.cohorts`) owns
-nothing but its id and its start time: its decision is its
-representative's.  The engine submits it as a :class:`Row` when it joins
-the open arrival run right behind an arrival with the same typed start
-key, passes no ``on_complete`` and no flow trace is on file for the key
+An arrival owns nothing but its id and its start time until something
+has to run for it, and most never do: a lockstep rider's decision is its
+cohort representative's (:mod:`repro.core.cohorts`), a flow replay's its
+trace's (:mod:`repro.core.flow_memo`).  The engine submits every arrival
+with a start key as a :class:`Row`
 (:meth:`BatchedEngine.submit_instance
-<repro.core.batch_engine.BatchedEngine.submit_instance>`) — the arrivals
-``Cohorts._riders`` takes.  A row links to one of three things in turn:
+<repro.core.batch_engine.BatchedEngine.submit_instance>`), and its start
+decides what it becomes.  A row links to one of four things in turn:
 
-* its run's :class:`_Valuation` (the sources and start key the arrivals
-  of one key share) until its run fires;
-* its cohort's :class:`_Ride` once it rides: the representative, whose
+* its :class:`_Valuation` (the sources and start key that consecutive
+  arrivals of one key share) until it starts;
+* the :class:`~repro.core.flow_memo._FlowWave` it last ran, where it
+  replays a trace on file: a cursor, from which it reads its trace's end
+  state once done and its counters only when read — a replay that
+  finished holding no record of its own holds its trace's shared final
+  record for its instant;
+* its cohort's :class:`_Ride` where it rides: the representative, whose
   progress it reads while riding and whose end state it reads once
   finished, and the cohort's shared final record — a cohort finishes its
   rows in one step, not one by one;
 * the :class:`BatchedInstance` built for it (:meth:`Row.materialize`)
-  where it cannot ride, or stops riding: from then on it forwards every
-  read there.
+  where it runs for itself — a start of its own, a cohort
+  representative, a dissolve, a replay that fell back: from then on it
+  forwards every read there.
 
 Rows read like instances: ``instance_id``, ``start_time``, ``done``,
 ``inflight``, ``booked``, ``metrics``, ``value``, ``value_map``,
@@ -34,15 +40,17 @@ from repro.core.batch_instance import (
     copy_record,
     unstarted_view,
 )
+from repro.core.conditions import UNRESOLVED
+from repro.core.flow_memo import _FlowWave
 from repro.core.metrics import InstanceMetrics
 
 __all__ = ["Row"]
 
 
 class _Valuation:
-    """The sources and start key that the rows behind one arrival share
-    until their run fires (sources checked, in ``schema.source_names``
-    order, never written: the first arrival's own copy)."""
+    """The sources and start key that consecutive rows of one key share
+    until they start (sources checked, in ``schema.source_names`` order,
+    never written: the first arrival's own copy)."""
 
     __slots__ = ("plan", "key", "sources")
 
@@ -52,6 +60,9 @@ class _Valuation:
 
     def __init__(self, plan, key: tuple, sources: dict):
         self.plan, self.key, self.sources = plan, key, sources
+
+    def _view(self) -> tuple:
+        return unstarted_view(self.plan, self.sources)
 
 
 class _Ride:
@@ -73,14 +84,15 @@ class _Ride:
 
 
 class Row(_Reads):
-    """A lockstep rider: an id, a start time, a link and, once read, a
+    """An arrival as an id, a start time, a link and, once read, a
     metrics record of its own (see the module docstring).
 
-    A row that finished shares its cohort's final record until
-    :attr:`metrics` is read, which gives it a private equal copy under
-    its own id; a record read before it finished is its own, filled when
-    it finishes.  One the cohort finishes member by member (someone
-    listens) holds the shared record itself, or has its own filled.
+    A row that finished holding no record shares its cohort's or its
+    trace's final record until :attr:`metrics` is read, which gives it a
+    private equal copy under its own id; a record read before it
+    finished is its own, booked as it runs and filled when it finishes.
+    One the cohort finishes member by member (someone listens) holds the
+    shared record itself, or has its own filled.
     """
 
     __slots__ = ("instance_id", "start_time", "_link", "_metrics")
@@ -92,14 +104,17 @@ class Row(_Reads):
         self._metrics: InstanceMetrics | None = None
 
     def materialize(self) -> BatchedInstance:
-        """Build the instance this row stands for, from its valuation or,
-        riding, from its representative's (never settled while it has
-        members to leave); it takes the row's record, and the row
+        """Build the instance this row stands for, from its valuation, its
+        trace's or, riding, its representative's (never settled while it
+        has members to leave); it takes the row's record, and the row
         forwards to it from now on."""
         link = self._link
         if type(link) is _Ride:
             rep = link.rep
             plan, sources, key = rep.plan, rep._sources, rep._start_key
+        elif type(link) is _FlowWave:
+            trace = link.trace
+            plan, sources, key = trace.plan, trace.sources, trace.key
         else:
             plan, sources, key = link.plan, link.sources, link.key
         instance = BatchedInstance(plan, self.instance_id, sources, key, self.start_time)
@@ -115,7 +130,7 @@ class Row(_Reads):
 
     @property
     def _sources(self) -> dict | None:
-        """Its sources while its run has not fired (None from then on)."""
+        """Its sources until it starts (None from then on)."""
         link = self._link
         return link.sources if type(link) is _Valuation else None
 
@@ -140,21 +155,25 @@ class Row(_Reads):
 
     @property
     def booked(self) -> InstanceMetrics | None:
-        """Its record as it holds it, no copy made: its cohort's shared
-        final record once it finished holding none of its own."""
+        """Its record as it holds it, no copy made: its cohort's or its
+        trace's shared final record once it finished holding none of its
+        own; a replay's made now if it holds none."""
         link = self._link
         if type(link) is BatchedInstance:
             return link.booked
         metrics = self._metrics
-        if metrics is None and type(link) is _Ride and link.done:
-            return link.final
+        if metrics is None:
+            if type(link) is _Ride and link.done:
+                return link.final
+            if type(link) is _FlowWave:
+                return self.metrics
         return metrics
 
     @property
     def metrics(self) -> InstanceMetrics:
         """Its record: one made now if it has none — a private copy of the
-        shared final one once it finished, a live zero one before — and
-        stable from then on."""
+        shared final one once it finished, a replay's counters so far, a
+        live zero one before — and stable from then on."""
         link = self._link
         if type(link) is BatchedInstance:
             return link.metrics
@@ -164,6 +183,8 @@ class Row(_Reads):
                 metrics = link.final
             if metrics is None:
                 metrics = InstanceMetrics(self.instance_id, self.start_time)
+                if type(link) is _FlowWave:
+                    link.book(metrics, self.start_time)
             else:
                 metrics = copy_record(self.instance_id, metrics)
             if type(link) is _Ride:
@@ -173,11 +194,7 @@ class Row(_Reads):
 
     def _view(self) -> tuple:
         link = self._link
-        if type(link) is _Ride:
-            return link.rep._view()
-        if type(link) is BatchedInstance:
-            return link._view()
-        return unstarted_view(link.plan, link.sources)
+        return link.rep._view() if type(link) is _Ride else link._view()
 
     def value(self, name: str) -> object:
         link = self._link
@@ -185,7 +202,12 @@ class Row(_Reads):
             return link.rep.value(name)
         if type(link) is BatchedInstance:
             return link.value(name)
-        return _Reads.value(self, name)
+        if type(link) is _FlowWave and link.done:
+            trace = link.trace
+            value = trace.sv[trace.plan.index[name]]
+            if value is not UNRESOLVED:
+                return value
+        return _Reads.value(self, name)  # raises, naming the state, where not stable
 
     def __repr__(self) -> str:
         flag = " done" if self.done else ""

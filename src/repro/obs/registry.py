@@ -148,21 +148,34 @@ def _labels_key(labels: dict | None) -> tuple:
 
 
 class MetricsRegistry:
-    """Get-or-create home of every instrument in one execution context."""
+    """Get-or-create home of every instrument in one execution context.
+
+    A name is of one kind: asking for it as another (directly or through
+    :meth:`merge_snapshot`) raises :class:`ValueError`, since the
+    exposition writes one ``# TYPE`` line per name.
+    """
 
     enabled = True
 
-    __slots__ = ("_counters", "_gauges", "_histograms")
+    __slots__ = ("_counters", "_gauges", "_histograms", "_kinds")
 
     def __init__(self):
         self._counters: dict[tuple, Counter] = {}
         self._gauges: dict[tuple, Gauge] = {}
         self._histograms: dict[tuple, Histogram] = {}
+        #: name → the kind it was first registered as
+        self._kinds: dict[str, str] = {}
+
+    def _claim(self, name: str, kind: str) -> None:
+        held = self._kinds.setdefault(name, kind)
+        if held != kind:
+            raise ValueError(f"metric {name!r} is already a {held}, not a {kind}")
 
     def counter(self, name: str, **labels: object) -> Counter:
         key = (name, _labels_key(labels))
         instrument = self._counters.get(key)
         if instrument is None:
+            self._claim(name, "counter")
             instrument = self._counters[key] = Counter(name, key[1])
         return instrument
 
@@ -170,6 +183,7 @@ class MetricsRegistry:
         key = (name, _labels_key(labels))
         instrument = self._gauges.get(key)
         if instrument is None:
+            self._claim(name, "gauge")
             instrument = self._gauges[key] = Gauge(name, key[1])
         return instrument
 
@@ -179,6 +193,7 @@ class MetricsRegistry:
         key = (name, _labels_key(labels))
         instrument = self._histograms.get(key)
         if instrument is None:
+            self._claim(name, "histogram")
             instrument = self._histograms[key] = Histogram(name, bounds, key[1])
         elif instrument.bounds != tuple(float(b) for b in bounds):
             raise ValueError(

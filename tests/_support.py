@@ -237,13 +237,16 @@ SETTLED = (
 
 #: Traced bytes per retained finished instance, all handles held, on the
 #: product stack (PSE100, query cache) at 1 000 instances of each
-#: `population`: 2 685 / 1 318 / 281 measured on CPython 3.11, plus ≈20 %
+#: `population`: 2 749 / 1 081 / 281 measured on CPython 3.11, plus ≈20 %
 #: for other interpreters' object sizes.  Before settled instances let go
 #: of their per-run containers they read 4 856 / 2 058 / 973; before a
 #: cohort's riders shared one final metrics record, identical read 626
 #: (budget 760); before a rider was a row of its cohort (no
-#: BatchedInstance of its own), 458 (budget 560).
-RETENTION_BUDGET = {"distinct": 3200, "overlap": 1600, "identical": 340}
+#: BatchedInstance of its own), 458 (budget 560); before a flow replay was
+#: a row of its trace, overlap read 1 318 (budget 1 600) and distinct
+#: 2 685 (every arrival with a key is now a row, there built into an
+#: instance at its start).
+RETENTION_BUDGET = {"distinct": 3200, "overlap": 1300, "identical": 340}
 
 #: GC-tracked objects per held finished handle at the margin (the growth
 #: from 1 000 to 2 000 held handles, per handle: one-off plan, memo and

@@ -44,6 +44,7 @@ from repro import (
     Strategy,
 )
 from repro.api import DecisionService, ExecutionConfig
+from repro.core.batch_instance import BatchedInstance, SharedMetrics
 from repro.core.predicates import UserPredicate
 from repro.core.rows import Row
 from repro.errors import ExecutionError
@@ -509,7 +510,11 @@ def test_identical_arrivals_stay_within_the_budget_before_and_after_the_run():
 
 def test_replayed_arrivals_stay_within_the_budget():
     """Eight hot valuations, each on file: every arrival is a flow-memo
-    replay and ends aliasing its trace's arrays."""
+    replay, a row of its trace.  Submitted, it holds its handle, its row
+    and at most a valuation and its sources (≤ 5 tracked objects per
+    arrival while each replay was an instance); replayed, the handle and
+    the row, which reads its trace's end state and shares one final
+    record with the replays of its trace at its instant."""
     service, n = fast_service(), 2000
     hot = [{PERF_SOURCE: 89.0 + k} for k in range(8)]
     for at, values in enumerate(hot + hot):  # the first occurrence misses, the second files
@@ -517,12 +522,14 @@ def test_replayed_arrivals_stay_within_the_budget():
     service.run()
     base, before = service.now + 1.0, tracked()
     handles = [service.submit(hot[k % 8], at=base + k // 16) for k in range(n)]
-    assert tracked() - before <= 5 * n
+    assert tracked() - before <= 4 * n
     service.run()
-    assert tracked() - before <= 5 * n
+    shared = len({(k % 8, k // 16) for k in range(n)})  # a record per trace per instant
+    assert tracked() - before <= 2 * n + shared
     assert service.engine.flow_replays == n and service.engine.flow_fallbacks == 0
     assert not any(holds_a_container(handle.instance) for handle in handles)
-    assert all(handle.done for handle in handles)
+    assert all(handle.done and handle.instance.materialized is None for handle in handles)
+    assert all(type(handle.instance.booked) is SharedMetrics for handle in handles)
 
 
 def test_a_lone_arrival_pays_for_no_run_machinery():
@@ -539,22 +546,28 @@ def test_a_lone_arrival_pays_for_no_run_machinery():
 
 
 def test_a_write_before_start_fails_loudly():
+    # where no reuse tier reads a start key, an arrival is an instance from the start
+    unkeyed = fast_service(query_cache=False).submit(PERF.source_values).instance
+    assert type(unkeyed) is BatchedInstance
+    with pytest.raises(TypeError):
+        unkeyed.inflight["x"] = object()
+    with pytest.raises(AttributeError):
+        unkeyed.speculative_launch.add("x")
+    with pytest.raises(AttributeError):
+        unkeyed._cand.add(1)
+    with pytest.raises(AttributeError):
+        unkeyed._queue.append(1)
+    # on the product stack every arrival is a row until it starts, with no
+    # containers at all; the same valuation right behind the first rides it
     service = fast_service()
-    instance = service.submit(PERF.source_values).instance
-    with pytest.raises(TypeError):
-        instance.inflight["x"] = object()
-    with pytest.raises(AttributeError):
-        instance.speculative_launch.add("x")
-    with pytest.raises(AttributeError):
-        instance._cand.add(1)
-    with pytest.raises(AttributeError):
-        instance._queue.append(1)
-    # the same valuation right behind it rides it: a row, with no containers at all
+    first = service.submit(PERF.source_values).instance
     other = service.submit(PERF.source_values).instance
-    assert type(other) is Row and not other.inflight and unsettled(other) == ["_sources"]
-    with pytest.raises(TypeError):
-        other.inflight["x"] = object()
+    for row in (first, other):
+        assert type(row) is Row and not row.inflight and unsettled(row) == ["_sources"]
+        with pytest.raises(TypeError):
+            row.inflight["x"] = object()
     service.run()
+    instance = first.materialized  # the first ran for itself
     # settled: the containers are the read-only empties again
     assert instance.done and other.done
     assert not unsettled(other) and other.materialized is None

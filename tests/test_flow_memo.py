@@ -30,14 +30,20 @@ from repro import (
     UserPredicate,
 )
 from repro.api import DecisionService, ExecutionConfig
+from repro.core.batch_engine import BatchedEngine
+from repro.core.batch_instance import SharedMetrics
 from repro.core.plan import ControlState
 from repro.core.predicates import attr
 from repro.core.rows import Row
+from repro.simdb.des import Simulation
 from tests._support import (
     METRIC_FIELDS,
     PERF,
+    RecordingObserver,
+    _row,
     add_inputs,
     assert_matches_reference,
+    assert_same,
     engine_arms,
     q,
     run,
@@ -282,8 +288,10 @@ def test_release_completed_between_rounds():
             ]
             if kind == "batched" and round_no == 1:
                 # Round 0 missed; this round's first 93.5 is the all-hit
-                # instance the table records.
-                lists = (handles[0].instance._raw, handles[0].instance._sv)
+                # instance the table records: a row that ran for itself.
+                recorded = handles[0].instance.materialized
+                lists = (recorded._raw, recorded._sv)
+                del recorded
             del handles
             assert len(service.release_completed()) == 3
         assert read["batched"] == read["reference"]
@@ -382,3 +390,220 @@ def test_any_arrival_schedule_matches_the_reference(schedule, memo_limit):
     assert_matches_reference(
         SMALL.schema, "PSE100", arrivals=arrivals, memo_limit=memo_limit, **FAST
     )
+
+
+# -- (f) replay runs: the replays of one instant, one event per wave -------------------
+
+DISPATCH = pytest.mark.parametrize("pooled", [False, True], ids=["per-event", "pooled"])
+
+HOT = (93.5, 95.25, 97.0)
+
+#: three valuations filed by t = 300 (the first occurrence misses, the second
+#: is all-hit and files), then same-instant bursts that replay them
+FILED = [
+    (at + 10.0 * k, {PERF_SOURCE: v}) for at in (100.0, 200.0) for k, v in enumerate(HOT)
+]
+
+
+class _RunResumes:
+    """Counts the replay runs that gave way mid-run (``Simulation.resume``
+    handed a replay run back)."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        resume = Simulation.resume
+
+        def counted(sim, event, fn):
+            self.count += isinstance(fn, flow_memo._ReplayRun)
+            return resume(sim, event, fn)
+
+        monkeypatch.setattr(Simulation, "resume", counted)
+
+
+@DISPATCH
+def test_replays_with_callbacks_give_way_to_what_their_callbacks_schedule(pooled, monkeypatch):
+    """A closed loop with no think time: every arrival has a callback that
+    submits the next at its own instant.  Replays (rows with a callback)
+    and own runs (their hit waves) share instants; a replay's callback
+    schedules a start that preempts the rest of its replay run, which
+    gives way and resumes behind it, as per-event starts would."""
+    rng = random.Random(5)
+    values = [
+        {PERF_SOURCE: rng.choice(HOT) if rng.random() < 0.8 else round(rng.uniform(89, 100), 6)}
+        for _ in range(120)
+    ]
+    resumes = _RunResumes(monkeypatch)
+    for cohorts in (False, True):
+        engine = assert_matches_reference(
+            PERF.schema, "PSE100", closed=(8, values, 0.0), pooled=pooled, cohorts=cohorts
+        )
+        assert engine.flow_replays > 40 and engine.hit_waves > 0
+    assert resumes.count > 0
+
+
+class LateListener(RecordingObserver):
+    """Records nothing until someone subscribes (``has_listeners``), as the
+    service's dispatcher drops events with no handler."""
+
+    has_listeners = False
+
+    def on_instance_start(self, instance):
+        if self.has_listeners:
+            super().on_instance_start(instance)
+
+    def on_launch(self, instance, name, *, speculative):
+        if self.has_listeners:
+            super().on_launch(instance, name, speculative=speculative)
+
+    def on_query_done(self, instance, name, *, units, completed):
+        if self.has_listeners:
+            super().on_query_done(instance, name, units=units, completed=completed)
+
+    def on_instance_complete(self, instance):
+        if self.has_listeners:
+            super().on_instance_complete(instance)
+
+
+@DISPATCH
+def test_a_listener_subscribed_mid_instant_hears_the_rest_of_the_run(pooled):
+    """The fourth replay of a burst subscribes a listener from its
+    callback: the replays behind it in the same run emit every call from
+    there on, the ones ahead none."""
+    traces = {}
+    for engine_cls in (Engine, BatchedEngine):
+        listener = LateListener()
+
+        def subscribe(_metrics, listener=listener):
+            listener.has_listeners = True
+
+        def drive(engine, sim):
+            for at, values in FILED:
+                engine.submit_instance(values, at=at)
+            for k in range(12):
+                callback = subscribe if k == 3 else None
+                engine.submit_instance({PERF_SOURCE: HOT[k % 3]}, at=300.0, on_complete=callback)
+
+        traces[engine_cls], engine = run(
+            engine_cls, PERF.schema, "PSE100", drive=drive, pooled=pooled, listen=listener
+        )
+        heard = {event[1] for event in listener.events}
+    assert_same(traces[Engine], traces[BatchedEngine])
+    assert engine.flow_replays == 12
+    assert 0 < len(heard) < 12  # the run was heard from its middle on
+
+
+@DISPATCH
+@pytest.mark.parametrize("halt_policy", ["cancel", "drain"])
+def test_an_eviction_mid_run_falls_back_inside_the_run(pooled, halt_policy, monkeypatch):
+    """A query memo smaller than one instance's keys: a replay finds a key
+    evicted at a wave of a run it shares with other replays, becomes an
+    instance there, and runs the rest for real."""
+    pattern = scenario_pattern(0, nb_nodes=24, pct_enabled=50.0, max_cost=6)
+    source = pattern.schema.source_names[0]
+    base = pattern.source_values[source]
+    rng = random.Random(7)
+    arrivals = [
+        (50.0 * (instant + 1), {source: base if rng.random() < 0.5 else base + rng.random()})
+        for instant in range(40)
+        for _ in range(4)
+    ]
+    runs, fell = [], []
+    fire, fall_back = flow_memo.FlowMemo._fire, flow_memo.FlowMemo._fall_back
+
+    def firing(self, run):
+        runs.append(len(run.items) // 2)
+        fire(self, run)
+
+    def falling(self, row, trace, wave):
+        fell.append(runs[-1])  # the waves of the run it fell back in
+        fall_back(self, row, trace, wave)
+
+    monkeypatch.setattr(flow_memo.FlowMemo, "_fire", firing)
+    monkeypatch.setattr(flow_memo.FlowMemo, "_fall_back", falling)
+    engine = assert_matches_reference(
+        pattern.schema,
+        "PSE100",
+        arrivals=arrivals,
+        memo_limit=16,
+        halt_policy=halt_policy,
+        pooled=pooled,
+        cohorts=True,
+    )
+    assert engine.flow_fallbacks == len(fell) > 0 and max(fell) > 1
+
+
+@DISPATCH
+@pytest.mark.parametrize("halt_policy", ["cancel", "drain"])
+def test_replay_runs_under_either_halt_policy(pooled, halt_policy):
+    arrivals = FILED + bursts(HOT, instants=12, burst=(4, 9), p_hot=0.8)
+    engine = assert_matches_reference(
+        PERF.schema,
+        "PSE100",
+        arrivals=arrivals,
+        halt_policy=halt_policy,
+        pooled=pooled,
+    )
+    assert engine.flow_replays > 30 and engine.flow_fallbacks == 0
+    replays = [row for row in engine.instances if type(row) is Row and row.materialized is None]
+    assert all(type(row.booked) is not SharedMetrics or row.done for row in replays)
+
+
+def _progress(records: list) -> list:
+    """*records* read (not None), each repeat of the one before left out."""
+    records = [record for record in records if record is not None]
+    return [record for k, record in enumerate(records) if not k or record != records[k - 1]]
+
+
+def _straggling():
+    """NSE50 on this pattern files 26's trace with a wave of stragglers
+    after its finish, behind 1026's: warm-up, then a burst of both."""
+    pattern = scenario_pattern(0, nb_nodes=24, pct_enabled=50.0, max_cost=6)
+    source = pattern.schema.source_names[0]
+    hot = [{source: pattern.source_values[source] + 1000 * k} for k in (0, 1)]
+    warm = [(100.0 * k, hot[k % 2]) for k in range(12)]
+    return pattern.schema, "NSE50", warm, [(1300.0, hot[k % 2]) for k in range(6)]
+
+
+def _filed_perf():
+    hot = [{PERF_SOURCE: value} for value in HOT]
+    return PERF.schema, "PSE100", FILED, [(300.0, hot[k % 3]) for k in range(9)]
+
+
+@DISPATCH
+@pytest.mark.parametrize("halt_policy", ["cancel", "drain"])
+@pytest.mark.parametrize("case", [_filed_perf, _straggling], ids=["perf", "stragglers"])
+def test_a_replays_record_read_after_every_step_is_the_references(pooled, halt_policy, case):
+    """Each replay's ``metrics``, read after every ``sim.step()`` (a record
+    of its own from the first read on, booked wave by wave), is a record
+    the reference engine's instance held after some event, in order, and
+    the last is its final one — where a replay finishes a wave before
+    its stragglers arrive too.  Every other replay is read from the step
+    after the one it finished in: its first record is made from the waves
+    it has run."""
+    schema, code, warm, burst = case()
+    seen = {}
+    for engine_cls in (Engine, BatchedEngine):
+        reads = seen[engine_cls] = []
+
+        def drive(engine, sim):
+            for at, values in warm:
+                engine.submit_instance(values, at=at)
+            replays = [engine.submit_instance(values, at=at) for at, values in burst]
+            done = set()
+            while sim.step_instant() if pooled else sim.step():
+                reads.append(
+                    [_row(i.metrics) if k % 2 == 0 or k in done else None for k, i in enumerate(replays)]
+                )
+                done.update(k for k, instance in enumerate(replays) if instance.done)
+            reads.append([_row(instance.metrics) for instance in replays])
+
+        _, engine = run(
+            engine_cls, schema, code, drive=drive, pooled=pooled, halt_policy=halt_policy
+        )
+    assert engine.flow_replays >= len(burst)
+    for k in range(len(burst)):
+        want = _progress([step[k] for step in seen[Engine]])
+        got = _progress([step[k] for step in seen[BatchedEngine]])
+        assert got[-1] == want[-1]
+        rest = iter(want)
+        assert all(record in rest for record in got), k  # a subsequence of the reference's

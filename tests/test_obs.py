@@ -131,6 +131,33 @@ class TestRegistry:
         assert "repro_lat_count 2" in lines
         assert text.endswith("\n")
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("counter", "gauge"), ("gauge", "counter"), ("counter", "histogram"),
+         ("histogram", "gauge")],
+    )  # fmt: skip
+    def test_a_name_keeps_its_kind(self, first, second):
+        """One ``# TYPE`` line per name: a second kind under a held name is
+        refused, directly and through a merged snapshot, naming both."""
+        registry = MetricsRegistry()
+        getattr(registry, first)("x", shard="0")
+        text = registry.to_prometheus()
+        with pytest.raises(ValueError, match=f"'x' is already a {first}, not a {second}"):
+            getattr(registry, second)("x", shard="1")
+        other = MetricsRegistry()
+        getattr(other, second)("x")
+        with pytest.raises(ValueError, match=f"already a {first}, not a {second}"):
+            registry.merge_snapshot(other.snapshot())
+        assert registry.to_prometheus() == text  # nothing of the refused kind got in
+        getattr(registry, first)("x", shard="2")  # its own kind, new labels: fine
+
+    def test_two_kinds_under_one_name_never_render(self):
+        registry = MetricsRegistry()
+        registry.counter("x").inc(2)
+        with pytest.raises(ValueError):
+            registry.gauge("x").set(3)
+        assert registry.to_prometheus() == "# TYPE repro_x counter\nrepro_x 2\n"
+
 
 class TestNullInstruments:
     def test_null_registry_has_no_instruments(self):

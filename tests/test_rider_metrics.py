@@ -243,8 +243,10 @@ def test_one_value_read_equals_the_cell_read_on_every_kind_of_instance(until):
         elif until != "before":
             service.run(until=until)
     batched, reference = handles["batched"], handles["reference"]
-    assert type(batched[0].instance) is BatchedInstance
-    assert [type(h.instance) for h in batched[1:]] == [Row, Row]
+    # every arrival is a row; the representative's is built at its start
+    assert [type(h.instance) for h in batched] == [Row, Row, Row]
+    built = [h.instance.materialized is not None for h in batched]
+    assert built == [until != "before", False, False]
     assert all(h.done for h in batched) == (until == "settled")
     names = (*PERF.schema.names, "no-such-attribute")
     for handle, twin in zip(batched, reference):
@@ -263,16 +265,18 @@ def test_identical_arrivals_at_one_instant_hold_one_batched_instance():
     handles = identical(service, n=10_000)
     service.run()
     assert service.engine.cohort_hits == 10_000 - 1
-    kinds = [type(instance) for instance in service.engine.instances]
-    assert kinds.count(BatchedInstance) == 1 and kinds.count(Row) == 10_000 - 1
+    rows = service.engine.instances
+    assert all(type(row) is Row for row in rows) and len(rows) == 10_000
+    built = [row.materialized for row in rows if row.materialized is not None]
+    assert len(built) == 1 and type(built[0]) is BatchedInstance
     assert {tuple(h.result().items()) for h in handles} == {tuple(handles[0].result().items())}
 
 
 def test_a_row_whose_key_is_traced_before_its_run_fires_replays():
-    """Arrivals of one valuation at t = 200 are a row behind an instance
-    at submission, when no trace is on file; the t = 100 one, all
-    query-memo hits, files it before they fire, so each is built then
-    and replayed from the flow memo."""
+    """Arrivals of one valuation at t = 200 are rows at submission, when no
+    trace is on file; the t = 100 one, all query-memo hits, files it
+    before they fire, so each replays it from the flow memo as a row, and
+    no instance is built for any."""
     seen = {}
 
     def drive(engine, sim):
@@ -287,8 +291,8 @@ def test_a_row_whose_key_is_traced_before_its_run_fires_replays():
         traces[engine_cls], engine = run(
             engine_cls, PERF.schema, "PSE100", drive=drive, cohorts=True, pooled=True
         )
-    assert seen["kinds"] == [BatchedInstance, Row, Row, Row]
-    assert all(row.materialized is not None for row in seen["late"][1:])
+    assert seen["kinds"] == [Row, Row, Row, Row]
+    assert all(row.materialized is None for row in seen["late"])
     assert engine.flow_traces == 1 and engine.flow_replays == 4 and engine.cohort_hits == 0
     assert_same(traces[Engine], traces[BatchedEngine])
 
@@ -303,8 +307,8 @@ def test_rows_under_an_attached_event_log_decide_as_the_reference():
         handles[engine] = identical(service)
         service.run()
     engine = built["batched"].engine
-    rows = [i for i in engine.instances if type(i) is Row]
-    assert len(rows) == N - 1 and all(row.materialized is None for row in rows)
+    rows = [i for i in engine.instances if i.materialized is None]
+    assert len(rows) == N - 1 and all(type(i) is Row for i in engine.instances)
     assert_same(
         trace_of(built["reference"].engine, logs["reference"].events),
         trace_of(engine, logs["batched"].events),
@@ -314,9 +318,10 @@ def test_rows_under_an_attached_event_log_decide_as_the_reference():
 
 
 def test_rows_mixed_with_completion_callbacks_decide_as_the_reference():
-    """Every fourth arrival passes ``on_complete`` (an instance), the rest
-    of a burst behind it are rows; the callbacks fire in the reference
-    order with the reference records."""
+    """Every fourth arrival passes ``on_complete`` (a row built into an
+    instance at its start, which rides as one), the rest of a burst behind
+    it ride as rows; the callbacks fire in the reference order with the
+    reference records."""
     seen = {}
 
     def drive(engine, sim):
@@ -331,7 +336,9 @@ def test_rows_mixed_with_completion_callbacks_decide_as_the_reference():
         traces[engine_cls], engine = run(
             engine_cls, PERF.schema, "PSE100", drive=drive, cohorts=True, pooled=True
         )
-    assert seen["kinds"].count("Row") == 11 and engine.cohort_hits == 15
+    assert seen["kinds"].count("Row") == 16 and engine.cohort_hits == 15
+    # the representative and the four with a callback ran as instances
+    assert sum(row.materialized is not None for row in engine.instances) == 5
     assert len(seen[BatchedEngine]) == 4 and seen[BatchedEngine] == seen[Engine]
     assert_same(traces[Engine], traces[BatchedEngine])
 
